@@ -40,6 +40,7 @@ import (
 	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/wire"
 	"github.com/pravega-go/pravega/pkg/pravega"
@@ -128,7 +129,18 @@ func runAll(listen string, stores, containers, bookies int, ltsDir string, polic
 	}
 	defer sys.Close()
 
-	srv, err := wire.NewServer(sys.Cluster(), sys.Controller(), listen)
+	// The same placement router the coord role runs, with direct calls as the
+	// per-store transport; clients learn placement from the same claim set.
+	cl := sys.Cluster()
+	srv, err := wire.NewServer(wire.ServerConfig{
+		Data:  cl.Router(),
+		Ctrl:  sys.Controller(),
+		Coord: cl.Meta,
+		Info: func() (wire.ClusterInfo, error) {
+			return wire.CoordClusterInfo(cl.Meta, cl.TotalContainers())
+		},
+		Load: cl.Router().LoadReports,
+	}, listen)
 	if err != nil {
 		log.Fatalf("pravega-server: listening: %v", err)
 	}
@@ -150,11 +162,11 @@ func runAll(listen string, stores, containers, bookies int, ltsDir string, polic
 	}
 	done := make(chan error, 1)
 	go func() {
-		if err := sys.Cluster().FlushAll(); err != nil {
+		if err := cl.FlushAll(); err != nil {
 			done <- err
 			return
 		}
-		done <- sys.Cluster().WaitForTiering(drainTO)
+		done <- cl.WaitForTiering(drainTO)
 	}()
 	select {
 	case err := <-done:
@@ -170,7 +182,7 @@ func runAll(listen string, stores, containers, bookies int, ltsDir string, polic
 
 // runCoord hosts the coordination store, the WAL bookie ensemble, and the
 // controller. Segment data lives in store-role processes; the controller
-// reaches them through a RemotePlane that resolves ownership per request.
+// reaches them through the placement router with the wire transport.
 func runCoord(listen string, stores, containers, bookies, policyMS int, metrics string, drainTO time.Duration) {
 	meta := cluster.NewStore()
 	total := stores * containers
@@ -194,7 +206,13 @@ func runCoord(listen string, stores, containers, bookies, policyMS int, metrics 
 		log.Fatalf("pravega-server: publishing topology: %v", err)
 	}
 
-	plane := wire.NewRemotePlane(meta, total, wire.ClientConfig{})
+	plane, err := placement.New(placement.Config{
+		Source: placement.CoordSource{Coord: meta, Total: total},
+		Dial:   wire.StoreDialer(wire.ClientConfig{}),
+	})
+	if err != nil {
+		log.Fatalf("pravega-server: starting router: %v", err)
+	}
 	defer plane.Close()
 	ctrl, err := controller.New(controller.Config{Data: plane, Cluster: meta})
 	if err != nil {
@@ -205,7 +223,7 @@ func runCoord(listen string, stores, containers, bookies, policyMS int, metrics 
 		ctrl.StartPolicyLoops(time.Duration(policyMS) * time.Millisecond)
 	}
 
-	srv, err := wire.NewServerWith(wire.ServerConfig{
+	srv, err := wire.NewServer(wire.ServerConfig{
 		Ctrl:    ctrl,
 		Coord:   meta,
 		Bookies: bkNodes,
@@ -279,8 +297,8 @@ func runStore(listen, advertise, storeID, coordAddr, ltsDir string, leaseTTL, re
 		log.Fatalf("pravega-server: starting store: %v", err)
 	}
 
-	srv, err := wire.NewServerWith(wire.ServerConfig{
-		Data: wire.StoreBackend{St: st},
+	srv, err := wire.NewServer(wire.ServerConfig{
+		Data: placement.Local{St: st},
 		Load: st.LoadReport,
 	}, listen)
 	if err != nil {

@@ -1,12 +1,14 @@
 // Package client defines the transport boundary between the pkg/pravega
 // client stack (event writers, readers, reader groups, state synchronizer,
-// KV tables) and the server side of the system. Two implementations exist:
-// the in-process hosting.Conn/controller pair used by tests and benchmarks,
-// and the wire-protocol client behind pravega.Connect, which speaks the
+// KV tables) and the server side of the system. The data side has one
+// implementation, placement.Router, over two per-store transports: direct
+// calls in process (behind hosting.Conn's links, used by tests and
+// benchmarks) and the wire protocol behind pravega.Connect, which speaks the
 // binary segment-store protocol over TCP (§2.2, §3.2 of the paper). The
-// client stack depends only on these interfaces, so every higher-level
-// guarantee — exactly-once appends, reader-group coordination, scaling —
-// holds identically over both transports.
+// control side is the controller itself or the wire client. The client
+// stack depends only on these interfaces, so every higher-level guarantee —
+// exactly-once appends, reader-group coordination, scaling — holds
+// identically over both transports.
 package client
 
 import (
@@ -68,8 +70,10 @@ type DataTransport interface {
 	// MergeSegment atomically appends the sealed source segment's bytes to
 	// the target and deletes the source, returning the offset in the target
 	// where the merged bytes begin — the transaction-commit primitive
-	// (§3.2). Target and source must share a container; transaction shadow
-	// segments route by their parent's name, which guarantees it.
+	// (§3.2). Transaction shadow segments route by their parent's name, so
+	// the pair normally shares a container and the merge is one atomic
+	// operation; after a scale moved the target elsewhere the transport
+	// copies and deletes instead (readers still see all bytes or none).
 	MergeSegment(target, source string) (int64, error)
 	// Close releases the transport's resources. In-flight operations fail
 	// with ErrDisconnected.

@@ -24,8 +24,9 @@ var (
 )
 
 // DataPlane is the controller's view of the segment stores: operations are
-// routed by qualified segment name. The in-process hosting layer and the
-// TCP wire layer both satisfy it.
+// routed by qualified segment name. placement.Router satisfies it over
+// either per-store transport (direct calls in process, the wire protocol
+// from the coord process).
 type DataPlane interface {
 	CreateSegment(name string) error
 	SealSegment(name string) (int64, error)
@@ -33,10 +34,12 @@ type DataPlane interface {
 	DeleteSegment(name string) error
 	// MergeSegment atomically appends the (sealed) source segment's bytes
 	// to the target and deletes the source — the commit primitive for
-	// transaction segments (§3.2). Source and target share a container
-	// because transaction segments route by their parent's name.
-	MergeSegment(target, source string) error
-	SegmentInfo(name string) (segment.Info, error)
+	// transaction segments (§3.2) — returning the target offset where the
+	// merged bytes begin. A source whose target hashes to another container
+	// (commit after a scale) is copied and deleted instead; readers still
+	// observe all of its bytes or none.
+	MergeSegment(target, source string) (int64, error)
+	GetInfo(name string) (segment.Info, error)
 	// OwnerOf resolves the segment store instance currently serving the
 	// segment's container (GetURI in Pravega's protocol).
 	OwnerOf(name string) (string, error)

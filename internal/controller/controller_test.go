@@ -72,29 +72,30 @@ func (f *fakeData) DeleteSegment(name string) error {
 	return nil
 }
 
-func (f *fakeData) MergeSegment(target, source string) error {
+func (f *fakeData) MergeSegment(target, source string) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	src, ok := f.segments[source]
 	if !ok {
-		return segstore.ErrSegmentNotFound
+		return 0, segstore.ErrSegmentNotFound
 	}
 	tgt, ok := f.segments[target]
 	if !ok {
-		return segstore.ErrSegmentNotFound
+		return 0, segstore.ErrSegmentNotFound
 	}
 	if tgt.sealed {
-		return segstore.ErrSegmentSealed
+		return 0, segstore.ErrSegmentSealed
 	}
 	if !src.sealed {
-		return segstore.ErrSegmentNotSealed
+		return 0, segstore.ErrSegmentNotSealed
 	}
+	off := tgt.length
 	tgt.length += src.length - src.startOffset
 	delete(f.segments, source)
-	return nil
+	return off, nil
 }
 
-func (f *fakeData) SegmentInfo(name string) (segment.Info, error) {
+func (f *fakeData) GetInfo(name string) (segment.Info, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s, ok := f.segments[name]

@@ -206,7 +206,7 @@ func (c *Controller) evaluateRetention() {
 	for _, j := range jobs {
 		cut := make(StreamCut, len(j.active))
 		for _, id := range j.active {
-			info, err := c.cfg.Data.SegmentInfo(id.QualifiedName())
+			info, err := c.cfg.Data.GetInfo(id.QualifiedName())
 			if err != nil {
 				continue
 			}
@@ -254,7 +254,7 @@ func (c *Controller) evaluateRetention() {
 func (c *Controller) streamSizeLocked(st *streamState) int64 {
 	var total int64
 	for n, rec := range st.segments {
-		info, err := c.cfg.Data.SegmentInfo(rec.ID.QualifiedName())
+		info, err := c.cfg.Data.GetInfo(rec.ID.QualifiedName())
 		if err != nil {
 			continue
 		}

@@ -225,11 +225,11 @@ func (c *Controller) mergeOneShadow(st *streamState, scope, name, txnID string, 
 	if err != nil {
 		return err
 	}
-	if err := c.cfg.Data.MergeSegment(target, shadow); err != nil {
+	if _, err := c.cfg.Data.MergeSegment(target, shadow); err != nil {
 		if errors.Is(err, segstore.ErrSegmentNotFound) {
 			// Ambiguous: the shadow may be gone (merge already applied) or
 			// the target may be missing. Re-check the shadow.
-			if _, ierr := c.cfg.Data.SegmentInfo(shadow); errors.Is(ierr, segstore.ErrSegmentNotFound) {
+			if _, ierr := c.cfg.Data.GetInfo(shadow); errors.Is(ierr, segstore.ErrSegmentNotFound) {
 				return nil
 			}
 		}
@@ -240,7 +240,7 @@ func (c *Controller) mergeOneShadow(st *streamState, scope, name, txnID string, 
 			if rerr != nil {
 				return rerr
 			}
-			if merr := c.cfg.Data.MergeSegment(target, shadow); merr == nil {
+			if _, merr := c.cfg.Data.MergeSegment(target, shadow); merr == nil {
 				return nil
 			}
 		}

@@ -47,7 +47,7 @@ func TestTxnCommitMergesShadows(t *testing.T) {
 	}
 	// Shadow segments exist on the data plane, invisible to stream metadata.
 	for _, ts := range info.Segments {
-		if _, err := data.SegmentInfo(ts.Shadow); err != nil {
+		if _, err := data.GetInfo(ts.Shadow); err != nil {
 			t.Fatalf("shadow %s missing: %v", ts.Shadow, err)
 		}
 		if !segment.IsTxnSegment(ts.Shadow) {
@@ -58,7 +58,7 @@ func TestTxnCommitMergesShadows(t *testing.T) {
 	data.setLength(info.Segments[0].Shadow, 100)
 	data.setLength(info.Segments[1].Shadow, 50)
 	parent0 := info.Segments[0].Parent.ID.QualifiedName()
-	before, _ := data.SegmentInfo(parent0)
+	before, _ := data.GetInfo(parent0)
 
 	if err := c.CommitTxn("s", "t", info.ID); err != nil {
 		t.Fatalf("CommitTxn: %v", err)
@@ -68,11 +68,11 @@ func TestTxnCommitMergesShadows(t *testing.T) {
 	}
 	// Shadows consumed; parent extended by exactly the shadow bytes.
 	for _, ts := range info.Segments {
-		if _, err := data.SegmentInfo(ts.Shadow); err == nil {
+		if _, err := data.GetInfo(ts.Shadow); err == nil {
 			t.Fatalf("shadow %s survived the merge", ts.Shadow)
 		}
 	}
-	after, err := data.SegmentInfo(parent0)
+	after, err := data.GetInfo(parent0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTxnAbortDeletesShadows(t *testing.T) {
 		t.Fatalf("status after abort: %v", got)
 	}
 	for _, ts := range info.Segments {
-		if _, err := data.SegmentInfo(ts.Shadow); err == nil {
+		if _, err := data.GetInfo(ts.Shadow); err == nil {
 			t.Fatalf("shadow %s survived the abort", ts.Shadow)
 		}
 	}
@@ -172,7 +172,7 @@ func TestTxnCommitAfterScaleRoutesToSuccessor(t *testing.T) {
 	}
 	// The shadow's bytes landed in the successor covering the parent's low
 	// bound, not in the sealed parent.
-	parentInfo, err := data.SegmentInfo(segs[0].ID.QualifiedName())
+	parentInfo, err := data.GetInfo(segs[0].ID.QualifiedName())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTxnCommitAfterScaleRoutesToSuccessor(t *testing.T) {
 	}
 	var successorBytes int64
 	for _, sw := range after {
-		i, err := data.SegmentInfo(sw.ID.QualifiedName())
+		i, err := data.GetInfo(sw.ID.QualifiedName())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestTxnReaperAbortsExpired(t *testing.T) {
 	if got, _ := c.TxnStatus("s", "t", expired.ID); got != TxnAborted {
 		t.Fatalf("expired txn state %v, want aborted", got)
 	}
-	if _, err := data.SegmentInfo(expired.Segments[0].Shadow); err == nil {
+	if _, err := data.GetInfo(expired.Segments[0].Shadow); err == nil {
 		t.Fatal("expired txn's shadow survived the reaper")
 	}
 	if got, _ := c.TxnStatus("s", "t", fresh.ID); got != TxnOpen {
@@ -278,7 +278,7 @@ func TestTxnReaperRollsForwardCommitting(t *testing.T) {
 	if got, _ := c.TxnStatus("s", "t", info.ID); got != TxnCommitted {
 		t.Fatalf("state after roll-forward: %v, want committed", got)
 	}
-	parent, err := data.SegmentInfo(info.Segments[0].Parent.ID.QualifiedName())
+	parent, err := data.GetInfo(info.Segments[0].Parent.ID.QualifiedName())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestTxnReaperAfterHAFailover(t *testing.T) {
 		t.Fatalf("committing txn after failover: %v, %v (want committed)", got, err)
 	}
 	for _, ts := range append(expired.Segments, committing.Segments...) {
-		if _, err := data.SegmentInfo(ts.Shadow); err == nil {
+		if _, err := data.GetInfo(ts.Shadow); err == nil {
 			t.Fatalf("shadow %s survived failover cleanup", ts.Shadow)
 		}
 	}

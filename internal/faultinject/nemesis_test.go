@@ -41,7 +41,16 @@ func newNemesisRigCluster(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientC
 	if err != nil {
 		t.Fatalf("NewInProcess: %v", err)
 	}
-	srv, err := wire.NewServer(backing.Cluster(), backing.Controller(), "127.0.0.1:0")
+	cl := backing.Cluster()
+	srv, err := wire.NewServer(wire.ServerConfig{
+		Data:  cl.Router(),
+		Ctrl:  backing.Controller(),
+		Coord: cl.Meta,
+		Info: func() (wire.ClusterInfo, error) {
+			return wire.CoordClusterInfo(cl.Meta, cl.TotalContainers())
+		},
+		Load: cl.Router().LoadReports,
+	}, "127.0.0.1:0")
 	if err != nil {
 		backing.Close()
 		t.Fatalf("wire.NewServer: %v", err)
@@ -311,7 +320,7 @@ func TestMergeAppliedAckLost(t *testing.T) {
 	if _, err := wc.AppendConditional(shadow, []byte("abcde"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.backing.Cluster().SealSegment(shadow); err != nil {
+	if _, err := rig.backing.Cluster().Router().SealSegment(shadow); err != nil {
 		t.Fatalf("seal shadow: %v", err)
 	}
 
@@ -351,9 +360,14 @@ func TestLongPollReapedOnConnDrop(t *testing.T) {
 	if err := wc.CreateSegment(name); err != nil {
 		t.Fatal(err)
 	}
-	cont, err := rig.backing.Cluster().ContainerFor(name)
-	if err != nil {
-		t.Fatal(err)
+	var cont *segstore.Container
+	for _, st := range rig.backing.Cluster().Stores() {
+		if c, err := st.Container(name); err == nil {
+			cont = c
+		}
+	}
+	if cont == nil {
+		t.Fatalf("no store hosts the container of %s", name)
 	}
 	done := make(chan struct{})
 	go func() {

@@ -55,13 +55,10 @@ func benchFailover(b *testing.B, stores, containersPerStore, walDepth int) {
 	// work rather than just claim churn.
 	for id := 0; id < cl.TotalContainers(); id++ {
 		seg := segForContainer(id, cl.TotalContainers())
-		if err := cl.CreateSegment(seg); err != nil {
+		if err := cl.Router().CreateSegment(seg); err != nil {
 			b.Fatal(err)
 		}
-		st, err := cl.StoreFor(seg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := storeFor(b, cl, seg)
 		for i := 0; i < walDepth; i++ {
 			if _, err := st.Append(seg, []byte("failover-bench-payload"), "w", int64(i+1), 1); err != nil {
 				b.Fatal(err)

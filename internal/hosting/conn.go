@@ -5,18 +5,20 @@ import (
 	"sync"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/sim"
 )
 
-// Conn is one client's connection to the cluster's segment stores. With a
-// profile it shapes traffic through per-store request/response links
-// (modelling one TCP connection per store, as the Pravega client holds),
-// preserving FIFO order — which the writer relies on for per-key event
-// order (§3.2).
+// Conn is one client's connection to the cluster's segment stores: the
+// cluster's router behind per-store request/response links (modelling one
+// TCP connection per store, as the Pravega client holds). With a profile
+// the links shape traffic; without one they only hop goroutines. Either way
+// they preserve FIFO order — which the writer relies on for per-key event
+// order (§3.2) — and deliver append callbacks off the caller's goroutine.
 type Conn struct {
-	cl      *Cluster
+	*placement.Router
 	profile *sim.Profile
 
 	mu   sync.Mutex
@@ -28,19 +30,11 @@ type Conn struct {
 // instantaneous (test) connection.
 func (cl *Cluster) NewClientConn(profile *sim.Profile) *Conn {
 	return &Conn{
-		cl:      cl,
+		Router:  cl.router,
 		profile: profile,
 		req:     make(map[string]*sim.Link),
 		resp:    make(map[string]*sim.Link),
 	}
-}
-
-// RTT returns the modelled round-trip time to the segment stores.
-func (c *Conn) RTT() time.Duration {
-	if c.profile == nil {
-		return 0
-	}
-	return c.profile.ClientLink.RTT()
 }
 
 // links returns the request/response links for a store.
@@ -60,137 +54,72 @@ func (c *Conn) links(storeID string) (*sim.Link, *sim.Link) {
 	return r, c.resp[storeID]
 }
 
-// oneWay sleeps half an RTT (simple request/response calls).
-func (c *Conn) oneWay() {
-	if c.profile != nil {
-		time.Sleep(c.profile.ClientLink.Latency)
+// roundTrip sleeps half an RTT now and returns the function that sleeps the
+// other half (simple request/response calls: defer c.roundTrip()()).
+func (c *Conn) roundTrip() func() {
+	if c.profile == nil {
+		return func() {}
 	}
+	time.Sleep(c.profile.ClientLink.Latency)
+	return func() { time.Sleep(c.profile.ClientLink.Latency) }
 }
 
-// AppendAsync sends an append through the shaped request link and delivers
-// the result on the response link. Appends to segments on the same store
-// stay FIFO end to end.
-func (c *Conn) AppendAsync(segment string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
-	st, err := c.cl.StoreFor(segment)
+// AppendAsync sends an append through the owning store's request link and
+// delivers the result on its response link. Appends to segments on the same
+// store stay FIFO end to end.
+func (c *Conn) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+	owner, err := c.OwnerOf(name)
 	if err != nil {
 		// The transport contract delivers callbacks on a transport-internal
 		// goroutine; failing synchronously would re-enter the caller (the
 		// writer invokes AppendAsync with its own lock held).
-		go cb(segstore.AppendResult{Err: err})
+		go cb(segstore.AppendResult{Offset: -1, Err: err})
 		return
 	}
-	cont, err := st.Container(segment)
-	if err != nil {
-		go cb(segstore.AppendResult{Err: err})
-		return
-	}
-	req, resp := c.links(st.ID())
-	size := len(data) + 64
-	req.Send(size, func() {
-		// Callback delivery: the container's applier invokes this directly
-		// and resp.Send only schedules a timer, so no forwarding goroutine
-		// or channel is needed per append.
-		cont.AppendAsyncFunc(segment, data, writerID, eventNum, eventCount, func(r segstore.AppendResult) {
+	req, resp := c.links(owner)
+	req.Send(len(data)+64, func() {
+		// resp.Send only schedules a timer, so no forwarding goroutine or
+		// channel is needed per append.
+		c.Router.AppendAsync(name, data, writerID, eventNum, eventCount, func(r segstore.AppendResult) {
 			resp.Send(64, func() { cb(r) })
 		})
 	})
 }
 
-// AppendConditional performs a conditional append (state synchronizer).
-// Placement misses retry against fresh routing; a conditional append is
-// guarded by its expected offset, so a retry that raced an applied attempt
-// surfaces as ErrConditionalFailed, which the synchronizer resolves by
-// refetching.
-func (c *Conn) AppendConditional(segment string, data []byte, expectedOffset int64) (int64, error) {
-	var off int64
-	err := c.cl.retryOp(false, func() error {
-		cont, err := c.cl.ContainerFor(segment)
-		if err != nil {
-			return err
-		}
-		c.oneWay()
-		off, err = cont.AppendConditional(segment, data, expectedOffset)
-		c.oneWay()
-		return err
-	})
-	return off, err
+func (c *Conn) AppendConditional(name string, data []byte, expectedOffset int64) (int64, error) {
+	defer c.roundTrip()()
+	return c.Router.AppendConditional(name, data, expectedOffset)
 }
 
-// Read performs a (long-poll) segment read.
-func (c *Conn) Read(segment string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
-	return c.ReadCtx(context.Background(), segment, offset, maxBytes, wait)
+func (c *Conn) Read(name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
+	return c.ReadCtx(context.Background(), name, offset, maxBytes, wait)
 }
 
-// ReadCtx is Read with cancellation plumbed through to the server-side
-// long-poll: a tail read unblocks as soon as ctx is done.
-func (c *Conn) ReadCtx(ctx context.Context, segment string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
-	var res segstore.ReadResult
-	err := c.cl.retryOp(true, func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cont, err := c.cl.ContainerFor(segment)
-		if err != nil {
-			return err
-		}
-		c.oneWay()
-		res, err = cont.ReadCtx(ctx, segment, offset, maxBytes, wait)
-		c.oneWay()
-		return err
-	})
-	return res, err
+func (c *Conn) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
+	defer c.roundTrip()()
+	return c.Router.ReadCtx(ctx, name, offset, maxBytes, wait)
 }
 
-// GetInfo fetches segment metadata.
 func (c *Conn) GetInfo(name string) (segment.Info, error) {
-	var info segment.Info
-	err := c.cl.retryOp(true, func() error {
-		cont, err := c.cl.ContainerFor(name)
-		if err != nil {
-			return err
-		}
-		c.oneWay()
-		info, err = cont.GetInfo(name)
-		c.oneWay()
-		return err
-	})
-	return info, err
+	defer c.roundTrip()()
+	return c.Router.GetInfo(name)
 }
 
-// CreateSegment registers a raw segment (reader-group state, KV tables).
+func (c *Conn) WriterState(name, writerID string) (int64, error) {
+	defer c.roundTrip()()
+	return c.Router.WriterState(name, writerID)
+}
+
 func (c *Conn) CreateSegment(name string) error {
-	c.oneWay()
-	err := c.cl.CreateSegment(name)
-	c.oneWay()
-	return err
+	defer c.roundTrip()()
+	return c.Router.CreateSegment(name)
 }
 
-// MergeSegment atomically folds the sealed source segment into the target
-// (transaction commit, §3.2).
 func (c *Conn) MergeSegment(target, source string) (int64, error) {
-	c.oneWay()
-	off, err := c.cl.MergeSegmentAt(target, source)
-	c.oneWay()
-	return off, err
+	defer c.roundTrip()()
+	return c.Router.MergeSegment(target, source)
 }
 
-// Close releases the connection. The in-process links hold no OS
-// resources; Close exists to satisfy client.DataTransport.
+// Close releases the connection. The cluster owns the router and the links
+// hold no OS resources; Close exists to satisfy client.DataTransport.
 func (c *Conn) Close() error { return nil }
-
-// WriterState fetches the writer's last recorded event number (§3.2
-// reconnection handshake).
-func (c *Conn) WriterState(segment, writerID string) (int64, error) {
-	n := int64(-1)
-	err := c.cl.retryOp(true, func() error {
-		cont, err := c.cl.ContainerFor(segment)
-		if err != nil {
-			return err
-		}
-		c.oneWay()
-		n, err = cont.WriterState(segment, writerID)
-		c.oneWay()
-		return err
-	})
-	return n, err
-}

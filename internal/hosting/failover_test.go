@@ -7,15 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/client"
 	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/wal"
 )
 
 // dynCluster builds a dynamic-ownership cluster with failover-friendly
-// timings: short rebalance ticks so takeover happens fast, and a generous
-// ResolveWait so routing rides out the handoff window.
+// timings: short rebalance ticks so takeover happens fast.
 func dynCluster(t *testing.T, stores, perStore int, ttl time.Duration) *Cluster {
 	t.Helper()
 	return newCluster(t, ClusterConfig{
@@ -24,7 +22,6 @@ func dynCluster(t *testing.T, stores, perStore int, ttl time.Duration) *Cluster 
 		Ownership: OwnershipConfig{
 			LeaseTTL:          ttl,
 			RebalanceInterval: 20 * time.Millisecond,
-			ResolveWait:       10 * time.Second,
 		},
 	})
 }
@@ -46,16 +43,12 @@ func seedSegments(t *testing.T, cl *Cluster, events int) map[string][]byte {
 	oracle := make(map[string][]byte)
 	for id := 0; id < cl.TotalContainers(); id++ {
 		seg := segForContainer(id, cl.TotalContainers())
-		if err := cl.CreateSegment(seg); err != nil {
+		if err := cl.Router().CreateSegment(seg); err != nil {
 			t.Fatalf("create %s: %v", seg, err)
 		}
 		for i := 0; i < events; i++ {
 			data := []byte(fmt.Sprintf("c%d-ev%03d;", id, i))
-			st, err := cl.StoreFor(seg)
-			if err != nil {
-				t.Fatalf("route %s: %v", seg, err)
-			}
-			if _, err := st.Append(seg, data, "w", int64(i+1), 1); err != nil {
+			if _, err := storeFor(t, cl, seg).Append(seg, data, "w", int64(i+1), 1); err != nil {
 				t.Fatalf("append %s: %v", seg, err)
 			}
 			oracle[seg] = append(oracle[seg], data...)
@@ -108,7 +101,7 @@ func TestStoreCrashFailover(t *testing.T) {
 	cl := dynCluster(t, 3, 2, 2*time.Second)
 	oracle := seedSegments(t, cl, 20)
 
-	epochBefore := cl.PlacementEpoch()
+	epochBefore := segstore.PlacementEpoch(cl.Meta)
 	crashedID := cl.Stores()[0].ID()
 	if err := cl.CrashStore(0); err != nil {
 		t.Fatal(err)
@@ -125,9 +118,8 @@ func TestStoreCrashFailover(t *testing.T) {
 			t.Fatalf("container %d still assigned to crashed store %s", id, owner)
 		}
 	}
-	if cl.PlacementEpoch() <= epochBefore {
-		t.Fatalf("placement epoch did not advance across failover (%d -> %d)",
-			epochBefore, cl.PlacementEpoch())
+	if now := segstore.PlacementEpoch(cl.Meta); now <= epochBefore {
+		t.Fatalf("placement epoch did not advance across failover (%d -> %d)", epochBefore, now)
 	}
 
 	// Every byte acked before the crash must be readable from the new
@@ -239,46 +231,15 @@ func TestAddStoreRebalances(t *testing.T) {
 	verifyOracle(t, cl, oracle)
 }
 
-// TestWrongHostRetryIsBounded kills the only store: with nobody left to
-// re-acquire, routing must give up with a wrong-host error once ResolveWait
-// elapses — not spin forever.
-func TestWrongHostRetryIsBounded(t *testing.T) {
-	cl := newCluster(t, ClusterConfig{
-		Stores:             1,
-		ContainersPerStore: 2,
-		Ownership: OwnershipConfig{
-			LeaseTTL:          2 * time.Second,
-			RebalanceInterval: 20 * time.Millisecond,
-			ResolveWait:       300 * time.Millisecond,
-		},
-	})
-	seg := segForContainer(0, cl.TotalContainers())
-	if err := cl.CreateSegment(seg); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.CrashStore(0); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err := cl.SegmentInfo(seg)
-	elapsed := time.Since(start)
-	if !errors.Is(err, client.ErrWrongHost) {
-		t.Fatalf("SegmentInfo on ownerless cluster = %v, want ErrWrongHost", err)
-	}
-	if elapsed > 3*time.Second {
-		t.Fatalf("wrong-host retry not bounded: gave up only after %v", elapsed)
-	}
-}
-
 // TestOwnerOfTracksFailover pins the DataPlane OwnerOf contract: it reports
 // the live owner, and the answer moves when the owner crashes.
 func TestOwnerOfTracksFailover(t *testing.T) {
 	cl := dynCluster(t, 2, 2, 2*time.Second)
 	seg := segForContainer(0, cl.TotalContainers())
-	if err := cl.CreateSegment(seg); err != nil {
+	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	before, err := cl.OwnerOf(seg)
+	before, err := cl.Router().OwnerOf(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +258,7 @@ func TestOwnerOfTracksFailover(t *testing.T) {
 	if err := cl.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	after, err := cl.OwnerOf(seg)
+	after, err := cl.Router().OwnerOf(seg)
 	if err != nil {
 		t.Fatalf("OwnerOf after failover: %v", err)
 	}
@@ -311,13 +272,10 @@ func TestOwnerOfTracksFailover(t *testing.T) {
 func TestLoadByStoreSkipsCrashedStores(t *testing.T) {
 	cl := dynCluster(t, 2, 2, 2*time.Second)
 	seg := segForContainer(0, cl.TotalContainers())
-	if err := cl.CreateSegment(seg); err != nil {
+	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.StoreFor(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := storeFor(t, cl, seg)
 	for i := 0; i < 20; i++ {
 		if _, err := st.Append(seg, bytes.Repeat([]byte("l"), 100), "w", int64(i+1), 1); err != nil {
 			t.Fatal(err)

@@ -1,36 +1,32 @@
-// Package hosting wires a complete in-process Pravega cluster: the
+// Package hosting assembles a complete in-process Pravega cluster — the
 // coordination store, a bookie ensemble, segment store instances with their
-// containers distributed across them, and a long-term storage backend. It
-// implements controller.DataPlane and gives clients segment routing. The
-// same components can instead be deployed over TCP via cmd/pravega-server
-// and internal/wire; hosting is the harness used by tests, examples and the
-// benchmark figures.
+// containers distributed across them, and a long-term storage backend — and
+// injects faults into it (store crashes and wedges, container crashes and
+// restarts). Routing is not its job: Router() is a placement.Router over the
+// cluster's claim set with direct calls as the per-store transport, the same
+// router cmd/pravega-server and internal/wire run over TCP. hosting is the
+// harness used by tests, examples, the benchmark figures and the
+// single-process server role.
 //
 // Container placement is dynamic (§2.2, §4.4): each store's ownership
-// manager claims containers with lease-backed ephemeral nodes, and the
-// cluster routes through a cached placement table stamped with the
-// placement epoch. Crashing a store orphans its claims; survivors fence
-// the WALs and re-acquire. Tests that need to pin a container to a store
-// (fault-injection crash schedules) set Ownership.Manual.
+// manager claims containers with lease-backed ephemeral nodes. Crashing a
+// store orphans its claims; survivors fence the WALs and re-acquire. Tests
+// that need to pin a container to a store (fault-injection crash schedules)
+// set Ownership.Manual.
 package hosting
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
-	"github.com/pravega-go/pravega/internal/client"
 	"github.com/pravega-go/pravega/internal/cluster"
-	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/lts"
-	"github.com/pravega-go/pravega/internal/segment"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/sim"
-	"github.com/pravega-go/pravega/internal/wal"
 )
 
 // OwnershipConfig tunes dynamic container placement for the cluster.
@@ -45,10 +41,6 @@ type OwnershipConfig struct {
 	LeaseTTL time.Duration
 	// RebalanceInterval is the ownership managers' tick (default 50ms).
 	RebalanceInterval time.Duration
-	// ResolveWait bounds how long routing helpers wait for a container to
-	// have an owner before giving up (default 5s; failover takes up to a
-	// lease TTL plus a rebalance tick to resolve).
-	ResolveWait time.Duration
 }
 
 func (o *OwnershipConfig) defaults() {
@@ -60,9 +52,6 @@ func (o *OwnershipConfig) defaults() {
 	}
 	if o.RebalanceInterval <= 0 {
 		o.RebalanceInterval = 50 * time.Millisecond
-	}
-	if o.ResolveWait <= 0 {
-		o.ResolveWait = 5 * time.Second
 	}
 }
 
@@ -119,14 +108,6 @@ func (c *ClusterConfig) defaults() {
 	c.Ownership.defaults()
 }
 
-// placementTable is an immutable snapshot of container→store routing, built
-// from the live claim set and stamped with the placement epoch it reflects.
-type placementTable struct {
-	epoch int64
-	byID  map[int]*segstore.Store
-	index map[int]int // container id -> store index (wire ClusterInfo)
-}
-
 // Cluster is a running in-process deployment.
 type Cluster struct {
 	cfg  ClusterConfig
@@ -143,9 +124,7 @@ type Cluster struct {
 	storesByID map[string]*segstore.Store
 	mgrs       map[string]*segstore.OwnershipManager
 
-	placement atomic.Pointer[placementTable]
-	watchStop chan struct{}
-	closeOnce sync.Once
+	router *placement.Router
 }
 
 // NewCluster builds and starts the deployment.
@@ -168,7 +147,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		storesByID: make(map[string]*segstore.Store),
 		mgrs:       make(map[string]*segstore.OwnershipManager),
 		total:      cfg.Stores * cfg.ContainersPerStore,
-		watchStop:  make(chan struct{}),
 	}
 
 	for i := 0; i < cfg.Bookies; i++ {
@@ -232,10 +210,34 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		for _, m := range cl.mgrs {
 			m.Run()
 		}
-		go cl.watchEpoch()
+	}
+	cl.router, err = placement.New(placement.Config{
+		Source: placement.CoordSource{Coord: meta, Total: cl.total},
+		Dial:   cl.dialStore,
+	})
+	if err != nil {
+		cl.Close()
+		return nil, err
 	}
 	return cl, nil
 }
+
+// dialStore is the router's direct transport: a claim holder's id resolves
+// to the store object in this process.
+func (cl *Cluster) dialStore(ep placement.Endpoint) (placement.Store, error) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	st, ok := cl.storesByID[ep.ID]
+	if !ok {
+		return nil, fmt.Errorf("hosting: no store %q", ep.ID)
+	}
+	return placement.Local{St: st}, nil
+}
+
+// Router is the cluster's data plane: it routes by the live claim set and
+// serves as the controller's DataPlane, the client connections' transport
+// and the single-process server's data backend.
+func (cl *Cluster) Router() *placement.Router { return cl.router }
 
 // addStoreLocked creates one store (and, in dynamic mode, its ownership
 // manager) and appends it to the cluster. Callers hold no locks during
@@ -314,7 +316,6 @@ func (cl *Cluster) AddStore() (*segstore.Store, error) {
 	if m, ok := cl.mgrs[st.ID()]; ok {
 		m.Run()
 	}
-	cl.invalidatePlacement()
 	return st, nil
 }
 
@@ -330,8 +331,7 @@ func (cl *Cluster) CrashStore(i int) error {
 	st := cl.stores[i]
 	cl.mu.Unlock()
 	st.Crash()
-	cl.invalidatePlacement()
-	return nil
+	return cl.router.Refresh()
 }
 
 // WedgeStore stops a store's ownership manager without stopping the store:
@@ -366,166 +366,11 @@ func (cl *Cluster) Stores() []*segstore.Store {
 // Bookies returns the bookie instances (failure injection).
 func (cl *Cluster) Bookies() []*bookkeeper.Bookie { return cl.bookies }
 
-// PlacementEpoch returns the current cluster placement epoch.
-func (cl *Cluster) PlacementEpoch() int64 { return segstore.PlacementEpoch(cl.Meta) }
-
-// watchEpoch invalidates the placement cache whenever the epoch moves, so
-// routing picks up claim changes without waiting for a lookup miss.
-func (cl *Cluster) watchEpoch() {
-	for {
-		ch, err := segstore.WatchPlacementEpoch(cl.Meta)
-		if err != nil {
-			select {
-			case <-cl.watchStop:
-				return
-			case <-time.After(10 * time.Millisecond):
-				continue
-			}
-		}
-		select {
-		case <-cl.watchStop:
-			return
-		case <-ch:
-			cl.invalidatePlacement()
-		}
-	}
-}
-
-func (cl *Cluster) invalidatePlacement() { cl.placement.Store(nil) }
-
-// loadPlacement returns the cached placement table, rebuilding it from the
-// live claim set when the cache was invalidated.
-func (cl *Cluster) loadPlacement() *placementTable {
-	if t := cl.placement.Load(); t != nil {
-		return t
-	}
-	return cl.rebuildPlacement()
-}
-
-func (cl *Cluster) rebuildPlacement() *placementTable {
-	epoch := segstore.PlacementEpoch(cl.Meta)
-	claims, err := segstore.ClaimedContainers(cl.Meta)
-	if err != nil {
-		claims = nil
-	}
-	cl.mu.Lock()
-	t := &placementTable{
-		epoch: epoch,
-		byID:  make(map[int]*segstore.Store, len(claims)),
-		index: make(map[int]int, len(claims)),
-	}
-	for id, owner := range claims {
-		st, ok := cl.storesByID[owner]
-		if !ok {
-			continue
-		}
-		t.byID[id] = st
-		for si, s := range cl.stores {
-			if s == st {
-				t.index[id] = si
-				break
-			}
-		}
-	}
-	cl.mu.Unlock()
-	cl.placement.Store(t)
-	return t
-}
-
-// ContainerHomes returns a copy of the container-id → store-index routing
-// table (served to remote clients via the wire protocol's cluster-info
-// request, so they can pool one connection per store).
-func (cl *Cluster) ContainerHomes() map[int]int {
-	t := cl.loadPlacement()
-	out := make(map[int]int, len(t.index))
-	for id, si := range t.index {
-		out[id] = si
-	}
-	return out
-}
-
-// StoreForContainer resolves a container id to its current owner. It is
-// fail-fast: a miss rebuilds the table once and then reports
-// client.ErrWrongHost (the caller refreshes and retries, or surfaces the
-// code to a remote client which does the same).
-func (cl *Cluster) StoreForContainer(id int) (*segstore.Store, error) {
-	t := cl.loadPlacement()
-	if st, ok := t.byID[id]; ok {
-		return st, nil
-	}
-	t = cl.rebuildPlacement()
-	if st, ok := t.byID[id]; ok {
-		return st, nil
-	}
-	return nil, fmt.Errorf("hosting: container %d has no owner (epoch %d): %w", id, t.epoch, client.ErrWrongHost)
-}
-
-// StoreFor routes a qualified segment name to its owning store. Transaction
-// segments route by their parent's name, keeping shadow and parent in the
-// same container.
-func (cl *Cluster) StoreFor(name string) (*segstore.Store, error) {
-	return cl.StoreForContainer(keyspace.HashToContainer(segment.RoutingName(name), cl.total))
-}
-
-// ContainerFor routes a qualified segment name to its owning container.
-func (cl *Cluster) ContainerFor(name string) (*segstore.Container, error) {
-	st, err := cl.StoreFor(name)
-	if err != nil {
-		return nil, err
-	}
-	c, err := st.Container(name)
-	if err != nil {
-		// The claim moved between resolution and the call; refresh so the
-		// next attempt routes correctly.
-		cl.invalidatePlacement()
-		return nil, err
-	}
-	return c, nil
-}
-
-// transientPlacement reports whether an error means "the container is (or
-// may be) served elsewhere right now" — safe to retry against a fresh
-// placement for any operation, because the operation never started.
-func transientPlacement(err error) bool {
-	return errors.Is(err, client.ErrWrongHost) || errors.Is(err, segstore.ErrWrongContainer)
-}
-
-// transientIdempotent additionally covers failure modes where the operation
-// may have partially started (container shut down mid-call, zombie WAL
-// fenced); only idempotent/read operations retry these.
-func transientIdempotent(err error) bool {
-	return transientPlacement(err) ||
-		errors.Is(err, segstore.ErrContainerDown) ||
-		errors.Is(err, wal.ErrFenced)
-}
-
-// retryOp runs op against the live placement, retrying transient placement
-// errors (and, when idempotent, container-down/fenced errors) until
-// Ownership.ResolveWait elapses. During a failover the claim is briefly
-// unowned; this wait rides it out.
-func (cl *Cluster) retryOp(idempotent bool, op func() error) error {
-	transient := transientPlacement
-	if idempotent {
-		transient = transientIdempotent
-	}
-	wait := cl.cfg.Ownership.ResolveWait
-	deadline := time.Now().Add(wait)
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil || !transient(err) {
-			return err
-		}
-		if wait <= 0 || !time.Now().Before(deadline) {
-			return err
-		}
-		cl.invalidatePlacement()
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // Close shuts everything down.
 func (cl *Cluster) Close() {
-	cl.closeOnce.Do(func() { close(cl.watchStop) })
+	if cl.router != nil {
+		_ = cl.router.Close()
+	}
 	for _, st := range cl.Stores() {
 		_ = st.Close()
 	}
@@ -535,175 +380,6 @@ func (cl *Cluster) Close() {
 	for _, d := range cl.disks {
 		d.Close()
 	}
-}
-
-var _ controller.DataPlane = (*Cluster)(nil)
-
-// CreateSegment implements controller.DataPlane.
-func (cl *Cluster) CreateSegment(name string) error {
-	return cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		return st.CreateSegment(name)
-	})
-}
-
-// SealSegment implements controller.DataPlane.
-func (cl *Cluster) SealSegment(name string) (int64, error) {
-	var n int64
-	err := cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		n, err = st.Seal(name)
-		return err
-	})
-	return n, err
-}
-
-// TruncateSegment implements controller.DataPlane.
-func (cl *Cluster) TruncateSegment(name string, offset int64) error {
-	return cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		return st.Truncate(name, offset)
-	})
-}
-
-// DeleteSegment implements controller.DataPlane.
-func (cl *Cluster) DeleteSegment(name string) error {
-	return cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		return st.DeleteSegment(name)
-	})
-}
-
-// MergeSegment implements controller.DataPlane: it atomically folds the
-// sealed source segment into the target (transaction commit, §3.2).
-func (cl *Cluster) MergeSegment(target, source string) error {
-	_, err := cl.MergeSegmentAt(target, source)
-	return err
-}
-
-// MergeSegmentAt merges the sealed source segment into the target and
-// returns the target offset at which the merged bytes begin.
-//
-// A transaction's shadow segment routes with its parent, so the common case
-// is container-local and uses the single-WAL-op atomic merge. When a scale
-// sealed the parent mid-transaction, the commit target is a successor that
-// may hash to a different container (or store); the merge then degrades to
-// copy-and-delete: the source's sealed bytes land in the target through one
-// append (readers still observe all of them or none), under a writer
-// identity derived from the source name so the append pipeline's
-// (writer, event) dedup makes a retry after a crash between copy and delete
-// idempotent, and only then is the source deleted. A dedup-short-circuited
-// retry reports offset -1.
-func (cl *Cluster) MergeSegmentAt(target, source string) (int64, error) {
-	var off int64
-	err := cl.retryOp(false, func() error {
-		var err error
-		off, err = cl.mergeSegmentAtOnce(target, source)
-		return err
-	})
-	return off, err
-}
-
-func (cl *Cluster) mergeSegmentAtOnce(target, source string) (int64, error) {
-	tst, err := cl.StoreFor(target)
-	if err != nil {
-		return 0, err
-	}
-	sst, err := cl.StoreFor(source)
-	if err != nil {
-		return 0, err
-	}
-	if tst == sst {
-		tc, err := tst.Container(target)
-		if err != nil {
-			return 0, err
-		}
-		sc, err := tst.Container(source)
-		if err != nil {
-			return 0, err
-		}
-		if tc == sc {
-			return tst.MergeSegment(target, source)
-		}
-	}
-
-	info, err := sst.GetInfo(source)
-	if err != nil {
-		return 0, err
-	}
-	if !info.Sealed {
-		return 0, fmt.Errorf("%w: merge source %s", segstore.ErrSegmentNotSealed, source)
-	}
-	data := make([]byte, 0, info.Length-info.StartOffset)
-	for off := info.StartOffset; off < info.Length; {
-		res, err := sst.Read(source, off, int(info.Length-off), 0)
-		if err != nil {
-			return 0, err
-		}
-		if len(res.Data) == 0 {
-			return 0, fmt.Errorf("hosting: merge read of %s stalled at offset %d", source, off)
-		}
-		data = append(data, res.Data...)
-		off += int64(len(res.Data))
-	}
-	var off int64 = -1
-	if len(data) > 0 {
-		off, err = tst.Append(target, data, "txn-merge#"+source, 1, 1)
-		if err != nil {
-			return 0, err
-		}
-	}
-	if err := sst.DeleteSegment(source); err != nil && !errors.Is(err, segstore.ErrSegmentNotFound) {
-		return 0, err
-	}
-	return off, nil
-}
-
-// SegmentInfo implements controller.DataPlane.
-func (cl *Cluster) SegmentInfo(name string) (segment.Info, error) {
-	var info segment.Info
-	err := cl.retryOp(true, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		info, err = st.GetInfo(name)
-		return err
-	})
-	return info, err
-}
-
-// OwnerOf implements controller.DataPlane.
-func (cl *Cluster) OwnerOf(name string) (string, error) {
-	st, err := cl.StoreFor(name)
-	if err != nil {
-		return "", err
-	}
-	return st.ID(), nil
-}
-
-// LoadReports implements controller.DataPlane.
-func (cl *Cluster) LoadReports() []segstore.SegmentLoad {
-	var out []segstore.SegmentLoad
-	for _, st := range cl.Stores() {
-		if st.Closed() {
-			continue
-		}
-		out = append(out, st.LoadReport()...)
-	}
-	return out
 }
 
 // LoadByStore aggregates byte rates per store instance (Fig. 13's
@@ -730,15 +406,15 @@ func (cl *Cluster) LoadByStore() map[string]float64 {
 // meaningful under Ownership.Manual — a live rebalancer would immediately
 // re-acquire the container.
 func (cl *Cluster) CrashContainer(containerID int) error {
-	st, err := cl.StoreForContainer(containerID)
-	if err != nil {
-		return fmt.Errorf("hosting: container %d has no home", containerID)
+	for _, st := range cl.Stores() {
+		if st.Closed() {
+			continue // a crashed store's stale map must not release the new owner's claim
+		}
+		if err := st.CrashContainer(containerID); !errors.Is(err, segstore.ErrWrongContainer) {
+			return err
+		}
 	}
-	if err := st.CrashContainer(containerID); err != nil {
-		return err
-	}
-	cl.invalidatePlacement()
-	return nil
+	return fmt.Errorf("hosting: container %d has no home", containerID)
 }
 
 // RestartContainer simulates recovery of a crashed container on a given
@@ -751,45 +427,49 @@ func (cl *Cluster) RestartContainer(storeIdx, containerID int) error {
 	}
 	st := cl.stores[storeIdx]
 	cl.mu.Unlock()
-	if _, err := st.StartContainer(containerID); err != nil {
-		return err
-	}
-	cl.invalidatePlacement()
-	return nil
+	_, err := st.StartContainer(containerID)
+	return err
 }
 
 // AwaitConverged blocks until every container has an owner (and the
-// placement cache reflects it) or the timeout elapses.
+// router's table reflects it) or the timeout elapses.
 func (cl *Cluster) AwaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		t := cl.rebuildPlacement()
-		if len(t.byID) == cl.total {
-			return nil
+		claims, err := segstore.ClaimedContainers(cl.Meta)
+		if err == nil && len(claims) == cl.total {
+			return cl.router.Refresh()
 		}
 		if !time.Now().Before(deadline) {
-			return fmt.Errorf("hosting: %d/%d containers owned after %v", len(t.byID), cl.total, timeout)
+			return fmt.Errorf("hosting: %d/%d containers owned after %v", len(claims), cl.total, timeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// liveContainers lists every container hosted on a store that is up.
+func (cl *Cluster) liveContainers() []*segstore.Container {
+	var out []*segstore.Container
+	for _, st := range cl.Stores() {
+		if st.Closed() {
+			continue
+		}
+		for _, id := range st.HostedContainers() {
+			if c, err := st.ContainerByID(id); err == nil {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
 }
 
 // FlushAll forces every live container's unflushed data to LTS (graceful
 // drain path for cmd/pravega-server).
 func (cl *Cluster) FlushAll() error {
 	var firstErr error
-	for _, st := range cl.Stores() {
-		if st.Closed() {
-			continue
-		}
-		for _, id := range st.HostedContainers() {
-			c, err := st.ContainerByID(id)
-			if err != nil {
-				continue
-			}
-			if err := c.FlushAll(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, c := range cl.liveContainers() {
+		if err := c.FlushAll(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -804,35 +484,17 @@ func (cl *Cluster) WaitForTiering(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		pending := int64(0)
-		for _, st := range cl.Stores() {
-			if st.Closed() {
-				continue
-			}
-			for _, id := range st.HostedContainers() {
-				c, err := st.ContainerByID(id)
-				if err != nil {
-					continue
-				}
-				pending += c.Stats().UnflushedBytes
-			}
+		for _, c := range cl.liveContainers() {
+			pending += c.Stats().UnflushedBytes
 		}
 		if pending == 0 {
 			return nil
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	for _, st := range cl.Stores() {
-		if st.Closed() {
-			continue
-		}
-		for _, id := range st.HostedContainers() {
-			c, err := st.ContainerByID(id)
-			if err != nil {
-				continue
-			}
-			if ferr := c.LastFlushError(); ferr != nil {
-				return fmt.Errorf("hosting: tiering did not drain within %v: %w", timeout, ferr)
-			}
+	for _, c := range cl.liveContainers() {
+		if ferr := c.LastFlushError(); ferr != nil {
+			return fmt.Errorf("hosting: tiering did not drain within %v: %w", timeout, ferr)
 		}
 	}
 	return fmt.Errorf("hosting: tiering did not drain within %v", timeout)

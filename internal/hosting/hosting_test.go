@@ -22,6 +22,18 @@ func newCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	return cl
 }
 
+// storeFor finds the store hosting name's container right now.
+func storeFor(tb testing.TB, cl *Cluster, name string) *segstore.Store {
+	tb.Helper()
+	for _, st := range cl.Stores() {
+		if _, err := st.Container(name); err == nil && !st.Closed() {
+			return st
+		}
+	}
+	tb.Fatalf("no store hosts the container of %s", name)
+	return nil
+}
+
 func TestClusterRoutesBySegmentHash(t *testing.T) {
 	cl := newCluster(t, ClusterConfig{Stores: 3, ContainersPerStore: 2})
 	if cl.TotalContainers() != 6 {
@@ -29,19 +41,24 @@ func TestClusterRoutesBySegmentHash(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		name := fmt.Sprintf("s/x/%d.#epoch.0", i)
-		st, err := cl.StoreFor(name)
+		owner, err := cl.Router().OwnerOf(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := keyspace.HashToContainer(name, 6)
 		found := false
-		for _, id := range st.HostedContainers() {
-			if id == want {
-				found = true
+		for _, st := range cl.Stores() {
+			if st.ID() != owner {
+				continue
+			}
+			for _, id := range st.HostedContainers() {
+				if id == want {
+					found = true
+				}
 			}
 		}
 		if !found {
-			t.Fatalf("segment %s routed to store without container %d", name, want)
+			t.Fatalf("segment %s routed to store %s without container %d", name, owner, want)
 		}
 	}
 }
@@ -49,28 +66,28 @@ func TestClusterRoutesBySegmentHash(t *testing.T) {
 func TestClusterDataPlaneOps(t *testing.T) {
 	cl := newCluster(t, ClusterConfig{Stores: 2, ContainersPerStore: 2})
 	const seg = "s/x/7.#epoch.0"
-	if err := cl.CreateSegment(seg); err != nil {
+	r := cl.Router()
+	if err := r.CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := cl.StoreFor(seg)
-	if _, err := st.Append(seg, []byte("abc"), "w", 1, 1); err != nil {
+	if _, err := storeFor(t, cl, seg).Append(seg, []byte("abc"), "w", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	info, err := cl.SegmentInfo(seg)
+	info, err := r.GetInfo(seg)
 	if err != nil || info.Length != 3 {
 		t.Fatalf("info = %+v, %v", info, err)
 	}
-	owner, err := cl.OwnerOf(seg)
+	owner, err := r.OwnerOf(seg)
 	if err != nil || owner == "" {
 		t.Fatalf("OwnerOf = %q, %v", owner, err)
 	}
-	if n, err := cl.SealSegment(seg); err != nil || n != 3 {
+	if n, err := r.SealSegment(seg); err != nil || n != 3 {
 		t.Fatalf("Seal = %d, %v", n, err)
 	}
-	if err := cl.TruncateSegment(seg, 3); err != nil {
+	if err := r.TruncateSegment(seg, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.DeleteSegment(seg); err != nil {
+	if err := r.DeleteSegment(seg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,7 +126,7 @@ func TestStoreCrashContainerReassignment(t *testing.T) {
 	if err := cl.RestartContainer(1, 0); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
-	c, err := cl.ContainerFor(seg)
+	c, err := storeFor(t, cl, seg).Container(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +163,10 @@ func TestLTSOutageThrottlesAndRecovers(t *testing.T) {
 		},
 	})
 	const seg = "s/x/0.#epoch.0"
-	if err := cl.CreateSegment(seg); err != nil {
+	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := cl.StoreFor(seg)
+	st := storeFor(t, cl, seg)
 	c, _ := st.Container(seg)
 
 	simLTS.SetUnavailable(true)
@@ -191,10 +208,10 @@ func TestLTSOutageThrottlesAndRecovers(t *testing.T) {
 func TestBookieCrashClusterKeepsWorking(t *testing.T) {
 	cl := newCluster(t, ClusterConfig{Stores: 1, ContainersPerStore: 1, Bookies: 3})
 	const seg = "s/x/0.#epoch.0"
-	if err := cl.CreateSegment(seg); err != nil {
+	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := cl.StoreFor(seg)
+	st := storeFor(t, cl, seg)
 	if _, err := st.Append(seg, []byte("before"), "w", 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +229,10 @@ func TestBookieCrashClusterKeepsWorking(t *testing.T) {
 func TestLoadByStoreAggregates(t *testing.T) {
 	cl := newCluster(t, ClusterConfig{Stores: 2, ContainersPerStore: 1})
 	const seg = "s/x/1.#epoch.0"
-	if err := cl.CreateSegment(seg); err != nil {
+	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := cl.StoreFor(seg)
+	st := storeFor(t, cl, seg)
 	for i := 0; i < 50; i++ {
 		if _, err := st.Append(seg, bytes.Repeat([]byte("l"), 100), "w", int64(i), 1); err != nil {
 			t.Fatal(err)

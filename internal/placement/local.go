@@ -1,0 +1,117 @@
+package placement
+
+import (
+	"context"
+	"time"
+
+	"github.com/pravega-go/pravega/internal/cluster"
+	"github.com/pravega-go/pravega/internal/segment"
+	"github.com/pravega-go/pravega/internal/segstore"
+)
+
+// Local is the direct Store transport: calls on a segstore.Store in this
+// process. The in-process cluster routes to it, and a store-role process
+// serves it over the wire. A request for a container the store doesn't host
+// fails with segstore.ErrWrongContainer, which the router — and the wire
+// protocol's error code — treat as a wrong-host miss.
+type Local struct {
+	St *segstore.Store
+}
+
+var _ Store = Local{}
+
+// AppendAsync enqueues synchronously, preserving the caller's FIFO order
+// into the container's applier, which delivers cb — no goroutine or channel
+// per append.
+func (l Local) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+	c, err := l.St.Container(name)
+	if err != nil {
+		cb(segstore.AppendResult{Offset: -1, Err: err})
+		return
+	}
+	c.AppendAsyncFunc(name, data, writerID, eventNum, eventCount, cb)
+}
+
+func (l Local) AppendConditional(name string, data []byte, expectedOffset int64) (int64, error) {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return 0, err
+	}
+	return c.AppendConditional(name, data, expectedOffset)
+}
+
+func (l Local) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return segstore.ReadResult{}, err
+	}
+	return c.ReadCtx(ctx, name, offset, maxBytes, wait)
+}
+
+func (l Local) GetInfo(name string) (segment.Info, error) { return l.St.GetInfo(name) }
+
+func (l Local) WriterState(name, writerID string) (int64, error) {
+	return l.St.WriterState(name, writerID)
+}
+
+func (l Local) CreateSegment(name string) error { return l.St.CreateSegment(name) }
+
+func (l Local) SealSegment(name string) (int64, error) { return l.St.Seal(name) }
+
+func (l Local) TruncateSegment(name string, offset int64) error { return l.St.Truncate(name, offset) }
+
+func (l Local) DeleteSegment(name string) error { return l.St.DeleteSegment(name) }
+
+func (l Local) MergeSegment(target, source string) (int64, error) {
+	return l.St.MergeSegment(target, source)
+}
+
+func (l Local) LoadReport() ([]segstore.SegmentLoad, error) { return l.St.LoadReport(), nil }
+
+// Close is a no-op: whoever assembled the store owns its lifetime.
+func (l Local) Close() {}
+
+// CoordSource reads placement from the claim set in the coordination store:
+// container claims name their owner, live-host registrations carry each
+// owner's advertised address, and the epoch node's version counts claim
+// changes. Hosts and their claims share a session, so a dead store's
+// address and its claims vanish together.
+type CoordSource struct {
+	Coord cluster.Coord
+	Total int // cluster-wide container count
+}
+
+func (s CoordSource) Snapshot() (Snapshot, error) {
+	// Epoch first: a claim change racing the reads below then leaves the
+	// table stamped older than its contents, and the watch refreshes again.
+	epoch := segstore.PlacementEpoch(s.Coord)
+	claims, err := segstore.ClaimedContainers(s.Coord)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	_, addrs, err := segstore.LiveHosts(s.Coord)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	owner := make(map[int]Endpoint, len(claims))
+	for id, host := range claims {
+		owner[id] = Endpoint{ID: host, Addr: addrs[host]}
+	}
+	return Snapshot{Epoch: epoch, Total: s.Total, Owner: owner}, nil
+}
+
+func (s CoordSource) WaitEpoch(known int64, stop <-chan struct{}) (int64, error) {
+	// Arm first, then compare: a bump racing the arm is seen, never lost.
+	ch, err := segstore.WatchPlacementEpoch(s.Coord)
+	if err != nil {
+		return 0, err
+	}
+	if cur := segstore.PlacementEpoch(s.Coord); cur > known {
+		return cur, nil
+	}
+	select {
+	case <-ch:
+	case <-stop:
+	}
+	return segstore.PlacementEpoch(s.Coord), nil
+}

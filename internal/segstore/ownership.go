@@ -168,15 +168,6 @@ func LiveHosts(cs cluster.Coord) ([]string, map[string]string, error) {
 	return hosts, addrs, nil
 }
 
-// HostAddr returns the advertised wire address of a live host.
-func HostAddr(cs cluster.Coord, id string) (string, error) {
-	data, _, err := cs.Get(hostsRoot + "/" + id)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
 // ClaimedContainers maps container id -> owning store for every live claim.
 func ClaimedContainers(cs cluster.Coord) (map[int]string, error) {
 	names, err := cs.Children(assignmentRoot)

@@ -11,11 +11,7 @@ import (
 func newBenchServer(b *testing.B) *Conn {
 	b.Helper()
 	cl, ctrl := newBackend(b, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 1, Bookies: 3})
-	srv, err := NewServer(cl, ctrl, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = srv.Close() })
+	srv := newClusterServer(b, cl, ctrl)
 	conn, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)

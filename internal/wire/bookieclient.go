@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
+	"github.com/pravega-go/pravega/internal/placement"
 )
 
 // RemoteBookie is a WAL bookie served by the coord process, reached over
@@ -38,7 +39,7 @@ func bookieDown(err error) error {
 	if err == nil {
 		return nil
 	}
-	if isDisconnect(err) {
+	if placement.IsDisconnect(err) {
 		return fmt.Errorf("wire: bookie transport: %v: %w", err, bookkeeper.ErrBookieDown)
 	}
 	return err
@@ -55,7 +56,7 @@ func (b *RemoteBookie) AddEntry(ledgerID, entryID int64, data []byte, cb func(er
 	req := BookieReq{Bookie: b.id, Ledger: ledgerID, Entry: entryID, Data: data}
 	err := conn.CallAsyncFunc(MsgBookieAdd, &req, func(rep Reply) {
 		err := ReplyError(rep)
-		if isDisconnect(err) {
+		if placement.IsDisconnect(err) {
 			b.rs.sc.fault(conn)
 		}
 		cb(bookieDown(err))

@@ -5,8 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -31,10 +31,6 @@ var (
 		"Append round-trip time (µs), send to acknowledgement")
 	mcLongPolls = obs.Default().Gauge("pravega_wire_client_longpoll_reads",
 		"Long-poll reads waiting on the server")
-	mcPlacementRefreshes = obs.Default().Counter("pravega_wire_client_placement_refreshes_total",
-		"Cluster-info refreshes triggered by wrong-host replies or epoch staleness")
-	mcWrongHostRetries = obs.Default().Counter("pravega_wire_client_wrong_host_retries_total",
-		"Synchronous operations re-routed after a wrong-host reply")
 )
 
 // ClientConfig tunes the remote transport.
@@ -64,43 +60,24 @@ func (c *ClientConfig) defaults() {
 }
 
 // Client is the remote transport: it implements both client.DataTransport
-// and client.ControlTransport over the wire protocol. Like the in-process
-// path, it routes each segment to the store hosting its container and
-// keeps one pipelined connection per store (plus one for the control
-// plane), so appends to different stores never queue behind each other.
-// Lost connections reconnect in the background with capped exponential
-// backoff; in-flight operations on the lost connection fail with
+// and client.ControlTransport over the wire protocol. The data plane is a
+// placement.Router whose placement comes from the server's cluster-info
+// message and whose per-store transport is one pipelined connection per
+// store, so appends to different stores never queue behind each other; the
+// control plane rides one more connection to the bootstrap address. Lost
+// connections reconnect in the background with capped exponential backoff;
+// in-flight operations on the lost connection fail with
 // client.ErrDisconnected.
 type Client struct {
+	*placement.Router
 	addr string
 	cfg  ClientConfig
-
-	// info is the latest placement snapshot (ClusterInfo + epoch); replaced
-	// wholesale by refreshPlacement, read lock-free on the append path.
-	info atomic.Pointer[ClusterInfo]
-
 	ctrl *storeConn
-
-	// poolMu guards the store-connection pool, which can grow when a
-	// placement refresh reports more stores. Reads go through storePool.
-	poolMu sync.Mutex
-	stores []*storeConn
-
-	// refreshMu single-flights placement refreshes: concurrent wrong-host
-	// retries coalesce into one ClusterInfo round trip instead of a storm.
-	refreshMu sync.Mutex
 
 	// dial overrides the transport dialer (fault-injection tests count and
 	// script dials through it); nil means Dial.
 	dial func(addr string) (*Conn, error)
-
-	// epochStop ends the background placement-epoch watcher (closed once).
-	epochStop chan struct{}
-	closeOnce sync.Once
 }
-
-// clusterInfo returns the current placement snapshot.
-func (c *Client) clusterInfo() *ClusterInfo { return c.info.Load() }
 
 // dialServer opens one connection to the given address through the
 // configured dialer.
@@ -111,14 +88,15 @@ func (c *Client) dialServer(addr string) (*Conn, error) {
 	return Dial(addr)
 }
 
-// storeAddr resolves the address of store index i from a snapshot: the
-// multi-process cluster advertises one address per store (StoreAddrs); the
-// single-process server serves every store behind the bootstrap address.
-func (c *Client) storeAddr(info *ClusterInfo, i int) string {
-	if info != nil && i < len(info.StoreAddrs) && info.StoreAddrs[i] != "" {
-		return info.StoreAddrs[i]
+// dialStore opens the router's per-store transport: one pipelined
+// connection. A store that is unreachable right now still gets its slot,
+// reconnecting in the background like any other lost connection.
+func (c *Client) dialStore(ep placement.Endpoint) (placement.Store, error) {
+	if ep.Addr == "" {
+		return nil, fmt.Errorf("wire: store %s advertised no address", ep.ID)
 	}
-	return c.addr
+	conn, _ := c.dialServer(ep.Addr)
+	return newStoreConn(c, conn, ep.Addr), nil
 }
 
 var (
@@ -134,174 +112,85 @@ func NewClient(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := ctrlConn.Call(MsgClusterInfo, struct{}{})
-	if err != nil {
-		_ = ctrlConn.Close()
-		return nil, fmt.Errorf("wire: cluster info: %w", err)
-	}
-	var info ClusterInfo
-	if err := json.Unmarshal(rep.JSON, &info); err != nil {
-		_ = ctrlConn.Close()
-		return nil, fmt.Errorf("wire: cluster info: %w", err)
-	}
-	if info.Stores <= 0 || info.TotalContainers <= 0 {
-		_ = ctrlConn.Close()
-		return nil, fmt.Errorf("wire: bad cluster info (%d stores, %d containers)", info.Stores, info.TotalContainers)
-	}
-	c := &Client{addr: addr, cfg: cfg, epochStop: make(chan struct{})}
-	c.info.Store(&info)
+	c := &Client{addr: addr, cfg: cfg}
 	c.ctrl = newStoreConn(c, ctrlConn, addr)
-	c.stores = make([]*storeConn, info.Stores)
-	for i := range c.stores {
-		saddr := c.storeAddr(&info, i)
-		conn, err := Dial(saddr)
-		if err != nil {
-			_ = c.Close()
-			return nil, err
-		}
-		c.stores[i] = newStoreConn(c, conn, saddr)
+	c.Router, err = placement.New(placement.Config{Source: infoSource{c}, Dial: c.dialStore, Window: cfg.SyncRetryWindow})
+	if err != nil {
+		c.ctrl.Close()
+		return nil, err
 	}
-	go c.watchEpochLoop()
 	return c, nil
 }
 
-// refreshPlacement re-requests ClusterInfo when the held snapshot is no
-// newer than staleEpoch. Concurrent callers coalesce: whoever wins the
-// mutex refreshes, the rest observe the fresh snapshot and return. The
-// control connection carries the request, so a refresh never dials — the
-// pool only grows (by dialing) if the store count grew, which is how a
-// placement refresh avoids turning into a reconnect storm.
-func (c *Client) refreshPlacement(staleEpoch int64) error {
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	if cur := c.clusterInfo(); cur != nil && cur.Epoch > staleEpoch {
-		return nil // someone already refreshed past the stale snapshot
-	}
-	rep, err := c.ctrl.call(MsgClusterInfo, struct{}{})
-	if err != nil {
-		return err
-	}
-	var info ClusterInfo
-	if err := json.Unmarshal(rep.JSON, &info); err != nil {
-		return fmt.Errorf("wire: cluster info: %w", err)
-	}
-	if info.Stores <= 0 || info.TotalContainers <= 0 {
-		return fmt.Errorf("wire: bad cluster info (%d stores, %d containers)", info.Stores, info.TotalContainers)
-	}
-	mcPlacementRefreshes.Inc()
-	c.poolMu.Lock()
-	for len(c.stores) < info.Stores {
-		saddr := c.storeAddr(&info, len(c.stores))
-		conn, derr := c.dialServer(saddr)
-		if derr != nil {
-			c.poolMu.Unlock()
-			return derr
-		}
-		c.stores = append(c.stores, newStoreConn(c, conn, saddr))
-	}
-	var drop []*storeConn
-	if len(info.StoreAddrs) > 0 {
-		// Multi-process placement: store identities are addresses, so the
-		// pool must track them. A replaced address re-points that slot's
-		// connection (it redials lazily); a shrunken cluster trims the tail.
-		for i := 0; i < len(c.stores) && i < info.Stores; i++ {
-			c.stores[i].setAddr(c.storeAddr(&info, i))
-		}
-		for len(c.stores) > info.Stores {
-			drop = append(drop, c.stores[len(c.stores)-1])
-			c.stores = c.stores[:len(c.stores)-1]
-		}
-	}
-	c.poolMu.Unlock()
-	c.info.Store(&info)
-	for _, sc := range drop {
-		sc.close()
-	}
-	return nil
+// StoreDialer is the wire protocol's per-store transport as a router's Dial
+// function: each endpoint gets one pipelined, self-reconnecting connection.
+// The coord process pairs it with placement.CoordSource on its own
+// coordination store to reach whichever store process owns a container.
+func StoreDialer(cfg ClientConfig) func(placement.Endpoint) (placement.Store, error) {
+	cfg.defaults()
+	return (&Client{cfg: cfg}).dialStore
 }
 
-// watchEpochLoop long-polls the server's placement epoch and refreshes the
-// client's snapshot the moment it advances. This is what lets an IDLE
-// reader re-pin to the new owner after a failover proactively, instead of
-// discovering the move via a wrong-host round trip on its next read.
-func (c *Client) watchEpochLoop() {
-	for {
-		select {
-		case <-c.epochStop:
-			return
-		default:
-		}
-		known := int64(0)
-		if info := c.clusterInfo(); info != nil {
-			known = info.Epoch
-		}
-		rep, err := c.ctrl.call(MsgWatchEpoch, EpochReq{Known: known})
-		if err != nil {
-			if !isDisconnect(err) {
-				// The server doesn't serve epoch watches: fall back to the
-				// reactive wrong-host path for this client's lifetime.
-				return
-			}
-			select {
-			case <-c.epochStop:
-				return
-			case <-time.After(c.cfg.MaxBackoff):
-			}
-			continue
-		}
-		if rep.Count > 0 && rep.Offset > known {
-			_ = c.refreshPlacement(known)
+// infoSource is an external client's placement source: MsgClusterInfo
+// snapshots and the MsgWatchEpoch long poll, both on the control
+// connection — so a refresh never dials.
+type infoSource struct{ c *Client }
+
+func (s infoSource) Snapshot() (placement.Snapshot, error) {
+	rep, err := s.c.ctrl.call(MsgClusterInfo, struct{}{})
+	info, err := decode[ClusterInfo](rep, err, "cluster info")
+	if err != nil {
+		return placement.Snapshot{}, err
+	}
+	if info.Stores <= 0 || info.TotalContainers <= 0 {
+		return placement.Snapshot{}, fmt.Errorf("wire: bad cluster info (%d stores, %d containers)", info.Stores, info.TotalContainers)
+	}
+	// The multi-process cluster advertises one address per store, and a
+	// store's identity is that address; the single-process server serves
+	// every store index behind the bootstrap address.
+	eps := make([]placement.Endpoint, info.Stores)
+	for i := range eps {
+		eps[i] = placement.Endpoint{ID: "#" + strconv.Itoa(i), Addr: s.c.addr}
+		if i < len(info.StoreAddrs) && info.StoreAddrs[i] != "" {
+			eps[i] = placement.Endpoint{ID: info.StoreAddrs[i], Addr: info.StoreAddrs[i]}
 		}
 	}
+	owner := make(map[int]placement.Endpoint, len(info.ContainerHome))
+	for id, si := range info.ContainerHome {
+		if si >= 0 && si < len(eps) {
+			owner[id] = eps[si]
+		}
+	}
+	return placement.Snapshot{Epoch: info.Epoch, Total: info.TotalContainers, Owner: owner}, nil
+}
+
+// WaitEpoch long-polls the server's placement epoch. A server that serves
+// no epoch watch answers with a plain error, which ends the router's watch;
+// a lost connection does not.
+func (s infoSource) WaitEpoch(known int64, _ <-chan struct{}) (int64, error) {
+	rep, err := s.c.ctrl.call(MsgWatchEpoch, EpochReq{Known: known})
+	return rep.Offset, err
 }
 
 // Close tears down every connection. In-flight operations fail with
 // client.ErrDisconnected.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() {
-		if c.epochStop != nil {
-			close(c.epochStop)
-		}
-	})
-	c.ctrl.close()
-	c.poolMu.Lock()
-	stores := append([]*storeConn(nil), c.stores...)
-	c.poolMu.Unlock()
-	for _, sc := range stores {
-		if sc != nil {
-			sc.close()
-		}
-	}
-	return nil
-}
-
-// storeFor routes a qualified segment name to its store's connection using
-// the current placement snapshot, the same hash the server-side cluster
-// uses (transaction segments route by their parent's name). A container
-// with no known home (mid-failover snapshot) routes by container id — the
-// server resolves ownership per request anyway, and a wrong-host reply
-// triggers a refresh.
-func (c *Client) storeFor(name string) *storeConn {
-	info := c.clusterInfo()
-	id := keyspace.HashToContainer(segment.RoutingName(name), info.TotalContainers)
-	c.poolMu.Lock()
-	defer c.poolMu.Unlock()
-	si, ok := info.ContainerHome[id]
-	if !ok || si < 0 || si >= len(c.stores) {
-		si = id % len(c.stores)
-	}
-	return c.stores[si]
+	c.ctrl.Close() // first: it unblocks the router's epoch long poll
+	return c.Router.Close()
 }
 
 // storeConn owns one connection to one server process and its reconnect
-// loop.
+// loop. It is the wire implementation of placement.Store (single attempts
+// on the live connection) and, through call, the carrier of the control and
+// coordination planes.
 type storeConn struct {
-	c      *Client
-	mu     sync.Mutex
-	addr   string // server address this slot dials (can move on rebalance)
-	conn   *Conn  // nil while disconnected
-	redial bool   // reconnect loop running
-	closed bool
+	c       *Client
+	addr    string
+	mu      sync.Mutex
+	conn    *Conn        // nil while disconnected
+	redial  bool         // reconnect loop running
+	failing atomic.Int32 // unsent appends whose failure is not delivered yet
+	closed  bool
 	// ready broadcasts state changes to acquire waiters: it is an open
 	// channel while disconnected (replaced on every fault) and closed the
 	// moment the connection is live again or the storeConn closes, so
@@ -309,38 +198,24 @@ type storeConn struct {
 	ready chan struct{}
 }
 
+var _ placement.Store = (*storeConn)(nil)
+
+// newStoreConn wraps a live connection, or — given nil — starts
+// disconnected with the reconnect loop already dialing.
 func newStoreConn(c *Client, conn *Conn, addr string) *storeConn {
+	sc := &storeConn{c: c, conn: conn, addr: addr, ready: make(chan struct{})}
+	if conn == nil {
+		sc.redial = true
+		go sc.reconnectLoop(nil)
+		return sc
+	}
 	mcConnections.Add(1)
-	ready := make(chan struct{})
-	close(ready) // born connected
-	return &storeConn{c: c, conn: conn, addr: addr, ready: ready}
+	close(sc.ready) // born connected
+	return sc
 }
 
-// currentAddr returns the address this slot dials.
-func (sc *storeConn) currentAddr() string {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.addr
-}
-
-// setAddr re-points the slot at a new server address (placement refresh
-// after a rebalance or store replacement). The live connection to the old
-// address is faulted so the reconnect loop redials the new one.
-func (sc *storeConn) setAddr(addr string) {
-	sc.mu.Lock()
-	if sc.addr == addr || sc.closed {
-		sc.mu.Unlock()
-		return
-	}
-	sc.addr = addr
-	conn := sc.conn
-	sc.mu.Unlock()
-	if conn != nil {
-		sc.fault(conn)
-	}
-}
-
-func (sc *storeConn) close() {
+// Close tears the connection down for good and wakes every waiter.
+func (sc *storeConn) Close() {
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
@@ -398,13 +273,13 @@ func (sc *storeConn) fault(conn *Conn) {
 	mcConnections.Add(-1)
 	_ = conn.Close()
 	if start {
-		go sc.reconnectLoop()
+		go sc.reconnectLoop(conn)
 	}
 }
 
 // reconnectLoop redials with capped exponential backoff until it succeeds
-// or the client closes.
-func (sc *storeConn) reconnectLoop() {
+// or the client closes. lost is the connection it replaces (nil at birth).
+func (sc *storeConn) reconnectLoop(lost *Conn) {
 	backoff := sc.c.cfg.MinBackoff
 	if backoff <= 0 {
 		// A zero MinBackoff must not turn the dial loop into a busy spin
@@ -418,15 +293,16 @@ func (sc *storeConn) reconnectLoop() {
 			sc.mu.Unlock()
 			return
 		}
-		addr := sc.addr
 		sc.mu.Unlock()
-		conn, err := sc.c.dialServer(addr)
+		conn, err := sc.c.dialServer(sc.addr)
 		if err == nil {
-			if sc.currentAddr() != addr {
-				// The slot moved while we were dialing: drop this connection
-				// and dial the new address instead.
-				_ = conn.Close()
-				continue
+			if lost != nil {
+				// Publish the new connection only after every failure of the
+				// old one was delivered. A pipelined writer not yet told that
+				// batch N died could otherwise get batch N+1 applied over the
+				// new one, and the server's (writer, eventNum) dedup would
+				// discard N's replay: an acknowledged event lost.
+				<-lost.drained
 			}
 			sc.mu.Lock()
 			sc.redial = false
@@ -450,15 +326,13 @@ func (sc *storeConn) reconnectLoop() {
 	}
 }
 
-// acquire waits for a live connection until the deadline (and ctx, when
-// non-nil) allows. Waiters park on the ready broadcast channel, so a
-// reconnect (or close) wakes them immediately rather than after a poll
-// interval.
-func (sc *storeConn) acquire(ctx context.Context, deadline time.Time) (*Conn, error) {
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
+// acquire waits for a live connection until the deadline. Waiters park on
+// the ready broadcast channel, so a reconnect (or close) wakes them
+// immediately rather than after a poll interval. A connection that died
+// idle — nobody was using it to notice — is faulted here rather than handed
+// out: under connection churn an attempt spent on discovering a dead
+// connection is followed by a retry that finds the next one dead again.
+func (sc *storeConn) acquire(deadline time.Time) (*Conn, error) {
 	for {
 		sc.mu.Lock()
 		conn, closed, ready := sc.conn, sc.closed, sc.ready
@@ -466,38 +340,35 @@ func (sc *storeConn) acquire(ctx context.Context, deadline time.Time) (*Conn, er
 		if closed {
 			return nil, fmt.Errorf("wire: client closed: %w", client.ErrDisconnected)
 		}
+		if conn != nil && conn.Err() != nil {
+			sc.fault(conn)
+			continue
+		}
 		if conn != nil {
 			return conn, nil
 		}
 		wait := time.Until(deadline)
 		if wait <= 0 {
-			return nil, fmt.Errorf("wire: %s unreachable: %w", sc.currentAddr(), client.ErrDisconnected)
+			return nil, fmt.Errorf("wire: %s unreachable: %w", sc.addr, client.ErrDisconnected)
 		}
 		timer := time.NewTimer(wait)
 		select {
 		case <-ready:
 			timer.Stop()
-		case <-ctxDone:
-			timer.Stop()
-			return nil, ctx.Err()
 		case <-timer.C:
-			return nil, fmt.Errorf("wire: %s unreachable: %w", sc.currentAddr(), client.ErrDisconnected)
+			return nil, fmt.Errorf("wire: %s unreachable: %w", sc.addr, client.ErrDisconnected)
 		}
 	}
 }
 
-// isDisconnect reports whether err is a transport failure (as opposed to a
-// server-side error reply) and therefore worth a reconnect-and-retry.
-func isDisconnect(err error) bool {
+// decode unmarshals the JSON payload of a successful call's reply.
+func decode[T any](rep Reply, err error, what string) (v T, _ error) {
 	if err == nil {
-		return false
+		if err = json.Unmarshal(rep.JSON, &v); err != nil {
+			err = fmt.Errorf("wire: %s: %w", what, err)
+		}
 	}
-	if errors.Is(err, client.ErrDisconnected) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
+	return v, err
 }
 
 func disconnected(err error) error {
@@ -507,79 +378,58 @@ func disconnected(err error) error {
 	return fmt.Errorf("%w: %v", client.ErrDisconnected, err)
 }
 
-// call performs one synchronous request, retrying across connection loss
-// within the sync retry window. Safe for every synchronous operation the
-// transport routes through it: reads and metadata are idempotent, and
-// conditional appends are guarded by their expected offset (a lost ack
-// resurfaces as ErrConditionalFailed, which the state synchronizer
-// resolves by refetching, §3.3). The one non-idempotent sync op —
-// MergeSegment — runs its own loop that resolves ambiguous outcomes
-// instead of blindly retrying.
+// attemptWait is how long a routed attempt waits for a lost connection to
+// come back before reporting the request as not sent. One router backoff
+// step: a store that is gone costs callers no more than an unowned container.
+const attemptWait = 100 * time.Millisecond
+
+// roundTrip performs one request on the live connection, waiting for a
+// reconnect until the deadline. A request that never left is marked
+// placement.ErrNotSent: retrying it is safe for any operation.
+func (sc *storeConn) roundTrip(deadline time.Time, t MessageType, body any) (Reply, error) {
+	conn, err := sc.acquire(deadline)
+	if err != nil {
+		return Reply{}, fmt.Errorf("%w (%w)", err, placement.ErrNotSent)
+	}
+	rep, err := conn.Call(t, body)
+	if err != nil && placement.IsDisconnect(err) {
+		sc.fault(conn)
+		err = disconnected(err)
+	}
+	return rep, err
+}
+
+// once is a routed segment operation's single attempt.
+func (sc *storeConn) once(t MessageType, body any) (Reply, error) {
+	return sc.roundTrip(time.Now().Add(attemptWait), t, body)
+}
+
+// call performs one synchronous request on this connection's fixed
+// endpoint (control plane, coordination store, bookies), waiting out a
+// reconnect and resending across connection loss within the sync retry
+// window. Segment operations do not come through here: the router retries
+// those, against whichever store owns the container by then.
 func (sc *storeConn) call(t MessageType, body any) (Reply, error) {
 	deadline := time.Now().Add(sc.c.cfg.SyncRetryWindow)
 	for {
-		conn, err := sc.acquire(nil, deadline)
-		if err != nil {
-			return Reply{}, err
-		}
-		rep, err := conn.Call(t, body)
-		if err != nil && isDisconnect(err) {
-			sc.fault(conn)
-			if time.Now().Before(deadline) {
-				continue
-			}
-			return Reply{}, disconnected(err)
+		rep, err := sc.roundTrip(deadline, t, body)
+		if err != nil && placement.IsDisconnect(err) && !errors.Is(err, placement.ErrNotSent) && time.Now().Before(deadline) {
+			continue
 		}
 		return rep, err
 	}
 }
 
-// wrongHost reports a placement miss: the operation never started, so a
-// retry against refreshed placement is safe for any operation.
-func wrongHost(err error) bool { return errors.Is(err, client.ErrWrongHost) }
+// --- placement.Store ---
 
-// segCall performs one synchronous segment operation with bounded
-// wrong-host retry: each attempt re-routes through the current placement
-// snapshot, and a wrong-host reply refreshes placement (single-flight, no
-// redial) and backs off. During a failover a container is briefly unowned;
-// this window rides it out without hammering the server.
-func (c *Client) segCall(name string, t MessageType, body any) (Reply, error) {
-	deadline := time.Now().Add(c.cfg.SyncRetryWindow)
-	backoff := 5 * time.Millisecond
-	for {
-		rep, err := c.storeFor(name).call(t, body)
-		if err == nil || !wrongHost(err) {
-			return rep, err
-		}
-		if !time.Now().Before(deadline) {
-			return rep, err
-		}
-		mcWrongHostRetries.Inc()
-		staleEpoch := int64(0)
-		if info := c.clusterInfo(); info != nil {
-			staleEpoch = info.Epoch
-		}
-		_ = c.refreshPlacement(staleEpoch)
-		time.Sleep(backoff)
-		if backoff < 100*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// --- client.DataTransport ---
-
-// AppendAsync pipelines an append on the segment's store connection. It
-// fails fast on a lost connection — no internal retry — because replaying
-// is the event writer's job: it must resend the original batches verbatim
-// for server-side dedup to recognize them (§3.2).
-func (c *Client) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
-	sc := c.storeFor(name)
+// AppendAsync pipelines an append on the connection. It fails fast on a
+// lost connection — no internal retry — because replaying is the event
+// writer's job: it must resend the original batches verbatim for
+// server-side dedup to recognize them (§3.2).
+func (sc *storeConn) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
 	conn := sc.current()
-	if conn == nil {
-		// Deliver on a goroutine: callers may invoke AppendAsync holding the
-		// lock their callback takes.
-		go cb(segstore.AppendResult{Offset: -1, Err: fmt.Errorf("wire: %s: %w", c.addr, client.ErrDisconnected)})
+	if conn == nil || sc.failing.Load() > 0 {
+		sc.failAppend(cb, fmt.Errorf("wire: %s: %w", sc.addr, client.ErrDisconnected))
 		return
 	}
 	req := AppendReq{
@@ -592,204 +442,112 @@ func (c *Client) AppendAsync(name string, data []byte, writerID string, eventNum
 		mcInflightAppends.Add(-1)
 		mcAppendRTT.RecordSince(start)
 		err := ReplyError(rep)
-		if isDisconnect(err) {
+		if placement.IsDisconnect(err) {
 			sc.fault(conn)
-		} else if wrongHost(err) {
-			// Kick a background refresh so the writer's replay routes to the
-			// new owner; the connection itself is healthy — no fault, no
-			// teardown. The writer parks the batch and replays it (§3.2).
-			staleEpoch := int64(0)
-			if info := c.clusterInfo(); info != nil {
-				staleEpoch = info.Epoch
-			}
-			go func() { _ = c.refreshPlacement(staleEpoch) }()
 		}
 		cb(segstore.AppendResult{Offset: rep.Offset, Err: err})
 	})
 	if err != nil {
 		mcInflightAppends.Add(-1)
 		sc.fault(conn)
-		go cb(segstore.AppendResult{Offset: -1, Err: disconnected(err)})
+		sc.failAppend(cb, disconnected(err))
 	}
 }
 
-// AppendConditional implements the state synchronizer's compare-and-append.
-func (c *Client) AppendConditional(name string, data []byte, expectedOffset int64) (int64, error) {
-	req := AppendReq{Segment: name, Data: data, CondOffset: expectedOffset}
-	rep, err := c.segCall(name, MsgAppend, &req)
+// failAppend delivers an append that could not be sent, on a goroutine:
+// callers may invoke AppendAsync holding the lock their callback takes.
+// Until it has run, later appends fail too — like reconnectLoop's drain
+// barrier, so batch N+1 is never applied before the writer knows N is lost.
+func (sc *storeConn) failAppend(cb func(segstore.AppendResult), err error) {
+	sc.failing.Add(1)
+	go func() {
+		cb(segstore.AppendResult{Offset: -1, Err: err})
+		sc.failing.Add(-1)
+	}()
+}
+
+func (sc *storeConn) AppendConditional(name string, data []byte, expectedOffset int64) (int64, error) {
+	rep, err := sc.once(MsgAppend, &AppendReq{Segment: name, Data: data, CondOffset: expectedOffset})
+	return rep.Offset, err
+}
+
+// ReadCtx long-polls up to wait at the tail. When ctx is done it sends a
+// cancel for the in-flight request and the server-side long poll unblocks
+// immediately.
+func (sc *storeConn) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
+	conn, err := sc.acquire(time.Now().Add(attemptWait))
 	if err != nil {
-		return 0, err
+		return segstore.ReadResult{}, fmt.Errorf("%w (%w)", err, placement.ErrNotSent)
 	}
-	return rep.Offset, nil
-}
-
-// Read reads from a segment, long-polling up to wait at the tail.
-func (c *Client) Read(name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
-	return c.ReadCtx(context.Background(), name, offset, maxBytes, wait)
-}
-
-// ReadCtx is Read with the wait cancellable: when ctx is done the client
-// sends a cancel for the in-flight request and the server-side long poll
-// unblocks immediately.
-func (c *Client) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
 	req := ReadReq{Segment: name, Offset: offset, MaxBytes: maxBytes, WaitMS: wait.Milliseconds()}
-	deadline := time.Now().Add(c.cfg.SyncRetryWindow)
-	for {
-		sc := c.storeFor(name)
-		conn, err := sc.acquire(ctx, deadline)
-		if err != nil {
-			return segstore.ReadResult{}, err
-		}
-		ch, id, err := conn.CallAsync(MsgRead, &req)
-		if err != nil {
-			if isDisconnect(err) {
-				sc.fault(conn)
-				if ctx.Err() == nil && time.Now().Before(deadline) {
-					continue
-				}
-				err = disconnected(err)
-			}
-			return segstore.ReadResult{}, err
-		}
-		mcLongPolls.Add(1)
-		var rep Reply
-		select {
-		case rep = <-ch:
-		case <-ctx.Done():
-			// Unblock the server-side wait; the original request always
-			// completes (cancellation error, or failAll on connection loss),
-			// so this drain cannot hang.
-			conn.Cancel(id)
-			<-ch
-			mcLongPolls.Add(-1)
-			return segstore.ReadResult{}, ctx.Err()
-		}
-		mcLongPolls.Add(-1)
-		if rep.Err != "" {
-			err := ReplyError(rep)
-			if isDisconnect(err) {
-				sc.fault(conn)
-				if ctx.Err() == nil && time.Now().Before(deadline) {
-					continue
-				}
-			} else if wrongHost(err) && ctx.Err() == nil && time.Now().Before(deadline) {
-				// Mid-failover: the container has no owner right now. Refresh
-				// placement and retry until the survivors re-acquire it.
-				mcWrongHostRetries.Inc()
-				staleEpoch := int64(0)
-				if info := c.clusterInfo(); info != nil {
-					staleEpoch = info.Epoch
-				}
-				_ = c.refreshPlacement(staleEpoch)
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			return segstore.ReadResult{}, err
-		}
-		return segstore.ReadResult{Data: rep.Data, Offset: rep.Offset, EndOfSegment: rep.EOS}, nil
-	}
-}
-
-// GetInfo fetches segment metadata.
-func (c *Client) GetInfo(name string) (segment.Info, error) {
-	rep, err := c.segCall(name, MsgGetInfo, SegmentReq{Segment: name})
+	ch, id, err := conn.CallAsync(MsgRead, &req)
 	if err != nil {
-		return segment.Info{}, err
+		if placement.IsDisconnect(err) {
+			sc.fault(conn)
+			err = disconnected(err)
+		}
+		return segstore.ReadResult{}, err
 	}
-	var info segment.Info
-	if err := json.Unmarshal(rep.JSON, &info); err != nil {
-		return segment.Info{}, fmt.Errorf("wire: segment info: %w", err)
+	mcLongPolls.Add(1)
+	defer mcLongPolls.Add(-1)
+	var rep Reply
+	select {
+	case rep = <-ch:
+	case <-ctx.Done():
+		// Unblock the server-side wait; the original request always
+		// completes (cancellation error, or failAll on connection loss),
+		// so this drain cannot hang.
+		conn.Cancel(id)
+		<-ch
+		return segstore.ReadResult{}, ctx.Err()
 	}
-	return info, nil
+	if err := ReplyError(rep); err != nil {
+		if placement.IsDisconnect(err) {
+			sc.fault(conn)
+		}
+		return segstore.ReadResult{}, err
+	}
+	return segstore.ReadResult{Data: rep.Data, Offset: rep.Offset, EndOfSegment: rep.EOS}, nil
 }
 
-// WriterState returns the writer's last recorded event number (§3.2
-// reconnection handshake).
-func (c *Client) WriterState(name, writerID string) (int64, error) {
-	rep, err := c.segCall(name, MsgWriterState, SegmentReq{Segment: name, WriterID: writerID})
-	if err != nil {
-		return 0, err
-	}
-	return rep.Offset, nil
+func (sc *storeConn) GetInfo(name string) (segment.Info, error) {
+	rep, err := sc.once(MsgGetInfo, SegmentReq{Segment: name})
+	return decode[segment.Info](rep, err, "segment info")
 }
 
-// CreateSegment registers a raw segment.
-func (c *Client) CreateSegment(name string) error {
-	_, err := c.segCall(name, MsgCreateSegment, SegmentReq{Segment: name})
+func (sc *storeConn) WriterState(name, writerID string) (int64, error) {
+	rep, err := sc.once(MsgWriterState, SegmentReq{Segment: name, WriterID: writerID})
+	return rep.Offset, err
+}
+
+func (sc *storeConn) CreateSegment(name string) error {
+	_, err := sc.once(MsgCreateSegment, SegmentReq{Segment: name})
 	return err
 }
 
-// MergeSegment atomically folds the sealed source segment into the target
-// (transaction commit, §3.2). Routed by the target's name; transaction
-// shadow segments hash identically to their parent, so the pair lands on
-// one store.
-//
-// Merge is not idempotent: if the connection drops after the server
-// applied it but before the ack arrived, a blind retry finds the source
-// gone and reports ErrSegmentNotFound for a commit that succeeded. So it
-// does not go through call's generic retry. It snapshots the source's
-// length up front and runs its own loop: only after at least one
-// disconnected attempt (outcome unknown) does a missing source mean
-// "already merged", and then the merge offset is reconstructed from the
-// target's length.
-func (c *Client) MergeSegment(target, source string) (int64, error) {
-	deadline := time.Now().Add(c.cfg.SyncRetryWindow)
-	srcLen := int64(-1)
-	if info, err := c.GetInfo(source); err == nil {
-		srcLen = info.Length
-	}
-	req := MergeReq{Target: target, Source: source}
-	ambiguous := false
-	for {
-		sc := c.storeFor(target)
-		conn, err := sc.acquire(nil, deadline)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := conn.Call(MsgMergeSegments, &req)
-		if err != nil && isDisconnect(err) {
-			// The merge may have been applied before the connection died;
-			// every attempt from here on has an ambiguous predecessor.
-			ambiguous = true
-			sc.fault(conn)
-			if time.Now().Before(deadline) {
-				continue
-			}
-			return 0, disconnected(err)
-		}
-		if err != nil {
-			if wrongHost(err) && time.Now().Before(deadline) {
-				// Placement miss: the merge never started, so this retry does
-				// NOT make the outcome ambiguous.
-				mcWrongHostRetries.Inc()
-				staleEpoch := int64(0)
-				if info := c.clusterInfo(); info != nil {
-					staleEpoch = info.Epoch
-				}
-				_ = c.refreshPlacement(staleEpoch)
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			if ambiguous && errors.Is(err, segstore.ErrSegmentNotFound) {
-				// Lost-ack resolution: the source vanished after an attempt
-				// whose outcome we never saw, so an earlier try committed the
-				// merge. Recover the offset the ack would have carried from
-				// the target's length (exact while commits to this target are
-				// serialized, which the controller guarantees per stream
-				// segment).
-				info, ierr := c.GetInfo(target)
-				if ierr != nil {
-					return 0, ierr
-				}
-				if srcLen >= 0 && info.Length >= srcLen {
-					return info.Length - srcLen, nil
-				}
-				return info.Length, nil
-			}
-			return 0, err
-		}
-		return rep.Offset, nil
-	}
+func (sc *storeConn) SealSegment(name string) (int64, error) {
+	rep, err := sc.once(MsgSeal, SegmentReq{Segment: name})
+	return rep.Offset, err
+}
+
+func (sc *storeConn) TruncateSegment(name string, offset int64) error {
+	_, err := sc.once(MsgTruncate, SegmentReq{Segment: name, Offset: offset})
+	return err
+}
+
+func (sc *storeConn) DeleteSegment(name string) error {
+	_, err := sc.once(MsgDeleteSegment, SegmentReq{Segment: name})
+	return err
+}
+
+func (sc *storeConn) MergeSegment(target, source string) (int64, error) {
+	rep, err := sc.once(MsgMergeSegments, &MergeReq{Target: target, Source: source})
+	return rep.Offset, err
+}
+
+func (sc *storeConn) LoadReport() ([]segstore.SegmentLoad, error) {
+	rep, err := sc.once(MsgLoadReport, struct{}{})
+	return decode[[]segstore.SegmentLoad](rep, err, "load report")
 }
 
 // --- client.ControlTransport ---
@@ -815,38 +573,17 @@ func (c *Client) CreateStream(cfg controller.StreamConfig) error {
 
 func (c *Client) GetActiveSegments(scope, stream string) ([]controller.SegmentWithRange, error) {
 	rep, err := c.ctrl.call(MsgActiveSegments, StreamReq{Scope: scope, Stream: stream})
-	if err != nil {
-		return nil, err
-	}
-	var segs []controller.SegmentWithRange
-	if err := json.Unmarshal(rep.JSON, &segs); err != nil {
-		return nil, fmt.Errorf("wire: active segments: %w", err)
-	}
-	return segs, nil
+	return decode[[]controller.SegmentWithRange](rep, err, "active segments")
 }
 
 func (c *Client) GetSuccessors(scope, stream string, segNumber int64) ([]controller.SuccessorRecord, error) {
 	rep, err := c.ctrl.call(MsgSuccessors, StreamReq{Scope: scope, Stream: stream, Segment: segNumber})
-	if err != nil {
-		return nil, err
-	}
-	var succ []controller.SuccessorRecord
-	if err := json.Unmarshal(rep.JSON, &succ); err != nil {
-		return nil, fmt.Errorf("wire: successors: %w", err)
-	}
-	return succ, nil
+	return decode[[]controller.SuccessorRecord](rep, err, "successors")
 }
 
 func (c *Client) GetHeadSegments(scope, stream string) ([]controller.HeadSegment, error) {
 	rep, err := c.ctrl.call(MsgHeadSegments, StreamReq{Scope: scope, Stream: stream})
-	if err != nil {
-		return nil, err
-	}
-	var heads []controller.HeadSegment
-	if err := json.Unmarshal(rep.JSON, &heads); err != nil {
-		return nil, fmt.Errorf("wire: head segments: %w", err)
-	}
-	return heads, nil
+	return decode[[]controller.HeadSegment](rep, err, "head segments")
 }
 
 func (c *Client) Scale(scope, stream string, seal []int64, newRanges []keyspace.Range) error {
@@ -871,14 +608,7 @@ func (c *Client) DeleteStream(scope, stream string) error {
 
 func (c *Client) StreamConfigOf(scope, stream string) (controller.StreamConfig, error) {
 	rep, err := c.ctrl.call(MsgStreamConfig, StreamReq{Scope: scope, Stream: stream})
-	if err != nil {
-		return controller.StreamConfig{}, err
-	}
-	var cfg controller.StreamConfig
-	if err := json.Unmarshal(rep.JSON, &cfg); err != nil {
-		return controller.StreamConfig{}, fmt.Errorf("wire: stream config: %w", err)
-	}
-	return cfg, nil
+	return decode[controller.StreamConfig](rep, err, "stream config")
 }
 
 func (c *Client) UpdateStreamPolicies(scope, stream string, scaling *controller.ScalingPolicy, retention *controller.RetentionPolicy) error {
@@ -904,14 +634,7 @@ func (c *Client) SegmentCount(scope, stream string) (int, error) {
 
 func (c *Client) BeginTxn(scope, stream string, lease time.Duration) (controller.TxnInfo, error) {
 	rep, err := c.ctrl.call(MsgBeginTxn, TxnReq{Scope: scope, Stream: stream, LeaseMS: lease.Milliseconds()})
-	if err != nil {
-		return controller.TxnInfo{}, err
-	}
-	var info controller.TxnInfo
-	if err := json.Unmarshal(rep.JSON, &info); err != nil {
-		return controller.TxnInfo{}, fmt.Errorf("wire: begin txn: %w", err)
-	}
-	return info, nil
+	return decode[controller.TxnInfo](rep, err, "begin txn")
 }
 
 func (c *Client) CommitTxn(scope, stream, txnID string) error {
@@ -926,12 +649,5 @@ func (c *Client) AbortTxn(scope, stream, txnID string) error {
 
 func (c *Client) TxnStatus(scope, stream, txnID string) (controller.TxnState, error) {
 	rep, err := c.ctrl.call(MsgTxnStatus, TxnReq{Scope: scope, Stream: stream, TxnID: txnID})
-	if err != nil {
-		return "", err
-	}
-	var state controller.TxnState
-	if err := json.Unmarshal(rep.JSON, &state); err != nil {
-		return "", fmt.Errorf("wire: txn status: %w", err)
-	}
-	return state, nil
+	return decode[controller.TxnState](rep, err, "txn status")
 }

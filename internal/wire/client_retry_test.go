@@ -39,7 +39,7 @@ func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := newStoreConn(c, conn, srv.Addr())
-	defer sc.close()
+	defer sc.Close()
 	sc.fault(conn) // reconnect loop starts and blocks in the gated dial
 
 	type result struct {
@@ -48,7 +48,7 @@ func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		conn, err := sc.acquire(nil, time.Now().Add(10*time.Second))
+		conn, err := sc.acquire(time.Now().Add(10 * time.Second))
 		got <- result{conn, err}
 	}()
 	// Let the waiter settle into its wait (mid-sleep, under poll semantics).
@@ -71,6 +71,31 @@ func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 	}
 }
 
+// TestAttemptReplacesIdleDeadConn pins that a routed attempt which finds
+// its connection already dead goes out on the reconnected one within the
+// same attempt. The connection died idle — no operation was in flight to
+// observe the loss, so nothing faulted it. If the attempt failed instead,
+// every attempt under connection churn would be spent discovering a dead
+// connection, and the router's retry — one backoff later — would find the
+// reconnected one dead again (a 30 s livelock the nemesis soak hit).
+func TestAttemptReplacesIdleDeadConn(t *testing.T) {
+	srv, _ := newServer(t)
+	c := &Client{addr: srv.Addr(), cfg: ClientConfig{MinBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, SyncRetryWindow: 5 * time.Second}}
+	conn, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newStoreConn(c, conn, srv.Addr())
+	defer sc.Close()
+	_ = conn.Close() // dies idle: the storeConn still holds it as live
+	if _, err := sc.once(MsgClusterInfo, struct{}{}); err != nil {
+		t.Fatalf("attempt on an idle-dead connection: %v", err)
+	}
+	if got := sc.current(); got == nil || got == conn {
+		t.Fatal("the dead connection was not replaced")
+	}
+}
+
 // TestAcquireObservesClose pins that close() wakes parked waiters instead
 // of leaving them to run out their deadline.
 func TestAcquireObservesClose(t *testing.T) {
@@ -90,12 +115,12 @@ func TestAcquireObservesClose(t *testing.T) {
 
 	got := make(chan error, 1)
 	go func() {
-		_, err := sc.acquire(nil, time.Now().Add(10*time.Second))
+		_, err := sc.acquire(time.Now().Add(10 * time.Second))
 		got <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
 	start := time.Now()
-	sc.close()
+	sc.Close()
 	select {
 	case err := <-got:
 		if err == nil {
@@ -124,10 +149,10 @@ func TestReconnectBackoffFloor(t *testing.T) {
 		dials.Add(1)
 		return nil, errors.New("endpoint down")
 	}
-	sc := &storeConn{c: c, redial: true, ready: make(chan struct{})}
-	go sc.reconnectLoop()
+	sc := &storeConn{c: c, addr: c.addr, redial: true, ready: make(chan struct{})}
+	go sc.reconnectLoop(nil)
 	time.Sleep(60 * time.Millisecond)
-	sc.close()
+	sc.Close()
 	if n := dials.Load(); n > 100 {
 		t.Fatalf("reconnect loop dialed %d times in 60ms: zero MinBackoff is hot-spinning", n)
 	}
@@ -198,11 +223,7 @@ func TestFailAllDeliversOffCallerGoroutine(t *testing.T) {
 // one tail waiter blocked for its full wait after the client was gone.
 func TestDuplicateLongPollCancelsAllOnDrop(t *testing.T) {
 	cl, ctrl := newBackend(t, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
-	srv, err := NewServer(cl, ctrl, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newClusterServer(t, cl, ctrl)
 	if err := ctrl.CreateScope("dup"); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +235,7 @@ func TestDuplicateLongPollCancelsAllOnDrop(t *testing.T) {
 		t.Fatalf("active segments: %v", err)
 	}
 	seg := segs[0].ID.QualifiedName()
-	cont, err := cl.ContainerFor(seg)
+	cont, err := cl.Stores()[0].Container(seg)
 	if err != nil {
 		t.Fatal(err)
 	}

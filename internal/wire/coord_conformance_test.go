@@ -17,7 +17,7 @@ import (
 // newRemoteCoord serves a fresh store over TCP and dials it.
 func newRemoteCoord(t *testing.T) *RemoteStore {
 	t.Helper()
-	srv, err := NewServerWith(ServerConfig{Coord: cluster.NewStore()}, "127.0.0.1:0")
+	srv, err := NewServer(ServerConfig{Coord: cluster.NewStore()}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 )
 
 // Process-wide series for remote coordination clients.
@@ -69,7 +69,7 @@ func DialCoordRetry(addr string, cfg ClientConfig, timeout time.Duration) (*Remo
 
 // Close tears the connection down. Remote sessions are left to their TTL
 // (call their Close first for a clean release).
-func (rs *RemoteStore) Close() { rs.sc.close() }
+func (rs *RemoteStore) Close() { rs.sc.Close() }
 
 // DropConn severs the current connection without closing the store: the
 // reconnect loop brings it back. Fault-injection tests use this to prove
@@ -80,13 +80,7 @@ func (rs *RemoteStore) DropConn() {
 	}
 }
 
-func decodeCoordRep(rep Reply) (CoordRep, error) {
-	var cr CoordRep
-	if err := json.Unmarshal(rep.JSON, &cr); err != nil {
-		return cr, fmt.Errorf("wire: coord reply: %w", err)
-	}
-	return cr, nil
-}
+func decodeCoordRep(rep Reply) (CoordRep, error) { return decode[CoordRep](rep, nil, "coord reply") }
 
 func statOf(cr CoordRep) cluster.Stat {
 	return cluster.Stat{
@@ -186,7 +180,7 @@ func (rs *RemoteStore) watchLoop(t MessageType, path string, known int64, ch cha
 	for {
 		rep, err := rs.sc.call(t, CoordReq{Path: path, KnownVersion: known})
 		if err != nil {
-			if isDisconnect(err) && !rs.sc.isClosed() {
+			if placement.IsDisconnect(err) && !rs.sc.isClosed() {
 				// Outage outlived the sync retry window: keep the watch alive
 				// across the reconnect. The version baseline closes the
 				// missed-event window.
@@ -197,7 +191,7 @@ func (rs *RemoteStore) watchLoop(t MessageType, path string, known int64, ch cha
 			// deletion IS the event; otherwise give up silently — one-shot
 			// watch channels are buffered and a closed channel reads as fired
 			// for select loops.
-			if t == MsgCoordWatchData && err != nil && !isDisconnect(err) {
+			if t == MsgCoordWatchData && err != nil && !placement.IsDisconnect(err) {
 				ch <- cluster.Event{Type: cluster.EventDeleted, Path: path}
 			}
 			close(ch)
@@ -278,14 +272,14 @@ func (s *RemoteSession) Renew() error {
 	s.mu.Unlock()
 	for {
 		attempt := time.Now()
-		conn, err := s.rs.sc.acquire(nil, deadline)
+		conn, err := s.rs.sc.acquire(deadline)
 		if err != nil {
 			s.fence()
 			return fmt.Errorf("wire: session %d renew: coord unreachable past TTL: %w", s.id, cluster.ErrSessionClosed)
 		}
 		rep, err := conn.Call(MsgCoordSessionRenew, CoordReq{SessionID: s.id})
 		_ = rep
-		if err != nil && isDisconnect(err) {
+		if err != nil && placement.IsDisconnect(err) {
 			s.rs.sc.fault(conn)
 			if time.Now().Before(deadline) {
 				continue

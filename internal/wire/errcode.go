@@ -75,7 +75,6 @@ var codeSentinels = []struct {
 	{codeConditionalFailed, segstore.ErrConditionalFailed},
 	{codeContainerDown, segstore.ErrContainerDown},
 	{codeReadTimeout, segstore.ErrReadTimeout},
-	{codeWrongContainer, segstore.ErrWrongContainer},
 	{codeScopeExists, controller.ErrScopeExists},
 	{codeScopeNotFound, controller.ErrScopeNotFound},
 	{codeStreamExists, controller.ErrStreamExists},
@@ -88,10 +87,12 @@ var codeSentinels = []struct {
 	{codeTxnNotFound, controller.ErrTxnNotFound},
 	{codeTxnNotOpen, controller.ErrTxnNotOpen},
 	{codeSegmentNotSealed, segstore.ErrSegmentNotSealed},
-	// Both "routed to the wrong store" and "zombie WAL fenced by the new
-	// owner" decode to client.ErrWrongHost: the client-side cure is the
-	// same — refresh placement and re-route.
+	// "Routed to the wrong store", "this store doesn't host that container"
+	// and "zombie WAL fenced by the new owner" all decode to
+	// client.ErrWrongHost: the client-side cure is the same — refresh
+	// placement and re-route. (codeWrongContainer is retired, not reused.)
 	{codeWrongHost, client.ErrWrongHost},
+	{codeWrongHost, segstore.ErrWrongContainer},
 	{codeWrongHost, wal.ErrFenced},
 	{codeNodeExists, cluster.ErrNodeExists},
 	{codeNoNode, cluster.ErrNoNode},

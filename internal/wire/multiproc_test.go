@@ -2,15 +2,18 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
 	"github.com/pravega-go/pravega/internal/cluster"
+	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -24,9 +27,11 @@ import (
 // behaviors that suite builds on.
 
 // multiProcCoord is the coord role: coordination store, bookie ensemble,
-// and placement snapshots, served over one listener.
+// placement snapshots, and the controller over the wire-transport router,
+// served over one listener.
 type multiProcCoord struct {
 	meta  *cluster.Store
+	ctrl  *controller.Controller
 	srv   *Server
 	total int
 }
@@ -51,7 +56,21 @@ func startMultiProcCoord(t *testing.T, stores, containersPerStore, bookies int) 
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerWith(ServerConfig{
+	plane, err := placement.New(placement.Config{
+		Source: placement.CoordSource{Coord: meta, Total: total},
+		Dial:   StoreDialer(ClientConfig{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = plane.Close() })
+	ctrl, err := controller.New(controller.Config{Data: plane, Cluster: meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Close)
+	srv, err := NewServer(ServerConfig{
+		Ctrl:    ctrl,
 		Coord:   meta,
 		Bookies: bkNodes,
 		Info:    func() (ClusterInfo, error) { return CoordClusterInfo(meta, total) },
@@ -60,7 +79,7 @@ func startMultiProcCoord(t *testing.T, stores, containersPerStore, bookies int) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return &multiProcCoord{meta: meta, srv: srv, total: total}
+	return &multiProcCoord{meta: meta, ctrl: ctrl, srv: srv, total: total}
 }
 
 // multiProcStore is the store role: one segment store whose coordination,
@@ -105,7 +124,7 @@ func startMultiProcStore(t *testing.T, coordAddr, ltsDir, id string, leaseTTL ti
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerWith(ServerConfig{Data: StoreBackend{St: st}, Load: st.LoadReport}, "127.0.0.1:0")
+	srv, err := NewServer(ServerConfig{Data: placement.Local{St: st}, Load: st.LoadReport}, "127.0.0.1:0")
 	if err != nil {
 		_ = st.Close()
 		t.Fatal(err)
@@ -193,6 +212,110 @@ func TestMultiProcClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCommitAfterScaleAcrossStores pins the cross-store transaction commit:
+// a scale seals the transaction's parent, the successor that takes the
+// commit hashes to a container owned by the OTHER store process, and the
+// router — shared by every deployment — degrades the merge to
+// copy-and-delete. (Before the router, only the in-process cluster could do
+// this; the coord's data plane forwarded a container-local merge to the
+// target's store and got ErrSegmentNotFound for the shadow.)
+func TestCommitAfterScaleAcrossStores(t *testing.T) {
+	coord := startMultiProcCoord(t, 2, 2, 3)
+	ltsDir := t.TempDir()
+	startMultiProcStore(t, coord.srv.Addr(), ltsDir, "store-0", time.Minute)
+	startMultiProcStore(t, coord.srv.Addr(), ltsDir, "store-1", time.Minute)
+	awaitClusterClaims(t, coord.meta, coord.total, 10*time.Second)
+
+	c, err := NewClient(coord.srv.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.CreateScope("xs"); err != nil {
+		t.Fatal(err)
+	}
+	ownerOf := func(seg string) string {
+		owner, err := segstore.ContainerOwner(coord.meta, keyspace.HashToContainer(segment.RoutingName(seg), coord.total))
+		if err != nil {
+			t.Fatalf("owner of %s: %v", seg, err)
+		}
+		return owner
+	}
+
+	// Which store a segment lands on is the parity of its name's FNV hash
+	// (4 containers, preferred owner id%2), and a successor's name differs
+	// from its parent's only in the segment and epoch numbers: splitting
+	// segment 0 of a two-segment stream ("0.#epoch.0" -> "2.#epoch.1") flips
+	// that parity. The loop only guards against a non-preferred placement.
+	for i := 0; i < 8; i++ {
+		stream := fmt.Sprintf("s%d", i)
+		if err := c.CreateStream(controller.StreamConfig{Scope: "xs", Name: stream, InitialSegments: 2}); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := c.GetActiveSegments("xs", stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := segs[0]
+		txn, err := c.BeginTxn("xs", stream, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shadow string
+		for _, ts := range txn.Segments {
+			if ts.Parent.ID == parent.ID {
+				shadow = ts.Shadow
+			}
+		}
+		payload := []byte(fmt.Sprintf("txn-payload-%d", i))
+		if _, err := c.AppendConditional(shadow, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Scale("xs", stream, []int64{parent.ID.Number}, parent.KeyRange.Split(2)); err != nil {
+			t.Fatal(err)
+		}
+		succ, err := c.GetActiveSegments("xs", stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The commit lands in the successor covering the parent's low bound.
+		var target string
+		for _, s := range succ {
+			if s.KeyRange.Contains(parent.KeyRange.Low) {
+				target = s.ID.QualifiedName()
+			}
+		}
+		if ownerOf(target) == ownerOf(shadow) {
+			if err := c.AbortTxn("xs", stream, txn.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+
+		if err := c.CommitTxn("xs", stream, txn.ID); err != nil {
+			t.Fatalf("commit after scale, shadow on %s and target on %s: %v", ownerOf(shadow), ownerOf(target), err)
+		}
+		// All or nothing: every transaction byte is in the target, none
+		// elsewhere, and the shadow is gone.
+		rr, err := c.Read(target, 0, 1024, time.Second)
+		if err != nil || !bytes.Equal(rr.Data, payload) {
+			t.Fatalf("target after commit: %q, %v; want %q", rr.Data, err, payload)
+		}
+		for _, s := range succ {
+			if qn := s.ID.QualifiedName(); qn != target {
+				if info, err := c.GetInfo(qn); err != nil || info.Length != 0 {
+					t.Fatalf("segment %s after commit: %+v, %v; want empty", qn, info, err)
+				}
+			}
+		}
+		if _, err := c.GetInfo(shadow); !errors.Is(err, segstore.ErrSegmentNotFound) {
+			t.Fatalf("shadow after commit: %v, want ErrSegmentNotFound", err)
+		}
+		return
+	}
+	t.Fatal("no stream put a transaction's commit target on the other store")
+}
+
 // TestIdleReaderRepinsViaEpochWatch pins the reader-group epoch
 // propagation: after a store dies, an IDLE client re-resolves placement
 // through its background epoch watch — so its next read goes straight to
@@ -246,11 +369,9 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 	// only the epoch watch riding the coord connection.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		info := c.clusterInfo()
-		if info != nil {
-			if si, ok := info.ContainerHome[cid]; ok && si < len(info.StoreAddrs) && info.StoreAddrs[si] == survivor.srv.Addr() {
-				break
-			}
+		// In the multi-process cluster a store's identity is its address.
+		if home, err := c.OwnerOf(name); err == nil && home == survivor.srv.Addr() {
+			break
 		}
 		if !time.Now().Before(deadline) {
 			t.Fatalf("idle client never re-resolved container %d to the survivor via the epoch watch", cid)
@@ -269,7 +390,9 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	base := mcWrongHostRetries.Value()
+	wrongHost := obs.Default().Counter("pravega_wire_client_wrong_host_retries_total",
+		"Synchronous operations re-routed after a wrong-host reply")
+	base := wrongHost.Value()
 	rr, err := c.Read(name, 0, 1024, time.Second)
 	if err != nil {
 		t.Fatalf("post-failover read: %v", err)
@@ -277,7 +400,7 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 	if !bytes.Equal(rr.Data, payload) {
 		t.Fatalf("post-failover read: got %q, want %q", rr.Data, payload)
 	}
-	if got := mcWrongHostRetries.Value(); got != base {
+	if got := wrongHost.Value(); got != base {
 		t.Fatalf("re-pinned idle reader paid %d wrong-host round-trips, want 0", got-base)
 	}
 }

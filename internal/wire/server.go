@@ -13,7 +13,6 @@ import (
 	"github.com/pravega-go/pravega/internal/bookkeeper"
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
@@ -33,17 +32,23 @@ var (
 		"Payload bytes returned to read requests")
 )
 
-// DataBackend is the segment data plane a server exposes: the in-process
-// hosting.Cluster satisfies it directly, and StoreBackend adapts a single
-// segstore.Store for store-role processes.
+// DataBackend is the segment data plane a server exposes. A store-role
+// process serves its one store (placement.Local); the single-process server
+// serves the whole cluster's placement.Router, which resolves the owning
+// store — and rides out a failover — on the server side.
 type DataBackend interface {
-	ContainerFor(segmentName string) (*segstore.Container, error)
+	// AppendAsync must enqueue synchronously: the serve loop's call order is
+	// the connection's FIFO append order.
+	AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
+	AppendConditional(name string, data []byte, expectedOffset int64) (int64, error)
+	ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)
+	GetInfo(name string) (segment.Info, error)
+	WriterState(name, writerID string) (int64, error)
 	CreateSegment(name string) error
 	SealSegment(name string) (int64, error)
 	TruncateSegment(name string, offset int64) error
 	DeleteSegment(name string) error
-	MergeSegmentAt(target, source string) (int64, error)
-	SegmentInfo(name string) (segment.Info, error)
+	MergeSegment(target, source string) (int64, error)
 }
 
 // ServerConfig selects which planes a server process exposes. Every backend
@@ -93,27 +98,8 @@ func errNotServed(plane string) Reply {
 	return Reply{Err: fmt.Sprintf("wire: %s plane not served on this node", plane)}
 }
 
-// NewServer starts a single-process server exposing every plane of the
-// hosted cluster: data, control, coordination and placement-epoch watches.
-func NewServer(cl *hosting.Cluster, ctrl *controller.Controller, addr string) (*Server, error) {
-	return NewServerWith(ServerConfig{
-		Data:  cl,
-		Ctrl:  ctrl,
-		Coord: cl.Meta,
-		Info: func() (ClusterInfo, error) {
-			return ClusterInfo{
-				TotalContainers: cl.TotalContainers(),
-				Stores:          len(cl.Stores()),
-				ContainerHome:   cl.ContainerHomes(),
-				Epoch:           cl.PlacementEpoch(),
-			}, nil
-		},
-		Load: cl.LoadReports,
-	}, addr)
-}
-
-// NewServerWith starts listening on addr with an explicit plane selection.
-func NewServerWith(cfg ServerConfig, addr string) (*Server, error) {
+// NewServer starts listening on addr, serving the planes cfg selects.
+func NewServer(cfg ServerConfig, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -367,18 +353,13 @@ func (s *Server) serve(conn net.Conn) {
 				rw.send(id, errNotServed("data"), true)
 				continue
 			}
-			cont, err := s.cfg.Data.ContainerFor(req.Segment)
-			if err != nil {
-				rw.send(id, errReply(err, Reply{}), true)
-				continue
-			}
 			if req.CondOffset >= 0 {
 				// Conditional appends block for durability; rare enough to
 				// afford a goroutine.
 				reqWG.Add(1)
 				go func(id uint64, req AppendReq) {
 					defer reqWG.Done()
-					off, err := cont.AppendConditional(req.Segment, req.Data, req.CondOffset)
+					off, err := s.cfg.Data.AppendConditional(req.Segment, req.Data, req.CondOffset)
 					rw.send(id, errReply(err, Reply{Offset: off}), true)
 				}(id, req)
 				continue
@@ -386,7 +367,7 @@ func (s *Server) serve(conn net.Conn) {
 			// Synchronous enqueue preserves the connection's FIFO append
 			// order; the container's applier delivers the completion straight
 			// into the reply queue — no goroutine or channel per append.
-			cont.AppendAsyncFunc(req.Segment, req.Data, req.WriterID, req.EventNum, req.EventCount,
+			s.cfg.Data.AppendAsync(req.Segment, req.Data, req.WriterID, req.EventNum, req.EventCount,
 				func(r segstore.AppendResult) {
 					rw.send(id, errReply(r.Err, Reply{Offset: r.Offset}), true)
 				})
@@ -511,11 +492,7 @@ func (s *Server) serve(conn net.Conn) {
 // handleRead serves a (long-poll) segment read. Cancelling ctx unblocks a
 // tail wait immediately.
 func (s *Server) handleRead(ctx context.Context, req ReadReq) Reply {
-	cont, err := s.cfg.Data.ContainerFor(req.Segment)
-	if err != nil {
-		return errReply(err, Reply{})
-	}
-	res, err := cont.ReadCtx(ctx, req.Segment, req.Offset, req.MaxBytes, time.Duration(req.WaitMS)*time.Millisecond)
+	res, err := s.cfg.Data.ReadCtx(ctx, req.Segment, req.Offset, req.MaxBytes, time.Duration(req.WaitMS)*time.Millisecond)
 	if err != nil {
 		return errReply(err, Reply{})
 	}
@@ -544,7 +521,7 @@ func (s *Server) handle(t MessageType, body []byte) Reply {
 			return errNotServed("data")
 		}
 	case MsgCreateScope, MsgCreateStream, MsgActiveSegments, MsgSuccessors,
-		MsgHeadSegments, MsgScale, MsgScaleSegments, MsgSealStream,
+		MsgHeadSegments, MsgScaleSegments, MsgSealStream,
 		MsgTruncateStream, MsgDeleteStream, MsgStreamConfig,
 		MsgUpdatePolicies, MsgIsSealed, MsgSegmentCount,
 		MsgBeginTxn, MsgCommitTxn, MsgAbortTxn, MsgTxnStatus:
@@ -596,7 +573,7 @@ func (s *Server) handle(t MessageType, body []byte) Reply {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return errReply(err, Reply{})
 		}
-		info, err := cl.SegmentInfo(req.Segment)
+		info, err := cl.GetInfo(req.Segment)
 		if err != nil {
 			return errReply(err, Reply{})
 		}
@@ -606,11 +583,7 @@ func (s *Server) handle(t MessageType, body []byte) Reply {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return errReply(err, Reply{})
 		}
-		cont, err := cl.ContainerFor(req.Segment)
-		if err != nil {
-			return errReply(err, Reply{})
-		}
-		n, err := cont.WriterState(req.Segment, req.WriterID)
+		n, err := cl.WriterState(req.Segment, req.WriterID)
 		return errReply(err, Reply{Offset: n})
 	case MsgCreateScope:
 		var req StreamReq
@@ -663,26 +636,6 @@ func (s *Server) handle(t MessageType, body []byte) Reply {
 			return errReply(err, Reply{})
 		}
 		return jsonReply(heads, len(heads))
-	case MsgScale:
-		var req StreamReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return errReply(err, Reply{})
-		}
-		segs, err := ctrl.GetActiveSegments(req.Scope, req.Stream)
-		if err != nil {
-			return errReply(err, Reply{})
-		}
-		for _, sr := range segs {
-			if sr.ID.Number == req.SealSegment {
-				factor := req.Factor
-				if factor < 2 {
-					factor = 2
-				}
-				return errReply(ctrl.Scale(req.Scope, req.Stream,
-					[]int64{req.SealSegment}, sr.KeyRange.Split(factor)), Reply{})
-			}
-		}
-		return Reply{Err: fmt.Sprintf("segment %d not active", req.SealSegment), Code: ErrCode(controller.ErrBadScale)}
 	case MsgScaleSegments:
 		var req ScaleReq
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -778,9 +731,7 @@ func (s *Server) handle(t MessageType, body []byte) Reply {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return errReply(err, Reply{})
 		}
-		// The cluster-level merge handles a target living in a different
-		// container or store than the source (commit after a scale).
-		off, err := cl.MergeSegmentAt(req.Target, req.Source)
+		off, err := cl.MergeSegment(req.Target, req.Source)
 		return errReply(err, Reply{Offset: off})
 	case MsgClusterInfo:
 		if s.cfg.Info == nil {

@@ -10,6 +10,8 @@
 //
 // The in-process deployments used by tests and benchmarks bypass this
 // layer; cmd/pravega-server and cmd/pravega-cli exercise it end to end.
+// Routing (which store serves a segment, what to do when it moved) is
+// internal/placement's; storeConn here is its per-store wire transport.
 package wire
 
 import (
@@ -44,7 +46,7 @@ const (
 	MsgCreateStream
 	MsgActiveSegments
 	MsgSuccessors
-	MsgScale
+	_ // 13 was MsgScale (split one segment by factor); MsgScaleSegments replaced it
 	MsgSealStream
 	MsgSegmentCount
 	// Responses: MsgReply carries a JSON body, MsgReplyBin the binary
@@ -215,9 +217,6 @@ type StreamReq struct {
 	Scope    string `json:"scope"`
 	Stream   string `json:"stream,omitempty"`
 	Segments int    `json:"segments,omitempty"`
-	// Scale fields.
-	SealSegment int64 `json:"sealSegment,omitempty"`
-	Factor      int   `json:"factor,omitempty"`
 	// Successors query.
 	Segment int64 `json:"segment,omitempty"`
 	// Stream policies (create stream / update policies).
@@ -382,6 +381,7 @@ type Conn struct {
 	pending map[uint64]*pendingReply
 	readErr error
 	closed  bool
+	drained chan struct{} // closed once every request pending at the connection's death was failed
 }
 
 // Dial connects to a server node.
@@ -394,6 +394,7 @@ func Dial(addr string) (*Conn, error) {
 		conn:    nc,
 		wr:      bufio.NewWriter(nc),
 		pending: make(map[uint64]*pendingReply),
+		drained: make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
@@ -439,6 +440,9 @@ func (c *Conn) readLoop() {
 // client.ErrDisconnected and engage their recovery path.
 func (c *Conn) failAll(err error) {
 	c.pendMu.Lock()
+	// Requests stop registering once readErr or closed is set, so the first
+	// call takes every pending request there will ever be.
+	first := c.readErr == nil
 	c.readErr = err
 	pend := make([]*pendingReply, 0, len(c.pending))
 	for id, p := range c.pending {
@@ -447,6 +451,9 @@ func (c *Conn) failAll(err error) {
 	}
 	c.pendMu.Unlock()
 	if len(pend) == 0 {
+		if first {
+			close(c.drained)
+		}
 		return
 	}
 	// Deliver outside pendMu (callback completions may issue new calls,
@@ -460,6 +467,9 @@ func (c *Conn) failAll(err error) {
 	go func() {
 		for _, p := range pend {
 			p.deliver(Reply{Err: err.Error(), Code: codeDisconnected})
+		}
+		if first {
+			close(c.drained)
 		}
 	}()
 }

@@ -19,7 +19,7 @@ func newBackend(tb testing.TB, cfg hosting.ClusterConfig) (*hosting.Cluster, *co
 		tb.Fatal(err)
 	}
 	tb.Cleanup(cl.Close)
-	ctrl, err := controller.New(controller.Config{Data: cl, Cluster: cl.Meta})
+	ctrl, err := controller.New(controller.Config{Data: cl.Router(), Cluster: cl.Meta})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -27,14 +27,28 @@ func newBackend(tb testing.TB, cfg hosting.ClusterConfig) (*hosting.Cluster, *co
 	return cl, ctrl
 }
 
+// newClusterServer serves every plane of the cluster, the way
+// cmd/pravega-server's -role all does.
+func newClusterServer(tb testing.TB, cl *hosting.Cluster, ctrl *controller.Controller) *Server {
+	tb.Helper()
+	srv, err := NewServer(ServerConfig{
+		Data:  cl.Router(),
+		Ctrl:  ctrl,
+		Coord: cl.Meta,
+		Info:  func() (ClusterInfo, error) { return CoordClusterInfo(cl.Meta, cl.TotalContainers()) },
+		Load:  cl.Router().LoadReports,
+	}, "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = srv.Close() })
+	return srv
+}
+
 func newServer(t *testing.T) (*Server, *Conn) {
 	t.Helper()
 	cl, ctrl := newBackend(t, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
-	srv, err := NewServer(cl, ctrl, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
+	srv := newClusterServer(t, cl, ctrl)
 	conn, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +110,7 @@ func TestWireStreamLifecycleAndIO(t *testing.T) {
 	}
 
 	// Scale through the wire and confirm the segment count.
-	if _, err := conn.Call(MsgScale, StreamReq{Scope: "s", Stream: "st", SealSegment: segs[0].ID.Number, Factor: 2}); err != nil {
+	if _, err := conn.Call(MsgScaleSegments, ScaleReq{Scope: "s", Stream: "st", Seal: []int64{segs[0].ID.Number}, Ranges: segs[0].KeyRange.Split(2)}); err != nil {
 		t.Fatalf("scale: %v", err)
 	}
 	sc, err := conn.Call(MsgSegmentCount, StreamReq{Scope: "s", Stream: "st"})

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/pravega-go/pravega/internal/hosting"
-	"github.com/pravega-go/pravega/internal/wire"
 )
 
 // benchSystem builds a 1-store/1-container deployment, either used directly
@@ -24,7 +23,7 @@ func benchSystem(b *testing.B, tcp bool) *System {
 		b.Cleanup(backing.Close)
 		return backing
 	}
-	srv, err := wire.NewServer(backing.Cluster(), backing.Controller(), "127.0.0.1:0")
+	srv, err := serveBacking(backing, "127.0.0.1:0")
 	if err != nil {
 		backing.Close()
 		b.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/hosting"
-	"github.com/pravega-go/pravega/internal/wire"
 )
 
 // newFailoverSystem is newTestSystem with failover-friendly ownership
@@ -39,7 +38,7 @@ func newFailoverSystem(t *testing.T) *System {
 		t.Cleanup(backing.Close)
 		return backing
 	}
-	srv, err := wire.NewServer(backing.Cluster(), backing.Controller(), "127.0.0.1:0")
+	srv, err := serveBacking(backing, "127.0.0.1:0")
 	if err != nil {
 		backing.Close()
 		t.Fatalf("wire.NewServer: %v", err)

@@ -30,7 +30,6 @@ import (
 	"github.com/pravega-go/pravega/internal/client"
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
-	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/sim"
 	"github.com/pravega-go/pravega/internal/wire"
@@ -173,7 +172,7 @@ func NewInProcess(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	ctrl, err := controller.New(controller.Config{
-		Data:          cl,
+		Data:          cl.Router(),
 		Cluster:       cl.Meta,
 		ScaleCooldown: cfg.ScaleCooldown,
 	})
@@ -216,11 +215,10 @@ type ClientConfig struct {
 }
 
 // Connect opens a remote System over the wire protocol (one pooled,
-// pipelined connection per segment store, served by cmd/pravega-server or
-// wire.NewServer). The returned System supports the full client API —
-// writers, readers, reader groups, state-synchronized KV tables — with the
-// same semantics as an in-process deployment; Cluster and Controller
-// return nil for it.
+// pipelined connection per segment store, served by cmd/pravega-server).
+// The returned System supports the full client API — writers, readers,
+// reader groups, state-synchronized KV tables — with the same semantics as
+// an in-process deployment; Cluster and Controller return nil for it.
 func Connect(addr string, cfg ClientConfig) (*System, error) {
 	wc, err := wire.NewClient(addr, wire.ClientConfig{
 		MinBackoff:      cfg.ReconnectMinBackoff,
@@ -365,5 +363,3 @@ func (rt *routeTable) segmentFor(h float64) (controller.SegmentWithRange, error)
 	}
 	return controller.SegmentWithRange{}, errors.New("pravega: no active segment covers key")
 }
-
-var _ = keyspace.HashKey // referenced by writer.go

@@ -28,7 +28,7 @@ func newTestSystem(t *testing.T) *System {
 		t.Cleanup(backing.Close)
 		return backing
 	}
-	srv, err := wire.NewServer(backing.Cluster(), backing.Controller(), "127.0.0.1:0")
+	srv, err := serveBacking(backing, "127.0.0.1:0")
 	if err != nil {
 		backing.Close()
 		t.Fatalf("wire.NewServer: %v", err)
@@ -49,6 +49,21 @@ func newTestSystem(t *testing.T) *System {
 		backing.Close()        // then the deployment behind it
 	})
 	return sys
+}
+
+// serveBacking fronts an in-process system with a wire server exposing every
+// plane, the way cmd/pravega-server's -role all does.
+func serveBacking(backing *System, addr string) (*wire.Server, error) {
+	cl := backing.Cluster()
+	return wire.NewServer(wire.ServerConfig{
+		Data:  cl.Router(),
+		Ctrl:  backing.Controller(),
+		Coord: cl.Meta,
+		Info: func() (wire.ClusterInfo, error) {
+			return wire.CoordClusterInfo(cl.Meta, cl.TotalContainers())
+		},
+		Load: cl.Router().LoadReports,
+	}, addr)
 }
 
 func mustCreate(t *testing.T, sys *System, scope, stream string, segments int) {

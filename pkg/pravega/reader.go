@@ -226,9 +226,10 @@ func (r *Reader) maybeRebalance() error {
 		return convertErr(err)
 	}
 	mClientRebalances.Inc()
-	// Cache the revision after our own acquire/release updates so they do
-	// not trigger the next pass.
-	rev = r.rg.sync.Updates()
+	// Cache the revision read BEFORE the pass: the group's readers in this
+	// process share the synchronizer, so re-reading it here could cover a
+	// release that landed after this pass's snapshot and would never be
+	// picked up. Our own updates cost one more pass, which finds nothing.
 	r.mu.Lock()
 	r.lastRev = rev
 	r.lastSync = time.Now()

@@ -24,7 +24,7 @@ func TestWriterSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer backing.Close()
-	srv, err := wire.NewServer(backing.Cluster(), backing.Controller(), "127.0.0.1:0")
+	srv, err := serveBacking(backing, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWriterSurvivesServerRestart(t *testing.T) {
 			// Restart on the same address over the same deployment — the
 			// containers keep their writer attributes, so replayed batches
 			// that already landed are deduplicated.
-			srv2, err = wire.NewServer(backing.Cluster(), backing.Controller(), addr)
+			srv2, err = serveBacking(backing, addr)
 			if err != nil {
 				t.Fatalf("restarting server: %v", err)
 			}

@@ -120,6 +120,7 @@ type EventWriter struct {
 	mu      sync.Mutex
 	route   routeTable
 	writers map[int64]*segmentWriter
+	stale   int // registered writers whose segment left the active route
 	closed  bool
 
 	eventSeq   atomic.Int64
@@ -188,6 +189,18 @@ func (w *EventWriter) enqueueLocked(pe pendingEvent) {
 	if err != nil {
 		pe.future.complete(err)
 		return
+	}
+	// A sealed predecessor that is still registered may hold earlier events
+	// of this key (in flight, batched or awaiting re-route) although the
+	// route table already names its successor: a merge refreshes the table
+	// when the FIRST predecessor resolves. Queue behind it (§3.3).
+	if w.stale > 0 {
+		for _, sw := range w.writers {
+			if sw.seg.ID.Number != seg.ID.Number && sw.seg.KeyRange.Contains(pe.hash) {
+				sw.add(pe)
+				return
+			}
+		}
 	}
 	sw, ok := w.writers[seg.ID.Number]
 	if !ok {
@@ -623,6 +636,12 @@ func (sw *segmentWriter) resolveSeal() {
 	w.mu.Lock()
 	w.route.segments = segs
 	delete(w.writers, sw.seg.ID.Number)
+	w.stale = len(w.writers)
+	for _, s := range segs {
+		if _, ok := w.writers[s.ID.Number]; ok {
+			w.stale--
+		}
+	}
 	sw.mu.Lock()
 	pending := append(sw.redirect, sw.batch...)
 	pending = append(pending, sw.held...)
