@@ -157,35 +157,49 @@ func TestBatchSizeTriggersSend(t *testing.T) {
 
 func TestFlushModeDurabilityCost(t *testing.T) {
 	// With the device model, flush.messages=1 charges an fsync per produce
-	// request while the page-cache path does not.
+	// request on the leader while the page-cache path charges none. The
+	// assertion is on what the simulated drives were asked for, not on how
+	// long two runs took.
+	const sends = 20
 	prof := profileForTest()
-	mk := func(flush bool) time.Duration {
+	syncCost := func(flush bool) (leaderSyncs int64, leaderCharged time.Duration, allSyncs int64) {
 		cl := newTestCluster(t, ClusterConfig{FlushEveryMessage: flush, Profile: prof})
 		if err := cl.CreateTopic("t", 1); err != nil {
 			t.Fatal(err)
 		}
-		p, err := cl.NewProducer(ProducerConfig{Topic: "t", Linger: 500 * time.Microsecond})
+		// A batch is one message and a send waits for the one before, so
+		// every send is a produce request of its own.
+		p, err := cl.NewProducer(ProducerConfig{Topic: "t", BatchSize: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		start := time.Now()
-		var futures []*SendFuture
-		for i := 0; i < 20; i++ {
-			futures = append(futures, p.Send("k", 100))
-			time.Sleep(time.Millisecond) // one batch per send
-		}
-		for _, f := range futures {
-			if err := f.Wait(); err != nil {
+		for i := 0; i < sends; i++ {
+			if err := p.Send("k", 100).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return time.Since(start)
+		// The leader's write precedes the acknowledgement; a follower
+		// beyond min.insync may still be writing.
+		cl.mu.Lock()
+		leader := cl.topics["t"][0].leader
+		cl.mu.Unlock()
+		leaderSyncs, leaderCharged = cl.disks[leader].SyncStats()
+		for _, d := range cl.disks {
+			n, _ := d.SyncStats()
+			allSyncs += n
+		}
+		return leaderSyncs, leaderCharged, allSyncs
 	}
-	noFlush := mk(false)
-	withFlush := mk(true)
-	if withFlush < noFlush {
-		t.Fatalf("flush mode (%v) not slower than page cache (%v)", withFlush, noFlush)
+	if _, _, all := syncCost(false); all != 0 {
+		t.Fatalf("page-cache mode asked the drives for %d fsyncs", all)
+	}
+	syncs, charged, _ := syncCost(true)
+	if syncs != sends {
+		t.Fatalf("flush mode: %d leader fsyncs for %d produce requests", syncs, sends)
+	}
+	if min := sends * prof.Disk.SyncLatency; charged < min {
+		t.Fatalf("flush mode charged %v for %d fsyncs, at least %v expected", charged, syncs, min)
 	}
 }
 

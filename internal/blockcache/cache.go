@@ -2,15 +2,24 @@
 // (§4.2, Fig. 4). The cache is divided into equal-sized blocks addressed by
 // a 32-bit pointer; blocks are daisy-chained backwards to form entries, and
 // an entry's address is the address of its *last* block so appends locate
-// the write position in O(1). Blocks live in pre-allocated buffers; each
-// buffer keeps its own free-block chain (a small concurrency domain), and a
-// queue of buffers with availability serves allocations across buffers.
+// the write position in O(1). Each block records where in its entry it ends,
+// so a ranged read (ReadAt) walks back from the last block only as far as
+// the range asked for. Blocks live in pre-allocated buffers; each buffer
+// keeps its own free-block chain (a small concurrency domain), and a queue
+// of buffers with availability serves allocations across buffers. One call
+// takes a buffer's lock once for all the blocks that buffer contributes,
+// not once per block.
+//
+// The cache does not bound an entry's size. Its user, the segment container,
+// closes an entry at 256 KiB, so a segment's cached bytes are many
+// short chains that can be read and evicted piecemeal.
 package blockcache
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the cache.
@@ -55,9 +64,15 @@ type blockMeta struct {
 	length int32   // bytes used within the block
 	prev   Address // previous block in the entry chain (NilAddress = first)
 	next   int32   // next free block index within the buffer (-1 = none)
+	// end is the entry's length up to and including this block, so the block
+	// holds entry bytes [end-length, end). A reader that walks back from any
+	// block it once saw as the last one still finds every byte below it at
+	// the same position after the entry has grown.
+	end int64
 }
 
 // buffer is one contiguous pre-allocated region with a local free list.
+// mu guards meta, the free list and the bytes of data.
 type buffer struct {
 	mu        sync.Mutex
 	data      []byte
@@ -68,21 +83,31 @@ type buffer struct {
 
 // Cache is safe for concurrent use. Entries are identified by the Address
 // returned from Insert/Append; appending returns a new address whenever the
-// chain grows.
+// chain grows, and the old address keeps reading the bytes it covered.
 type Cache struct {
-	cfg Config
+	cfg  Config
+	used atomic.Int64
 
-	mu        sync.Mutex
-	buffers   []*buffer
-	avail     []int // indices of buffers with free blocks (FIFO queue)
-	availSet  []bool
-	usedBytes int64
+	// bufs[:nbuf] are allocated and never change once nbuf has been
+	// published, so decoding an address takes no lock.
+	bufs []*buffer
+	nbuf atomic.Int32
+
+	// mu guards growth of bufs and the availability queue. Lock order is
+	// mu, then a buffer's mu.
+	mu      sync.Mutex
+	avail   []int  // indices of buffers with free blocks (FIFO queue)
+	inAvail []bool // inAvail[i]: buffer i is in avail
 }
 
 // New creates a cache.
 func New(cfg Config) *Cache {
 	cfg.defaults()
-	return &Cache{cfg: cfg, availSet: make([]bool, 0, cfg.MaxBuffers)}
+	return &Cache{
+		cfg:     cfg,
+		bufs:    make([]*buffer, cfg.MaxBuffers),
+		inAvail: make([]bool, cfg.MaxBuffers),
+	}
 }
 
 // addressOf encodes (buffer, block) into a non-nil address.
@@ -91,20 +116,16 @@ func (c *Cache) addressOf(bufIdx, blockIdx int) Address {
 }
 
 // locate decodes an address.
-func (c *Cache) locate(a Address) (bufIdx, blockIdx int, err error) {
+func (c *Cache) locate(a Address) (b *buffer, bufIdx, blockIdx int, err error) {
 	if a == NilAddress {
-		return 0, 0, ErrBadAddress
+		return nil, 0, 0, ErrBadAddress
 	}
-	v := uint32(a) - 1
-	bufIdx = int(v) / c.cfg.BlocksPerBuffer
-	blockIdx = int(v) % c.cfg.BlocksPerBuffer
-	c.mu.Lock()
-	n := len(c.buffers)
-	c.mu.Unlock()
-	if bufIdx >= n {
-		return 0, 0, ErrBadAddress
+	v := int(uint32(a) - 1)
+	bufIdx, blockIdx = v/c.cfg.BlocksPerBuffer, v%c.cfg.BlocksPerBuffer
+	if bufIdx >= int(c.nbuf.Load()) {
+		return nil, 0, 0, ErrBadAddress
 	}
-	return bufIdx, blockIdx, nil
+	return c.bufs[bufIdx], bufIdx, blockIdx, nil
 }
 
 func newBuffer(cfg Config) *buffer {
@@ -121,70 +142,52 @@ func newBuffer(cfg Config) *buffer {
 	return b
 }
 
-// allocBlock finds a free block, preferring buffers already in the
-// availability queue, growing the buffer set up to MaxBuffers.
-func (c *Cache) allocBlock() (bufIdx, blockIdx int, err error) {
+// pickBuffer returns the buffer at the head of the availability queue,
+// growing the buffer set up to MaxBuffers when the queue is empty. The
+// buffer may have been exhausted by a racing caller; syncAvail then drops it.
+func (c *Cache) pickBuffer() (int, *buffer, error) {
 	c.mu.Lock()
-	for {
-		if len(c.avail) == 0 {
-			if len(c.buffers) >= c.cfg.MaxBuffers {
-				c.mu.Unlock()
-				return 0, 0, ErrCacheFull
-			}
-			c.buffers = append(c.buffers, newBuffer(c.cfg))
-			c.availSet = append(c.availSet, true)
-			c.avail = append(c.avail, len(c.buffers)-1)
+	defer c.mu.Unlock()
+	if len(c.avail) == 0 {
+		n := int(c.nbuf.Load())
+		if n >= c.cfg.MaxBuffers {
+			return 0, nil, ErrCacheFull
 		}
-		bi := c.avail[0]
-		b := c.buffers[bi]
-		c.mu.Unlock()
-
-		b.mu.Lock()
-		if b.freeHead < 0 {
-			b.mu.Unlock()
-			c.mu.Lock()
-			// Buffer raced to exhaustion; drop it from the queue and retry.
-			if len(c.avail) > 0 && c.avail[0] == bi {
-				c.avail = c.avail[1:]
-				c.availSet[bi] = false
-			}
-			continue
-		}
-		idx := b.freeHead
-		b.freeHead = b.meta[idx].next
-		b.freeCount--
-		exhausted := b.freeHead < 0
-		b.meta[idx] = blockMeta{used: true, next: -1}
-		b.mu.Unlock()
-
-		c.mu.Lock()
-		if exhausted && len(c.avail) > 0 && c.avail[0] == bi {
-			c.avail = c.avail[1:]
-			c.availSet[bi] = false
-		}
-		c.mu.Unlock()
-		return bi, int(idx), nil
+		c.bufs[n] = newBuffer(c.cfg)
+		c.nbuf.Store(int32(n + 1))
+		c.inAvail[n] = true
+		c.avail = append(c.avail, n)
 	}
+	bi := c.avail[0]
+	return bi, c.bufs[bi], nil
 }
 
-// freeBlock returns a block to its buffer's free list.
-func (c *Cache) freeBlock(bufIdx, blockIdx int) {
+// syncAvail makes buffer bi's membership of the availability queue match
+// whether it has free blocks. Whoever empties or un-empties a buffer's free
+// list calls it afterwards; it looks at the list again under both locks, so
+// the last call after a run of racing allocations and frees leaves the
+// queue right.
+func (c *Cache) syncAvail(bi int) {
 	c.mu.Lock()
-	b := c.buffers[bufIdx]
-	c.mu.Unlock()
-
+	defer c.mu.Unlock()
+	b := c.bufs[bi]
 	b.mu.Lock()
-	b.meta[blockIdx] = blockMeta{next: b.freeHead}
-	b.freeHead = int32(blockIdx)
-	b.freeCount++
+	has := b.freeHead >= 0
 	b.mu.Unlock()
-
-	c.mu.Lock()
-	if !c.availSet[bufIdx] {
-		c.availSet[bufIdx] = true
-		c.avail = append(c.avail, bufIdx)
+	if has == c.inAvail[bi] {
+		return
 	}
-	c.mu.Unlock()
+	c.inAvail[bi] = has
+	if has {
+		c.avail = append(c.avail, bi)
+		return
+	}
+	for i, x := range c.avail {
+		if x == bi {
+			c.avail = append(c.avail[:i], c.avail[i+1:]...)
+			return
+		}
+	}
 }
 
 // Insert stores data as a new entry and returns its address (the address of
@@ -205,148 +208,208 @@ func (c *Cache) Append(addr Address, data []byte) (Address, error) {
 
 // appendChain extends (or creates) an entry chain atomically: a mid-way
 // allocation failure rolls back the tail fill and frees any new blocks, so
-// callers never leak cache space on ErrCacheFull.
+// callers never leak cache space on ErrCacheFull. The blocks one buffer
+// contributes are taken and filled under one acquisition of its lock.
 func (c *Cache) appendChain(orig Address, data []byte) (Address, error) {
-	written := 0
-	tailFilled := 0
-	var tailBuf *buffer
-	tailBlk := -1
-	last := orig
-
-	rollback := func() {
-		// Free newly chained blocks (those after orig in the chain).
-		for a := last; a != orig && a != NilAddress; {
-			bi, blk, err := c.locate(a)
-			if err != nil {
-				break
-			}
-			c.mu.Lock()
-			b := c.buffers[bi]
-			c.mu.Unlock()
-			b.mu.Lock()
-			prev := b.meta[blk].prev
-			freed := int64(b.meta[blk].length)
-			b.mu.Unlock()
-			c.freeBlock(bi, blk)
-			c.addUsed(-freed)
-			a = prev
-		}
-		// Restore the original tail block's length.
-		if tailFilled > 0 && tailBuf != nil {
-			tailBuf.mu.Lock()
-			tailBuf.meta[tailBlk].length -= int32(tailFilled)
-			tailBuf.mu.Unlock()
-			c.addUsed(int64(-tailFilled))
-		}
-	}
-
+	bs := c.cfg.BlockSize
+	rest := data
+	var (
+		tail       *buffer
+		tailBlk    int
+		tailFilled int
+		end        int64 // entry length so far
+	)
 	// Fill the remaining capacity of the current last block first.
 	if orig != NilAddress {
-		bi, blk, err := c.locate(orig)
+		b, _, blk, err := c.locate(orig)
 		if err != nil {
 			return NilAddress, err
 		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
 		b.mu.Lock()
 		m := &b.meta[blk]
 		if !m.used {
 			b.mu.Unlock()
 			return NilAddress, ErrEntryDeleted
 		}
-		space := c.cfg.BlockSize - int(m.length)
-		if space > 0 {
-			n := space
-			if n > len(data) {
-				n = len(data)
-			}
-			off := blk*c.cfg.BlockSize + int(m.length)
-			copy(b.data[off:off+n], data[:n])
-			m.length += int32(n)
-			written = n
-			tailFilled = n
-			tailBuf, tailBlk = b, blk
-		}
+		n := copy(b.data[blk*bs+int(m.length):(blk+1)*bs], rest)
+		m.length += int32(n)
+		m.end += int64(n)
+		end = m.end
 		b.mu.Unlock()
-		c.addUsed(int64(written))
+		tail, tailBlk, tailFilled = b, blk, n
+		rest = rest[n:]
 	}
-	for written < len(data) || orig == NilAddress && written == 0 && len(data) == 0 {
-		bi, blk, err := c.allocBlock()
+	need := (len(rest) + bs - 1) / bs
+	if orig == NilAddress && need == 0 {
+		need = 1 // an empty entry still owns a block, which is its address
+	}
+	last := orig
+	for need > 0 {
+		bi, b, err := c.pickBuffer()
 		if err != nil {
-			rollback()
+			_, _ = c.freeChain(last, orig) // the new blocks are ours alone: cannot fail
+			if tailFilled > 0 {
+				tail.mu.Lock()
+				tail.meta[tailBlk].length -= int32(tailFilled)
+				tail.meta[tailBlk].end -= int64(tailFilled)
+				tail.mu.Unlock()
+			}
 			return orig, err
 		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
-		n := len(data) - written
-		if n > c.cfg.BlockSize {
-			n = c.cfg.BlockSize
-		}
 		b.mu.Lock()
-		m := &b.meta[blk]
-		m.prev = last
-		copy(b.data[blk*c.cfg.BlockSize:], data[written:written+n])
-		m.length = int32(n)
+		for need > 0 && b.freeHead >= 0 {
+			blk := int(b.freeHead)
+			m := &b.meta[blk]
+			b.freeHead = m.next
+			b.freeCount--
+			n := copy(b.data[blk*bs:(blk+1)*bs], rest)
+			end += int64(n)
+			*m = blockMeta{used: true, length: int32(n), prev: last, next: -1, end: end}
+			last = c.addressOf(bi, blk)
+			rest = rest[n:]
+			need--
+		}
+		exhausted := b.freeHead < 0
 		b.mu.Unlock()
-		c.addUsed(int64(n))
-		written += n
-		last = c.addressOf(bi, blk)
-		if len(data) == 0 {
-			break
+		if exhausted {
+			c.syncAvail(bi)
 		}
 	}
+	c.addUsed(int64(len(data)))
 	return last, nil
 }
 
 func (c *Cache) addUsed(n int64) {
-	c.mu.Lock()
-	c.usedBytes += n
-	c.mu.Unlock()
+	c.used.Add(n)
 	mUsedBytes.Add(n)
 }
 
-// Get reconstructs the entry whose last block is addr. The chain is walked
-// backwards via prev pointers, then reversed into a single buffer.
-func (c *Cache) Get(addr Address) ([]byte, error) {
-	if addr == NilAddress {
-		return nil, ErrBadAddress
+// freeChain returns the blocks from addr back to (not including) stop to
+// their buffers' free lists in one pass, holding each buffer's lock across
+// the consecutive blocks it owns. It reports the entry bytes they held.
+func (c *Cache) freeChain(addr, stop Address) (int64, error) {
+	var (
+		cur     *buffer
+		curIdx  int
+		wasFull bool
+		freed   int64
+	)
+	release := func() {
+		if cur != nil {
+			cur.mu.Unlock()
+			if wasFull {
+				c.syncAvail(curIdx)
+			}
+		}
 	}
-	type piece struct {
-		bufIdx, blockIdx int
-		length           int
-	}
-	var pieces []piece
-	total := 0
-	for a := addr; a != NilAddress; {
-		bi, blk, err := c.locate(a)
+	defer release()
+	for a := addr; a != stop && a != NilAddress; {
+		b, bi, blk, err := c.locate(a)
 		if err != nil {
-			return nil, err
+			return freed, err
 		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
-		b.mu.Lock()
-		m := b.meta[blk]
-		b.mu.Unlock()
+		if b != cur {
+			release()
+			b.mu.Lock()
+			cur, curIdx, wasFull = b, bi, b.freeHead < 0
+		}
+		m := &b.meta[blk]
 		if !m.used {
-			return nil, ErrEntryDeleted
+			return freed, ErrEntryDeleted
 		}
-		pieces = append(pieces, piece{bi, blk, int(m.length)})
-		total += int(m.length)
+		freed += int64(m.length)
 		a = m.prev
+		*m = blockMeta{next: b.freeHead}
+		b.freeHead = int32(blk)
+		b.freeCount++
 	}
-	out := make([]byte, total)
-	pos := total
-	for _, p := range pieces { // pieces are last→first; fill back to front
-		c.mu.Lock()
-		b := c.buffers[p.bufIdx]
-		c.mu.Unlock()
-		b.mu.Lock()
-		copy(out[pos-p.length:pos], b.data[p.blockIdx*c.cfg.BlockSize:p.blockIdx*c.cfg.BlockSize+p.length])
+	return freed, nil
+}
+
+// ReadAt copies entry bytes [off, off+len(dst)) into dst and returns how many
+// it copied: fewer than len(dst) when the entry ends first, none when off is
+// at or past its end. addr may be any address the entry has had; the entry
+// is read as far as that block. The chain is walked back from addr only
+// until the block holding off, so reading an entry's newest bytes costs the
+// bytes returned, not the entry.
+//
+// ReadAt may run beside Append on the same entry. Beside Delete it either
+// fails with ErrEntryDeleted or, if the freed blocks were handed out again
+// in between, returns bytes of another entry: a caller that does not exclude
+// Delete must check afterwards that the entry was still there.
+func (c *Cache) ReadAt(addr Address, off int64, dst []byte) (int, error) {
+	bs := c.cfg.BlockSize
+	b, _, blk, err := c.locate(addr)
+	if err != nil {
+		return 0, err
+	}
+	b.mu.Lock()
+	m := &b.meta[blk]
+	if !m.used {
 		b.mu.Unlock()
-		pos -= p.length
+		return 0, ErrEntryDeleted
+	}
+	hi := off + int64(len(dst))
+	if hi > m.end {
+		hi = m.end
+	}
+	if off < 0 || off >= hi {
+		b.mu.Unlock()
+		return 0, nil
+	}
+	for {
+		start := m.end - int64(m.length)
+		lo, h := start, m.end
+		if lo < off {
+			lo = off
+		}
+		if h > hi {
+			h = hi
+		}
+		if lo < h {
+			copy(dst[lo-off:h-off], b.data[blk*bs+int(lo-start):blk*bs+int(h-start)])
+		}
+		if start <= off {
+			break
+		}
+		nb, _, nblk, lerr := c.locate(m.prev)
+		if lerr != nil {
+			b.mu.Unlock()
+			return 0, ErrEntryDeleted
+		}
+		if nb != b {
+			b.mu.Unlock()
+			nb.mu.Lock()
+			b = nb
+		}
+		blk, m = nblk, &b.meta[nblk]
+		if !m.used || m.end != start {
+			// Not the block that preceded ours: the chain was freed (and
+			// perhaps handed out again) under the walk.
+			b.mu.Unlock()
+			return 0, ErrEntryDeleted
+		}
+	}
+	b.mu.Unlock()
+	mReadBytes.Add(hi - off)
+	return int(hi - off), nil
+}
+
+// Get returns a copy of the whole entry whose last block is addr.
+func (c *Cache) Get(addr Address) ([]byte, error) {
+	b, _, blk, err := c.locate(addr)
+	if err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	used, n := b.meta[blk].used, b.meta[blk].end
+	b.mu.Unlock()
+	if !used {
+		return nil, ErrEntryDeleted
+	}
+	out := make([]byte, n)
+	if _, err := c.ReadAt(addr, 0, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -356,27 +419,9 @@ func (c *Cache) Delete(addr Address) error {
 	if addr == NilAddress {
 		return ErrBadAddress
 	}
-	var freed int64
-	for a := addr; a != NilAddress; {
-		bi, blk, err := c.locate(a)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
-		b.mu.Lock()
-		m := b.meta[blk]
-		b.mu.Unlock()
-		if !m.used {
-			return ErrEntryDeleted
-		}
-		freed += int64(m.length)
-		c.freeBlock(bi, blk)
-		a = m.prev
-	}
+	freed, err := c.freeChain(addr, NilAddress)
 	c.addUsed(-freed)
-	return nil
+	return err
 }
 
 // Stats describes cache occupancy.
@@ -389,10 +434,8 @@ type Stats struct {
 
 // Stats returns a consistent-enough snapshot of occupancy.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	bufs := append([]*buffer(nil), c.buffers...)
-	st := Stats{UsedBytes: c.usedBytes, Buffers: len(bufs)}
-	c.mu.Unlock()
+	bufs := c.bufs[:c.nbuf.Load()]
+	st := Stats{UsedBytes: c.used.Load(), Buffers: len(bufs)}
 	for _, b := range bufs {
 		b.mu.Lock()
 		st.FreeBlocks += b.freeCount

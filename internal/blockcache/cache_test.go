@@ -263,3 +263,165 @@ func TestAllocFreeInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// seq returns n bytes that differ at every offset modulo 251.
+func seq(from, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte((from + i) % 251)
+	}
+	return out
+}
+
+func TestReadAtRanges(t *testing.T) {
+	c := New(small()) // 64-byte blocks
+	const total = 300 // 4 full blocks and 44 bytes of a fifth
+	addr, err := c.Insert(seq(0, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := addr
+	if addr, err = c.Append(addr, seq(200, 100)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ off, n, want int }{
+		{0, total, total},     // the whole entry
+		{0, 1, 1},             // first byte
+		{63, 2, 2},            // across the first block boundary
+		{64, 64, 64},          // exactly one inner block
+		{100, 150, 150},       // three boundaries
+		{299, 1, 1},           // last byte
+		{256, 100, 44},        // clipped at the entry's end
+		{total, 10, 0},        // off at the end
+		{total + 50, 10, 0},   // off after the end
+		{-1, 10, 0},           // negative off
+		{10, 0, 0},            // empty destination
+		{0, total + 500, 300}, // destination longer than the entry
+	} {
+		dst := make([]byte, tc.n)
+		n, err := c.ReadAt(addr, int64(tc.off), dst)
+		if err != nil || n != tc.want {
+			t.Fatalf("ReadAt(off %d, %d bytes) = %d, %v; want %d", tc.off, tc.n, n, err, tc.want)
+		}
+		if !bytes.Equal(dst[:n], seq(tc.off, n)) {
+			t.Fatalf("ReadAt(off %d, %d bytes) returned the wrong bytes", tc.off, tc.n)
+		}
+	}
+	// The address the entry had before it grew still reads what it covered,
+	// at the same offsets, and nothing appended since.
+	dst := make([]byte, total)
+	if n, err := c.ReadAt(first, 0, dst); err != nil || n != 256 || !bytes.Equal(dst[:n], seq(0, 256)) {
+		t.Fatalf("ReadAt through the entry's earlier address = %d, %v", n, err)
+	}
+	if n, err := c.ReadAt(first, 190, dst[:20]); err != nil || n != 20 || !bytes.Equal(dst[:20], seq(190, 20)) {
+		t.Fatalf("ranged ReadAt through the entry's earlier address = %d, %v", n, err)
+	}
+
+	if err := c.Delete(addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadAt(addr, 0, dst); !errors.Is(err, ErrEntryDeleted) {
+		t.Fatalf("ReadAt of a deleted entry: %v", err)
+	}
+	if _, err := c.ReadAt(NilAddress, 0, dst); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("ReadAt(nil): %v", err)
+	}
+}
+
+func TestCacheFullRollbackLeavesStatsUnchanged(t *testing.T) {
+	c := New(small()) // 32 blocks of 64 bytes in 4 buffers
+	// Buffers are allocated on first use: use all four once.
+	all, err := c.Insert(seq(0, 32*64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(all); err != nil {
+		t.Fatal(err)
+	}
+	// 20 blocks taken: 12 left, spread over two buffers.
+	keep, err := c.Insert(seq(0, 20*64-10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	// Needs 10 bytes of the tail block and 13 new blocks: takes all 12 over
+	// both buffers, then fails and must give every one back.
+	if _, err := c.Append(keep, seq(20*64-10, 10+13*64)); !errors.Is(err, ErrCacheFull) {
+		t.Fatalf("oversized Append: %v", err)
+	}
+	if _, err := c.Insert(seq(0, 13*64)); !errors.Is(err, ErrCacheFull) {
+		t.Fatalf("oversized Insert: %v", err)
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("Stats after failed allocations = %+v, before %+v", after, before)
+	}
+	got, err := c.Get(keep)
+	if err != nil || !bytes.Equal(got, seq(0, 20*64-10)) {
+		t.Fatalf("entry changed by a failed Append: %d bytes, %v", len(got), err)
+	}
+	// Every block given back is usable: exactly 12 more fit.
+	addr, err := c.Append(keep, seq(20*64-10, 10+12*64))
+	if err != nil {
+		t.Fatalf("Append of what fits: %v", err)
+	}
+	if st := c.Stats(); st.FreeBlocks != 0 || st.UsedBytes != 32*64 {
+		t.Fatalf("Stats with the cache full = %+v", st)
+	}
+	if got, err := c.Get(addr); err != nil || !bytes.Equal(got, seq(0, 32*64)) {
+		t.Fatalf("full-cache entry: %d bytes, %v", len(got), err)
+	}
+	if err := c.Delete(addr); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.FreeBlocks != st.TotalBlocks || st.UsedBytes != 0 {
+		t.Fatalf("Stats after deleting everything = %+v", st)
+	}
+}
+
+// TestReadAtBesideAppend: a reader holding an address the entry had earlier
+// reads the bytes that address covered (and perhaps some appended to that
+// block since) while the entry grows.
+func TestReadAtBesideAppend(t *testing.T) {
+	c := New(Config{BlockSize: 64, BlocksPerBuffer: 16, MaxBuffers: 64})
+	const total = 40000
+	type view struct {
+		addr Address
+		n    int
+	}
+	views := make(chan view, 1)
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for v := range views {
+			dst := make([]byte, 97)
+			off := v.n * 2 / 3
+			n, rerr := c.ReadAt(v.addr, int64(off), dst)
+			if rerr != nil || n < min(97, v.n-off) || !bytes.Equal(dst[:n], seq(off, n)) {
+				err = fmt.Errorf("ReadAt(%v, %d) of a %d-byte view = %d, %v", v.addr, off, v.n, n, rerr)
+				break
+			}
+		}
+		for range views {
+		}
+		done <- err
+	}()
+	addr, err := c.Insert(seq(0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 10; n < total; {
+		select {
+		case views <- view{addr, n}:
+		default:
+		}
+		k := 1 + n%157
+		if addr, err = c.Append(addr, seq(n, k)); err != nil {
+			t.Fatal(err)
+		}
+		n += k
+	}
+	close(views)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,6 +7,10 @@ import (
 	"github.com/pravega-go/pravega/internal/segstore"
 )
 
+// maxCacheEntryBytes is the size at which a segment container closes a cache
+// entry, stated here independently of the container's own constant.
+const maxCacheEntryBytes = 256 << 10
+
 // CheckContainer validates the recovery invariants §4.3–§4.4 promise, for
 // every segment the container holds:
 //
@@ -20,6 +24,10 @@ import (
 //     (data loss) and no overlap (duplication) between tiers.
 //  6. WAL truncation never released an entry still needed to recover
 //     un-tiered data.
+//  7. No cached read-index entry is longer than the container's bound, none
+//     overlaps another, and together they hold no more bytes than the
+//     segment has (§4.2: the cache is a run of short entries, whichever of
+//     append, merge or recovery replay put the bytes there).
 //
 // The check runs under Container.Quiesce, so it observes the metadata, the
 // un-tiered queue and the WAL watermark as one consistent cut between
@@ -79,6 +87,17 @@ func checkQuiesced(c *segstore.Container, store lts.ChunkStorage) error {
 		} else if d.StorageLength != d.Length {
 			return fmt.Errorf("faultinject: %s: empty un-tiered queue but storageLength %d != length %d (lost tail)",
 				name, d.StorageLength, d.Length)
+		}
+		if d.MaxCacheEntryBytes > maxCacheEntryBytes {
+			return fmt.Errorf("faultinject: %s: a cache entry holds %d bytes, the bound is %d",
+				name, d.MaxCacheEntryBytes, maxCacheEntryBytes)
+		}
+		if d.ReadIndexErr != nil {
+			return fmt.Errorf("faultinject: %s: %w", name, d.ReadIndexErr)
+		}
+		if d.CacheBytes > d.Length-d.StartOffset+maxCacheEntryBytes {
+			return fmt.Errorf("faultinject: %s: %d bytes cached in %d entries, segment holds [%d, %d)",
+				name, d.CacheBytes, d.CacheEntries, d.StartOffset, d.Length)
 		}
 	}
 	return nil

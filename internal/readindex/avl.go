@@ -2,14 +2,15 @@
 // index of entries per segment keyed by start offset, backed by a custom
 // AVL search tree to minimize memory while keeping O(log n) access. Each
 // entry locates a contiguous range of segment bytes either in the block
-// cache or in long-term storage, and carries the usage metadata that drives
-// cache eviction.
+// cache or in long-term storage. Cached entries are also kept in order of
+// last use, the usage metadata that drives cache eviction: evicting costs
+// the entries evicted, however many the index holds.
 package readindex
 
 // avlNode is one tree node. Keys are segment offsets.
 type avlNode struct {
 	key         int64
-	value       *Entry
+	value       *item
 	left, right *avlNode
 	height      int
 }
@@ -74,7 +75,7 @@ func rebalance(n *avlNode) *avlNode {
 	return n
 }
 
-func (t *tree) put(key int64, v *Entry) {
+func (t *tree) put(key int64, v *item) {
 	var inserted bool
 	t.root, inserted = put(t.root, key, v)
 	if inserted {
@@ -82,7 +83,7 @@ func (t *tree) put(key int64, v *Entry) {
 	}
 }
 
-func put(n *avlNode, key int64, v *Entry) (*avlNode, bool) {
+func put(n *avlNode, key int64, v *item) (*avlNode, bool) {
 	if n == nil {
 		return &avlNode{key: key, value: v, height: 1}, true
 	}
@@ -138,7 +139,7 @@ func del(n *avlNode, key int64) (*avlNode, bool) {
 }
 
 // get returns the exact-key value.
-func (t *tree) get(key int64) *Entry {
+func (t *tree) get(key int64) *item {
 	n := t.root
 	for n != nil {
 		switch {
@@ -154,7 +155,7 @@ func (t *tree) get(key int64) *Entry {
 }
 
 // floor returns the entry with the greatest key <= key.
-func (t *tree) floor(key int64) *Entry {
+func (t *tree) floor(key int64) *item {
 	var best *avlNode
 	n := t.root
 	for n != nil {
@@ -175,7 +176,7 @@ func (t *tree) floor(key int64) *Entry {
 }
 
 // ceiling returns the entry with the smallest key >= key.
-func (t *tree) ceiling(key int64) *Entry {
+func (t *tree) ceiling(key int64) *item {
 	var best *avlNode
 	n := t.root
 	for n != nil {
@@ -195,7 +196,7 @@ func (t *tree) ceiling(key int64) *Entry {
 	return best.value
 }
 
-func (t *tree) min() *Entry {
+func (t *tree) min() *item {
 	n := t.root
 	if n == nil {
 		return nil
@@ -206,7 +207,7 @@ func (t *tree) min() *Entry {
 	return n.value
 }
 
-func (t *tree) max() *Entry {
+func (t *tree) max() *item {
 	n := t.root
 	if n == nil {
 		return nil
@@ -219,11 +220,11 @@ func (t *tree) max() *Entry {
 
 // ascend visits entries with key in [lo, hi) in order; fn returning false
 // stops the walk.
-func (t *tree) ascend(lo, hi int64, fn func(*Entry) bool) {
+func (t *tree) ascend(lo, hi int64, fn func(*item) bool) {
 	ascend(t.root, lo, hi, fn)
 }
 
-func ascend(n *avlNode, lo, hi int64, fn func(*Entry) bool) bool {
+func ascend(n *avlNode, lo, hi int64, fn func(*item) bool) bool {
 	if n == nil {
 		return true
 	}

@@ -21,7 +21,9 @@ type Location int
 const (
 	// InCache means the bytes are in the block cache at CacheAddr.
 	InCache Location = iota
-	// InLTS means the bytes must be fetched from long-term storage.
+	// InLTS means the bytes must be fetched from long-term storage. The
+	// segment container drops an evicted entry rather than keep one of
+	// these; the index itself holds whatever it is given.
 	InLTS
 )
 
@@ -35,34 +37,87 @@ type Entry struct {
 	Where Location
 	// CacheAddr locates the bytes when Where == InCache.
 	CacheAddr blockcache.Address
-	// Generation is bumped on every access; the eviction scan removes the
-	// stalest cached entries first (the "usage patterns" metadata of §4.2).
-	Generation int64
 }
 
 // End returns the offset one past the entry's last byte.
 func (e *Entry) End() int64 { return e.Offset + e.Length }
 
+// item is an entry as the index holds it. Cached entries are also linked
+// into a list ordered by last use (the "usage patterns" metadata of §4.2):
+// Add and Find move an entry to the newest end, eviction takes from the
+// oldest, and neither has to look at the entries in between.
+type item struct {
+	Entry
+	older, newer *item
+}
+
 // Index is the per-segment read index. It is safe for concurrent use.
 type Index struct {
-	mu         sync.Mutex
-	t          tree
-	truncated  int64 // offsets below this are gone
-	length     int64 // total segment length indexed (high-water mark)
-	generation int64
+	mu        sync.Mutex
+	t         tree
+	truncated int64 // offsets below this are gone
+	length    int64 // total segment length indexed (high-water mark)
+
+	oldest, newest *item // cached entries, least recently used first
+	cachedBytes    int64 // Σ Length of cached entries
+	removals       int64 // cached entries dropped so far
 }
 
 // New creates an empty index.
 func New() *Index { return &Index{} }
 
-// Add registers a new entry. Adjacent cached tail entries are not merged
-// automatically; the segment container appends into the tail entry via
-// UpdateTail instead.
+// link puts a cached item at the newest end of the use list.
+func (x *Index) link(it *item) {
+	it.older, it.newer = x.newest, nil
+	if x.newest != nil {
+		x.newest.newer = it
+	} else {
+		x.oldest = it
+	}
+	x.newest = it
+}
+
+// unlink takes a cached item out of the use list.
+func (x *Index) unlink(it *item) {
+	if it.older != nil {
+		it.older.newer = it.newer
+	} else {
+		x.oldest = it.newer
+	}
+	if it.newer != nil {
+		it.newer.older = it.older
+	} else {
+		x.newest = it.older
+	}
+	it.older, it.newer = nil, nil
+}
+
+// drop removes an item from the tree and, when cached, from the use list.
+func (x *Index) drop(it *item) {
+	x.t.delete(it.Offset)
+	if it.Where == InCache {
+		x.unlink(it)
+		x.cachedBytes -= it.Length
+		x.removals++
+	}
+}
+
+// Add registers a new entry, as the most recently used one when it is
+// cached. An entry already at the same offset is replaced. Contiguous
+// entries are never merged: the segment container grows the last entry with
+// ExtendTail while that entry is open and Adds a new one once it is closed.
 func (x *Index) Add(e Entry) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	ent := e
-	x.t.put(e.Offset, &ent)
+	if old := x.t.get(e.Offset); old != nil {
+		x.drop(old)
+	}
+	it := &item{Entry: e}
+	x.t.put(e.Offset, it)
+	if e.Where == InCache {
+		x.link(it)
+		x.cachedBytes += e.Length
+	}
 	if end := e.End(); end > x.length {
 		x.length = end
 	}
@@ -72,11 +127,11 @@ func (x *Index) Add(e Entry) {
 func (x *Index) TailEntry() (Entry, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	e := x.t.max()
-	if e == nil {
+	it := x.t.max()
+	if it == nil {
 		return Entry{}, false
 	}
-	return *e, true
+	return it.Entry, true
 }
 
 // ExtendTail grows the last entry by n bytes and updates its cache address
@@ -85,48 +140,35 @@ func (x *Index) TailEntry() (Entry, bool) {
 func (x *Index) ExtendTail(n int64, newAddr blockcache.Address) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	e := x.t.max()
-	if e == nil || e.Where != InCache {
+	it := x.t.max()
+	if it == nil || it.Where != InCache {
 		return false
 	}
-	e.Length += n
-	e.CacheAddr = newAddr
-	if end := e.End(); end > x.length {
+	it.Length += n
+	it.CacheAddr = newAddr
+	x.cachedBytes += n
+	if end := it.End(); end > x.length {
 		x.length = end
 	}
 	return true
 }
 
-// Find returns the entry containing offset, with its generation bumped.
+// Find returns the entry containing offset and marks it most recently used.
 func (x *Index) Find(offset int64) (Entry, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if offset < x.truncated {
 		return Entry{}, fmt.Errorf("%w: offset %d < truncation %d", ErrTruncated, offset, x.truncated)
 	}
-	e := x.t.floor(offset)
-	if e == nil || offset >= e.End() {
+	it := x.t.floor(offset)
+	if it == nil || offset >= it.End() {
 		return Entry{}, fmt.Errorf("%w: offset %d", ErrGap, offset)
 	}
-	x.generation++
-	e.Generation = x.generation
-	return *e, nil
-}
-
-// Replace swaps the entry at offset for a new descriptor (e.g. after
-// fetching LTS bytes into the cache, or after evicting a cached entry to
-// LTS-backed state). The offset must match an existing entry.
-func (x *Index) Replace(e Entry) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	old := x.t.get(e.Offset)
-	if old == nil {
-		return false
+	if it.Where == InCache && it != x.newest {
+		x.unlink(it)
+		x.link(it)
 	}
-	ent := e
-	ent.Generation = old.Generation
-	x.t.put(e.Offset, &ent)
-	return true
+	return it.Entry, nil
 }
 
 // TruncateBefore drops all entries that end at or before offset and records
@@ -138,21 +180,61 @@ func (x *Index) TruncateBefore(offset int64) []blockcache.Address {
 	if offset > x.truncated {
 		x.truncated = offset
 	}
-	var drop []int64
-	var freed []blockcache.Address
-	x.t.ascend(0, offset, func(e *Entry) bool {
-		if e.End() <= offset {
-			drop = append(drop, e.Offset)
-			if e.Where == InCache {
-				freed = append(freed, e.CacheAddr)
-			}
+	var drop []*item
+	x.t.ascend(0, offset, func(it *item) bool {
+		if it.End() <= offset {
+			drop = append(drop, it)
 		}
 		return true
 	})
-	for _, k := range drop {
-		x.t.delete(k)
+	var freed []blockcache.Address
+	for _, it := range drop {
+		if it.Where == InCache {
+			freed = append(freed, it.CacheAddr)
+		}
+		x.drop(it)
 	}
 	return freed
+}
+
+// EvictStalest drops least-recently-used cached entries that end at or
+// before limit (the caller's "safe elsewhere" watermark) until it has
+// dropped want bytes or run out, and returns their cache addresses for the
+// caller to free. An evicted range simply leaves the index: a later Find
+// there reports ErrGap. Entries beyond limit are stepped over, which costs
+// nothing while they are the newest ones, as they are when limit trails the
+// appends.
+func (x *Index) EvictStalest(limit, want int64) []blockcache.Address {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	var freed []blockcache.Address
+	for it := x.oldest; it != nil && want > 0; {
+		next := it.newer
+		if it.End() <= limit {
+			freed = append(freed, it.CacheAddr)
+			want -= it.Length
+			x.drop(it)
+		}
+		it = next
+	}
+	return freed
+}
+
+// CachedBytes returns the total length of the cached entries.
+func (x *Index) CachedBytes() int64 {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.cachedBytes
+}
+
+// Removals counts the cached entries dropped so far, by truncation, eviction
+// or replacement. A reader that copies cache bytes without excluding those
+// compares the count before and after: unchanged means every cached entry
+// it looked up was still there, at most longer, when the copy finished.
+func (x *Index) Removals() int64 {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.removals
 }
 
 // Truncation returns the current truncation offset.
@@ -170,66 +252,54 @@ func (x *Index) Length() int64 {
 	return x.length
 }
 
-// EvictionCandidates returns up to max cached entries in ascending
-// generation order (stalest first), excluding the tail entry, which appends
-// still target.
-func (x *Index) EvictionCandidates(max int) []Entry {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	tail := x.t.max()
-	var out []Entry
-	x.t.ascend(x.truncated, int64(1)<<62, func(e *Entry) bool {
-		if e.Where == InCache && e != tail {
-			out = append(out, *e)
-		}
-		return true
-	})
-	// Selection sort of the stalest `max`: entry counts are small per scan.
-	for i := 0; i < len(out) && i < max; i++ {
-		minIdx := i
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Generation < out[minIdx].Generation {
-				minIdx = j
-			}
-		}
-		out[i], out[minIdx] = out[minIdx], out[i]
-	}
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
 // Entries returns a copy of all entries in offset order (tests/debug).
 func (x *Index) Entries() []Entry {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	out := make([]Entry, 0, x.t.size)
-	x.t.ascend(-1<<62, 1<<62, func(e *Entry) bool {
-		out = append(out, *e)
+	x.t.ascend(-1<<62, 1<<62, func(it *item) bool {
+		out = append(out, it.Entry)
 		return true
 	})
 	return out
 }
 
-// Validate checks tree invariants plus entry contiguity (no overlaps).
-// Used by property tests.
+// Validate checks the tree invariants, that no two entries overlap, and that
+// the use list holds exactly the cached entries. Used by property tests.
 func (x *Index) Validate() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if !x.t.validate() {
 		return errors.New("readindex: AVL invariant violated")
 	}
-	var prev *Entry
+	var prev *item
 	var err error
-	x.t.ascend(-1<<62, 1<<62, func(e *Entry) bool {
-		if prev != nil && e.Offset < prev.End() {
-			err = fmt.Errorf("readindex: entries overlap: %v then %v", *prev, *e)
+	var cached, cachedBytes int64
+	x.t.ascend(-1<<62, 1<<62, func(it *item) bool {
+		if prev != nil && it.Offset < prev.End() {
+			err = fmt.Errorf("readindex: entries overlap: %v then %v", prev.Entry, it.Entry)
 			return false
 		}
-		p := *e
-		prev = &p
+		if it.Where == InCache {
+			cached++
+			cachedBytes += it.Length
+		}
+		prev = it
 		return true
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	var listed int64
+	for it := x.oldest; it != nil; it = it.newer {
+		if it.Where != InCache || x.t.get(it.Offset) != it {
+			return fmt.Errorf("readindex: use list holds %v, which is not a cached entry of the index", it.Entry)
+		}
+		listed++
+	}
+	if listed != cached || cachedBytes != x.cachedBytes {
+		return fmt.Errorf("readindex: use list has %d entries and %d bytes accounted, index has %d cached entries of %d bytes",
+			listed, x.cachedBytes, cached, cachedBytes)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package readindex
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 func TestAVLInsertLookup(t *testing.T) {
 	var tr tree
 	for i := 0; i < 1000; i++ {
-		tr.put(int64(i*7%1000), &Entry{Offset: int64(i * 7 % 1000)})
+		tr.put(int64(i*7%1000), &item{Entry: Entry{Offset: int64(i * 7 % 1000)}})
 	}
 	if tr.size != 1000 {
 		t.Fatalf("size %d", tr.size)
@@ -32,7 +33,7 @@ func TestAVLInsertLookup(t *testing.T) {
 func TestAVLDelete(t *testing.T) {
 	var tr tree
 	for i := 0; i < 500; i++ {
-		tr.put(int64(i), &Entry{Offset: int64(i)})
+		tr.put(int64(i), &item{Entry: Entry{Offset: int64(i)}})
 	}
 	for i := 0; i < 500; i += 2 {
 		if !tr.delete(int64(i)) {
@@ -59,7 +60,7 @@ func TestAVLDelete(t *testing.T) {
 func TestAVLFloorCeiling(t *testing.T) {
 	var tr tree
 	for _, k := range []int64{10, 20, 30, 40} {
-		tr.put(k, &Entry{Offset: k})
+		tr.put(k, &item{Entry: Entry{Offset: k}})
 	}
 	cases := []struct {
 		q           int64
@@ -85,10 +86,10 @@ func TestAVLFloorCeiling(t *testing.T) {
 func TestAVLAscendRange(t *testing.T) {
 	var tr tree
 	for i := int64(0); i < 20; i++ {
-		tr.put(i*10, &Entry{Offset: i * 10})
+		tr.put(i*10, &item{Entry: Entry{Offset: i * 10}})
 	}
 	var got []int64
-	tr.ascend(35, 95, func(e *Entry) bool {
+	tr.ascend(35, 95, func(e *item) bool {
 		got = append(got, e.Offset)
 		return true
 	})
@@ -103,7 +104,7 @@ func TestAVLAscendRange(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tr.ascend(0, 200, func(*Entry) bool { count++; return count < 3 })
+	tr.ascend(0, 200, func(*item) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Fatalf("early stop visited %d", count)
 	}
@@ -119,7 +120,7 @@ func TestAVLRandomOpsProperty(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			k := int64(rng.Intn(100))
 			if rng.Intn(2) == 0 {
-				tr.put(k, &Entry{Offset: k})
+				tr.put(k, &item{Entry: Entry{Offset: k}})
 				model[k] = true
 			} else {
 				deleted := tr.delete(k)
@@ -194,41 +195,88 @@ func TestIndexTruncate(t *testing.T) {
 	}
 }
 
-func TestIndexReplaceAndEviction(t *testing.T) {
+func TestIndexEvictStalest(t *testing.T) {
 	x := New()
 	for i := int64(0); i < 5; i++ {
 		x.Add(Entry{Offset: i * 10, Length: 10, Where: InCache, CacheAddr: blockcache.Address(i + 1)})
 	}
-	// Touch entries 3 and 4 to freshen them.
-	if _, err := x.Find(30); err != nil {
+	// Touch entry 1 to freshen it: use order is now 0, 2, 3, 4, 1.
+	if _, err := x.Find(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.Find(40); err != nil {
+	// Nothing at or below the watermark: nothing to take.
+	if got := x.EvictStalest(5, 100); len(got) != 0 || x.Removals() != 0 {
+		t.Fatalf("evicted %v below a watermark no entry ends under", got)
+	}
+	// 15 bytes wanted, watermark after entry 3: entries 0 and 2, stalest
+	// first; the freshened entry 1 stays although it is below the watermark.
+	got := x.EvictStalest(40, 15)
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("evicted %v, want [blk#1 blk#3]", got)
+	}
+	if x.CachedBytes() != 30 || x.Removals() != 2 {
+		t.Fatalf("CachedBytes = %d, Removals = %d", x.CachedBytes(), x.Removals())
+	}
+	if _, err := x.Find(5); !errors.Is(err, ErrGap) {
+		t.Fatalf("Find in an evicted range: %v", err)
+	}
+	// Entry 4 ends beyond the watermark and is stepped over; 3 and 1 go.
+	got = x.EvictStalest(40, 1000)
+	if len(got) != 2 || got[0] != 4 || got[1] != 2 {
+		t.Fatalf("evicted %v, want [blk#4 blk#2]", got)
+	}
+	if e, ok := x.TailEntry(); !ok || e.Offset != 40 || x.CachedBytes() != 10 {
+		t.Fatalf("tail %+v, cached %d", e, x.CachedBytes())
+	}
+	// Replacing an entry in place counts as a removal too.
+	x.Add(Entry{Offset: 40, Length: 10, Where: InLTS})
+	if x.CachedBytes() != 0 || x.Removals() != 5 {
+		t.Fatalf("after replace: CachedBytes = %d, Removals = %d", x.CachedBytes(), x.Removals())
+	}
+	if err := x.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cands := x.EvictionCandidates(2)
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %d", len(cands))
-	}
-	// Stalest-first and never the tail entry (offset 40).
-	for _, c := range cands {
-		if c.Offset == 40 {
-			t.Fatal("tail entry offered for eviction")
+}
+
+// TestIndexSplitInsertsOfOversizedOp models the container splitting one
+// operation larger than its entry bound: the pieces are contiguous entries,
+// the first of them topping up the open tail entry.
+func TestIndexSplitInsertsOfOversizedOp(t *testing.T) {
+	const bound = 256
+	x := New()
+	x.Add(Entry{Offset: 0, Length: 100, Where: InCache, CacheAddr: 1})
+	length, addr := int64(100), blockcache.Address(1)
+	for op := int64(3*bound + 17); op > 0; {
+		addr++
+		tail, _ := x.TailEntry()
+		if room := bound - tail.Length; room > 0 {
+			n := min(room, op)
+			if !x.ExtendTail(n, addr) {
+				t.Fatal("ExtendTail failed")
+			}
+			length, op = length+n, op-n
+			continue
 		}
-		if c.Offset == 30 {
-			t.Fatal("freshened entry evicted before stale ones")
+		n := min(bound, op)
+		x.Add(Entry{Offset: length, Length: n, Where: InCache, CacheAddr: addr})
+		length, op = length+n, op-n
+	}
+	if err := x.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	entries := x.Entries()
+	if len(entries) != 4 || x.Length() != length || x.CachedBytes() != length {
+		t.Fatalf("%d entries, Length %d, CachedBytes %d, want 4 entries of %d bytes", len(entries), x.Length(), x.CachedBytes(), length)
+	}
+	for i, e := range entries {
+		if e.Length > bound || (i > 0 && e.Offset != entries[i-1].End()) {
+			t.Fatalf("entry %d = %+v after %+v", i, e, entries[max(i-1, 0)])
 		}
 	}
-	// Replace one with an LTS-backed descriptor.
-	if !x.Replace(Entry{Offset: cands[0].Offset, Length: cands[0].Length, Where: InLTS}) {
-		t.Fatal("Replace failed")
-	}
-	e, err := x.Find(cands[0].Offset)
-	if err != nil || e.Where != InLTS {
-		t.Fatalf("after Replace: %+v, %v", e, err)
-	}
-	if x.Replace(Entry{Offset: 999, Length: 1}) {
-		t.Fatal("Replace of missing entry succeeded")
+	for off := int64(0); off < length; off += 31 {
+		if e, err := x.Find(off); err != nil || off < e.Offset || off >= e.End() {
+			t.Fatalf("Find(%d) = %+v, %v", off, e, err)
+		}
 	}
 }
 
@@ -262,6 +310,9 @@ func TestIndexContiguousAppendProperty(t *testing.T) {
 			length += n
 			if rng.Intn(10) == 0 && length > 0 {
 				x.TruncateBefore(rng.Int63n(length))
+			}
+			if rng.Intn(10) == 0 {
+				_, _ = x.Find(x.Truncation() + rng.Int63n(length-x.Truncation()))
 			}
 			if x.Validate() != nil {
 				return false

@@ -97,10 +97,13 @@ type Container struct {
 
 	mu       sync.Mutex
 	segments map[string]*segState
-	down     bool
-	downErr  error
-	downFlag atomic.Bool // mirrors down for lock-free checks
-	crashed  atomic.Bool // abrupt stop: skip apply/flush side effects
+	// evictStalled: the last eviction pass found nothing to free (see
+	// evictLocked). Guarded by mu.
+	evictStalled bool
+	down         bool
+	downErr      error
+	downFlag     atomic.Bool // mirrors down for lock-free checks
+	crashed      atomic.Bool // abrupt stop: skip apply/flush side effects
 
 	// Operation pipeline.
 	opQueue  chan *pendingOp
@@ -450,15 +453,7 @@ func (c *Container) applyWriterAttrLocked(s *segState, op *Operation) {
 // both per frame instead of per operation.
 func (c *Container) applyAppendLocked(s *segState, op *Operation, addr wal.Address) {
 	dataLen := int64(len(op.Data))
-	if tail, ok := s.index.TailEntry(); ok && tail.Where == readindex.InCache && tail.End() == op.Offset {
-		if newAddr, err := c.cache.Append(tail.CacheAddr, op.Data); err == nil {
-			s.index.ExtendTail(dataLen, newAddr)
-		} else {
-			c.insertNewCacheEntryLocked(s, op.Offset, op.Data)
-		}
-	} else {
-		c.insertNewCacheEntryLocked(s, op.Offset, op.Data)
-	}
+	c.cacheAppendLocked(s, op.Offset, op.Data)
 	if end := op.Offset + dataLen; end > s.length {
 		s.length = end
 	}
@@ -474,40 +469,72 @@ func (c *Container) applyAppendLocked(s *segState, op *Operation, addr wal.Addre
 	s.waiters = nil
 }
 
-func (c *Container) insertNewCacheEntryLocked(s *segState, offset int64, data []byte) {
-	addr, err := c.cache.Insert(data)
-	if errors.Is(err, blockcache.ErrCacheFull) {
-		c.evictLocked()
-		addr, err = c.cache.Insert(data)
-	}
-	if err != nil {
-		// Cache exhausted by un-evictable (un-tiered) data; the read index
-		// gets no entry, and reads of this range are served from the
-		// unflushed queue until the storage writer catches up.
-		return
-	}
-	s.index.Add(readindex.Entry{
-		Offset:    offset,
-		Length:    int64(len(data)),
-		Where:     readindex.InCache,
-		CacheAddr: addr,
-	})
-}
+// maxCacheEntryBytes closes a cache entry (64 blocks of the default size).
+// A segment's cached bytes are a run of entries no longer than this, each
+// with a read-index record of its own, so that a read walks and an eviction
+// frees one short chain, whatever the segment's length (§4.2).
+const maxCacheEntryBytes = 256 << 10
 
-// evictLocked frees the stalest cached entries whose bytes are already in
-// LTS (safe to drop). Caller holds c.mu.
-func (c *Container) evictLocked() {
-	for _, s := range c.segments {
-		cands := s.index.EvictionCandidates(8)
-		for _, e := range cands {
-			if e.End() <= s.storageLength {
-				if s.index.Replace(readindex.Entry{Offset: e.Offset, Length: e.Length, Where: readindex.InLTS}) {
-					_ = c.cache.Delete(e.CacheAddr)
-					mCacheEvictions.Inc()
-				}
+// evictShare is the part of each segment's cached bytes one eviction pass
+// frees: an eighth, so a full cache runs a pass once per eighth of its size
+// appended, not once per append.
+const evictShare = 8
+
+// cacheAppendLocked copies data, which starts at the segment offset given,
+// into the block cache: first into the room left in the segment's last
+// entry, when that entry ends where data begins, then into new entries of at
+// most maxCacheEntryBytes each. When the cache cannot take a piece (it is
+// full of bytes not yet tiered) that piece and the rest get no index entry;
+// reads of them are served from the un-tiered queue, then from LTS.
+func (c *Container) cacheAppendLocked(s *segState, offset int64, data []byte) {
+	if tail, ok := s.index.TailEntry(); ok && tail.Where == readindex.InCache && tail.End() == offset {
+		if n := min(maxCacheEntryBytes-tail.Length, int64(len(data))); n > 0 {
+			newAddr, err := c.cache.Append(tail.CacheAddr, data[:n])
+			if err == nil {
+				s.index.ExtendTail(n, newAddr)
+				offset, data = offset+n, data[n:]
 			}
+			// Else the cache is full: the insert below evicts and tries again.
 		}
 	}
+	for len(data) > 0 {
+		n := min(maxCacheEntryBytes, len(data))
+		addr, err := c.cache.Insert(data[:n])
+		if errors.Is(err, blockcache.ErrCacheFull) && !c.evictStalled {
+			c.evictLocked()
+			addr, err = c.cache.Insert(data[:n])
+		}
+		if err != nil {
+			return
+		}
+		s.index.Add(readindex.Entry{
+			Offset:    offset,
+			Length:    int64(n),
+			Where:     readindex.InCache,
+			CacheAddr: addr,
+		})
+		offset, data = offset+int64(n), data[n:]
+	}
+}
+
+// evictLocked frees, in every segment, the least recently used cached
+// entries whose bytes are already in LTS (safe to drop), evictShare of the
+// segment's cached bytes at a time. Entries are closed at
+// maxCacheEntryBytes, so everything but the newest un-tiered bytes is
+// eligible and what stays cached is what was written or read last. A pass
+// that frees nothing sets evictStalled: nothing becomes evictable until a
+// storage watermark advances (retireCovered clears the flag), so appends
+// stop paying for passes until then. Caller holds c.mu.
+func (c *Container) evictLocked() {
+	evicted := 0
+	for _, s := range c.segments {
+		for _, addr := range s.index.EvictStalest(s.storageLength, s.index.CachedBytes()/evictShare+1) {
+			_ = c.cache.Delete(addr)
+			evicted++
+		}
+	}
+	mCacheEvictions.Add(int64(evicted))
+	c.evictStalled = evicted == 0
 }
 
 func (c *Container) applyTruncateLocked(s *segState, at int64) {

@@ -1,6 +1,9 @@
 package segstore
 
-import "github.com/pravega-go/pravega/internal/wal"
+import (
+	"github.com/pravega-go/pravega/internal/readindex"
+	"github.com/pravega-go/pravega/internal/wal"
+)
 
 // ChunkInfo is one LTS chunk's metadata as the container records it.
 type ChunkInfo struct {
@@ -33,6 +36,14 @@ type SegmentDebug struct {
 	LowestUnflushedAddr wal.Address
 	// Attributes is a copy of the writer-dedup attribute table.
 	Attributes map[string]int64
+	// CacheEntries and CacheBytes count the segment's cached read-index
+	// entries; MaxCacheEntryBytes is the longest of them.
+	CacheEntries       int
+	CacheBytes         int64
+	MaxCacheEntryBytes int64
+	// ReadIndexErr is the read index's own consistency check: entries
+	// overlap, or its use list and its cached entries disagree.
+	ReadIndexErr error
 }
 
 // DebugState snapshots every segment's internal state.
@@ -60,6 +71,15 @@ func (c *Container) DebugState() map[string]SegmentDebug {
 		for w, n := range s.attributes {
 			d.Attributes[w] = n
 		}
+		for _, e := range s.index.Entries() {
+			if e.Where != readindex.InCache {
+				continue
+			}
+			d.CacheEntries++
+			d.CacheBytes += e.Length
+			d.MaxCacheEntryBytes = max(d.MaxCacheEntryBytes, e.Length)
+		}
+		d.ReadIndexErr = s.index.Validate()
 		if len(s.unflushed) > 0 {
 			d.HasUnflushed = true
 			d.UnflushedStart = s.unflushed[0].offset

@@ -351,6 +351,9 @@ func (c *Container) retireCovered(segName string) {
 			}
 			break
 		}
+		// Every advance of a storage watermark comes through here, and an
+		// advance is what makes cached entries evictable again.
+		c.evictStalled = false
 	}
 	c.mu.Unlock()
 	if freed > 0 {

@@ -19,6 +19,8 @@ func FuzzUnmarshalFrame(f *testing.F) {
 	}
 	f.Add(MarshalFrame(ops[:1]))
 	f.Add(MarshalFrame(ops))
+	// One append several cache entries long: the applier splits it.
+	f.Add(MarshalFrame([]*Operation{{Type: OpAppend, Segment: "s/a/0", Data: bytes.Repeat([]byte{0xA5}, 3<<20), WriterID: "w", EventNum: 2, EventCount: 1}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,10 +3,12 @@ package segstore
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/blockcache"
 	"github.com/pravega-go/pravega/internal/readindex"
 )
 
@@ -50,9 +52,9 @@ func (c *Container) ReadCtx(ctx context.Context, name string, offset int64, maxB
 			c.mu.Unlock()
 			return ReadResult{}, fmt.Errorf("%w: %s", ErrSegmentNotFound, name)
 		}
-		if offset < s.startOffset {
+		if start := s.startOffset; offset < start {
 			c.mu.Unlock()
-			return ReadResult{}, fmt.Errorf("%w: offset %d < %d", ErrSegmentTruncated, offset, s.startOffset)
+			return ReadResult{}, fmt.Errorf("%w: offset %d < %d", ErrSegmentTruncated, offset, start)
 		}
 		if offset > s.length {
 			c.mu.Unlock()
@@ -92,10 +94,14 @@ func (c *Container) ReadCtx(ctx context.Context, name string, offset int64, maxB
 				return ReadResult{}, ErrContainerDown
 			}
 		}
-		// Data available. readAvailable releases c.mu: cache hits copy out
-		// under the short critical section it inherits; LTS and readahead
-		// I/O always run unlocked.
-		return c.readAvailable(s, offset, maxBytes)
+		// Data available. readAvailable releases c.mu before any copy out
+		// of the cache and any LTS or readahead I/O. It reports a cached
+		// read that a truncation, eviction or deletion overtook as not
+		// stable; looking again finds what is true now.
+		res, stable, err := c.readAvailable(s, offset, maxBytes)
+		if stable {
+			return res, err
+		}
 	}
 }
 
@@ -119,66 +125,99 @@ func (c *Container) forgetWaiter(name string, w chan struct{}) {
 	}
 }
 
+// cachedPiece is one cache entry's share of a gathered read: n bytes from
+// off within the entry at addr.
+type cachedPiece struct {
+	addr blockcache.Address
+	off  int64
+	n    int
+}
+
+// maxGatherPieces bounds the cache entries one read gathers: a 1 MiB read of
+// full entries takes four, or five when it starts inside one.
+const maxGatherPieces = 8
+
 // readAvailable serves a read below the segment length. The caller holds
-// c.mu; readAvailable ALWAYS returns with it released. The lock is held
-// only for index/cache/unflushed access — never across LTS I/O, so a stuck
-// LTS backend cannot stall tail reads or the append applier.
-func (c *Container) readAvailable(s *segState, offset int64, maxBytes int) (ReadResult, error) {
+// c.mu; readAvailable ALWAYS returns with it released. The lock is held for
+// index lookups and the un-tiered queue only — never across a copy out of
+// the cache or LTS I/O, so neither a long cached read nor a stuck LTS
+// backend can stall tail reads or the append applier.
+//
+// A cached read gathers the consecutive cached entries from offset, up to
+// maxBytes, copies them unlocked and then checks under c.mu that the
+// segment still stands, offset is still above its truncation point and no
+// cached entry left its index meanwhile. Every cache.Delete happens under
+// c.mu after the index change that counts the removal, so an unchanged count
+// proves the blocks copied from were the entries' own throughout; appends
+// only add bytes beyond those copied. Otherwise stable is false and the
+// caller looks again.
+func (c *Container) readAvailable(s *segState, offset int64, maxBytes int) (res ReadResult, stable bool, err error) {
 	avail := s.length - offset
 	if int64(maxBytes) > avail {
 		maxBytes = int(avail)
 	}
 	mReadLookups.Inc()
-	entry, err := s.index.Find(offset)
-	if err == nil && entry.Where == readindex.InCache {
-		data, cerr := c.cache.Get(entry.CacheAddr)
-		if cerr != nil {
-			// The cache entry raced with eviction: the evictor replaces the
-			// index entry with an InLTS record before deleting the block, so
-			// one retry of the lookup observes the post-eviction location.
-			entry, err = s.index.Find(offset)
-			if err == nil && entry.Where == readindex.InCache {
-				data, cerr = c.cache.Get(entry.CacheAddr)
-			} else {
-				cerr = fmt.Errorf("segstore: cache entry evicted during read")
-			}
+	var pieces [maxGatherPieces]cachedPiece
+	np, total := 0, 0
+	var ferr error
+	for np < len(pieces) && total < maxBytes {
+		var e readindex.Entry
+		e, ferr = s.index.Find(offset + int64(total))
+		if ferr != nil || e.Where != readindex.InCache {
+			break
 		}
-		if cerr == nil {
-			mCacheHits.Inc()
-			from := offset - entry.Offset
-			to := from + int64(maxBytes)
-			if to > int64(len(data)) {
-				to = int64(len(data))
-			}
+		off := offset + int64(total) - e.Offset
+		n := min(int(e.Length-off), maxBytes-total)
+		pieces[np] = cachedPiece{addr: e.CacheAddr, off: off, n: n}
+		np++
+		total += n
+	}
+	if np > 0 {
+		name, removals := s.name, s.index.Removals()
+		c.mu.Unlock()
+		buf := make([]byte, total)
+		copied := true
+		for at, i := 0, 0; i < np && copied; i++ {
+			p := pieces[i]
+			n, cerr := c.cache.ReadAt(p.addr, p.off, buf[at:at+p.n])
+			copied = cerr == nil && n == p.n
+			at += p.n
+		}
+		c.mu.Lock()
+		if c.segments[name] != s || offset < s.startOffset || s.index.Removals() != removals {
 			c.mu.Unlock()
-			return ReadResult{Data: data[from:to:to], Offset: offset}, nil
+			return ReadResult{}, false, nil
 		}
+		if copied {
+			c.mu.Unlock()
+			mCacheHits.Inc()
+			return ReadResult{Data: buf, Offset: offset}, true, nil
+		}
+		// Nothing changed and yet the blocks were not there: the index
+		// points at a freed entry. Serve the read as a miss.
 	}
 	mCacheMisses.Inc()
 	if offset < s.storageLength {
-		return c.readFromLTS(s, offset, int64(maxBytes))
+		res, err = c.readFromLTS(s, offset, int64(maxBytes))
+		return res, true, err
 	}
-	// Not cached, not in LTS: the bytes are in the un-tiered queue (cache
-	// was full on apply). Serve from there.
-	for _, it := range s.unflushed {
-		end := it.offset + int64(len(it.data))
-		if offset >= it.offset && offset < end {
-			from := offset - it.offset
-			to := from + int64(maxBytes)
-			if to > int64(len(it.data)) {
-				to = int64(len(it.data))
-			}
-			out := append([]byte(nil), it.data[from:to]...)
-			c.mu.Unlock()
-			return ReadResult{Data: out, Offset: offset}, nil
-		}
+	// Not cached, not in LTS: the bytes are in the un-tiered queue (the
+	// cache was full on apply), which is sorted by offset.
+	q := s.unflushed
+	i := sort.Search(len(q), func(i int) bool { return q[i].offset+int64(len(q[i].data)) > offset })
+	if i < len(q) && q[i].offset <= offset {
+		from := offset - q[i].offset
+		to := min(from+int64(maxBytes), int64(len(q[i].data)))
+		out := append([]byte(nil), q[i].data[from:to]...)
+		c.mu.Unlock()
+		return ReadResult{Data: out, Offset: offset}, true, nil
 	}
 	name := s.name
 	c.mu.Unlock()
-	if err != nil {
-		return ReadResult{}, fmt.Errorf("%w: %s@%d: %v", ErrNoReadSource, name, offset, err)
+	if ferr != nil {
+		return ReadResult{}, true, fmt.Errorf("%w: %s@%d: %v", ErrNoReadSource, name, offset, ferr)
 	}
-	return ReadResult{}, fmt.Errorf("%w: %s@%d: read raced with state change", ErrNoReadSource, name, offset)
+	return ReadResult{}, true, fmt.Errorf("%w: %s@%d: read raced with state change", ErrNoReadSource, name, offset)
 }
 
 // chunkRead is one chunk's share of a scatter-gather read: n bytes from
@@ -342,9 +381,9 @@ func (c *Container) finishLTSRead(name string, s *segState, offset int64, data [
 		c.mu.Unlock()
 		return ReadResult{}, fmt.Errorf("%w: %s", ErrSegmentNotFound, name)
 	}
-	if offset < cur.startOffset {
+	if start := cur.startOffset; offset < start {
 		c.mu.Unlock()
-		return ReadResult{}, fmt.Errorf("%w: offset %d < %d", ErrSegmentTruncated, offset, cur.startOffset)
+		return ReadResult{}, fmt.Errorf("%w: offset %d < %d", ErrSegmentTruncated, offset, start)
 	}
 	c.mu.Unlock()
 	return ReadResult{Data: data, Offset: offset}, nil

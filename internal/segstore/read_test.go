@@ -57,26 +57,17 @@ func seedTieredSegment(t testing.TB, env *testEnv, cfg ContainerConfig, name str
 	return c
 }
 
-// dropCached demotes every cached index entry of the segment to InLTS and
-// deletes its block, so subsequent reads must come from LTS. (evictLocked
-// cannot do this: it deliberately keeps the index tail hot.)
+// dropCached evicts every tiered cache entry of the segment, so subsequent
+// reads below the storage watermark must come from LTS.
 func dropCached(t testing.TB, c *Container, name string) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.segments[name]
-	for off := s.startOffset; off < s.storageLength; {
-		e, err := s.index.Find(off)
-		if err != nil {
-			break
+	for _, addr := range s.index.EvictStalest(s.storageLength, 1<<62) {
+		if err := c.cache.Delete(addr); err != nil {
+			t.Fatalf("cache delete: %v", err)
 		}
-		if e.Where == readindex.InCache {
-			if !s.index.Replace(readindex.Entry{Offset: e.Offset, Length: e.Length, Where: readindex.InLTS}) {
-				t.Fatalf("index replace failed at %d", off)
-			}
-			_ = c.cache.Delete(e.CacheAddr)
-		}
-		off = e.End()
 	}
 }
 

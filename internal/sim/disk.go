@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,6 +39,9 @@ type Disk struct {
 
 	mu       sync.Mutex
 	lastFile *DiskFile // last file the device head touched
+
+	syncs       atomic.Int64 // WriteSync calls served
+	syncCharged atomic.Int64 // fixed cost charged for them, ns
 
 	dirtyMu   sync.Mutex
 	dirtyCond *sync.Cond
@@ -96,7 +100,16 @@ func (d *Disk) seekOverhead(f *DiskFile) time.Duration {
 // appends into one WriteSync) is rewarded exactly as on real hardware.
 func (f *DiskFile) WriteSync(n int) time.Duration {
 	over := f.disk.seekOverhead(f) + f.disk.cfg.SyncLatency
+	f.disk.syncs.Add(1)
+	f.disk.syncCharged.Add(int64(over))
 	return f.disk.device.TakeWithOverhead(n, over)
+}
+
+// SyncStats reports how many fsync'd writes the drive has been asked for
+// and the fixed cost (sync latency plus seeks) the model charged for them,
+// so a test can assert what durability cost without timing anything.
+func (d *Disk) SyncStats() (count int64, charged time.Duration) {
+	return d.syncs.Load(), time.Duration(d.syncCharged.Load())
 }
 
 // WriteAsync models a page-cache write: it completes immediately unless the
