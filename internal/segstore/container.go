@@ -157,6 +157,7 @@ type Container struct {
 	bytesWritten     metrics.Counter
 	opsProcessed     metrics.Counter
 	checkpointsTaken metrics.Counter
+	flushRounds      metrics.Counter
 }
 
 // NewContainer opens the container, performing recovery: it takes over the
@@ -636,6 +637,7 @@ type Stats struct {
 	ThrottleWaits    int64
 	UnflushedBytes   int64
 	CheckpointsTaken int64
+	FlushRounds      int64 // tiering rounds run: age ticks, size kicks, FlushAll
 	CacheUsedBytes   int64
 }
 
@@ -651,6 +653,7 @@ func (c *Container) Stats() Stats {
 		ThrottleWaits:    c.throttleWaits.Value(),
 		UnflushedBytes:   unflushed,
 		CheckpointsTaken: c.checkpointsTaken.Value(),
+		FlushRounds:      c.flushRounds.Value(),
 		CacheUsedBytes:   c.cache.Stats().UsedBytes,
 	}
 }

@@ -84,6 +84,7 @@ func (c *Container) flushOnce(all bool) {
 	if c.crashed.Load() {
 		return
 	}
+	c.flushRounds.Add(1)
 	work := c.collectFlushWork(all)
 	if len(work) > 0 {
 		var firstErr error

@@ -246,3 +246,50 @@ func TestNoOpLTSKeepsMetadataOnly(t *testing.T) {
 		t.Fatalf("NoOp LTS storage length %d", info.StorageLength)
 	}
 }
+
+// A size kick reaches the storage writer only once a backlog of
+// FlushSizeBytes exists: below it a kicked round would find no segment to
+// flush. With the age tick out of the way, small appends leave the writer
+// asleep and the append that crosses the threshold gets the segment tiered.
+func TestSizeKickWaitsForThreshold(t *testing.T) {
+	env := newTestEnv(t)
+	cfg := env.containerConfig(6)
+	cfg.FlushSizeBytes = 64 << 10
+	cfg.FlushInterval = time.Hour
+	c, err := NewContainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const seg = "s/t/6.#epoch.0"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("k"), 1024)
+	n := int64(0)
+	for ; n < 32; n++ {
+		if _, err := c.Append(seg, payload, "w", n, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // a kicked round would have run by now
+	if r := c.Stats().FlushRounds; r != 0 {
+		t.Fatalf("%d tiering rounds at a backlog of 32 KiB, threshold 64 KiB, no tick", r)
+	}
+	for ; n < 64; n++ {
+		if _, err := c.Append(seg, payload, "w", n, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if info, _ := c.GetInfo(seg); info.StorageLength == 64<<10 {
+			return
+		}
+		if time.Now().After(deadline) {
+			info, _ := c.GetInfo(seg)
+			t.Fatalf("backlog at the threshold was not tiered by a kick: storageLength %d", info.StorageLength)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -739,8 +739,16 @@ applyLoop:
 		mUnflushedBytes.Add(appendBytes)
 		c.flushMu.Lock()
 		c.unflushedBytes += appendBytes
+		// A kicked round flushes only segments whose backlog has reached
+		// FlushSizeBytes, and no segment's can have while the container's is
+		// below it; small backlogs (a sealed segment's remainder too) go with
+		// the tick. Below the threshold a kick would only put a second thread
+		// on the container lock beside the acknowledgements of every frame.
+		kick := c.unflushedBytes >= c.cfg.FlushSizeBytes
 		c.flushMu.Unlock()
-		c.kickFlush()
+		if kick {
+			c.kickFlush()
+		}
 	}
 	if deletedUnflushed > 0 {
 		c.flushMu.Lock()
