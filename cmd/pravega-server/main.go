@@ -65,10 +65,12 @@ func main() {
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "bound on the graceful drain after SIGINT/SIGTERM")
 	)
 	flag.Parse()
+	// The append tracer is process-wide, so every role samples alike.
+	obs.AppendTraces().SetSampleEvery(*traceEvery)
 
 	switch *role {
 	case "all":
-		runAll(*listen, *stores, *containers, *bookies, *ltsDir, *policyMS, *metrics, *traceEvery, *drainTO)
+		runAll(*listen, *stores, *containers, *bookies, *ltsDir, *policyMS, *metrics, *drainTO)
 	case "coord":
 		runCoord(*listen, *stores, *containers, *bookies, *policyMS, *metrics, *drainTO)
 	case "store":
@@ -105,16 +107,15 @@ func awaitSignal() {
 }
 
 // runAll is the classic single-process deployment.
-func runAll(listen string, stores, containers, bookies int, ltsDir string, policyMS int, metrics string, traceEvery int, drainTO time.Duration) {
+func runAll(listen string, stores, containers, bookies int, ltsDir string, policyMS int, metrics string, drainTO time.Duration) {
 	cfg := pravega.SystemConfig{
 		Cluster: hosting.ClusterConfig{
 			Stores:             stores,
 			ContainersPerStore: containers,
 			Bookies:            bookies,
 		},
-		PolicyInterval:   time.Duration(policyMS) * time.Millisecond,
-		MetricsAddr:      metrics,
-		TraceSampleEvery: traceEvery,
+		PolicyInterval: time.Duration(policyMS) * time.Millisecond,
+		MetricsAddr:    metrics,
 	}
 	if ltsDir != "" {
 		fsStore, err := lts.NewFS(ltsDir)

@@ -100,3 +100,31 @@ func TestZeroTTLNeverExpires(t *testing.T) {
 		t.Fatal("close should still drop ephemerals")
 	}
 }
+
+// A lapsed lease must leave nothing behind: the by-id lookup remote sessions
+// are addressed through sweeps first, so it misses, and the session map is
+// back to the size it had before the session was opened (the wire server
+// used to keep its own map, which an expired session never left).
+func TestSessionLookupSweepsExpired(t *testing.T) {
+	s := NewStore()
+	keep := s.NewSession()
+	before := len(s.sessions)
+	sess := s.NewSessionTTL(20 * time.Millisecond)
+	if got := s.Session(sess.ID()); got != sess {
+		t.Fatalf("lookup of live session = %v, want %v", got, sess)
+	}
+	time.Sleep(40 * time.Millisecond)
+	if got := s.Session(sess.ID()); got != nil {
+		t.Fatalf("lookup of lapsed session = %v, want nil", got)
+	}
+	if got := len(s.sessions); got != before {
+		t.Fatalf("%d sessions held after the lapse, want %d", got, before)
+	}
+	if s.Session(keep.ID()) != keep {
+		t.Fatal("non-expiring session lost by the sweep")
+	}
+	keep.Close()
+	if s.Session(keep.ID()) != nil {
+		t.Fatal("closed session still resolvable")
+	}
+}

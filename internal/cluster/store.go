@@ -113,6 +113,17 @@ func (s *Store) NewSession() *Session {
 	return sess
 }
 
+// Session resolves an open session by id, or nil: overdue leases are swept
+// first, so an expired session misses exactly like a closed one. The wire
+// server addresses sessions this way — the store's map is the only place a
+// session lives, and closing or expiring one is what removes it.
+func (s *Store) Session(id int64) *Session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sweepExpiredLocked(time.Now())
+	return s.sessions[id]
+}
+
 // ID returns the session identifier.
 func (se *Session) ID() int64 { return se.id }
 

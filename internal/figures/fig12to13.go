@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/metrics"
+	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/omb"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
@@ -238,7 +238,7 @@ func Fig13(o Options) (*AutoScaleSeries, error) {
 	series := &AutoScaleSeries{Stores: 3}
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
-	lat := metrics.NewHistogram()
+	lat := obs.NewHistogram()
 	eventSize := 10_000
 	go func() {
 		defer close(writerDone)

@@ -189,24 +189,26 @@ func (t *Table) Txn(ops []TxnOp) error {
 	if err != nil {
 		return err
 	}
-	sent := false
+	// Update calls gen after every refetch — a lost conditional-append race
+	// included — so gen decides from the refetched state alone.
 	err = t.sync.Update(func() ([]byte, error) {
-		if sent {
-			return nil, nil // already appended; just catching up
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if _, applied := t.outcome[id]; applied {
+			// An earlier attempt landed although its caller saw a failure (a
+			// lost ack: the router's retry then trips the offset guard and the
+			// synchronizer refetches our own record). Just catching up.
+			return nil, nil
 		}
 		// Fast-fail conditions that already cannot hold; the authoritative
 		// check still happens at apply time.
-		t.mu.Lock()
 		for _, op := range ops {
 			cur, exists := t.entries[op.Key]
 			if op.Expected == NotExists && exists ||
 				op.Expected >= 0 && (!exists || cur.Version != op.Expected) {
-				t.mu.Unlock()
 				return nil, fmt.Errorf("%w: key %q", ErrVersionMismatch, op.Key)
 			}
 		}
-		t.mu.Unlock()
-		sent = true
 		return rec, nil
 	})
 	if err != nil {

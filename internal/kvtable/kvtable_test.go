@@ -11,6 +11,9 @@ import (
 type memBacking struct {
 	mu   sync.Mutex
 	data []byte
+	// loseAck makes the next append land but report a conflict, the way a
+	// retried conditional append looks after its first ack was lost.
+	loseAck bool
 }
 
 func (m *memBacking) AppendConditional(data []byte, expectedOffset int64) (int64, error) {
@@ -20,6 +23,10 @@ func (m *memBacking) AppendConditional(data []byte, expectedOffset int64) (int64
 		return 0, fmt.Errorf("%w: offset", statesyncConflict)
 	}
 	m.data = append(m.data, data...)
+	if m.loseAck {
+		m.loseAck = false
+		return 0, fmt.Errorf("%w: ack lost", statesyncConflict)
+	}
 	return int64(len(m.data)), nil
 }
 
@@ -219,6 +226,21 @@ func TestConcurrentCountersLinearize(t *testing.T) {
 	}
 	if e.Version != int64(workers*per-1) {
 		t.Fatalf("version = %d", e.Version)
+	}
+}
+
+// A transaction whose append landed but whose ack was lost must be
+// recognised by its applied outcome on the refetch, not re-checked against
+// the state it produced itself (NotExists would then fail) or re-appended.
+func TestLostAckCommitsOnce(t *testing.T) {
+	b := &memBacking{loseAck: true}
+	tb := New(b, 1)
+	v, err := tb.Put("k", []byte("v"), NotExists)
+	if err != nil || v != 0 {
+		t.Fatalf("put after lost ack = version %d, %v; want 0, nil", v, err)
+	}
+	if e, ok, err := New(b, 2).Get("k"); err != nil || !ok || e.Version != 0 {
+		t.Fatalf("replayed entry = %+v, %v, %v; want one application (version 0)", e, ok, err)
 	}
 }
 

@@ -54,7 +54,7 @@ func writeHistogram(w io.Writer, s *series) {
 	for _, q := range histQuantiles {
 		fmt.Fprintf(w, "%s%s %d\n", s.name, mergeLabels(s.labels, `quantile="`+q.label+`"`), h.Quantile(q.q))
 	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", s.name, s.labels, formatFloat(float64(h.h.Sum())))
+	fmt.Fprintf(w, "%s_sum%s %s\n", s.name, s.labels, formatFloat(float64(h.Sum())))
 	fmt.Fprintf(w, "%s_count%s %d\n", s.name, s.labels, h.Count())
 }
 

@@ -1,8 +1,9 @@
-package metrics
+package obs
 
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -142,69 +143,6 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 10_000 {
-		t.Fatalf("Counter = %d", c.Value())
-	}
-}
-
-func TestRateMeterWindow(t *testing.T) {
-	m := NewRateMeter(4, 100*time.Millisecond)
-	now := time.Unix(1000, 0)
-	m.SetClock(func() time.Time { return now })
-
-	if ev, by := m.Rates(); ev != 0 || by != 0 {
-		t.Fatal("fresh meter must report zero")
-	}
-	if m.WindowFull() {
-		t.Fatal("fresh meter cannot have a full window")
-	}
-	// 100 events of 10 bytes per 100ms slot over 4 slots = 1000 e/s.
-	for slot := 0; slot < 4; slot++ {
-		for i := 0; i < 100; i++ {
-			m.Record(1, 10)
-		}
-		now = now.Add(100 * time.Millisecond)
-	}
-	if !m.WindowFull() {
-		t.Fatal("window should be full after 4 slots")
-	}
-	ev, by := m.Rates()
-	if ev < 900 || ev > 1100 {
-		t.Fatalf("events/s = %v, want ~1000", ev)
-	}
-	if by < 9000 || by > 11000 {
-		t.Fatalf("bytes/s = %v, want ~10000", by)
-	}
-}
-
-func TestRateMeterSlidesWindow(t *testing.T) {
-	m := NewRateMeter(2, 50*time.Millisecond)
-	now := time.Unix(0, 0)
-	m.SetClock(func() time.Time { return now })
-	m.Record(1000, 0)
-	now = now.Add(50 * time.Millisecond)
-	m.Record(10, 0)
-	now = now.Add(50 * time.Millisecond)
-	m.Record(10, 0) // evicts the 1000-event slot
-	ev, _ := m.Rates()
-	if ev > 500 {
-		t.Fatalf("stale slot not evicted: %v e/s", ev)
-	}
-}
-
 func TestPercentileHelper(t *testing.T) {
 	if Percentile(nil, 0.5) != 0 {
 		t.Fatal("empty percentile should be 0")
@@ -220,4 +158,22 @@ func TestPercentileHelper(t *testing.T) {
 	if s[0] != 5 {
 		t.Fatal("Percentile mutated its input")
 	}
+}
+
+// Percentile computes the p-th percentile of a raw sample slice: the exact
+// order statistic the histogram's bucketed quantiles are checked against.
+func Percentile(samples []float64, p float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	idx := int(math.Ceil(p*float64(len(s)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
 }

@@ -210,3 +210,21 @@ func TestSnapshotShape(t *testing.T) {
 		t.Fatalf("snap_us = %v", snap["snap_us"])
 	}
 }
+
+func TestCounter(t *testing.T) {
+	var c Counter
+	var wg sync.WaitGroup
+	for i := 0; i < 10; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				c.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Value() != 10_000 {
+		t.Fatalf("Counter = %d", c.Value())
+	}
+}

@@ -1,9 +1,10 @@
 // Package obs is the process-wide observability layer (ROADMAP: "metrics +
-// tracing"): a metrics registry layered on the internal/metrics primitives
-// — named, optionally labeled counters, gauges and histograms — an HTTP
-// exporter serving Prometheus text on /metrics plus expvar and pprof
-// endpoints, and a sampled per-append span tracer that attributes tail
-// latency to pipeline stages (enqueue → WAL-ack → apply → reply).
+// tracing"): the measurement primitives (log-bucket Histogram, Counter,
+// Gauge, windowed RateMeter), a registry of named, optionally labeled series
+// built from them, an HTTP exporter serving Prometheus text on /metrics plus
+// expvar and pprof endpoints, and a sampled per-append span tracer that
+// attributes tail latency to pipeline stages (enqueue → WAL-ack → apply →
+// reply).
 //
 // The registry is built for hot paths: a series is resolved once, at
 // registration, into a handle (*Counter, *Gauge, *Histogram) whose update
@@ -19,9 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"github.com/pravega-go/pravega/internal/metrics"
 )
 
 // seriesKind discriminates the series types held by a registry.
@@ -71,30 +69,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Histogram is a series handle recording a value distribution. It wraps the
-// HDR-style histogram from internal/metrics: recording is lock-free, O(1)
-// and allocation-free. Latencies are recorded in microseconds by
-// convention; name such series with a _us suffix.
-type Histogram struct{ h *metrics.Histogram }
-
-// Record adds one observation.
-func (h *Histogram) Record(v int64) { h.h.Record(v) }
-
-// RecordDuration records d in microseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.h.Record(d.Microseconds()) }
-
-// RecordSince records the elapsed time since t0 in microseconds.
-func (h *Histogram) RecordSince(t0 time.Time) { h.h.Record(time.Since(t0).Microseconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.h.Count() }
-
-// Quantile returns the value at quantile q in [0,1].
-func (h *Histogram) Quantile(q float64) int64 { return h.h.Quantile(q) }
-
-// Snapshot returns the common-percentile summary.
-func (h *Histogram) Snapshot() metrics.Snapshot { return h.h.Snapshot() }
 
 // series is one registered time series.
 type series struct {
@@ -170,7 +144,7 @@ func (r *Registry) get(name, help string, k seriesKind, labels []string) *series
 	case kindGauge:
 		s.gauge = &Gauge{}
 	case kindHistogram:
-		s.hist = &Histogram{h: metrics.NewHistogram()}
+		s.hist = NewHistogram()
 	}
 	r.series[id] = s
 	return s

@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/metrics"
+	"github.com/pravega-go/pravega/internal/obs"
 )
 
 // Ack resolves when a produced event is acknowledged.
@@ -91,9 +91,9 @@ type Result struct {
 	EventsPerSec float64
 	MBPerSec     float64
 	// WriteLatency is the producer ack latency distribution (µs).
-	WriteLatency metrics.Snapshot
+	WriteLatency obs.HistogramSnapshot
 	// E2ELatency is produce→consume latency (µs), when consuming.
-	E2ELatency metrics.Snapshot
+	E2ELatency obs.HistogramSnapshot
 	// ReadMBPerSec is consumer throughput.
 	ReadMBPerSec float64
 	// Failed marks runs where the system crashed or errored heavily
@@ -125,8 +125,8 @@ func Run(sys System, cfg WorkloadConfig) (Result, error) {
 	}
 
 	res := Result{System: sys.Name()}
-	writeLat := metrics.NewHistogram()
-	e2eLat := metrics.NewHistogram()
+	writeLat := obs.NewHistogram()
+	e2eLat := obs.NewHistogram()
 	var sent, recvd, errs, recvBytes atomic.Int64
 	var measuring atomic.Bool
 
@@ -212,7 +212,7 @@ func Run(sys System, cfg WorkloadConfig) (Result, error) {
 // runProducer is one producer thread: open-loop at a fixed rate, or
 // closed-loop at max speed with a bounded outstanding window.
 func runProducer(p Producer, idx int, cfg WorkloadConfig, keys []string, rate float64,
-	stop <-chan struct{}, measuring *atomic.Bool, lat *metrics.Histogram,
+	stop <-chan struct{}, measuring *atomic.Bool, lat *obs.Histogram,
 	sent, errs *atomic.Int64, maxOutstanding int) {
 
 	sem := make(chan struct{}, maxOutstanding)

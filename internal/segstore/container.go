@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/blockcache"
-	"github.com/pravega-go/pravega/internal/metrics"
+	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/readahead"
 	"github.com/pravega-go/pravega/internal/readindex"
 	"github.com/pravega-go/pravega/internal/segment"
@@ -60,7 +60,7 @@ type segState struct {
 	// pendingMerge marks a sealed segment with a merge-segment operation in
 	// flight: a second merge of the same source is rejected at validation.
 	pendingMerge bool
-	meter        *metrics.RateMeter
+	meter        *obs.RateMeter
 }
 
 // chunkMeta locates one LTS chunk of a segment (§4.3). The list is ordered
@@ -152,12 +152,12 @@ type Container struct {
 	flushKick        chan struct{}
 	lastFlushErr     error
 	lastTruncateErr  error
-	throttleWaits    metrics.Counter
-	framesWritten    metrics.Counter
-	bytesWritten     metrics.Counter
-	opsProcessed     metrics.Counter
-	checkpointsTaken metrics.Counter
-	flushRounds      metrics.Counter
+	throttleWaits    obs.Counter
+	framesWritten    obs.Counter
+	bytesWritten     obs.Counter
+	opsProcessed     obs.Counter
+	checkpointsTaken obs.Counter
+	flushRounds      obs.Counter
 }
 
 // NewContainer opens the container, performing recovery: it takes over the
@@ -225,7 +225,7 @@ func (c *Container) newSegState(name string) *segState {
 		attributes:  make(segment.Attributes),
 		attrPending: make(segment.Attributes),
 		index:       readindex.New(),
-		meter:       metrics.NewRateMeter(c.cfg.LoadSlots, c.cfg.LoadWindow/time.Duration(c.cfg.LoadSlots)),
+		meter:       obs.NewRateMeter(c.cfg.LoadSlots, c.cfg.LoadWindow/time.Duration(c.cfg.LoadSlots)),
 	}
 }
 

@@ -33,7 +33,7 @@ func benchSegment(b *testing.B, conn *Conn) string {
 		b.Fatal(err)
 	}
 	var segs []controller.SegmentWithRange
-	if err := json.Unmarshal(rep.JSON, &segs); err != nil {
+	if err := json.Unmarshal(rep.Data, &segs); err != nil {
 		b.Fatal(err)
 	}
 	return segs[0].ID.QualifiedName()
@@ -87,7 +87,7 @@ func BenchmarkWireAppendCodec(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeRequest(&sink, MsgAppend, 42, req); err != nil {
+		if err := writeFrame(&sink, MsgAppend, 42, req); err != nil {
 			b.Fatal(err)
 		}
 	}

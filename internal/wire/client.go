@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -361,10 +360,11 @@ func (sc *storeConn) acquire(deadline time.Time) (*Conn, error) {
 	}
 }
 
-// decode unmarshals the JSON payload of a successful call's reply.
+// decode reads the record a successful call's reply carries in Data: the
+// mirror of the server's record, by the same rule (decodeBody).
 func decode[T any](rep Reply, err error, what string) (v T, _ error) {
 	if err == nil {
-		if err = json.Unmarshal(rep.JSON, &v); err != nil {
+		if err = decodeBody(rep.Data, &v); err != nil {
 			err = fmt.Errorf("wire: %s: %w", what, err)
 		}
 	}

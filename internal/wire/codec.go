@@ -9,11 +9,33 @@ import (
 	"sync"
 )
 
-// Binary codec for the append/read hot path (the same uvarint scheme the
-// segment store's WAL frames use). MsgAppend and MsgRead requests carry
-// binary bodies; their responses travel as MsgReplyBin. Every other message
-// type keeps a JSON body — the encoding is fixed per message type, so the
-// protocol stays self-describing.
+// One rule for bodies. A body with a hand-written layout encodes itself
+// (marshalBinary / unmarshalBinary below); anything else is a record and
+// goes through encoding/json. encodeBody and decodeBody are the only places
+// that know, and they choose by the body's type — never by message type, and
+// alike for T and *T.
+
+type binaryMarshaler interface{ marshalBinary(dst []byte) []byte }
+
+type binaryUnmarshaler interface{ unmarshalBinary(src []byte) error }
+
+// encodeBody appends body's encoding to dst.
+func encodeBody(dst []byte, body any) ([]byte, error) {
+	if b, ok := body.(binaryMarshaler); ok {
+		return b.marshalBinary(dst), nil
+	}
+	data, err := json.Marshal(body)
+	return append(dst, data...), err
+}
+
+// decodeBody decodes src into the body v points to. src may be a
+// connection's read scratch: decoders copy out whatever they keep.
+func decodeBody(src []byte, v any) error {
+	if b, ok := v.(binaryUnmarshaler); ok {
+		return b.unmarshalBinary(src)
+	}
+	return json.Unmarshal(src, v)
+}
 
 var errTruncatedBody = errors.New("wire: truncated body")
 
@@ -22,139 +44,122 @@ func appendUvarintBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-func consumeUvarintBytes(src []byte) ([]byte, []byte, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 || n > uint64(len(src)-sz) {
-		return nil, nil, errTruncatedBody
-	}
-	return src[sz : sz+int(n)], src[sz+int(n):], nil
+// fieldReader walks a hand-written layout field by field. The first
+// malformed field sticks — it empties src, so every later read fails the
+// same way and returns a zero value — which lets a decoder be a straight
+// list of fields closed by one done check.
+type fieldReader struct {
+	src []byte
+	err error
 }
 
-func consumeVarint(src []byte) (int64, []byte, error) {
-	v, sz := binary.Varint(src)
+func (r *fieldReader) fail() { r.src, r.err = nil, errTruncatedBody }
+
+// bytes reads a uvarint-length-prefixed field; the result aliases src.
+func (r *fieldReader) bytes() []byte {
+	n, sz := binary.Uvarint(r.src)
+	if sz <= 0 || n > uint64(len(r.src)-sz) {
+		r.fail()
+		return nil
+	}
+	b := r.src[sz : sz+int(n)]
+	r.src = r.src[sz+int(n):]
+	return b
+}
+
+// copied is bytes copied out of src (nil when empty): payloads outlive the
+// connection's read scratch — in the container's cache and tiering queue,
+// the bookie's journal, the hands of a reply's caller.
+func (r *fieldReader) copied() []byte {
+	if b := r.bytes(); len(b) > 0 {
+		return append([]byte(nil), b...)
+	}
+	return nil
+}
+
+func (r *fieldReader) str() string { return string(r.bytes()) }
+
+func (r *fieldReader) varint() int64 {
+	v, sz := binary.Varint(r.src)
 	if sz <= 0 {
-		return 0, nil, errTruncatedBody
+		r.fail()
+		return 0
 	}
-	return v, src[sz:], nil
+	r.src = r.src[sz:]
+	return v
 }
 
-func (r *AppendReq) marshalBinary(dst []byte) []byte {
+func (r *fieldReader) bool() bool {
+	if len(r.src) == 0 {
+		r.fail()
+		return false
+	}
+	b := r.src[0] == 1
+	r.src = r.src[1:]
+	return b
+}
+
+// done reports the first malformed field, or bytes left after the last one.
+func (r *fieldReader) done(what string) error {
+	if r.err == nil && len(r.src) != 0 {
+		return fmt.Errorf("wire: %d trailing %s bytes", len(r.src), what)
+	}
+	return r.err
+}
+
+func (r AppendReq) marshalBinary(dst []byte) []byte {
 	dst = appendUvarintBytes(dst, []byte(r.Segment))
 	dst = appendUvarintBytes(dst, []byte(r.WriterID))
 	dst = binary.AppendVarint(dst, r.EventNum)
 	dst = binary.AppendVarint(dst, int64(r.EventCount))
 	dst = binary.AppendVarint(dst, r.CondOffset)
-	dst = appendUvarintBytes(dst, r.Data)
-	return dst
+	return appendUvarintBytes(dst, r.Data)
 }
 
-// unmarshalAppendReq decodes a binary append request. Data is copied out of
-// src: the container retains append payloads (cache, tiering queue) long
-// after the connection's read scratch has been reused.
-func unmarshalAppendReq(src []byte) (AppendReq, error) {
-	var req AppendReq
-	seg, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return req, err
-	}
-	req.Segment = string(seg)
-	wid, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return req, err
-	}
-	req.WriterID = string(wid)
-	if req.EventNum, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	var cnt int64
-	if cnt, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	req.EventCount = int32(cnt)
-	if req.CondOffset, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	data, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return req, err
-	}
-	if len(src) != 0 {
-		return req, fmt.Errorf("wire: %d trailing append bytes", len(src))
-	}
-	req.Data = append([]byte(nil), data...)
-	return req, nil
+func (r *AppendReq) unmarshalBinary(src []byte) error {
+	f := fieldReader{src: src}
+	r.Segment = f.str()
+	r.WriterID = f.str()
+	r.EventNum = f.varint()
+	r.EventCount = int32(f.varint())
+	r.CondOffset = f.varint()
+	r.Data = f.copied()
+	return f.done("append")
 }
 
-func (r *ReadReq) marshalBinary(dst []byte) []byte {
+func (r ReadReq) marshalBinary(dst []byte) []byte {
 	dst = appendUvarintBytes(dst, []byte(r.Segment))
 	dst = binary.AppendVarint(dst, r.Offset)
 	dst = binary.AppendVarint(dst, int64(r.MaxBytes))
-	dst = binary.AppendVarint(dst, r.WaitMS)
-	return dst
+	return binary.AppendVarint(dst, r.WaitMS)
 }
 
-func unmarshalReadReq(src []byte) (ReadReq, error) {
-	var req ReadReq
-	seg, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return req, err
-	}
-	req.Segment = string(seg)
-	if req.Offset, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	var mb int64
-	if mb, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	req.MaxBytes = int(mb)
-	if req.WaitMS, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	if len(src) != 0 {
-		return req, fmt.Errorf("wire: %d trailing read bytes", len(src))
-	}
-	return req, nil
+func (r *ReadReq) unmarshalBinary(src []byte) error {
+	f := fieldReader{src: src}
+	r.Segment = f.str()
+	r.Offset = f.varint()
+	r.MaxBytes = int(f.varint())
+	r.WaitMS = f.varint()
+	return f.done("read")
 }
 
-func (r *BookieReq) marshalBinary(dst []byte) []byte {
+func (r BookieReq) marshalBinary(dst []byte) []byte {
 	dst = appendUvarintBytes(dst, []byte(r.Bookie))
 	dst = binary.AppendVarint(dst, r.Ledger)
 	dst = binary.AppendVarint(dst, r.Entry)
-	dst = appendUvarintBytes(dst, r.Data)
-	return dst
+	return appendUvarintBytes(dst, r.Data)
 }
 
-// unmarshalBookieReq decodes a binary bookie request. Data is copied out of
-// src: the bookie journals the payload long after the connection's read
-// scratch has been reused.
-func unmarshalBookieReq(src []byte) (BookieReq, error) {
-	var req BookieReq
-	b, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return req, err
-	}
-	req.Bookie = string(b)
-	if req.Ledger, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	if req.Entry, src, err = consumeVarint(src); err != nil {
-		return req, err
-	}
-	data, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return req, err
-	}
-	if len(src) != 0 {
-		return req, fmt.Errorf("wire: %d trailing bookie bytes", len(src))
-	}
-	if len(data) > 0 {
-		req.Data = append([]byte(nil), data...)
-	}
-	return req, nil
+func (r *BookieReq) unmarshalBinary(src []byte) error {
+	f := fieldReader{src: src}
+	r.Bookie = f.str()
+	r.Ledger = f.varint()
+	r.Entry = f.varint()
+	r.Data = f.copied()
+	return f.done("bookie")
 }
 
-func (r *Reply) marshalBinary(dst []byte) []byte {
+func (r Reply) marshalBinary(dst []byte) []byte {
 	dst = appendUvarintBytes(dst, []byte(r.Err))
 	dst = binary.AppendVarint(dst, int64(r.Code))
 	dst = binary.AppendVarint(dst, r.Offset)
@@ -164,48 +169,18 @@ func (r *Reply) marshalBinary(dst []byte) []byte {
 	}
 	dst = append(dst, eos)
 	dst = binary.AppendVarint(dst, int64(r.Count))
-	dst = appendUvarintBytes(dst, r.Data)
-	return dst
+	return appendUvarintBytes(dst, r.Data)
 }
 
-// unmarshalReplyBin decodes a binary reply. Data is copied out of src (the
-// reply escapes to the caller; src is the connection's read scratch).
-func unmarshalReplyBin(src []byte) (Reply, error) {
-	var rep Reply
-	errB, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return rep, err
-	}
-	rep.Err = string(errB)
-	var code int64
-	if code, src, err = consumeVarint(src); err != nil {
-		return rep, err
-	}
-	rep.Code = int(code)
-	if rep.Offset, src, err = consumeVarint(src); err != nil {
-		return rep, err
-	}
-	if len(src) < 1 {
-		return rep, errTruncatedBody
-	}
-	rep.EOS = src[0] == 1
-	src = src[1:]
-	var cnt int64
-	if cnt, src, err = consumeVarint(src); err != nil {
-		return rep, err
-	}
-	rep.Count = int(cnt)
-	data, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return rep, err
-	}
-	if len(src) != 0 {
-		return rep, fmt.Errorf("wire: %d trailing reply bytes", len(src))
-	}
-	if len(data) > 0 {
-		rep.Data = append([]byte(nil), data...)
-	}
-	return rep, nil
+func (r *Reply) unmarshalBinary(src []byte) error {
+	f := fieldReader{src: src}
+	r.Err = f.str()
+	r.Code = int(f.varint())
+	r.Offset = f.varint()
+	r.EOS = f.bool()
+	r.Count = int(f.varint())
+	r.Data = f.copied()
+	return f.done("reply")
 }
 
 // encPool recycles message encode buffers: a buffer holds one framed
@@ -217,78 +192,21 @@ var encPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// writeFramed frames payload (already encoded into a pooled buffer that
-// includes headerSize reserved bytes at the front) and writes it.
-func writeFramed(w io.Writer, t MessageType, reqID uint64, buf []byte) error {
-	body := len(buf) - headerSize
-	if body > maxBody {
-		return fmt.Errorf("wire: body too large (%d bytes)", body)
-	}
-	binary.BigEndian.PutUint32(buf[0:4], uint32(body))
-	buf[4] = byte(t)
-	binary.BigEndian.PutUint64(buf[5:13], reqID)
-	_, err := w.Write(buf)
-	return err
-}
-
-// writeRequest encodes and writes one request message: binary bodies for
-// the append/read hot path, JSON for everything else.
-func writeRequest(w io.Writer, t MessageType, reqID uint64, body any) error {
+// writeFrame encodes one message — a request, or the reply envelope — behind
+// its frame header and writes it.
+func writeFrame(w io.Writer, t MessageType, reqID uint64, body any) error {
 	bp := encPool.Get().(*[]byte)
 	var hdr [headerSize]byte
-	buf := append((*bp)[:0], hdr[:]...)
-	switch t {
-	case MsgAppend:
-		switch req := body.(type) {
-		case AppendReq:
-			buf = req.marshalBinary(buf)
-		case *AppendReq:
-			buf = req.marshalBinary(buf)
-		default:
-			encPool.Put(bp)
-			return fmt.Errorf("wire: MsgAppend body must be AppendReq, got %T", body)
-		}
-	case MsgRead:
-		switch req := body.(type) {
-		case ReadReq:
-			buf = req.marshalBinary(buf)
-		case *ReadReq:
-			buf = req.marshalBinary(buf)
-		default:
-			encPool.Put(bp)
-			return fmt.Errorf("wire: MsgRead body must be ReadReq, got %T", body)
-		}
-	case MsgBookieAdd, MsgBookieRead, MsgBookieFence, MsgBookieDeleteLedger:
-		switch req := body.(type) {
-		case BookieReq:
-			buf = req.marshalBinary(buf)
-		case *BookieReq:
-			buf = req.marshalBinary(buf)
-		default:
-			encPool.Put(bp)
-			return fmt.Errorf("wire: bookie body must be BookieReq, got %T", body)
-		}
-	default:
-		data, err := json.Marshal(body)
-		if err != nil {
-			encPool.Put(bp)
-			return err
-		}
-		buf = append(buf, data...)
+	buf, err := encodeBody(append((*bp)[:0], hdr[:]...), body)
+	if n := len(buf) - headerSize; err == nil && n > maxBody {
+		err = fmt.Errorf("wire: body too large (%d bytes)", n)
 	}
-	err := writeFramed(w, t, reqID, buf)
-	*bp = buf
-	encPool.Put(bp)
-	return err
-}
-
-// writeBinReply encodes and writes one binary reply.
-func writeBinReply(w io.Writer, reqID uint64, rep *Reply) error {
-	bp := encPool.Get().(*[]byte)
-	var hdr [headerSize]byte
-	buf := append((*bp)[:0], hdr[:]...)
-	buf = rep.marshalBinary(buf)
-	err := writeFramed(w, MsgReplyBin, reqID, buf)
+	if err == nil {
+		binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-headerSize))
+		buf[4] = byte(t)
+		binary.BigEndian.PutUint64(buf[5:13], reqID)
+		_, err = w.Write(buf)
+	}
 	*bp = buf
 	encPool.Put(bp)
 	return err

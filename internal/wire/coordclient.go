@@ -80,7 +80,11 @@ func (rs *RemoteStore) DropConn() {
 	}
 }
 
-func decodeCoordRep(rep Reply) (CoordRep, error) { return decode[CoordRep](rep, nil, "coord reply") }
+// record performs a call whose reply carries a CoordRep.
+func (rs *RemoteStore) record(t MessageType, req CoordReq) (CoordRep, error) {
+	rep, err := rs.sc.call(t, req)
+	return decode[CoordRep](rep, err, "coord reply")
+}
 
 func statOf(cr CoordRep) cluster.Stat {
 	return cluster.Stat{
@@ -100,27 +104,13 @@ func (rs *RemoteStore) CreateAll(path string, data []byte) error {
 }
 
 func (rs *RemoteStore) Get(path string) ([]byte, cluster.Stat, error) {
-	rep, err := rs.sc.call(MsgCoordGet, CoordReq{Path: path})
-	if err != nil {
-		return nil, cluster.Stat{}, err
-	}
-	cr, err := decodeCoordRep(rep)
-	if err != nil {
-		return nil, cluster.Stat{}, err
-	}
-	return cr.Data, statOf(cr), nil
+	cr, err := rs.record(MsgCoordGet, CoordReq{Path: path})
+	return cr.Data, statOf(cr), err
 }
 
 func (rs *RemoteStore) Set(path string, data []byte, version int64) (cluster.Stat, error) {
-	rep, err := rs.sc.call(MsgCoordSet, CoordReq{Path: path, Data: data, Version: version})
-	if err != nil {
-		return cluster.Stat{}, err
-	}
-	cr, err := decodeCoordRep(rep)
-	if err != nil {
-		return cluster.Stat{}, err
-	}
-	return statOf(cr), nil
+	cr, err := rs.record(MsgCoordSet, CoordReq{Path: path, Data: data, Version: version})
+	return statOf(cr), err
 }
 
 func (rs *RemoteStore) Delete(path string, version int64) error {
@@ -129,15 +119,8 @@ func (rs *RemoteStore) Delete(path string, version int64) error {
 }
 
 func (rs *RemoteStore) Children(path string) ([]string, error) {
-	rep, err := rs.sc.call(MsgCoordChildren, CoordReq{Path: path})
-	if err != nil {
-		return nil, err
-	}
-	cr, err := decodeCoordRep(rep)
-	if err != nil {
-		return nil, err
-	}
-	return cr.Children, nil
+	cr, err := rs.record(MsgCoordChildren, CoordReq{Path: path})
+	return cr.Children, err
 }
 
 func (rs *RemoteStore) Exists(path string) bool {
@@ -201,7 +184,7 @@ func (rs *RemoteStore) watchLoop(t MessageType, path string, known int64, ch cha
 			mcCoordWatchRearm.Inc() // idle timeout: re-arm, same baseline
 			continue
 		}
-		cr, derr := decodeCoordRep(rep)
+		cr, derr := decode[CoordRep](rep, nil, "coord reply")
 		if derr != nil {
 			close(ch)
 			return
@@ -277,8 +260,7 @@ func (s *RemoteSession) Renew() error {
 			s.fence()
 			return fmt.Errorf("wire: session %d renew: coord unreachable past TTL: %w", s.id, cluster.ErrSessionClosed)
 		}
-		rep, err := conn.Call(MsgCoordSessionRenew, CoordReq{SessionID: s.id})
-		_ = rep
+		_, err = conn.Call(MsgCoordSessionRenew, CoordReq{SessionID: s.id})
 		if err != nil && placement.IsDisconnect(err) {
 			s.rs.sc.fault(conn)
 			if time.Now().Before(deadline) {

@@ -2,9 +2,20 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
+	"reflect"
 	"testing"
+
+	"github.com/pravega-go/pravega/internal/controller"
+	"github.com/pravega-go/pravega/internal/keyspace"
+	"github.com/pravega-go/pravega/internal/segment"
 )
+
+// readMessage reads one framed message into a fresh buffer.
+func readMessage(r io.Reader) (MessageType, uint64, []byte, error) {
+	var scratch []byte
+	return readMessageInto(r, &scratch)
+}
 
 func TestMessageFramingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -12,7 +23,7 @@ func TestMessageFramingRoundTrip(t *testing.T) {
 		Segment: "a/b/0.#epoch.0", Data: []byte("payload"),
 		WriterID: "w-1", EventNum: 9, EventCount: 2, CondOffset: -1,
 	}
-	if err := writeRequest(&buf, MsgAppend, 42, body); err != nil {
+	if err := writeFrame(&buf, MsgAppend, 42, body); err != nil {
 		t.Fatal(err)
 	}
 	typ, id, raw, err := readMessage(&buf)
@@ -22,8 +33,8 @@ func TestMessageFramingRoundTrip(t *testing.T) {
 	if typ != MsgAppend || id != 42 {
 		t.Fatalf("type=%d id=%d", typ, id)
 	}
-	got, err := unmarshalAppendReq(raw)
-	if err != nil {
+	var got AppendReq
+	if err := got.unmarshalBinary(raw); err != nil {
 		t.Fatal(err)
 	}
 	if got.Segment != body.Segment || !bytes.Equal(got.Data, body.Data) ||
@@ -35,7 +46,7 @@ func TestMessageFramingRoundTrip(t *testing.T) {
 func TestReadReqBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := ReadReq{Segment: "s/x/3", Offset: 1 << 40, MaxBytes: 65536, WaitMS: 250}
-	if err := writeRequest(&buf, MsgRead, 7, &body); err != nil {
+	if err := writeFrame(&buf, MsgRead, 7, &body); err != nil {
 		t.Fatal(err)
 	}
 	typ, id, raw, err := readMessage(&buf)
@@ -45,8 +56,8 @@ func TestReadReqBinaryRoundTrip(t *testing.T) {
 	if typ != MsgRead || id != 7 {
 		t.Fatalf("type=%d id=%d", typ, id)
 	}
-	got, err := unmarshalReadReq(raw)
-	if err != nil {
+	var got ReadReq
+	if err := got.unmarshalBinary(raw); err != nil {
 		t.Fatal(err)
 	}
 	if got != body {
@@ -54,10 +65,36 @@ func TestReadReqBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// The encoding of a body must not depend on whether the caller handed
+// Conn.Call a value or a pointer: both take the hand-written layout when the
+// type has one, and the record encoding otherwise.
+func TestBodyEncodingIgnoresPointerness(t *testing.T) {
+	frame := func(body any) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, MsgBookieAdd, 5, body); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	bk := BookieReq{Bookie: "bookie-0", Ledger: 3, Entry: 9, Data: []byte("entry")}
+	if v, p := frame(bk), frame(&bk); !bytes.Equal(v, p) {
+		t.Fatalf("BookieReq encodes as %x by value, %x by pointer", v, p)
+	}
+	var got BookieReq
+	if err := decodeBody(frame(bk)[headerSize:], &got); err != nil || !reflect.DeepEqual(got, bk) {
+		t.Fatalf("hand-written layout: %+v, %v", got, err)
+	}
+	sr := StreamReq{Scope: "s", Stream: "st", Segments: 2}
+	if v, p := frame(sr), frame(&sr); !bytes.Equal(v, p) {
+		t.Fatalf("StreamReq encodes as %q by value, %q by pointer", v, p)
+	}
+}
+
 func TestBinReplyRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	rep := Reply{Err: "", Offset: 1234, Data: []byte("abc"), EOS: true, Count: 3}
-	if err := writeBinReply(&buf, 99, &rep); err != nil {
+	if err := writeFrame(&buf, MsgReplyBin, 99, &rep); err != nil {
 		t.Fatal(err)
 	}
 	typ, id, raw, err := readMessage(&buf)
@@ -67,8 +104,8 @@ func TestBinReplyRoundTrip(t *testing.T) {
 	if typ != MsgReplyBin || id != 99 {
 		t.Fatalf("type=%d id=%d", typ, id)
 	}
-	got, err := unmarshalReplyBin(raw)
-	if err != nil {
+	var got Reply
+	if err := got.unmarshalBinary(raw); err != nil {
 		t.Fatal(err)
 	}
 	if got.Offset != 1234 || !bytes.Equal(got.Data, rep.Data) || !got.EOS || got.Count != 3 || got.Err != "" {
@@ -76,47 +113,75 @@ func TestBinReplyRoundTrip(t *testing.T) {
 	}
 	// Error replies carry the message through.
 	buf.Reset()
-	if err := writeBinReply(&buf, 1, &Reply{Err: "boom"}); err != nil {
+	if err := writeFrame(&buf, MsgReplyBin, 1, &Reply{Err: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	_, _, raw, err = readMessage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := unmarshalReplyBin(raw); err != nil || got.Err != "boom" {
+	if err := got.unmarshalBinary(raw); err != nil || got.Err != "boom" {
 		t.Fatalf("err reply: %+v, %v", got, err)
+	}
+	// A structured result rides in Data, through the server's record and the
+	// client's decode.
+	want := []controller.SegmentWithRange{{
+		ID:       segment.ID{Scope: "s", Stream: "st", Number: 4},
+		KeyRange: keyspace.Range{Low: 0.25, High: 0.5},
+	}}
+	rep = record(want, len(want), nil)
+	buf.Reset()
+	if err := writeFrame(&buf, MsgReplyBin, 2, &rep); err != nil {
+		t.Fatal(err)
+	}
+	_, _, raw, err = readMessage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.unmarshalBinary(raw); err != nil || got.Count != 1 {
+		t.Fatalf("record reply: %+v, %v", got, err)
+	}
+	segs, err := decode[[]controller.SegmentWithRange](got, nil, "segments")
+	if err != nil || !reflect.DeepEqual(segs, want) {
+		t.Fatalf("record round trip: %+v, %v; want %+v", segs, err, want)
 	}
 }
 
 func TestBinaryDecodersRejectTruncated(t *testing.T) {
-	var buf bytes.Buffer
 	req := AppendReq{Segment: "seg", Data: []byte("0123456789"), CondOffset: -1}
-	if err := writeRequest(&buf, MsgAppend, 1, req); err != nil {
-		t.Fatal(err)
-	}
-	full := append([]byte(nil), buf.Bytes()[headerSize:]...)
+	full := req.marshalBinary(nil)
 	for i := 0; i < len(full); i++ {
-		if _, err := unmarshalAppendReq(full[:i]); err == nil {
+		if err := new(AppendReq).unmarshalBinary(full[:i]); err == nil {
 			t.Fatalf("truncated append body (%d/%d bytes) accepted", i, len(full))
 		}
 	}
 	// Trailing garbage must also be rejected.
-	if _, err := unmarshalAppendReq(append(full, 0xFF)); err == nil {
+	if err := new(AppendReq).unmarshalBinary(append(full, 0xFF)); err == nil {
 		t.Fatal("append body with trailing bytes accepted")
 	}
 	rd := ReadReq{Segment: "seg", Offset: 5, MaxBytes: 10, WaitMS: 1}
 	rbody := rd.marshalBinary(nil)
 	for i := 0; i < len(rbody); i++ {
-		if _, err := unmarshalReadReq(rbody[:i]); err == nil {
+		if err := new(ReadReq).unmarshalBinary(rbody[:i]); err == nil {
 			t.Fatalf("truncated read body (%d/%d bytes) accepted", i, len(rbody))
 		}
+	}
+	bk := BookieReq{Bookie: "b", Ledger: 1, Entry: 2, Data: []byte("x")}
+	bbody := bk.marshalBinary(nil)
+	for i := 0; i < len(bbody); i++ {
+		if err := new(BookieReq).unmarshalBinary(bbody[:i]); err == nil {
+			t.Fatalf("truncated bookie body (%d/%d bytes) accepted", i, len(bbody))
+		}
+	}
+	if err := new(BookieReq).unmarshalBinary(append(bbody, 0)); err == nil {
+		t.Fatal("bookie body with trailing bytes accepted")
 	}
 }
 
 func TestMessageFramingMultiple(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint64(1); i <= 5; i++ {
-		if err := writeMessage(&buf, MsgReply, i, Reply{Offset: int64(i * 10)}); err != nil {
+		if err := writeFrame(&buf, MsgReplyBin, i, &Reply{Offset: int64(i * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,11 +190,11 @@ func TestMessageFramingMultiple(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != MsgReply || id != i {
+		if typ != MsgReplyBin || id != i {
 			t.Fatalf("msg %d: type=%d id=%d", i, typ, id)
 		}
 		var rep Reply
-		if err := json.Unmarshal(raw, &rep); err != nil {
+		if err := rep.unmarshalBinary(raw); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Offset != int64(i*10) {
@@ -151,15 +216,18 @@ func TestReadMessageRejectsOversized(t *testing.T) {
 func TestWriteMessageRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	big := AppendReq{Segment: "s", Data: make([]byte, maxBody)}
-	if err := writeMessage(&buf, MsgAppend, 1, big); err == nil {
+	if err := writeFrame(&buf, MsgAppend, 1, big); err == nil {
 		t.Fatal("oversized message accepted")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes of a rejected message reached the connection", buf.Len())
 	}
 }
 
 func TestReadMessageTruncatedInput(t *testing.T) {
 	// Header promising more bytes than present.
 	var buf bytes.Buffer
-	if err := writeMessage(&buf, MsgReply, 7, Reply{Offset: 1}); err != nil {
+	if err := writeFrame(&buf, MsgReplyBin, 7, &Reply{Offset: 1}); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-3]

@@ -18,8 +18,8 @@ func FuzzAppendReqCodec(f *testing.F) {
 			EventNum: num, EventCount: count, CondOffset: cond,
 		}
 		body := req.marshalBinary(nil)
-		got, err := unmarshalAppendReq(body)
-		if err != nil {
+		var got AppendReq
+		if err := got.unmarshalBinary(body); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
 		if got.Segment != req.Segment || !bytes.Equal(got.Data, req.Data) ||
@@ -28,7 +28,7 @@ func FuzzAppendReqCodec(f *testing.F) {
 			t.Fatalf("round trip: %+v != %+v", got, req)
 		}
 		for i := 0; i < len(body); i++ {
-			if _, err := unmarshalAppendReq(body[:i]); err == nil {
+			if err := new(AppendReq).unmarshalBinary(body[:i]); err == nil {
 				t.Fatalf("truncated body (%d/%d bytes) accepted", i, len(body))
 			}
 		}
@@ -43,32 +43,33 @@ func FuzzReadReqCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg string, off int64, maxBytes, waitMS int32) {
 		req := ReadReq{Segment: seg, Offset: off, MaxBytes: int(maxBytes), WaitMS: int64(waitMS)}
 		body := req.marshalBinary(nil)
-		got, err := unmarshalReadReq(body)
-		if err != nil {
+		var got ReadReq
+		if err := got.unmarshalBinary(body); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
 		if got != req {
 			t.Fatalf("round trip: %+v != %+v", got, req)
 		}
 		for i := 0; i < len(body); i++ {
-			if _, err := unmarshalReadReq(body[:i]); err == nil {
+			if err := new(ReadReq).unmarshalBinary(body[:i]); err == nil {
 				t.Fatalf("truncated body (%d/%d bytes) accepted", i, len(body))
 			}
 		}
 	})
 }
 
-// FuzzReplyCodec round-trips arbitrary binary replies — including the error
-// code field the client maps back to sentinel errors — and rejects
-// truncations.
+// FuzzReplyCodec round-trips arbitrary replies — including the error code
+// field the client maps back to sentinel errors, and a record in Data, whose
+// bytes the envelope must carry untouched — and rejects truncations.
 func FuzzReplyCodec(f *testing.F) {
 	f.Add("", int32(0), int64(1234), []byte("abc"), true, int32(3))
+	f.Add("", int32(0), int64(0), record(CoordRep{Data: []byte{0, 0xFF}, Version: 7, Children: []string{"a"}}, 1, nil).Data, false, int32(1))
 	f.Add("segment sealed", int32(codeSegmentSealed), int64(0), []byte{}, false, int32(0))
 	f.Add("disconnected", int32(codeDisconnected), int64(-1), []byte{0}, true, int32(-5))
 	f.Fuzz(func(t *testing.T, errMsg string, code int32, off int64, data []byte, eos bool, count int32) {
 		rep := Reply{Err: errMsg, Code: int(code), Offset: off, Data: data, EOS: eos, Count: int(count)}
 		var buf bytes.Buffer
-		if err := writeBinReply(&buf, 7, &rep); err != nil {
+		if err := writeFrame(&buf, MsgReplyBin, 7, &rep); err != nil {
 			t.Skip() // oversized payload; writer rejects by design
 		}
 		typ, id, raw, err := readMessage(&buf)
@@ -78,8 +79,8 @@ func FuzzReplyCodec(f *testing.F) {
 		if typ != MsgReplyBin || id != 7 {
 			t.Fatalf("frame header: type=%d id=%d", typ, id)
 		}
-		got, err := unmarshalReplyBin(raw)
-		if err != nil {
+		var got Reply
+		if err := got.unmarshalBinary(raw); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
 		if got.Err != rep.Err || got.Code != rep.Code || got.Offset != rep.Offset ||
@@ -87,7 +88,7 @@ func FuzzReplyCodec(f *testing.F) {
 			t.Fatalf("round trip: %+v != %+v", got, rep)
 		}
 		for i := 0; i < len(raw); i++ {
-			if _, err := unmarshalReplyBin(raw[:i]); err == nil {
+			if err := new(Reply).unmarshalBinary(raw[:i]); err == nil {
 				t.Fatalf("truncated reply (%d/%d bytes) accepted", i, len(raw))
 			}
 		}
@@ -98,7 +99,7 @@ func FuzzReplyCodec(f *testing.F) {
 // either produce a frame or an error, never panic or over-read.
 func FuzzReadMessage(f *testing.F) {
 	var seed bytes.Buffer
-	_ = writeRequest(&seed, MsgAppend, 42, AppendReq{Segment: "s", Data: []byte("d"), CondOffset: -1})
+	_ = writeFrame(&seed, MsgAppend, 42, AppendReq{Segment: "s", Data: []byte("d"), CondOffset: -1})
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(MsgAppend), 0, 0, 0, 0, 0, 0, 0, 1})

@@ -1,0 +1,508 @@
+package wire
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"github.com/pravega-go/pravega/internal/bookkeeper"
+	"github.com/pravega-go/pravega/internal/cluster"
+	"github.com/pravega-go/pravega/internal/controller"
+	"github.com/pravega-go/pravega/internal/segstore"
+)
+
+// plane is the ServerConfig backend a request needs; a node that lacks it
+// answers the request with an error.
+type plane uint8
+
+const (
+	planeConn plane = iota // the connection itself: every node serves it
+	planeData
+	planeCtrl
+	planeCoord
+	planeBookies
+	planeInfo
+	planeLoad
+)
+
+// served names plane p and reports whether this node's config carries it.
+func (s *Server) served(p plane) (string, bool) {
+	switch p {
+	case planeData:
+		return "data", s.cfg.Data != nil
+	case planeCtrl:
+		return "control", s.cfg.Ctrl != nil
+	case planeCoord:
+		return "coord", s.cfg.Coord != nil
+	case planeBookies:
+		return "bookie", s.cfg.Bookies != nil
+	case planeInfo:
+		return "cluster info", s.cfg.Info != nil
+	case planeLoad:
+		return "load", s.cfg.Load != nil
+	}
+	return "connection", true
+}
+
+// mode is where a request's handler runs.
+type mode uint8
+
+const (
+	// inline rows run on the connection's read loop and only enqueue: the
+	// loop's call order is then the connection's FIFO order into the
+	// container's applier (appends) and the bookie's group commit (adds),
+	// and the completion delivers itself into the reply queue — no goroutine
+	// or channel per request.
+	inline mode = iota
+	// spawn rows run on a goroutine of their own; replies may overtake.
+	spawn
+	// poll rows are spawn rows that may block for long: they get a cancel
+	// handle that MsgCancelRead, or the connection's end, pulls.
+	poll
+)
+
+// startFunc is a row's entry point, called on the read loop. It decodes
+// body — which aliases the loop's scratch, so it is decoded here, before any
+// goroutine starts, and never retained — and returns the call that computes
+// the reply, which the loop runs as the row's mode says. An inline row
+// answers through c itself and returns nil (or a call, for the variant of
+// its request that must block after all).
+type startFunc func(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error)
+
+type handler struct {
+	plane plane
+	mode  mode
+	start startFunc
+}
+
+// on adapts a typed handler to a row: the one place request bodies are
+// decoded for handlers, by the rule in decodeBody.
+func on[Req any](fn func(*Server, *Req) Reply) startFunc {
+	return onCtx(func(_ context.Context, s *Server, req *Req) Reply { return fn(s, req) })
+}
+
+// onCtx is on for poll rows, whose handlers stop when ctx is cancelled.
+func onCtx[Req any](fn func(context.Context, *Server, *Req) Reply) startFunc {
+	return func(c *srvConn, _ uint64, body []byte) (func(context.Context) Reply, error) {
+		req := new(Req)
+		if err := decodeBody(body, req); err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context) Reply { return fn(ctx, c.srv, req) }, nil
+	}
+}
+
+// record answers with a control-plane record — a shape another package
+// owns, carried encoded (encodeBody) in the envelope's Data — or with err.
+func record(v any, count int, err error) Reply {
+	if err != nil {
+		return errReply(err, Reply{})
+	}
+	data, err := encodeBody(nil, v)
+	return errReply(err, Reply{Data: data, Count: count})
+}
+
+// count answers with a bare number, or with err.
+func count(n int, err error) Reply { return errReply(err, Reply{Count: n}) }
+
+// offset answers with a bare position (length, event number, id), or err.
+func offset(n int64, err error) Reply { return errReply(err, Reply{Offset: n}) }
+
+// done answers an operation that returns nothing but its error.
+func done(err error) Reply { return errReply(err, Reply{}) }
+
+// handlerFor returns t's row, nil for a type that is not a request.
+func handlerFor(t MessageType) *handler {
+	if int(t) < len(handlers) && handlers[t].start != nil {
+		return &handlers[t]
+	}
+	return nil
+}
+
+// handlers is the protocol table, one row per request type: adding a
+// message is adding its MessageType constant and its row.
+var handlers = [msgEnd]handler{
+	// Segment store.
+	MsgAppend:     {planeData, inline, startAppend},
+	MsgRead:       {planeData, poll, startRead},
+	MsgCancelRead: {planeConn, inline, startCancel},
+	MsgCreateSegment: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+		return done(s.cfg.Data.CreateSegment(r.Segment))
+	})},
+	MsgSeal: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+		return offset(s.cfg.Data.SealSegment(r.Segment))
+	})},
+	MsgTruncate: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+		return done(s.cfg.Data.TruncateSegment(r.Segment, r.Offset))
+	})},
+	MsgDeleteSegment: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+		return done(s.cfg.Data.DeleteSegment(r.Segment))
+	})},
+	MsgGetInfo: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+		info, err := s.cfg.Data.GetInfo(r.Segment)
+		return record(info, 0, err)
+	})},
+	MsgWriterState: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+		return offset(s.cfg.Data.WriterState(r.Segment, r.WriterID))
+	})},
+	MsgMergeSegments: {planeData, spawn, on(func(s *Server, r *MergeReq) Reply {
+		return offset(s.cfg.Data.MergeSegment(r.Target, r.Source))
+	})},
+	MsgLoadReport: {planeLoad, spawn, on(func(s *Server, _ *struct{}) Reply {
+		loads := s.cfg.Load()
+		return record(loads, len(loads), nil)
+	})},
+
+	// Controller.
+	MsgClusterInfo: {planeInfo, spawn, on(func(s *Server, _ *struct{}) Reply {
+		info, err := s.cfg.Info()
+		return record(info, 0, err)
+	})},
+	MsgCreateScope: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		return done(s.cfg.Ctrl.CreateScope(r.Scope))
+	})},
+	MsgCreateStream: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		cfg := controller.StreamConfig{Scope: r.Scope, Name: r.Stream, InitialSegments: r.Segments}
+		if r.Scaling != nil {
+			cfg.Scaling = *r.Scaling
+		}
+		if r.Retention != nil {
+			cfg.Retention = *r.Retention
+		}
+		return done(s.cfg.Ctrl.CreateStream(cfg))
+	})},
+	MsgActiveSegments: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		segs, err := s.cfg.Ctrl.GetActiveSegments(r.Scope, r.Stream)
+		return record(segs, len(segs), err)
+	})},
+	MsgSuccessors: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		succ, err := s.cfg.Ctrl.GetSuccessors(r.Scope, r.Stream, r.Segment)
+		return record(succ, len(succ), err)
+	})},
+	MsgHeadSegments: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		heads, err := s.cfg.Ctrl.GetHeadSegments(r.Scope, r.Stream)
+		return record(heads, len(heads), err)
+	})},
+	MsgScaleSegments: {planeCtrl, spawn, on(func(s *Server, r *ScaleReq) Reply {
+		return done(s.cfg.Ctrl.Scale(r.Scope, r.Stream, r.Seal, r.Ranges))
+	})},
+	MsgSealStream: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		return done(s.cfg.Ctrl.SealStream(r.Scope, r.Stream))
+	})},
+	MsgTruncateStream: {planeCtrl, spawn, on(func(s *Server, r *TruncateStreamReq) Reply {
+		return done(s.cfg.Ctrl.TruncateStream(r.Scope, r.Stream, controller.StreamCut(r.Cut)))
+	})},
+	MsgDeleteStream: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		return done(s.cfg.Ctrl.DeleteStream(r.Scope, r.Stream))
+	})},
+	MsgStreamConfig: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		cfg, err := s.cfg.Ctrl.StreamConfigOf(r.Scope, r.Stream)
+		return record(cfg, 0, err)
+	})},
+	MsgUpdatePolicies: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		return done(s.cfg.Ctrl.UpdateStreamPolicies(r.Scope, r.Stream, r.Scaling, r.Retention))
+	})},
+	MsgIsSealed: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		sealed, err := s.cfg.Ctrl.IsStreamSealed(r.Scope, r.Stream)
+		if sealed {
+			return count(1, err)
+		}
+		return count(0, err)
+	})},
+	MsgSegmentCount: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+		return count(s.cfg.Ctrl.SegmentCount(r.Scope, r.Stream))
+	})},
+	MsgBeginTxn: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+		info, err := s.cfg.Ctrl.BeginTxn(r.Scope, r.Stream, time.Duration(r.LeaseMS)*time.Millisecond)
+		return record(info, 0, err)
+	})},
+	MsgCommitTxn: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+		return done(s.cfg.Ctrl.CommitTxn(r.Scope, r.Stream, r.TxnID))
+	})},
+	MsgAbortTxn: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+		return done(s.cfg.Ctrl.AbortTxn(r.Scope, r.Stream, r.TxnID))
+	})},
+	MsgTxnStatus: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+		state, err := s.cfg.Ctrl.TxnStatus(r.Scope, r.Stream, r.TxnID)
+		return record(state, 0, err)
+	})},
+
+	// Coordination store. Blocking watches are poll rows: cancellable like
+	// tail reads, so a dropped connection (or MsgCancelRead) unblocks them.
+	MsgCoordCreate: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		switch {
+		case r.SessionID != 0:
+			sess, err := s.coordSession(r.SessionID)
+			if err != nil {
+				return done(err)
+			}
+			return done(sess.CreateEphemeral(r.Path, r.Data))
+		case r.All:
+			return done(s.cfg.Coord.CreateAll(r.Path, r.Data))
+		}
+		return done(s.cfg.Coord.Create(r.Path, r.Data))
+	})},
+	MsgCoordGet: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		data, st, err := s.cfg.Coord.Get(r.Path)
+		return record(CoordRep{
+			Data: data, Version: st.Version, CVersion: st.CVersion,
+			Ephemeral: st.Ephemeral, Owner: st.Owner,
+		}, 0, err)
+	})},
+	MsgCoordSet: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		st, err := s.cfg.Coord.Set(r.Path, r.Data, r.Version)
+		return record(CoordRep{Version: st.Version, CVersion: st.CVersion}, 0, err)
+	})},
+	MsgCoordDelete: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		return done(s.cfg.Coord.Delete(r.Path, r.Version))
+	})},
+	MsgCoordChildren: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		names, err := s.cfg.Coord.Children(r.Path)
+		return record(CoordRep{Children: names}, len(names), err)
+	})},
+	MsgCoordExists: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		if s.cfg.Coord.Exists(r.Path) {
+			return Reply{Count: 1}
+		}
+		return Reply{}
+	})},
+	MsgCoordWatchData: {planeCoord, poll, onCtx(func(ctx context.Context, s *Server, r *CoordReq) Reply {
+		return s.handleCoordWatch(ctx, MsgCoordWatchData, r)
+	})},
+	MsgCoordWatchChildren: {planeCoord, poll, onCtx(func(ctx context.Context, s *Server, r *CoordReq) Reply {
+		return s.handleCoordWatch(ctx, MsgCoordWatchChildren, r)
+	})},
+	MsgCoordSessionOpen: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		sess := s.cfg.Coord.NewSessionTTL(time.Duration(r.TTLMS) * time.Millisecond)
+		return Reply{Offset: sess.ID()}
+	})},
+	MsgCoordSessionRenew: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		sess, err := s.coordSession(r.SessionID)
+		if err != nil {
+			return done(err)
+		}
+		return done(sess.Renew())
+	})},
+	MsgCoordSessionClose: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+		if sess := s.cfg.Coord.Session(r.SessionID); sess != nil {
+			sess.Close()
+		}
+		return Reply{}
+	})},
+	MsgWatchEpoch: {planeCoord, poll, onCtx(func(ctx context.Context, s *Server, r *EpochReq) Reply {
+		return s.handleWatchEpoch(ctx, r)
+	})},
+
+	// WAL bookies.
+	MsgBookieAdd: {planeBookies, inline, startBookieAdd},
+	MsgBookieRead: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
+		n, err := s.bookie(r.Bookie)
+		if err != nil {
+			return done(err)
+		}
+		data, err := n.ReadEntry(r.Ledger, r.Entry)
+		return errReply(err, Reply{Data: data})
+	})},
+	MsgBookieFence: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
+		n, err := s.bookie(r.Bookie)
+		if err != nil {
+			return done(err)
+		}
+		return offset(n.Fence(r.Ledger))
+	})},
+	MsgBookieDeleteLedger: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
+		n, err := s.bookie(r.Bookie)
+		if err != nil {
+			return done(err)
+		}
+		return done(n.DeleteLedger(r.Ledger))
+	})},
+}
+
+// startAppend enqueues an append: AppendAsync enqueues synchronously, which
+// makes the connection's frame order the segment's append order (§3.2).
+func startAppend(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
+	var req AppendReq
+	if err := req.unmarshalBinary(body); err != nil {
+		return nil, err
+	}
+	data := c.srv.cfg.Data
+	if req.CondOffset >= 0 {
+		// Conditional appends block for durability; rare enough to afford a
+		// goroutine. The copy keeps req itself off the heap on the hot path.
+		cond := req
+		return func(context.Context) Reply {
+			return offset(data.AppendConditional(cond.Segment, cond.Data, cond.CondOffset))
+		}, nil
+	}
+	data.AppendAsync(req.Segment, req.Data, req.WriterID, req.EventNum, req.EventCount,
+		func(r segstore.AppendResult) { c.rw.send(id, offset(r.Offset, r.Err)) })
+	return nil, nil
+}
+
+// startRead decodes a segment read; handleRead serves it.
+func startRead(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
+	req := new(ReadReq)
+	if err := req.unmarshalBinary(body); err != nil {
+		return nil, err
+	}
+	call := func(ctx context.Context) Reply { return c.srv.handleRead(ctx, req) }
+	if req.WaitMS <= 0 {
+		// Zero-wait reads never long-poll, so they skip the cancel
+		// registration: catch-up readers issue these back to back and the
+		// per-request map churn is measurable.
+		c.run(id, false, call)
+		return nil, nil
+	}
+	return call, nil
+}
+
+// handleRead serves a (long-poll) segment read. Cancelling ctx unblocks a
+// tail wait immediately.
+func (s *Server) handleRead(ctx context.Context, req *ReadReq) Reply {
+	res, err := s.cfg.Data.ReadCtx(ctx, req.Segment, req.Offset, req.MaxBytes, time.Duration(req.WaitMS)*time.Millisecond)
+	if err != nil {
+		return done(err)
+	}
+	mReads.Inc()
+	mReadBytes.Add(int64(len(res.Data)))
+	return Reply{Data: res.Data, Offset: res.Offset, EOS: res.EndOfSegment}
+}
+
+// startCancel pulls the cancel handles of the long poll issued under
+// req.ReqID on this connection. Inline, so a cancel cannot overtake the
+// request it names.
+func startCancel(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
+	var req CancelReq
+	if err := decodeBody(body, &req); err != nil {
+		return nil, err
+	}
+	c.reads.cancel(req.ReqID)
+	c.rw.send(id, Reply{})
+	return nil, nil
+}
+
+// startBookieAdd enqueues a journal add, the WAL hot path.
+func startBookieAdd(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
+	var req BookieReq
+	if err := req.unmarshalBinary(body); err != nil {
+		return nil, err
+	}
+	n, err := c.srv.bookie(req.Bookie)
+	if err != nil {
+		return nil, err
+	}
+	n.AddEntry(req.Ledger, req.Entry, req.Data, func(err error) { c.rw.send(id, done(err)) })
+	return nil, nil
+}
+
+// bookie resolves a served bookie by id.
+func (s *Server) bookie(id string) (bookkeeper.Node, error) {
+	if n := s.cfg.Bookies[id]; n != nil {
+		return n, nil
+	}
+	return nil, fmt.Errorf("wire: unknown bookie %q: %w", id, bookkeeper.ErrBookieDown)
+}
+
+// coordSession resolves a wire session id through the coordination store,
+// which alone holds sessions: an id it does not know was closed or expired.
+func (s *Server) coordSession(id int64) (*cluster.Session, error) {
+	if sess := s.cfg.Coord.Session(id); sess != nil {
+		return sess, nil
+	}
+	return nil, fmt.Errorf("wire: session %d: %w", id, cluster.ErrSessionClosed)
+}
+
+// coordWatchMaxWait bounds a server-side watch long poll. On expiry the
+// server answers Count=0 ("nothing happened, re-arm") so a one-shot watch
+// registration can't leak forever when its client loses interest.
+const coordWatchMaxWait = 30 * time.Second
+
+func coordEvent(t cluster.EventType, path string) Reply {
+	return record(CoordRep{EventType: int(t), EventPath: path}, 1, nil)
+}
+
+// handleCoordWatch serves a data or children watch as a long poll. The
+// client sends the version it last observed (KnownVersion); the watch is
+// armed FIRST and only then compared against the current state, so a change
+// racing the arm is reported, never lost — this is what lets a client
+// re-arm after a reconnect without a missed-event window.
+func (s *Server) handleCoordWatch(ctx context.Context, t MessageType, req *CoordReq) Reply {
+	cs := s.cfg.Coord
+	var ch <-chan cluster.Event
+	var err error
+	if t == MsgCoordWatchData {
+		ch, err = cs.WatchData(req.Path)
+	} else {
+		ch, err = cs.WatchChildren(req.Path)
+	}
+	if err != nil {
+		if errors.Is(err, cluster.ErrNoNode) && t == MsgCoordWatchData {
+			// The node vanished between the client's Get and this watch:
+			// that IS the event the client is waiting for.
+			return coordEvent(cluster.EventDeleted, req.Path)
+		}
+		return errReply(err, Reply{})
+	}
+	_, st, gerr := cs.Get(req.Path)
+	if gerr != nil {
+		if errors.Is(gerr, cluster.ErrNoNode) && t == MsgCoordWatchData {
+			return coordEvent(cluster.EventDeleted, req.Path)
+		}
+		return errReply(gerr, Reply{})
+	}
+	cur, evType := st.Version, cluster.EventChanged
+	if t == MsgCoordWatchChildren {
+		cur, evType = st.CVersion, cluster.EventChildren
+	}
+	if req.KnownVersion >= 0 && cur != req.KnownVersion {
+		return coordEvent(evType, req.Path)
+	}
+	timer := time.NewTimer(coordWatchMaxWait)
+	defer timer.Stop()
+	select {
+	case ev, ok := <-ch:
+		if !ok {
+			return coordEvent(evType, req.Path)
+		}
+		return coordEvent(ev.Type, ev.Path)
+	case <-timer.C:
+		return Reply{} // Count 0: nothing fired, client re-arms
+	case <-ctx.Done():
+		return errReply(ctx.Err(), Reply{})
+	}
+}
+
+// handleWatchEpoch long-polls the placement epoch: it replies as soon as the
+// epoch exceeds the client's known value, or with the current value after
+// the max wait (Count mirrors whether it advanced).
+func (s *Server) handleWatchEpoch(ctx context.Context, req *EpochReq) Reply {
+	cs := s.cfg.Coord
+	deadline := time.Now().Add(coordWatchMaxWait)
+	for {
+		ch, err := segstore.WatchPlacementEpoch(cs)
+		if err != nil {
+			return errReply(err, Reply{})
+		}
+		cur := segstore.PlacementEpoch(cs)
+		if cur > req.Known {
+			return Reply{Offset: cur, Count: 1}
+		}
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			return Reply{Offset: cur}
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-ch:
+		case <-timer.C:
+			timer.Stop()
+			return Reply{Offset: segstore.PlacementEpoch(cs)}
+		case <-ctx.Done():
+			timer.Stop()
+			return errReply(ctx.Err(), Reply{})
+		}
+		timer.Stop()
+	}
+}

@@ -1,0 +1,266 @@
+package wire
+
+import (
+	"bytes"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/pravega-go/pravega/internal/bookkeeper"
+	"github.com/pravega-go/pravega/internal/controller"
+	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/keyspace"
+	"github.com/pravega-go/pravega/internal/segment"
+)
+
+// notRequests are the type numbers below msgEnd that must have no row: the
+// two retired slots and the reply envelope.
+var notRequests = map[MessageType]bool{13: true, 16: true, MsgReplyBin: true}
+
+// allPlanes builds a config with every plane present, on a one-store
+// cluster that already holds stream "fz/st".
+func allPlanes(tb testing.TB) (cfg ServerConfig, seg string) {
+	tb.Helper()
+	cl, ctrl := newBackend(tb, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
+	if err := ctrl.CreateScope("fz"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := ctrl.CreateStream(controller.StreamConfig{Scope: "fz", Name: "st", InitialSegments: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	segs, err := ctrl.GetActiveSegments("fz", "st")
+	if err != nil || len(segs) != 1 {
+		tb.Fatalf("active segments: %v, %v", segs, err)
+	}
+	bk := bookkeeper.NewBookie(bookkeeper.BookieConfig{ID: "bookie-0"})
+	tb.Cleanup(bk.Close)
+	cfg = clusterPlanes(cl, ctrl)
+	cfg.Bookies = map[string]bookkeeper.Node{"bookie-0": bk}
+	return cfg, segs[0].ID.QualifiedName()
+}
+
+// rawBody is a pre-encoded request body: it lets a test put arbitrary bytes
+// behind any message type.
+type rawBody []byte
+
+func (b rawBody) marshalBinary(dst []byte) []byte { return append(dst, b...) }
+
+// callWithin is Conn.Call with a deadline, so a request the server fails to
+// answer fails the test instead of hanging it.
+func callWithin(t *testing.T, conn *Conn, typ MessageType, body any) Reply {
+	t.Helper()
+	ch, _, err := conn.CallAsync(typ, body)
+	if err != nil {
+		t.Fatalf("type %d: %v", typ, err)
+	}
+	select {
+	case rep := <-ch:
+		return rep
+	case <-time.After(10 * time.Second):
+		t.Fatalf("type %d: no reply", typ)
+		return Reply{}
+	}
+}
+
+// TestHandlerTableComplete checks the table against the protocol's constants
+// and the plane column against ServerConfig: every request type has a row and
+// nothing else does, a row answers "not served" exactly when its plane is
+// absent, and an unknown type costs an error reply, not the connection.
+func TestHandlerTableComplete(t *testing.T) {
+	for typ := MessageType(0); typ < 255; typ++ {
+		want := typ >= 1 && typ < msgEnd && !notRequests[typ]
+		if got := handlerFor(typ) != nil; got != want {
+			t.Errorf("type %d: has a row = %v, want %v", typ, got, want)
+		}
+	}
+
+	full, seg := allPlanes(t)
+	absent := map[plane]func(*ServerConfig){
+		planeData:    func(c *ServerConfig) { c.Data = nil },
+		planeCtrl:    func(c *ServerConfig) { c.Ctrl = nil },
+		planeCoord:   func(c *ServerConfig) { c.Coord = nil },
+		planeBookies: func(c *ServerConfig) { c.Bookies = nil },
+		planeInfo:    func(c *ServerConfig) { c.Info = nil },
+		planeLoad:    func(c *ServerConfig) { c.Load = nil },
+	}
+	for p, drop := range absent {
+		cfg := full
+		drop(&cfg)
+		srv := serveConfig(t, cfg)
+		name, ok := srv.served(p)
+		if ok {
+			t.Fatalf("plane %d still served after its backend was dropped", p)
+		}
+		conn, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for typ := MessageType(1); typ < msgEnd; typ++ {
+			h := handlerFor(typ)
+			if h == nil {
+				continue
+			}
+			// A body no decoder accepts: a served row gets as far as
+			// rejecting it, and no handler runs.
+			rep := callWithin(t, conn, typ, rawBody{0xFF})
+			if rep.Err == "" {
+				t.Errorf("without %s: type %d accepted a malformed body", name, typ)
+			}
+			notServed := strings.Contains(rep.Err, name+" plane not served")
+			if notServed != (h.plane == p) {
+				t.Errorf("without %s: type %d (plane %d) answered %q", name, typ, h.plane, rep.Err)
+			}
+		}
+		_ = conn.Close()
+	}
+
+	conn, err := Dial(serveConfig(t, full).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, typ := range []MessageType{13, 16, MsgReplyBin, msgEnd, 200} {
+		if rep := callWithin(t, conn, typ, struct{}{}); !strings.Contains(rep.Err, "unknown request type") {
+			t.Errorf("type %d answered %+v, want an unknown-type error", typ, rep)
+		}
+	}
+	rep := callWithin(t, conn, MsgGetInfo, SegmentReq{Segment: seg})
+	if _, err := decode[segment.Info](rep, ReplyError(rep), "segment info"); err != nil {
+		t.Fatalf("connection unusable after unknown types: %v", err)
+	}
+}
+
+// validRequests holds one well-formed body per request type; a type added
+// to the table without an entry here fails FuzzServerDispatch's seeding.
+func validRequests(seg string) map[MessageType]any {
+	const gone = "fz/gone/0.#epoch.0" // destructive rows aim at a segment nobody reads
+	stream := StreamReq{Scope: "fz", Stream: "st"}
+	txn := TxnReq{Scope: "fz", Stream: "st", TxnID: "no-such-txn"}
+	bk := BookieReq{Bookie: "bookie-0", Ledger: 7, Entry: 0, Data: []byte("entry")}
+	event := []byte("\x00\x00\x00\x01x") // the segment's only bytes, so the read below waits at its tail
+	return map[MessageType]any{
+		MsgCreateSegment:      SegmentReq{Segment: gone},
+		MsgAppend:             AppendReq{Segment: seg, Data: event, WriterID: "w", EventNum: 1, EventCount: 1, CondOffset: -1},
+		MsgRead:               ReadReq{Segment: seg, Offset: int64(len(event)), MaxBytes: 1024, WaitMS: 30_000},
+		MsgSeal:               SegmentReq{Segment: gone},
+		MsgTruncate:           SegmentReq{Segment: gone, Offset: 1},
+		MsgDeleteSegment:      SegmentReq{Segment: gone},
+		MsgGetInfo:            SegmentReq{Segment: seg},
+		MsgWriterState:        SegmentReq{Segment: seg, WriterID: "w"},
+		MsgCreateScope:        StreamReq{Scope: "fz2"},
+		MsgCreateStream:       StreamReq{Scope: "fz2", Stream: "st", Segments: 2},
+		MsgActiveSegments:     stream,
+		MsgSuccessors:         stream,
+		MsgSealStream:         StreamReq{Scope: "fz2", Stream: "st"},
+		MsgSegmentCount:       stream,
+		MsgHeadSegments:       stream,
+		MsgTruncateStream:     TruncateStreamReq{Scope: "fz2", Stream: "st", Cut: map[int64]int64{0: 0}},
+		MsgDeleteStream:       StreamReq{Scope: "fz2", Stream: "st"},
+		MsgStreamConfig:       stream,
+		MsgUpdatePolicies:     stream,
+		MsgIsSealed:           stream,
+		MsgScaleSegments:      ScaleReq{Scope: "fz2", Stream: "st", Seal: []int64{0}, Ranges: keyspace.FullRange().Split(2)},
+		MsgCancelRead:         CancelReq{ReqID: 99},
+		MsgClusterInfo:        struct{}{},
+		MsgBeginTxn:           TxnReq{Scope: "fz", Stream: "st", LeaseMS: 1000},
+		MsgCommitTxn:          txn,
+		MsgAbortTxn:           txn,
+		MsgTxnStatus:          txn,
+		MsgMergeSegments:      MergeReq{Target: gone, Source: gone},
+		MsgCoordCreate:        CoordReq{Path: "/fz", Data: []byte("d")},
+		MsgCoordGet:           CoordReq{Path: "/fz"},
+		MsgCoordSet:           CoordReq{Path: "/fz", Data: []byte("e"), Version: -1},
+		MsgCoordDelete:        CoordReq{Path: "/fz/none", Version: -1},
+		MsgCoordChildren:      CoordReq{Path: "/"},
+		MsgCoordExists:        CoordReq{Path: "/fz"},
+		MsgCoordWatchData:     CoordReq{Path: "/", KnownVersion: -1},
+		MsgCoordWatchChildren: CoordReq{Path: "/", KnownVersion: -1},
+		MsgCoordSessionOpen:   CoordReq{TTLMS: 50},
+		MsgCoordSessionRenew:  CoordReq{SessionID: 1 << 40},
+		MsgCoordSessionClose:  CoordReq{SessionID: 1 << 40},
+		MsgBookieAdd:          bk,
+		MsgBookieRead:         bk,
+		MsgBookieFence:        bk,
+		MsgBookieDeleteLedger: bk,
+		MsgWatchEpoch:         EpochReq{Known: 1 << 40},
+		MsgLoadReport:         struct{}{},
+	}
+}
+
+// FuzzServerDispatch puts arbitrary (type, body) frames on a live loopback
+// connection. Whatever the frame says, it must get exactly one reply — as
+// must the cancel sent after it (which is what ends a long poll the frame
+// may have started) and the well-formed MsgGetInfo sent after that — and the
+// server must not panic.
+func FuzzServerDispatch(f *testing.F) {
+	cfg, seg := allPlanes(f)
+	srv := serveConfig(f, cfg)
+	seeds := validRequests(seg)
+	for typ := MessageType(1); typ < msgEnd; typ++ {
+		if handlerFor(typ) == nil {
+			continue
+		}
+		body, ok := seeds[typ]
+		if !ok {
+			f.Fatalf("request type %d has a row but no seed in validRequests", typ)
+		}
+		enc, err := encodeBody(nil, body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(typ), enc)
+	}
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(MsgReplyBin), Reply{Offset: 1}.marshalBinary(nil))
+	f.Add(uint8(MsgAppend), []byte(`{"segment":"json where a layout belongs"}`))
+	f.Add(uint8(MsgGetInfo), AppendReq{Segment: seg}.marshalBinary(nil))
+
+	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(20 * time.Second))
+		var out bytes.Buffer
+		for _, m := range []struct {
+			typ  MessageType
+			id   uint64
+			body any
+		}{
+			{MessageType(typ), 1, rawBody(body)},
+			{MsgCancelRead, 2, CancelReq{ReqID: 1}},
+			{MsgGetInfo, 3, SegmentReq{Segment: seg}},
+		} {
+			if err := writeFrame(&out, m.typ, m.id, m.body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := nc.Write(out.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		replies := make(map[uint64]Reply)
+		for len(replies) < 3 {
+			rt, id, raw, err := readMessage(nc)
+			if err != nil {
+				t.Fatalf("after %d of 3 replies: %v", len(replies), err)
+			}
+			var rep Reply
+			if err := rep.unmarshalBinary(raw); rt != MsgReplyBin || err != nil {
+				t.Fatalf("reply to %d: type %d, %v", id, rt, err)
+			}
+			if _, dup := replies[id]; dup || id < 1 || id > 3 {
+				t.Fatalf("unexpected or repeated reply to request %d: %+v", id, rep)
+			}
+			replies[id] = rep
+		}
+		// The segment may be gone by now (the fuzzer is free to delete it);
+		// an answer that claims success must carry its record.
+		if info := replies[3]; info.Err == "" {
+			if _, err := decode[segment.Info](info, nil, "segment info"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}

@@ -1,12 +1,22 @@
 // Package wire implements the TCP protocol between Pravega clients and
-// server nodes: length-prefixed, request-id-correlated messages. The
-// append/read hot path carries compact binary bodies (uvarint framing,
-// mirroring the segment store's WAL frames) and pools its encode buffers
-// and read scratch; control-plane messages carry JSON bodies. Requests
-// pipeline on one connection and responses may return out of order,
-// exactly like Pravega's wire protocol; the segment append path preserves
+// server nodes: length-prefixed, request-id-correlated messages. Requests
+// pipeline on one connection and responses may return out of order, exactly
+// like Pravega's wire protocol; the segment append path preserves
 // per-connection FIFO submission order, which the event writer's ordering
 // guarantee builds on (§3.2).
+//
+// There is one protocol. Every reply is the binary Reply envelope
+// (MsgReplyBin); a structured result rides in its Data. A body with a
+// hand-written layout (AppendReq, ReadReq, BookieReq, Reply: the append,
+// read and WAL hot path, in the uvarint scheme of the segment store's WAL
+// frames) encodes itself; any other body is a control-plane record owned by
+// another package and travels as its encoding/json bytes. codec.go holds
+// that rule and nothing else knows it. Encode buffers and read scratch are
+// pooled.
+//
+// A new request is one MessageType constant and one row of the handler
+// table (handlers.go): the plane it needs, where it runs, a typed function.
+// The server's read loop knows nothing else about any message.
 //
 // The in-process deployments used by tests and benchmarks bypass this
 // layer; cmd/pravega-server and cmd/pravega-cli exercise it end to end.
@@ -17,7 +27,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -49,9 +58,8 @@ const (
 	_ // 13 was MsgScale (split one segment by factor); MsgScaleSegments replaced it
 	MsgSealStream
 	MsgSegmentCount
-	// Responses: MsgReply carries a JSON body, MsgReplyBin the binary
-	// encoding used for append/read responses.
-	MsgReply
+	_ // 16 was the JSON reply envelope; every reply is MsgReplyBin
+	// MsgReplyBin is the one response type: the binary Reply envelope.
 	MsgReplyBin
 	// Second-generation requests (full remote client).
 	MsgHeadSegments
@@ -92,6 +100,10 @@ const (
 	// and per-store load reports (controller scaling feedback).
 	MsgWatchEpoch
 	MsgLoadReport
+
+	// msgEnd bounds the handler table; new types go above it (numbers are
+	// part of the protocol: append only, never renumber).
+	msgEnd
 )
 
 // Every message is preceded by a fixed header: 4-byte body length, 1-byte
@@ -100,26 +112,6 @@ const headerSize = 4 + 1 + 8
 
 // maxBody bounds one message (events are ≤ 8 MiB in this build).
 const maxBody = 32 << 20
-
-// writeMessage frames and writes one JSON-bodied message.
-func writeMessage(w io.Writer, t MessageType, reqID uint64, body any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	if len(data) > maxBody {
-		return fmt.Errorf("wire: body too large (%d bytes)", len(data))
-	}
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(data)))
-	hdr[4] = byte(t)
-	binary.BigEndian.PutUint64(hdr[5:13], reqID)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
 
 // readMessageInto reads one framed message into *scratch (grown as
 // needed). The returned body aliases the scratch buffer and is valid only
@@ -144,12 +136,6 @@ func readMessageInto(r io.Reader, scratch *[]byte) (MessageType, uint64, []byte,
 		return 0, 0, nil, err
 	}
 	return t, id, body, nil
-}
-
-// readMessage reads one framed message into a fresh buffer.
-func readMessage(r io.Reader) (MessageType, uint64, []byte, error) {
-	var scratch []byte
-	return readMessageInto(r, &scratch)
 }
 
 // Raw-frame helpers: they move whole framed messages (header + body)
@@ -189,20 +175,20 @@ func RawFrameReqID(frame []byte) uint64 { return binary.BigEndian.Uint64(frame[5
 
 // AppendReq is a segment append.
 type AppendReq struct {
-	Segment    string `json:"segment"`
-	Data       []byte `json:"data"`
-	WriterID   string `json:"writerId,omitempty"`
-	EventNum   int64  `json:"eventNum,omitempty"`
-	EventCount int32  `json:"eventCount,omitempty"`
-	CondOffset int64  `json:"condOffset"` // -1 = unconditional
+	Segment    string
+	Data       []byte
+	WriterID   string
+	EventNum   int64
+	EventCount int32
+	CondOffset int64 // -1 = unconditional
 }
 
 // ReadReq is a segment read.
 type ReadReq struct {
-	Segment  string `json:"segment"`
-	Offset   int64  `json:"offset"`
-	MaxBytes int    `json:"maxBytes"`
-	WaitMS   int64  `json:"waitMs"`
+	Segment  string
+	Offset   int64
+	MaxBytes int
+	WaitMS   int64
 }
 
 // SegmentReq names a segment (create/seal/delete/info).
@@ -303,7 +289,7 @@ type CoordReq struct {
 	KnownVersion int64 `json:"knownVersion,omitempty"`
 }
 
-// CoordRep is the JSON payload of coord replies that carry node state.
+// CoordRep is the record coord replies that carry node state hold in Data.
 type CoordRep struct {
 	Data      []byte   `json:"data,omitempty"`
 	Version   int64    `json:"version"`
@@ -320,10 +306,10 @@ type CoordRep struct {
 
 // BookieReq addresses one bookie hosted by the coord process.
 type BookieReq struct {
-	Bookie string `json:"bookie"`
-	Ledger int64  `json:"ledger"`
-	Entry  int64  `json:"entry,omitempty"`
-	Data   []byte `json:"data,omitempty"`
+	Bookie string
+	Ledger int64
+	Entry  int64
+	Data   []byte
 }
 
 // EpochReq is the placement-epoch long poll: the server replies once the
@@ -335,15 +321,15 @@ type EpochReq struct {
 
 // Reply is the uniform response body. Code carries the error's sentinel
 // identity across the wire (see errcode.go) so clients can reconstruct an
-// errors.Is-matchable chain; Err keeps the human-readable message.
+// errors.Is-matchable chain; Err keeps the human-readable message. Data is
+// the payload: segment or journal bytes, or a result record (see decode).
 type Reply struct {
-	Err    string          `json:"err,omitempty"`
-	Code   int             `json:"code,omitempty"`
-	Offset int64           `json:"offset,omitempty"`
-	Data   []byte          `json:"data,omitempty"`
-	EOS    bool            `json:"eos,omitempty"`
-	Count  int             `json:"count,omitempty"`
-	JSON   json.RawMessage `json:"json,omitempty"`
+	Err    string
+	Code   int
+	Offset int64
+	Data   []byte
+	EOS    bool
+	Count  int
 }
 
 // pendingReply is one outstanding request's completion route: a one-slot
@@ -410,19 +396,13 @@ func (c *Conn) readLoop() {
 			return
 		}
 		var rep Reply
-		switch t {
-		case MsgReply:
-			if err := json.Unmarshal(body, &rep); err != nil {
-				c.failAll(err)
-				return
-			}
-		case MsgReplyBin:
-			if rep, err = unmarshalReplyBin(body); err != nil {
-				c.failAll(err)
-				return
-			}
-		default:
-			c.failAll(fmt.Errorf("wire: unexpected message type %d", t))
+		if t != MsgReplyBin {
+			err = fmt.Errorf("wire: unexpected message type %d", t)
+		} else {
+			err = rep.unmarshalBinary(body)
+		}
+		if err != nil {
+			c.failAll(err)
 			return
 		}
 		c.pendMu.Lock()
@@ -549,7 +529,7 @@ func (c *Conn) send(t MessageType, body any, p *pendingReply) (uint64, error) {
 	}
 	c.pending[id] = p
 	c.pendMu.Unlock()
-	err := writeRequest(c.wr, t, id, body)
+	err := writeFrame(c.wr, t, id, body)
 	if err == nil {
 		err = c.wr.Flush()
 	}
@@ -577,7 +557,7 @@ func (c *Conn) Cancel(reqID uint64) {
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
-	if err := writeRequest(c.wr, MsgCancelRead, id, CancelReq{ReqID: reqID}); err == nil {
+	if err := writeFrame(c.wr, MsgCancelRead, id, CancelReq{ReqID: reqID}); err == nil {
 		_ = c.wr.Flush()
 	}
 	c.mu.Unlock()

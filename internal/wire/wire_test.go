@@ -27,22 +27,31 @@ func newBackend(tb testing.TB, cfg hosting.ClusterConfig) (*hosting.Cluster, *co
 	return cl, ctrl
 }
 
-// newClusterServer serves every plane of the cluster, the way
-// cmd/pravega-server's -role all does.
-func newClusterServer(tb testing.TB, cl *hosting.Cluster, ctrl *controller.Controller) *Server {
-	tb.Helper()
-	srv, err := NewServer(ServerConfig{
+// clusterPlanes is the config cmd/pravega-server's -role all serves: every
+// plane of the cluster but the bookies.
+func clusterPlanes(cl *hosting.Cluster, ctrl *controller.Controller) ServerConfig {
+	return ServerConfig{
 		Data:  cl.Router(),
 		Ctrl:  ctrl,
 		Coord: cl.Meta,
 		Info:  func() (ClusterInfo, error) { return CoordClusterInfo(cl.Meta, cl.TotalContainers()) },
 		Load:  cl.Router().LoadReports,
-	}, "127.0.0.1:0")
+	}
+}
+
+func serveConfig(tb testing.TB, cfg ServerConfig) *Server {
+	tb.Helper()
+	srv, err := NewServer(cfg, "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = srv.Close() })
 	return srv
+}
+
+func newClusterServer(tb testing.TB, cl *hosting.Cluster, ctrl *controller.Controller) *Server {
+	tb.Helper()
+	return serveConfig(tb, clusterPlanes(cl, ctrl))
 }
 
 func newServer(t *testing.T) (*Server, *Conn) {
@@ -71,7 +80,7 @@ func TestWireStreamLifecycleAndIO(t *testing.T) {
 		t.Fatalf("active segments: %v", err)
 	}
 	var segs []controller.SegmentWithRange
-	if err := json.Unmarshal(rep.JSON, &segs); err != nil {
+	if err := json.Unmarshal(rep.Data, &segs); err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) != 2 {
@@ -137,7 +146,7 @@ func TestWirePipelinedAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	var segs []controller.SegmentWithRange
-	if err := json.Unmarshal(rep.JSON, &segs); err != nil {
+	if err := json.Unmarshal(rep.Data, &segs); err != nil {
 		t.Fatal(err)
 	}
 	seg := segs[0].ID.QualifiedName()
