@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -39,11 +40,12 @@ func main() {
 		log.Fatalf("pravega-cli: connecting: %v", err)
 	}
 	defer sys.Close()
+	ctx, streams := context.Background(), sys.Streams()
 
 	switch args[0] {
 	case "create-scope":
 		need(args, 2)
-		check(sys.CreateScope(args[1]))
+		check(streams.CreateScope(ctx, args[1]))
 		fmt.Println("scope created")
 	case "create-stream":
 		need(args, 4)
@@ -51,7 +53,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("pravega-cli: bad segment count %q", args[3])
 		}
-		check(sys.CreateStream(pravega.StreamConfig{Scope: args[1], Name: args[2], InitialSegments: segs}))
+		check(streams.Create(ctx, pravega.StreamConfig{Scope: args[1], Name: args[2], InitialSegments: segs}))
 		fmt.Println("stream created")
 	case "segments":
 		need(args, 3)
@@ -62,11 +64,11 @@ func main() {
 		need(args, 5)
 		seg, _ := strconv.ParseInt(args[3], 10, 64)
 		factor, _ := strconv.Atoi(args[4])
-		check(sys.ScaleStream(args[1], args[2], seg, factor))
+		check(streams.Scale(ctx, args[1], args[2], seg, factor))
 		fmt.Println("scaled")
 	case "seal-stream":
 		need(args, 3)
-		check(sys.SealStream(args[1], args[2]))
+		check(streams.Seal(ctx, args[1], args[2]))
 		fmt.Println("sealed")
 	case "write":
 		need(args, 5)

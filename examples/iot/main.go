@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -29,12 +30,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	ctx := context.Background()
 
-	if err := sys.CreateScope("iot"); err != nil {
+	if err := sys.Streams().CreateScope(ctx, "iot"); err != nil {
 		log.Fatal(err)
 	}
 	// Auto-scale when a segment sustains more than 200 events/s.
-	if err := sys.CreateStream(pravega.StreamConfig{
+	if err := sys.Streams().Create(ctx, pravega.StreamConfig{
 		Scope:           "iot",
 		Name:            "telemetry",
 		InitialSegments: 1,
@@ -114,7 +116,7 @@ func main() {
 		if err := w.Flush(); err != nil {
 			log.Fatal(err)
 		}
-		n, _ := sys.SegmentCount("iot", "telemetry")
+		n, _ := sys.Streams().SegmentCount(ctx, "iot", "telemetry")
 		fmt.Printf("  stream now has %d parallel segment(s)\n", n)
 	}
 

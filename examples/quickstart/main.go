@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -18,11 +19,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	ctx := context.Background()
 
-	if err := sys.CreateScope("demo"); err != nil {
+	if err := sys.Streams().CreateScope(ctx, "demo"); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.CreateStream(pravega.StreamConfig{
+	if err := sys.Streams().Create(ctx, pravega.StreamConfig{
 		Scope:           "demo",
 		Name:            "events",
 		InitialSegments: 2,

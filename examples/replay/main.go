@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,11 +22,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	ctx := context.Background()
 
-	if err := sys.CreateScope("history"); err != nil {
+	if err := sys.Streams().CreateScope(ctx, "history"); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.CreateStream(pravega.StreamConfig{
+	if err := sys.Streams().Create(ctx, pravega.StreamConfig{
 		Scope:           "history",
 		Name:            "audit",
 		InitialSegments: 4,
@@ -91,7 +93,7 @@ func main() {
 
 	// Retention: bound the stream to ~64 KiB and let the policy loop
 	// truncate the head (§2.1).
-	if err := sys.UpdateStreamPolicies("history", "audit", nil, &pravega.RetentionPolicy{
+	if err := sys.Streams().UpdatePolicies(ctx, "history", "audit", nil, &pravega.RetentionPolicy{
 		Type:       pravega.RetentionBySize,
 		LimitBytes: 64 << 10,
 	}); err != nil {

@@ -52,9 +52,6 @@ type BookieConfig struct {
 	// NoSync makes journal writes hit the page cache only — the "no flush"
 	// durability experiment of §5.2.
 	NoSync bool
-	// MaxGroupCommit bounds how many adds one journal write may carry.
-	// Zero means a generous default.
-	MaxGroupCommit int
 	// DiscardData keeps only entry sizes (benchmark mode); reads return
 	// zero-filled buffers of the right length.
 	DiscardData bool
@@ -95,11 +92,11 @@ type addReq struct {
 	cb       func(error)
 }
 
+// maxGroupCommit bounds how many adds one journal write may carry.
+const maxGroupCommit = 4096
+
 // NewBookie starts a bookie.
 func NewBookie(cfg BookieConfig) *Bookie {
-	if cfg.MaxGroupCommit <= 0 {
-		cfg.MaxGroupCommit = 4096
-	}
 	b := &Bookie{
 		cfg:     cfg,
 		ledgers: make(map[int64]*bookieLedger),
@@ -187,7 +184,7 @@ func (b *Bookie) commitLoop() {
 			return
 		}
 	drain:
-		for len(batch) < b.cfg.MaxGroupCommit {
+		for len(batch) < maxGroupCommit {
 			select {
 			case req := <-b.addCh:
 				batch = append(batch, req)

@@ -63,16 +63,16 @@ type Client struct {
 	bookies map[string]Node
 	links   map[string]*sim.Link // request path to each bookie
 	meta    cluster.Coord
-	root    string
 	linkCfg sim.LinkConfig
 }
+
+// ledgersRoot is the path prefix for ledger metadata nodes.
+const ledgersRoot = "/bookkeeper/ledgers"
 
 // ClientConfig parameterizes a BookKeeper client.
 type ClientConfig struct {
 	// Meta is the coordination store holding ledger metadata.
 	Meta cluster.Coord
-	// MetaRoot is the path prefix for ledger metadata nodes.
-	MetaRoot string
 	// Link shapes the client->bookie network path (zero = instantaneous).
 	Link sim.LinkConfig
 }
@@ -82,17 +82,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Meta == nil {
 		return nil, errors.New("bookkeeper: ClientConfig.Meta is required")
 	}
-	if cfg.MetaRoot == "" {
-		cfg.MetaRoot = "/bookkeeper/ledgers"
-	}
-	if err := cfg.Meta.CreateAll(cfg.MetaRoot, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
+	if err := cfg.Meta.CreateAll(ledgersRoot, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
 		return nil, err
 	}
 	return &Client{
 		bookies: make(map[string]Node),
 		links:   make(map[string]*sim.Link),
 		meta:    cfg.Meta,
-		root:    cfg.MetaRoot,
 		linkCfg: cfg.Link,
 	}, nil
 }
@@ -128,14 +124,14 @@ func (c *Client) bookie(id string) (Node, *sim.Link, error) {
 	return b, c.links[id], nil
 }
 
-func (c *Client) metaPath(id int64) string { return fmt.Sprintf("%s/L%016d", c.root, id) }
+func (c *Client) metaPath(id int64) string { return fmt.Sprintf("%s/L%016d", ledgersRoot, id) }
 
 // nextLedgerID allocates a cluster-unique ledger id by CAS-bumping a counter
 // node (BookKeeper's ZooKeeper idgen). Ids must come from the coordination
 // store, not client memory: multiple store processes each run their own
 // Client against the same metadata tree.
 func (c *Client) nextLedgerID() (int64, error) {
-	path := c.root + "/idgen"
+	path := ledgersRoot + "/idgen"
 	for {
 		st, err := c.meta.Set(path, nil, -1)
 		if err == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCreateGetSetDelete(t *testing.T) {
@@ -157,63 +156,6 @@ func TestEphemeralDeepPathsCleanup(t *testing.T) {
 	kids, _ := s.Children("/svc/instances")
 	if len(kids) != 0 {
 		t.Fatalf("ephemerals remain: %v", kids)
-	}
-}
-
-func TestElectionBasic(t *testing.T) {
-	s := NewStore()
-	e, err := NewElection(s, "/election")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, s2 := s.NewSession(), s.NewSession()
-	c1, err := e.Join(s1, "node-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := e.Join(s2, "node-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lead, _ := c1.IsLeader(); !lead {
-		t.Fatal("first candidate should lead")
-	}
-	if lead, _ := c2.IsLeader(); lead {
-		t.Fatal("second candidate should not lead")
-	}
-	if name, _ := e.Leader(); name != "node-1" {
-		t.Fatalf("Leader = %q", name)
-	}
-
-	// Leadership transfers when the leader's session expires.
-	done := c2.WaitLeadership()
-	s1.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("leadership never transferred")
-	}
-	if name, _ := e.Leader(); name != "node-2" {
-		t.Fatalf("Leader after failover = %q", name)
-	}
-}
-
-func TestElectionResign(t *testing.T) {
-	s := NewStore()
-	e, err := NewElection(s, "/el2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := s.NewSession()
-	c, err := e.Join(sess, "only")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Resign(); err != nil {
-		t.Fatal(err)
-	}
-	if name, _ := e.Leader(); name != "" {
-		t.Fatalf("Leader after resign = %q", name)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package cluster implements the coordination service Pravega delegates to
 // Apache ZooKeeper in the paper (§2.2, §4.4): a hierarchical key-value store
-// with versioned compare-and-set updates, ephemeral nodes bound to sessions,
-// one-shot watches, and helpers for leader election and segment-container
-// assignment. Pravega only needs this surface — stream metadata itself lives
-// in key-value tables backed by Pravega segments, so the coordination
-// service is deliberately small and is never on the data path.
+// with versioned compare-and-set updates, ephemeral nodes bound to sessions
+// (optionally leased), and one-shot watches. Pravega only needs this surface
+// — stream metadata itself lives in key-value tables backed by Pravega
+// segments, so the coordination service is deliberately small and is never
+// on the data path.
 package cluster
 
 import (

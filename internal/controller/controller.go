@@ -40,9 +40,6 @@ type DataPlane interface {
 	// observe all of its bytes or none.
 	MergeSegment(target, source string) (int64, error)
 	GetInfo(name string) (segment.Info, error)
-	// OwnerOf resolves the segment store instance currently serving the
-	// segment's container (GetURI in Pravega's protocol).
-	OwnerOf(name string) (string, error)
 	// LoadReports aggregates per-segment ingest rates (§3.1).
 	LoadReports() []segstore.SegmentLoad
 }
@@ -60,13 +57,6 @@ type Config struct {
 	// stream (hysteresis; Pravega uses multi-minute windows, scaled down
 	// here).
 	ScaleCooldown time.Duration
-	// SplitThreshold multiplies TargetRate: a sustained rate above
-	// TargetRate×SplitThreshold splits the segment (default 1.0 — the
-	// policy's target *is* the trigger, as in §5.8).
-	SplitThreshold float64
-	// MergeThreshold multiplies TargetRate: two adjacent segments both
-	// under TargetRate×MergeThreshold merge (default 0.5).
-	MergeThreshold float64
 }
 
 // Controller is the control-plane instance.
@@ -93,12 +83,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.ScaleCooldown <= 0 {
 		cfg.ScaleCooldown = 2 * time.Second
-	}
-	if cfg.SplitThreshold <= 0 {
-		cfg.SplitThreshold = 1.0
-	}
-	if cfg.MergeThreshold <= 0 {
-		cfg.MergeThreshold = 0.5
 	}
 	c := &Controller{
 		cfg:      cfg,
@@ -302,11 +286,6 @@ func (c *Controller) GetHeadSegments(scope, name string) ([]HeadSegment, error) 
 		out = append(out, hs)
 	}
 	return out, nil
-}
-
-// URIOf resolves the segment store instance serving a segment.
-func (c *Controller) URIOf(id segment.ID) (string, error) {
-	return c.cfg.Data.OwnerOf(id.QualifiedName())
 }
 
 // StreamConfigOf returns the stream's configuration.

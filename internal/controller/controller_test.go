@@ -105,8 +105,6 @@ func (f *fakeData) GetInfo(name string) (segment.Info, error) {
 	return segment.Info{Name: name, Length: s.length, StartOffset: s.startOffset, Sealed: s.sealed}, nil
 }
 
-func (f *fakeData) OwnerOf(name string) (string, error) { return "store-0", nil }
-
 func (f *fakeData) LoadReports() []segstore.SegmentLoad {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -560,21 +558,5 @@ func TestUpdateStreamPolicies(t *testing.T) {
 	}
 	if cfg.Scaling.ScaleFactor < 2 || cfg.Scaling.MinSegments < 1 {
 		t.Fatalf("defaults not re-applied: %+v", cfg.Scaling)
-	}
-}
-
-func TestURIOf(t *testing.T) {
-	data := newFakeData()
-	c := newCtrl(t, data)
-	if err := c.CreateScope("s"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateStream(StreamConfig{Scope: "s", Name: "uri", InitialSegments: 1}); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := c.GetActiveSegments("s", "uri")
-	owner, err := c.URIOf(segs[0].ID)
-	if err != nil || owner != "store-0" {
-		t.Fatalf("URIOf = %q, %v", owner, err)
 	}
 }

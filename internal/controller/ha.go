@@ -108,21 +108,6 @@ func (c *Controller) ownedPartitions() (map[int]bool, bool) {
 	return owned, true
 }
 
-// ownsStream reports whether this instance manages the stream's policies.
-func (c *Controller) ownsStream(key string) bool {
-	owned, haOn := c.ownedPartitions()
-	if !haOn {
-		return true
-	}
-	c.mu.Lock()
-	parts := 16
-	if c.ha != nil {
-		parts = c.ha.partitions
-	}
-	c.mu.Unlock()
-	return owned[streamPartition(key, parts)]
-}
-
 // RefreshFromStore reloads persisted stream metadata written by other
 // controller instances. Streams already known locally are replaced only if
 // the persisted node version advanced; HA policy loops call this before

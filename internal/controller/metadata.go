@@ -39,11 +39,6 @@ type ScalingPolicy struct {
 	MinSegments int
 }
 
-// FixedScaling returns a policy with n static segments.
-func FixedScaling(n int) ScalingPolicy {
-	return ScalingPolicy{Type: ScalingFixed, MinSegments: n}
-}
-
 // RetentionType selects the truncation bound (§2.1).
 type RetentionType string
 

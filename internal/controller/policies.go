@@ -60,6 +60,11 @@ type scaleDecision struct {
 	newRanges   []keyspace.Range
 }
 
+// mergeThreshold multiplies TargetRate: two adjacent segments both under
+// TargetRate×mergeThreshold merge. A split needs no such factor — a sustained
+// rate above the policy's target *is* the trigger, as in §5.8.
+const mergeThreshold = 0.5
+
 // evaluateScaling closes the control-plane/data-plane feedback loop: it
 // reads per-segment ingest rates reported by the segment stores and splits
 // hot segments / merges adjacent cold segments according to each stream's
@@ -111,7 +116,7 @@ func (c *Controller) evaluateScaling() {
 			if !isFull {
 				continue
 			}
-			if r > pol.TargetRate*c.cfg.SplitThreshold && r > hotRate {
+			if r > pol.TargetRate && r > hotRate {
 				hot = &segs[i]
 				hotRate = r
 			}
@@ -144,8 +149,8 @@ func (c *Controller) evaluateScaling() {
 				ra, fa := rate(a.ID.QualifiedName())
 				rb, fb := rate(b.ID.QualifiedName())
 				if fa && fb &&
-					ra < pol.TargetRate*c.cfg.MergeThreshold &&
-					rb < pol.TargetRate*c.cfg.MergeThreshold {
+					ra < pol.TargetRate*mergeThreshold &&
+					rb < pol.TargetRate*mergeThreshold {
 					merged, err := keyspace.Merge(a.KeyRange, b.KeyRange)
 					if err != nil {
 						continue

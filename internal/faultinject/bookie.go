@@ -74,9 +74,9 @@ func (s *bookieRuleState) active() bool {
 }
 
 // FaultyBookie decorates a bookkeeper.Node with rule-driven fault
-// injection. It is registered in place of the real bookie (see
-// hosting.ClusterConfig.WrapBookie); the ledger client's quorum logic is
-// untouched, so injected faults exercise the real replication paths.
+// injection. It is registered with the ledger client in place of the real
+// bookie (see newCrashRig); the client's quorum logic is untouched, so
+// injected faults exercise the real replication paths.
 type FaultyBookie struct {
 	inner bookkeeper.Node
 

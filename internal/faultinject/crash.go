@@ -136,7 +136,7 @@ func (in *Injector) hit(point Point) bool {
 }
 
 // Hooks returns the segstore fault hooks backed by this Injector. Install
-// them in ContainerConfig.Hooks (or hosting.ClusterConfig.Container.Hooks).
+// them in ContainerConfig.Hooks.
 func (in *Injector) Hooks() *segstore.Hooks {
 	return &segstore.Hooks{
 		BeforeApply:       func(int64) bool { return in.hit(PointBeforeApply) },

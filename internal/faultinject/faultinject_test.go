@@ -7,48 +7,35 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/bookkeeper"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
 
-// newManualCluster builds a 1-container cluster whose background tiering is
-// effectively disabled (huge flush size, hour-long intervals) so tests
-// control exactly when flushes and checkpoints happen. Chunk size is 1 KiB
-// to force multi-chunk flush rounds from small payloads.
-func newManualCluster(t *testing.T, store lts.ChunkStorage, hooks *segstore.Hooks) (*hosting.Cluster, *segstore.Container, []*FaultyBookie) {
+// newQuietRig builds the crash rig with background tiering effectively
+// disabled (huge flush size, hour-long intervals) so tests control exactly
+// when flushes and checkpoints happen. Chunk size is 1 KiB to force
+// multi-chunk flush rounds from small payloads; walRolloverBytes 0 keeps the
+// default ledger size.
+func newQuietRig(t *testing.T, store lts.ChunkStorage, hooks *segstore.Hooks, walRolloverBytes int64) (*crashRig, *segstore.Container) {
 	t.Helper()
-	var fbs []*FaultyBookie
-	cl, err := hosting.NewCluster(hosting.ClusterConfig{
-		Stores:             1,
-		ContainersPerStore: 1,
-		Bookies:            3,
-		Ownership:          hosting.OwnershipConfig{Manual: true},
-		LTS:                store,
-		Container: segstore.ContainerConfig{
-			FlushSizeBytes:     1 << 30,
-			FlushInterval:      time.Hour,
-			ChunkSizeLimit:     1024,
-			CheckpointInterval: time.Hour,
-			MaxUnflushedBytes:  1 << 30,
-			Hooks:              hooks,
-		},
-		WrapBookie: func(n bookkeeper.Node) bookkeeper.Node {
-			fb := NewFaultyBookie(n)
-			fbs = append(fbs, fb)
-			return fb
-		},
+	rig, err := newCrashRig(store, segstore.ContainerConfig{
+		FlushSizeBytes:     1 << 30,
+		FlushInterval:      time.Hour,
+		ChunkSizeLimit:     1024,
+		CheckpointInterval: time.Hour,
+		MaxUnflushedBytes:  1 << 30,
+		WALRolloverBytes:   walRolloverBytes,
+		Hooks:              hooks,
 	})
 	if err != nil {
-		t.Fatalf("cluster: %v", err)
+		t.Fatalf("crash rig: %v", err)
 	}
-	t.Cleanup(cl.Close)
-	c, err := cl.Stores()[0].ContainerByID(0)
+	t.Cleanup(rig.Close)
+	c, err := rig.st.ContainerByID(0)
 	if err != nil {
 		t.Fatalf("container: %v", err)
 	}
-	return cl, c, fbs
+	return rig, c
 }
 
 func mustAppend(t *testing.T, c *segstore.Container, seg string, data []byte, writer string, num int64) {
@@ -108,7 +95,7 @@ func assertLayout(t *testing.T, c *segstore.Container, mem *lts.Memory, seg stri
 func TestMidFlushFailureNoDuplication(t *testing.T) {
 	mem := lts.NewMemory()
 	flts := NewFaultyLTS(mem)
-	_, c, _ := newManualCluster(t, flts, nil)
+	_, c := newQuietRig(t, flts, nil, 0)
 
 	const seg = "scope/s/dup"
 	if err := c.CreateSegment(seg); err != nil {
@@ -156,7 +143,7 @@ func TestMidFlushFailureNoDuplication(t *testing.T) {
 func TestPartialWriteReconciled(t *testing.T) {
 	mem := lts.NewMemory()
 	flts := NewFaultyLTS(mem)
-	_, c, _ := newManualCluster(t, flts, nil)
+	_, c := newQuietRig(t, flts, nil, 0)
 
 	const seg = "scope/s/partial"
 	if err := c.CreateSegment(seg); err != nil {
@@ -198,7 +185,7 @@ func TestPartialWriteReconciled(t *testing.T) {
 func TestOrphanChunkAdoption(t *testing.T) {
 	mem := lts.NewMemory()
 	inj := NewInjector()
-	cl, c, _ := newManualCluster(t, mem, inj.Hooks())
+	rig, c := newQuietRig(t, mem, inj.Hooks(), 0)
 
 	const seg = "scope/s/orphan"
 	if err := c.CreateSegment(seg); err != nil {
@@ -222,13 +209,13 @@ func TestOrphanChunkAdoption(t *testing.T) {
 		t.Fatalf("expected exactly the orphan chunk in LTS, have %d", mem.ChunkCount())
 	}
 
-	if err := cl.CrashContainer(0); err != nil {
+	if err := rig.crash(); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	if err := cl.RestartContainer(0, 0); err != nil {
+	if err := rig.restart(); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	c2, err := cl.Stores()[0].ContainerByID(0)
+	c2, err := rig.st.ContainerByID(0)
 	if err != nil {
 		t.Fatalf("container after restart: %v", err)
 	}
@@ -276,35 +263,8 @@ func TestCheckpointDoesNotDropUntieredTail(t *testing.T) {
 // append — acked data loss.
 func TestAdoptionAfterWALTruncation(t *testing.T) {
 	mem := lts.NewMemory()
-	var fbs []*FaultyBookie
-	cl, err := hosting.NewCluster(hosting.ClusterConfig{
-		Stores:             1,
-		ContainersPerStore: 1,
-		Bookies:            3,
-		Ownership:          hosting.OwnershipConfig{Manual: true},
-		LTS:                mem,
-		Container: segstore.ContainerConfig{
-			FlushSizeBytes:     1 << 30,
-			FlushInterval:      time.Hour,
-			ChunkSizeLimit:     1024,
-			CheckpointInterval: time.Hour,
-			MaxUnflushedBytes:  1 << 30,
-			WALRolloverBytes:   64, // a ledger per frame: truncation is fine-grained
-		},
-		WrapBookie: func(n bookkeeper.Node) bookkeeper.Node {
-			fb := NewFaultyBookie(n)
-			fbs = append(fbs, fb)
-			return fb
-		},
-	})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	t.Cleanup(cl.Close)
-	c, err := cl.Stores()[0].ContainerByID(0)
-	if err != nil {
-		t.Fatalf("container: %v", err)
-	}
+	// A ledger per frame: truncation is fine-grained.
+	rig, c := newQuietRig(t, mem, nil, 64)
 
 	const seg = "scope/s/trunc"
 	if err := c.CreateSegment(seg); err != nil {
@@ -346,13 +306,13 @@ func TestAdoptionAfterWALTruncation(t *testing.T) {
 	}
 	mustAppend(t, c, seg, tail, "w", 3)
 
-	if err := cl.CrashContainer(0); err != nil {
+	if err := rig.crash(); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	if err := cl.RestartContainer(0, 0); err != nil {
+	if err := rig.restart(); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	c2, err := cl.Stores()[0].ContainerByID(0)
+	c2, err := rig.st.ContainerByID(0)
 	if err != nil {
 		t.Fatalf("container after restart: %v", err)
 	}
@@ -483,9 +443,10 @@ func TestFenceFaultDuringRecovery(t *testing.T) {
 	h.drain()
 }
 
-// TestFlushErrorSurfaced: while LTS is persistently down, FlushAll,
-// LastFlushError and hosting.WaitForTiering must all surface the underlying
-// cause instead of failing silently (satellite 3).
+// TestFlushErrorSurfaced: while LTS is persistently down, FlushAll and
+// LastFlushError must surface the underlying cause instead of failing
+// silently (hosting.WaitForTiering's share of this is checked in hosting's
+// TestLTSOutageThrottlesAndRecovers).
 func TestFlushErrorSurfaced(t *testing.T) {
 	h := NewHarness(t, HarnessConfig{Seed: 19, Segments: 1})
 	defer h.Close()
@@ -506,11 +467,6 @@ func TestFlushErrorSurfaced(t *testing.T) {
 	if h.container().LastFlushError() == nil {
 		t.Fatal("LastFlushError is nil while tiering is failing")
 	}
-	if err := h.cl.WaitForTiering(50 * time.Millisecond); err == nil {
-		t.Fatal("WaitForTiering against a down LTS returned nil")
-	} else if !errors.Is(err, lts.ErrUnavailable) {
-		t.Fatalf("WaitForTiering error does not wrap the LTS cause: %v", err)
-	}
 
 	h.flts.Reset()
 	h.drain()
@@ -519,9 +475,6 @@ func TestFlushErrorSurfaced(t *testing.T) {
 	}
 	if err := h.container().LastTruncateError(); err != nil {
 		t.Fatalf("LastTruncateError after drain: %v", err)
-	}
-	if err := h.cl.WaitForTiering(5 * time.Second); err != nil {
-		t.Fatalf("WaitForTiering after recovery: %v", err)
 	}
 }
 

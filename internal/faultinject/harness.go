@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/bookkeeper"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -56,7 +54,7 @@ type segModel struct {
 	writers map[string]int64
 }
 
-// Harness drives a single-container cluster through a randomized
+// Harness drives the one-container crash rig through a randomized
 // write/seal/truncate workload with injected faults and scripted crashes,
 // checking after every recovery that the container's state matches the
 // oracle: acked reads survive, writer-dedup attributes persist, seal and
@@ -69,11 +67,10 @@ type Harness struct {
 	cfg HarnessConfig
 	rng *rand.Rand
 
-	cl      *hosting.Cluster
-	mem     *lts.Memory
-	flts    *FaultyLTS
-	inj     *Injector
-	bookies []*FaultyBookie
+	*crashRig
+	mem  *lts.Memory
+	flts *FaultyLTS
+	inj  *Injector
 
 	model     map[string]*segModel
 	segs      []string
@@ -103,8 +100,8 @@ type pendingOp struct {
 // errDivergence marks oracle mismatches: never retried, always fatal.
 var errDivergence = errors.New("faultinject: state diverged from oracle")
 
-// NewHarness builds the cluster (1 store, 1 container, 3 bookies) with the
-// fault layers wired in, and creates the workload segments.
+// NewHarness builds the crash rig with the fault layers wired in, and
+// creates the workload segments.
 func NewHarness(t *testing.T, cfg HarnessConfig) *Harness {
 	cfg.defaults()
 	h := &Harness{
@@ -118,31 +115,19 @@ func NewHarness(t *testing.T, cfg HarnessConfig) *Harness {
 	}
 	h.flts = NewFaultyLTS(h.mem)
 
-	cl, err := hosting.NewCluster(hosting.ClusterConfig{
-		Stores:             1,
-		ContainersPerStore: 1,
-		Bookies:            3,
-		Ownership:          hosting.OwnershipConfig{Manual: true},
-		LTS:                h.flts,
-		Container: segstore.ContainerConfig{
-			FlushSizeBytes:     2048,
-			FlushInterval:      2 * time.Millisecond,
-			ChunkSizeLimit:     4096,
-			CheckpointInterval: 10 * time.Millisecond,
-			MaxUnflushedBytes:  1 << 30, // never throttle against a down LTS
-			WALRolloverBytes:   16 << 10,
-			Hooks:              h.inj.Hooks(),
-		},
-		WrapBookie: func(n bookkeeper.Node) bookkeeper.Node {
-			fb := NewFaultyBookie(n)
-			h.bookies = append(h.bookies, fb)
-			return fb
-		},
+	rig, err := newCrashRig(h.flts, segstore.ContainerConfig{
+		FlushSizeBytes:     2048,
+		FlushInterval:      2 * time.Millisecond,
+		ChunkSizeLimit:     4096,
+		CheckpointInterval: 10 * time.Millisecond,
+		MaxUnflushedBytes:  1 << 30, // never throttle against a down LTS
+		WALRolloverBytes:   16 << 10,
+		Hooks:              h.inj.Hooks(),
 	})
 	if err != nil {
-		t.Fatalf("faultinject: building cluster: %v", err)
+		t.Fatalf("faultinject: building the crash rig: %v", err)
 	}
-	h.cl = cl
+	h.crashRig = rig
 
 	for i := 0; i < cfg.Segments; i++ {
 		name := fmt.Sprintf("scope/stream/seg-%d", i)
@@ -162,12 +147,6 @@ func NewHarness(t *testing.T, cfg HarnessConfig) *Harness {
 	return h
 }
 
-// Close tears the cluster down.
-func (h *Harness) Close() { h.cl.Close() }
-
-// Cluster exposes the underlying cluster (extra assertions in tests).
-func (h *Harness) Cluster() *hosting.Cluster { return h.cl }
-
 // Injected reports the total number of injected faults and crashes.
 func (h *Harness) Injected() int64 {
 	n := h.flts.Injected() + int64(h.Crashes)
@@ -178,7 +157,7 @@ func (h *Harness) Injected() int64 {
 }
 
 func (h *Harness) container() *segstore.Container {
-	c, err := h.cl.Stores()[0].ContainerByID(0)
+	c, err := h.st.ContainerByID(0)
 	if err != nil {
 		h.t.Fatalf("faultinject: container lost: %v", err)
 	}
@@ -218,9 +197,9 @@ func (h *Harness) mustRetry(what string, op func() error) {
 // it, and asserts full recovery equivalence against the oracle.
 func (h *Harness) recoverAndVerify(reason string) {
 	h.Crashes++
-	_ = h.cl.CrashContainer(0)
+	_ = h.crash()
 	for attempt := 0; ; attempt++ {
-		err := h.cl.RestartContainer(0, 0)
+		err := h.restart()
 		if err == nil {
 			break
 		}
@@ -254,8 +233,8 @@ func (h *Harness) verify(reason string) {
 			h.t.Fatalf("faultinject: verify after %q: still failing: %v", reason, err)
 		}
 		h.Crashes++
-		_ = h.cl.CrashContainer(0)
-		if rerr := h.cl.RestartContainer(0, 0); rerr != nil {
+		_ = h.crash()
+		if rerr := h.restart(); rerr != nil {
 			h.t.Fatalf("faultinject: verify restart: %v", rerr)
 		}
 		h.Recovered++

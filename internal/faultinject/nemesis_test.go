@@ -92,10 +92,10 @@ func mustStream(t *testing.T, sys *pravega.System, scope, stream string, segment
 	t.Helper()
 	// "Already exists" is success here: a create whose ack the nemesis ate
 	// is retried by the transport after the first attempt applied.
-	if err := sys.CreateScope(scope); err != nil && !errors.Is(err, pravega.ErrScopeExists) {
+	if err := sys.Streams().CreateScope(context.Background(), scope); err != nil && !errors.Is(err, pravega.ErrScopeExists) {
 		t.Fatalf("CreateScope: %v", err)
 	}
-	err := sys.CreateStream(pravega.StreamConfig{Scope: scope, Name: stream, InitialSegments: segments})
+	err := sys.Streams().Create(context.Background(), pravega.StreamConfig{Scope: scope, Name: stream, InitialSegments: segments})
 	if err != nil && !errors.Is(err, pravega.ErrStreamExists) {
 		t.Fatalf("CreateStream: %v", err)
 	}

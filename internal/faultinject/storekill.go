@@ -14,9 +14,7 @@ import (
 // cluster itself — crashing a random live segment store (its lease-backed
 // container claims vanish, survivors fence the WALs and re-acquire, §4.4)
 // and growing the cluster back with a replacement store so the rebalancer's
-// graceful handoff path is exercised in the same run. Only meaningful
-// against a dynamic-ownership cluster; a Manual cluster would leave the
-// crashed containers down forever.
+// graceful handoff path is exercised in the same run.
 type StoreKiller struct {
 	cl  *hosting.Cluster
 	rng *rand.Rand

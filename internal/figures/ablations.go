@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/blockcache"
@@ -68,7 +69,7 @@ func Ablations(o Options) (*Figure, error) {
 			if err != nil {
 				return fig, err
 			}
-			if err := sys.CreateScope("bench"); err != nil {
+			if err := sys.Streams().CreateScope(context.Background(), "bench"); err != nil {
 				sys.Close()
 				return fig, err
 			}

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -220,7 +221,7 @@ func Fig13(o Options) (*AutoScaleSeries, error) {
 	defer psys.Close()
 	sys := psys.Sys
 	sys.Controller().StartPolicyLoops(500 * time.Millisecond)
-	err = sys.CreateStream(pravega.StreamConfig{
+	err = sys.Streams().Create(context.Background(), pravega.StreamConfig{
 		Scope: "bench", Name: "autoscale", InitialSegments: 1,
 		Scaling: pravega.ScalingPolicy{
 			Type:       pravega.ScalingByThroughput,
@@ -273,7 +274,7 @@ func Fig13(o Options) (*AutoScaleSeries, error) {
 	defer ticker.Stop()
 	for time.Since(start) < duration {
 		<-ticker.C
-		segs, _ := sys.SegmentCount("bench", "autoscale")
+		segs, _ := sys.Streams().SegmentCount(context.Background(), "bench", "autoscale")
 		loads := psys.Sys.Cluster().LoadByStore()
 		snap := lat.Snapshot()
 		lat.Reset()

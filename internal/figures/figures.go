@@ -7,6 +7,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -156,7 +157,7 @@ func newPravega(o *Options, v pravegaVariant) (*omb.PravegaSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.CreateScope("bench"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "bench"); err != nil {
 		return nil, err
 	}
 	label := "Pravega"

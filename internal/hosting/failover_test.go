@@ -231,7 +231,7 @@ func TestAddStoreRebalances(t *testing.T) {
 	verifyOracle(t, cl, oracle)
 }
 
-// TestOwnerOfTracksFailover pins the DataPlane OwnerOf contract: it reports
+// TestOwnerOfTracksFailover pins the router's OwnerOf contract: it reports
 // the live owner, and the answer moves when the owner crashes.
 func TestOwnerOfTracksFailover(t *testing.T) {
 	cl := dynCluster(t, 2, 2, 2*time.Second)

@@ -1,18 +1,15 @@
 // Package hosting assembles a complete in-process Pravega cluster — the
 // coordination store, a bookie ensemble, segment store instances with their
 // containers distributed across them, and a long-term storage backend — and
-// injects faults into it (store crashes and wedges, container crashes and
-// restarts). Routing is not its job: Router() is a placement.Router over the
-// cluster's claim set with direct calls as the per-store transport, the same
-// router cmd/pravega-server and internal/wire run over TCP. hosting is the
-// harness used by tests, examples, the benchmark figures and the
-// single-process server role.
+// injects faults into it (store crashes and wedges). Routing is not its job:
+// Router() is a placement.Router over the cluster's claim set with direct
+// calls as the per-store transport, the same router cmd/pravega-server and
+// internal/wire run over TCP. hosting is the harness used by tests,
+// examples, the benchmark figures and the single-process server role.
 //
 // Container placement is dynamic (§2.2, §4.4): each store's ownership
 // manager claims containers with lease-backed ephemeral nodes. Crashing a
-// store orphans its claims; survivors fence the WALs and re-acquire. Tests
-// that need to pin a container to a store (fault-injection crash schedules)
-// set Ownership.Manual.
+// store orphans its claims; survivors fence the WALs and re-acquire.
 package hosting
 
 import (
@@ -31,11 +28,6 @@ import (
 
 // OwnershipConfig tunes dynamic container placement for the cluster.
 type OwnershipConfig struct {
-	// Manual disables the ownership managers: containers are claimed
-	// round-robin at startup and move only via CrashContainer /
-	// RestartContainer. Fault-injection crash schedules rely on this — a
-	// crashed container must stay down until the test restarts it.
-	Manual bool
 	// LeaseTTL is each store's claim-lease duration (default 3s). A store
 	// that stops renewing loses every claim at once.
 	LeaseTTL time.Duration
@@ -44,9 +36,6 @@ type OwnershipConfig struct {
 }
 
 func (o *OwnershipConfig) defaults() {
-	if o.Manual {
-		return
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 3 * time.Second
 	}
@@ -81,15 +70,8 @@ type ClusterConfig struct {
 	// a Sim-wrapped NoOp store when Profile is set).
 	LTS lts.ChunkStorage
 	// Container overrides container tuning fields (ID/BK/Meta/LTS/
-	// Replication are filled in by the cluster). Container.Hooks, when set,
-	// flows into every hosted container — including ones started later via
-	// RestartContainer — which is how fault-injection schedules persist
-	// across crash/restart cycles.
+	// Replication are filled in by the cluster).
 	Container segstore.ContainerConfig
-	// WrapBookie, when non-nil, decorates each bookie before it is
-	// registered with the ledger client (fault injection: failed appends,
-	// dropped acks, fencing errors).
-	WrapBookie func(bookkeeper.Node) bookkeeper.Node
 }
 
 func (c *ClusterConfig) defaults() {
@@ -162,11 +144,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		b := bookkeeper.NewBookie(bcfg)
 		cl.bookies = append(cl.bookies, b)
-		var node bookkeeper.Node = b
-		if cfg.WrapBookie != nil {
-			node = cfg.WrapBookie(b)
-		}
-		bk.RegisterBookie(node)
+		bk.RegisterBookie(b)
 	}
 
 	cl.LTS = cfg.LTS
@@ -189,27 +167,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	if cfg.Ownership.Manual {
-		// Static round-robin placement; claims recorded but never rebalanced.
-		for si, st := range cl.stores {
-			for k := 0; k < cfg.ContainersPerStore; k++ {
-				if _, err := st.StartContainer(si*cfg.ContainersPerStore + k); err != nil {
-					cl.Close()
-					return nil, err
-				}
-			}
-		}
-	} else {
-		// All hosts are registered; a few synchronous rebalance rounds
-		// converge the claim set before anything serves traffic, then the
-		// managers take over in the background.
-		if err := cl.convergeLocked(); err != nil {
-			cl.Close()
-			return nil, err
-		}
-		for _, m := range cl.mgrs {
-			m.Run()
-		}
+	// All hosts are registered; a few synchronous rebalance rounds converge
+	// the claim set before anything serves traffic, then the managers take
+	// over in the background.
+	if err := cl.convergeLocked(); err != nil {
+		cl.Close()
+		return nil, err
+	}
+	for _, m := range cl.mgrs {
+		m.Run()
 	}
 	cl.router, err = placement.New(placement.Config{
 		Source: placement.CoordSource{Coord: meta, Total: cl.total},
@@ -239,19 +205,15 @@ func (cl *Cluster) dialStore(ep placement.Endpoint) (placement.Store, error) {
 // and the single-process server's data backend.
 func (cl *Cluster) Router() *placement.Router { return cl.router }
 
-// addStoreLocked creates one store (and, in dynamic mode, its ownership
-// manager) and appends it to the cluster. Callers hold no locks during
-// NewCluster; AddStore takes cl.mu.
+// addStoreLocked creates one store and its ownership manager and appends
+// them to the cluster. Callers hold no locks during NewCluster; AddStore
+// takes cl.mu.
 func (cl *Cluster) addStoreLocked() (*segstore.Store, error) {
 	ccfg := cl.cfg.Container
 	ccfg.BK = cl.BK
 	ccfg.Meta = cl.Meta
 	ccfg.Replication = cl.cfg.Replication
 	ccfg.LTS = cl.LTS
-	var ttl time.Duration
-	if !cl.cfg.Ownership.Manual {
-		ttl = cl.cfg.Ownership.LeaseTTL
-	}
 	id := fmt.Sprintf("segmentstore-%d", len(cl.stores))
 	for {
 		if _, taken := cl.storesByID[id]; !taken {
@@ -264,22 +226,20 @@ func (cl *Cluster) addStoreLocked() (*segstore.Store, error) {
 		TotalContainers: cl.total,
 		Container:       ccfg,
 		Cluster:         cl.Meta,
-		LeaseTTL:        ttl,
+		LeaseTTL:        cl.cfg.Ownership.LeaseTTL,
 	})
 	if err != nil {
 		return nil, err
 	}
 	cl.stores = append(cl.stores, st)
 	cl.storesByID[id] = st
-	if !cl.cfg.Ownership.Manual {
-		m, err := segstore.StartOwnershipManager(st, segstore.OwnershipConfig{
-			RebalanceInterval: cl.cfg.Ownership.RebalanceInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cl.mgrs[id] = m
+	m, err := segstore.StartOwnershipManager(st, segstore.OwnershipConfig{
+		RebalanceInterval: cl.cfg.Ownership.RebalanceInterval,
+	})
+	if err != nil {
+		return nil, err
 	}
+	cl.mgrs[id] = m
 	return st, nil
 }
 
@@ -304,8 +264,8 @@ func (cl *Cluster) convergeLocked() error {
 	return errors.New("hosting: placement did not converge")
 }
 
-// AddStore adds a segment store to a running dynamic cluster; the
-// rebalancer sheds load onto it. Returns the new store.
+// AddStore adds a segment store to the running cluster; the rebalancer
+// sheds load onto it. Returns the new store.
 func (cl *Cluster) AddStore() (*segstore.Store, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -313,9 +273,7 @@ func (cl *Cluster) AddStore() (*segstore.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m, ok := cl.mgrs[st.ID()]; ok {
-		m.Run()
-	}
+	cl.mgrs[st.ID()].Run()
 	return st, nil
 }
 
@@ -398,37 +356,6 @@ func (cl *Cluster) LoadByStore() map[string]float64 {
 		out[st.ID()] = sum
 	}
 	return out
-}
-
-// CrashContainer abruptly stops one container wherever it is hosted (fault
-// injection): no flush, no checkpoint, claim released, WAL handle left open
-// for the next instance to fence. Restart it with RestartContainer. Only
-// meaningful under Ownership.Manual — a live rebalancer would immediately
-// re-acquire the container.
-func (cl *Cluster) CrashContainer(containerID int) error {
-	for _, st := range cl.Stores() {
-		if st.Closed() {
-			continue // a crashed store's stale map must not release the new owner's claim
-		}
-		if err := st.CrashContainer(containerID); !errors.Is(err, segstore.ErrWrongContainer) {
-			return err
-		}
-	}
-	return fmt.Errorf("hosting: container %d has no home", containerID)
-}
-
-// RestartContainer simulates recovery of a crashed container on a given
-// store (tests). The container must not be running anywhere.
-func (cl *Cluster) RestartContainer(storeIdx, containerID int) error {
-	cl.mu.Lock()
-	if storeIdx < 0 || storeIdx >= len(cl.stores) {
-		cl.mu.Unlock()
-		return errors.New("hosting: bad store index")
-	}
-	st := cl.stores[storeIdx]
-	cl.mu.Unlock()
-	_, err := st.StartContainer(containerID)
-	return err
 }
 
 // AwaitConverged blocks until every container has an owner (and the

@@ -2,6 +2,7 @@ package hosting
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -123,7 +124,7 @@ func TestStoreCrashContainerReassignment(t *testing.T) {
 		t.Fatal("claim survived the crash")
 	}
 	// Store 1 takes the container over; recovery replays the WAL.
-	if err := cl.RestartContainer(1, 0); err != nil {
+	if _, err := cl.stores[1].StartContainer(0); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
 	c, err := storeFor(t, cl, seg).Container(seg)
@@ -192,6 +193,10 @@ func TestLTSOutageThrottlesAndRecovers(t *testing.T) {
 	}
 	if c.Stats().ThrottleWaits == 0 {
 		t.Fatal("throttle waits not recorded")
+	}
+	// A tiering wait that times out during the outage names its cause.
+	if err := cl.WaitForTiering(50 * time.Millisecond); !errors.Is(err, lts.ErrUnavailable) {
+		t.Fatalf("WaitForTiering during the outage = %v, want an error wrapping lts.ErrUnavailable", err)
 	}
 	// LTS recovers: the backlog drains and the writer completes.
 	simLTS.SetUnavailable(false)

@@ -1,6 +1,7 @@
 package omb
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -34,7 +35,7 @@ func (p *PravegaSystem) Name() string {
 
 // CreateTopic implements System: a stream with fixed parallelism.
 func (p *PravegaSystem) CreateTopic(topic string, partitions int) error {
-	return p.Sys.CreateStream(pravega.StreamConfig{
+	return p.Sys.Streams().Create(context.Background(), pravega.StreamConfig{
 		Scope:           p.Scope,
 		Name:            topic,
 		InitialSegments: partitions,

@@ -1,6 +1,7 @@
 package omb
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func newPravegaSystem(t *testing.T) *PravegaSystem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CreateScope("omb"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "omb"); err != nil {
 		t.Fatal(err)
 	}
 	ps := &PravegaSystem{Sys: sys, Scope: "omb"}

@@ -24,12 +24,8 @@ type ContainerConfig struct {
 	// Cache sizes the container's block cache.
 	Cache blockcache.Config
 
-	// MaxFrameSize bounds one WAL data frame (default 1 MiB).
-	MaxFrameSize int
 	// MaxFrameDelay bounds the adaptive batching delay (default 20 ms).
 	MaxFrameDelay time.Duration
-	// OpQueueLen bounds queued operations (backpressure; default 4096).
-	OpQueueLen int
 	// WALRolloverBytes is the ledger rollover threshold.
 	WALRolloverBytes int64
 
@@ -59,30 +55,15 @@ type ContainerConfig struct {
 	ReadAheadDepth int
 	// ReadAheadRangeBytes is the prefetch unit (default 1 MiB).
 	ReadAheadRangeBytes int64
-	// ReadAheadBudgetBytes bounds the prefetcher's buffered bytes — a
-	// budget deliberately separate from the tail block cache (§4.2's
-	// no-pollution rule; default 16 MiB).
-	ReadAheadBudgetBytes int64
 
 	// Hooks exposes deterministic crash points inside the pipeline for
 	// fault-injection tests (internal/faultinject). Nil in production.
 	Hooks *Hooks
-
-	// LoadWindow and LoadSlots configure the per-segment rate meters that
-	// feed auto-scaling reports (§3.1).
-	LoadWindow time.Duration
-	LoadSlots  int
 }
 
 func (c *ContainerConfig) defaults() {
-	if c.MaxFrameSize <= 0 {
-		c.MaxFrameSize = 1 << 20
-	}
 	if c.MaxFrameDelay <= 0 {
 		c.MaxFrameDelay = 20 * time.Millisecond
-	}
-	if c.OpQueueLen <= 0 {
-		c.OpQueueLen = 4096
 	}
 	if c.WALRolloverBytes <= 0 {
 		c.WALRolloverBytes = 64 << 20
@@ -110,14 +91,5 @@ func (c *ContainerConfig) defaults() {
 	}
 	if c.ReadAheadRangeBytes <= 0 {
 		c.ReadAheadRangeBytes = 1 << 20
-	}
-	if c.ReadAheadBudgetBytes <= 0 {
-		c.ReadAheadBudgetBytes = 16 << 20
-	}
-	if c.LoadWindow <= 0 {
-		c.LoadWindow = 2 * time.Second
-	}
-	if c.LoadSlots <= 0 {
-		c.LoadSlots = 4
 	}
 }

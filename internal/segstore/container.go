@@ -160,6 +160,19 @@ type Container struct {
 	flushRounds      obs.Counter
 }
 
+const (
+	// opQueueLen bounds queued operations (backpressure).
+	opQueueLen = 4096
+	// readAheadBudgetBytes bounds the prefetcher's buffered bytes — a budget
+	// deliberately separate from the tail block cache (§4.2's no-pollution
+	// rule).
+	readAheadBudgetBytes = 16 << 20
+	// loadWindow and loadSlots size the per-segment rate meters that feed
+	// auto-scaling reports (§3.1).
+	loadWindow = 2 * time.Second
+	loadSlots  = 4
+)
+
 // NewContainer opens the container, performing recovery: it takes over the
 // container's WAL (fencing any previous instance), restores the last
 // metadata checkpoint and replays the tail of the log (§4.4).
@@ -169,7 +182,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		cfg:           cfg,
 		cache:         blockcache.New(cfg.Cache),
 		segments:      make(map[string]*segState),
-		opQueue:       make(chan *pendingOp, cfg.OpQueueLen),
+		opQueue:       make(chan *pendingOp, opQueueLen),
 		stop:          make(chan struct{}),
 		applyKick:     make(chan struct{}, 1),
 		flushKick:     make(chan struct{}, 1),
@@ -198,7 +211,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		c.ra = readahead.New(readahead.Config{
 			RangeBytes:  cfg.ReadAheadRangeBytes,
 			Depth:       cfg.ReadAheadDepth,
-			BudgetBytes: cfg.ReadAheadBudgetBytes,
+			BudgetBytes: readAheadBudgetBytes,
 			Workers:     cfg.MaxReadFanout,
 			Fetch:       c.fetchRange,
 		})
@@ -225,7 +238,7 @@ func (c *Container) newSegState(name string) *segState {
 		attributes:  make(segment.Attributes),
 		attrPending: make(segment.Attributes),
 		index:       readindex.New(),
-		meter:       obs.NewRateMeter(c.cfg.LoadSlots, c.cfg.LoadWindow/time.Duration(c.cfg.LoadSlots)),
+		meter:       obs.NewRateMeter(loadSlots, loadWindow/loadSlots),
 	}
 }
 

@@ -255,6 +255,9 @@ func (c *Container) throttle() {
 	}
 }
 
+// maxFrameSize bounds one WAL data frame (the paper's MaxFrameSize, 1 MiB).
+const maxFrameSize = 1 << 20
+
 // frameBuilderLoop implements §4.1's second batching level: it drains the
 // operation queue into data frames, validating and sequencing operations in
 // arrival order, and submits each frame to the WAL. When the queue runs dry
@@ -311,7 +314,7 @@ func (c *Container) frameBuilderLoop() {
 		// hold the frame open indefinitely, starving the ops already in it.
 		var timer *time.Timer
 	fill:
-		for fr.bytes < c.cfg.MaxFrameSize {
+		for fr.bytes < maxFrameSize {
 			select {
 			case p := <-c.opQueue:
 				admit(p)
@@ -368,7 +371,7 @@ func (c *Container) frameDelay() time.Duration {
 	lat := c.recentLatency
 	avg := c.avgWriteSize
 	c.statMu.Unlock()
-	frac := 1 - avg/float64(c.cfg.MaxFrameSize)
+	frac := 1 - avg/maxFrameSize
 	if frac < 0 {
 		frac = 0
 	}

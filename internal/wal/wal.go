@@ -62,8 +62,6 @@ type Config struct {
 	Client *bookkeeper.Client
 	// Meta stores log metadata.
 	Meta cluster.Coord
-	// MetaRoot prefixes metadata paths.
-	MetaRoot string
 	// Replication is passed to each ledger.
 	Replication bookkeeper.ReplicationConfig
 	// RolloverBytes starts a new ledger once the current one holds this
@@ -86,23 +84,23 @@ type Log struct {
 	inflight sync.WaitGroup
 }
 
+// metaRoot prefixes the logs' metadata paths.
+const metaRoot = "/pravega/wal"
+
 // Open opens (or creates) the named log, taking exclusive ownership: any
 // previous writer's open ledger is fenced and sealed, and its future
 // metadata updates will fail. Returns the log positioned for appending.
 func Open(cfg Config) (*Log, error) {
-	if cfg.MetaRoot == "" {
-		cfg.MetaRoot = "/pravega/wal"
-	}
 	if cfg.RolloverBytes <= 0 {
 		cfg.RolloverBytes = 64 << 20
 	}
 	if err := cfg.Replication.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Meta.CreateAll(cfg.MetaRoot, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
+	if err := cfg.Meta.CreateAll(metaRoot, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
 		return nil, err
 	}
-	l := &Log{cfg: cfg, path: cfg.MetaRoot + "/" + cfg.Name}
+	l := &Log{cfg: cfg, path: metaRoot + "/" + cfg.Name}
 
 	data, stat, err := cfg.Meta.Get(l.path)
 	switch {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -212,6 +213,62 @@ func TestFailAllDeliversOffCallerGoroutine(t *testing.T) {
 	case <-delivered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending callback never delivered after Close")
+	}
+}
+
+// scriptedConn is a net.Conn whose Write and Read each block until the test
+// hands them the error to fail with.
+type scriptedConn struct {
+	net.Conn               // nil: the test reaches only Read and Write
+	inWrite  chan struct{} // closed when Write is entered
+	writeErr chan error
+	readErr  chan error
+}
+
+func (c *scriptedConn) Write([]byte) (int, error) {
+	close(c.inWrite)
+	return 0, <-c.writeErr
+}
+
+func (c *scriptedConn) Read([]byte) (int, error) { return 0, <-c.readErr }
+
+// TestSendFailureReportedOnce pins CallAsyncFunc's "cb fires exactly once"
+// when a request loses its connection twice over: the read loop dies while
+// the request is still inside its write, failAll fails the registered
+// request through the callback, and then the write fails too. Returning the
+// write error on top of that made storeConn.AppendAsync fail the same batch
+// a second time — the event writer parked it twice and the second
+// WriteFuture.complete closed a closed channel.
+func TestSendFailureReportedOnce(t *testing.T) {
+	nc := &scriptedConn{
+		inWrite:  make(chan struct{}),
+		writeErr: make(chan error),
+		readErr:  make(chan error),
+	}
+	c := &Conn{
+		conn:    nc,
+		wr:      bufio.NewWriter(nc),
+		pending: make(map[uint64]*pendingReply),
+		drained: make(chan struct{}),
+	}
+	go c.readLoop()
+
+	var reported atomic.Int32
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		req := AppendReq{Segment: "s/0", Data: []byte("x"), CondOffset: -1}
+		if err := c.CallAsyncFunc(MsgAppend, &req, func(Reply) { reported.Add(1) }); err != nil {
+			reported.Add(1)
+		}
+	}()
+	<-nc.inWrite                    // registered, and blocked flushing the frame
+	nc.readErr <- io.EOF            // the read loop dies first ...
+	<-c.drained                     // ... and failAll has failed the request
+	nc.writeErr <- io.ErrClosedPipe // only now does the write fail
+	<-sent
+	if n := reported.Load(); n != 1 {
+		t.Fatalf("one failed append reported %d times, want 1", n)
 	}
 }
 

@@ -539,10 +539,14 @@ func (c *Conn) send(t MessageType, body any, p *pendingReply) (uint64, error) {
 		reg := c.pending[id]
 		delete(c.pending, id)
 		c.pendMu.Unlock()
-		if reg != nil {
-			*reg = pendingReply{}
-			pendingReplyPool.Put(reg)
+		if reg == nil {
+			// The read loop died first: failAll took the descriptor and
+			// reports the disconnection through it. Returning the write
+			// error as well would complete the request twice.
+			return id, nil
 		}
+		*reg = pendingReply{}
+		pendingReplyPool.Put(reg)
 		return 0, err
 	}
 	return id, nil

@@ -41,26 +41,26 @@ func TestSentinelConversion(t *testing.T) {
 // and checks the public sentinel matches.
 func TestSentinelsEndToEnd(t *testing.T) {
 	sys := newTestSystem(t)
-	if err := sys.CreateScope("s"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CreateScope("s"); !errors.Is(err, ErrScopeExists) {
+	if err := sys.Streams().CreateScope(context.Background(), "s"); !errors.Is(err, ErrScopeExists) {
 		t.Errorf("duplicate CreateScope: got %v, want ErrScopeExists", err)
 	}
-	if err := sys.CreateStream(StreamConfig{Scope: "nope", Name: "x", InitialSegments: 1}); !errors.Is(err, ErrScopeNotFound) {
+	if err := sys.Streams().Create(context.Background(), StreamConfig{Scope: "nope", Name: "x", InitialSegments: 1}); !errors.Is(err, ErrScopeNotFound) {
 		t.Errorf("CreateStream in unknown scope: got %v, want ErrScopeNotFound", err)
 	}
-	if err := sys.CreateStream(StreamConfig{Scope: "s", Name: "st", InitialSegments: 1}); err != nil {
+	if err := sys.Streams().Create(context.Background(), StreamConfig{Scope: "s", Name: "st", InitialSegments: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CreateStream(StreamConfig{Scope: "s", Name: "st", InitialSegments: 1}); !errors.Is(err, ErrStreamExists) {
+	if err := sys.Streams().Create(context.Background(), StreamConfig{Scope: "s", Name: "st", InitialSegments: 1}); !errors.Is(err, ErrStreamExists) {
 		t.Errorf("duplicate CreateStream: got %v, want ErrStreamExists", err)
 	}
-	if err := sys.SealStream("s", "missing"); !errors.Is(err, ErrStreamNotFound) {
+	if err := sys.Streams().Seal(context.Background(), "s", "missing"); !errors.Is(err, ErrStreamNotFound) {
 		t.Errorf("SealStream on unknown stream: got %v, want ErrStreamNotFound", err)
 	}
 	// The internal sentinel must keep matching too (compatibility).
-	err := sys.CreateScope("s")
+	err := sys.Streams().CreateScope(context.Background(), "s")
 	if !errors.Is(err, controller.ErrScopeExists) {
 		t.Errorf("public error lost internal sentinel: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestWriterSealedStreamSentinel(t *testing.T) {
 	if err := w.WriteEvent("k", []byte("before")).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SealStream("seal", "s"); err != nil {
+	if err := sys.Streams().Seal(context.Background(), "seal", "s"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"testing"
 
 	"github.com/pravega-go/pravega/internal/hosting"
@@ -47,10 +48,10 @@ func benchSystem(b *testing.B, tcp bool) *System {
 // transport's pipelining both engage.
 func benchWriter(b *testing.B, tcp bool) {
 	sys := benchSystem(b, tcp)
-	if err := sys.CreateScope("bench"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "bench"); err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.CreateStream(StreamConfig{Scope: "bench", Name: "s", InitialSegments: 1}); err != nil {
+	if err := sys.Streams().Create(context.Background(), StreamConfig{Scope: "bench", Name: "s", InitialSegments: 1}); err != nil {
 		b.Fatal(err)
 	}
 	w, err := sys.NewWriter(WriterConfig{Scope: "bench", Stream: "s"})

@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestKeyValueTableOverSegments(t *testing.T) {
 	sys := newTestSystem(t)
-	if err := sys.CreateScope("kv"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "kv"); err != nil {
 		t.Fatal(err)
 	}
 	tb, err := sys.NewKeyValueTable("kv", "config")

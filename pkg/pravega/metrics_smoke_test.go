@@ -1,6 +1,7 @@
 package pravega_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,10 +33,10 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		t.Fatal("MetricsAddr empty after configuring an endpoint")
 	}
 
-	if err := sys.CreateScope("obs"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "obs"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CreateStream(pravega.StreamConfig{Scope: "obs", Name: "s", InitialSegments: 2}); err != nil {
+	if err := sys.Streams().Create(context.Background(), pravega.StreamConfig{Scope: "obs", Name: "s", InitialSegments: 2}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := sys.NewWriter(pravega.WriterConfig{Scope: "obs", Stream: "s"})

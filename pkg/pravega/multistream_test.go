@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -11,13 +12,13 @@ import (
 // them.
 func TestReaderGroupSpansStreams(t *testing.T) {
 	sys := newTestSystem(t)
-	if err := sys.CreateScope("multi"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "multi"); err != nil {
 		t.Fatal(err)
 	}
 	const streams = 3
 	const perStream = 40
 	for s := 0; s < streams; s++ {
-		if err := sys.CreateStream(StreamConfig{
+		if err := sys.Streams().Create(context.Background(), StreamConfig{
 			Scope: "multi", Name: fmt.Sprintf("s%d", s), InitialSegments: 2,
 		}); err != nil {
 			t.Fatal(err)
@@ -74,7 +75,7 @@ func TestReaderGroupSpansStreams(t *testing.T) {
 // TestReaderGroupRequiresStream: a group over zero streams is invalid.
 func TestReaderGroupRequiresStream(t *testing.T) {
 	sys := newTestSystem(t)
-	if err := sys.CreateScope("z"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "z"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.NewReaderGroup("empty", "z"); err == nil {

@@ -11,10 +11,11 @@
 //
 // Quick start:
 //
+//	ctx := context.Background()
 //	sys, _ := pravega.NewInProcess(pravega.SystemConfig{})
 //	defer sys.Close()
-//	_ = sys.CreateScope("demo")
-//	_ = sys.CreateStream(pravega.StreamConfig{Scope: "demo", Name: "events", InitialSegments: 2})
+//	_ = sys.Streams().CreateScope(ctx, "demo")
+//	_ = sys.Streams().Create(ctx, pravega.StreamConfig{Scope: "demo", Name: "events", InitialSegments: 2})
 //	w, _ := sys.NewWriter(pravega.WriterConfig{Scope: "demo", Stream: "events"})
 //	_ = w.WriteEvent("sensor-1", []byte("hello")).Wait()
 //	rg, _ := sys.NewReaderGroup("rg", "demo", "events")
@@ -23,7 +24,6 @@
 package pravega
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -112,29 +112,6 @@ type SystemConfig struct {
 	// TraceSampleEvery samples one append span per this many appends into
 	// the /debug/traces ring. Zero disables append tracing.
 	TraceSampleEvery int
-	// ReadAhead tunes the server-side catch-up read path of every segment
-	// container (scatter-gather fanout and the readahead prefetcher).
-	// Zero-valued fields keep the container defaults.
-	ReadAhead ReadAheadConfig
-}
-
-// ReadAheadConfig tunes historical (catch-up) reads: the parallel
-// scatter-gather fanout across LTS chunks and the sequential-reader
-// prefetcher that pipelines ranges ahead of the cursor (§4.2, §5.7). The
-// prefetcher's budget is separate from the tail block cache, so catch-up
-// scans never evict the tail working set.
-type ReadAheadConfig struct {
-	// MaxReadFanout bounds parallel per-chunk LTS reads for one historical
-	// read (default 8; 1 = sequential single-chunk reads).
-	MaxReadFanout int
-	// Depth is how many ranges the prefetcher keeps buffered or in flight
-	// ahead of a sequential reader (default 4; negative disables
-	// readahead).
-	Depth int
-	// RangeBytes is the prefetch unit (default 1 MiB).
-	RangeBytes int64
-	// BudgetBytes bounds the prefetcher's buffered bytes (default 16 MiB).
-	BudgetBytes int64
 }
 
 // System is a handle on a Pravega deployment: either a full in-process
@@ -148,25 +125,12 @@ type System struct {
 	control client.ControlTransport // control-plane transport
 	newData func() client.DataTransport
 	remote  *wire.Client // set by Connect; closed with the System
-	profile *sim.Profile
 	obsSrv  *obs.Server
 }
 
 // NewInProcess starts a full in-process deployment.
 func NewInProcess(cfg SystemConfig) (*System, error) {
 	cfg.Cluster.Profile = cfg.Profile
-	if cfg.ReadAhead.MaxReadFanout != 0 {
-		cfg.Cluster.Container.MaxReadFanout = cfg.ReadAhead.MaxReadFanout
-	}
-	if cfg.ReadAhead.Depth != 0 {
-		cfg.Cluster.Container.ReadAheadDepth = cfg.ReadAhead.Depth
-	}
-	if cfg.ReadAhead.RangeBytes != 0 {
-		cfg.Cluster.Container.ReadAheadRangeBytes = cfg.ReadAhead.RangeBytes
-	}
-	if cfg.ReadAhead.BudgetBytes != 0 {
-		cfg.Cluster.Container.ReadAheadBudgetBytes = cfg.ReadAhead.BudgetBytes
-	}
 	cl, err := hosting.NewCluster(cfg.Cluster)
 	if err != nil {
 		return nil, err
@@ -183,7 +147,7 @@ func NewInProcess(cfg SystemConfig) (*System, error) {
 	if cfg.PolicyInterval > 0 {
 		ctrl.StartPolicyLoops(cfg.PolicyInterval)
 	}
-	s := &System{cluster: cl, ctrl: ctrl, control: ctrl, profile: cfg.Profile}
+	s := &System{cluster: cl, ctrl: ctrl, control: ctrl}
 	s.newData = func() client.DataTransport { return cl.NewClientConn(cfg.Profile) }
 	if cfg.TraceSampleEvery > 0 {
 		obs.AppendTraces().SetSampleEvery(cfg.TraceSampleEvery)
@@ -277,20 +241,6 @@ func (s *System) Cluster() *hosting.Cluster { return s.cluster }
 // System opened with Connect.
 func (s *System) Controller() *controller.Controller { return s.ctrl }
 
-// CreateScope registers a stream namespace.
-//
-// Deprecated: use Streams().CreateScope, which takes a context.
-func (s *System) CreateScope(scope string) error {
-	return s.Streams().CreateScope(context.Background(), scope)
-}
-
-// CreateStream creates a stream.
-//
-// Deprecated: use Streams().Create, which takes a context.
-func (s *System) CreateStream(cfg StreamConfig) error {
-	return s.Streams().Create(context.Background(), cfg)
-}
-
 func toInternalScaling(p ScalingPolicy) controller.ScalingPolicy {
 	return controller.ScalingPolicy{
 		Type:        controller.ScalingType(orDefault(string(p.Type), string(ScalingFixed))),
@@ -305,48 +255,6 @@ func orDefault(v, d string) string {
 		return d
 	}
 	return v
-}
-
-// UpdateStreamPolicies replaces a stream's policies at runtime (§2.1).
-//
-// Deprecated: use Streams().UpdatePolicies, which takes a context.
-func (s *System) UpdateStreamPolicies(scope, stream string, scaling *ScalingPolicy, retention *RetentionPolicy) error {
-	return s.Streams().UpdatePolicies(context.Background(), scope, stream, scaling, retention)
-}
-
-// SealStream makes a stream read-only.
-//
-// Deprecated: use Streams().Seal, which takes a context.
-func (s *System) SealStream(scope, stream string) error {
-	return s.Streams().Seal(context.Background(), scope, stream)
-}
-
-// DeleteStream removes a sealed stream.
-//
-// Deprecated: use Streams().Delete, which takes a context.
-func (s *System) DeleteStream(scope, stream string) error {
-	return s.Streams().Delete(context.Background(), scope, stream)
-}
-
-// SegmentCount reports the stream's current parallelism.
-//
-// Deprecated: use Streams().SegmentCount, which takes a context.
-func (s *System) SegmentCount(scope, stream string) (int, error) {
-	return s.Streams().SegmentCount(context.Background(), scope, stream)
-}
-
-// ScaleStream manually splits one active segment into factor successors.
-//
-// Deprecated: use Streams().Scale, which takes a context.
-func (s *System) ScaleStream(scope, stream string, segmentNumber int64, factor int) error {
-	return s.Streams().Scale(context.Background(), scope, stream, segmentNumber, factor)
-}
-
-// TruncateStreamAtTail truncates the whole stream history up to "now".
-//
-// Deprecated: use Streams().Truncate, which takes a context.
-func (s *System) TruncateStreamAtTail(scope, stream string) error {
-	return s.Streams().Truncate(context.Background(), scope, stream)
 }
 
 // routeTable is the writer's view of a stream's active segments.

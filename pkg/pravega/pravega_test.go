@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -68,10 +69,10 @@ func serveBacking(backing *System, addr string) (*wire.Server, error) {
 
 func mustCreate(t *testing.T, sys *System, scope, stream string, segments int) {
 	t.Helper()
-	if err := sys.CreateScope(scope); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), scope); err != nil {
 		t.Fatalf("CreateScope: %v", err)
 	}
-	if err := sys.CreateStream(StreamConfig{Scope: scope, Name: stream, InitialSegments: segments}); err != nil {
+	if err := sys.Streams().Create(context.Background(), StreamConfig{Scope: scope, Name: stream, InitialSegments: segments}); err != nil {
 		t.Fatalf("CreateStream: %v", err)
 	}
 }
@@ -179,10 +180,10 @@ func TestManualScalePreservesOrder(t *testing.T) {
 	}
 	// Scale the single segment (epoch 0, number 0) into 3 successors while
 	// the writer keeps going.
-	if err := sys.ScaleStream("sc", "s", 0, 3); err != nil {
+	if err := sys.Streams().Scale(context.Background(), "sc", "s", 0, 3); err != nil {
 		t.Fatalf("ScaleStream: %v", err)
 	}
-	if n, _ := sys.SegmentCount("sc", "s"); n != 3 {
+	if n, _ := sys.Streams().SegmentCount(context.Background(), "sc", "s"); n != 3 {
 		t.Fatalf("segment count %d, want 3", n)
 	}
 	write(half, perKey)
@@ -357,10 +358,10 @@ func TestAutoScalingSplitsHotStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if err := sys.CreateScope("auto"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "auto"); err != nil {
 		t.Fatal(err)
 	}
-	err = sys.CreateStream(StreamConfig{
+	err = sys.Streams().Create(context.Background(), StreamConfig{
 		Scope: "auto", Name: "s", InitialSegments: 1,
 		Scaling: ScalingPolicy{Type: ScalingByEventRate, TargetRate: 50, ScaleFactor: 2},
 	})
@@ -379,12 +380,12 @@ func TestAutoScalingSplitsHotStream(t *testing.T) {
 		i++
 		if i%200 == 0 {
 			_ = w.Flush()
-			if n, _ := sys.SegmentCount("auto", "s"); n >= 2 {
+			if n, _ := sys.Streams().SegmentCount(context.Background(), "auto", "s"); n >= 2 {
 				return // stream scaled up
 			}
 		}
 		time.Sleep(2 * time.Millisecond) // ~500 e/s, 10x the target
 	}
-	n, _ := sys.SegmentCount("auto", "s")
+	n, _ := sys.Streams().SegmentCount(context.Background(), "auto", "s")
 	t.Fatalf("stream never scaled up (still %d segment(s) after %d events)", n, i)
 }

@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -190,11 +191,11 @@ func TestSegmentCountAfterRepeatedScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		target := segs[0]
-		if err := sys.ScaleStream("multi", "s", target.ID.Number, 2); err != nil {
+		if err := sys.Streams().Scale(context.Background(), "multi", "s", target.ID.Number, 2); err != nil {
 			t.Fatal(err)
 		}
 		want++
-		if n, _ := sys.SegmentCount("multi", "s"); n != want {
+		if n, _ := sys.Streams().SegmentCount(context.Background(), "multi", "s"); n != want {
 			t.Fatalf("round %d: %d segments, want %d", round, n, want)
 		}
 	}

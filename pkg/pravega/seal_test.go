@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -24,7 +25,7 @@ func TestReadSealedStreamToCompletion(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SealStream("fin", "s"); err != nil {
+	if err := sys.Streams().Seal(context.Background(), "fin", "s"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +66,7 @@ func TestWriteToSealedStreamFails(t *testing.T) {
 	if err := w.WriteEvent("k", []byte("ok")).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SealStream("wseal", "s"); err != nil {
+	if err := sys.Streams().Seal(context.Background(), "wseal", "s"); err != nil {
 		t.Fatal(err)
 	}
 	f := w.WriteEvent("k", []byte("too late"))
@@ -94,13 +95,13 @@ func TestDeleteStreamEndToEnd(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SealStream("gone", "s"); err != nil {
+	if err := sys.Streams().Seal(context.Background(), "gone", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.DeleteStream("gone", "s"); err != nil {
+	if err := sys.Streams().Delete(context.Background(), "gone", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.SegmentCount("gone", "s"); err == nil {
+	if _, err := sys.Streams().SegmentCount(context.Background(), "gone", "s"); err == nil {
 		t.Fatal("deleted stream still queryable")
 	}
 	if _, err := sys.NewWriter(WriterConfig{Scope: "gone", Stream: "s"}); err == nil {

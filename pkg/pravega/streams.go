@@ -10,8 +10,7 @@ import (
 // StreamManager consolidates stream administration behind one accessor with
 // context-first signatures: every verb takes a context.Context as its first
 // parameter and honors cancellation (see DESIGN.md §"Context convention").
-// Obtain it with System.Streams; the legacy System admin methods are thin
-// deprecated wrappers over this type.
+// Obtain it with System.Streams.
 type StreamManager struct {
 	sys *System
 }

@@ -327,7 +327,7 @@ func TestTxnLeaseExpiryReaped(t *testing.T) {
 
 func TestTxnBeginOnUnknownStream(t *testing.T) {
 	sys := newTestSystem(t)
-	if err := sys.CreateScope("txns"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "txns"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.NewTransactionalWriter(TxnWriterConfig{Scope: "txns", Stream: "ghost"}); !errors.Is(err, ErrStreamNotFound) {

@@ -23,8 +23,6 @@ type WriterConfig struct {
 	// Scope and Stream name the target stream.
 	Scope  string
 	Stream string
-	// MaxBatchSize bounds one append batch in bytes (default 1 MiB, §4.1).
-	MaxBatchSize int
 	// MaxInFlight bounds pipelined appends per segment (default 2: one
 	// batch on the wire while the next fills — the paper's "batch data is
 	// a mix of data in-flight and data collected at the server").
@@ -34,10 +32,11 @@ type WriterConfig struct {
 	ID string
 }
 
+// maxBatchSize bounds one append batch in bytes (the paper's MaxBatchSize,
+// 1 MiB, §4.1).
+const maxBatchSize = 1 << 20
+
 func (c *WriterConfig) defaults() {
-	if c.MaxBatchSize <= 0 {
-		c.MaxBatchSize = 1 << 20
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2
 	}
@@ -123,8 +122,7 @@ type EventWriter struct {
 	stale   int // registered writers whose segment left the active route
 	closed  bool
 
-	eventSeq   atomic.Int64
-	bytesAcked atomic.Int64
+	eventSeq atomic.Int64
 
 	statMu sync.Mutex
 	rtt    time.Duration // EWMA of append round trips (diagnostics)
@@ -143,16 +141,9 @@ func (s *System) NewWriter(cfg WriterConfig) (*EventWriter, error) {
 		conn:    s.newData(),
 		route:   routeTable{segments: segs},
 		writers: make(map[int64]*segmentWriter),
-		rtt:     s.profileRTT(),
+		rtt:     500 * time.Microsecond,
 	}
 	return w, nil
-}
-
-func (s *System) profileRTT() time.Duration {
-	if s.profile == nil {
-		return 500 * time.Microsecond
-	}
-	return s.profile.ClientLink.RTT()
 }
 
 // ID returns the writer id used for deduplication.
@@ -311,9 +302,6 @@ func (w *EventWriter) Close() error {
 	return err
 }
 
-// BytesAcked reports durably acknowledged payload bytes (benchmarks).
-func (w *EventWriter) BytesAcked() int64 { return w.bytesAcked.Load() }
-
 // segmentWriter batches and pipelines appends to one segment.
 type segmentWriter struct {
 	w   *EventWriter
@@ -336,12 +324,9 @@ type segmentWriter struct {
 // merged or split — because the server deduplicates at batch granularity:
 // its writer attribute records the last event number of the last applied
 // batch (§3.2).
-type batchRec struct {
-	events  []pendingEvent
-	payload int64
-}
+type batchRec []pendingEvent
 
-func (b batchRec) lastNum() int64 { return b.events[len(b.events)-1].seq }
+func (b batchRec) lastNum() int64 { return b[len(b)-1].seq }
 
 func newSegmentWriter(w *EventWriter, seg controller.SegmentWithRange) *segmentWriter {
 	sw := &segmentWriter{w: w, seg: seg}
@@ -377,13 +362,13 @@ func (sw *segmentWriter) trySendLocked() {
 		return
 	}
 	limit := sw.w.cfg.MaxInFlight
-	if sw.batchSize >= sw.w.cfg.MaxBatchSize {
+	if sw.batchSize >= maxBatchSize {
 		limit *= 4 // burst relief at the batch-size bound
 	}
 	if sw.inflight >= limit {
 		return
 	}
-	mClientBatchFillPct.Record(int64(sw.batchSize) * 100 / int64(sw.w.cfg.MaxBatchSize))
+	mClientBatchFillPct.Record(int64(sw.batchSize) * 100 / maxBatchSize)
 	events := sw.batch
 	sw.batch = nil
 	sw.batchSize = 0
@@ -408,24 +393,21 @@ func transientAppendErr(err error) bool {
 // sendBatch serializes and ships one batch (caller holds sw.mu).
 func (sw *segmentWriter) sendBatch(events []pendingEvent) {
 	buf := make([]byte, 0, 4096)
-	var payload int64
 	for _, pe := range events {
 		buf = appendEventFrame(buf, pe.data)
-		payload += int64(len(pe.data))
 	}
 	lastNum := events[len(events)-1].seq
 	start := time.Now()
 	sw.w.conn.AppendAsync(sw.seg.ID.QualifiedName(), buf, sw.w.cfg.ID, lastNum, int32(len(events)), func(r segstore.AppendResult) {
 		sw.w.observeRTT(time.Since(start))
-		sw.onBatchResult(events, payload, r)
+		sw.onBatchResult(events, r)
 	})
 }
 
 // onBatchResult handles one batch acknowledgement.
-func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload int64, r segstore.AppendResult) {
+func (sw *segmentWriter) onBatchResult(events []pendingEvent, r segstore.AppendResult) {
 	switch {
 	case r.Err == nil:
-		sw.w.bytesAcked.Add(payload)
 		for _, pe := range events {
 			pe.future.complete(nil)
 		}
@@ -481,7 +463,7 @@ func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload int64, r s
 		// whichever way the ambiguity resolved (§3.2 reconnection
 		// handshake).
 		sw.mu.Lock()
-		sw.retry = append(sw.retry, batchRec{events: events, payload: payload})
+		sw.retry = append(sw.retry, events)
 		sw.inflight--
 		start := sw.inflight == 0 && !sw.recovering
 		if start {
@@ -544,7 +526,7 @@ func (sw *segmentWriter) recover() {
 			sw.mu.Unlock()
 			cerr := convertErr(err)
 			for _, rec := range recs {
-				for _, pe := range rec.events {
+				for _, pe := range rec {
 					pe.future.complete(cerr)
 				}
 			}
@@ -564,15 +546,14 @@ func (sw *segmentWriter) recover() {
 	for _, rec := range recs {
 		if rec.lastNum() <= attr {
 			// Applied before the connection died — only the ack was lost.
-			w.bytesAcked.Add(rec.payload)
-			for _, pe := range rec.events {
+			for _, pe := range rec {
 				pe.future.complete(nil)
 			}
 			continue
 		}
 		sw.mu.Lock()
 		sw.inflight++
-		sw.sendBatch(rec.events)
+		sw.sendBatch(rec)
 		sw.mu.Unlock()
 	}
 
@@ -660,7 +641,7 @@ func (sw *segmentWriter) failPending(err error) {
 	pending := append(sw.redirect, sw.batch...)
 	pending = append(pending, sw.held...)
 	for _, rec := range sw.retry {
-		pending = append(pending, rec.events...)
+		pending = append(pending, rec...)
 	}
 	sw.redirect, sw.batch, sw.held, sw.retry = nil, nil, nil, nil
 	sw.flushCond.Broadcast()

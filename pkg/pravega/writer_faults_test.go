@@ -94,10 +94,10 @@ func TestWriterExactlyOnceUnderAckFaults(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			sys := newTestSystem(t)
 			scope := fmt.Sprintf("ackfault%d", seed)
-			if err := sys.CreateScope(scope); err != nil {
+			if err := sys.Streams().CreateScope(context.Background(), scope); err != nil {
 				t.Fatalf("CreateScope: %v", err)
 			}
-			if err := sys.CreateStream(StreamConfig{Scope: scope, Name: "s", InitialSegments: 2}); err != nil {
+			if err := sys.Streams().Create(context.Background(), StreamConfig{Scope: scope, Name: "s", InitialSegments: 2}); err != nil {
 				t.Fatalf("CreateStream: %v", err)
 			}
 			w, err := sys.NewWriter(WriterConfig{Scope: scope, Stream: "s"})

@@ -40,16 +40,16 @@ fi
 
 # Context convention (DESIGN.md §"Context convention"): every NEW public
 # method in pkg/pravega must take a context.Context as its first parameter.
-# The grandfathered list below holds the pre-convention surface — deprecated
-# admin wrappers, non-blocking accessors, and legacy methods that already
-# have a *Ctx twin. Do not add new entries; add a ctx parameter (or a *Ctx
-# variant for a convenience form) instead.
+# The grandfathered list below holds the pre-convention surface —
+# non-blocking accessors and legacy methods that already have a *Ctx twin.
+# Do not add new entries; add a ctx parameter (or a *Ctx variant for a
+# convenience form) instead.
 ctx_allowlist=(
   # Non-blocking accessors / constructors / teardown.
   "System) Close" "System) MetricsAddr" "System) Cluster" "System) Controller"
   "System) Streams" "System) NewWriter" "System) NewTransactionalWriter"
   "System) NewReaderGroup" "System) NewKeyValueTable"
-  "EventWriter) ID" "EventWriter) RTT" "EventWriter) BytesAcked" "EventWriter) Close"
+  "EventWriter) ID" "EventWriter) RTT" "EventWriter) Close"
   "EventWriter) WriteEvent" # async: returns a future with WaitCtx
   "TransactionalEventWriter) ID" "TransactionalEventWriter) Close"
   "Txn) ID" "Txn) WriteEvent" # async: returns a future with WaitCtx
@@ -62,10 +62,6 @@ ctx_allowlist=(
   "EventWriter) Flush" "WriteFuture) Wait" "Reader) ReadNextEvent"
   "KeyValueTable) Get" "KeyValueTable) Put" "KeyValueTable) Delete"
   "KeyValueTable) Txn" "KeyValueTable) Keys" "KeyValueTable) Len"
-  # Deprecated System admin wrappers over Streams() (ctx-first).
-  "System) CreateScope" "System) CreateStream" "System) UpdateStreamPolicies"
-  "System) SealStream" "System) DeleteStream" "System) SegmentCount"
-  "System) ScaleStream" "System) TruncateStreamAtTail"
 )
 
 ctx_fail=0
