@@ -291,19 +291,4 @@ func (b *Bookie) DeleteLedger(ledgerID int64) error {
 	return nil
 }
 
-// LedgerBytes reports the bytes stored for a ledger (test/metrics helper).
-func (b *Bookie) LedgerBytes(ledgerID int64) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	l := b.ledgers[ledgerID]
-	if l == nil {
-		return 0
-	}
-	var n int64
-	for _, e := range l.entries {
-		n += int64(e.size)
-	}
-	return n
-}
-
 func (b *Bookie) String() string { return fmt.Sprintf("bookie(%s)", b.cfg.ID) }

@@ -11,6 +11,21 @@ import (
 	"github.com/pravega-go/pravega/internal/cluster"
 )
 
+// LedgerBytes reports the bytes stored for a ledger (test helper).
+func (b *Bookie) LedgerBytes(ledgerID int64) int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	l := b.ledgers[ledgerID]
+	if l == nil {
+		return 0
+	}
+	var n int64
+	for _, e := range l.entries {
+		n += int64(e.size)
+	}
+	return n
+}
+
 func newTestClient(t *testing.T, bookies int) (*Client, []*Bookie) {
 	t.Helper()
 	meta := cluster.NewStore()

@@ -63,7 +63,14 @@ func (f *FS) Write(name string, offset int64, data []byte) error {
 	if _, err := fh.WriteAt(data, offset); err != nil {
 		return err
 	}
-	return fh.Sync()
+	if err := fh.Sync(); err != nil {
+		return err
+	}
+	// Drop-behind: a chunk is write-once cold data and the tail is served
+	// from the store's own block cache, so a page-cache copy has no reader.
+	// Only clean pages can be dropped, hence after Sync; best-effort.
+	dropBehind(fh, offset, int64(len(data)))
+	return nil
 }
 
 // Read implements ChunkStorage.

@@ -83,9 +83,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordDuration records d in microseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.Record(d.Microseconds()) }
-
 // RecordSince records the elapsed time since t0 in microseconds.
 func (h *Histogram) RecordSince(t0 time.Time) { h.Record(time.Since(t0).Microseconds()) }
 

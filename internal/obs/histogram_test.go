@@ -129,7 +129,7 @@ func TestBucketRoundTripProperty(t *testing.T) {
 func TestSnapshotString(t *testing.T) {
 	h := NewHistogram()
 	for i := 0; i < 10; i++ {
-		h.RecordDuration(time.Duration(i+1) * time.Millisecond)
+		h.Record((time.Duration(i+1) * time.Millisecond).Microseconds())
 	}
 	s := h.Snapshot()
 	if s.Count != 10 {

@@ -35,17 +35,21 @@ func (c *Container) storageWriterLoop() {
 	}
 }
 
-// flushWork is one segment's batch of contiguous bytes headed to LTS.
+// flushWork is one segment's un-tiered queue as collectFlushWork found it:
+// contiguous items, size bytes in all.
 type flushWork struct {
 	segment string
-	offset  int64
-	data    []byte
-	maxAddr wal.Address
+	size    int64
+	items   []flushItem
 }
 
 // collectFlushWork gathers per-segment contiguous unflushed data. With
 // all=true everything pending is taken (age-based tick, forced flush);
 // otherwise only segments whose backlog reached the aggregation threshold.
+// Only the queue's slice headers are taken under c.mu: flushSegment copies
+// the bytes into one buffer after unlocking, so a large backlog does not
+// hold up appends, applies and tail reads. Queued bytes are immutable once
+// applied; retireCovered only re-slices the queue.
 func (c *Container) collectFlushWork(all bool) []flushWork {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -61,16 +65,7 @@ func (c *Container) collectFlushWork(all bool) []flushWork {
 		if !all && total < c.cfg.FlushSizeBytes && !s.sealed {
 			continue
 		}
-		buf := make([]byte, 0, total)
-		start := s.unflushed[0].offset
-		maxAddr := s.unflushed[0].addr
-		for _, it := range s.unflushed {
-			buf = append(buf, it.data...)
-			if maxAddr.Less(it.addr) {
-				maxAddr = it.addr
-			}
-		}
-		work = append(work, flushWork{segment: name, offset: start, data: buf, maxAddr: maxAddr})
+		work = append(work, flushWork{segment: name, size: total, items: append([]flushItem(nil), s.unflushed...)})
 	}
 	return work
 }
@@ -110,7 +105,10 @@ func (c *Container) flushOnce(all bool) {
 // re-write (or double-count in storageLength) bytes that already landed.
 func (c *Container) flushSegment(w flushWork) error {
 	start := time.Now()
-	data, off := w.data, w.offset
+	data, off := make([]byte, 0, w.size), w.items[0].offset
+	for _, it := range w.items {
+		data = append(data, it.data...)
+	}
 
 	// The storage watermark may already cover a prefix of this batch:
 	// recovery reconciliation or a partially failed earlier round can

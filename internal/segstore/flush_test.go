@@ -293,3 +293,92 @@ func TestSizeKickWaitsForThreshold(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestFlushAllRacesAppendsOverLargeBacklog: collectFlushWork takes only the
+// queue's slice headers under c.mu and flushSegment copies the bytes after
+// unlocking, while appends keep growing the queue and retireCovered keeps
+// re-slicing it. Over a 16 MiB backlog plus concurrent appends, the bytes in
+// LTS must be exactly the appended bytes in order. Run with -race.
+func TestFlushAllRacesAppendsOverLargeBacklog(t *testing.T) {
+	env := newTestEnv(t)
+	cfg := env.containerConfig(0)
+	cfg.FlushInterval = time.Hour // only this test's FlushAll calls tier
+	cfg.FlushSizeBytes = 1 << 40
+	cfg.MaxUnflushedBytes = 64 << 20
+	cfg.ChunkSizeLimit = 3<<20 + 17 // several rollovers, unaligned
+	c, err := NewContainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const seg = "s/t/0.#epoch.0"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	const piece, backlog, during = 64 << 10, 256, 128
+	var want bytes.Buffer
+	appendOne := func(i int) error {
+		p := make([]byte, piece)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		want.Write(p)
+		_, err := c.Append(seg, p, "w", int64(i), 1)
+		return err
+	}
+	for i := 0; i < backlog; i++ { // 16 MiB un-tiered before the first round
+		if err := appendOne(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Stats().UnflushedBytes; got < backlog*piece {
+		t.Fatalf("backlog is %d bytes before the first flush, want %d", got, backlog*piece)
+	}
+	appended := make(chan error, 1)
+	go func() {
+		for i := backlog; i < backlog+during; i++ {
+			if err := appendOne(i); err != nil {
+				appended <- err
+				return
+			}
+		}
+		appended <- nil
+	}()
+	rounds := 0
+	for done := false; !done; rounds++ {
+		select {
+		case err := <-appended:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		if err := c.FlushAll(); err != nil && c.LastFlushError() != nil {
+			t.Fatal(err) // "still unflushed" alone just means an append won the race
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d flush rounds while appending", rounds)
+	chunks, err := c.ChunkList(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, name := range chunks { // in segment order
+		n, err := env.lts.Length(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, n)
+		if r, err := env.lts.Read(name, 0, buf); err != nil || int64(r) != n {
+			t.Fatalf("reading %s: %d of %d, %v", name, r, n, err)
+		}
+		got.Write(buf)
+	}
+	if len(chunks) < 4 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("LTS holds %d bytes in %d chunks, appended %d; contents differ or too few chunks", got.Len(), len(chunks), want.Len())
+	}
+}

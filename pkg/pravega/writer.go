@@ -123,9 +123,6 @@ type EventWriter struct {
 	closed  bool
 
 	eventSeq atomic.Int64
-
-	statMu sync.Mutex
-	rtt    time.Duration // EWMA of append round trips (diagnostics)
 }
 
 // NewWriter creates an event writer for a stream.
@@ -141,7 +138,6 @@ func (s *System) NewWriter(cfg WriterConfig) (*EventWriter, error) {
 		conn:    s.newData(),
 		route:   routeTable{segments: segs},
 		writers: make(map[int64]*segmentWriter),
-		rtt:     500 * time.Microsecond,
 	}
 	return w, nil
 }
@@ -199,22 +195,6 @@ func (w *EventWriter) enqueueLocked(pe pendingEvent) {
 		w.writers[seg.ID.Number] = sw
 	}
 	sw.add(pe)
-}
-
-// observeRTT folds one server round-trip sample into the EWMA.
-func (w *EventWriter) observeRTT(d time.Duration) {
-	const alpha = 0.2
-	w.statMu.Lock()
-	w.rtt = time.Duration(float64(w.rtt)*(1-alpha) + float64(d)*alpha)
-	w.statMu.Unlock()
-	mClientRTTUs.RecordDuration(d)
-}
-
-// RTT returns the writer's current server round-trip estimate.
-func (w *EventWriter) RTT() time.Duration {
-	w.statMu.Lock()
-	defer w.statMu.Unlock()
-	return w.rtt
 }
 
 // Flush waits until every previously written event is acknowledged. A
@@ -392,14 +372,18 @@ func transientAppendErr(err error) bool {
 
 // sendBatch serializes and ships one batch (caller holds sw.mu).
 func (sw *segmentWriter) sendBatch(events []pendingEvent) {
-	buf := make([]byte, 0, 4096)
+	size := 0
+	for _, pe := range events {
+		size += eventFrameSize(pe.data)
+	}
+	buf := make([]byte, 0, size)
 	for _, pe := range events {
 		buf = appendEventFrame(buf, pe.data)
 	}
 	lastNum := events[len(events)-1].seq
 	start := time.Now()
 	sw.w.conn.AppendAsync(sw.seg.ID.QualifiedName(), buf, sw.w.cfg.ID, lastNum, int32(len(events)), func(r segstore.AppendResult) {
-		sw.w.observeRTT(time.Since(start))
+		mClientRTTUs.RecordSince(start)
 		sw.onBatchResult(events, r)
 	})
 }
