@@ -134,13 +134,11 @@ func runAll(listen string, stores, containers, bookies int, ltsDir string, polic
 	// per-store transport; clients learn placement from the same claim set.
 	cl := sys.Cluster()
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Data:  cl.Router(),
-		Ctrl:  sys.Controller(),
-		Coord: cl.Meta,
-		Info: func() (wire.ClusterInfo, error) {
-			return wire.CoordClusterInfo(cl.Meta, cl.TotalContainers())
-		},
-		Load: cl.Router().LoadReports,
+		Data:      cl.Router(),
+		Ctrl:      sys.Controller(),
+		Coord:     cl.Meta,
+		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
+		Load:      cl.Router().LoadReports,
 	}, listen)
 	if err != nil {
 		log.Fatalf("pravega-server: listening: %v", err)
@@ -207,8 +205,9 @@ func runCoord(listen string, stores, containers, bookies, policyMS int, metrics 
 		log.Fatalf("pravega-server: publishing topology: %v", err)
 	}
 
+	source := placement.CoordSource{Coord: meta, Total: total}
 	plane, err := placement.New(placement.Config{
-		Source: placement.CoordSource{Coord: meta, Total: total},
+		Source: source,
 		Dial:   wire.StoreDialer(wire.ClientConfig{}),
 	})
 	if err != nil {
@@ -225,12 +224,10 @@ func runCoord(listen string, stores, containers, bookies, policyMS int, metrics 
 	}
 
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Ctrl:    ctrl,
-		Coord:   meta,
-		Bookies: bkNodes,
-		Info: func() (wire.ClusterInfo, error) {
-			return wire.CoordClusterInfo(meta, total)
-		},
+		Ctrl:      ctrl,
+		Coord:     meta,
+		Bookies:   bkNodes,
+		Placement: source,
 	}, listen)
 	if err != nil {
 		log.Fatalf("pravega-server: listening: %v", err)

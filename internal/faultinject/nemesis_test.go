@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/wire"
@@ -43,13 +44,11 @@ func newNemesisRigCluster(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientC
 	}
 	cl := backing.Cluster()
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Data:  cl.Router(),
-		Ctrl:  backing.Controller(),
-		Coord: cl.Meta,
-		Info: func() (wire.ClusterInfo, error) {
-			return wire.CoordClusterInfo(cl.Meta, cl.TotalContainers())
-		},
-		Load: cl.Router().LoadReports,
+		Data:      cl.Router(),
+		Ctrl:      backing.Controller(),
+		Coord:     cl.Meta,
+		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
+		Load:      cl.Router().LoadReports,
 	}, "127.0.0.1:0")
 	if err != nil {
 		backing.Close()

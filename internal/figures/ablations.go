@@ -65,7 +65,7 @@ func Ablations(o Options) (*Figure, error) {
 			}
 			wcfg := pravega.WriterConfig{}
 			v.tune(&ccfg, &wcfg)
-			sys, err := pravega.NewInProcess(pravega.SystemConfig{Cluster: ccfg, Profile: prof})
+			sys, err := pravega.NewInProcess(pravega.SystemConfig{Cluster: ccfg})
 			if err != nil {
 				return fig, err
 			}

@@ -150,10 +150,7 @@ func newPravega(o *Options, v pravegaVariant) (*omb.PravegaSystem, error) {
 		ccfg.Container.MaxReadFanout = 1
 		ccfg.Container.ReadAheadDepth = -1
 	}
-	sys, err := pravega.NewInProcess(pravega.SystemConfig{
-		Cluster: ccfg,
-		Profile: prof,
-	})
+	sys, err := pravega.NewInProcess(pravega.SystemConfig{Cluster: ccfg})
 	if err != nil {
 		return nil, err
 	}

@@ -58,9 +58,9 @@ func benchFailover(b *testing.B, stores, containersPerStore, walDepth int) {
 		if err := cl.Router().CreateSegment(seg); err != nil {
 			b.Fatal(err)
 		}
-		st := storeFor(b, cl, seg)
+		c := containerFor(b, cl, seg)
 		for i := 0; i < walDepth; i++ {
-			if _, err := st.Append(seg, []byte("failover-bench-payload"), "w", int64(i+1), 1); err != nil {
+			if _, err := c.Append(seg, []byte("failover-bench-payload"), "w", int64(i+1), 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -48,7 +48,7 @@ func seedSegments(t *testing.T, cl *Cluster, events int) map[string][]byte {
 		}
 		for i := 0; i < events; i++ {
 			data := []byte(fmt.Sprintf("c%d-ev%03d;", id, i))
-			if _, err := storeFor(t, cl, seg).Append(seg, data, "w", int64(i+1), 1); err != nil {
+			if _, err := containerFor(t, cl, seg).Append(seg, data, "w", int64(i+1), 1); err != nil {
 				t.Fatalf("append %s: %v", seg, err)
 			}
 			oracle[seg] = append(oracle[seg], data...)
@@ -275,9 +275,9 @@ func TestLoadByStoreSkipsCrashedStores(t *testing.T) {
 	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st := storeFor(t, cl, seg)
+	c := containerFor(t, cl, seg)
 	for i := 0; i < 20; i++ {
-		if _, err := st.Append(seg, bytes.Repeat([]byte("l"), 100), "w", int64(i+1), 1); err != nil {
+		if _, err := c.Append(seg, bytes.Repeat([]byte("l"), 100), "w", int64(i+1), 1); err != nil {
 			t.Fatal(err)
 		}
 	}

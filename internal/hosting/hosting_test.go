@@ -24,11 +24,11 @@ func newCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 }
 
 // storeFor finds the store hosting name's container right now.
-func storeFor(tb testing.TB, cl *Cluster, name string) *segstore.Store {
+func containerFor(tb testing.TB, cl *Cluster, name string) *segstore.Container {
 	tb.Helper()
 	for _, st := range cl.Stores() {
-		if _, err := st.Container(name); err == nil && !st.Closed() {
-			return st
+		if c, err := st.Container(name); err == nil && !st.Closed() {
+			return c
 		}
 	}
 	tb.Fatalf("no store hosts the container of %s", name)
@@ -71,7 +71,7 @@ func TestClusterDataPlaneOps(t *testing.T) {
 	if err := r.CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storeFor(t, cl, seg).Append(seg, []byte("abc"), "w", 1, 1); err != nil {
+	if _, err := containerFor(t, cl, seg).Append(seg, []byte("abc"), "w", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	info, err := r.GetInfo(seg)
@@ -127,10 +127,7 @@ func TestStoreCrashContainerReassignment(t *testing.T) {
 	if _, err := cl.stores[1].StartContainer(0); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
-	c, err := storeFor(t, cl, seg).Container(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := containerFor(t, cl, seg)
 	info, err := c.GetInfo(seg)
 	if err != nil || info.Length != int64(want.Len()) {
 		t.Fatalf("recovered info = %+v, %v", info, err)
@@ -167,8 +164,7 @@ func TestLTSOutageThrottlesAndRecovers(t *testing.T) {
 	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st := storeFor(t, cl, seg)
-	c, _ := st.Container(seg)
+	c := containerFor(t, cl, seg)
 
 	simLTS.SetUnavailable(true)
 	payload := bytes.Repeat([]byte("t"), 1024)
@@ -216,16 +212,16 @@ func TestBookieCrashClusterKeepsWorking(t *testing.T) {
 	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st := storeFor(t, cl, seg)
-	if _, err := st.Append(seg, []byte("before"), "w", 1, 1); err != nil {
+	c := containerFor(t, cl, seg)
+	if _, err := c.Append(seg, []byte("before"), "w", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// One bookie down: ackQuorum 2 of 3 still satisfiable.
 	cl.Bookies()[0].Crash()
-	if _, err := st.Append(seg, []byte("after"), "w", 2, 1); err != nil {
+	if _, err := c.Append(seg, []byte("after"), "w", 2, 1); err != nil {
 		t.Fatalf("append with one bookie down: %v", err)
 	}
-	res, err := st.Read(seg, 0, 64, time.Second)
+	res, err := c.Read(seg, 0, 64, time.Second)
 	if err != nil || len(res.Data) != len("before")+len("after") {
 		t.Fatalf("read = %d bytes, %v", len(res.Data), err)
 	}
@@ -237,9 +233,9 @@ func TestLoadByStoreAggregates(t *testing.T) {
 	if err := cl.Router().CreateSegment(seg); err != nil {
 		t.Fatal(err)
 	}
-	st := storeFor(t, cl, seg)
+	c := containerFor(t, cl, seg)
 	for i := 0; i < 50; i++ {
-		if _, err := st.Append(seg, bytes.Repeat([]byte("l"), 100), "w", int64(i), 1); err != nil {
+		if _, err := c.Append(seg, bytes.Repeat([]byte("l"), 100), "w", int64(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}

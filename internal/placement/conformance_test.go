@@ -344,7 +344,7 @@ func TestRouterConformance(t *testing.T) {
 			// The first attempt never starts; the source then vanishes for a
 			// reason that is not this merge, and the retry must say so.
 			fx.hooks.set(failOnce("MergeSegment", fmt.Errorf("not here: %w", client.ErrWrongHost), func() {
-				if err := fx.stores[0].DeleteSegment(shadow); err != nil {
+				if err := (placement.Local{St: fx.stores[0]}).DeleteSegment(shadow); err != nil {
 					t.Error(err)
 				}
 			}), nil)

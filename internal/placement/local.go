@@ -48,22 +48,62 @@ func (l Local) ReadCtx(ctx context.Context, name string, offset int64, maxBytes 
 	return c.ReadCtx(ctx, name, offset, maxBytes, wait)
 }
 
-func (l Local) GetInfo(name string) (segment.Info, error) { return l.St.GetInfo(name) }
-
-func (l Local) WriterState(name, writerID string) (int64, error) {
-	return l.St.WriterState(name, writerID)
+func (l Local) GetInfo(name string) (segment.Info, error) {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return segment.Info{}, err
+	}
+	return c.GetInfo(name)
 }
 
-func (l Local) CreateSegment(name string) error { return l.St.CreateSegment(name) }
+func (l Local) WriterState(name, writerID string) (int64, error) {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return -1, err
+	}
+	return c.WriterState(name, writerID)
+}
 
-func (l Local) SealSegment(name string) (int64, error) { return l.St.Seal(name) }
+func (l Local) CreateSegment(name string) error {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return err
+	}
+	return c.CreateSegment(name)
+}
 
-func (l Local) TruncateSegment(name string, offset int64) error { return l.St.Truncate(name, offset) }
+func (l Local) SealSegment(name string) (int64, error) {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return 0, err
+	}
+	return c.Seal(name)
+}
 
-func (l Local) DeleteSegment(name string) error { return l.St.DeleteSegment(name) }
+func (l Local) TruncateSegment(name string, offset int64) error {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return err
+	}
+	return c.Truncate(name, offset)
+}
 
+func (l Local) DeleteSegment(name string) error {
+	c, err := l.St.Container(name)
+	if err != nil {
+		return err
+	}
+	return c.DeleteSegment(name)
+}
+
+// MergeSegment resolves the target's container: a transaction's shadow
+// segment routes with its parent, so both share it.
 func (l Local) MergeSegment(target, source string) (int64, error) {
-	return l.St.MergeSegment(target, source)
+	c, err := l.St.Container(target)
+	if err != nil {
+		return 0, err
+	}
+	return c.MergeSegment(target, source)
 }
 
 func (l Local) LoadReport() ([]segstore.SegmentLoad, error) { return l.St.LoadReport(), nil }
@@ -85,11 +125,14 @@ func (s CoordSource) Snapshot() (Snapshot, error) {
 	// Epoch first: a claim change racing the reads below then leaves the
 	// table stamped older than its contents, and the watch refreshes again.
 	epoch := segstore.PlacementEpoch(s.Coord)
-	claims, err := segstore.ClaimedContainers(s.Coord)
+	// Hosts before claims: a store registers before it claims, and its
+	// session drops both at once, so a claim read here finds its host's
+	// address — empty only where the host advertised none.
+	_, addrs, err := segstore.LiveHosts(s.Coord)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	_, addrs, err := segstore.LiveHosts(s.Coord)
+	claims, err := segstore.ClaimedContainers(s.Coord)
 	if err != nil {
 		return Snapshot{}, err
 	}

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -67,25 +68,17 @@ func BenchmarkAppendPipeline(b *testing.B) {
 	}
 	data := make([]byte, 100)
 	const window = 256
-	results := make([]<-chan AppendResult, 0, window)
+	w := newWindow()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results = append(results, c.AppendAsync(seg, data, "", 0, 1))
-		if len(results) == window {
-			for _, ch := range results {
-				if r := <-ch; r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-			results = results[:0]
+		w.wg.Add(1)
+		c.AppendAsyncFunc(seg, data, "", 0, 1, w.done)
+		if (i+1)%window == 0 {
+			w.wait(b)
 		}
 	}
-	for _, ch := range results {
-		if r := <-ch; r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
+	w.wait(b)
 	b.StopTimer()
 	b.SetBytes(100)
 }
@@ -105,20 +98,44 @@ func BenchmarkAppendPipelineParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		const window = 64
-		pending := make([]<-chan AppendResult, 0, window)
-		for pb.Next() {
-			pending = append(pending, c.AppendAsync(seg, data, "", 0, 1))
-			if len(pending) == window {
-				for _, ch := range pending {
-					if r := <-ch; r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-				pending = pending[:0]
+		w := newWindow()
+		for i := 1; pb.Next(); i++ {
+			w.wg.Add(1)
+			c.AppendAsyncFunc(seg, data, "", 0, 1, w.done)
+			if i%window == 0 {
+				w.wait(b)
 			}
 		}
-		for _, ch := range pending {
-			<-ch
-		}
+		w.wait(b)
 	})
+}
+
+// window is a bounded set of appends in flight; its done callback is made
+// once, so the benchmarks' own code allocates nothing per append.
+type window struct {
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	err  error
+	done func(AppendResult)
+}
+
+func newWindow() *window {
+	w := &window{}
+	w.done = func(r AppendResult) {
+		if r.Err != nil {
+			w.mu.Lock()
+			w.err = r.Err
+			w.mu.Unlock()
+		}
+		w.wg.Done()
+	}
+	return w
+}
+
+// wait blocks until every append in the window completed.
+func (w *window) wait(b *testing.B) {
+	w.wg.Wait()
+	if w.err != nil {
+		b.Fatal(w.err)
+	}
 }

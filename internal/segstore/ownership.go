@@ -150,8 +150,8 @@ func liveHosts(cs cluster.Coord) ([]string, error) {
 }
 
 // LiveHosts lists the registered store ids, sorted, alongside each host's
-// advertised wire address (empty string when the store registered none). The
-// coord role uses this to build ClusterInfo with per-store addresses.
+// advertised wire address (empty string when the store registered none).
+// placement.CoordSource uses this to give every claim its owner's address.
 func LiveHosts(cs cluster.Coord) ([]string, map[string]string, error) {
 	hosts, err := liveHosts(cs)
 	if err != nil {

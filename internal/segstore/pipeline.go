@@ -52,44 +52,38 @@ func putFrame(f *frameResult) {
 	framePool.Put(f)
 }
 
-// pendingOp is one queued operation awaiting durable completion. Completion
-// is delivered exactly once, either on res (a caller-owned, one-slot
-// buffered channel) or via cb. The struct is pooled: after complete() the
-// caller must not retain it (the res channel is safe to keep — it is
-// allocated per operation and never reused).
+// pendingOp is one queued operation awaiting durable completion, which cb
+// receives exactly once. The struct is pooled: after complete() nobody may
+// retain it.
 type pendingOp struct {
 	op     Operation
 	result AppendResult
-	res    chan AppendResult  // nil when cb is set
-	cb     func(AppendResult) // nil when res is set
-	span   *obs.Span          // sampled trace span, usually nil
+	cb     func(AppendResult)
+	span   *obs.Span // sampled trace span, usually nil
 }
 
 var pendingOpPool = sync.Pool{New: func() any { return new(pendingOp) }}
 
-// complete delivers the result and recycles the pendingOp. The send never
-// blocks (res has capacity 1 and receives exactly one value); cb runs on
-// the completing goroutine and must not block.
+// complete delivers the result and recycles the pendingOp. cb runs on the
+// completing goroutine and must not block.
 func (p *pendingOp) complete(r AppendResult) {
-	res, cb, sp := p.res, p.cb, p.span
+	cb, sp := p.cb, p.span
 	*p = pendingOp{}
 	pendingOpPool.Put(p)
-	if cb != nil {
-		cb(r)
-	} else {
-		res <- r
-	}
+	cb(r)
 	sp.Finish()
 }
 
-// submit queues an operation and waits for its durable completion.
-func (c *Container) submit(op Operation) (int64, error) {
+// enqueue queues an operation whose completion cb receives; a container
+// that is down fails it at once. The completion is routed directly from the
+// in-order applier: there is no per-operation goroutine on this path.
+func (c *Container) enqueue(op Operation, cb func(AppendResult)) {
 	if down, err := c.isDown(); down {
-		return 0, err
+		cb(AppendResult{Err: err})
+		return
 	}
 	p := pendingOpPool.Get().(*pendingOp)
-	res := make(chan AppendResult, 1)
-	p.op, p.res = op, res
+	p.op, p.cb = op, cb
 	if op.Type == OpAppend {
 		p.span = obs.AppendTraces().Sample(op.Segment, len(op.Data))
 	}
@@ -98,10 +92,13 @@ func (c *Container) submit(op Operation) (int64, error) {
 		mQueueDepth.Add(1)
 	case <-c.stop:
 		p.complete(AppendResult{Err: ErrContainerDown})
-		return 0, ErrContainerDown
 	}
-	// p may be recycled the moment the result is delivered: only res is
-	// safe to touch from here on.
+}
+
+// submit queues an operation and waits for its durable completion.
+func (c *Container) submit(op Operation) (int64, error) {
+	res := make(chan AppendResult, 1)
+	c.enqueue(op, func(r AppendResult) { res <- r })
 	select {
 	case r := <-res:
 		return r.Offset, r.Err
@@ -141,31 +138,16 @@ type AppendResult struct {
 	Err    error
 }
 
-// AppendAsync enqueues an append and returns immediately; the channel
-// yields the result once the append is durable. Appends enqueued from one
-// goroutine are sequenced (and therefore applied) in call order, which the
-// event writer relies on for per-key ordering (§3.2).
-func (c *Container) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32) <-chan AppendResult {
-	out := make(chan AppendResult, 1)
-	c.enqueueAppend(Operation{
-		Type:       OpAppend,
-		Segment:    name,
-		Data:       data,
-		WriterID:   writerID,
-		EventNum:   eventNum,
-		EventCount: eventCount,
-		CondOffset: -1,
-	}, out, nil)
-	return out
-}
-
-// AppendAsyncFunc is AppendAsync with callback delivery: cb fires exactly
-// once, when the append is durable (or has failed). It avoids the per-op
-// channel allocation entirely. cb runs on a container-internal goroutine —
+// AppendAsyncFunc enqueues an append and returns at once, throttled against
+// the tiering backlog; cb fires exactly once, when the append is durable (or
+// has failed). Appends enqueued from one goroutine are sequenced (and
+// therefore applied) in call order, which the event writer relies on for
+// per-key ordering (§3.2). cb runs on a container-internal goroutine —
 // typically the in-order applier — and therefore must not block; a slow cb
 // stalls the whole container's completion path.
 func (c *Container) AppendAsyncFunc(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(AppendResult)) {
-	c.enqueueAppend(Operation{
+	c.throttle()
+	c.enqueue(Operation{
 		Type:       OpAppend,
 		Segment:    name,
 		Data:       data,
@@ -173,7 +155,7 @@ func (c *Container) AppendAsyncFunc(name string, data []byte, writerID string, e
 		EventNum:   eventNum,
 		EventCount: eventCount,
 		CondOffset: -1,
-	}, nil, cb)
+	}, cb)
 }
 
 // AppendConditional appends only if the segment's length equals
@@ -187,35 +169,6 @@ func (c *Container) AppendConditional(name string, data []byte, expectedOffset i
 		Data:       data,
 		CondOffset: expectedOffset,
 	})
-}
-
-// enqueueAppend throttles against the tiering backlog and queues the
-// operation. The completion — delivered on res or via cb — is routed
-// directly from the in-order applier: there is no per-append goroutine
-// anywhere on this path.
-func (c *Container) enqueueAppend(op Operation, res chan AppendResult, cb func(AppendResult)) {
-	c.throttle()
-	if down, err := c.isDown(); down {
-		deliver(res, cb, AppendResult{Err: err})
-		return
-	}
-	p := pendingOpPool.Get().(*pendingOp)
-	p.op, p.res, p.cb = op, res, cb
-	p.span = obs.AppendTraces().Sample(op.Segment, len(op.Data))
-	select {
-	case c.opQueue <- p:
-		mQueueDepth.Add(1)
-	case <-c.stop:
-		p.complete(AppendResult{Err: ErrContainerDown})
-	}
-}
-
-func deliver(res chan AppendResult, cb func(AppendResult), r AppendResult) {
-	if cb != nil {
-		cb(r)
-		return
-	}
-	res <- r
 }
 
 // Seal makes the segment read-only, returning its final length.

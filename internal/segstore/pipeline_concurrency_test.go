@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestConcurrentAppendsAcrossRollovers drives many concurrent AppendAsync
+// TestConcurrentAppendsAcrossRollovers drives many concurrent AppendAsyncFunc
 // callers while the WAL rolls ledgers every few KiB. Each writer owns one
 // segment, so in-order frame application is observable: the writer's
 // completions must report strictly sequential offsets (a frame applied out
@@ -64,7 +64,7 @@ func TestConcurrentAppendsAcrossRollovers(t *testing.T) {
 					}
 					inflight = inflight[1:]
 				}
-				inflight = append(inflight, c.AppendAsync(seg, data, writerID, int64(i+1), 1))
+				inflight = append(inflight, appendAsync(c, seg, data, writerID, int64(i+1)))
 			}
 			for _, ch := range inflight {
 				if !drain(ch) {
@@ -121,7 +121,7 @@ func TestAppendPipelineNoPerOpGoroutines(t *testing.T) {
 			}
 			inflight = inflight[1:]
 		}
-		inflight = append(inflight, c.AppendAsync(seg, data, "w", int64(i+1), 1))
+		inflight = append(inflight, appendAsync(c, seg, data, "w", int64(i+1)))
 		if i%64 == 0 {
 			if n := runtime.NumGoroutine(); n > peak {
 				peak = n

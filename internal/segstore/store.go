@@ -251,89 +251,6 @@ func ContainerOwner(cs cluster.Coord, id int) (string, error) {
 	return string(data), nil
 }
 
-// CreateSegment routes to the owning container.
-func (st *Store) CreateSegment(name string) error {
-	c, err := st.Container(name)
-	if err != nil {
-		return err
-	}
-	return c.CreateSegment(name)
-}
-
-// Append routes to the owning container.
-func (st *Store) Append(name string, data []byte, writerID string, eventNum int64, eventCount int32) (int64, error) {
-	c, err := st.Container(name)
-	if err != nil {
-		return 0, err
-	}
-	return c.Append(name, data, writerID, eventNum, eventCount)
-}
-
-// Read routes to the owning container.
-func (st *Store) Read(name string, offset int64, maxBytes int, wait time.Duration) (ReadResult, error) {
-	c, err := st.Container(name)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	return c.Read(name, offset, maxBytes, wait)
-}
-
-// Seal routes to the owning container.
-func (st *Store) Seal(name string) (int64, error) {
-	c, err := st.Container(name)
-	if err != nil {
-		return 0, err
-	}
-	return c.Seal(name)
-}
-
-// Truncate routes to the owning container.
-func (st *Store) Truncate(name string, offset int64) error {
-	c, err := st.Container(name)
-	if err != nil {
-		return err
-	}
-	return c.Truncate(name, offset)
-}
-
-// DeleteSegment routes to the owning container.
-func (st *Store) DeleteSegment(name string) error {
-	c, err := st.Container(name)
-	if err != nil {
-		return err
-	}
-	return c.DeleteSegment(name)
-}
-
-// MergeSegment routes to the container owning the target segment.
-// Transaction shadow segments route by their parent's name, so target and
-// source always share a container and the merge is container-local.
-func (st *Store) MergeSegment(target, source string) (int64, error) {
-	c, err := st.Container(target)
-	if err != nil {
-		return 0, err
-	}
-	return c.MergeSegment(target, source)
-}
-
-// GetInfo routes to the owning container.
-func (st *Store) GetInfo(name string) (segment.Info, error) {
-	c, err := st.Container(name)
-	if err != nil {
-		return segment.Info{}, err
-	}
-	return c.GetInfo(name)
-}
-
-// WriterState routes to the owning container.
-func (st *Store) WriterState(name, writerID string) (int64, error) {
-	c, err := st.Container(name)
-	if err != nil {
-		return -1, err
-	}
-	return c.WriterState(name, writerID)
-}
-
 // LoadReport aggregates per-segment load across hosted containers for the
 // controller's scaling feedback loop (§3.1).
 func (st *Store) LoadReport() []SegmentLoad {

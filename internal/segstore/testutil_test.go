@@ -47,6 +47,13 @@ func (e *testEnv) containerConfig(id int) ContainerConfig {
 	}
 }
 
+// appendAsync is AppendAsyncFunc delivering the result on a one-slot channel.
+func appendAsync(c *Container, seg string, data []byte, writerID string, eventNum int64) <-chan AppendResult {
+	ch := make(chan AppendResult, 1)
+	c.AppendAsyncFunc(seg, data, writerID, eventNum, 1, func(r AppendResult) { ch <- r })
+	return ch
+}
+
 func newTestContainer(t testing.TB, env *testEnv, id int) *Container {
 	t.Helper()
 	c, err := NewContainer(env.containerConfig(id))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,37 +129,23 @@ func StoreDialer(cfg ClientConfig) func(placement.Endpoint) (placement.Store, er
 	return (&Client{cfg: cfg}).dialStore
 }
 
-// infoSource is an external client's placement source: MsgClusterInfo
-// snapshots and the MsgWatchEpoch long poll, both on the control
-// connection — so a refresh never dials.
+// infoSource is an external client's placement source: the server's own
+// placement snapshots (MsgClusterInfo) and epoch watch (MsgWatchEpoch), both
+// on the control connection — so a refresh never dials.
 type infoSource struct{ c *Client }
 
 func (s infoSource) Snapshot() (placement.Snapshot, error) {
 	rep, err := s.c.ctrl.call(MsgClusterInfo, struct{}{})
-	info, err := decode[ClusterInfo](rep, err, "cluster info")
-	if err != nil {
-		return placement.Snapshot{}, err
-	}
-	if info.Stores <= 0 || info.TotalContainers <= 0 {
-		return placement.Snapshot{}, fmt.Errorf("wire: bad cluster info (%d stores, %d containers)", info.Stores, info.TotalContainers)
-	}
-	// The multi-process cluster advertises one address per store, and a
-	// store's identity is that address; the single-process server serves
-	// every store index behind the bootstrap address.
-	eps := make([]placement.Endpoint, info.Stores)
-	for i := range eps {
-		eps[i] = placement.Endpoint{ID: "#" + strconv.Itoa(i), Addr: s.c.addr}
-		if i < len(info.StoreAddrs) && info.StoreAddrs[i] != "" {
-			eps[i] = placement.Endpoint{ID: info.StoreAddrs[i], Addr: info.StoreAddrs[i]}
+	snap, err := decode[placement.Snapshot](rep, err, "cluster info")
+	// The single-process server's stores advertise no address: they sit
+	// behind the address this client dialed.
+	for id, ep := range snap.Owner {
+		if ep.Addr == "" {
+			ep.Addr = s.c.addr
+			snap.Owner[id] = ep
 		}
 	}
-	owner := make(map[int]placement.Endpoint, len(info.ContainerHome))
-	for id, si := range info.ContainerHome {
-		if si >= 0 && si < len(eps) {
-			owner[id] = eps[si]
-		}
-	}
-	return placement.Snapshot{Epoch: info.Epoch, Total: info.TotalContainers, Owner: owner}, nil
+	return snap, err
 }
 
 // WaitEpoch long-polls the server's placement epoch. A server that serves

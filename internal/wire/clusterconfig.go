@@ -8,7 +8,6 @@ import (
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
 	"github.com/pravega-go/pravega/internal/cluster"
-	"github.com/pravega-go/pravega/internal/segstore"
 )
 
 // ClusterConfigPath is the coordination node where the coord process
@@ -62,45 +61,4 @@ func FetchClusterTopology(cs cluster.Coord, timeout time.Duration) (ClusterTopol
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-// CoordClusterInfo answers MsgClusterInfo from the claim set in the
-// coordination store: store identities are the sorted live host ids,
-// StoreAddrs carries each one's advertised address (empty in the
-// single-process server, whose stores all sit behind its one listener), and
-// ContainerHome maps containers to store indices. Hosts and their claims
-// share a session, so a dead store's address and its claims vanish
-// together.
-func CoordClusterInfo(cs cluster.Coord, totalContainers int) (ClusterInfo, error) {
-	// Epoch first: a claim change racing the reads below then leaves the
-	// client's table stamped older than its contents, and its epoch watch
-	// fires again — the other order could hide the change from the watch.
-	epoch := segstore.PlacementEpoch(cs)
-	ids, addrs, err := segstore.LiveHosts(cs)
-	if err != nil {
-		return ClusterInfo{}, err
-	}
-	claims, err := segstore.ClaimedContainers(cs)
-	if err != nil {
-		return ClusterInfo{}, err
-	}
-	idx := make(map[string]int, len(ids))
-	storeAddrs := make([]string, len(ids))
-	for i, h := range ids {
-		idx[h] = i
-		storeAddrs[i] = addrs[h]
-	}
-	home := make(map[int]int, len(claims))
-	for cid, host := range claims {
-		if i, ok := idx[host]; ok {
-			home[cid] = i
-		}
-	}
-	return ClusterInfo{
-		TotalContainers: totalContainers,
-		Stores:          len(ids),
-		ContainerHome:   home,
-		StoreAddrs:      storeAddrs,
-		Epoch:           epoch,
-	}, nil
 }

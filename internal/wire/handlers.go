@@ -38,7 +38,7 @@ func (s *Server) served(p plane) (string, bool) {
 	case planeBookies:
 		return "bookie", s.cfg.Bookies != nil
 	case planeInfo:
-		return "cluster info", s.cfg.Info != nil
+		return "cluster info", s.cfg.Placement != nil
 	case planeLoad:
 		return "load", s.cfg.Load != nil
 	}
@@ -154,11 +154,18 @@ var handlers = [msgEnd]handler{
 		return record(loads, len(loads), nil)
 	})},
 
-	// Controller.
+	// Placement, answered from the server's own placement.Source.
 	MsgClusterInfo: {planeInfo, spawn, on(func(s *Server, _ *struct{}) Reply {
-		info, err := s.cfg.Info()
-		return record(info, 0, err)
+		snap, err := s.cfg.Placement.Snapshot()
+		return record(snap, 0, err)
 	})},
+	MsgWatchEpoch: {planeInfo, poll, onCtx(func(ctx context.Context, s *Server, r *EpochReq) Reply {
+		ctx, cancel := context.WithTimeout(ctx, coordWatchMaxWait)
+		defer cancel()
+		return offset(s.cfg.Placement.WaitEpoch(r.Known, ctx.Done()))
+	})},
+
+	// Controller.
 	MsgCreateScope: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
 		return done(s.cfg.Ctrl.CreateScope(r.Scope))
 	})},
@@ -289,9 +296,6 @@ var handlers = [msgEnd]handler{
 			sess.Close()
 		}
 		return Reply{}
-	})},
-	MsgWatchEpoch: {planeCoord, poll, onCtx(func(ctx context.Context, s *Server, r *EpochReq) Reply {
-		return s.handleWatchEpoch(ctx, r)
 	})},
 
 	// WAL bookies.
@@ -471,38 +475,5 @@ func (s *Server) handleCoordWatch(ctx context.Context, t MessageType, req *Coord
 		return Reply{} // Count 0: nothing fired, client re-arms
 	case <-ctx.Done():
 		return errReply(ctx.Err(), Reply{})
-	}
-}
-
-// handleWatchEpoch long-polls the placement epoch: it replies as soon as the
-// epoch exceeds the client's known value, or with the current value after
-// the max wait (Count mirrors whether it advanced).
-func (s *Server) handleWatchEpoch(ctx context.Context, req *EpochReq) Reply {
-	cs := s.cfg.Coord
-	deadline := time.Now().Add(coordWatchMaxWait)
-	for {
-		ch, err := segstore.WatchPlacementEpoch(cs)
-		if err != nil {
-			return errReply(err, Reply{})
-		}
-		cur := segstore.PlacementEpoch(cs)
-		if cur > req.Known {
-			return Reply{Offset: cur, Count: 1}
-		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return Reply{Offset: cur}
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-ch:
-		case <-timer.C:
-			timer.Stop()
-			return Reply{Offset: segstore.PlacementEpoch(cs)}
-		case <-ctx.Done():
-			timer.Stop()
-			return errReply(ctx.Err(), Reply{})
-		}
-		timer.Stop()
 	}
 }

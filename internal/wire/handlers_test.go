@@ -81,7 +81,7 @@ func TestHandlerTableComplete(t *testing.T) {
 		planeCtrl:    func(c *ServerConfig) { c.Ctrl = nil },
 		planeCoord:   func(c *ServerConfig) { c.Coord = nil },
 		planeBookies: func(c *ServerConfig) { c.Bookies = nil },
-		planeInfo:    func(c *ServerConfig) { c.Info = nil },
+		planeInfo:    func(c *ServerConfig) { c.Placement = nil },
 		planeLoad:    func(c *ServerConfig) { c.Load = nil },
 	}
 	for p, drop := range absent {

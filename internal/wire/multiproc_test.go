@@ -56,8 +56,9 @@ func startMultiProcCoord(t *testing.T, stores, containersPerStore, bookies int) 
 	}); err != nil {
 		t.Fatal(err)
 	}
+	source := placement.CoordSource{Coord: meta, Total: total}
 	plane, err := placement.New(placement.Config{
-		Source: placement.CoordSource{Coord: meta, Total: total},
+		Source: source,
 		Dial:   StoreDialer(ClientConfig{}),
 	})
 	if err != nil {
@@ -70,10 +71,10 @@ func startMultiProcCoord(t *testing.T, stores, containersPerStore, bookies int) 
 	}
 	t.Cleanup(ctrl.Close)
 	srv, err := NewServer(ServerConfig{
-		Ctrl:    ctrl,
-		Coord:   meta,
-		Bookies: bkNodes,
-		Info:    func() (ClusterInfo, error) { return CoordClusterInfo(meta, total) },
+		Ctrl:      ctrl,
+		Coord:     meta,
+		Bookies:   bkNodes,
+		Placement: source,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -369,8 +370,7 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 	// only the epoch watch riding the coord connection.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		// In the multi-process cluster a store's identity is its address.
-		if home, err := c.OwnerOf(name); err == nil && home == survivor.srv.Addr() {
+		if home, err := c.OwnerOf(name); err == nil && home == survivor.id {
 			break
 		}
 		if !time.Now().Before(deadline) {

@@ -12,6 +12,7 @@ import (
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -65,8 +66,9 @@ type ServerConfig struct {
 	Coord *cluster.Store
 	// Bookies are the WAL bookies served remotely (MsgBookie*), by id.
 	Bookies map[string]bookkeeper.Node
-	// Info answers MsgClusterInfo (placement snapshot for client routing).
-	Info func() (ClusterInfo, error)
+	// Placement answers MsgClusterInfo with its snapshot and MsgWatchEpoch
+	// with its epoch watch, so clients route as the server does.
+	Placement placement.Source
 	// Load answers MsgLoadReport (per-segment rates of this node's store).
 	Load func() []segstore.SegmentLoad
 }

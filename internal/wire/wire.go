@@ -248,26 +248,6 @@ type CancelReq struct {
 	ReqID uint64 `json:"reqId"`
 }
 
-// ClusterInfo describes the served deployment to a connecting client: how
-// many containers the keyspace hashes over and which store index hosts
-// each, so the client can open one connection per store and route appends
-// like the in-process path does.
-type ClusterInfo struct {
-	TotalContainers int         `json:"totalContainers"`
-	Stores          int         `json:"stores"`
-	ContainerHome   map[int]int `json:"containerHome"`
-	// Epoch is the placement epoch this routing table reflects. Container
-	// ownership is dynamic (lease-based failover and rebalancing): a
-	// wrong-host reply means the table is stale and the client should
-	// re-request ClusterInfo until Epoch moves past the one it holds.
-	Epoch int64 `json:"epoch,omitempty"`
-	// StoreAddrs maps store index -> wire address for multi-process
-	// clusters, aligned with ContainerHome's indices (both derive from one
-	// snapshot of the live-host list). Empty for single-process servers:
-	// every store index then dials the address the client connected to.
-	StoreAddrs []string `json:"storeAddrs,omitempty"`
-}
-
 // CoordReq addresses the remote coordination store. One body shape serves
 // every coord message; unused fields are omitted on the wire.
 type CoordReq struct {
@@ -312,9 +292,9 @@ type BookieReq struct {
 	Data   []byte
 }
 
-// EpochReq is the placement-epoch long poll: the server replies once the
-// epoch exceeds Known (or its max poll window elapses, returning the
-// current epoch either way in Reply.Offset).
+// EpochReq is the placement-epoch long poll, answered by the server's
+// placement.Source: the current epoch in Reply.Offset once it exceeds Known,
+// or when the server's max poll window lapses.
 type EpochReq struct {
 	Known int64 `json:"known"`
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/placement"
 )
 
 // newBackend builds the cluster and controller a wire server fronts.
@@ -31,11 +32,11 @@ func newBackend(tb testing.TB, cfg hosting.ClusterConfig) (*hosting.Cluster, *co
 // plane of the cluster but the bookies.
 func clusterPlanes(cl *hosting.Cluster, ctrl *controller.Controller) ServerConfig {
 	return ServerConfig{
-		Data:  cl.Router(),
-		Ctrl:  ctrl,
-		Coord: cl.Meta,
-		Info:  func() (ClusterInfo, error) { return CoordClusterInfo(cl.Meta, cl.TotalContainers()) },
-		Load:  cl.Router().LoadReports,
+		Data:      cl.Router(),
+		Ctrl:      ctrl,
+		Coord:     cl.Meta,
+		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
+		Load:      cl.Router().LoadReports,
 	}
 }
 

@@ -132,9 +132,8 @@ func TestClosedSentinels(t *testing.T) {
 }
 
 // TestReadNextEventCtxCancel blocks a reader on a quiet stream tail and
-// cancels: the call must unblock promptly (the cancellation propagates into
-// the server-side long-poll), well before the 20ms poll interval ×
-// round-trips would.
+// cancels: the call must unblock promptly, not at the fetchers' next poll
+// boundary.
 func TestReadNextEventCtxCancel(t *testing.T) {
 	sys := newTestSystem(t)
 	mustCreate(t, sys, "ctx", "s", 1)

@@ -18,5 +18,5 @@ var (
 	mClientRebalancesSkipped = obs.Default().Counter("pravega_client_rebalances_skipped_total",
 		"Rebalance passes skipped because the group revision was unchanged")
 	mClientPrefetches = obs.Default().Counter("pravega_client_prefetches_total",
-		"Catch-up fetches issued asynchronously while buffered events drained")
+		"Fetches issued while an earlier batch of the same segment still waits for the consumer")
 )

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
@@ -19,10 +20,13 @@ import (
 // runs a write/read workload, scrapes /metrics and asserts every
 // instrumented layer exports non-zero series.
 func TestMetricsEndpointSmoke(t *testing.T) {
+	// The append tracer is process-wide, as cmd/pravega-server's
+	// -trace-sample sets it.
+	obs.AppendTraces().SetSampleEvery(8)
+	defer obs.AppendTraces().SetSampleEvery(0)
 	sys, err := pravega.NewInProcess(pravega.SystemConfig{
-		Cluster:          hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2},
-		MetricsAddr:      "127.0.0.1:0",
-		TraceSampleEvery: 8,
+		Cluster:     hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2},
+		MetricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,7 @@
 package pravega
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -31,7 +32,6 @@ import (
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/obs"
-	"github.com/pravega-go/pravega/internal/sim"
 	"github.com/pravega-go/pravega/internal/wire"
 )
 
@@ -94,10 +94,8 @@ type StreamConfig struct {
 type SystemConfig struct {
 	// Cluster sizes the data plane (defaults: 3 stores × 4 containers,
 	// 3 bookies, replication 3/3/2 — the paper's Table 1 layout).
+	// Cluster.Profile also shapes the client's links.
 	Cluster hosting.ClusterConfig
-	// Profile enables the simulated performance substrate (nil = run at
-	// memory speed; used by unit tests and examples).
-	Profile *sim.Profile
 	// PolicyInterval starts the controller's auto-scaling and retention
 	// loops at this period (zero = loops disabled).
 	PolicyInterval time.Duration
@@ -109,9 +107,6 @@ type SystemConfig struct {
 	// disables the endpoint; "127.0.0.1:0" picks an ephemeral port (see
 	// System.MetricsAddr).
 	MetricsAddr string
-	// TraceSampleEvery samples one append span per this many appends into
-	// the /debug/traces ring. Zero disables append tracing.
-	TraceSampleEvery int
 }
 
 // System is a handle on a Pravega deployment: either a full in-process
@@ -126,11 +121,14 @@ type System struct {
 	newData func() client.DataTransport
 	remote  *wire.Client // set by Connect; closed with the System
 	obsSrv  *obs.Server
+
+	// ctx ends when the System closes: readers' fetchers derive from it.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // NewInProcess starts a full in-process deployment.
 func NewInProcess(cfg SystemConfig) (*System, error) {
-	cfg.Cluster.Profile = cfg.Profile
 	cl, err := hosting.NewCluster(cfg.Cluster)
 	if err != nil {
 		return nil, err
@@ -148,10 +146,8 @@ func NewInProcess(cfg SystemConfig) (*System, error) {
 		ctrl.StartPolicyLoops(cfg.PolicyInterval)
 	}
 	s := &System{cluster: cl, ctrl: ctrl, control: ctrl}
-	s.newData = func() client.DataTransport { return cl.NewClientConn(cfg.Profile) }
-	if cfg.TraceSampleEvery > 0 {
-		obs.AppendTraces().SetSampleEvery(cfg.TraceSampleEvery)
-	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.newData = func() client.DataTransport { return cl.NewClientConn(cfg.Cluster.Profile) }
 	if cfg.MetricsAddr != "" {
 		srv, err := obs.Serve(cfg.MetricsAddr, obs.Default())
 		if err != nil {
@@ -193,6 +189,7 @@ func Connect(addr string, cfg ClientConfig) (*System, error) {
 		return nil, err
 	}
 	s := &System{control: wc, remote: wc}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	// All client components share the pooled wire client; their individual
 	// Close calls must not tear it down.
 	s.newData = func() client.DataTransport { return noCloseData{wc} }
@@ -207,8 +204,10 @@ type noCloseData struct {
 
 func (noCloseData) Close() error { return nil }
 
-// Close shuts the deployment (or remote connection) down.
+// Close shuts the deployment (or remote connection) down and stops the
+// fetchers of every reader still open.
 func (s *System) Close() {
+	s.cancel()
 	if s.obsSrv != nil {
 		_ = s.obsSrv.Close()
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/wire"
 )
 
@@ -57,13 +58,11 @@ func newTestSystem(t *testing.T) *System {
 func serveBacking(backing *System, addr string) (*wire.Server, error) {
 	cl := backing.Cluster()
 	return wire.NewServer(wire.ServerConfig{
-		Data:  cl.Router(),
-		Ctrl:  backing.Controller(),
-		Coord: cl.Meta,
-		Info: func() (wire.ClusterInfo, error) {
-			return wire.CoordClusterInfo(cl.Meta, cl.TotalContainers())
-		},
-		Load: cl.Router().LoadReports,
+		Data:      cl.Router(),
+		Ctrl:      backing.Controller(),
+		Coord:     cl.Meta,
+		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
+		Load:      cl.Router().LoadReports,
 	}, addr)
 }
 

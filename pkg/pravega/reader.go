@@ -16,9 +16,9 @@ var ErrNoEvent = errors.New("pravega: no event within timeout")
 
 // Event is one consumed stream event.
 type Event struct {
-	// Data is the event payload. It aliases the reader's internal fetch
-	// buffer: it stays valid indefinitely, but callers that modify it in
-	// place should copy it first.
+	// Data is the event payload. It aliases the reader's copy of the fetch
+	// that carried it, which no later fetch overwrites: it stays valid
+	// indefinitely, but callers that modify it in place should copy it first.
 	Data []byte
 	// Stream is the stream the event came from (reader groups may span
 	// several streams).
@@ -29,50 +29,57 @@ type Event struct {
 	Offset int64
 }
 
+const (
+	// readBytes is the size of every fetch: a segment behind its tail is
+	// read 1 MiB per request (§5.7), one at its tail yields what arrived.
+	readBytes = 1 << 20
+	// readerPollWait is how long a fetch waits at a quiet tail, so an idle
+	// owned segment, or a reader nobody consumes from, costs about one
+	// request per second.
+	readerPollWait = time.Second
+	// syncWindow is how stale a reader's view of its group may get.
+	syncWindow = 100 * time.Millisecond
+)
+
 // Reader consumes events from the segments its reader group assigns to it.
 // Events with the same routing key are delivered in append order (§3.3).
+//
+// Every owned segment has a fetcher: a goroutine that reads it back to back
+// and hands each result to the consumer — the caller of ReadNextEvent — on
+// one reader-wide channel. The consumer owns every cursor and ownership
+// change; fetchers do I/O only.
 type Reader struct {
 	rg   *ReaderGroup
 	name string
+	// batches is unbuffered: a fetcher holding a result waits until the
+	// consumer needs one, so it runs at most one fetch ahead of it.
+	batches chan batch
 
 	mu       sync.Mutex
 	owned    map[string]*ownedSegment
-	rr       []string // round-robin order
-	rrNext   int
 	lastSync time.Time
 	lastRev  int64 // synchronizer revision at the last full rebalance
 	closed   bool
-
-	// catchUpBytes sizes tail fetches; far-behind segments use larger
-	// reads so historical catch-up saturates LTS streams (§5.7).
-	fetchBytes int
 }
 
-// ownedSegment is one assigned segment's read cursor. All fields are
-// guarded by Reader.mu; fetch I/O never holds the lock — it works on
-// values snapshotted under it and re-validates before applying results.
+// ownedSegment is one assigned segment: the consumer's cursor, guarded by
+// Reader.mu, and the handle of the fetcher reading ahead of it.
 type ownedSegment struct {
-	rec    rgSegment
-	offset int64 // next segment offset to fetch
-	buf    []byte
-	bufAt  int64 // segment offset of buf[0]
-	fetch  int   // adaptive fetch size (catch-up escalation)
+	rec   rgSegment
+	buf   []byte // fetched bytes not yet delivered
+	bufAt int64  // segment offset of buf[0]: everything before it was consumed
 
-	// Catch-up pipelining: at most one outstanding async fetch per owned
-	// segment, issued while buffered events drain, so the next batch is in
-	// flight before the buffer runs dry (§5.7).
-	inflight bool
-	results  chan fetchResult
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the fetcher has returned
 }
 
-// fetchResult carries one completed fetch back to the reader loop. offset
-// and fetch echo the request, so a result that raced a cursor jump or an
-// ownership change is detected and dropped.
-type fetchResult struct {
-	res    segstore.ReadResult
-	err    error
-	offset int64
-	fetch  int
+// batch is one fetch outcome on its way to the consumer.
+type batch struct {
+	seg  *ownedSegment
+	data []byte
+	at   int64 // segment offset of data[0]
+	eos  bool
+	err  error
 }
 
 // NewReader registers a reader in the group.
@@ -89,7 +96,7 @@ func (rg *ReaderGroup) NewReader(name string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{rg: rg, name: name, owned: make(map[string]*ownedSegment), fetchBytes: 64 << 10}, nil
+	return &Reader{rg: rg, name: name, owned: make(map[string]*ownedSegment), batches: make(chan batch)}, nil
 }
 
 // rebalance refreshes group state and acquires segments up to the fair
@@ -103,10 +110,12 @@ func (r *Reader) rebalance() error {
 		return nil
 	}
 	// Drop segments no longer ours (released or reassigned).
+	var dropped, release []*ownedSegment
 	r.mu.Lock()
-	for qn := range r.owned {
+	for qn, seg := range r.owned {
 		if assigned[qn] != r.name {
 			delete(r.owned, qn)
+			dropped = append(dropped, seg)
 		}
 	}
 	mine := 0
@@ -121,35 +130,24 @@ func (r *Reader) rebalance() error {
 
 	// Over fair share (another reader joined): release surplus segments so
 	// the group converges to a fair distribution (§3.3).
-	var release []struct {
-		qn  string
-		off int64
-	}
-	if mine > fair {
-		surplus := mine - fair
-		for qn, seg := range r.owned {
-			if surplus == 0 {
-				break
-			}
-			release = append(release, struct {
-				qn  string
-				off int64
-			}{qn, seg.bufAt})
-			delete(r.owned, qn)
-			surplus--
+	for qn, seg := range r.owned {
+		if len(release) >= mine-fair {
+			break
 		}
+		delete(r.owned, qn)
+		release = append(release, seg)
 	}
 	r.mu.Unlock()
-	for _, rel := range release {
-		rel := rel
+	stop(append(dropped, release...))
+	for _, seg := range release {
 		err := r.rg.sync.Update(func() ([]byte, error) {
 			r.rg.mu.Lock()
-			ownedByMe := r.rg.state.assigned[rel.qn] == r.name
+			ownedByMe := r.rg.state.assigned[seg.rec.Qualified] == r.name
 			r.rg.mu.Unlock()
 			if !ownedByMe {
 				return nil, nil
 			}
-			return json.Marshal(rgUpdate{Op: "release", Reader: r.name, Segment: rel.qn, Offset: rel.off})
+			return json.Marshal(rgUpdate{Op: "release", Reader: r.name, Segment: seg.rec.Qualified, Offset: seg.bufAt})
 		})
 		if err != nil {
 			return err
@@ -176,24 +174,71 @@ func (r *Reader) rebalance() error {
 	// Adopt newly acquired segments.
 	assigned, _, _ = r.rg.snapshot()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for qn, owner := range assigned {
-		if owner != r.name {
+		if _, ok := r.owned[qn]; ok || owner != r.name || r.closed {
 			continue
 		}
-		if _, ok := r.owned[qn]; !ok {
-			rec, ok := r.rg.segmentRecord(qn)
-			if !ok {
-				continue
-			}
-			r.owned[qn] = &ownedSegment{rec: rec, offset: rec.StartOffset, bufAt: rec.StartOffset}
+		if rec, ok := r.rg.segmentRecord(qn); ok {
+			r.owned[qn] = r.adopt(rec)
 		}
 	}
-	r.rr = r.rr[:0]
-	for qn := range r.owned {
-		r.rr = append(r.rr, qn)
-	}
-	r.mu.Unlock()
 	return nil
+}
+
+// adopt starts the fetcher of a newly owned segment at the group's position
+// for it. Its context ends with the System, so a reader never closed stops
+// fetching when the System closes.
+func (r *Reader) adopt(rec rgSegment) *ownedSegment {
+	ctx, cancel := context.WithCancel(r.rg.sys.ctx)
+	seg := &ownedSegment{rec: rec, bufAt: rec.StartOffset, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(seg.done)
+		r.fetch(ctx, seg)
+	}()
+	return seg
+}
+
+// stop ends the fetchers of segs and waits for them to return; a result one
+// had not handed over is dropped with it.
+func stop(segs []*ownedSegment) {
+	for _, seg := range segs {
+		seg.cancel()
+	}
+	for _, seg := range segs {
+		<-seg.done
+	}
+}
+
+// fetch is one segment's fetcher: back-to-back reads from its own offset,
+// each result handed to the consumer, until ctx ends or the segment does.
+func (r *Reader) fetch(ctx context.Context, seg *ownedSegment) {
+	qn, offset := seg.rec.Qualified, seg.rec.StartOffset
+	for {
+		res, err := r.rg.conn.ReadCtx(ctx, qn, offset, readBytes, readerPollWait)
+		switch {
+		case ctx.Err() != nil:
+			return
+		case errors.Is(err, segstore.ErrSegmentTruncated):
+			// Retention moved the head past this offset: resume there.
+			if info, ierr := r.rg.conn.GetInfo(qn); ierr == nil && info.StartOffset > offset {
+				offset = info.StartOffset
+				continue
+			}
+		case err == nil && len(res.Data) == 0 && !res.EndOfSegment:
+			continue // the wait lapsed at a quiet tail
+		}
+		b := batch{seg: seg, data: res.Data, at: offset, eos: res.EndOfSegment, err: err}
+		offset += int64(len(res.Data))
+		select {
+		case r.batches <- b:
+		case <-ctx.Done():
+			return
+		}
+		if b.eos {
+			return
+		}
+	}
 }
 
 // maybeRebalance refreshes group state once the sync window has elapsed (or
@@ -203,7 +248,7 @@ func (r *Reader) rebalance() error {
 // per window instead of a full reassignment scan with conditional updates.
 func (r *Reader) maybeRebalance() error {
 	r.mu.Lock()
-	needSync := time.Since(r.lastSync) > 100*time.Millisecond || len(r.owned) == 0
+	needSync := time.Since(r.lastSync) > syncWindow || len(r.owned) == 0
 	r.mu.Unlock()
 	if !needSync {
 		return nil
@@ -240,16 +285,15 @@ func (r *Reader) maybeRebalance() error {
 // ReadNextEvent returns the next event from any assigned segment, waiting
 // up to timeout. It returns ErrNoEvent on a quiet tail.
 //
-// A timeout <= 0 performs exactly one non-blocking pass: a buffered event
-// is returned if one is ready, otherwise one zero-wait fetch is attempted
-// and ErrNoEvent is returned when it yields nothing.
+// A timeout <= 0 never waits: it returns an event the reader already holds
+// or one a fetcher has ready to hand over, and ErrNoEvent otherwise.
 func (r *Reader) ReadNextEvent(timeout time.Duration) (Event, error) {
 	if timeout <= 0 {
-		return r.readOnce()
+		return r.next(context.Background(), false)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	ev, err := r.ReadNextEventCtx(ctx)
+	ev, err := r.next(ctx, true)
 	if errors.Is(err, context.DeadlineExceeded) {
 		return Event{}, ErrNoEvent
 	}
@@ -257,11 +301,17 @@ func (r *Reader) ReadNextEvent(timeout time.Duration) (Event, error) {
 }
 
 // ReadNextEventCtx returns the next event from any assigned segment,
-// waiting until ctx is done. Cancellation propagates into the server-side
-// tail long-poll, so the call unblocks promptly (not at the next poll
-// boundary). An event already buffered locally is served even when ctx has
-// expired; otherwise the error is ctx.Err().
+// waiting until ctx is done. An event already fetched may be served even
+// when ctx has expired; otherwise the error is ctx.Err().
 func (r *Reader) ReadNextEventCtx(ctx context.Context) (Event, error) {
+	return r.next(ctx, true)
+}
+
+// next is the consumer: it delivers an event the reader holds, or folds in
+// the fetchers' batches until one yields an event. Without block it takes
+// only a batch a fetcher is already offering.
+func (r *Reader) next(ctx context.Context, block bool) (Event, error) {
+	var wake *time.Timer // a blocked call still re-syncs the group every window
 	for {
 		r.mu.Lock()
 		closed := r.closed
@@ -272,73 +322,33 @@ func (r *Reader) ReadNextEventCtx(ctx context.Context) (Event, error) {
 		if err := r.maybeRebalance(); err != nil {
 			return Event{}, err
 		}
-
-		// Serve a buffered event if any segment has one.
-		if ev, ok, err := r.popBuffered(); err != nil {
-			return Event{}, convertErr(err)
-		} else if ok {
-			return ev, nil
+		if ev, ok, err := r.popBuffered(); err != nil || ok {
+			return ev, convertErr(err)
 		}
-
-		if err := ctx.Err(); err != nil {
-			return Event{}, err
-		}
-
-		// Fetch more data from the next segment in round-robin order.
-		qn := r.nextSegment()
-		if qn == "" {
-			// Nothing assigned yet; wait briefly for assignments.
-			if err := sleepCtx(ctx, 10*time.Millisecond); err != nil {
-				return Event{}, err
+		var b batch
+		if !block {
+			select {
+			case b = <-r.batches:
+			default:
+				return Event{}, ErrNoEvent
 			}
-			continue
+		} else {
+			if wake == nil {
+				wake = time.NewTimer(syncWindow)
+				defer wake.Stop()
+			}
+			select {
+			case b = <-r.batches:
+			case <-ctx.Done():
+				return Event{}, ctx.Err()
+			case <-wake.C:
+				wake.Reset(syncWindow)
+				continue
+			}
 		}
-		if err := r.fill(ctx, qn, 20*time.Millisecond); err != nil {
+		if err := r.apply(b); err != nil {
 			return Event{}, err
 		}
-	}
-}
-
-// readOnce is the timeout <= 0 pass of ReadNextEvent: no sleeping and no
-// tail long-poll anywhere.
-func (r *Reader) readOnce() (Event, error) {
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return Event{}, ErrReaderClosed
-	}
-	if err := r.maybeRebalance(); err != nil {
-		return Event{}, err
-	}
-	if ev, ok, err := r.popBuffered(); err != nil {
-		return Event{}, convertErr(err)
-	} else if ok {
-		return ev, nil
-	}
-	if qn := r.nextSegment(); qn != "" {
-		if err := r.fill(context.Background(), qn, 0); err != nil {
-			return Event{}, err
-		}
-		if ev, ok, err := r.popBuffered(); err != nil {
-			return Event{}, convertErr(err)
-		} else if ok {
-			return ev, nil
-		}
-	}
-	return Event{}, ErrNoEvent
-}
-
-// sleepCtx sleeps d or until ctx is done, returning ctx.Err() in the
-// latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
 	}
 }
 
@@ -361,198 +371,55 @@ func (r *Reader) popBuffered() (Event, bool, error) {
 		evOffset := seg.bufAt
 		seg.bufAt += int64(len(seg.buf) - len(rest))
 		seg.buf = rest
-		out := Event{
-			Data:    ev,
-			Stream:  seg.rec.Stream,
-			Segment: seg.rec.Number,
-			Offset:  evOffset,
-		}
 		mClientEventsRead.Inc()
-		// Keep the pipeline primed: when this segment is in catch-up mode
-		// and its buffer is running dry, start the next fetch now so it
-		// overlaps with the caller consuming this event.
-		if !seg.inflight && seg.fetch > r.fetchBytes && len(seg.buf) < seg.fetch/2 {
-			r.startPrefetchLocked(seg)
-		}
-		return out, true, nil
+		return Event{Data: ev, Stream: seg.rec.Stream, Segment: seg.rec.Number, Offset: evOffset}, true, nil
 	}
 	return Event{}, false, nil
 }
 
-// nextSegment picks the next owned segment round-robin, returning its
-// qualified name ("" when nothing is owned). It returns a name rather than
-// the *ownedSegment so no cursor state escapes r.mu.
-func (r *Reader) nextSegment() string {
+// apply folds one batch into its segment's cursor. The end of a segment
+// completes it in the group and rebalances.
+func (r *Reader) apply(b batch) error {
+	seg := b.seg
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.rr) == 0 {
-		return ""
-	}
-	for i := 0; i < len(r.rr); i++ {
-		qn := r.rr[r.rrNext%len(r.rr)]
-		r.rrNext++
-		if _, ok := r.owned[qn]; ok {
-			return qn
-		}
-	}
-	return ""
-}
-
-// fill obtains more bytes for one segment. When a prefetch is already in
-// flight it waits up to `wait` for that result instead of issuing a second
-// read; otherwise it performs one synchronous fetch. All cursor state is
-// read and written under r.mu — the I/O itself runs on snapshotted values
-// and results are re-validated against the live cursor before applying.
-func (r *Reader) fill(ctx context.Context, qn string, wait time.Duration) error {
-	r.mu.Lock()
-	seg, ok := r.owned[qn]
-	if !ok {
+	if r.owned[seg.rec.Qualified] != seg {
 		r.mu.Unlock()
-		return nil // lost ownership since nextSegment; next loop re-picks
+		return nil // released while the batch was on its way
 	}
-	if seg.inflight {
-		ch := seg.results
-		r.mu.Unlock()
-		if wait <= 0 {
-			select {
-			case fr := <-ch:
-				r.harvest(qn, seg)
-				return r.applyFetch(qn, fr)
-			default:
-				return nil
-			}
-		}
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case fr := <-ch:
-			r.harvest(qn, seg)
-			return r.applyFetch(qn, fr)
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-timer.C:
-			return nil // re-loop; other segments may have data meanwhile
-		}
-	}
-	offset := seg.offset
-	fetch := seg.fetch
-	if fetch <= 0 {
-		fetch = r.fetchBytes
-	}
-	r.mu.Unlock()
-
-	res, err := r.rg.conn.ReadCtx(ctx, qn, offset, fetch, wait)
-	return r.applyFetch(qn, fetchResult{res: res, err: err, offset: offset, fetch: fetch})
-}
-
-// harvest clears a segment's inflight flag after its result was taken from
-// the channel, guarding against the segment having been dropped and
-// re-acquired (a fresh ownedSegment) in between.
-func (r *Reader) harvest(qn string, seg *ownedSegment) {
-	r.mu.Lock()
-	if cur, ok := r.owned[qn]; ok && cur == seg {
-		seg.inflight = false
-	}
-	r.mu.Unlock()
-}
-
-// startPrefetchLocked issues the segment's next fetch asynchronously.
-// Caller holds r.mu. The fetch uses a zero wait (no tail long-poll): it is
-// only started in catch-up mode, where data is known to be available.
-func (r *Reader) startPrefetchLocked(seg *ownedSegment) {
-	if r.closed || seg.inflight {
-		return
-	}
-	fetch := seg.fetch
-	if fetch <= 0 {
-		fetch = r.fetchBytes
-	}
-	if seg.results == nil {
-		seg.results = make(chan fetchResult, 1)
-	}
-	seg.inflight = true
-	qn := seg.rec.Qualified
-	offset := seg.offset
-	ch := seg.results
-	mClientPrefetches.Inc()
-	go func() {
-		res, err := r.rg.conn.ReadCtx(context.Background(), qn, offset, fetch, 0)
-		ch <- fetchResult{res: res, err: err, offset: offset, fetch: fetch}
-	}()
-}
-
-// applyFetch folds one fetch outcome into the segment's cursor, handling
-// tail long-polls, truncation jumps and end-of-segment completion.
-// Far-behind cursors escalate their fetch size so catch-up saturates the
-// historical read path (§5.7). Results that raced a cursor jump or an
-// ownership change (offset mismatch, segment replaced) are dropped.
-func (r *Reader) applyFetch(qn string, fr fetchResult) error {
 	switch {
-	case fr.err == nil:
-	case errors.Is(fr.err, segstore.ErrSegmentTruncated):
-		// Retention moved the head; jump forward.
-		info, ierr := r.rg.conn.GetInfo(qn)
-		if ierr != nil {
-			return convertErr(ierr)
-		}
-		r.mu.Lock()
-		if seg, ok := r.owned[qn]; ok && seg.offset < info.StartOffset {
-			seg.offset = info.StartOffset
-			seg.buf = nil
-			seg.bufAt = info.StartOffset
-		}
+	case b.err != nil:
 		r.mu.Unlock()
-		return nil
-	default:
-		return convertErr(fr.err)
-	}
-	if fr.res.EndOfSegment {
-		r.mu.Lock()
-		seg, ok := r.owned[qn]
-		if !ok || seg.offset != fr.offset {
-			r.mu.Unlock()
-			return nil // stale: cursor moved since this fetch was issued
-		}
-		rec := seg.rec
-		delete(r.owned, qn)
+		return convertErr(b.err)
+	case b.eos:
+		delete(r.owned, seg.rec.Qualified)
 		r.mu.Unlock()
-		if err := r.rg.completeSegment(rec); err != nil {
+		stop([]*ownedSegment{seg})
+		if err := r.rg.completeSegment(seg.rec); err != nil {
 			return convertErr(err)
 		}
 		return convertErr(r.rebalance())
 	}
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	seg, ok := r.owned[qn]
-	if !ok || seg.offset != fr.offset {
-		return nil // stale result; drop
+	if b.at != seg.bufAt+int64(len(seg.buf)) {
+		// The fetcher jumped a truncated prefix: the partial event held from
+		// before the jump is gone.
+		seg.buf, seg.bufAt = nil, b.at
 	}
-	// Self-adapting fetch size: full reads mean the cursor is behind, so
-	// escalate toward 1 MiB catch-up reads; short reads reset to the tail
-	// size.
-	full := len(fr.res.Data) >= fr.fetch
-	if full {
-		next := fr.fetch * 4
-		if next > 1<<20 {
-			next = 1 << 20
-		}
-		seg.fetch = next
-	} else {
-		seg.fetch = r.fetchBytes
-	}
-	if len(fr.res.Data) > 0 {
-		seg.buf = append(seg.buf, fr.res.Data...)
-		seg.offset += int64(len(fr.res.Data))
-		if full && !seg.inflight {
-			// Catch-up pipelining: the next batch is fetched while the
-			// caller drains this one.
-			r.startPrefetchLocked(seg)
+	seg.buf = append(seg.buf, b.data...)
+	// The fetcher reads on as soon as it has handed a batch over; when the
+	// batch holds more than the event delivered next, that read overlaps
+	// with the consumer draining the rest.
+	if _, rest, ok, _ := decodeEventFrame(seg.buf); ok {
+		if _, _, ok, _ := decodeEventFrame(rest); ok {
+			mClientPrefetches.Inc()
 		}
 	}
 	return nil
 }
 
-// Close releases the reader's segments back to the group.
+// Close stops the reader's fetchers and releases its segments back to the
+// group at the offsets it consumed up to; fetched bytes it never delivered
+// are read again by the next owner.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -560,15 +427,16 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	owned := make(map[string]int64, len(r.owned))
-	for qn, seg := range r.owned {
-		owned[qn] = seg.bufAt // unconsumed buffered bytes re-read later
+	owned := make([]*ownedSegment, 0, len(r.owned))
+	for _, seg := range r.owned {
+		owned = append(owned, seg)
 	}
+	r.owned = make(map[string]*ownedSegment)
 	r.mu.Unlock()
-	for qn, off := range owned {
-		qn, off := qn, off
+	stop(owned)
+	for _, seg := range owned {
 		err := r.rg.sync.Update(func() ([]byte, error) {
-			return json.Marshal(rgUpdate{Op: "release", Reader: r.name, Segment: qn, Offset: off})
+			return json.Marshal(rgUpdate{Op: "release", Reader: r.name, Segment: seg.rec.Qualified, Offset: seg.bufAt})
 		})
 		if err != nil {
 			return err

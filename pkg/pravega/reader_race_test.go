@@ -10,8 +10,8 @@ import (
 // TestReaderRaceUnderRebalanceChurn is the -race regression test for the
 // reader cursor state: one reader consumes continuously while other readers
 // join and leave the group, so ownership of its segments churns mid-read
-// (surplus release, reacquire, stale in-flight prefetch results). Every
-// event must still be delivered exactly once across all readers.
+// (surplus release, reacquire, fetchers stopped with a batch in hand).
+// Every event must still be delivered exactly once across all readers.
 func TestReaderRaceUnderRebalanceChurn(t *testing.T) {
 	sys := newTestSystem(t)
 	mustCreate(t, sys, "churn", "s", 4)
@@ -103,10 +103,10 @@ func TestReaderRaceUnderRebalanceChurn(t *testing.T) {
 	}
 }
 
-// TestCatchUpPipeliningDeliversBacklog writes a backlog large enough to
-// escalate the reader into 1 MiB catch-up fetches with async prefetch, then
-// drains it: every event must arrive exactly once, in per-key order, and at
-// least one prefetch must actually have been issued.
+// TestCatchUpPipeliningDeliversBacklog writes a backlog of several 1 MiB
+// fetches, then drains it: every event must arrive exactly once, in per-key
+// order, and at least one fetch must have overlapped with the consumer
+// draining an earlier batch.
 func TestCatchUpPipeliningDeliversBacklog(t *testing.T) {
 	sys := newTestSystem(t)
 	mustCreate(t, sys, "catchup", "s", 1)
@@ -152,6 +152,6 @@ func TestCatchUpPipeliningDeliversBacklog(t *testing.T) {
 		}
 	}
 	if mClientPrefetches.Value() == prefetchesBefore {
-		t.Fatal("catch-up drain never issued an async prefetch")
+		t.Fatal("catch-up drain never fetched ahead of the consumer")
 	}
 }

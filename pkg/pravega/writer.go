@@ -273,6 +273,19 @@ func (w *EventWriter) FlushCtx(ctx context.Context) error {
 	}
 }
 
+// sleepCtx sleeps d or until ctx is done, returning ctx.Err() in the
+// latter case.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
+}
+
 // Close flushes and releases the writer.
 func (w *EventWriter) Close() error {
 	err := w.Flush()
