@@ -74,7 +74,7 @@ func main() {
 		need(args, 5)
 		w, err := sys.NewWriter(pravega.WriterConfig{Scope: args[1], Stream: args[2]})
 		check(err)
-		check(w.WriteEvent(args[3], []byte(args[4])).Wait())
+		check(w.WriteEvent(args[3], []byte(args[4])).Wait(ctx))
 		check(w.Close())
 		fmt.Println("written")
 	case "tail":

@@ -1,5 +1,6 @@
 // Command pravega-server runs a Pravega node, serving the wire protocol on
-// a TCP port. Three roles compose a deployment:
+// a TCP port. Three roles compose a deployment, each built by
+// internal/role:
 //
 //   - all (default): the classic single-process node — controller, segment
 //     stores, bookie ensemble and long-term storage behind one listener.
@@ -34,21 +35,16 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/bookkeeper"
-	"github.com/pravega-go/pravega/internal/cluster"
-	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/obs"
-	"github.com/pravega-go/pravega/internal/placement"
-	"github.com/pravega-go/pravega/internal/segstore"
-	"github.com/pravega-go/pravega/internal/wire"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
 func main() {
 	var (
-		role       = flag.String("role", "all", "process role: all, coord, or store")
+		which      = flag.String("role", "all", "process role: all, coord, or store")
 		listen     = flag.String("listen", ":9090", "address to serve the wire protocol on")
 		advertise  = flag.String("advertise", "", "address other processes dial this one on (default: the bound listen address)")
 		storeID    = flag.String("store-id", "", "store role: unique segment store id (required)")
@@ -67,303 +63,136 @@ func main() {
 	flag.Parse()
 	// The append tracer is process-wide, so every role samples alike.
 	obs.AppendTraces().SetSampleEvery(*traceEvery)
+	policy := time.Duration(*policyMS) * time.Millisecond
 
-	switch *role {
+	switch *which {
 	case "all":
-		runAll(*listen, *stores, *containers, *bookies, *ltsDir, *policyMS, *metrics, *drainTO)
+		cfg := pravega.SystemConfig{
+			Cluster:        hosting.ClusterConfig{Stores: *stores, ContainersPerStore: *containers, Bookies: *bookies},
+			PolicyInterval: policy,
+			MetricsAddr:    *metrics,
+		}
+		if *ltsDir != "" {
+			fsStore, err := lts.NewFS(*ltsDir)
+			if err != nil {
+				log.Fatalf("pravega-server: opening LTS directory: %v", err)
+			}
+			cfg.Cluster.LTS = fsStore
+		}
+		sys, err := pravega.NewInProcess(cfg)
+		if err != nil {
+			log.Fatalf("pravega-server: starting system: %v", err)
+		}
+		defer sys.Close()
+		cl := sys.Cluster()
+		srv, err := role.Serve(cl, sys.Controller(), *listen)
+		if err != nil {
+			log.Fatalf("pravega-server: listening: %v", err)
+		}
+		defer srv.Close()
+		fmt.Printf("pravega-server: serving on %s (%d stores × %d containers, %d bookies)\n",
+			srv.Addr(), *stores, *containers, *bookies)
+		if addr := sys.MetricsAddr(); addr != "" {
+			fmt.Printf("pravega-server: metrics on http://%s/metrics\n", addr)
+		}
+		awaitSignal(nil)
+		fmt.Printf("pravega-server: draining (up to %v; signal again to exit immediately)\n", *drainTO)
+		// Stop accepting wire traffic, then flush every open WAL segment and
+		// let the tiering engine finish moving flushed data to LTS.
+		if err := srv.Close(); err != nil {
+			log.Printf("pravega-server: closing listener: %v", err)
+		}
+		drain(*drainTO, "pravega-server: drained, shutting down", func() error {
+			if err := cl.FlushAll(); err != nil {
+				return err
+			}
+			return cl.WaitForTiering(*drainTO)
+		})
 	case "coord":
-		runCoord(*listen, *stores, *containers, *bookies, *policyMS, *metrics, *drainTO)
+		c, err := role.StartCoord(role.CoordConfig{
+			Listen: *listen, Stores: *stores, Containers: *containers, Bookies: *bookies, PolicyInterval: policy,
+		})
+		if err != nil {
+			log.Fatalf("pravega-server: %v", err)
+		}
+		defer c.Close()
+		defer serveMetrics(*metrics)()
+		fmt.Printf("pravega-server: coord serving on %s (%d containers, %d bookies, expecting %d stores)\n",
+			c.Addr(), *stores**containers, *bookies, *stores)
+		awaitSignal(nil)
+		fmt.Println("pravega-server: coord shutting down")
 	case "store":
-		runStore(*listen, *advertise, *storeID, *coordAddr, *ltsDir, *leaseTTL, *rebalance, *metrics, *drainTO)
+		switch {
+		case *storeID == "":
+			log.Fatal("pravega-server: -role store requires -store-id")
+		case *coordAddr == "":
+			log.Fatal("pravega-server: -role store requires -coord-addr")
+		case *ltsDir == "":
+			log.Fatal("pravega-server: -role store requires -lts-dir (shared across stores for failover)")
+		}
+		s, err := role.StartStore(role.StoreConfig{
+			ID: *storeID, Listen: *listen, Advertise: *advertise, CoordAddr: *coordAddr,
+			LTSDir: *ltsDir, LeaseTTL: *leaseTTL, RebalanceInterval: *rebalance,
+		})
+		if err != nil {
+			log.Fatalf("pravega-server: %v", err)
+		}
+		defer serveMetrics(*metrics)() // no s.Close: it could block where a timed-out drain did
+		fmt.Printf("pravega-server: store %s serving on %s (advertised %s)\n", *storeID, s.Addr(), s.Advertised())
+		// A store whose lease lapsed crashed itself: exit for the supervisor.
+		if !awaitSignal(s.Done()) {
+			log.Fatalf("pravega-server: store %s lost its session (lease expired); exiting for restart", *storeID)
+		}
+		fmt.Printf("pravega-server: store %s draining (up to %v)\n", *storeID, *drainTO)
+		drain(*drainTO, fmt.Sprintf("pravega-server: store %s drained, shutting down", *storeID), s.Drain)
 	default:
-		log.Fatalf("pravega-server: unknown -role %q (want all, coord or store)", *role)
+		log.Fatalf("pravega-server: unknown -role %q (want all, coord or store)", *which)
 	}
 }
 
-// serveMetrics starts the observability endpoint when addr is non-empty.
-func serveMetrics(addr string) *obs.Server {
+// serveMetrics starts the observability endpoint unless addr is empty.
+func serveMetrics(addr string) func() {
 	if addr == "" {
-		return nil
+		return func() {}
 	}
 	srv, err := obs.Serve(addr, obs.Default())
 	if err != nil {
 		log.Fatalf("pravega-server: metrics endpoint: %v", err)
 	}
 	fmt.Printf("pravega-server: metrics on http://%s/metrics\n", srv.Addr())
-	return srv
+	return func() { _ = srv.Close() }
 }
 
-// awaitSignal blocks until SIGINT/SIGTERM, then arms a second-signal
-// immediate exit and returns.
-func awaitSignal() {
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "pravega-server: second signal, exiting immediately")
-		os.Exit(1)
-	}()
-}
-
-// runAll is the classic single-process deployment.
-func runAll(listen string, stores, containers, bookies int, ltsDir string, policyMS int, metrics string, drainTO time.Duration) {
-	cfg := pravega.SystemConfig{
-		Cluster: hosting.ClusterConfig{
-			Stores:             stores,
-			ContainersPerStore: containers,
-			Bookies:            bookies,
-		},
-		PolicyInterval: time.Duration(policyMS) * time.Millisecond,
-		MetricsAddr:    metrics,
-	}
-	if ltsDir != "" {
-		fsStore, err := lts.NewFS(ltsDir)
-		if err != nil {
-			log.Fatalf("pravega-server: opening LTS directory: %v", err)
-		}
-		cfg.Cluster.LTS = fsStore
-	}
-	sys, err := pravega.NewInProcess(cfg)
-	if err != nil {
-		log.Fatalf("pravega-server: starting system: %v", err)
-	}
-	defer sys.Close()
-
-	// The same placement router the coord role runs, with direct calls as the
-	// per-store transport; clients learn placement from the same claim set.
-	cl := sys.Cluster()
-	srv, err := wire.NewServer(wire.ServerConfig{
-		Data:      cl.Router(),
-		Ctrl:      sys.Controller(),
-		Coord:     cl.Meta,
-		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
-		Load:      cl.Router().LoadReports,
-	}, listen)
-	if err != nil {
-		log.Fatalf("pravega-server: listening: %v", err)
-	}
-	defer srv.Close()
-	fmt.Printf("pravega-server: serving on %s (%d stores × %d containers, %d bookies)\n",
-		srv.Addr(), stores, containers, bookies)
-	if addr := sys.MetricsAddr(); addr != "" {
-		fmt.Printf("pravega-server: metrics on http://%s/metrics\n", addr)
-	}
-
-	awaitSignal()
-	fmt.Printf("pravega-server: draining (up to %v; signal again to exit immediately)\n", drainTO)
-
-	// Stop accepting wire traffic, then drain what the stores already hold:
-	// flush every open WAL segment and let the tiering engine finish moving
-	// flushed data to LTS, bounded by -drain-timeout.
-	if err := srv.Close(); err != nil {
-		log.Printf("pravega-server: closing listener: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		if err := cl.FlushAll(); err != nil {
-			done <- err
-			return
-		}
-		done <- cl.WaitForTiering(drainTO)
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			log.Printf("pravega-server: drain incomplete: %v", err)
-		} else {
-			fmt.Println("pravega-server: drained, shutting down")
-		}
-	case <-time.After(drainTO):
-		log.Printf("pravega-server: drain timed out after %v, shutting down", drainTO)
-	}
-}
-
-// runCoord hosts the coordination store, the WAL bookie ensemble, and the
-// controller. Segment data lives in store-role processes; the controller
-// reaches them through the placement router with the wire transport.
-func runCoord(listen string, stores, containers, bookies, policyMS int, metrics string, drainTO time.Duration) {
-	meta := cluster.NewStore()
-	total := stores * containers
-
-	bkNodes := make(map[string]bookkeeper.Node, bookies)
-	bookieIDs := make([]string, 0, bookies)
-	for i := 0; i < bookies; i++ {
-		id := fmt.Sprintf("bookie-%d", i)
-		bkNodes[id] = bookkeeper.NewBookie(bookkeeper.BookieConfig{ID: id})
-		bookieIDs = append(bookieIDs, id)
-	}
-	repl := bookkeeper.DefaultReplication()
-	if bookies < repl.Ensemble {
-		repl = bookkeeper.ReplicationConfig{Ensemble: bookies, WriteQuorum: bookies, AckQuorum: (bookies + 1) / 2}
-	}
-	if err := wire.PublishClusterTopology(meta, wire.ClusterTopology{
-		TotalContainers: total,
-		Bookies:         bookieIDs,
-		Replication:     repl,
-	}); err != nil {
-		log.Fatalf("pravega-server: publishing topology: %v", err)
-	}
-
-	source := placement.CoordSource{Coord: meta, Total: total}
-	plane, err := placement.New(placement.Config{
-		Source: source,
-		Dial:   wire.StoreDialer(wire.ClientConfig{}),
-	})
-	if err != nil {
-		log.Fatalf("pravega-server: starting router: %v", err)
-	}
-	defer plane.Close()
-	ctrl, err := controller.New(controller.Config{Data: plane, Cluster: meta})
-	if err != nil {
-		log.Fatalf("pravega-server: starting controller: %v", err)
-	}
-	defer ctrl.Close()
-	if policyMS > 0 {
-		ctrl.StartPolicyLoops(time.Duration(policyMS) * time.Millisecond)
-	}
-
-	srv, err := wire.NewServer(wire.ServerConfig{
-		Ctrl:      ctrl,
-		Coord:     meta,
-		Bookies:   bkNodes,
-		Placement: source,
-	}, listen)
-	if err != nil {
-		log.Fatalf("pravega-server: listening: %v", err)
-	}
-	defer srv.Close()
-	if obsSrv := serveMetrics(metrics); obsSrv != nil {
-		defer obsSrv.Close()
-	}
-	fmt.Printf("pravega-server: coord serving on %s (%d containers, %d bookies, expecting %d stores)\n",
-		srv.Addr(), total, bookies, stores)
-
-	awaitSignal()
-	fmt.Println("pravega-server: coord shutting down")
-}
-
-// runStore hosts one segment store claiming containers through the remote
-// coordination store. Its WAL entries journal to the coord process's
-// bookies, so a SIGKILL here loses nothing acknowledged.
-func runStore(listen, advertise, storeID, coordAddr, ltsDir string, leaseTTL, rebalance time.Duration, metrics string, drainTO time.Duration) {
-	if storeID == "" {
-		log.Fatal("pravega-server: -role store requires -store-id")
-	}
-	if coordAddr == "" {
-		log.Fatal("pravega-server: -role store requires -coord-addr")
-	}
-	if ltsDir == "" {
-		log.Fatal("pravega-server: -role store requires -lts-dir (shared across stores for failover)")
-	}
-
-	rs, err := wire.DialCoordRetry(coordAddr, wire.ClientConfig{}, 30*time.Second)
-	if err != nil {
-		log.Fatalf("pravega-server: dialing coord: %v", err)
-	}
-	defer rs.Close()
-	topo, err := wire.FetchClusterTopology(rs, 10*time.Second)
-	if err != nil {
-		log.Fatalf("pravega-server: fetching topology: %v", err)
-	}
-
-	bk, err := bookkeeper.NewClient(bookkeeper.ClientConfig{Meta: rs})
-	if err != nil {
-		log.Fatalf("pravega-server: bookkeeper client: %v", err)
-	}
-	for _, id := range topo.Bookies {
-		bk.RegisterBookie(wire.NewRemoteBookie(id, rs))
-	}
-	fsStore, err := lts.NewFS(ltsDir)
-	if err != nil {
-		log.Fatalf("pravega-server: opening LTS directory: %v", err)
-	}
-
-	st, err := segstore.NewStore(segstore.StoreConfig{
-		ID:              storeID,
-		TotalContainers: topo.TotalContainers,
-		Container: segstore.ContainerConfig{
-			BK:          bk,
-			Meta:        rs,
-			Replication: topo.Replication,
-			LTS:         fsStore,
-		},
-		Cluster:  rs,
-		LeaseTTL: leaseTTL,
-	})
-	if err != nil {
-		log.Fatalf("pravega-server: starting store: %v", err)
-	}
-
-	srv, err := wire.NewServer(wire.ServerConfig{
-		Data: placement.Local{St: st},
-		Load: st.LoadReport,
-	}, listen)
-	if err != nil {
-		log.Fatalf("pravega-server: listening: %v", err)
-	}
-	defer srv.Close()
-	if advertise == "" {
-		advertise = srv.Addr()
-	}
-
-	mgr, err := segstore.StartOwnershipManager(st, segstore.OwnershipConfig{
-		RebalanceInterval: rebalance,
-		AdvertiseAddr:     advertise,
-	})
-	if err != nil {
-		log.Fatalf("pravega-server: registering store: %v", err)
-	}
-	mgr.Run()
-	if obsSrv := serveMetrics(metrics); obsSrv != nil {
-		defer obsSrv.Close()
-	}
-	fmt.Printf("pravega-server: store %s serving on %s (advertised %s)\n", storeID, srv.Addr(), advertise)
-
-	// Exit when the store dies on its own (lease lost past TTL → the
-	// ownership manager crashes it) so a supervisor can restart the process.
-	died := make(chan struct{})
-	go func() {
-		t := time.NewTicker(200 * time.Millisecond)
-		defer t.Stop()
-		for range t.C {
-			if st.Closed() {
-				close(died)
-				return
-			}
-		}
-	}()
-
+// awaitSignal waits for SIGINT/SIGTERM (true, arming a second-signal exit)
+// or for died to close (false).
+func awaitSignal(died <-chan struct{}) bool {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case <-sig:
 	case <-died:
-		log.Fatalf("pravega-server: store %s lost its session (lease expired); exiting for restart", storeID)
+		return false
 	}
 	go func() {
 		<-sig
 		fmt.Fprintln(os.Stderr, "pravega-server: second signal, exiting immediately")
 		os.Exit(1)
 	}()
+	return true
+}
 
-	// Graceful shutdown: stop accepting traffic, then drain — every hosted
-	// container flushes, releases its claim, and bumps the placement epoch,
-	// so survivors take over WITHOUT waiting out the lease TTL.
-	fmt.Printf("pravega-server: store %s draining (up to %v)\n", storeID, drainTO)
-	if err := srv.Close(); err != nil {
-		log.Printf("pravega-server: closing listener: %v", err)
-	}
+// drain runs fn bounded by timeout and reports how it ended.
+func drain(timeout time.Duration, drained string, fn func() error) {
 	done := make(chan error, 1)
-	go func() { done <- st.Drain() }()
+	go func() { done <- fn() }()
 	select {
 	case err := <-done:
 		if err != nil {
 			log.Printf("pravega-server: drain incomplete: %v", err)
 		} else {
-			fmt.Printf("pravega-server: store %s drained, shutting down\n", storeID)
+			fmt.Println(drained)
 		}
-	case <-time.After(drainTO):
-		log.Printf("pravega-server: drain timed out after %v, shutting down", drainTO)
+	case <-time.After(timeout):
+		log.Printf("pravega-server: drain timed out after %v, shutting down", timeout)
 	}
 }

@@ -113,7 +113,7 @@ func main() {
 			}
 			time.Sleep(gap)
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.Flush(ctx); err != nil {
 			log.Fatal(err)
 		}
 		n, _ := sys.Streams().SegmentCount(ctx, "iot", "telemetry")

@@ -83,7 +83,6 @@ type partition struct {
 
 	mu      sync.Mutex
 	nextOff int64
-	bytes   int64
 	records []record // ring of recent records for consumers
 	waiters []chan struct{}
 
@@ -227,7 +226,6 @@ func (cl *Cluster) produce(p *partition, msgSizes []int, produced time.Time) (in
 	for _, s := range msgSizes {
 		p.records = append(p.records, record{offset: p.nextOff, size: s, produced: produced})
 		p.nextOff++
-		p.bytes += int64(s)
 	}
 	if over := len(p.records) - cl.cfg.TailRecords; over > 0 {
 		p.records = p.records[over:]
@@ -286,15 +284,4 @@ func (cl *Cluster) fetch(p *partition, offset int64, maxBytes int, wait time.Dur
 			return nil, nil
 		}
 	}
-}
-
-// PartitionBytes reports a partition's log size (tests, figures).
-func (cl *Cluster) PartitionBytes(topic string, idx int) (int64, error) {
-	p, err := cl.partition(topic, idx)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytes, nil
 }

@@ -63,11 +63,9 @@ type Config struct {
 type Controller struct {
 	cfg Config
 
-	mu       sync.Mutex
-	scopes   map[string]struct{}
-	streams  map[string]*streamState
-	versions map[string]int64 // persisted node version per stream key
-	ha       *haState
+	mu      sync.Mutex
+	scopes  map[string]struct{}
+	streams map[string]*streamState
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -85,11 +83,10 @@ func New(cfg Config) (*Controller, error) {
 		cfg.ScaleCooldown = 2 * time.Second
 	}
 	c := &Controller{
-		cfg:      cfg,
-		scopes:   make(map[string]struct{}),
-		streams:  make(map[string]*streamState),
-		versions: make(map[string]int64),
-		stop:     make(chan struct{}),
+		cfg:     cfg,
+		scopes:  make(map[string]struct{}),
+		streams: make(map[string]*streamState),
+		stop:    make(chan struct{}),
 	}
 	if cfg.Cluster != nil {
 		if err := c.reload(); err != nil {
@@ -99,11 +96,10 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Close stops policy loops and withdraws any HA registration.
+// Close stops the policy loops.
 func (c *Controller) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
-	c.DisableHA()
 }
 
 // CreateScope registers a stream namespace (§2.1).
@@ -648,23 +644,15 @@ func (c *Controller) persist(key string) error {
 		return err
 	}
 	path := streamsRoot + "/" + flatten(key)
-	var ver int64
-	if err := c.cfg.Cluster.CreateAll(path, data); err != nil {
-		if !errors.Is(err, cluster.ErrNodeExists) {
-			return err
-		}
-		stat, serr := c.cfg.Cluster.Set(path, data, -1)
-		if serr != nil {
-			return serr
-		}
-		ver = stat.Version
+	if err := c.cfg.Cluster.CreateAll(path, data); !errors.Is(err, cluster.ErrNodeExists) {
+		return err
 	}
-	c.mu.Lock()
-	c.versions[key] = ver
-	c.mu.Unlock()
-	return nil
+	_, err = c.cfg.Cluster.Set(path, data, -1)
+	return err
 }
 
+// reload loads every persisted stream node into a new controller, so a
+// restarted coord picks up where the last one stopped.
 func (c *Controller) reload() error {
 	names, err := c.cfg.Cluster.Children(streamsRoot)
 	if errors.Is(err, cluster.ErrNoNode) {
@@ -673,54 +661,33 @@ func (c *Controller) reload() error {
 	if err != nil {
 		return err
 	}
-	for _, n := range names {
-		if err := c.reloadOne(n); err != nil {
+	for _, node := range names {
+		data, _, err := c.cfg.Cluster.Get(streamsRoot + "/" + node)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// reloadOne loads one persisted stream node, replacing local state only
-// when the node's version advanced past what this instance last saw.
-func (c *Controller) reloadOne(node string) error {
-	data, stat, err := c.cfg.Cluster.Get(streamsRoot + "/" + node)
-	if err != nil {
-		if errors.Is(err, cluster.ErrNoNode) {
-			return nil // deleted concurrently
+		var p persistedStream
+		if err := json.Unmarshal(data, &p); err != nil {
+			return fmt.Errorf("controller: decoding stream %s: %w", node, err)
 		}
-		return err
-	}
-	var p persistedStream
-	if err := json.Unmarshal(data, &p); err != nil {
-		return fmt.Errorf("controller: decoding stream %s: %w", node, err)
-	}
-	key := scopedName(p.Config.Scope, p.Config.Name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if known, ok := c.versions[key]; ok && known >= stat.Version {
-		if _, have := c.streams[key]; have {
-			return nil // up to date
+		st := &streamState{
+			cfg:      p.Config,
+			epoch:    p.Epoch,
+			nextSeq:  p.NextSeq,
+			sealed:   p.Sealed,
+			segments: p.Segments,
+			active:   p.Active,
+			head:     p.Head,
+			txns:     p.Txns,
 		}
+		if st.segments == nil {
+			st.segments = make(map[int64]*SegmentRecord)
+		}
+		if st.head == nil {
+			st.head = make(StreamCut)
+		}
+		c.scopes[p.Config.Scope] = struct{}{}
+		c.streams[scopedName(p.Config.Scope, p.Config.Name)] = st
 	}
-	st := &streamState{
-		cfg:      p.Config,
-		epoch:    p.Epoch,
-		nextSeq:  p.NextSeq,
-		sealed:   p.Sealed,
-		segments: p.Segments,
-		active:   p.Active,
-		head:     p.Head,
-		txns:     p.Txns,
-	}
-	if st.segments == nil {
-		st.segments = make(map[int64]*SegmentRecord)
-	}
-	if st.head == nil {
-		st.head = make(StreamCut)
-	}
-	c.scopes[p.Config.Scope] = struct{}{}
-	c.streams[key] = st
-	c.versions[key] = stat.Version
 	return nil
 }

@@ -70,10 +70,6 @@ const mergeThreshold = 0.5
 // hot segments / merges adjacent cold segments according to each stream's
 // policy (§3.1).
 func (c *Controller) evaluateScaling() {
-	owned, haOn := c.ownedPartitions()
-	if haOn {
-		_ = c.RefreshFromStore()
-	}
 	reports := c.cfg.Data.LoadReports()
 	load := make(map[string]float64, len(reports))
 	full := make(map[string]bool, len(reports))
@@ -86,14 +82,7 @@ func (c *Controller) evaluateScaling() {
 
 	var decisions []scaleDecision
 	c.mu.Lock()
-	parts := 16
-	if c.ha != nil {
-		parts = c.ha.partitions
-	}
-	for key, st := range c.streams {
-		if haOn && !owned[streamPartition(key, parts)] {
-			continue // another controller instance manages this stream
-		}
+	for _, st := range c.streams {
 		pol := st.cfg.Scaling
 		if pol.Type == ScalingFixed || st.sealed || st.deleted {
 			continue
@@ -178,10 +167,6 @@ func (c *Controller) evaluateScaling() {
 // evaluateRetention records a stream cut at the current tail and truncates
 // according to each stream's retention policy.
 func (c *Controller) evaluateRetention() {
-	owned, haOn := c.ownedPartitions()
-	if haOn {
-		_ = c.RefreshFromStore()
-	}
 	type job struct {
 		scope, name string
 		active      []segment.ID
@@ -189,14 +174,7 @@ func (c *Controller) evaluateRetention() {
 	}
 	var jobs []job
 	c.mu.Lock()
-	parts := 16
-	if c.ha != nil {
-		parts = c.ha.partitions
-	}
-	for key, st := range c.streams {
-		if haOn && !owned[streamPartition(key, parts)] {
-			continue
-		}
+	for _, st := range c.streams {
 		if st.cfg.Retention.Type == RetentionNone || st.deleted {
 			continue
 		}

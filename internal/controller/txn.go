@@ -341,28 +341,17 @@ func (c *Controller) TxnStatus(scope, name, txnID string) (TxnState, error) {
 // evaluateTxns is the transaction reaper (one of the policy loops): it
 // aborts open transactions whose lease expired and finishes the data-plane
 // work of transactions left mid-commit or mid-abort — including by a
-// controller instance that died, since records persist and partition
-// ownership fails over (§2.2).
+// controller that died, since records persist and its restart reloads them
+// (§2.2).
 func (c *Controller) evaluateTxns() {
-	owned, haOn := c.ownedPartitions()
-	if haOn {
-		_ = c.RefreshFromStore()
-	}
 	type job struct {
 		scope, name, id string
 		commit          bool
 	}
 	var jobs []job
 	c.mu.Lock()
-	parts := 16
-	if c.ha != nil {
-		parts = c.ha.partitions
-	}
 	now := time.Now()
-	for key, st := range c.streams {
-		if haOn && !owned[streamPartition(key, parts)] {
-			continue
-		}
+	for _, st := range c.streams {
 		if st.deleted {
 			continue
 		}

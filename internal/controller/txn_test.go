@@ -287,18 +287,10 @@ func TestTxnReaperRollsForwardCommitting(t *testing.T) {
 	}
 }
 
-func TestTxnReaperAfterHAFailover(t *testing.T) {
+func TestTxnReaperAfterControllerRestart(t *testing.T) {
 	data := newFakeData()
 	cs := cluster.NewStore()
 	c1 := newTxnController(t, data, cs)
-	c2 := newTxnController(t, data, cs)
-	defer c2.Close()
-	if err := c1.EnableHA("a", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.EnableHA("b", 4); err != nil {
-		t.Fatal(err)
-	}
 	if err := c1.CreateScope("s"); err != nil {
 		t.Fatal(err)
 	}
@@ -317,21 +309,23 @@ func TestTxnReaperAfterHAFailover(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond)
 
-	// Instance 1 dies mid-flight. The survivor's reaper pass refreshes from
-	// the store, takes over every partition, aborts the expired transaction
-	// and rolls the committing one forward.
+	// The controller dies mid-flight. Its replacement reloads both records
+	// from the coordination store; one reaper pass aborts the expired
+	// transaction and rolls the committing one forward.
 	c1.Close()
+	c2 := newTxnController(t, data, cs)
+	defer c2.Close()
 	c2.evaluateTxns()
 
 	if got, err := c2.TxnStatus("s", "t", expired.ID); err != nil || got != TxnAborted {
-		t.Fatalf("expired txn after failover: %v, %v (want aborted)", got, err)
+		t.Fatalf("expired txn after restart: %v, %v (want aborted)", got, err)
 	}
 	if got, err := c2.TxnStatus("s", "t", committing.ID); err != nil || got != TxnCommitted {
-		t.Fatalf("committing txn after failover: %v, %v (want committed)", got, err)
+		t.Fatalf("committing txn after restart: %v, %v (want committed)", got, err)
 	}
 	for _, ts := range append(expired.Segments, committing.Segments...) {
 		if _, err := data.GetInfo(ts.Shadow); err == nil {
-			t.Fatalf("shadow %s survived failover cleanup", ts.Shadow)
+			t.Fatalf("shadow %s survived restart cleanup", ts.Shadow)
 		}
 	}
 }

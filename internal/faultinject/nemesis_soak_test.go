@@ -300,7 +300,7 @@ func runNemesisSoak(t *testing.T, seed int64) {
 				}
 			}
 			for _, p := range futs {
-				err := p.fut.WaitCtx(ctx)
+				err := p.fut.Wait(ctx)
 				oracle.mu.Lock()
 				if err == nil {
 					delete(oracle.maybe, p.event)
@@ -408,7 +408,7 @@ func runTxns(t *testing.T, ctx context.Context, sys *pravega.System, oracle *soa
 		}
 		wantCommit := i%2 == 0
 		for _, f := range futs {
-			if err := f.WaitCtx(ctx); err != nil {
+			if err := f.Wait(ctx); err != nil {
 				// Transactional writes have no replay path: a lost shadow
 				// write means the transaction cannot commit complete.
 				wantCommit = false

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/hosting"
-	"github.com/pravega-go/pravega/internal/placement"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/wire"
@@ -42,17 +42,10 @@ func newNemesisRigCluster(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientC
 	if err != nil {
 		t.Fatalf("NewInProcess: %v", err)
 	}
-	cl := backing.Cluster()
-	srv, err := wire.NewServer(wire.ServerConfig{
-		Data:      cl.Router(),
-		Ctrl:      backing.Controller(),
-		Coord:     cl.Meta,
-		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
-		Load:      cl.Router().LoadReports,
-	}, "127.0.0.1:0")
+	srv, err := role.Serve(backing.Cluster(), backing.Controller(), "127.0.0.1:0")
 	if err != nil {
 		backing.Close()
-		t.Fatalf("wire.NewServer: %v", err)
+		t.Fatalf("role.Serve: %v", err)
 	}
 	proxy, err := NewNemesisProxy("127.0.0.1:0", srv.Addr(), ncfg)
 	if err != nil {
@@ -119,7 +112,7 @@ func writeReadRoundTrip(t *testing.T, sys *pravega.System, scope string, keys, p
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for i, f := range futs {
-		if err := f.WaitCtx(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatalf("event %d not acked: %v", i, err)
 		}
 	}
@@ -249,7 +242,7 @@ func TestNemesisPartition(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for i, f := range futs {
-		if err := f.WaitCtx(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatalf("event %d not acked across partition: %v", i, err)
 		}
 	}

@@ -198,13 +198,6 @@ func (pc *ProcCluster) launchStore(i int) (*managedProc, error) {
 // placement snapshots routing data traffic to the store processes.
 func (pc *ProcCluster) CoordAddr() string { return pc.coordAddr }
 
-// Admin exposes the harness's coordination-store view (host/claim
-// inspection in tests).
-func (pc *ProcCluster) Admin() *wire.RemoteStore { return pc.admin }
-
-// StoreID returns store i's id as registered in the live-host set.
-func (pc *ProcCluster) StoreID(i int) string { return pc.storeIDs[i] }
-
 // AliveStores lists the indices of store processes currently running.
 func (pc *ProcCluster) AliveStores() []int {
 	pc.mu.Lock()

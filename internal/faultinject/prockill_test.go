@@ -185,7 +185,7 @@ func TestProcKillCycles(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 			}
 			for _, p := range futs {
-				err := p.fut.WaitCtx(ctx)
+				err := p.fut.Wait(ctx)
 				oracle.mu.Lock()
 				if err == nil {
 					delete(oracle.maybe, p.event)
@@ -315,7 +315,7 @@ func TestProcGracefulStop(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ev := fmt.Sprintf("k%d|%04d", i%4, i/4)
 		want[ev] = true
-		if err := w.WriteEvent(fmt.Sprintf("k%d", i%4), []byte(ev)).WaitCtx(ctx); err != nil {
+		if err := w.WriteEvent(fmt.Sprintf("k%d", i%4), []byte(ev)).Wait(ctx); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}

@@ -65,7 +65,7 @@ func TestNemesisStoreKillFailover(t *testing.T) {
 	}
 	phase(0, perKey/3)
 	for _, f := range futs {
-		if err := f.WaitCtx(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatalf("phase 1 ack: %v", err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestNemesisStoreKillFailover(t *testing.T) {
 	}
 	phase(2*perKey/3, perKey)
 	for i, f := range futs {
-		if err := f.WaitCtx(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatalf("event %d not acked across store kills: %v", i, err)
 		}
 	}

@@ -102,9 +102,6 @@ func (t *Tracer) SetSampleEvery(n int) {
 	t.every.Store(int64(n))
 }
 
-// SampleEvery returns the current sampling interval (0 = disabled).
-func (t *Tracer) SampleEvery() int { return int(t.every.Load()) }
-
 // Sample returns a new span for this append if it is selected, nil
 // otherwise. The nil result flows through the pipeline via the nil-safe
 // Mark methods.

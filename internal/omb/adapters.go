@@ -72,7 +72,7 @@ func (pp *pravegaProducer) Send(key string, size int, produced time.Time) Ack {
 	return pravegaAck{f: pp.w.WriteEvent(key, encodePayload(size, produced))}
 }
 
-func (pp *pravegaProducer) Flush() error { return pp.w.Flush() }
+func (pp *pravegaProducer) Flush() error { return pp.w.Flush(context.Background()) }
 func (pp *pravegaProducer) Close() error { return pp.w.Close() }
 
 // Close implements System.

@@ -41,6 +41,7 @@ type Store struct {
 	mu         sync.Mutex
 	containers map[int]*Container
 	closed     bool
+	done       chan struct{} // closed with closed
 	mgr        *OwnershipManager
 }
 
@@ -57,6 +58,17 @@ func (st *Store) isClosed() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.closed
+}
+
+// Done returns a channel closed once the store is closed or crashed — by
+// its owner, or by the ownership manager when the lease lapsed.
+func (st *Store) Done() <-chan struct{} { return st.done }
+
+// markClosedLocked flips the store to closed. Caller holds st.mu and has
+// checked that it was open.
+func (st *Store) markClosedLocked() {
+	st.closed = true
+	close(st.done)
 }
 
 func (st *Store) hosts(id int) bool {
@@ -128,6 +140,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		cfg:        cfg,
 		session:    sess,
 		containers: make(map[int]*Container),
+		done:       make(chan struct{}),
 	}, nil
 }
 
@@ -274,7 +287,7 @@ func (st *Store) Close() error {
 		st.mu.Unlock()
 		return nil
 	}
-	st.closed = true
+	st.markClosedLocked()
 	mgr := st.mgr
 	cs := make([]*Container, 0, len(st.containers))
 	for _, c := range st.containers {
@@ -333,7 +346,7 @@ func (st *Store) Crash() {
 		st.mu.Unlock()
 		return
 	}
-	st.closed = true
+	st.markClosedLocked()
 	mgr := st.mgr
 	cs := make([]*Container, 0, len(st.containers))
 	for _, c := range st.containers {

@@ -183,10 +183,3 @@ func (d *Disk) DirtyBytes() int64 {
 	defer d.dirtyMu.Unlock()
 	return d.dirtySum
 }
-
-// ReadSeq models a sequential read of n bytes from the drive (historical
-// reads hit LTS in Pravega; the baselines read their partition logs).
-func (f *DiskFile) ReadSeq(n int) time.Duration {
-	over := f.disk.seekOverhead(f)
-	return f.disk.device.TakeWithOverhead(n, over)
-}

@@ -92,15 +92,3 @@ func (tb *TokenBucket) TakeWithOverhead(n int, overhead time.Duration) time.Dura
 	}
 	return wait
 }
-
-// Backlog returns how far the bucket's reservation horizon currently is
-// ahead of real time, i.e. the queueing delay a new request would see.
-func (tb *TokenBucket) Backlog() time.Duration {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	d := tb.nextFree.Sub(tb.now())
-	if d < 0 {
-		return 0
-	}
-	return d
-}

@@ -77,7 +77,7 @@ func TestWriterSealedStreamSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.WriteEvent("k", []byte("before")).Wait(); err != nil {
+	if err := w.WriteEvent("k", []byte("before")).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Streams().Seal(context.Background(), "seal", "s"); err != nil {
@@ -85,7 +85,7 @@ func TestWriterSealedStreamSentinel(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := w.WriteEvent("k", []byte("after")).Wait()
+		err := w.WriteEvent("k", []byte("after")).Wait(context.Background())
 		if err != nil {
 			if !errors.Is(err, ErrStreamSealed) {
 				t.Fatalf("write to sealed stream: got %v, want ErrStreamSealed", err)
@@ -109,7 +109,7 @@ func TestClosedSentinels(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEvent("k", []byte("x")).Wait(); !errors.Is(err, ErrWriterClosed) {
+	if err := w.WriteEvent("k", []byte("x")).Wait(context.Background()); !errors.Is(err, ErrWriterClosed) {
 		t.Errorf("WriteEvent after Close: got %v, want ErrWriterClosed", err)
 	}
 	rg, err := sys.NewReaderGroup("rgc", "cl", "s")
@@ -198,7 +198,7 @@ func TestReadNextEventZeroTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.WriteEvent("k", []byte("ping")).Wait(); err != nil {
+	if err := w.WriteEvent("k", []byte("ping")).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var got Event
@@ -221,24 +221,24 @@ func TestReadNextEventZeroTimeout(t *testing.T) {
 	}
 }
 
-// TestWaitCtxCancel checks WaitCtx returns ctx.Err() on cancellation without
+// TestWaitCancel checks Wait returns ctx.Err() on cancellation without
 // revoking the write: the future still resolves.
-func TestWaitCtxCancel(t *testing.T) {
+func TestWaitCancel(t *testing.T) {
 	f := newFuture()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := f.WaitCtx(ctx); !errors.Is(err, context.Canceled) {
+	if err := f.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	f.complete(nil)
-	if err := f.WaitCtx(context.Background()); err != nil {
+	if err := f.Wait(context.Background()); err != nil {
 		t.Fatalf("future did not resolve after cancel-and-complete: %v", err)
 	}
 }
 
-// TestFlushCtxCancel checks FlushCtx honours an already-cancelled context
-// and that a plain Flush still works.
-func TestFlushCtxCancel(t *testing.T) {
+// TestFlushCancel checks Flush honours an already-cancelled context and that
+// a later Flush with a live context still works.
+func TestFlushCancel(t *testing.T) {
 	sys := newTestSystem(t)
 	mustCreate(t, sys, "fl", "s", 1)
 	w, err := sys.NewWriter(WriterConfig{Scope: "fl", Stream: "s"})
@@ -251,11 +251,11 @@ func TestFlushCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := w.FlushCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FlushCtx(cancelled): got %v, want context.Canceled", err)
+	if err := w.Flush(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Flush(cancelled): got %v, want context.Canceled", err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush after cancelled FlushCtx: %v", err)
+	if err := w.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush after a cancelled Flush: %v", err)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestRebalanceRevisionCaching(t *testing.T) {
 	defer r.Close()
 
 	// First read acquires both segments (full rebalance).
-	if err := w.WriteEvent("k", []byte("e0")).Wait(); err != nil {
+	if err := w.WriteEvent("k", []byte("e0")).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadNextEvent(2 * time.Second); err != nil {
@@ -293,7 +293,7 @@ func TestRebalanceRevisionCaching(t *testing.T) {
 	// Quiet group: cross several 100ms sync windows with reads.
 	for i := 0; i < 3; i++ {
 		time.Sleep(120 * time.Millisecond)
-		if err := w.WriteEvent("k", []byte(fmt.Sprintf("e%d", i+1))).Wait(); err != nil {
+		if err := w.WriteEvent("k", []byte(fmt.Sprintf("e%d", i+1))).Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.ReadNextEvent(2 * time.Second); err != nil {

@@ -68,7 +68,7 @@ func benchWriter(b *testing.B, tcp bool) {
 		pending = append(pending, w.WriteEvent("k", data))
 		if len(pending) == window {
 			for _, f := range pending {
-				if err := f.Wait(); err != nil {
+				if err := f.Wait(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,7 +76,7 @@ func benchWriter(b *testing.B, tcp bool) {
 		}
 	}
 	for _, f := range pending {
-		if err := f.Wait(); err != nil {
+		if err := f.Wait(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

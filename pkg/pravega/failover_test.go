@@ -41,7 +41,7 @@ func newFailoverSystem(t *testing.T) *System {
 	srv, err := serveBacking(backing, "127.0.0.1:0")
 	if err != nil {
 		backing.Close()
-		t.Fatalf("wire.NewServer: %v", err)
+		t.Fatalf("role.Serve: %v", err)
 	}
 	sys, err := Connect(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second})
 	if err != nil {
@@ -158,7 +158,7 @@ func runFailoverWorkload(t *testing.T, sys *System, scope string, disrupt func()
 	// First half acked before the disruption, so the crash has real state to
 	// fence and replay.
 	for i, f := range write(0, perKey/2) {
-		if err := f.WaitCtx(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatalf("pre-disruption event %d not acked: %v", i, err)
 		}
 	}
@@ -168,7 +168,7 @@ func runFailoverWorkload(t *testing.T, sys *System, scope string, disrupt func()
 	// Second half rides through the failover: parked batches must replay
 	// exactly once against the new owners.
 	for i, f := range write(perKey/2, perKey) {
-		if err := f.WaitCtx(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatalf("post-disruption event %d not acked: %v", i, err)
 		}
 	}

@@ -66,13 +66,10 @@ func (b *kvBacking) Read(offset int64, maxBytes int) ([]byte, error) {
 	return res.Data, nil
 }
 
-// Get returns the key's entry, or ok=false when absent.
-func (t *KeyValueTable) Get(key string) (TableEntry, bool, error) { return t.table.Get(key) }
-
-// GetCtx is Get honoring ctx cancellation (see DESIGN.md §"Context
-// convention"): cancelling abandons the wait; the read itself is side-effect
-// free.
-func (t *KeyValueTable) GetCtx(ctx context.Context, key string) (TableEntry, bool, error) {
+// Get returns the key's entry, or ok=false when absent. Like every table
+// method it honors ctx (DESIGN.md §"Context convention"): cancelling
+// abandons the wait; the read itself is side-effect free.
+func (t *KeyValueTable) Get(ctx context.Context, key string) (TableEntry, bool, error) {
 	type hit struct {
 		e  TableEntry
 		ok bool
@@ -85,50 +82,30 @@ func (t *KeyValueTable) GetCtx(ctx context.Context, key string) (TableEntry, boo
 }
 
 // Put writes key=value conditionally on expected (AnyVersion, NotExists or
-// an exact version) and returns the new version.
-func (t *KeyValueTable) Put(key string, value []byte, expected int64) (int64, error) {
-	return t.table.Put(key, value, expected)
-}
-
-// PutCtx is Put honoring ctx cancellation. Cancelling abandons the wait; the
-// conditional write may still land — re-read to learn the outcome.
-func (t *KeyValueTable) PutCtx(ctx context.Context, key string, value []byte, expected int64) (int64, error) {
+// an exact version) and returns the new version. A cancelled call may still
+// have applied — re-read to learn the outcome.
+func (t *KeyValueTable) Put(ctx context.Context, key string, value []byte, expected int64) (int64, error) {
 	return runCtxVal(ctx, func() (int64, error) { return t.table.Put(key, value, expected) })
 }
 
-// Delete removes the key conditionally.
-func (t *KeyValueTable) Delete(key string, expected int64) error {
-	return t.table.Delete(key, expected)
-}
-
-// DeleteCtx is Delete honoring ctx cancellation; like PutCtx, a cancelled
-// call may still have applied.
-func (t *KeyValueTable) DeleteCtx(ctx context.Context, key string, expected int64) error {
+// Delete removes the key conditionally; like Put, a cancelled call may
+// still have applied.
+func (t *KeyValueTable) Delete(ctx context.Context, key string, expected int64) error {
 	return runCtx(ctx, func() error { return t.table.Delete(key, expected) })
 }
 
 // Txn applies all operations atomically, or none (§4.3: "transactions to
-// update multiple keys at once").
-func (t *KeyValueTable) Txn(ops []TableOp) error { return t.table.Txn(ops) }
-
-// TxnCtx is Txn honoring ctx cancellation; the transaction still applies
-// atomically or not at all if the wait is abandoned.
-func (t *KeyValueTable) TxnCtx(ctx context.Context, ops []TableOp) error {
+// update multiple keys at once"), even if the wait is abandoned.
+func (t *KeyValueTable) Txn(ctx context.Context, ops []TableOp) error {
 	return runCtx(ctx, func() error { return t.table.Txn(ops) })
 }
 
 // Keys lists the table's keys, sorted.
-func (t *KeyValueTable) Keys() ([]string, error) { return t.table.Keys() }
-
-// KeysCtx is Keys honoring ctx cancellation.
-func (t *KeyValueTable) KeysCtx(ctx context.Context) ([]string, error) {
+func (t *KeyValueTable) Keys(ctx context.Context) ([]string, error) {
 	return runCtxVal(ctx, func() ([]string, error) { return t.table.Keys() })
 }
 
 // Len returns the number of keys.
-func (t *KeyValueTable) Len() (int, error) { return t.table.Len() }
-
-// LenCtx is Len honoring ctx cancellation.
-func (t *KeyValueTable) LenCtx(ctx context.Context) (int, error) {
+func (t *KeyValueTable) Len(ctx context.Context) (int, error) {
 	return runCtxVal(ctx, func() (int, error) { return t.table.Len() })
 }

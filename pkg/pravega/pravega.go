@@ -17,7 +17,7 @@
 //	_ = sys.Streams().CreateScope(ctx, "demo")
 //	_ = sys.Streams().Create(ctx, pravega.StreamConfig{Scope: "demo", Name: "events", InitialSegments: 2})
 //	w, _ := sys.NewWriter(pravega.WriterConfig{Scope: "demo", Stream: "events"})
-//	_ = w.WriteEvent("sensor-1", []byte("hello")).Wait()
+//	_ = w.WriteEvent("sensor-1", []byte("hello")).Wait(ctx)
 //	rg, _ := sys.NewReaderGroup("rg", "demo", "events")
 //	r, _ := rg.NewReader("reader-1")
 //	ev, _ := r.ReadNextEvent(time.Second)

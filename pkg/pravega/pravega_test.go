@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/hosting"
-	"github.com/pravega-go/pravega/internal/placement"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/wire"
 )
 
@@ -33,7 +33,7 @@ func newTestSystem(t *testing.T) *System {
 	srv, err := serveBacking(backing, "127.0.0.1:0")
 	if err != nil {
 		backing.Close()
-		t.Fatalf("wire.NewServer: %v", err)
+		t.Fatalf("role.Serve: %v", err)
 	}
 	sys, err := Connect(srv.Addr(), ClientConfig{})
 	if err != nil {
@@ -53,17 +53,10 @@ func newTestSystem(t *testing.T) *System {
 	return sys
 }
 
-// serveBacking fronts an in-process system with a wire server exposing every
-// plane, the way cmd/pravega-server's -role all does.
+// serveBacking fronts an in-process system with the all-planes wire server
+// cmd/pravega-server's -role all runs.
 func serveBacking(backing *System, addr string) (*wire.Server, error) {
-	cl := backing.Cluster()
-	return wire.NewServer(wire.ServerConfig{
-		Data:      cl.Router(),
-		Ctrl:      backing.Controller(),
-		Coord:     cl.Meta,
-		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
-		Load:      cl.Router().LoadReports,
-	}, addr)
+	return role.Serve(backing.Cluster(), backing.Controller(), addr)
 }
 
 func mustCreate(t *testing.T, sys *System, scope, stream string, segments int) {
@@ -174,7 +167,7 @@ func TestManualScalePreservesOrder(t *testing.T) {
 		}
 	}
 	write(0, half)
-	if err := w.Flush(); err != nil {
+	if err := w.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Scale the single segment (epoch 0, number 0) into 3 successors while
@@ -312,7 +305,7 @@ func TestWriterDedupOnRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEvent("k", []byte("once")).Wait(); err != nil {
+	if err := w.WriteEvent("k", []byte("once")).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -323,7 +316,7 @@ func TestWriterDedupOnRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.WriteEvent("k", []byte("once")).Wait(); err != nil {
+	if err := w2.WriteEvent("k", []byte("once")).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -378,7 +371,7 @@ func TestAutoScalingSplitsHotStream(t *testing.T) {
 		w.WriteEvent(fmt.Sprintf("k%d", i%64), []byte("0123456789abcdef"))
 		i++
 		if i%200 == 0 {
-			_ = w.Flush()
+			_ = w.Flush(context.Background())
 			if n, _ := sys.Streams().SegmentCount(context.Background(), "auto", "s"); n >= 2 {
 				return // stream scaled up
 			}

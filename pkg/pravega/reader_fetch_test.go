@@ -135,7 +135,7 @@ func TestReaderReadsOwnedSegmentsInParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.WriteEvent(live, []byte("live")).Wait(); err != nil {
+	if err := w.WriteEvent(live, []byte("live")).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if res := <-got; res.err != nil || string(res.ev.Data) != "live" {
@@ -280,7 +280,7 @@ func TestReaderResumesAtTruncatedHead(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			w.WriteEvent(fmt.Sprintf("k%d", i%5), []byte(fmt.Sprintf("%s-%02d", prefix, i)))
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.Flush(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

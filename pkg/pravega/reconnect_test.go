@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -71,7 +72,7 @@ func TestWriterSurvivesServerRestart(t *testing.T) {
 		t.Fatal("server never restarted")
 	}
 	for i, f := range futures {
-		if err := f.Wait(); err != nil {
+		if err := f.Wait(context.Background()); err != nil {
 			t.Fatalf("event %d never acknowledged: %v", i, err)
 		}
 	}

@@ -31,7 +31,7 @@ func TestScaleDownBarrier(t *testing.T) {
 		}
 	}
 	write(0, half)
-	if err := w.Flush(); err != nil {
+	if err := w.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +147,7 @@ func TestWriterLargeEvents(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	for i := 0; i < 4; i++ {
-		if err := w.WriteEvent("k", payload).Wait(); err != nil {
+		if err := w.WriteEvent("k", payload).Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

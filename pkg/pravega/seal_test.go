@@ -63,7 +63,7 @@ func TestWriteToSealedStreamFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEvent("k", []byte("ok")).Wait(); err != nil {
+	if err := w.WriteEvent("k", []byte("ok")).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Streams().Seal(context.Background(), "wseal", "s"); err != nil {

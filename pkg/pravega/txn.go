@@ -161,7 +161,7 @@ func (t *Txn) flush(ctx context.Context) error {
 	futs := append([]*WriteFuture(nil), t.futures...)
 	t.mu.Unlock()
 	for _, f := range futs {
-		if err := f.WaitCtx(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			return err
 		}
 	}

@@ -61,7 +61,7 @@ func TestTxnCommitVisibility(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
 		txn.WriteEvent(key, []byte("txn-"+key))
-		if err := w.WriteEvent(key, []byte("plain-"+key)).Wait(); err != nil {
+		if err := w.WriteEvent(key, []byte("plain-"+key)).Wait(context.Background()); err != nil {
 			t.Fatalf("plain write: %v", err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestTxnAbortLeavesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := txn.WriteEvent(fmt.Sprintf("k%d", i), []byte("doomed")).Wait(); err != nil {
+		if err := txn.WriteEvent(fmt.Sprintf("k%d", i), []byte("doomed")).Wait(context.Background()); err != nil {
 			t.Fatalf("txn write: %v", err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestTxnAbortLeavesNothing(t *testing.T) {
 		t.Fatalf("status after abort: %v, %v", st, err)
 	}
 	// Terminal-state errors: writes and commits are refused.
-	if err := txn.WriteEvent("k", []byte("late")).Wait(); !errors.Is(err, ErrTxnClosed) {
+	if err := txn.WriteEvent("k", []byte("late")).Wait(context.Background()); !errors.Is(err, ErrTxnClosed) {
 		t.Fatalf("write after abort: %v, want ErrTxnClosed", err)
 	}
 	if err := txn.Commit(ctx); !errors.Is(err, ErrTxnNotOpen) {
@@ -182,7 +182,7 @@ func TestTxnPerKeyOrderWithInterleavedWriter(t *testing.T) {
 			w.WriteEvent(key, []byte(fmt.Sprintf("p:%s:%d", key, i)))
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Flush(context.Background()); err != nil {
 		t.Fatalf("plain flush: %v", err)
 	}
 	if err := txn.Commit(ctx); err != nil {
@@ -288,7 +288,7 @@ func TestTxnLeaseExpiryReaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.WriteEvent("k", []byte("never-seen")).Wait(); err != nil {
+	if err := txn.WriteEvent("k", []byte("never-seen")).Wait(context.Background()); err != nil {
 		t.Fatalf("txn write: %v", err)
 	}
 

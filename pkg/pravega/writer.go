@@ -70,16 +70,10 @@ func (f *WriteFuture) complete(err error) {
 	close(f.ch)
 }
 
-// Wait blocks for the acknowledgement.
-func (f *WriteFuture) Wait() error {
-	<-f.ch
-	return f.err
-}
-
-// WaitCtx blocks for the acknowledgement or until ctx is done, whichever
+// Wait blocks for the acknowledgement or until ctx is done, whichever
 // comes first. On cancellation it returns ctx.Err(); the write itself is
 // not revoked — the future still resolves and may be waited on again.
-func (f *WriteFuture) WaitCtx(ctx context.Context) error {
+func (f *WriteFuture) Wait(ctx context.Context) error {
 	select {
 	case <-f.ch:
 		return f.err
@@ -200,13 +194,10 @@ func (w *EventWriter) enqueueLocked(pe pendingEvent) {
 // Flush waits until every previously written event is acknowledged. A
 // segment seal during the flush re-routes events to successor segments, so
 // the flush loops until a full pass over all segment writers finds nothing
-// open, in flight, parked or awaiting re-route.
-func (w *EventWriter) Flush() error { return w.FlushCtx(context.Background()) }
-
-// FlushCtx is Flush with cancellation: it returns ctx.Err() as soon as ctx
-// is done. Cancellation abandons only the wait — in-flight events stay in
-// flight and their futures still resolve normally.
-func (w *EventWriter) FlushCtx(ctx context.Context) error {
+// open, in flight, parked or awaiting re-route. It returns ctx.Err() as soon
+// as ctx is done; cancellation abandons only the wait — in-flight events
+// stay in flight and their futures still resolve normally.
+func (w *EventWriter) Flush(ctx context.Context) error {
 	// On cancellation, wake every flusher parked on a segment writer's
 	// condition variable. Broadcasting under each writer's lock pairs with
 	// the wait loop's ctx check below, so a wakeup cannot be lost between
@@ -288,7 +279,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Close flushes and releases the writer.
 func (w *EventWriter) Close() error {
-	err := w.Flush()
+	err := w.Flush(context.Background())
 	w.mu.Lock()
 	w.closed = true
 	w.mu.Unlock()

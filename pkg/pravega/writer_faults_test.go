@@ -119,7 +119,7 @@ func TestWriterExactlyOnceUnderAckFaults(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			for i, f := range futs {
-				if err := f.WaitCtx(ctx); err != nil {
+				if err := f.Wait(ctx); err != nil {
 					t.Fatalf("event %d not acked: %v", i, err)
 				}
 			}
