@@ -42,6 +42,19 @@ type Node interface {
 
 var _ Node = (*Bookie)(nil)
 
+// Host is one transport to several bookies, such as the connection to the
+// process that hosts them. A Node reached through a Host implements Hosted,
+// and the ledger sends each entry to the Host once, naming every bookie of
+// the write set behind it, instead of once per bookie.
+type Host interface {
+	// AddEntries is AddEntry on each named bookie: cb runs once per name,
+	// in order, with that bookie's outcome.
+	AddEntries(bookies []string, ledgerID, entryID int64, data []byte, cb func(error))
+}
+
+// Hosted is a Node whose transport is a Host shared with other bookies.
+type Hosted interface{ Host() Host }
+
 // BookieConfig parameterizes one storage server.
 type BookieConfig struct {
 	// ID names the bookie.
@@ -123,9 +136,6 @@ func (b *Bookie) Close() {
 	close(b.stop)
 	b.wg.Wait()
 }
-
-// Crash is Close with intent: used by failure-injection tests.
-func (b *Bookie) Crash() { b.Close() }
 
 // IsDown reports whether the bookie has been stopped.
 func (b *Bookie) IsDown() bool {

@@ -26,6 +26,25 @@ func (b *Bookie) LedgerBytes(ledgerID int64) int64 {
 	return n
 }
 
+// Append writes data and blocks for the ack.
+func (h *LedgerHandle) Append(data []byte) (int64, error) {
+	type res struct {
+		id  int64
+		err error
+	}
+	ch := make(chan res, 1)
+	h.AppendAsync(data, func(id int64, err error) { ch <- res{id, err} })
+	r := <-ch
+	return r.id, r.err
+}
+
+// Err returns the sticky error, if the handle has failed.
+func (h *LedgerHandle) Err() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.err
+}
+
 func newTestClient(t *testing.T, bookies int) (*Client, []*Bookie) {
 	t.Helper()
 	meta := cluster.NewStore()
@@ -131,7 +150,7 @@ func TestAppendSurvivesOneBookieCrash(t *testing.T) {
 	if _, err := h.Append([]byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	bs[0].Crash()
+	bs[0].Close()
 	// ackQuorum=2 of 3: appends still succeed with one bookie down.
 	if _, err := h.Append([]byte("after")); err != nil {
 		t.Fatalf("append with one bookie down: %v", err)
@@ -144,8 +163,8 @@ func TestAppendFailsBelowAckQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs[0].Crash()
-	bs[1].Crash()
+	bs[0].Close()
+	bs[1].Close()
 	if _, err := h.Append([]byte("x")); err == nil {
 		t.Fatal("append succeeded below ack quorum")
 	}
@@ -321,7 +340,7 @@ func TestQuorumArithmeticProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < crash; i++ {
-			bs[i].Crash()
+			bs[i].Close()
 		}
 		md, err := c.OpenLedgerRecovery(h.ID())
 		if crash <= a-1 {

@@ -95,23 +95,20 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // RegisterBookie makes a bookie available for new ensembles. Registering a
 // node with an existing id replaces it (fault wrappers swap themselves in).
+// Bookies behind one Host share one link, so entries cross it in order.
 func (c *Client) RegisterBookie(b Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bookies[b.ID()] = b
 	c.links[b.ID()] = sim.NewLink(c.linkCfg)
-}
-
-// Bookies returns the registered bookie ids, sorted.
-func (c *Client) Bookies() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.bookies))
-	for id := range c.bookies {
-		out = append(out, id)
+	if hb, ok := b.(Hosted); ok {
+		for id, o := range c.bookies {
+			if ob, ok := o.(Hosted); ok && id != b.ID() && ob.Host() == hb.Host() {
+				c.links[b.ID()] = c.links[id]
+				break
+			}
+		}
 	}
-	sort.Strings(out)
-	return out
 }
 
 func (c *Client) bookie(id string) (Node, *sim.Link, error) {
@@ -231,13 +228,6 @@ func (h *LedgerHandle) LastAddConfirmed() int64 {
 	return h.lac
 }
 
-// Err returns the sticky error, if the handle has failed.
-func (h *LedgerHandle) Err() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.err
-}
-
 // AppendAsync writes data as the next entry, invoking cb(entryID, err) when
 // ackQuorum bookies confirm. Calls are pipelined: many appends may be in
 // flight; acknowledgements complete in order per bookie. The ledger takes
@@ -269,53 +259,62 @@ func (h *LedgerHandle) AppendAsync(data []byte, cb func(int64, error)) {
 	var mu sync.Mutex
 	acks, fails := 0, 0
 	done := false
+	settle := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if done {
+			return
+		}
+		if err != nil {
+			fails++
+			if fails > rep.WriteQuorum-rep.AckQuorum {
+				done = true
+				h.setErr(err)
+				h.pending.Done()
+				cb(-1, err)
+			}
+			return
+		}
+		acks++
+		if acks >= rep.AckQuorum {
+			done = true
+			h.advanceLAC(entryID)
+			h.pending.Done()
+			cb(entryID, nil)
+		}
+	}
+	// The write set, grouped by transport: a bookie is a group of one
+	// unless a Host it shares with others carries the entry to them all.
+	type group struct {
+		host Host
+		ids  []string
+		link *sim.Link
+	}
+	var groups []group
 	size := len(data)
 	for _, id := range targets {
 		b, link, err := h.client.bookie(id)
 		if err != nil {
-			h.fail(entryID, err, cb, &mu, &done)
+			settle(err)
 			continue
 		}
-		bb := b
-		link.Send(size, func() {
-			bb.AddEntry(h.md.ID, entryID, data, func(err error) {
-				mu.Lock()
-				defer mu.Unlock()
-				if done {
-					return
-				}
-				if err != nil {
-					fails++
-					if fails > rep.WriteQuorum-rep.AckQuorum {
-						done = true
-						h.setErr(err)
-						h.pending.Done()
-						cb(-1, err)
-					}
-					return
-				}
-				acks++
-				if acks >= rep.AckQuorum {
-					done = true
-					h.advanceLAC(entryID)
-					h.pending.Done()
-					cb(entryID, nil)
-				}
-			})
-		})
+		hb, ok := b.(Hosted)
+		if !ok {
+			link.Send(size, func() { b.AddEntry(h.md.ID, entryID, data, settle) })
+			continue
+		}
+		i := 0
+		for i < len(groups) && groups[i].host != hb.Host() {
+			i++
+		}
+		if i == len(groups) {
+			groups = append(groups, group{host: hb.Host(), link: link})
+		}
+		groups[i].ids = append(groups[i].ids, id)
 	}
-}
-
-func (h *LedgerHandle) fail(entryID int64, err error, cb func(int64, error), mu *sync.Mutex, done *bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	if *done {
-		return
+	for _, g := range groups {
+		g.link.Send(size, func() { g.host.AddEntries(g.ids, h.md.ID, entryID, data, settle) })
 	}
-	*done = true
-	h.setErr(err)
-	h.pending.Done()
-	cb(-1, err)
 }
 
 func (h *LedgerHandle) setErr(err error) {
@@ -332,18 +331,6 @@ func (h *LedgerHandle) advanceLAC(entryID int64) {
 		h.lac = entryID
 	}
 	h.mu.Unlock()
-}
-
-// Append writes data and blocks for the ack (convenience wrapper).
-func (h *LedgerHandle) Append(data []byte) (int64, error) {
-	type res struct {
-		id  int64
-		err error
-	}
-	ch := make(chan res, 1)
-	h.AppendAsync(data, func(id int64, err error) { ch <- res{id, err} })
-	r := <-ch
-	return r.id, r.err
 }
 
 // Close seals the ledger, recording its final length in metadata. It first

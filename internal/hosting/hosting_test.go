@@ -217,7 +217,7 @@ func TestBookieCrashClusterKeepsWorking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One bookie down: ackQuorum 2 of 3 still satisfiable.
-	cl.Bookies()[0].Crash()
+	cl.Bookies()[0].Close()
 	if _, err := c.Append(seg, []byte("after"), "w", 2, 1); err != nil {
 		t.Fatalf("append with one bookie down: %v", err)
 	}

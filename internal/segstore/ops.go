@@ -113,12 +113,6 @@ func (op *Operation) Marshal(dst []byte) []byte {
 	return dst
 }
 
-// UnmarshalOperation decodes one operation, returning the remainder. The
-// returned operation owns its data (copied out of src).
-func UnmarshalOperation(src []byte) (Operation, []byte, error) {
-	return unmarshalOperation(src, false, nil)
-}
-
 // unmarshalOperation decodes one operation. With alias=true the decoded
 // Data/Checkpoint fields alias src — valid only while src is immutable and
 // outlives the operation, as during recovery replay where src is a freshly
@@ -236,24 +230,13 @@ func unmarshalOperation(src []byte, alias bool, prev *Operation) (Operation, []b
 	return op, src, nil
 }
 
-// MarshalFrame packs operations into one data frame.
+// MarshalFrame packs operations into one data frame, in one allocation.
 func MarshalFrame(ops []*Operation) []byte {
-	return appendFrame(nil, ops)
-}
-
-// appendFrame serializes a frame into buf (grown as needed), enabling the
-// pipeline to reuse pooled marshal buffers across frames.
-func appendFrame(buf []byte, ops []*Operation) []byte {
 	var size int
 	for _, op := range ops {
 		size += 64 + len(op.Data) + len(op.Segment) + len(op.Checkpoint) + len(op.Source)
 	}
-	if cap(buf)-len(buf) < size {
-		grown := make([]byte, len(buf), len(buf)+size)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(ops)))
 	for _, op := range ops {
 		buf = op.Marshal(buf)
 	}

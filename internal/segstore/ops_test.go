@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// UnmarshalOperation decodes one operation, returning the remainder. The
+// returned operation owns its data (copied out of src).
+func UnmarshalOperation(src []byte) (Operation, []byte, error) {
+	return unmarshalOperation(src, false, nil)
+}
+
 func TestOperationRoundTrip(t *testing.T) {
 	ops := []Operation{
 		{Type: OpCreate, Segment: "s/x/0.#epoch.0", CondOffset: -1},

@@ -444,18 +444,17 @@ var errDuplicateAppend = fmt.Errorf("segstore: duplicate append")
 // reaches the current frame.
 var errDuplicatePending = fmt.Errorf("segstore: duplicate append (pending)")
 
-// submitFrame writes one data frame to the WAL. The marshal buffer comes
-// from a pool and goes straight back: wal.Log.AppendAsync serializes the
-// entry before returning, so the buffer is free the moment it does. Only
-// the frame builder calls this, so the sequence counter needs no lock; the
-// applier reads it atomically to know when it has drained everything.
+// submitFrame writes one data frame to the WAL, which takes ownership of
+// the marshalled frame. Only the frame builder calls this, so the sequence
+// counter needs no lock; the applier reads it atomically to know when it
+// has drained everything.
 func (c *Container) submitFrame(fr *frameResult) {
 	fr.seq = c.framesSubmitted.Load()
 	c.framesSubmitted.Store(fr.seq + 1)
 
 	mFrameOps.Record(int64(len(fr.ops)))
 	mFrameBytes.Record(int64(fr.bytes))
-	data := marshalFrameForWAL(fr.ops)
+	data := MarshalFrame(fr.ops)
 	fr.start = time.Now()
 	c.log.AppendAsync(data, func(addr wal.Address, err error) {
 		c.updateBatchStats(time.Since(fr.start), fr.bytes)
@@ -467,7 +466,6 @@ func (c *Container) submitFrame(fr *frameResult) {
 		fr.addr, fr.err = addr, err
 		c.enqueueCompleted(fr)
 	})
-	releaseFrameBuf(data)
 }
 
 // updateBatchStats maintains the EWMA latency and write-size statistics

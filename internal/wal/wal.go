@@ -202,10 +202,8 @@ func (l *Log) Epoch() int64 {
 // once replicated to the ack quorum. Appends are pipelined; callbacks may
 // fire out of submission order, but addresses respect submission order.
 //
-// The entry is serialized (copied) before AppendAsync returns: the caller
-// may immediately reuse data, which lets the segment store recycle frame
-// marshal buffers through a pool. The single copy made here is shared by
-// every replica and owned by the ledger from then on.
+// The log takes ownership of data: it goes to the ledger as it is, shared
+// by every replica, so the caller must not touch it afterwards.
 func (l *Log) AppendAsync(data []byte, cb func(Address, error)) {
 	l.mu.Lock()
 	if l.closed || l.fenced {
@@ -232,9 +230,7 @@ func (l *Log) AppendAsync(data []byte, cb func(Address, error)) {
 
 	mAppends.Inc()
 	start := time.Now()
-	owned := make([]byte, len(data))
-	copy(owned, data)
-	h.AppendAsync(owned, func(entry int64, err error) {
+	h.AppendAsync(data, func(entry int64, err error) {
 		defer l.inflight.Done()
 		mAppendUs.RecordSince(start)
 		if err != nil {
@@ -249,18 +245,6 @@ func (l *Log) AppendAsync(data []byte, cb func(Address, error)) {
 		}
 		cb(Address{LedgerSeq: seq, LedgerID: h.ID(), Entry: entry}, nil)
 	})
-}
-
-// Append is the blocking convenience form of AppendAsync.
-func (l *Log) Append(data []byte) (Address, error) {
-	type res struct {
-		addr Address
-		err  error
-	}
-	ch := make(chan res, 1)
-	l.AppendAsync(data, func(a Address, err error) { ch <- res{a, err} })
-	r := <-ch
-	return r.addr, r.err
 }
 
 // Entry is one replayed record.

@@ -11,6 +11,18 @@ import (
 	"github.com/pravega-go/pravega/internal/cluster"
 )
 
+// Append is the blocking form of AppendAsync.
+func (l *Log) Append(data []byte) (Address, error) {
+	type res struct {
+		addr Address
+		err  error
+	}
+	ch := make(chan res, 1)
+	l.AppendAsync(data, func(a Address, err error) { ch <- res{a, err} })
+	r := <-ch
+	return r.addr, r.err
+}
+
 func newEnv(t *testing.T) (*bookkeeper.Client, *cluster.Store) {
 	t.Helper()
 	meta := cluster.NewStore()

@@ -11,7 +11,9 @@ import (
 // the coordination connection. A store process's WAL writes land in the
 // coord process's journal, which is what makes them durable across a
 // SIGKILL of the store: the new owner re-reads the ledger from the bookies,
-// exactly as the paper's BookKeeper deployment would.
+// exactly as the paper's BookKeeper deployment would. Its Host is the
+// RemoteStore, so the ledger sends an entry over the connection once for
+// all the coord's bookies in its write set.
 //
 // Transport loss maps to bookkeeper.ErrBookieDown — indistinguishable from
 // a down bookie to the ledger layer, which already handles that by fencing
@@ -28,6 +30,9 @@ var _ bookkeeper.Node = (*RemoteBookie)(nil)
 func NewRemoteBookie(id string, rs *RemoteStore) *RemoteBookie {
 	return &RemoteBookie{id: id, rs: rs}
 }
+
+// Host returns the connection to the coord process.
+func (b *RemoteBookie) Host() bookkeeper.Host { return b.rs }
 
 func (b *RemoteBookie) ID() string { return b.id }
 
@@ -46,29 +51,54 @@ func bookieDown(err error) error {
 }
 
 // AddEntry pipelines a journal write; cb runs when the coord process has
-// made it durable (group commit included).
+// made it durable (group commit included). It is AddEntries naming one.
 func (b *RemoteBookie) AddEntry(ledgerID, entryID int64, data []byte, cb func(error)) {
-	conn := b.rs.sc.current()
+	b.rs.AddEntries([]string{b.id}, ledgerID, entryID, data, cb)
+}
+
+// AddEntries sends one MsgBookieAdd naming bookies the coord process hosts
+// and hands cb each one's outcome, in order, from the one reply. A lost
+// transport fails them all alike, with bookkeeper.ErrBookieDown.
+func (rs *RemoteStore) AddEntries(bookies []string, ledgerID, entryID int64, data []byte, cb func(error)) {
+	failAll := func(err error) {
+		for range bookies {
+			cb(err)
+		}
+	}
+	conn := rs.sc.current()
 	if conn == nil {
-		go cb(fmt.Errorf("wire: bookie %s disconnected: %w", b.id, bookkeeper.ErrBookieDown))
+		go failAll(fmt.Errorf("wire: bookies %v disconnected: %w", bookies, bookkeeper.ErrBookieDown))
 		return
 	}
-	req := BookieReq{Bookie: b.id, Ledger: ledgerID, Entry: entryID, Data: data}
+	req := BookieReq{Bookies: bookies, Ledger: ledgerID, Entry: entryID, Data: data}
 	err := conn.CallAsyncFunc(MsgBookieAdd, &req, func(rep Reply) {
 		err := ReplyError(rep)
 		if placement.IsDisconnect(err) {
-			b.rs.sc.fault(conn)
+			rs.sc.fault(conn)
 		}
-		cb(bookieDown(err))
+		var outs bookieOutcomes
+		if err == nil {
+			err = decodeBody(rep.Data, &outs)
+		}
+		if err == nil && len(outs) != len(bookies) {
+			err = fmt.Errorf("wire: %d bookie outcomes for %d bookies", len(outs), len(bookies))
+		}
+		if err != nil {
+			failAll(bookieDown(err))
+			return
+		}
+		for _, err := range outs {
+			cb(err)
+		}
 	})
 	if err != nil {
-		b.rs.sc.fault(conn)
-		go cb(fmt.Errorf("wire: bookie %s: %v: %w", b.id, err, bookkeeper.ErrBookieDown))
+		rs.sc.fault(conn)
+		go failAll(fmt.Errorf("wire: bookies %v: %v: %w", bookies, err, bookkeeper.ErrBookieDown))
 	}
 }
 
 func (b *RemoteBookie) ReadEntry(ledgerID, entryID int64) ([]byte, error) {
-	rep, err := b.rs.sc.call(MsgBookieRead, BookieReq{Bookie: b.id, Ledger: ledgerID, Entry: entryID})
+	rep, err := b.rs.sc.call(MsgBookieRead, BookieReq{Bookies: []string{b.id}, Ledger: ledgerID, Entry: entryID})
 	if err != nil {
 		return nil, bookieDown(err)
 	}
@@ -76,7 +106,7 @@ func (b *RemoteBookie) ReadEntry(ledgerID, entryID int64) ([]byte, error) {
 }
 
 func (b *RemoteBookie) Fence(ledgerID int64) (int64, error) {
-	rep, err := b.rs.sc.call(MsgBookieFence, BookieReq{Bookie: b.id, Ledger: ledgerID})
+	rep, err := b.rs.sc.call(MsgBookieFence, BookieReq{Bookies: []string{b.id}, Ledger: ledgerID})
 	if err != nil {
 		return -1, bookieDown(err)
 	}
@@ -84,6 +114,6 @@ func (b *RemoteBookie) Fence(ledgerID int64) (int64, error) {
 }
 
 func (b *RemoteBookie) DeleteLedger(ledgerID int64) error {
-	_, err := b.rs.sc.call(MsgBookieDeleteLedger, BookieReq{Bookie: b.id, Ledger: ledgerID})
+	_, err := b.rs.sc.call(MsgBookieDeleteLedger, BookieReq{Bookies: []string{b.id}, Ledger: ledgerID})
 	return bookieDown(err)
 }

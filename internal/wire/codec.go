@@ -144,7 +144,10 @@ func (r *ReadReq) unmarshalBinary(src []byte) error {
 }
 
 func (r BookieReq) marshalBinary(dst []byte) []byte {
-	dst = appendUvarintBytes(dst, []byte(r.Bookie))
+	dst = binary.AppendVarint(dst, int64(len(r.Bookies)))
+	for _, b := range r.Bookies {
+		dst = appendUvarintBytes(dst, []byte(b))
+	}
 	dst = binary.AppendVarint(dst, r.Ledger)
 	dst = binary.AppendVarint(dst, r.Entry)
 	return appendUvarintBytes(dst, r.Data)
@@ -152,11 +155,39 @@ func (r BookieReq) marshalBinary(dst []byte) []byte {
 
 func (r *BookieReq) unmarshalBinary(src []byte) error {
 	f := fieldReader{src: src}
-	r.Bookie = f.str()
+	n := f.varint()
+	if n < 1 {
+		f.fail() // every bookie request names at least one
+	}
+	for ; n > 0 && f.err == nil; n-- {
+		r.Bookies = append(r.Bookies, f.str())
+	}
 	r.Ledger = f.varint()
 	r.Entry = f.varint()
 	r.Data = f.copied()
 	return f.done("bookie")
+}
+
+// bookieOutcomes is a MsgBookieAdd reply's Data: one error per bookie the
+// request named, in its order, nil for a durable add. Each crosses as a
+// Reply's Err and Code, so errors.Is still finds its sentinel.
+type bookieOutcomes []error
+
+func (o bookieOutcomes) marshalBinary(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(len(o)))
+	for _, err := range o {
+		rep := errReply(err, Reply{})
+		dst = binary.AppendVarint(appendUvarintBytes(dst, []byte(rep.Err)), int64(rep.Code))
+	}
+	return dst
+}
+
+func (o *bookieOutcomes) unmarshalBinary(src []byte) error {
+	f := fieldReader{src: src}
+	for n := f.varint(); n > 0 && f.err == nil; n-- {
+		*o = append(*o, ReplyError(Reply{Err: f.str(), Code: int(f.varint())}))
+	}
+	return f.done("bookie outcomes")
 }
 
 func (r Reply) marshalBinary(dst []byte) []byte {

@@ -14,6 +14,15 @@ import (
 // remote implementation must be indistinguishable through the cluster.Coord
 // surface. Remote-only cases (reconnects) follow at the bottom.
 
+// DropConn severs the current connection without closing the store: the
+// reconnect loop brings it back, which lets a test prove sessions and
+// watches ride out a connection loss.
+func (rs *RemoteStore) DropConn() {
+	if conn := rs.sc.current(); conn != nil {
+		rs.sc.fault(conn)
+	}
+}
+
 // newRemoteCoord serves a fresh store over TCP and dials it.
 func newRemoteCoord(t *testing.T) *RemoteStore {
 	t.Helper()

@@ -71,15 +71,6 @@ func DialCoordRetry(addr string, cfg ClientConfig, timeout time.Duration) (*Remo
 // (call their Close first for a clean release).
 func (rs *RemoteStore) Close() { rs.sc.Close() }
 
-// DropConn severs the current connection without closing the store: the
-// reconnect loop brings it back. Fault-injection tests use this to prove
-// sessions and watches ride out a connection loss.
-func (rs *RemoteStore) DropConn() {
-	if conn := rs.sc.current(); conn != nil {
-		rs.sc.fault(conn)
-	}
-}
-
 // record performs a call whose reply carries a CoordRep.
 func (rs *RemoteStore) record(t MessageType, req CoordReq) (CoordRep, error) {
 	rep, err := rs.sc.call(t, req)

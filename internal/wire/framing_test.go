@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
 
+	"github.com/pravega-go/pravega/internal/bookkeeper"
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/segment"
@@ -77,7 +80,7 @@ func TestBodyEncodingIgnoresPointerness(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	bk := BookieReq{Bookie: "bookie-0", Ledger: 3, Entry: 9, Data: []byte("entry")}
+	bk := BookieReq{Bookies: []string{"bookie-0", "bookie-2"}, Ledger: 3, Entry: 9, Data: []byte("entry")}
 	if v, p := frame(bk), frame(&bk); !bytes.Equal(v, p) {
 		t.Fatalf("BookieReq encodes as %x by value, %x by pointer", v, p)
 	}
@@ -145,6 +148,23 @@ func TestBinReplyRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(segs, want) {
 		t.Fatalf("record round trip: %+v, %v; want %+v", segs, err, want)
 	}
+	// A bookie add's reply carries one outcome per named bookie, each
+	// keeping its sentinel.
+	rep = record(bookieOutcomes{nil, fmt.Errorf("b1: %w", bookkeeper.ErrFenced)}, 2, nil)
+	buf.Reset()
+	if err := writeFrame(&buf, MsgReplyBin, 3, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, raw, err = readMessage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var outs bookieOutcomes
+	if err := got.unmarshalBinary(raw); err != nil || decodeBody(got.Data, &outs) != nil {
+		t.Fatalf("outcome reply: %+v, %v", got, err)
+	}
+	if len(outs) != 2 || outs[0] != nil || !errors.Is(outs[1], bookkeeper.ErrFenced) || outs[1].Error() != "b1: bookkeeper: ledger is fenced" {
+		t.Fatalf("outcome round trip: %v", outs)
+	}
 }
 
 func TestBinaryDecodersRejectTruncated(t *testing.T) {
@@ -166,7 +186,7 @@ func TestBinaryDecodersRejectTruncated(t *testing.T) {
 			t.Fatalf("truncated read body (%d/%d bytes) accepted", i, len(rbody))
 		}
 	}
-	bk := BookieReq{Bookie: "b", Ledger: 1, Entry: 2, Data: []byte("x")}
+	bk := BookieReq{Bookies: []string{"b0", "b1", "b2"}, Ledger: 1, Entry: 2, Data: []byte("x")}
 	bbody := bk.marshalBinary(nil)
 	for i := 0; i < len(bbody); i++ {
 		if err := new(BookieReq).unmarshalBinary(bbody[:i]); err == nil {
@@ -175,6 +195,16 @@ func TestBinaryDecodersRejectTruncated(t *testing.T) {
 	}
 	if err := new(BookieReq).unmarshalBinary(append(bbody, 0)); err == nil {
 		t.Fatal("bookie body with trailing bytes accepted")
+	}
+	outs := bookieOutcomes{nil, bookkeeper.ErrFenced, errors.New("disk")}
+	obody := outs.marshalBinary(nil)
+	for i := 0; i < len(obody); i++ {
+		if err := new(bookieOutcomes).unmarshalBinary(obody[:i]); err == nil {
+			t.Fatalf("truncated bookie outcomes (%d/%d bytes) accepted", i, len(obody))
+		}
+	}
+	if err := new(bookieOutcomes).unmarshalBinary(append(obody, 0)); err == nil {
+		t.Fatal("bookie outcomes with trailing bytes accepted")
 	}
 }
 

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"github.com/pravega-go/pravega/internal/bookkeeper"
 )
 
 // FuzzAppendReqCodec round-trips arbitrary append requests through the
@@ -66,6 +68,7 @@ func FuzzReplyCodec(f *testing.F) {
 	f.Add("", int32(0), int64(0), record(CoordRep{Data: []byte{0, 0xFF}, Version: 7, Children: []string{"a"}}, 1, nil).Data, false, int32(1))
 	f.Add("segment sealed", int32(codeSegmentSealed), int64(0), []byte{}, false, int32(0))
 	f.Add("disconnected", int32(codeDisconnected), int64(-1), []byte{0}, true, int32(-5))
+	f.Add("", int32(0), int64(0), record(bookieOutcomes{nil, bookkeeper.ErrFenced}, 2, nil).Data, false, int32(2))
 	f.Fuzz(func(t *testing.T, errMsg string, code int32, off int64, data []byte, eos bool, count int32) {
 		rep := Reply{Err: errMsg, Code: int(code), Offset: off, Data: data, EOS: eos, Count: int(count)}
 		var buf bytes.Buffer

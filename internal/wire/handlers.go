@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
@@ -301,7 +302,7 @@ var handlers = [msgEnd]handler{
 	// WAL bookies.
 	MsgBookieAdd: {planeBookies, inline, startBookieAdd},
 	MsgBookieRead: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
-		n, err := s.bookie(r.Bookie)
+		n, err := s.bookie(r.Bookies[0])
 		if err != nil {
 			return done(err)
 		}
@@ -309,14 +310,14 @@ var handlers = [msgEnd]handler{
 		return errReply(err, Reply{Data: data})
 	})},
 	MsgBookieFence: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
-		n, err := s.bookie(r.Bookie)
+		n, err := s.bookie(r.Bookies[0])
 		if err != nil {
 			return done(err)
 		}
 		return offset(n.Fence(r.Ledger))
 	})},
 	MsgBookieDeleteLedger: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
-		n, err := s.bookie(r.Bookie)
+		n, err := s.bookie(r.Bookies[0])
 		if err != nil {
 			return done(err)
 		}
@@ -387,17 +388,30 @@ func startCancel(c *srvConn, id uint64, body []byte) (func(context.Context) Repl
 	return nil, nil
 }
 
-// startBookieAdd enqueues a journal add, the WAL hot path.
+// startBookieAdd enqueues a journal add on every bookie the request names,
+// the WAL hot path. They share the one decoded payload (a bookie never
+// mutates an entry), and the request gets one reply, with each bookie's
+// outcome, once the last of them has one.
 func startBookieAdd(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
 	var req BookieReq
 	if err := req.unmarshalBinary(body); err != nil {
 		return nil, err
 	}
-	n, err := c.srv.bookie(req.Bookie)
-	if err != nil {
-		return nil, err
+	outs := make(bookieOutcomes, len(req.Bookies))
+	left := int32(len(outs))
+	for i, b := range req.Bookies {
+		settle := func(err error) {
+			outs[i] = err
+			if atomic.AddInt32(&left, -1) == 0 {
+				c.rw.send(id, record(outs, len(outs), nil))
+			}
+		}
+		if n, err := c.srv.bookie(b); err != nil {
+			settle(err)
+		} else {
+			n.AddEntry(req.Ledger, req.Entry, req.Data, settle)
+		}
 	}
-	n.AddEntry(req.Ledger, req.Entry, req.Data, func(err error) { c.rw.send(id, done(err)) })
 	return nil, nil
 }
 

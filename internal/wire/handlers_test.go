@@ -137,7 +137,7 @@ func validRequests(seg string) map[MessageType]any {
 	const gone = "fz/gone/0.#epoch.0" // destructive rows aim at a segment nobody reads
 	stream := StreamReq{Scope: "fz", Stream: "st"}
 	txn := TxnReq{Scope: "fz", Stream: "st", TxnID: "no-such-txn"}
-	bk := BookieReq{Bookie: "bookie-0", Ledger: 7, Entry: 0, Data: []byte("entry")}
+	bk := BookieReq{Bookies: []string{"bookie-0"}, Ledger: 7, Entry: 0, Data: []byte("entry")}
 	event := []byte("\x00\x00\x00\x01x") // the segment's only bytes, so the read below waits at its tail
 	return map[MessageType]any{
 		MsgCreateSegment:      SegmentReq{Segment: gone},
@@ -179,7 +179,7 @@ func validRequests(seg string) map[MessageType]any {
 		MsgCoordSessionOpen:   CoordReq{TTLMS: 50},
 		MsgCoordSessionRenew:  CoordReq{SessionID: 1 << 40},
 		MsgCoordSessionClose:  CoordReq{SessionID: 1 << 40},
-		MsgBookieAdd:          bk,
+		MsgBookieAdd:          BookieReq{Bookies: []string{"bookie-0", "no-such-bookie"}, Ledger: 7, Entry: 1, Data: []byte("entry")},
 		MsgBookieRead:         bk,
 		MsgBookieFence:        bk,
 		MsgBookieDeleteLedger: bk,

@@ -284,12 +284,14 @@ type CoordRep struct {
 	EventPath string `json:"eventPath,omitempty"`
 }
 
-// BookieReq addresses one bookie hosted by the coord process.
+// BookieReq addresses bookies hosted by the coord process: an add names
+// every bookie of the entry's write set there, so its payload crosses once;
+// a read, fence or delete addresses the first it names.
 type BookieReq struct {
-	Bookie string
-	Ledger int64
-	Entry  int64
-	Data   []byte
+	Bookies []string
+	Ledger  int64
+	Entry   int64
+	Data    []byte
 }
 
 // EpochReq is the placement-epoch long poll, answered by the server's
