@@ -141,7 +141,7 @@ func tail(addr, scope, stream string) {
 	fmt.Println("tailing (ctrl-c to stop)...")
 	for {
 		for qn, off := range offsets {
-			res, err := wc.Read(qn, off, 1<<16, 250*time.Millisecond)
+			res, err := wc.ReadCtx(context.Background(), qn, off, 1<<16, 250*time.Millisecond)
 			check(err)
 			buf := res.Data
 			for len(buf) >= 4 {

@@ -53,11 +53,9 @@ type DataTransport interface {
 	// expectedOffset (the state synchronizer's optimistic-concurrency
 	// primitive, §3.3).
 	AppendConditional(name string, data []byte, expectedOffset int64) (int64, error)
-	// Read returns available bytes at offset, long-polling up to wait when
-	// the offset is at the tail.
-	Read(name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)
-	// ReadCtx is Read with cancellation plumbed to the server-side
-	// long-poll: a tail read unblocks as soon as ctx is done.
+	// ReadCtx returns available bytes at offset, long-polling up to wait
+	// when the offset is at the tail. Cancellation is plumbed to the
+	// server-side long poll: a tail read unblocks as soon as ctx is done.
 	ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)
 	// GetInfo fetches segment metadata.
 	GetInfo(name string) (segment.Info, error)

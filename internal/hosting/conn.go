@@ -91,10 +91,6 @@ func (c *Conn) AppendConditional(name string, data []byte, expectedOffset int64)
 	return c.Router.AppendConditional(name, data, expectedOffset)
 }
 
-func (c *Conn) Read(name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
-	return c.ReadCtx(context.Background(), name, offset, maxBytes, wait)
-}
-
 func (c *Conn) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
 	defer c.roundTrip()()
 	return c.Router.ReadCtx(ctx, name, offset, maxBytes, wait)

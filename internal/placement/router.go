@@ -364,13 +364,14 @@ func (r *Router) AppendConditional(name string, data []byte, expectedOffset int6
 	return off, err
 }
 
-// Read reads from a segment, long-polling up to wait at the tail.
+// Read is ReadCtx without cancellation. It stays for the benchmark's probes
+// (bench/probes.go), which call it and are not edited with the code.
 func (r *Router) Read(name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
 	return r.ReadCtx(bg, name, offset, maxBytes, wait)
 }
 
-// ReadCtx is Read with cancellation: ctx ends both a long poll on the store
-// and a retry wait in here.
+// ReadCtx reads from a segment, long-polling up to wait at the tail: ctx
+// ends both a long poll on the store and a retry wait in here.
 func (r *Router) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
 	res, _, err := do(r, ctx, name, true, func(st Store) (segstore.ReadResult, error) {
 		return st.ReadCtx(ctx, name, offset, maxBytes, wait)
@@ -465,7 +466,7 @@ func (r *Router) MergeSegment(target, source string) (int64, error) {
 	}
 	data := make([]byte, 0, size)
 	for off := src.StartOffset; off < src.Length; {
-		res, err := r.Read(source, off, int(src.Length-off), 0)
+		res, err := r.ReadCtx(bg, source, off, int(src.Length-off), 0)
 		if err != nil {
 			return 0, err
 		}

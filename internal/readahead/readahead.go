@@ -1,10 +1,10 @@
 // Package readahead implements the catch-up prefetcher of the historical
-// read path (§4.2, §5.7). A sequential historical reader — a consumer
-// draining a backlog from long-term storage — announces its progress via
-// Observe; once two consecutive reads line up, the prefetcher pipelines the
-// next Depth fixed-size ranges ahead of the cursor into its own bounded
-// memory budget, so the reader's next requests are served from memory while
-// the fetches for the ranges after them are already in flight.
+// read path (§4.2, §5.7). Every historical read — a consumer draining a
+// backlog from long-term storage, one fetch loop per segment — is reported
+// via Observe, and the prefetcher pipelines the next Depth fixed-size ranges
+// after it into its own bounded memory budget, so the reader's next
+// requests are served from memory while the fetches for the ranges after
+// them are already in flight.
 //
 // The budget is deliberately separate from the tail block cache: historical
 // scans stream large ranges exactly once, and letting them allocate there
@@ -29,7 +29,7 @@ var (
 	mHitBytes = obs.Default().Counter("pravega_readahead_hit_bytes_total",
 		"Bytes served to readers from the readahead buffer")
 	mFetchedBytes = obs.Default().Counter("pravega_readahead_fetched_bytes_total",
-		"Bytes prefetched from LTS ahead of sequential readers")
+		"Bytes prefetched from LTS ahead of catch-up readers")
 	mDropped = obs.Default().Counter("pravega_readahead_dropped_total",
 		"Prefetched ranges discarded before any reader consumed them (eviction, truncation)")
 	mInflight = obs.Default().Gauge("pravega_readahead_inflight",
@@ -44,18 +44,20 @@ var (
 // prefetcher goroutine and must be safe for concurrent use.
 type Fetch func(segment string, offset, length int64) ([]byte, error)
 
+const (
+	// RangeBytes is the prefetch unit; ranges are aligned to multiples of
+	// it.
+	RangeBytes = 1 << 20
+	// BudgetBytes bounds the total buffered bytes; the least recently used
+	// ready range is evicted when a new fetch would exceed it.
+	BudgetBytes = 16 << 20
+)
+
 // Config sizes a Prefetcher.
 type Config struct {
-	// RangeBytes is the prefetch unit; ranges are aligned to multiples of
-	// it (default 1 MiB).
-	RangeBytes int64
-	// Depth is how many ranges are kept in flight or buffered ahead of a
-	// sequential cursor (default 4).
+	// Depth is how many ranges are kept in flight or buffered after the
+	// latest read (default 4).
 	Depth int
-	// BudgetBytes bounds the total buffered bytes; the least recently used
-	// ready range is evicted when a new fetch would exceed it
-	// (default 16 MiB).
-	BudgetBytes int64
 	// Workers bounds concurrent fetches (default 4).
 	Workers int
 	// Fetch reads a range from the backing store.
@@ -63,14 +65,8 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.RangeBytes <= 0 {
-		c.RangeBytes = 1 << 20
-	}
 	if c.Depth <= 0 {
 		c.Depth = 4
-	}
-	if c.BudgetBytes <= 0 {
-		c.BudgetBytes = 16 << 20
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -96,18 +92,14 @@ type entry struct {
 	prev, next *entry
 }
 
-// Prefetcher detects sequential historical readers and pipelines range
-// fetches ahead of their cursors. Safe for concurrent use.
+// Prefetcher pipelines range fetches after every historical read. Safe for
+// concurrent use.
 type Prefetcher struct {
 	cfg Config
 
 	mu      sync.Mutex
 	entries map[rangeKey]*entry
 	head    entry // LRU sentinel
-	// cursors tracks the end offsets of recent reads per segment — one slot
-	// per concurrent sequential reader (bounded; see maxCursors). A read
-	// starting at a tracked end continues that reader's stream.
-	cursors map[string][]int64
 	used    int64
 	closed  bool
 
@@ -121,7 +113,6 @@ func New(cfg Config) *Prefetcher {
 	p := &Prefetcher{
 		cfg:     cfg,
 		entries: make(map[rangeKey]*entry),
-		cursors: make(map[string][]int64),
 		sem:     make(chan struct{}, cfg.Workers),
 	}
 	p.head.prev = &p.head
@@ -159,7 +150,7 @@ func (p *Prefetcher) lruFront(e *entry) {
 // catch-up readers over the same backlog share one fetch. The returned
 // slice must not be modified.
 func (p *Prefetcher) Get(segment string, offset int64) ([]byte, bool) {
-	key := rangeKey{segment, offset / p.cfg.RangeBytes}
+	key := rangeKey{segment, offset / RangeBytes}
 	p.mu.Lock()
 	e, ok := p.entries[key]
 	if !ok {
@@ -178,7 +169,7 @@ func (p *Prefetcher) Get(segment string, offset int64) ([]byte, bool) {
 	e, ok = p.entries[key]
 	var data []byte
 	if ok && e.data != nil {
-		from := offset - key.index*p.cfg.RangeBytes
+		from := offset - key.index*RangeBytes
 		if from < int64(len(e.data)) {
 			data = e.data[from:]
 		}
@@ -193,50 +184,19 @@ func (p *Prefetcher) Get(segment string, offset int64) ([]byte, bool) {
 	return data, true
 }
 
-// maxCursors bounds tracked sequential streams per segment (one per
-// concurrent catch-up reader; the oldest is dropped beyond this).
-const maxCursors = 16
-
 // Observe records that a historical read of [offset, end) was served (from
-// LTS directly or from the readahead buffer). Two consecutive reads of one
-// stream that line up — the second starts where the first ended — mark that
-// cursor sequential, and the next Depth ranges after end — clipped to
-// limit, the segment's tiered prefix — are scheduled. Cursors are tracked
-// per (segment, position), so several readers catching up over the same
-// segment each keep their own pipeline.
+// LTS directly or from the readahead buffer) and schedules the next Depth
+// ranges after end, clipped to limit, the segment's tiered prefix. Readers
+// read each segment sequentially, so the read after this one starts at end;
+// offset only rules out an empty read.
 func (p *Prefetcher) Observe(segment string, offset, end, limit int64) {
 	if end <= offset {
 		return
 	}
+	first := (end + RangeBytes - 1) / RangeBytes // partial range at end: start at the next boundary
 	p.mu.Lock()
-	curs := p.cursors[segment]
-	sequential := false
-	for i, c := range curs {
-		if c == offset {
-			curs[i] = end // this reader's stream advanced
-			sequential = true
-			break
-		}
-	}
-	if !sequential {
-		if len(curs) >= maxCursors {
-			curs = curs[1:]
-		}
-		curs = append(curs, end)
-	}
-	p.cursors[segment] = curs
-	if !sequential {
-		// First touch, or the cursor jumped: not (yet) sequential.
-		p.mu.Unlock()
-		return
-	}
-	first := end / p.cfg.RangeBytes
-	if end%p.cfg.RangeBytes != 0 {
-		first++ // partial range at the cursor: start at the next boundary
-	}
-	for i := int64(0); i < int64(p.cfg.Depth); i++ {
-		idx := first + i
-		if (idx+1)*p.cfg.RangeBytes > limit {
+	for idx := first; idx < first+int64(p.cfg.Depth); idx++ {
+		if (idx+1)*RangeBytes > limit {
 			break // only full ranges are worth buffering; the tail is cached
 		}
 		p.scheduleLocked(rangeKey{segment, idx})
@@ -255,7 +215,7 @@ func (p *Prefetcher) scheduleLocked(key rangeKey) {
 	}
 	// Make room: evict ready ranges, least recently used first. In-flight
 	// entries are skipped (their goroutine still writes to them).
-	for p.used+p.cfg.RangeBytes > p.cfg.BudgetBytes {
+	for p.used+RangeBytes > BudgetBytes {
 		victim := p.head.prev
 		for victim != &p.head && victim.data == nil {
 			victim = victim.prev
@@ -267,7 +227,7 @@ func (p *Prefetcher) scheduleLocked(key rangeKey) {
 	}
 	e := &entry{key: key, done: make(chan struct{})}
 	p.entries[key] = e
-	p.used += p.cfg.RangeBytes
+	p.used += RangeBytes
 	p.lruFront(e)
 	p.wg.Add(1)
 	go p.fetch(e)
@@ -281,7 +241,7 @@ func (p *Prefetcher) removeLocked(e *entry) {
 		p.used -= int64(len(e.data))
 		mBufferedBytes.Add(-int64(len(e.data)))
 	} else {
-		p.used -= p.cfg.RangeBytes
+		p.used -= RangeBytes
 	}
 	if !e.used {
 		mDropped.Inc()
@@ -293,8 +253,8 @@ func (p *Prefetcher) fetch(e *entry) {
 	defer p.wg.Done()
 	p.sem <- struct{}{}
 	mInflight.Add(1)
-	offset := e.key.index * p.cfg.RangeBytes
-	data, err := p.cfg.Fetch(e.key.segment, offset, p.cfg.RangeBytes)
+	offset := e.key.index * RangeBytes
+	data, err := p.cfg.Fetch(e.key.segment, offset, RangeBytes)
 	mInflight.Add(-1)
 	<-p.sem
 
@@ -305,7 +265,7 @@ func (p *Prefetcher) fetch(e *entry) {
 		close(e.done)
 		return
 	}
-	if err != nil || int64(len(data)) < p.cfg.RangeBytes {
+	if err != nil || int64(len(data)) < RangeBytes {
 		// Failed or short (range reaches past the tiered prefix): a short
 		// buffer would keep serving truncated reads, so drop it.
 		p.removeLocked(e)
@@ -314,7 +274,7 @@ func (p *Prefetcher) fetch(e *entry) {
 		return
 	}
 	e.data = data
-	p.used += int64(len(data)) - p.cfg.RangeBytes // reconcile reservation
+	p.used += int64(len(data)) - RangeBytes // reconcile reservation
 	mFetchedBytes.Add(int64(len(data)))
 	mBufferedBytes.Add(int64(len(data)))
 	p.mu.Unlock()
@@ -322,29 +282,18 @@ func (p *Prefetcher) fetch(e *entry) {
 }
 
 // Invalidate drops every buffered or in-flight range of the segment whose
-// first byte is below limit, plus the segment's cursor when it points below
-// limit. Truncation uses it so no reader is served pre-truncation bytes;
-// segment deletion passes limit < 0 to mean "everything".
+// first byte is below limit. Truncation uses it so no reader is served
+// pre-truncation bytes; segment deletion passes limit < 0 to mean
+// "everything".
 func (p *Prefetcher) Invalidate(segment string, limit int64) {
 	p.mu.Lock()
 	for key, e := range p.entries {
 		if key.segment != segment {
 			continue
 		}
-		if limit < 0 || key.index*p.cfg.RangeBytes < limit {
+		if limit < 0 || key.index*RangeBytes < limit {
 			p.removeLocked(e)
 		}
-	}
-	curs := p.cursors[segment][:0]
-	for _, c := range p.cursors[segment] {
-		if limit >= 0 && c >= limit {
-			curs = append(curs, c)
-		}
-	}
-	if len(curs) == 0 {
-		delete(p.cursors, segment)
-	} else {
-		p.cursors[segment] = curs
 	}
 	p.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package readahead
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,11 +13,21 @@ import (
 // testStore is a Fetch backed by a deterministic byte pattern, with
 // controllable blocking and fetch counting.
 type testStore struct {
-	size    int64
+	data    []byte
 	fetches atomic.Int64
 	block   chan struct{} // non-nil: fetches wait until closed
 	fail    atomic.Bool
 }
+
+func newTestStore(size int64) *testStore {
+	s := &testStore{data: make([]byte, size)}
+	for i := range s.data {
+		s.data[i] = byte(i % 251)
+	}
+	return s
+}
+
+func (s *testStore) size() int64 { return int64(len(s.data)) }
 
 func (s *testStore) fetch(segment string, offset, length int64) ([]byte, error) {
 	s.fetches.Add(1)
@@ -26,26 +37,17 @@ func (s *testStore) fetch(segment string, offset, length int64) ([]byte, error) 
 	if s.fail.Load() {
 		return nil, errors.New("store down")
 	}
-	if offset >= s.size {
+	if offset >= s.size() {
 		return nil, nil
 	}
-	end := offset + length
-	if end > s.size {
-		end = s.size
-	}
-	out := make([]byte, end-offset)
-	for i := range out {
-		out[i] = byte((offset + int64(i)) % 251)
-	}
-	return out, nil
+	end := min(offset+length, s.size())
+	return append([]byte(nil), s.data[offset:end]...), nil
 }
 
-func checkPattern(t *testing.T, data []byte, offset int64) {
+func checkPattern(t *testing.T, store *testStore, data []byte, offset int64) {
 	t.Helper()
-	for i := range data {
-		if want := byte((offset + int64(i)) % 251); data[i] != want {
-			t.Fatalf("byte %d of range@%d: got %d, want %d", i, offset, data[i], want)
-		}
+	if !bytes.Equal(data, store.data[offset:offset+int64(len(data))]) {
+		t.Fatalf("range@%d: wrong bytes", offset)
 	}
 }
 
@@ -77,68 +79,43 @@ func drain(p *Prefetcher) {
 	}
 }
 
-func TestSequentialDetectionAndHit(t *testing.T) {
-	store := &testStore{size: 1 << 20}
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 2, BudgetBytes: 1 << 20})
+const r = RangeBytes
 
-	// First read: not sequential yet, nothing scheduled.
-	p.Observe("seg", 0, 4096, store.size)
-	if _, ok := p.Get("seg", 4096); ok {
-		t.Fatal("nothing should be buffered after a single read")
-	}
-	// Second, contiguous read: ranges 2 and 3 scheduled.
-	p.Observe("seg", 4096, 8192, store.size)
+func TestSequentialDetectionAndHit(t *testing.T) {
+	store := newTestStore(8 * r)
+	p := newTestPrefetcher(t, store, Config{Depth: 2})
+
+	// One read schedules the two ranges after it.
+	p.Observe("seg", 0, r, store.size())
 	drain(p)
-	data, ok := p.Get("seg", 8192)
+	if n := store.fetches.Load(); n != 2 {
+		t.Fatalf("one read scheduled %d fetches, want 2", n)
+	}
+	data, ok := p.Get("seg", r)
 	if !ok {
-		t.Fatal("range after a sequential cursor not buffered")
+		t.Fatal("range after the read not buffered")
 	}
-	if len(data) != 4096 {
-		t.Fatalf("got %d bytes, want 4096", len(data))
+	if len(data) != r {
+		t.Fatalf("got %d bytes, want %d", len(data), r)
 	}
-	checkPattern(t, data, 8192)
+	checkPattern(t, store, data, r)
 	// Mid-range offsets serve the tail of the range.
-	data, ok = p.Get("seg", 8192+100)
-	if !ok || len(data) != 4096-100 {
+	data, ok = p.Get("seg", 2*r+100)
+	if !ok || len(data) != r-100 {
 		t.Fatalf("mid-range get: ok=%v len=%d", ok, len(data))
 	}
-	checkPattern(t, data, 8192+100)
-}
-
-func TestNonSequentialSchedulesNothing(t *testing.T) {
-	store := &testStore{size: 1 << 20}
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 4, BudgetBytes: 1 << 20})
-	p.Observe("seg", 0, 4096, store.size)
-	p.Observe("seg", 65536, 69632, store.size) // jump
-	drain(p)
-	if n := store.fetches.Load(); n != 0 {
-		t.Fatalf("non-sequential reads triggered %d fetches", n)
-	}
-}
-
-func TestConcurrentCursorsTrackedIndependently(t *testing.T) {
-	store := &testStore{size: 4 << 20}
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 1, BudgetBytes: 1 << 20})
-	// Interleave two readers at far-apart positions; both must be detected
-	// as sequential.
-	p.Observe("seg", 0, 4096, store.size)
-	p.Observe("seg", 1<<20, 1<<20+4096, store.size)
-	p.Observe("seg", 4096, 8192, store.size)             // reader A continues
-	p.Observe("seg", 1<<20+4096, 1<<20+8192, store.size) // reader B continues
-	drain(p)
-	if _, ok := p.Get("seg", 8192); !ok {
-		t.Error("reader A's next range not buffered")
-	}
-	if _, ok := p.Get("seg", 1<<20+8192); !ok {
-		t.Error("reader B's next range not buffered")
+	checkPattern(t, store, data, 2*r+100)
+	// The range under the read itself is not fetched again.
+	if _, ok := p.Get("seg", 0); ok {
+		t.Fatal("the range just read was buffered")
 	}
 }
 
 func TestSingleFlightSharesFetch(t *testing.T) {
-	store := &testStore{size: 1 << 20, block: make(chan struct{})}
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 1, BudgetBytes: 1 << 20})
-	p.Observe("seg", 0, 4096, store.size)
-	p.Observe("seg", 4096, 8192, store.size) // schedules range 2, blocked
+	store := newTestStore(4 * r)
+	store.block = make(chan struct{})
+	p := newTestPrefetcher(t, store, Config{Depth: 1})
+	p.Observe("seg", 0, r, store.size()) // schedules range 1, blocked
 	// Several readers ask for the in-flight range concurrently; all must
 	// wait on the single fetch and share it.
 	const readers = 4
@@ -148,7 +125,7 @@ func TestSingleFlightSharesFetch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, got[i] = p.Get("seg", 8192)
+			_, got[i] = p.Get("seg", r)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -165,39 +142,35 @@ func TestSingleFlightSharesFetch(t *testing.T) {
 }
 
 func TestBudgetEvictsLRU(t *testing.T) {
-	store := &testStore{size: 16 << 20}
-	// Budget of exactly 2 ranges.
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 1, BudgetBytes: 8192})
-	seq := func(seg string, upTo int64) {
-		for off := int64(0); off < upTo; off += 4096 {
-			p.Observe(seg, off, off+4096, store.size)
-			drain(p)
-		}
+	store := newTestStore(2 * r)
+	p := newTestPrefetcher(t, store, Config{Depth: 1})
+	// One range per segment: the budget holds BudgetBytes/r of them, so the
+	// last segment's range must evict the first's.
+	n := BudgetBytes/r + 1
+	for i := 0; i < n; i++ {
+		p.Observe(fmt.Sprint("seg-", i), 0, r, store.size())
+		drain(p)
 	}
-	seq("a", 8192) // buffers a/2
-	seq("b", 8192) // buffers b/2 — budget now full
-	seq("c", 8192) // must evict the LRU range (a/2)
-	drain(p)
-	if used := p.BufferedBytes(); used > 8192 {
-		t.Fatalf("budget exceeded: %d > 8192", used)
+	if used := p.BufferedBytes(); used > BudgetBytes {
+		t.Fatalf("budget exceeded: %d > %d", used, BudgetBytes)
 	}
-	if _, ok := p.Get("c", 8192); !ok {
+	if _, ok := p.Get(fmt.Sprint("seg-", n-1), r); !ok {
 		t.Error("newest range evicted instead of LRU")
 	}
-	if _, ok := p.Get("a", 8192); ok {
+	if _, ok := p.Get("seg-0", r); ok {
 		t.Error("LRU range survived past the budget")
 	}
 }
 
 func TestShortRangeDiscarded(t *testing.T) {
-	store := &testStore{size: 6144} // 1.5 ranges
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 4, BudgetBytes: 1 << 20})
-	// limit says 8192 is tiered but the store only has 6144: the fetch for
-	// range 1 comes back short and must be dropped, releasing its budget.
-	p.Observe("seg", 0, 2048, 8192)
-	p.Observe("seg", 2048, 4096, 8192)
+	store := newTestStore(r + r/2) // 1.5 ranges
+	p := newTestPrefetcher(t, store, Config{Depth: 4})
+	// limit says 2 ranges are tiered but the store only has 1.5: the fetch
+	// for range 1 comes back short and must be dropped, releasing its
+	// budget.
+	p.Observe("seg", 0, r/2, 2*r)
 	drain(p)
-	if _, ok := p.Get("seg", 4096); ok {
+	if _, ok := p.Get("seg", r); ok {
 		t.Fatal("short range must not be buffered")
 	}
 	if used := p.BufferedBytes(); used != 0 {
@@ -206,13 +179,12 @@ func TestShortRangeDiscarded(t *testing.T) {
 }
 
 func TestFetchErrorReleasesBudgetAndWaiters(t *testing.T) {
-	store := &testStore{size: 1 << 20}
+	store := newTestStore(4 * r)
 	store.fail.Store(true)
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 2, BudgetBytes: 1 << 20})
-	p.Observe("seg", 0, 4096, store.size)
-	p.Observe("seg", 4096, 8192, store.size)
+	p := newTestPrefetcher(t, store, Config{Depth: 2})
+	p.Observe("seg", 0, r, store.size())
 	drain(p)
-	if _, ok := p.Get("seg", 8192); ok {
+	if _, ok := p.Get("seg", r); ok {
 		t.Fatal("failed fetch must not serve data")
 	}
 	if used := p.BufferedBytes(); used != 0 {
@@ -221,24 +193,25 @@ func TestFetchErrorReleasesBudgetAndWaiters(t *testing.T) {
 }
 
 func TestInvalidateDropsRangesBelow(t *testing.T) {
-	store := &testStore{size: 1 << 20}
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 4, BudgetBytes: 1 << 20})
-	p.Observe("seg", 0, 4096, store.size)
-	p.Observe("seg", 4096, 8192, store.size)
+	store := newTestStore(8 * r)
+	p := newTestPrefetcher(t, store, Config{Depth: 4})
+	p.Observe("seg", 0, r, store.size())
 	drain(p)
-	if _, ok := p.Get("seg", 8192); !ok {
+	if _, ok := p.Get("seg", 2*r); !ok {
 		t.Fatal("range not buffered before truncation")
 	}
-	p.Invalidate("seg", 3*4096) // truncate at 12288: range 2 must go
-	if _, ok := p.Get("seg", 8192); ok {
+	p.Invalidate("seg", 3*r) // truncate at range 3: ranges 1 and 2 must go
+	if _, ok := p.Get("seg", 2*r); ok {
 		t.Fatal("pre-truncation range survived Invalidate")
 	}
+	if _, ok := p.Get("seg", 3*r); !ok {
+		t.Fatal("range at the truncation point dropped")
+	}
 	// Full invalidation (segment deleted).
-	p.Observe("other", 0, 4096, store.size)
-	p.Observe("other", 4096, 8192, store.size)
+	p.Observe("other", 0, r, store.size())
 	drain(p)
 	p.Invalidate("other", -1)
-	if _, ok := p.Get("other", 8192); ok {
+	if _, ok := p.Get("other", r); ok {
 		t.Fatal("range survived full Invalidate")
 	}
 	p.Invalidate("seg", -1)
@@ -248,24 +221,25 @@ func TestInvalidateDropsRangesBelow(t *testing.T) {
 }
 
 func TestConcurrentObserveGetRace(t *testing.T) {
-	store := &testStore{size: 8 << 20}
-	p := newTestPrefetcher(t, store, Config{RangeBytes: 4096, Depth: 4, BudgetBytes: 64 << 10})
+	store := newTestStore(8 * r)
+	p := newTestPrefetcher(t, store, Config{Depth: 4})
+	const step = r / 4
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(r int) {
+		go func(i int) {
 			defer wg.Done()
-			seg := fmt.Sprintf("seg-%d", r%2)
-			for off := int64(0); off < 1<<20; off += 4096 {
+			seg := fmt.Sprintf("seg-%d", i%2)
+			for off := int64(0); off < store.size(); off += step {
 				if data, ok := p.Get(seg, off); ok {
-					checkPattern(t, data, off)
+					checkPattern(t, store, data, off)
 				}
-				p.Observe(seg, off, off+4096, store.size)
+				p.Observe(seg, off, off+step, store.size())
 			}
-		}(r)
+		}(i)
 	}
 	for i := 0; i < 50; i++ {
-		p.Invalidate("seg-0", int64(i)*4096)
+		p.Invalidate("seg-0", int64(i)*step)
 	}
 	wg.Wait()
 }

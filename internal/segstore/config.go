@@ -49,12 +49,10 @@ type ContainerConfig struct {
 	// historical read (default 8; 1 degenerates to the sequential
 	// single-chunk baseline).
 	MaxReadFanout int
-	// ReadAheadDepth is how many ranges the catch-up prefetcher keeps in
-	// flight or buffered ahead of a sequential historical reader
-	// (default 4; negative disables readahead).
+	// ReadAheadDepth is how many 1 MiB ranges the catch-up prefetcher keeps
+	// in flight or buffered after each historical read (default 4; negative
+	// disables readahead).
 	ReadAheadDepth int
-	// ReadAheadRangeBytes is the prefetch unit (default 1 MiB).
-	ReadAheadRangeBytes int64
 
 	// Hooks exposes deterministic crash points inside the pipeline for
 	// fault-injection tests (internal/faultinject). Nil in production.
@@ -88,8 +86,5 @@ func (c *ContainerConfig) defaults() {
 	}
 	if c.ReadAheadDepth == 0 {
 		c.ReadAheadDepth = 4
-	}
-	if c.ReadAheadRangeBytes <= 0 {
-		c.ReadAheadRangeBytes = 1 << 20
 	}
 }

@@ -163,10 +163,6 @@ type Container struct {
 const (
 	// opQueueLen bounds queued operations (backpressure).
 	opQueueLen = 4096
-	// readAheadBudgetBytes bounds the prefetcher's buffered bytes — a budget
-	// deliberately separate from the tail block cache (§4.2's no-pollution
-	// rule).
-	readAheadBudgetBytes = 16 << 20
 	// loadWindow and loadSlots size the per-segment rate meters that feed
 	// auto-scaling reports (§3.1).
 	loadWindow = 2 * time.Second
@@ -209,11 +205,9 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 
 	if cfg.ReadAheadDepth >= 0 {
 		c.ra = readahead.New(readahead.Config{
-			RangeBytes:  cfg.ReadAheadRangeBytes,
-			Depth:       cfg.ReadAheadDepth,
-			BudgetBytes: readAheadBudgetBytes,
-			Workers:     cfg.MaxReadFanout,
-			Fetch:       c.fetchRange,
+			Depth:   cfg.ReadAheadDepth,
+			Workers: cfg.MaxReadFanout,
+			Fetch:   c.fetchRange,
 		})
 	}
 

@@ -27,7 +27,9 @@ type ReadResult struct {
 // Read returns up to maxBytes starting at offset. Reads at the segment's
 // tail block up to wait for new data (tail reads return a future
 // server-side, §4.2 — here a bounded long-poll). A zero wait makes tail
-// reads return immediately with empty data.
+// reads return immediately with empty data. Read is ReadCtx without
+// cancellation; it stays because the benchmark's probes (bench/probes.go),
+// which are not edited with the code, call it.
 func (c *Container) Read(name string, offset int64, maxBytes int, wait time.Duration) (ReadResult, error) {
 	return c.ReadCtx(context.Background(), name, offset, maxBytes, wait)
 }
@@ -324,7 +326,7 @@ func (c *Container) readChunk(cr chunkRead, buf []byte) error {
 // into the block cache — historical catch-up readers stream large ranges
 // once, and polluting the cache would evict the tail working set. Instead
 // the read is reported to the readahead prefetcher, which pipelines the
-// ranges ahead of a sequential cursor into its own budget.
+// ranges after it into its own budget.
 func (c *Container) readFromLTS(s *segState, offset, maxBytes int64) (ReadResult, error) {
 	name := s.name
 	end := offset + maxBytes

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/lts"
+	"github.com/pravega-go/pravega/internal/readahead"
 	"github.com/pravega-go/pravega/internal/readindex"
 )
 
@@ -76,7 +77,6 @@ func TestReadSpansChunkBoundary(t *testing.T) {
 	cfg := env.containerConfig(1)
 	cfg.ChunkSizeLimit = 4096
 	cfg.FlushSizeBytes = 1
-	cfg.ReadAheadRangeBytes = 8192
 	const total = 64 << 10
 	c := seedTieredSegment(t, env, cfg, "s/t/0", total, 1024)
 
@@ -113,19 +113,18 @@ func TestReadSpansChunkBoundary(t *testing.T) {
 func TestSequentialCatchUpUsesReadahead(t *testing.T) {
 	env := newTestEnv(t)
 	cfg := env.containerConfig(1)
-	cfg.ChunkSizeLimit = 4096
+	cfg.ChunkSizeLimit = 256 << 10
 	cfg.FlushSizeBytes = 1
-	cfg.ReadAheadRangeBytes = 4096
 	cfg.ReadAheadDepth = 2
-	const total = 64 << 10
-	c := seedTieredSegment(t, env, cfg, "s/t/0", total, 1024)
+	const total = 8 << 20
+	c := seedTieredSegment(t, env, cfg, "s/t/0", total, 64<<10)
 
-	// Drive a sequential scan; after the first two reads line up, later
-	// ranges are served from the prefetcher. Data must stay correct either
-	// way, and the prefetcher must have buffered something.
+	// Drive a sequential scan; every read schedules the ranges after it, so
+	// later reads are served from the prefetcher. Data must stay correct
+	// either way, and the prefetcher must have buffered something.
 	var off int64
 	for off < total {
-		res, err := c.Read("s/t/0", off, 4096, 0)
+		res, err := c.Read("s/t/0", off, 256<<10, 0)
 		if err != nil {
 			t.Fatalf("Read@%d: %v", off, err)
 		}
@@ -137,12 +136,38 @@ func TestSequentialCatchUpUsesReadahead(t *testing.T) {
 		}
 		off += int64(len(res.Data))
 	}
+	waitBuffered(t, c, "sequential scan never engaged the readahead prefetcher")
+}
+
+// TestFirstColdReadSchedulesReadahead reads a cold tiered segment once: that
+// one LTS read must schedule the ranges after it.
+func TestFirstColdReadSchedulesReadahead(t *testing.T) {
+	env := newTestEnv(t)
+	cfg := env.containerConfig(1)
+	cfg.FlushSizeBytes = 1
+	const total = 4 << 20
+	c := seedTieredSegment(t, env, cfg, "s/t/0", total, 64<<10)
+
+	if _, err := c.Read("s/t/0", 0, 64<<10, 0); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	waitBuffered(t, c, "the first LTS read scheduled no readahead")
+	data, ok := c.ra.Get("s/t/0", readahead.RangeBytes)
+	if !ok || !bytes.Equal(data, pattern(readahead.RangeBytes, len(data))) {
+		t.Fatalf("range after the first read: buffered=%v", ok)
+	}
+}
+
+// waitBuffered fails with msg unless the container's prefetcher buffers
+// something within 2 s.
+func waitBuffered(t *testing.T, c *Container, msg string) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for c.ra.BufferedBytes() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if c.ra.BufferedBytes() == 0 {
-		t.Fatal("sequential scan never engaged the readahead prefetcher")
+		t.Fatal(msg)
 	}
 }
 
@@ -382,29 +407,20 @@ func TestCacheEvictionRaceFallsBackToLTS(t *testing.T) {
 func TestDeleteInvalidatesReadahead(t *testing.T) {
 	env := newTestEnv(t)
 	cfg := env.containerConfig(1)
-	cfg.ChunkSizeLimit = 4096
+	cfg.ChunkSizeLimit = 256 << 10
 	cfg.FlushSizeBytes = 1
-	cfg.ReadAheadRangeBytes = 4096
-	const total = 32 << 10
-	c := seedTieredSegment(t, env, cfg, "s/t/0", total, 1024)
+	const total = 4 << 20
+	c := seedTieredSegment(t, env, cfg, "s/t/0", total, 64<<10)
 
-	// Engage the prefetcher with a sequential scan.
-	for off := int64(0); off < 16<<10; off += 4096 {
-		if _, err := c.Read("s/t/0", off, 4096, 0); err != nil {
-			t.Fatalf("Read@%d: %v", off, err)
-		}
+	// Engage the prefetcher with a read.
+	if _, err := c.Read("s/t/0", 0, 256<<10, 0); err != nil {
+		t.Fatalf("Read: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for c.ra.BufferedBytes() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.ra.BufferedBytes() == 0 {
-		t.Fatal("prefetcher never engaged")
-	}
+	waitBuffered(t, c, "prefetcher never engaged")
 	if err := c.DeleteSegment("s/t/0"); err != nil {
 		t.Fatalf("DeleteSegment: %v", err)
 	}
-	deadline = time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(2 * time.Second)
 	for c.ra.BufferedBytes() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

@@ -35,10 +35,9 @@ type Synchronizer struct {
 	backing Backing
 	apply   func(update []byte)
 
-	mu     sync.Mutex
-	tail   int64 // offset after the last consumed update
-	buf    []byte
-	synced int64 // count of updates applied (diagnostics)
+	mu   sync.Mutex
+	tail int64 // offset after the last consumed update
+	buf  []byte
 }
 
 // New creates a synchronizer. apply is invoked for every update, in order,
@@ -80,18 +79,18 @@ func (s *Synchronizer) fetchLocked() error {
 			}
 			update := s.buf[4 : 4+n]
 			s.apply(update)
-			s.synced++
 			s.tail += int64(4 + n)
 			s.buf = s.buf[4+n:]
 		}
 	}
 }
 
-// Updates returns how many updates have been applied locally.
-func (s *Synchronizer) Updates() int64 {
+// Tail returns the segment offset after the last update applied locally:
+// every update appended from there on is one a later Fetch applies.
+func (s *Synchronizer) Tail() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.synced
+	return s.tail
 }
 
 // Update runs the optimistic update loop: fetch the latest state, generate

@@ -64,8 +64,8 @@ func TestUpdateAndFetch(t *testing.T) {
 			t.Fatalf("applied[%d] = %q", i, u)
 		}
 	}
-	if s.Updates() != 5 {
-		t.Fatalf("Updates = %d", s.Updates())
+	if s.Tail() != int64(len(b.data)) {
+		t.Fatalf("Tail = %d, segment length %d", s.Tail(), len(b.data))
 	}
 }
 

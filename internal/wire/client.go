@@ -473,8 +473,10 @@ func (sc *storeConn) ReadCtx(ctx context.Context, name string, offset int64, max
 		}
 		return segstore.ReadResult{}, err
 	}
-	mcLongPolls.Add(1)
-	defer mcLongPolls.Add(-1)
+	if wait > 0 {
+		mcLongPolls.Add(1)
+		defer mcLongPolls.Add(-1)
+	}
 	var rep Reply
 	select {
 	case rep = <-ch:

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -327,4 +328,68 @@ func TestDuplicateLongPollCancelsAllOnDrop(t *testing.T) {
 	// Both server-side reads must be cancelled and their tail waiters
 	// deregistered well before the 20s wait expires.
 	waitFor(0, "after connection drop")
+}
+
+// TestLongPollGaugeCountsOnlyWaitingReads parks reads on a server that never
+// answers: a zero-wait read (state synchronizer, KV table, merge source)
+// must leave pravega_wire_client_longpoll_reads alone, a read with a wait
+// must raise it while it is out.
+func TestLongPollGaugeCountsOnlyWaitingReads(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	received := make(chan struct{}, 2)
+	go func() {
+		srv, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer srv.Close()
+		r := bufio.NewReader(srv)
+		hdr := make([]byte, headerSize)
+		for {
+			if _, err := io.ReadFull(r, hdr); err != nil {
+				return
+			}
+			if _, err := r.Discard(int(binary.BigEndian.Uint32(hdr[0:4]))); err != nil {
+				return
+			}
+			received <- struct{}{}
+		}
+	}()
+	conn, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{addr: ln.Addr().String(), cfg: ClientConfig{MinBackoff: time.Second, MaxBackoff: time.Second, SyncRetryWindow: time.Second}}
+	sc := newStoreConn(c, conn, ln.Addr().String())
+
+	var wg sync.WaitGroup
+	read := func(wait time.Duration) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = sc.ReadCtx(context.Background(), "s/0", 0, 64, wait)
+		}()
+		<-received
+	}
+	base := mcLongPolls.Value()
+	read(0)
+	time.Sleep(20 * time.Millisecond)
+	if got := mcLongPolls.Value() - base; got != 0 {
+		t.Errorf("a zero-wait read moved the long-poll gauge by %d", got)
+	}
+	read(time.Minute)
+	for deadline := time.Now().Add(5 * time.Second); mcLongPolls.Value()-base != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a waiting read moved the long-poll gauge by %d, want 1", mcLongPolls.Value()-base)
+		}
+	}
+	sc.Close() // fails both parked reads
+	wg.Wait()
+	if got := mcLongPolls.Value() - base; got != 0 {
+		t.Errorf("long-poll gauge off by %d after the reads returned", got)
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/pravega-go/pravega/internal/client"
 	"github.com/pravega-go/pravega/internal/kvtable"
 )
 
@@ -39,7 +38,7 @@ func (s *System) NewKeyValueTable(scope, name string) (*KeyValueTable, error) {
 	if err := conn.CreateSegment(seg); err != nil && !isExists(err) {
 		return nil, err
 	}
-	backing := &kvBacking{conn: conn, segment: seg}
+	backing := &segmentBacking{conn: conn, segment: seg}
 	// The instance id only needs to differ between concurrently open
 	// handles; the connection pointer value's low bits suffice.
 	return &KeyValueTable{table: kvtable.New(backing, instanceID())}, nil
@@ -48,23 +47,6 @@ func (s *System) NewKeyValueTable(scope, name string) (*KeyValueTable, error) {
 var kvInstanceCounter atomic.Int64
 
 func instanceID() int64 { return kvInstanceCounter.Add(1) }
-
-type kvBacking struct {
-	conn    client.DataTransport
-	segment string
-}
-
-func (b *kvBacking) AppendConditional(data []byte, expectedOffset int64) (int64, error) {
-	return b.conn.AppendConditional(b.segment, data, expectedOffset)
-}
-
-func (b *kvBacking) Read(offset int64, maxBytes int) ([]byte, error) {
-	res, err := b.conn.Read(b.segment, offset, maxBytes, 0)
-	if err != nil {
-		return nil, err
-	}
-	return res.Data, nil
-}
 
 // Get returns the key's entry, or ok=false when absent. Like every table
 // method it honors ctx (DESIGN.md §"Context convention"): cancelling

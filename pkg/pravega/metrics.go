@@ -15,8 +15,6 @@ var (
 		"Batch size at send as a percentage of MaxBatchSize")
 	mClientRebalances = obs.Default().Counter("pravega_client_rebalances_total",
 		"Reader group rebalance passes executed")
-	mClientRebalancesSkipped = obs.Default().Counter("pravega_client_rebalances_skipped_total",
-		"Rebalance passes skipped because the group revision was unchanged")
 	mClientPrefetches = obs.Default().Counter("pravega_client_prefetches_total",
 		"Fetches issued while an earlier batch of the same segment still waits for the consumer")
 )

@@ -34,11 +34,9 @@ const (
 	// read 1 MiB per request (§5.7), one at its tail yields what arrived.
 	readBytes = 1 << 20
 	// readerPollWait is how long a fetch waits at a quiet tail, so an idle
-	// owned segment, or a reader nobody consumes from, costs about one
-	// request per second.
+	// owned segment, a quiet group, or a reader nobody consumes from, costs
+	// about one request per second.
 	readerPollWait = time.Second
-	// syncWindow is how stale a reader's view of its group may get.
-	syncWindow = 100 * time.Millisecond
 )
 
 // Reader consumes events from the segments its reader group assigns to it.
@@ -47,19 +45,22 @@ const (
 // Every owned segment has a fetcher: a goroutine that reads it back to back
 // and hands each result to the consumer — the caller of ReadNextEvent — on
 // one reader-wide channel. The consumer owns every cursor and ownership
-// change; fetchers do I/O only.
+// change; fetchers do I/O only. One more fetcher reads the group's state
+// segment: a batch from it means the group changed, and the consumer
+// re-syncs and rebalances.
 type Reader struct {
 	rg   *ReaderGroup
 	name string
 	// batches is unbuffered: a fetcher holding a result waits until the
 	// consumer needs one, so it runs at most one fetch ahead of it.
 	batches chan batch
+	// group is the fetcher of the group's state segment.
+	group *ownedSegment
 
-	mu       sync.Mutex
-	owned    map[string]*ownedSegment
-	lastSync time.Time
-	lastRev  int64 // synchronizer revision at the last full rebalance
-	closed   bool
+	mu     sync.Mutex
+	owned  map[string]*ownedSegment
+	resync bool // the group changed since the last rebalance pass
+	closed bool
 }
 
 // ownedSegment is one assigned segment: the consumer's cursor, guarded by
@@ -82,7 +83,8 @@ type batch struct {
 	err  error
 }
 
-// NewReader registers a reader in the group.
+// NewReader registers a reader in the group. It takes its share of the
+// group's segments on its first read.
 func (rg *ReaderGroup) NewReader(name string) (*Reader, error) {
 	err := rg.sync.Update(func() ([]byte, error) {
 		rg.mu.Lock()
@@ -96,7 +98,11 @@ func (rg *ReaderGroup) NewReader(name string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{rg: rg, name: name, owned: make(map[string]*ownedSegment), batches: make(chan batch)}, nil
+	r := &Reader{rg: rg, name: name, owned: make(map[string]*ownedSegment), batches: make(chan batch), resync: true}
+	// Every update appended after the synchronizer's tail wakes the reader;
+	// the first pass covers the ones before it.
+	r.group = r.adopt(rgSegment{Qualified: rg.stateSeg, StartOffset: rg.sync.Tail()})
+	return r, nil
 }
 
 // rebalance refreshes group state and acquires segments up to the fair
@@ -175,6 +181,7 @@ func (r *Reader) rebalance() error {
 	assigned, _, _ = r.rg.snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.resync = false
 	for qn, owner := range assigned {
 		if _, ok := r.owned[qn]; ok || owner != r.name || r.closed {
 			continue
@@ -186,9 +193,9 @@ func (r *Reader) rebalance() error {
 	return nil
 }
 
-// adopt starts the fetcher of a newly owned segment at the group's position
-// for it. Its context ends with the System, so a reader never closed stops
-// fetching when the System closes.
+// adopt starts the fetcher of a newly owned segment, or of the group's state
+// segment, at rec.StartOffset. Its context ends with the System, so a reader
+// never closed stops fetching when the System closes.
 func (r *Reader) adopt(rec rgSegment) *ownedSegment {
 	ctx, cancel := context.WithCancel(r.rg.sys.ctx)
 	seg := &ownedSegment{rec: rec, bufAt: rec.StartOffset, cancel: cancel, done: make(chan struct{})}
@@ -241,47 +248,6 @@ func (r *Reader) fetch(ctx context.Context, seg *ownedSegment) {
 	}
 }
 
-// maybeRebalance refreshes group state once the sync window has elapsed (or
-// the reader owns nothing) and runs a full rebalance pass only when the
-// group's replicated state actually changed since the last pass: the
-// synchronizer revision is cached, so a quiet group costs one state fetch
-// per window instead of a full reassignment scan with conditional updates.
-func (r *Reader) maybeRebalance() error {
-	r.mu.Lock()
-	needSync := time.Since(r.lastSync) > syncWindow || len(r.owned) == 0
-	r.mu.Unlock()
-	if !needSync {
-		return nil
-	}
-	if err := r.rg.sync.Fetch(); err != nil {
-		return convertErr(err)
-	}
-	rev := r.rg.sync.Updates()
-	r.mu.Lock()
-	unchanged := rev == r.lastRev && len(r.owned) > 0
-	if unchanged {
-		r.lastSync = time.Now()
-	}
-	r.mu.Unlock()
-	if unchanged {
-		mClientRebalancesSkipped.Inc()
-		return nil
-	}
-	if err := r.rebalance(); err != nil {
-		return convertErr(err)
-	}
-	mClientRebalances.Inc()
-	// Cache the revision read BEFORE the pass: the group's readers in this
-	// process share the synchronizer, so re-reading it here could cover a
-	// release that landed after this pass's snapshot and would never be
-	// picked up. Our own updates cost one more pass, which finds nothing.
-	r.mu.Lock()
-	r.lastRev = rev
-	r.lastSync = time.Now()
-	r.mu.Unlock()
-	return nil
-}
-
 // ReadNextEvent returns the next event from any assigned segment, waiting
 // up to timeout. It returns ErrNoEvent on a quiet tail.
 //
@@ -307,20 +273,23 @@ func (r *Reader) ReadNextEventCtx(ctx context.Context) (Event, error) {
 	return r.next(ctx, true)
 }
 
-// next is the consumer: it delivers an event the reader holds, or folds in
-// the fetchers' batches until one yields an event. Without block it takes
-// only a batch a fetcher is already offering.
+// next is the consumer: it re-syncs the group when it changed, delivers an
+// event the reader holds, or folds in the fetchers' batches until one
+// yields an event. Without block it takes only a batch a fetcher is already
+// offering.
 func (r *Reader) next(ctx context.Context, block bool) (Event, error) {
-	var wake *time.Timer // a blocked call still re-syncs the group every window
 	for {
 		r.mu.Lock()
-		closed := r.closed
+		closed, resync := r.closed, r.resync
 		r.mu.Unlock()
 		if closed {
 			return Event{}, ErrReaderClosed
 		}
-		if err := r.maybeRebalance(); err != nil {
-			return Event{}, err
+		if resync {
+			if err := r.rebalance(); err != nil {
+				return Event{}, convertErr(err)
+			}
+			mClientRebalances.Inc()
 		}
 		if ev, ok, err := r.popBuffered(); err != nil || ok {
 			return ev, convertErr(err)
@@ -333,17 +302,10 @@ func (r *Reader) next(ctx context.Context, block bool) (Event, error) {
 				return Event{}, ErrNoEvent
 			}
 		} else {
-			if wake == nil {
-				wake = time.NewTimer(syncWindow)
-				defer wake.Stop()
-			}
 			select {
 			case b = <-r.batches:
 			case <-ctx.Done():
 				return Event{}, ctx.Err()
-			case <-wake.C:
-				wake.Reset(syncWindow)
-				continue
 			}
 		}
 		if err := r.apply(b); err != nil {
@@ -378,10 +340,17 @@ func (r *Reader) popBuffered() (Event, bool, error) {
 }
 
 // apply folds one batch into its segment's cursor. The end of a segment
-// completes it in the group and rebalances.
+// completes it in the group and rebalances. A batch from the group's state
+// segment, data or error, marks the group for a re-sync: a failed read
+// surfaces here, and the next call's pass retries.
 func (r *Reader) apply(b batch) error {
 	seg := b.seg
 	r.mu.Lock()
+	if seg == r.group {
+		r.resync = true
+		r.mu.Unlock()
+		return convertErr(b.err)
+	}
 	if r.owned[seg.rec.Qualified] != seg {
 		r.mu.Unlock()
 		return nil // released while the batch was on its way
@@ -433,7 +402,7 @@ func (r *Reader) Close() error {
 	}
 	r.owned = make(map[string]*ownedSegment)
 	r.mu.Unlock()
-	stop(owned)
+	stop(append([]*ownedSegment{r.group}, owned...))
 	for _, seg := range owned {
 		err := r.rg.sync.Update(func() ([]byte, error) {
 			return json.Marshal(rgUpdate{Op: "release", Reader: r.name, Segment: seg.rec.Qualified, Offset: seg.bufAt})

@@ -26,12 +26,35 @@ type watchedReads struct {
 }
 
 func watchReads(rg *ReaderGroup, idle ...string) *watchedReads {
-	w := &watchedReads{DataTransport: rg.conn, idle: make(map[string]bool), calls: make(map[string]int)}
+	w := newWatchedReads(rg.conn, idle...)
+	rg.conn = w
+	return w
+}
+
+func newWatchedReads(conn client.DataTransport, idle ...string) *watchedReads {
+	w := &watchedReads{DataTransport: conn, idle: make(map[string]bool), calls: make(map[string]int)}
 	for _, qn := range idle {
 		w.idle[qn] = true
 	}
-	rg.conn = w
 	return w
+}
+
+// watchedGroup opens a reader group whose every read, the synchronizer's
+// included, goes through a watchedReads.
+func watchedGroup(t *testing.T, sys *System, name, scope, stream string, idle ...string) (*ReaderGroup, *watchedReads) {
+	t.Helper()
+	orig := sys.newData
+	var w *watchedReads
+	sys.newData = func() client.DataTransport {
+		w = newWatchedReads(orig(), idle...)
+		return w
+	}
+	rg, err := sys.NewReaderGroup(name, scope, stream)
+	sys.newData = orig
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rg, w
 }
 
 func (w *watchedReads) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
@@ -346,5 +369,118 @@ func TestReaderResumesAtTruncatedHead(t *testing.T) {
 	}
 	if len(got) != 20 {
 		t.Errorf("delivered %d distinct events after the cut, want 20", len(got))
+	}
+}
+
+// TestQuietGroupCostsOneLongPoll blocks a reader on a quiet two-segment
+// group: keeping its view of the group current must cost the state
+// segment's long poll, at most two reads a second, not a re-sync on a clock.
+func TestQuietGroupCostsOneLongPoll(t *testing.T) {
+	sys := newTestSystem(t)
+	mustCreate(t, sys, "quiet", "s", 2)
+	rg, reads := watchedGroup(t, sys, "rg-quiet", "quiet", "s")
+	r, err := rg.NewReader("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.ReadNextEventCtx(ctx)
+		done <- err
+	}()
+	// Let the first pass, and the wake its own acquisitions cause, settle.
+	time.Sleep(300 * time.Millisecond)
+	if n := len(ownedSegments(r)); n != 2 {
+		t.Fatalf("reader owns %d segments, want 2", n)
+	}
+	before, _ := reads.snapshot()
+	time.Sleep(time.Second)
+	after, _ := reads.snapshot()
+	if n := after[rg.stateSeg] - before[rg.stateSeg]; n > 2 {
+		t.Errorf("%d reads of the group's state segment in 1 s of a quiet group, want <= 2", n)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("ReadNextEventCtx returned on a quiet group: %v", err)
+	default:
+	}
+	cancel()
+	<-done
+}
+
+// TestJoinSeenWhileBlocked gives r1 both segments of a stream holding one
+// event each, and parks r1's reads so it stays blocked in ReadNextEventCtx.
+// r2 then joins and waits in one ReadNextEventCtx, with nobody calling
+// ReadNextEvent(0): r1 must release a segment and r2 take it and deliver
+// its event because the group changed, well within 100 ms.
+func TestJoinSeenWhileBlocked(t *testing.T) {
+	sys := newTestSystem(t)
+	mustCreate(t, sys, "join", "s", 2)
+	keys := segmentsByKey(t, sys, "join", "s")
+	w, err := sys.NewWriter(WriterConfig{Scope: "join", Stream: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, key := range keys {
+		w.WriteEvent(key, []byte(key))
+	}
+	if err := w.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var segs []string
+	written := map[string]bool{}
+	for qn, key := range keys {
+		segs = append(segs, qn)
+		written[key] = true
+	}
+	// Two handles on one group: r1's reads of both segments never return.
+	rg1, _ := watchedGroup(t, sys, "rg-join", "join", "s", segs...)
+	rg2, err := sys.NewReaderGroup("rg-join", "join", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := rg1.NewReader("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r1.Close()
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	done1 := make(chan error, 1)
+	go func() {
+		_, err := r1.ReadNextEventCtx(ctx1)
+		done1 <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(ownedSegments(r1)) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("r1 never owned both segments")
+		}
+	}
+
+	r2, err := rg2.NewReader("r2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 80*time.Millisecond)
+	defer cancel2()
+	ev, err := r2.ReadNextEventCtx(ctx2)
+	if err != nil {
+		t.Fatalf("r2 got no event within 80 ms of joining: %v (r1 owns %d segments)", err, len(ownedSegments(r1)))
+	}
+	if !written[string(ev.Data)] {
+		t.Fatalf("r2 read %q", ev.Data)
+	}
+	select {
+	case err := <-done1:
+		t.Fatalf("r1 returned from ReadNextEventCtx: %v", err)
+	default:
+	}
+	if n := len(ownedSegments(r1)); n != 1 {
+		t.Errorf("r1 owns %d segments after r2 joined, want 1", n)
 	}
 }

@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,6 +27,8 @@ type ReaderGroup struct {
 	streams []string
 	conn    client.DataTransport
 	sync    *statesync.Synchronizer
+	// stateSeg is the segment the synchronizer replicates the group through.
+	stateSeg string
 
 	mu    sync.Mutex
 	state rgState
@@ -87,15 +90,14 @@ func (s *System) NewReaderGroup(name, scope string, streams ...string) (*ReaderG
 		state:   newRGState(),
 	}
 	// The group's coordination state lives in a dedicated segment.
-	stateSeg := fmt.Sprintf("%s/_readergroup-%s/0.#epoch.0", scope, name)
-	if err := rg.conn.CreateSegment(stateSeg); err != nil {
+	rg.stateSeg = fmt.Sprintf("%s/_readergroup-%s/0.#epoch.0", scope, name)
+	if err := rg.conn.CreateSegment(rg.stateSeg); err != nil {
 		// Another member may have created it already; that's joining.
 		if !isExists(err) {
 			return nil, err
 		}
 	}
-	backing := &rgBacking{conn: rg.conn, segment: stateSeg}
-	rg.sync = statesync.New(backing, rg.apply)
+	rg.sync = statesync.New(&segmentBacking{conn: rg.conn, segment: rg.stateSeg}, rg.apply)
 
 	// Seed the group with every stream's head segments (idempotent: apply
 	// ignores segments it already knows).
@@ -135,18 +137,19 @@ func isExists(err error) bool {
 	return errors.Is(err, segstore.ErrSegmentExists)
 }
 
-// rgBacking adapts a data transport to the state synchronizer.
-type rgBacking struct {
+// segmentBacking adapts one segment of a data transport to the state
+// synchronizer (reader groups and KV tables).
+type segmentBacking struct {
 	conn    client.DataTransport
 	segment string
 }
 
-func (b *rgBacking) AppendConditional(data []byte, expectedOffset int64) (int64, error) {
+func (b *segmentBacking) AppendConditional(data []byte, expectedOffset int64) (int64, error) {
 	return b.conn.AppendConditional(b.segment, data, expectedOffset)
 }
 
-func (b *rgBacking) Read(offset int64, maxBytes int) ([]byte, error) {
-	res, err := b.conn.Read(b.segment, offset, maxBytes, 0)
+func (b *segmentBacking) Read(offset int64, maxBytes int) ([]byte, error) {
+	res, err := b.conn.ReadCtx(context.Background(), b.segment, offset, maxBytes, 0)
 	if err != nil {
 		return nil, err
 	}
