@@ -54,8 +54,9 @@ type DataTransport interface {
 	// primitive, §3.3).
 	AppendConditional(name string, data []byte, expectedOffset int64) (int64, error)
 	// ReadCtx returns available bytes at offset, long-polling up to wait
-	// when the offset is at the tail. Cancellation is plumbed to the
-	// server-side long poll: a tail read unblocks as soon as ctx is done.
+	// when the offset is at the tail. It returns ctx.Err() as soon as ctx is
+	// done; a remote transport abandons the reply, and the server's wait
+	// ends with its bound, with data, or with the connection.
 	ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)
 	// GetInfo fetches segment metadata.
 	GetInfo(name string) (segment.Info, error)

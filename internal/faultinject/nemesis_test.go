@@ -339,8 +339,8 @@ func TestMergeAppliedAckLost(t *testing.T) {
 
 // TestLongPollReapedOnConnDrop verifies end to end that a tail read blocked
 // in a server-side long poll is cancelled — and its segment-store waiter
-// deregistered — when the connection carrying it drops, not only on an
-// explicit MsgCancelRead.
+// deregistered — when the connection carrying it drops: the connection's
+// end is what ends a wait whose client is gone.
 func TestLongPollReapedOnConnDrop(t *testing.T) {
 	rig := newNemesisRig(t, NemesisConfig{Seed: 19}, pravega.ClientConfig{})
 	wc, err := wire.NewClient(rig.proxy.Addr(), wire.ClientConfig{SyncRetryWindow: time.Second})

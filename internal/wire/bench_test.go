@@ -52,7 +52,7 @@ func BenchmarkWireAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch, _, err := conn.CallAsync(MsgAppend, AppendReq{Segment: seg, Data: data, CondOffset: -1})
+		ch, err := conn.CallAsync(MsgAppend, AppendReq{Segment: seg, Data: data, CondOffset: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,15 +28,11 @@ var (
 	mcAppendRTT = obs.Default().Histogram("pravega_wire_client_append_rtt_us",
 		"Append round-trip time (µs), send to acknowledgement")
 	mcLongPolls = obs.Default().Gauge("pravega_wire_client_longpoll_reads",
-		"Long-poll reads waiting on the server")
+		"Reads waiting on the server at a segment tail")
 )
 
 // ClientConfig tunes the remote transport.
 type ClientConfig struct {
-	// MinBackoff/MaxBackoff bound the reconnect backoff (capped exponential,
-	// defaults 5ms and 1s).
-	MinBackoff time.Duration
-	MaxBackoff time.Duration
 	// SyncRetryWindow is how long synchronous operations (reads, metadata,
 	// control plane) keep retrying across a lost connection before failing
 	// with client.ErrDisconnected (default 15s). Async appends never retry
@@ -45,17 +41,14 @@ type ClientConfig struct {
 	SyncRetryWindow time.Duration
 }
 
-func (c *ClientConfig) defaults() {
-	if c.MinBackoff <= 0 {
-		c.MinBackoff = 5 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.SyncRetryWindow <= 0 {
-		c.SyncRetryWindow = 15 * time.Second
-	}
-}
+// A lost connection is redialed with capped exponential backoff.
+const (
+	minBackoff = 5 * time.Millisecond
+	maxBackoff = time.Second
+)
+
+// nextBackoff is the backoff step after d.
+func nextBackoff(d time.Duration) time.Duration { return min(2*d, maxBackoff) }
 
 // Client is the remote transport: it implements both client.DataTransport
 // and client.ControlTransport over the wire protocol. The data plane is a
@@ -75,6 +68,17 @@ type Client struct {
 	// dial overrides the transport dialer (fault-injection tests count and
 	// script dials through it); nil means Dial.
 	dial func(addr string) (*Conn, error)
+	// firstBackoff is the reconnect loop's first backoff step (tests that
+	// must tell a wake from a polling wait stretch it).
+	firstBackoff time.Duration
+}
+
+// newClient is a client of addr whose config has its defaults.
+func newClient(addr string, cfg ClientConfig) *Client {
+	if cfg.SyncRetryWindow <= 0 {
+		cfg.SyncRetryWindow = 15 * time.Second
+	}
+	return &Client{addr: addr, cfg: cfg, firstBackoff: minBackoff}
 }
 
 // dialServer opens one connection to the given address through the
@@ -105,14 +109,13 @@ var (
 // NewClient dials addr, discovers the cluster layout, and opens one
 // connection per segment store.
 func NewClient(addr string, cfg ClientConfig) (*Client, error) {
-	cfg.defaults()
 	ctrlConn, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, cfg: cfg}
+	c := newClient(addr, cfg)
 	c.ctrl = newStoreConn(c, ctrlConn, addr)
-	c.Router, err = placement.New(placement.Config{Source: infoSource{c}, Dial: c.dialStore, Window: cfg.SyncRetryWindow})
+	c.Router, err = placement.New(placement.Config{Source: infoSource{c}, Dial: c.dialStore, Window: c.cfg.SyncRetryWindow})
 	if err != nil {
 		c.ctrl.Close()
 		return nil, err
@@ -125,8 +128,7 @@ func NewClient(addr string, cfg ClientConfig) (*Client, error) {
 // The coord process pairs it with placement.CoordSource on its own
 // coordination store to reach whichever store process owns a container.
 func StoreDialer(cfg ClientConfig) func(placement.Endpoint) (placement.Store, error) {
-	cfg.defaults()
-	return (&Client{cfg: cfg}).dialStore
+	return newClient("", cfg).dialStore
 }
 
 // infoSource is an external client's placement source: the server's own
@@ -159,7 +161,7 @@ func (s infoSource) WaitEpoch(known int64, _ <-chan struct{}) (int64, error) {
 // Close tears down every connection. In-flight operations fail with
 // client.ErrDisconnected.
 func (c *Client) Close() error {
-	c.ctrl.Close() // first: it unblocks the router's epoch long poll
+	c.ctrl.Close() // first: it unblocks the router's epoch watch
 	return c.Router.Close()
 }
 
@@ -264,12 +266,7 @@ func (sc *storeConn) fault(conn *Conn) {
 // reconnectLoop redials with capped exponential backoff until it succeeds
 // or the client closes. lost is the connection it replaces (nil at birth).
 func (sc *storeConn) reconnectLoop(lost *Conn) {
-	backoff := sc.c.cfg.MinBackoff
-	if backoff <= 0 {
-		// A zero MinBackoff must not turn the dial loop into a busy spin
-		// against a dead endpoint (0*2 is still 0).
-		backoff = time.Millisecond
-	}
+	backoff := sc.c.firstBackoff
 	for {
 		sc.mu.Lock()
 		if sc.closed {
@@ -303,16 +300,13 @@ func (sc *storeConn) reconnectLoop(lost *Conn) {
 			return
 		}
 		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > sc.c.cfg.MaxBackoff {
-			backoff = sc.c.cfg.MaxBackoff
-		}
+		backoff = nextBackoff(backoff)
 	}
 }
 
 // acquire waits for a live connection until the deadline. Waiters park on
 // the ready broadcast channel, so a reconnect (or close) wakes them
-// immediately rather than after a poll interval. A connection that died
+// immediately rather than after a polling interval. A connection that died
 // idle — nobody was using it to notice — is faulted here rather than handed
 // out: under connection churn an attempt spent on discovering a dead
 // connection is followed by a retry that finds the next one dead again.
@@ -456,16 +450,16 @@ func (sc *storeConn) AppendConditional(name string, data []byte, expectedOffset 
 	return rep.Offset, err
 }
 
-// ReadCtx long-polls up to wait at the tail. When ctx is done it sends a
-// cancel for the in-flight request and the server-side long poll unblocks
-// immediately.
+// ReadCtx waits up to wait at the tail. When ctx is done it returns at once
+// and abandons the reply: the server's read runs on until its wait lapses,
+// data arrives or the connection ends.
 func (sc *storeConn) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
 	conn, err := sc.acquire(time.Now().Add(attemptWait))
 	if err != nil {
 		return segstore.ReadResult{}, fmt.Errorf("%w (%w)", err, placement.ErrNotSent)
 	}
 	req := ReadReq{Segment: name, Offset: offset, MaxBytes: maxBytes, WaitMS: wait.Milliseconds()}
-	ch, id, err := conn.CallAsync(MsgRead, &req)
+	ch, err := conn.CallAsync(MsgRead, &req)
 	if err != nil {
 		if placement.IsDisconnect(err) {
 			sc.fault(conn)
@@ -481,11 +475,6 @@ func (sc *storeConn) ReadCtx(ctx context.Context, name string, offset int64, max
 	select {
 	case rep = <-ch:
 	case <-ctx.Done():
-		// Unblock the server-side wait; the original request always
-		// completes (cancellation error, or failAll on connection loss),
-		// so this drain cannot hang.
-		conn.Cancel(id)
-		<-ch
 		return segstore.ReadResult{}, ctx.Err()
 	}
 	if err := ReplyError(rep); err != nil {

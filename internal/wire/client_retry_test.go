@@ -18,19 +18,13 @@ import (
 
 // TestAcquireWakesPromptlyOnReconnect pins the broadcast semantics of
 // storeConn.acquire: a waiter parked on a disconnected storeConn must wake
-// as soon as the reconnect lands, not after a MinBackoff-sized poll
+// as soon as the reconnect lands, not after a backoff-sized polling
 // interval. The dial hook blocks the reconnect loop until the test opens
 // the gate, so the wake latency is measured from a known instant.
 func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 	srv, _ := newServer(t)
-	c := &Client{
-		addr: srv.Addr(),
-		cfg: ClientConfig{
-			MinBackoff:      time.Second, // poll-based waiting would sleep this long
-			MaxBackoff:      time.Second,
-			SyncRetryWindow: 30 * time.Second,
-		},
-	}
+	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second})
+	c.firstBackoff = time.Second // poll-based waiting would sleep this long
 	gate := make(chan struct{})
 	c.dial = func(addr string) (*Conn, error) {
 		<-gate
@@ -82,7 +76,7 @@ func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 // reconnected one dead again (a 30 s livelock the nemesis soak hit).
 func TestAttemptReplacesIdleDeadConn(t *testing.T) {
 	srv, _ := newServer(t)
-	c := &Client{addr: srv.Addr(), cfg: ClientConfig{MinBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, SyncRetryWindow: 5 * time.Second}}
+	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 5 * time.Second})
 	conn, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +96,7 @@ func TestAttemptReplacesIdleDeadConn(t *testing.T) {
 // of leaving them to run out their deadline.
 func TestAcquireObservesClose(t *testing.T) {
 	srv, _ := newServer(t)
-	c := &Client{addr: srv.Addr(), cfg: ClientConfig{MinBackoff: time.Second, MaxBackoff: time.Second, SyncRetryWindow: 30 * time.Second}}
+	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second})
 	gate := make(chan struct{}) // never opened: reconnect loop stays blocked
 	c.dial = func(addr string) (*Conn, error) {
 		<-gate
@@ -135,29 +129,6 @@ func TestAcquireObservesClose(t *testing.T) {
 		t.Fatal("acquire never observed close")
 	}
 	close(gate) // release the parked reconnect goroutine
-}
-
-// TestReconnectBackoffFloor pins the zero-MinBackoff guard: a reconnect
-// loop against a dead endpoint must back off even when MinBackoff is zero,
-// not busy-spin dialing. Counted over 60ms, a floored loop (1ms doubling)
-// makes a handful of attempts; the unguarded loop makes thousands.
-func TestReconnectBackoffFloor(t *testing.T) {
-	c := &Client{
-		addr: "127.0.0.1:0",
-		cfg:  ClientConfig{MinBackoff: 0, MaxBackoff: 50 * time.Millisecond, SyncRetryWindow: time.Second},
-	}
-	var dials atomic.Int64
-	c.dial = func(string) (*Conn, error) {
-		dials.Add(1)
-		return nil, errors.New("endpoint down")
-	}
-	sc := &storeConn{c: c, addr: c.addr, redial: true, ready: make(chan struct{})}
-	go sc.reconnectLoop(nil)
-	time.Sleep(60 * time.Millisecond)
-	sc.Close()
-	if n := dials.Load(); n > 100 {
-		t.Fatalf("reconnect loop dialed %d times in 60ms: zero MinBackoff is hot-spinning", n)
-	}
 }
 
 // TestFailAllDeliversOffCallerGoroutine pins that tearing a connection
@@ -273,12 +244,11 @@ func TestSendFailureReportedOnce(t *testing.T) {
 	}
 }
 
-// TestDuplicateLongPollCancelsAllOnDrop pins the duplicate-request-id
-// hardening of the server's in-flight read registry: two long-poll reads
+// TestDuplicateLongPollCancelsAllOnDrop pins that two long-poll reads
 // carrying the SAME request id (duplicate frame delivery — a fault the
-// nemesis proxy injects) must BOTH be cancelled when the connection drops.
-// The single-entry map this replaces overwrote the first handle, leaving
-// one tail waiter blocked for its full wait after the client was gone.
+// nemesis proxy injects) are BOTH cancelled when the connection drops: the
+// connection's context ends every request on it, whatever its id, so no
+// tail waiter stays blocked for its full wait after the client is gone.
 func TestDuplicateLongPollCancelsAllOnDrop(t *testing.T) {
 	cl, ctrl := newBackend(t, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
 	srv := newClusterServer(t, cl, ctrl)
@@ -335,36 +305,7 @@ func TestDuplicateLongPollCancelsAllOnDrop(t *testing.T) {
 // must leave pravega_wire_client_longpoll_reads alone, a read with a wait
 // must raise it while it is out.
 func TestLongPollGaugeCountsOnlyWaitingReads(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	received := make(chan struct{}, 2)
-	go func() {
-		srv, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer srv.Close()
-		r := bufio.NewReader(srv)
-		hdr := make([]byte, headerSize)
-		for {
-			if _, err := io.ReadFull(r, hdr); err != nil {
-				return
-			}
-			if _, err := r.Discard(int(binary.BigEndian.Uint32(hdr[0:4]))); err != nil {
-				return
-			}
-			received <- struct{}{}
-		}
-	}()
-	conn, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Client{addr: ln.Addr().String(), cfg: ClientConfig{MinBackoff: time.Second, MaxBackoff: time.Second, SyncRetryWindow: time.Second}}
-	sc := newStoreConn(c, conn, ln.Addr().String())
+	sc, received := silentStore(t)
 
 	var wg sync.WaitGroup
 	read := func(wait time.Duration) {
@@ -391,5 +332,67 @@ func TestLongPollGaugeCountsOnlyWaitingReads(t *testing.T) {
 	wg.Wait()
 	if got := mcLongPolls.Value() - base; got != 0 {
 		t.Errorf("long-poll gauge off by %d after the reads returned", got)
+	}
+}
+
+// silentStore is a storeConn on a server that reads request frames and
+// never answers; the channel signals each frame the server has read.
+func silentStore(t *testing.T) (*storeConn, <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	received := make(chan struct{}, 2)
+	go func() {
+		srv, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer srv.Close()
+		r := bufio.NewReader(srv)
+		hdr := make([]byte, headerSize)
+		for {
+			if _, err := io.ReadFull(r, hdr); err != nil {
+				return
+			}
+			if _, err := r.Discard(int(binary.BigEndian.Uint32(hdr[0:4]))); err != nil {
+				return
+			}
+			received <- struct{}{}
+		}
+	}()
+	addr := ln.Addr().String()
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newStoreConn(newClient(addr, ClientConfig{SyncRetryWindow: time.Second}), conn, addr), received
+}
+
+// TestCancelledReadReturnsWithoutServer pins that a read whose context is
+// cancelled returns at once, even from a server that never answers: the
+// reader abandons the reply rather than waiting for the server to end the
+// wait. A fetcher stop (rebalance release, Reader.Close) must not hang on a
+// stalled store.
+func TestCancelledReadReturnsWithoutServer(t *testing.T) {
+	sc, received := silentStore(t)
+	defer sc.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan error, 1)
+	go func() {
+		_, err := sc.ReadCtx(ctx, "s/0", 0, 64, time.Minute)
+		got <- err
+	}()
+	<-received
+	cancel()
+	select {
+	case err := <-got:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled read returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled read still blocked after 2s")
 	}
 }

@@ -35,8 +35,7 @@ var _ cluster.Coord = (*RemoteStore)(nil)
 
 // DialCoord connects to the coordination process at addr.
 func DialCoord(addr string, cfg ClientConfig) (*RemoteStore, error) {
-	cfg.defaults()
-	c := &Client{addr: addr, cfg: cfg}
+	c := newClient(addr, cfg)
 	conn, err := c.dialServer(addr)
 	if err != nil {
 		return nil, err
@@ -48,9 +47,8 @@ func DialCoord(addr string, cfg ClientConfig) (*RemoteStore, error) {
 // timeout lapses — a store process racing the coord process at boot retries
 // instead of dying.
 func DialCoordRetry(addr string, cfg ClientConfig, timeout time.Duration) (*RemoteStore, error) {
-	cfg.defaults()
 	deadline := time.Now().Add(timeout)
-	backoff := cfg.MinBackoff
+	backoff := minBackoff
 	for {
 		rs, err := DialCoord(addr, cfg)
 		if err == nil {
@@ -60,10 +58,7 @@ func DialCoordRetry(addr string, cfg ClientConfig, timeout time.Duration) (*Remo
 			return nil, fmt.Errorf("wire: coord %s unreachable for %v: %w", addr, timeout, err)
 		}
 		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > cfg.MaxBackoff {
-			backoff = cfg.MaxBackoff
-		}
+		backoff = nextBackoff(backoff)
 	}
 }
 

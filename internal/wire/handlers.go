@@ -18,8 +18,7 @@ import (
 type plane uint8
 
 const (
-	planeConn plane = iota // the connection itself: every node serves it
-	planeData
+	planeData plane = iota
 	planeCtrl
 	planeCoord
 	planeBookies
@@ -40,40 +39,25 @@ func (s *Server) served(p plane) (string, bool) {
 		return "bookie", s.cfg.Bookies != nil
 	case planeInfo:
 		return "cluster info", s.cfg.Placement != nil
-	case planeLoad:
+	default: // planeLoad
 		return "load", s.cfg.Load != nil
 	}
-	return "connection", true
 }
-
-// mode is where a request's handler runs.
-type mode uint8
-
-const (
-	// inline rows run on the connection's read loop and only enqueue: the
-	// loop's call order is then the connection's FIFO order into the
-	// container's applier (appends) and the bookie's group commit (adds),
-	// and the completion delivers itself into the reply queue — no goroutine
-	// or channel per request.
-	inline mode = iota
-	// spawn rows run on a goroutine of their own; replies may overtake.
-	spawn
-	// poll rows are spawn rows that may block for long: they get a cancel
-	// handle that MsgCancelRead, or the connection's end, pulls.
-	poll
-)
 
 // startFunc is a row's entry point, called on the read loop. It decodes
 // body — which aliases the loop's scratch, so it is decoded here, before any
 // goroutine starts, and never retained — and returns the call that computes
-// the reply, which the loop runs as the row's mode says. An inline row
-// answers through c itself and returns nil (or a call, for the variant of
-// its request that must block after all).
+// the reply, which the loop runs on a goroutine of its own: replies may
+// overtake, and a call that blocks (a tail read, a watch) waits until its
+// connection ends at the latest. An inline start answers through c itself
+// and returns nil: it only enqueues, so the loop's call order is the
+// connection's FIFO order into the container's applier (appends) and the
+// bookie's group commit (adds), and the completion delivers itself into the
+// reply queue — no goroutine or channel per request.
 type startFunc func(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error)
 
 type handler struct {
 	plane plane
-	mode  mode
 	start startFunc
 }
 
@@ -83,7 +67,7 @@ func on[Req any](fn func(*Server, *Req) Reply) startFunc {
 	return onCtx(func(_ context.Context, s *Server, req *Req) Reply { return fn(s, req) })
 }
 
-// onCtx is on for poll rows, whose handlers stop when ctx is cancelled.
+// onCtx is on for handlers that may block: ctx ends with the connection.
 func onCtx[Req any](fn func(context.Context, *Server, *Req) Reply) startFunc {
 	return func(c *srvConn, _ uint64, body []byte) (func(context.Context) Reply, error) {
 		req := new(Req)
@@ -125,52 +109,61 @@ func handlerFor(t MessageType) *handler {
 // message is adding its MessageType constant and its row.
 var handlers = [msgEnd]handler{
 	// Segment store.
-	MsgAppend:     {planeData, inline, startAppend},
-	MsgRead:       {planeData, poll, startRead},
-	MsgCancelRead: {planeConn, inline, startCancel},
-	MsgCreateSegment: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+	MsgAppend: {planeData, startAppend},
+	// A tail read long-polls up to its wait: a client that stops waiting
+	// abandons the reply, and the connection's end stops the read.
+	MsgRead: {planeData, onCtx(func(ctx context.Context, s *Server, r *ReadReq) Reply {
+		res, err := s.cfg.Data.ReadCtx(ctx, r.Segment, r.Offset, r.MaxBytes, time.Duration(r.WaitMS)*time.Millisecond)
+		if err != nil {
+			return done(err)
+		}
+		mReads.Inc()
+		mReadBytes.Add(int64(len(res.Data)))
+		return Reply{Data: res.Data, Offset: res.Offset, EOS: res.EndOfSegment}
+	})},
+	MsgCreateSegment: {planeData, on(func(s *Server, r *SegmentReq) Reply {
 		return done(s.cfg.Data.CreateSegment(r.Segment))
 	})},
-	MsgSeal: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+	MsgSeal: {planeData, on(func(s *Server, r *SegmentReq) Reply {
 		return offset(s.cfg.Data.SealSegment(r.Segment))
 	})},
-	MsgTruncate: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+	MsgTruncate: {planeData, on(func(s *Server, r *SegmentReq) Reply {
 		return done(s.cfg.Data.TruncateSegment(r.Segment, r.Offset))
 	})},
-	MsgDeleteSegment: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+	MsgDeleteSegment: {planeData, on(func(s *Server, r *SegmentReq) Reply {
 		return done(s.cfg.Data.DeleteSegment(r.Segment))
 	})},
-	MsgGetInfo: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+	MsgGetInfo: {planeData, on(func(s *Server, r *SegmentReq) Reply {
 		info, err := s.cfg.Data.GetInfo(r.Segment)
 		return record(info, 0, err)
 	})},
-	MsgWriterState: {planeData, spawn, on(func(s *Server, r *SegmentReq) Reply {
+	MsgWriterState: {planeData, on(func(s *Server, r *SegmentReq) Reply {
 		return offset(s.cfg.Data.WriterState(r.Segment, r.WriterID))
 	})},
-	MsgMergeSegments: {planeData, spawn, on(func(s *Server, r *MergeReq) Reply {
+	MsgMergeSegments: {planeData, on(func(s *Server, r *MergeReq) Reply {
 		return offset(s.cfg.Data.MergeSegment(r.Target, r.Source))
 	})},
-	MsgLoadReport: {planeLoad, spawn, on(func(s *Server, _ *struct{}) Reply {
+	MsgLoadReport: {planeLoad, on(func(s *Server, _ *struct{}) Reply {
 		loads := s.cfg.Load()
 		return record(loads, len(loads), nil)
 	})},
 
 	// Placement, answered from the server's own placement.Source.
-	MsgClusterInfo: {planeInfo, spawn, on(func(s *Server, _ *struct{}) Reply {
+	MsgClusterInfo: {planeInfo, on(func(s *Server, _ *struct{}) Reply {
 		snap, err := s.cfg.Placement.Snapshot()
 		return record(snap, 0, err)
 	})},
-	MsgWatchEpoch: {planeInfo, poll, onCtx(func(ctx context.Context, s *Server, r *EpochReq) Reply {
+	MsgWatchEpoch: {planeInfo, onCtx(func(ctx context.Context, s *Server, r *EpochReq) Reply {
 		ctx, cancel := context.WithTimeout(ctx, coordWatchMaxWait)
 		defer cancel()
 		return offset(s.cfg.Placement.WaitEpoch(r.Known, ctx.Done()))
 	})},
 
 	// Controller.
-	MsgCreateScope: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgCreateScope: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		return done(s.cfg.Ctrl.CreateScope(r.Scope))
 	})},
-	MsgCreateStream: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgCreateStream: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		cfg := controller.StreamConfig{Scope: r.Scope, Name: r.Stream, InitialSegments: r.Segments}
 		if r.Scaling != nil {
 			cfg.Scaling = *r.Scaling
@@ -180,65 +173,65 @@ var handlers = [msgEnd]handler{
 		}
 		return done(s.cfg.Ctrl.CreateStream(cfg))
 	})},
-	MsgActiveSegments: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgActiveSegments: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		segs, err := s.cfg.Ctrl.GetActiveSegments(r.Scope, r.Stream)
 		return record(segs, len(segs), err)
 	})},
-	MsgSuccessors: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgSuccessors: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		succ, err := s.cfg.Ctrl.GetSuccessors(r.Scope, r.Stream, r.Segment)
 		return record(succ, len(succ), err)
 	})},
-	MsgHeadSegments: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgHeadSegments: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		heads, err := s.cfg.Ctrl.GetHeadSegments(r.Scope, r.Stream)
 		return record(heads, len(heads), err)
 	})},
-	MsgScaleSegments: {planeCtrl, spawn, on(func(s *Server, r *ScaleReq) Reply {
+	MsgScaleSegments: {planeCtrl, on(func(s *Server, r *ScaleReq) Reply {
 		return done(s.cfg.Ctrl.Scale(r.Scope, r.Stream, r.Seal, r.Ranges))
 	})},
-	MsgSealStream: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgSealStream: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		return done(s.cfg.Ctrl.SealStream(r.Scope, r.Stream))
 	})},
-	MsgTruncateStream: {planeCtrl, spawn, on(func(s *Server, r *TruncateStreamReq) Reply {
+	MsgTruncateStream: {planeCtrl, on(func(s *Server, r *TruncateStreamReq) Reply {
 		return done(s.cfg.Ctrl.TruncateStream(r.Scope, r.Stream, controller.StreamCut(r.Cut)))
 	})},
-	MsgDeleteStream: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgDeleteStream: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		return done(s.cfg.Ctrl.DeleteStream(r.Scope, r.Stream))
 	})},
-	MsgStreamConfig: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgStreamConfig: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		cfg, err := s.cfg.Ctrl.StreamConfigOf(r.Scope, r.Stream)
 		return record(cfg, 0, err)
 	})},
-	MsgUpdatePolicies: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgUpdatePolicies: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		return done(s.cfg.Ctrl.UpdateStreamPolicies(r.Scope, r.Stream, r.Scaling, r.Retention))
 	})},
-	MsgIsSealed: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgIsSealed: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		sealed, err := s.cfg.Ctrl.IsStreamSealed(r.Scope, r.Stream)
 		if sealed {
 			return count(1, err)
 		}
 		return count(0, err)
 	})},
-	MsgSegmentCount: {planeCtrl, spawn, on(func(s *Server, r *StreamReq) Reply {
+	MsgSegmentCount: {planeCtrl, on(func(s *Server, r *StreamReq) Reply {
 		return count(s.cfg.Ctrl.SegmentCount(r.Scope, r.Stream))
 	})},
-	MsgBeginTxn: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+	MsgBeginTxn: {planeCtrl, on(func(s *Server, r *TxnReq) Reply {
 		info, err := s.cfg.Ctrl.BeginTxn(r.Scope, r.Stream, time.Duration(r.LeaseMS)*time.Millisecond)
 		return record(info, 0, err)
 	})},
-	MsgCommitTxn: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+	MsgCommitTxn: {planeCtrl, on(func(s *Server, r *TxnReq) Reply {
 		return done(s.cfg.Ctrl.CommitTxn(r.Scope, r.Stream, r.TxnID))
 	})},
-	MsgAbortTxn: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+	MsgAbortTxn: {planeCtrl, on(func(s *Server, r *TxnReq) Reply {
 		return done(s.cfg.Ctrl.AbortTxn(r.Scope, r.Stream, r.TxnID))
 	})},
-	MsgTxnStatus: {planeCtrl, spawn, on(func(s *Server, r *TxnReq) Reply {
+	MsgTxnStatus: {planeCtrl, on(func(s *Server, r *TxnReq) Reply {
 		state, err := s.cfg.Ctrl.TxnStatus(r.Scope, r.Stream, r.TxnID)
 		return record(state, 0, err)
 	})},
 
-	// Coordination store. Blocking watches are poll rows: cancellable like
-	// tail reads, so a dropped connection (or MsgCancelRead) unblocks them.
-	MsgCoordCreate: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	// Coordination store. Blocking watches end like tail reads: on their
+	// event, their bound or the connection's end.
+	MsgCoordCreate: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		switch {
 		case r.SessionID != 0:
 			sess, err := s.coordSession(r.SessionID)
@@ -251,48 +244,48 @@ var handlers = [msgEnd]handler{
 		}
 		return done(s.cfg.Coord.Create(r.Path, r.Data))
 	})},
-	MsgCoordGet: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordGet: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		data, st, err := s.cfg.Coord.Get(r.Path)
 		return record(CoordRep{
 			Data: data, Version: st.Version, CVersion: st.CVersion,
 			Ephemeral: st.Ephemeral, Owner: st.Owner,
 		}, 0, err)
 	})},
-	MsgCoordSet: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordSet: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		st, err := s.cfg.Coord.Set(r.Path, r.Data, r.Version)
 		return record(CoordRep{Version: st.Version, CVersion: st.CVersion}, 0, err)
 	})},
-	MsgCoordDelete: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordDelete: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		return done(s.cfg.Coord.Delete(r.Path, r.Version))
 	})},
-	MsgCoordChildren: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordChildren: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		names, err := s.cfg.Coord.Children(r.Path)
 		return record(CoordRep{Children: names}, len(names), err)
 	})},
-	MsgCoordExists: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordExists: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		if s.cfg.Coord.Exists(r.Path) {
 			return Reply{Count: 1}
 		}
 		return Reply{}
 	})},
-	MsgCoordWatchData: {planeCoord, poll, onCtx(func(ctx context.Context, s *Server, r *CoordReq) Reply {
+	MsgCoordWatchData: {planeCoord, onCtx(func(ctx context.Context, s *Server, r *CoordReq) Reply {
 		return s.handleCoordWatch(ctx, MsgCoordWatchData, r)
 	})},
-	MsgCoordWatchChildren: {planeCoord, poll, onCtx(func(ctx context.Context, s *Server, r *CoordReq) Reply {
+	MsgCoordWatchChildren: {planeCoord, onCtx(func(ctx context.Context, s *Server, r *CoordReq) Reply {
 		return s.handleCoordWatch(ctx, MsgCoordWatchChildren, r)
 	})},
-	MsgCoordSessionOpen: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordSessionOpen: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		sess := s.cfg.Coord.NewSessionTTL(time.Duration(r.TTLMS) * time.Millisecond)
 		return Reply{Offset: sess.ID()}
 	})},
-	MsgCoordSessionRenew: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordSessionRenew: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		sess, err := s.coordSession(r.SessionID)
 		if err != nil {
 			return done(err)
 		}
 		return done(sess.Renew())
 	})},
-	MsgCoordSessionClose: {planeCoord, spawn, on(func(s *Server, r *CoordReq) Reply {
+	MsgCoordSessionClose: {planeCoord, on(func(s *Server, r *CoordReq) Reply {
 		if sess := s.cfg.Coord.Session(r.SessionID); sess != nil {
 			sess.Close()
 		}
@@ -300,8 +293,8 @@ var handlers = [msgEnd]handler{
 	})},
 
 	// WAL bookies.
-	MsgBookieAdd: {planeBookies, inline, startBookieAdd},
-	MsgBookieRead: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
+	MsgBookieAdd: {planeBookies, startBookieAdd},
+	MsgBookieRead: {planeBookies, on(func(s *Server, r *BookieReq) Reply {
 		n, err := s.bookie(r.Bookies[0])
 		if err != nil {
 			return done(err)
@@ -309,14 +302,14 @@ var handlers = [msgEnd]handler{
 		data, err := n.ReadEntry(r.Ledger, r.Entry)
 		return errReply(err, Reply{Data: data})
 	})},
-	MsgBookieFence: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
+	MsgBookieFence: {planeBookies, on(func(s *Server, r *BookieReq) Reply {
 		n, err := s.bookie(r.Bookies[0])
 		if err != nil {
 			return done(err)
 		}
 		return offset(n.Fence(r.Ledger))
 	})},
-	MsgBookieDeleteLedger: {planeBookies, spawn, on(func(s *Server, r *BookieReq) Reply {
+	MsgBookieDeleteLedger: {planeBookies, on(func(s *Server, r *BookieReq) Reply {
 		n, err := s.bookie(r.Bookies[0])
 		if err != nil {
 			return done(err)
@@ -343,48 +336,6 @@ func startAppend(c *srvConn, id uint64, body []byte) (func(context.Context) Repl
 	}
 	data.AppendAsync(req.Segment, req.Data, req.WriterID, req.EventNum, req.EventCount,
 		func(r segstore.AppendResult) { c.rw.send(id, offset(r.Offset, r.Err)) })
-	return nil, nil
-}
-
-// startRead decodes a segment read; handleRead serves it.
-func startRead(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
-	req := new(ReadReq)
-	if err := req.unmarshalBinary(body); err != nil {
-		return nil, err
-	}
-	call := func(ctx context.Context) Reply { return c.srv.handleRead(ctx, req) }
-	if req.WaitMS <= 0 {
-		// Zero-wait reads never long-poll, so they skip the cancel
-		// registration: catch-up readers issue these back to back and the
-		// per-request map churn is measurable.
-		c.run(id, false, call)
-		return nil, nil
-	}
-	return call, nil
-}
-
-// handleRead serves a (long-poll) segment read. Cancelling ctx unblocks a
-// tail wait immediately.
-func (s *Server) handleRead(ctx context.Context, req *ReadReq) Reply {
-	res, err := s.cfg.Data.ReadCtx(ctx, req.Segment, req.Offset, req.MaxBytes, time.Duration(req.WaitMS)*time.Millisecond)
-	if err != nil {
-		return done(err)
-	}
-	mReads.Inc()
-	mReadBytes.Add(int64(len(res.Data)))
-	return Reply{Data: res.Data, Offset: res.Offset, EOS: res.EndOfSegment}
-}
-
-// startCancel pulls the cancel handles of the long poll issued under
-// req.ReqID on this connection. Inline, so a cancel cannot overtake the
-// request it names.
-func startCancel(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
-	var req CancelReq
-	if err := decodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	c.reads.cancel(req.ReqID)
-	c.rw.send(id, Reply{})
 	return nil, nil
 }
 
@@ -432,7 +383,7 @@ func (s *Server) coordSession(id int64) (*cluster.Session, error) {
 	return nil, fmt.Errorf("wire: session %d: %w", id, cluster.ErrSessionClosed)
 }
 
-// coordWatchMaxWait bounds a server-side watch long poll. On expiry the
+// coordWatchMaxWait bounds a server-side watch. On expiry the
 // server answers Count=0 ("nothing happened, re-arm") so a one-shot watch
 // registration can't leak forever when its client loses interest.
 const coordWatchMaxWait = 30 * time.Second
@@ -441,7 +392,7 @@ func coordEvent(t cluster.EventType, path string) Reply {
 	return record(CoordRep{EventType: int(t), EventPath: path}, 1, nil)
 }
 
-// handleCoordWatch serves a data or children watch as a long poll. The
+// handleCoordWatch serves a data or children watch as a bounded wait. The
 // client sends the version it last observed (KnownVersion); the watch is
 // armed FIRST and only then compared against the current state, so a change
 // racing the arm is reported, never lost — this is what lets a client

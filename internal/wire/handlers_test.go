@@ -15,8 +15,8 @@ import (
 )
 
 // notRequests are the type numbers below msgEnd that must have no row: the
-// two retired slots and the reply envelope.
-var notRequests = map[MessageType]bool{13: true, 16: true, MsgReplyBin: true}
+// three retired slots and the reply envelope.
+var notRequests = map[MessageType]bool{13: true, 16: true, MsgReplyBin: true, 25: true}
 
 // allPlanes builds a config with every plane present, on a one-store
 // cluster that already holds stream "fz/st".
@@ -50,7 +50,7 @@ func (b rawBody) marshalBinary(dst []byte) []byte { return append(dst, b...) }
 // answer fails the test instead of hanging it.
 func callWithin(t *testing.T, conn *Conn, typ MessageType, body any) Reply {
 	t.Helper()
-	ch, _, err := conn.CallAsync(typ, body)
+	ch, err := conn.CallAsync(typ, body)
 	if err != nil {
 		t.Fatalf("type %d: %v", typ, err)
 	}
@@ -120,7 +120,7 @@ func TestHandlerTableComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, typ := range []MessageType{13, 16, MsgReplyBin, msgEnd, 200} {
+	for _, typ := range []MessageType{13, 16, MsgReplyBin, 25, msgEnd, 200} {
 		if rep := callWithin(t, conn, typ, struct{}{}); !strings.Contains(rep.Err, "unknown request type") {
 			t.Errorf("type %d answered %+v, want an unknown-type error", typ, rep)
 		}
@@ -161,7 +161,6 @@ func validRequests(seg string) map[MessageType]any {
 		MsgUpdatePolicies:     stream,
 		MsgIsSealed:           stream,
 		MsgScaleSegments:      ScaleReq{Scope: "fz2", Stream: "st", Seal: []int64{0}, Ranges: keyspace.FullRange().Split(2)},
-		MsgCancelRead:         CancelReq{ReqID: 99},
 		MsgClusterInfo:        struct{}{},
 		MsgBeginTxn:           TxnReq{Scope: "fz", Stream: "st", LeaseMS: 1000},
 		MsgCommitTxn:          txn,
@@ -189,10 +188,10 @@ func validRequests(seg string) map[MessageType]any {
 }
 
 // FuzzServerDispatch puts arbitrary (type, body) frames on a live loopback
-// connection. Whatever the frame says, it must get exactly one reply — as
-// must the cancel sent after it (which is what ends a long poll the frame
-// may have started) and the well-formed MsgGetInfo sent after that — and the
-// server must not panic.
+// connection, each followed by a well-formed MsgGetInfo. The MsgGetInfo
+// must be answered, and so must the frame — exactly once — unless it
+// long-polls (longPolls); then the server must end it when the connection
+// closes. Either way the server must not panic.
 func FuzzServerDispatch(f *testing.F) {
 	cfg, seg := allPlanes(f)
 	srv := serveConfig(f, cfg)
@@ -215,6 +214,7 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(uint8(MsgReplyBin), Reply{Offset: 1}.marshalBinary(nil))
 	f.Add(uint8(MsgAppend), []byte(`{"segment":"json where a layout belongs"}`))
 	f.Add(uint8(MsgGetInfo), AppendReq{Segment: seg}.marshalBinary(nil))
+	f.Add(uint8(25), []byte(`{"reqId":1}`)) // the retired MsgCancelRead
 
 	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
 		nc, err := net.Dial("tcp", srv.Addr())
@@ -224,43 +224,67 @@ func FuzzServerDispatch(f *testing.F) {
 		defer nc.Close()
 		_ = nc.SetDeadline(time.Now().Add(20 * time.Second))
 		var out bytes.Buffer
-		for _, m := range []struct {
-			typ  MessageType
-			id   uint64
-			body any
-		}{
-			{MessageType(typ), 1, rawBody(body)},
-			{MsgCancelRead, 2, CancelReq{ReqID: 1}},
-			{MsgGetInfo, 3, SegmentReq{Segment: seg}},
-		} {
-			if err := writeFrame(&out, m.typ, m.id, m.body); err != nil {
-				t.Fatal(err)
-			}
+		if err := writeFrame(&out, MessageType(typ), 1, rawBody(body)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(&out, MsgGetInfo, 2, SegmentReq{Segment: seg}); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := nc.Write(out.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		replies := make(map[uint64]Reply)
-		for len(replies) < 3 {
+		polls := longPolls(MessageType(typ), body)
+		for {
+			if _, info := replies[2]; info && (polls || len(replies) == 2) {
+				break
+			}
 			rt, id, raw, err := readMessage(nc)
 			if err != nil {
-				t.Fatalf("after %d of 3 replies: %v", len(replies), err)
+				t.Fatalf("after %d replies: %v", len(replies), err)
 			}
 			var rep Reply
 			if err := rep.unmarshalBinary(raw); rt != MsgReplyBin || err != nil {
 				t.Fatalf("reply to %d: type %d, %v", id, rt, err)
 			}
-			if _, dup := replies[id]; dup || id < 1 || id > 3 {
+			if _, dup := replies[id]; dup || id < 1 || id > 2 {
 				t.Fatalf("unexpected or repeated reply to request %d: %+v", id, rep)
 			}
 			replies[id] = rep
 		}
 		// The segment may be gone by now (the fuzzer is free to delete it);
 		// an answer that claims success must carry its record.
-		if info := replies[3]; info.Err == "" {
+		if info := replies[2]; info.Err == "" {
 			if _, err := decode[segment.Info](info, nil, "segment info"); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// The server lets a connection go only once its requests have
+		// ended, so an empty list means no long poll outlived this one.
+		_ = nc.Close()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			srv.mu.Lock()
+			open := len(srv.conns)
+			srv.mu.Unlock()
+			if open == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d connections still served 5s after the client closed", open)
+			}
+		}
 	})
+}
+
+// longPolls reports whether a frame may wait for an event before it is
+// answered: a read with a wait, a coord watch or a placement-epoch watch.
+func longPolls(typ MessageType, body []byte) bool {
+	switch typ {
+	case MsgRead:
+		var req ReadReq
+		return req.unmarshalBinary(body) == nil && req.WaitMS > 0
+	case MsgCoordWatchData, MsgCoordWatchChildren, MsgWatchEpoch:
+		return true
+	}
+	return false
 }

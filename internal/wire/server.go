@@ -202,77 +202,13 @@ func (rw *replyWriter) loop() {
 	}
 }
 
-// inflightReads tracks one connection's cancellable long-poll reads by
-// request id, so MsgCancelRead can unblock them and a dropped connection
-// can cancel all of them. Each id maps to a LIST of handles: a duplicated
-// request frame (network-level duplication is a fault the transport must
-// tolerate) registers the same id twice, and a single-entry map would
-// silently drop the first cancel — leaving that read blocked for its full
-// wait after the connection is gone.
-type readHandle struct {
-	cancel context.CancelFunc
-}
-
-type inflightReads struct {
-	mu sync.Mutex
-	m  map[uint64][]*readHandle
-}
-
-func (ir *inflightReads) add(id uint64, cancel context.CancelFunc) *readHandle {
-	h := &readHandle{cancel: cancel}
-	ir.mu.Lock()
-	if ir.m == nil {
-		ir.m = make(map[uint64][]*readHandle)
-	}
-	ir.m[id] = append(ir.m[id], h)
-	ir.mu.Unlock()
-	return h
-}
-
-func (ir *inflightReads) remove(id uint64, h *readHandle) {
-	ir.mu.Lock()
-	hs := ir.m[id]
-	for i, x := range hs {
-		if x == h {
-			hs = append(hs[:i], hs[i+1:]...)
-			break
-		}
-	}
-	if len(hs) == 0 {
-		delete(ir.m, id)
-	} else {
-		ir.m[id] = hs
-	}
-	ir.mu.Unlock()
-}
-
-func (ir *inflightReads) cancel(id uint64) {
-	ir.mu.Lock()
-	hs := append([]*readHandle(nil), ir.m[id]...)
-	ir.mu.Unlock()
-	for _, h := range hs {
-		h.cancel()
-	}
-}
-
-func (ir *inflightReads) cancelAll() {
-	ir.mu.Lock()
-	var hs []*readHandle
-	for _, l := range ir.m {
-		hs = append(hs, l...)
-	}
-	ir.m = nil
-	ir.mu.Unlock()
-	for _, h := range hs {
-		h.cancel()
-	}
-}
-
 // srvConn is one served connection: what a handler needs to answer on it.
 type srvConn struct {
-	srv   *Server
-	rw    *replyWriter
-	reads inflightReads
+	srv *Server
+	rw  *replyWriter
+	// ctx is every request's context: it ends with the connection, which is
+	// what unblocks a wait whose client is gone.
+	ctx context.Context
 	// reqWG counts request goroutines: they must finish before serve
 	// returns, or Server.Close could return while a request still touches
 	// the cluster.
@@ -280,24 +216,11 @@ type srvConn struct {
 }
 
 // run answers request id with call's result from a goroutine of its own.
-// With cancellable set the call is a long poll: it gets a context that
-// MsgCancelRead for this id, or the connection's end, cancels.
-func (c *srvConn) run(id uint64, cancellable bool, call func(context.Context) Reply) {
-	ctx := context.Background()
-	var h *readHandle
-	if cancellable {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		h = c.reads.add(id, cancel)
-	}
+func (c *srvConn) run(id uint64, call func(context.Context) Reply) {
 	c.reqWG.Add(1)
 	go func() {
 		defer c.reqWG.Done()
-		if h != nil {
-			defer c.reads.remove(id, h)
-			defer h.cancel()
-		}
-		c.rw.send(id, call(ctx))
+		c.rw.send(id, call(c.ctx))
 	}()
 }
 
@@ -307,7 +230,8 @@ func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
 	mConnections.Add(1)
 	defer mConnections.Add(-1)
-	c := &srvConn{srv: s, rw: &replyWriter{
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &srvConn{srv: s, ctx: ctx, rw: &replyWriter{
 		wr:   bufio.NewWriter(conn),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
@@ -318,14 +242,15 @@ func (s *Server) serve(conn net.Conn) {
 		c.rw.loop()
 	}()
 	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		c.reads.cancelAll()
+		cancel()
 		c.reqWG.Wait()
 		close(c.rw.done)
 		<-loopDone
 		_ = conn.Close()
+		// Last: a connection the server still lists may have requests running.
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
 	}()
 	rd := bufio.NewReader(conn)
 	var scratch []byte
@@ -349,7 +274,7 @@ func (s *Server) serve(conn net.Conn) {
 		case err != nil:
 			c.rw.send(id, errReply(err, Reply{}))
 		case call != nil:
-			c.run(id, h.mode == poll, call)
+			c.run(id, call)
 		}
 	}
 }

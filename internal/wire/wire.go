@@ -69,7 +69,7 @@ const (
 	MsgUpdatePolicies
 	MsgIsSealed
 	MsgScaleSegments
-	MsgCancelRead
+	_ // 25 was MsgCancelRead
 	MsgClusterInfo
 	// Transaction requests (§3.2).
 	MsgBeginTxn
@@ -96,7 +96,7 @@ const (
 	MsgBookieRead
 	MsgBookieFence
 	MsgBookieDeleteLedger
-	// Placement-epoch long poll (clients re-resolve placement proactively)
+	// Placement-epoch watch (clients re-resolve placement proactively)
 	// and per-store load reports (controller scaling feedback).
 	MsgWatchEpoch
 	MsgLoadReport
@@ -242,12 +242,6 @@ type MergeReq struct {
 	Source string `json:"source"`
 }
 
-// CancelReq asks the server to cancel the long-poll read issued under
-// ReqID on the same connection.
-type CancelReq struct {
-	ReqID uint64 `json:"reqId"`
-}
-
 // CoordReq addresses the remote coordination store. One body shape serves
 // every coord message; unused fields are omitted on the wire.
 type CoordReq struct {
@@ -294,9 +288,9 @@ type BookieReq struct {
 	Data    []byte
 }
 
-// EpochReq is the placement-epoch long poll, answered by the server's
+// EpochReq is the placement-epoch watch, answered by the server's
 // placement.Source: the current epoch in Reply.Offset once it exceeds Known,
-// or when the server's max poll window lapses.
+// or when the server's bound on the wait lapses.
 type EpochReq struct {
 	Known int64 `json:"known"`
 }
@@ -453,7 +447,7 @@ func (c *Conn) Err() error {
 // is returned as an error whose chain includes the sentinel its code names
 // (ReplyError).
 func (c *Conn) Call(t MessageType, body any) (Reply, error) {
-	ch, _, err := c.CallAsync(t, body)
+	ch, err := c.CallAsync(t, body)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -464,18 +458,17 @@ func (c *Conn) Call(t MessageType, body any) (Reply, error) {
 	return rep, nil
 }
 
-// CallAsync sends a request; the reply arrives on the returned channel.
-// Requests issued from one goroutine are written in order. The request id
-// is returned for cancellation (MsgCancelRead).
-func (c *Conn) CallAsync(t MessageType, body any) (<-chan Reply, uint64, error) {
+// CallAsync sends a request; the reply arrives on the returned channel,
+// which buffers it, so a caller may stop listening. Requests issued from
+// one goroutine are written in order.
+func (c *Conn) CallAsync(t MessageType, body any) (<-chan Reply, error) {
 	p := pendingReplyPool.Get().(*pendingReply)
 	ch := make(chan Reply, 1)
 	p.ch = ch
-	id, err := c.send(t, body, p)
-	if err != nil {
-		return nil, 0, err
+	if err := c.send(t, body, p); err != nil {
+		return nil, err
 	}
-	return ch, id, nil
+	return ch, nil
 }
 
 // CallAsyncFunc sends a request with callback delivery: cb fires exactly
@@ -485,11 +478,10 @@ func (c *Conn) CallAsync(t MessageType, body any) (<-chan Reply, uint64, error) 
 func (c *Conn) CallAsyncFunc(t MessageType, body any, cb func(Reply)) error {
 	p := pendingReplyPool.Get().(*pendingReply)
 	p.cb = cb
-	_, err := c.send(t, body, p)
-	return err
+	return c.send(t, body, p)
 }
 
-func (c *Conn) send(t MessageType, body any, p *pendingReply) (uint64, error) {
+func (c *Conn) send(t MessageType, body any, p *pendingReply) error {
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
@@ -507,7 +499,7 @@ func (c *Conn) send(t MessageType, body any, p *pendingReply) (uint64, error) {
 		if err == nil {
 			err = net.ErrClosed
 		}
-		return 0, err
+		return err
 	}
 	c.pending[id] = p
 	c.pendMu.Unlock()
@@ -525,28 +517,13 @@ func (c *Conn) send(t MessageType, body any, p *pendingReply) (uint64, error) {
 			// The read loop died first: failAll took the descriptor and
 			// reports the disconnection through it. Returning the write
 			// error as well would complete the request twice.
-			return id, nil
+			return nil
 		}
 		*reg = pendingReply{}
 		pendingReplyPool.Put(reg)
-		return 0, err
+		return err
 	}
-	return id, nil
-}
-
-// Cancel asks the server to abort the long-poll read issued under reqID.
-// The original request still receives its reply (typically a cancellation
-// error).
-func (c *Conn) Cancel(reqID uint64) {
-	// Fire-and-forget: no pending registration. The server's ack carries an
-	// id the read loop never registered, so it is dropped by design.
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	if err := writeFrame(c.wr, MsgCancelRead, id, CancelReq{ReqID: reqID}); err == nil {
-		_ = c.wr.Flush()
-	}
-	c.mu.Unlock()
+	return nil
 }
 
 // Close tears the connection down.

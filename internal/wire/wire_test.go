@@ -158,7 +158,7 @@ func TestWirePipelinedAppends(t *testing.T) {
 	chans := make([]<-chan Reply, n)
 	for i := 0; i < n; i++ {
 		data := []byte(fmt.Sprintf("%04d", i))
-		ch, _, err := conn.CallAsync(MsgAppend, AppendReq{
+		ch, err := conn.CallAsync(MsgAppend, AppendReq{
 			Segment: seg, Data: data, WriterID: "pw", EventNum: int64(i + 1), EventCount: 1, CondOffset: -1,
 		})
 		if err != nil {

@@ -159,13 +159,9 @@ func NewInProcess(cfg SystemConfig) (*System, error) {
 	return s, nil
 }
 
-// ClientConfig tunes a remote System opened with Connect.
+// ClientConfig tunes a remote System opened with Connect. A lost server
+// connection is redialed with capped exponential backoff, 5ms to 1s.
 type ClientConfig struct {
-	// ReconnectMinBackoff/ReconnectMaxBackoff bound the capped exponential
-	// backoff used to re-establish lost server connections (defaults 5ms
-	// and 1s).
-	ReconnectMinBackoff time.Duration
-	ReconnectMaxBackoff time.Duration
 	// SyncRetryWindow is how long synchronous operations keep retrying
 	// across a lost connection before failing with ErrDisconnected
 	// (default 15s). Pipelined appends never retry at the transport — the
@@ -180,11 +176,7 @@ type ClientConfig struct {
 // reader groups, state-synchronized KV tables — with the same semantics as
 // an in-process deployment; Cluster and Controller return nil for it.
 func Connect(addr string, cfg ClientConfig) (*System, error) {
-	wc, err := wire.NewClient(addr, wire.ClientConfig{
-		MinBackoff:      cfg.ReconnectMinBackoff,
-		MaxBackoff:      cfg.ReconnectMaxBackoff,
-		SyncRetryWindow: cfg.SyncRetryWindow,
-	})
+	wc, err := wire.NewClient(addr, wire.ClientConfig{SyncRetryWindow: cfg.SyncRetryWindow})
 	if err != nil {
 		return nil, err
 	}

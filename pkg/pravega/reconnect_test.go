@@ -31,10 +31,7 @@ func TestWriterSurvivesServerRestart(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	sys, err := Connect(addr, ClientConfig{
-		ReconnectMinBackoff: time.Millisecond,
-		ReconnectMaxBackoff: 20 * time.Millisecond,
-	})
+	sys, err := Connect(addr, ClientConfig{})
 	if err != nil {
 		_ = srv.Close()
 		t.Fatal(err)
