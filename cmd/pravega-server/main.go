@@ -54,7 +54,6 @@ func main() {
 		bookies    = flag.Int("bookies", 3, "bookie instances")
 		ltsDir     = flag.String("lts-dir", "", "directory for long-term storage (empty = in-memory; store role: required, shared across stores)")
 		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "store role: container claim lease TTL")
-		rebalance  = flag.Duration("rebalance-interval", 50*time.Millisecond, "store role: ownership manager tick")
 		policyMS   = flag.Int("policy-interval-ms", 2000, "auto-scaling/retention evaluation period (all/coord)")
 		metrics    = flag.String("metrics", "", "address for the observability HTTP endpoint (/metrics, /debug/vars, /debug/pprof/, /debug/traces); empty = disabled")
 		traceEvery = flag.Int("trace-sample", 0, "sample one append span per N appends into /debug/traces (0 = off)")
@@ -132,7 +131,7 @@ func main() {
 		}
 		s, err := role.StartStore(role.StoreConfig{
 			ID: *storeID, Listen: *listen, Advertise: *advertise, CoordAddr: *coordAddr,
-			LTSDir: *ltsDir, LeaseTTL: *leaseTTL, RebalanceInterval: *rebalance,
+			LTSDir: *ltsDir, LeaseTTL: *leaseTTL,
 		})
 		if err != nil {
 			log.Fatalf("pravega-server: %v", err)

@@ -44,11 +44,12 @@ var ErrWrongHost = errors.New("client: wrong host for container")
 // preserve FIFO order for appends issued from one goroutine to one
 // segment — the property per-key event ordering rests on (§3.2).
 type DataTransport interface {
-	// AppendAsync enqueues an append and returns immediately; cb fires
+	// AppendAfter enqueues an append and returns immediately; cb fires
 	// exactly once when the append is durable or has failed. Callbacks for
 	// appends to the same segment fire in submission order. cb runs on a
-	// transport-internal goroutine and must not block.
-	AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
+	// transport-internal goroutine and must not block. prev is the writer's
+	// previous event number on the segment (segstore.Operation.Prev).
+	AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
 	// AppendConditional appends only if the segment length equals
 	// expectedOffset (the state synchronizer's optimistic-concurrency
 	// primitive, §3.3).

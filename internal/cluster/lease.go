@@ -1,20 +1,17 @@
 package cluster
 
-import (
-	"time"
-)
+import "time"
 
 // Lease-based sessions (§4.4): a session created with NewSessionTTL must be
 // renewed within its TTL or the store expires it exactly as if it had been
 // closed — its ephemeral nodes vanish and their watches fire. This is the
 // failure detector behind container failover: a segment store heartbeats
 // its session, and a wedged or killed store stops renewing, so its
-// container claims disappear and survivors re-acquire them.
-//
-// Expiry is evaluated lazily: every store operation sweeps overdue sessions
-// before it runs. The store therefore needs no background goroutine (and no
-// Close method), and expiry is deterministic with respect to observation —
-// a claim is never seen both present and expired by the same reader.
+// container claims disappear and survivors re-acquire them. Each lease
+// holds a timer that closes the session at its deadline, whether or not
+// anyone is looking: the assigner learns of a dead store from a watch. A
+// timer can run late (GC, -race), so the session's own operations check
+// the deadline too: past it, no renewal or create brings the lease back.
 
 // NewSessionTTL opens a session that expires unless Renew is called at
 // least every ttl. A ttl <= 0 degenerates to a plain non-expiring session.
@@ -26,9 +23,30 @@ func (s *Store) NewSessionTTL(ttl time.Duration) *Session {
 	s.mu.Lock()
 	sess.ttl = ttl
 	sess.deadline = time.Now().Add(ttl)
-	s.ttlSessions++
+	sess.expiry = time.AfterFunc(ttl, func() { s.expire(sess) })
 	s.mu.Unlock()
 	return sess
+}
+
+// expire is a lease timer firing: it closes the session, unless it was
+// renewed since the timer was armed — then it re-arms for the time left.
+func (s *Store) expire(se *Session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if left := time.Until(se.deadline); left > 0 {
+		se.expiry.Reset(left)
+	} else {
+		s.closeSessionLocked(se)
+	}
+}
+
+// liveLocked reports whether se is open, closing it first when its deadline
+// has passed before its timer ran.
+func (s *Store) liveLocked(se *Session) bool {
+	if se.open && se.ttl > 0 && time.Now().After(se.deadline) {
+		s.closeSessionLocked(se)
+	}
+	return se.open
 }
 
 // Renew extends the session's lease by its TTL. It returns ErrSessionClosed
@@ -38,8 +56,7 @@ func (se *Session) Renew() error {
 	s := se.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
-	if !se.open {
+	if !s.liveLocked(se) {
 		return ErrSessionClosed
 	}
 	if se.ttl > 0 {
@@ -53,21 +70,4 @@ func (se *Session) TTL() time.Duration {
 	se.store.mu.Lock()
 	defer se.store.mu.Unlock()
 	return se.ttl
-}
-
-// sweepExpiredLocked closes every TTL session whose deadline has passed.
-// Callers hold s.mu.
-func (s *Store) sweepExpiredLocked(now time.Time) {
-	if s.ttlSessions == 0 {
-		return
-	}
-	var expired []*Session
-	for _, sess := range s.sessions {
-		if sess.ttl > 0 && now.After(sess.deadline) {
-			expired = append(expired, sess)
-		}
-	}
-	for _, sess := range expired {
-		s.closeSessionLocked(sess)
-	}
 }

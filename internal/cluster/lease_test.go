@@ -22,7 +22,7 @@ func TestLeaseExpiryDropsEphemerals(t *testing.T) {
 		t.Fatalf("renew on live session: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond)
-	// Any store operation sweeps expired sessions.
+	// The lease timer expired the session at its deadline.
 	if s.Exists("/claims/a") {
 		t.Fatal("claim should have expired with the lease")
 	}
@@ -68,7 +68,6 @@ func TestLeaseExpiryFiresWatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(40 * time.Millisecond)
-	s.Exists("/") // trigger sweep
 	select {
 	case ev := <-ch:
 		if ev.Type != EventDeleted {
@@ -102,7 +101,7 @@ func TestZeroTTLNeverExpires(t *testing.T) {
 }
 
 // A lapsed lease must leave nothing behind: the by-id lookup remote sessions
-// are addressed through sweeps first, so it misses, and the session map is
+// are addressed through misses it, and the session map is
 // back to the size it had before the session was opened (the wire server
 // used to keep its own map, which an expired session never left).
 func TestSessionLookupSweepsExpired(t *testing.T) {
@@ -126,5 +125,43 @@ func TestSessionLookupSweepsExpired(t *testing.T) {
 	keep.Close()
 	if s.Session(keep.ID()) != nil {
 		t.Fatal("closed session still resolvable")
+	}
+}
+
+// TestLeaseExpiresAtDeadlineWithoutTimer: a lease timer can run late, but
+// the deadline still holds — past it, Renew, an ephemeral create and the
+// by-id lookup all find the session closed, and its nodes are gone.
+func TestLeaseExpiresAtDeadlineWithoutTimer(t *testing.T) {
+	s := NewStore()
+	sess := s.NewSessionTTL(20 * time.Millisecond)
+	if err := sess.CreateEphemeral("/a", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	sess.expiry.Stop() // the timer is late: it has not run by the deadline
+	s.mu.Unlock()
+	time.Sleep(40 * time.Millisecond)
+	if err := sess.Renew(); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("renew past the deadline: %v, want ErrSessionClosed", err)
+	}
+	if s.Exists("/a") {
+		t.Fatal("ephemeral node outlived its lease")
+	}
+
+	for _, op := range []func(*Session) bool{
+		func(se *Session) bool { return errors.Is(se.CreateEphemeral("/b", nil), ErrSessionClosed) },
+		func(se *Session) bool { return s.Session(se.ID()) == nil },
+	} {
+		se := s.NewSessionTTL(20 * time.Millisecond)
+		s.mu.Lock()
+		se.expiry.Stop()
+		s.mu.Unlock()
+		time.Sleep(40 * time.Millisecond)
+		if !op(se) {
+			t.Fatal("an expired session was used past its deadline")
+		}
+	}
+	if s.Exists("/b") {
+		t.Fatal("create on an expired session left a node")
 	}
 }

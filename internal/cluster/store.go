@@ -76,9 +76,6 @@ type Store struct {
 	root     *node
 	sessions map[int64]*Session
 	nextSess int64
-	// ttlSessions counts open lease sessions (see lease.go); zero lets the
-	// per-operation expiry sweep short-circuit.
-	ttlSessions int
 }
 
 // NewStore creates an empty coordination store with a root node "/".
@@ -100,28 +97,30 @@ type Session struct {
 	// if Close had been called — unless Renew moves the deadline forward.
 	ttl      time.Duration
 	deadline time.Time
+	expiry   *time.Timer // closes the session at its deadline; nil without a TTL
 }
 
 // NewSession opens a session.
 func (s *Store) NewSession() *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	s.nextSess++
 	sess := &Session{store: s, id: s.nextSess, open: true, paths: make(map[string]struct{})}
 	s.sessions[sess.id] = sess
 	return sess
 }
 
-// Session resolves an open session by id, or nil: overdue leases are swept
-// first, so an expired session misses exactly like a closed one. The wire
+// Session resolves an open session by id, or nil: an expired session has
+// left the map, so it misses exactly like a closed one. The wire
 // server addresses sessions this way — the store's map is the only place a
 // session lives, and closing or expiring one is what removes it.
 func (s *Store) Session(id int64) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
-	return s.sessions[id]
+	if se := s.sessions[id]; se != nil && s.liveLocked(se) {
+		return se
+	}
+	return nil
 }
 
 // ID returns the session identifier.
@@ -141,8 +140,8 @@ func (s *Store) closeSessionLocked(se *Session) {
 		return
 	}
 	se.open = false
-	if se.ttl > 0 {
-		s.ttlSessions--
+	if se.expiry != nil {
+		se.expiry.Stop()
 	}
 	delete(s.sessions, se.id)
 	paths := make([]string, 0, len(se.paths))
@@ -229,8 +228,7 @@ func (se *Session) CreateEphemeral(path string, data []byte) error {
 func (s *Store) create(path string, data []byte, sess *Session) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
-	if sess != nil && !sess.open {
+	if sess != nil && !s.liveLocked(sess) {
 		return ErrSessionClosed
 	}
 	parent, leaf, err := s.lookupParent(path)
@@ -274,7 +272,6 @@ func (s *Store) CreateAll(path string, data []byte) error {
 func (s *Store) Get(path string) ([]byte, Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	n, err := s.lookup(path)
 	if err != nil {
 		return nil, Stat{}, err
@@ -288,7 +285,6 @@ func (s *Store) Get(path string) ([]byte, Stat, error) {
 func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	n, err := s.lookup(path)
 	if err != nil {
 		return Stat{}, err
@@ -306,7 +302,6 @@ func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 func (s *Store) Delete(path string, version int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	return s.deleteLocked(path, version)
 }
 
@@ -341,7 +336,6 @@ func (s *Store) deleteLocked(path string, version int64) error {
 func (s *Store) Children(path string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	n, err := s.lookup(path)
 	if err != nil {
 		return nil, err
@@ -359,7 +353,6 @@ func (s *Store) Children(path string) ([]string, error) {
 func (s *Store) WatchData(path string) (<-chan Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	n, err := s.lookup(path)
 	if err != nil {
 		return nil, err
@@ -374,7 +367,6 @@ func (s *Store) WatchData(path string) (<-chan Event, error) {
 func (s *Store) WatchChildren(path string) (<-chan Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	n, err := s.lookup(path)
 	if err != nil {
 		return nil, err
@@ -388,7 +380,6 @@ func (s *Store) WatchChildren(path string) (<-chan Event, error) {
 func (s *Store) Exists(path string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepExpiredLocked(time.Now())
 	_, err := s.lookup(path)
 	return err == nil
 }

@@ -56,8 +56,6 @@ type ProcClusterConfig struct {
 	// LeaseTTL bounds how long a SIGKILLed store's claims linger before
 	// survivors may take them (default 1.5s — fast failover for tests).
 	LeaseTTL time.Duration
-	// RebalanceInterval is each store's ownership tick (default 50ms).
-	RebalanceInterval time.Duration
 }
 
 func (c *ProcClusterConfig) defaults() {
@@ -72,9 +70,6 @@ func (c *ProcClusterConfig) defaults() {
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 1500 * time.Millisecond
-	}
-	if c.RebalanceInterval <= 0 {
-		c.RebalanceInterval = 50 * time.Millisecond
 	}
 }
 
@@ -190,7 +185,6 @@ func (pc *ProcCluster) launchStore(i int) (*managedProc, error) {
 		"-coord-addr", pc.coordAddr,
 		"-lts-dir", pc.ltsDir,
 		"-lease-ttl", pc.cfg.LeaseTTL.String(),
-		"-rebalance-interval", pc.cfg.RebalanceInterval.String(),
 	)
 }
 

@@ -13,7 +13,7 @@ import (
 // attacks the wire between client and cluster, StoreKiller attacks the
 // cluster itself — crashing a random live segment store (its lease-backed
 // container claims vanish, survivors fence the WALs and re-acquire, §4.4)
-// and growing the cluster back with a replacement store so the rebalancer's
+// and growing the cluster back with a replacement store so the assigner's
 // graceful handoff path is exercised in the same run.
 type StoreKiller struct {
 	cl  *hosting.Cluster
@@ -67,7 +67,7 @@ func (k *StoreKiller) KillOne() (bool, error) {
 	return true, nil
 }
 
-// ReplaceOne adds a fresh store; the rebalancer sheds load onto it.
+// ReplaceOne adds a fresh store; the assigner moves its share onto it.
 func (k *StoreKiller) ReplaceOne() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()

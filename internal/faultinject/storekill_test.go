@@ -21,10 +21,7 @@ func storeKillClusterConfig() hosting.ClusterConfig {
 	return hosting.ClusterConfig{
 		Stores:             3,
 		ContainersPerStore: 2,
-		Ownership: hosting.OwnershipConfig{
-			LeaseTTL:          500 * time.Millisecond,
-			RebalanceInterval: 20 * time.Millisecond,
-		},
+		LeaseTTL:           500 * time.Millisecond,
 	}
 }
 
@@ -145,10 +142,7 @@ func TestStoreKillerLeavesLastStore(t *testing.T) {
 	cl, err := hosting.NewCluster(hosting.ClusterConfig{
 		Stores:             2,
 		ContainersPerStore: 1,
-		Ownership: hosting.OwnershipConfig{
-			LeaseTTL:          time.Second,
-			RebalanceInterval: 20 * time.Millisecond,
-		},
+		LeaseTTL:           time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +156,8 @@ func TestStoreKillerLeavesLastStore(t *testing.T) {
 	if err := cl.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatalf("survivor never re-acquired: %v", err)
 	}
-	for id := 0; id < cl.TotalContainers(); id++ {
-		if _, err := segstore.ContainerOwner(cl.Meta, id); err != nil {
-			t.Fatalf("container %d unowned after failover: %v", id, err)
-		}
+	if claims, err := segstore.ClaimedContainers(cl.Meta); err != nil || len(claims) != cl.TotalContainers() {
+		t.Fatalf("containers unowned after failover: claims %v, %v", claims, err)
 	}
 	killed, err = killer.KillOne()
 	if err != nil || killed {

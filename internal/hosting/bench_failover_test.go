@@ -41,10 +41,7 @@ func benchFailover(b *testing.B, stores, containersPerStore, walDepth int) {
 	cl, err := NewCluster(ClusterConfig{
 		Stores:             stores,
 		ContainersPerStore: containersPerStore,
-		Ownership: OwnershipConfig{
-			LeaseTTL:          2 * time.Second,
-			RebalanceInterval: 5 * time.Millisecond,
-		},
+		LeaseTTL:           2 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -64,15 +64,15 @@ func (c *Conn) roundTrip() func() {
 	return func() { time.Sleep(c.profile.ClientLink.Latency) }
 }
 
-// AppendAsync sends an append through the owning store's request link and
+// AppendAfter sends an append through the owning store's request link and
 // delivers the result on its response link. Appends to segments on the same
 // store stay FIFO end to end.
-func (c *Conn) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+func (c *Conn) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
 	owner, err := c.OwnerOf(name)
 	if err != nil {
 		// The transport contract delivers callbacks on a transport-internal
 		// goroutine; failing synchronously would re-enter the caller (the
-		// writer invokes AppendAsync with its own lock held).
+		// writer invokes AppendAfter with its own lock held).
 		go cb(segstore.AppendResult{Offset: -1, Err: err})
 		return
 	}
@@ -80,7 +80,7 @@ func (c *Conn) AppendAsync(name string, data []byte, writerID string, eventNum i
 	req.Send(len(data)+64, func() {
 		// resp.Send only schedules a timer, so no forwarding goroutine or
 		// channel is needed per append.
-		c.Router.AppendAsync(name, data, writerID, eventNum, eventCount, func(r segstore.AppendResult) {
+		c.Router.AppendAfter(name, data, writerID, prev, eventNum, eventCount, func(r segstore.AppendResult) {
 			resp.Send(64, func() { cb(r) })
 		})
 	})

@@ -13,16 +13,13 @@ import (
 )
 
 // dynCluster builds a dynamic-ownership cluster with failover-friendly
-// timings: short rebalance ticks so takeover happens fast.
+// timings: the lease TTL bounds how long a wedged store's claims linger.
 func dynCluster(t *testing.T, stores, perStore int, ttl time.Duration) *Cluster {
 	t.Helper()
 	return newCluster(t, ClusterConfig{
 		Stores:             stores,
 		ContainersPerStore: perStore,
-		Ownership: OwnershipConfig{
-			LeaseTTL:          ttl,
-			RebalanceInterval: 20 * time.Millisecond,
-		},
+		LeaseTTL:           ttl,
 	})
 }
 
@@ -109,10 +106,14 @@ func TestStoreCrashFailover(t *testing.T) {
 	if err := cl.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatalf("placement never converged after crash: %v", err)
 	}
+	claims, err := segstore.ClaimedContainers(cl.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for id := 0; id < cl.TotalContainers(); id++ {
-		owner, err := segstore.ContainerOwner(cl.Meta, id)
-		if err != nil {
-			t.Fatalf("container %d unowned after convergence: %v", id, err)
+		owner, ok := claims[id]
+		if !ok {
+			t.Fatalf("container %d unowned after convergence", id)
 		}
 		if owner == crashedID {
 			t.Fatalf("container %d still assigned to crashed store %s", id, owner)
@@ -174,12 +175,12 @@ func TestWedgedStoreZombieFenced(t *testing.T) {
 	survivorID := cl.Stores()[1].ID()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		owner, err := segstore.ContainerOwner(cl.Meta, cid)
-		if err == nil && owner == survivorID {
+		claims, err := segstore.ClaimedContainers(cl.Meta)
+		if err == nil && claims[cid] == survivorID {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("container %d never moved to the survivor (owner=%q, err=%v)", cid, owner, err)
+			t.Fatalf("container %d never moved to the survivor (claims %v, err=%v)", cid, claims, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -197,7 +198,7 @@ func TestWedgedStoreZombieFenced(t *testing.T) {
 	verifyOracle(t, cl, map[string][]byte{seg: want.Bytes()})
 }
 
-// TestAddStoreRebalances grows a loaded cluster by one store: the rebalancer
+// TestAddStoreRebalances grows a loaded cluster by one store: the assigner
 // gracefully sheds containers onto it (drain + flush before release) and no
 // acked data is lost in the handoff.
 func TestAddStoreRebalances(t *testing.T) {
@@ -224,7 +225,7 @@ func TestAddStoreRebalances(t *testing.T) {
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rebalance never converged; assignment: %s", segstore.DumpAssignment(cl.Meta))
+			t.Fatalf("rebalance never converged; claims: %v", byStore)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

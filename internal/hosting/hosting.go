@@ -7,14 +7,15 @@
 // internal/wire run over TCP. hosting is the harness used by tests,
 // examples, the benchmark figures and the single-process server role.
 //
-// Container placement is dynamic (§2.2, §4.4): each store's ownership
-// manager claims containers with lease-backed ephemeral nodes. Crashing a
-// store orphans its claims; survivors fence the WALs and re-acquire.
+// Container placement is dynamic (§2.2, §4.4): an assigner publishes the
+// container → store assignment and each store claims what it is given with
+// lease-backed ephemeral nodes; a crashed store's containers go to survivors.
 package hosting
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,24 +26,6 @@ import (
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/sim"
 )
-
-// OwnershipConfig tunes dynamic container placement for the cluster.
-type OwnershipConfig struct {
-	// LeaseTTL is each store's claim-lease duration (default 3s). A store
-	// that stops renewing loses every claim at once.
-	LeaseTTL time.Duration
-	// RebalanceInterval is the ownership managers' tick (default 50ms).
-	RebalanceInterval time.Duration
-}
-
-func (o *OwnershipConfig) defaults() {
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 3 * time.Second
-	}
-	if o.RebalanceInterval <= 0 {
-		o.RebalanceInterval = 50 * time.Millisecond
-	}
-}
 
 // ClusterConfig sizes an in-process cluster. The defaults mirror Table 1 of
 // the paper: 3 segment stores co-located with 3 bookies, replication 3/3/2.
@@ -56,8 +39,9 @@ type ClusterConfig struct {
 	Bookies int
 	// Replication configures ledger quorums (default 3/3/2).
 	Replication bookkeeper.ReplicationConfig
-	// Ownership tunes dynamic container placement and failover.
-	Ownership OwnershipConfig
+	// LeaseTTL is each store's claim-lease duration (default 3s). A store
+	// that stops renewing loses every claim at once.
+	LeaseTTL time.Duration
 	// Profile, when non-nil, enables the simulated performance substrate:
 	// bookie journals on modelled NVMe drives, shaped replica links, and a
 	// modelled LTS unless LTS is set explicitly.
@@ -87,7 +71,9 @@ func (c *ClusterConfig) defaults() {
 	if c.Replication.Ensemble == 0 {
 		c.Replication = bookkeeper.DefaultReplication()
 	}
-	c.Ownership.defaults()
+	if c.LeaseTTL <= 0 {
+		c.LeaseTTL = 3 * time.Second
+	}
 }
 
 // Cluster is a running in-process deployment.
@@ -106,7 +92,8 @@ type Cluster struct {
 	storesByID map[string]*segstore.Store
 	mgrs       map[string]*segstore.OwnershipManager
 
-	router *placement.Router
+	assigner *segstore.Assigner
+	router   *placement.Router
 }
 
 // NewCluster builds and starts the deployment.
@@ -167,21 +154,21 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	// All hosts are registered; a few synchronous rebalance rounds converge
-	// the claim set before anything serves traffic, then the managers take
-	// over in the background.
-	if err := cl.convergeLocked(); err != nil {
+	// Every host is registered before the assigner's first pass, so it
+	// places each container once instead of handing them on as stores join.
+	if cl.assigner, err = segstore.StartAssigner(meta, cl.total); err != nil {
 		cl.Close()
 		return nil, err
-	}
-	for _, m := range cl.mgrs {
-		m.Run()
 	}
 	cl.router, err = placement.New(placement.Config{
 		Source: placement.CoordSource{Coord: meta, Total: cl.total},
 		Dial:   cl.dialStore,
 	})
 	if err != nil {
+		cl.Close()
+		return nil, err
+	}
+	if err := cl.AwaitConverged(30 * time.Second); err != nil {
 		cl.Close()
 		return nil, err
 	}
@@ -226,16 +213,14 @@ func (cl *Cluster) addStoreLocked() (*segstore.Store, error) {
 		TotalContainers: cl.total,
 		Container:       ccfg,
 		Cluster:         cl.Meta,
-		LeaseTTL:        cl.cfg.Ownership.LeaseTTL,
+		LeaseTTL:        cl.cfg.LeaseTTL,
 	})
 	if err != nil {
 		return nil, err
 	}
 	cl.stores = append(cl.stores, st)
 	cl.storesByID[id] = st
-	m, err := segstore.StartOwnershipManager(st, segstore.OwnershipConfig{
-		RebalanceInterval: cl.cfg.Ownership.RebalanceInterval,
-	})
+	m, err := segstore.StartOwnershipManager(st, "")
 	if err != nil {
 		return nil, err
 	}
@@ -243,43 +228,17 @@ func (cl *Cluster) addStoreLocked() (*segstore.Store, error) {
 	return st, nil
 }
 
-// convergeLocked runs synchronous rebalance rounds until every container is
-// claimed (bounded; one round normally suffices since every store claims
-// its preferred set without contention).
-func (cl *Cluster) convergeLocked() error {
-	for round := 0; round < 20; round++ {
-		for _, m := range cl.mgrs {
-			if err := m.RebalanceOnce(); err != nil {
-				return err
-			}
-		}
-		claims, err := segstore.ClaimedContainers(cl.Meta)
-		if err != nil {
-			return err
-		}
-		if len(claims) == cl.total {
-			return nil
-		}
-	}
-	return errors.New("hosting: placement did not converge")
-}
-
-// AddStore adds a segment store to the running cluster; the rebalancer
-// sheds load onto it. Returns the new store.
+// AddStore adds a segment store to the running cluster; the assigner
+// moves its share onto it. Returns the new store.
 func (cl *Cluster) AddStore() (*segstore.Store, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	st, err := cl.addStoreLocked()
-	if err != nil {
-		return nil, err
-	}
-	cl.mgrs[st.ID()].Run()
-	return st, nil
+	return cl.addStoreLocked()
 }
 
 // CrashStore abruptly kills one store: its containers stop without
-// flushing and its claims vanish with its session; survivors' managers
-// fence the WALs and re-acquire (§4.4).
+// flushing and its claims vanish with its session; the assigner names
+// survivors, which fence the WALs and re-acquire (§4.4).
 func (cl *Cluster) CrashStore(i int) error {
 	cl.mu.Lock()
 	if i < 0 || i >= len(cl.stores) {
@@ -293,9 +252,9 @@ func (cl *Cluster) CrashStore(i int) error {
 }
 
 // WedgeStore stops a store's ownership manager without stopping the store:
-// the store keeps serving but stops renewing its lease, so its claims
-// expire and survivors take over while the zombie still answers — the
-// fencing stress case. Returns the wedged store.
+// the store keeps serving but stops renewing its lease and following the
+// assignment, so its claims expire and survivors take over while the
+// zombie still answers — the fencing stress case. Returns the wedged store.
 func (cl *Cluster) WedgeStore(i int) (*segstore.Store, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -324,8 +283,12 @@ func (cl *Cluster) Stores() []*segstore.Store {
 // Bookies returns the bookie instances (failure injection).
 func (cl *Cluster) Bookies() []*bookkeeper.Bookie { return cl.bookies }
 
-// Close shuts everything down.
+// Close shuts everything down, the assigner first so closing stores do not
+// hand containers to each other.
 func (cl *Cluster) Close() {
+	if cl.assigner != nil {
+		cl.assigner.Close()
+	}
 	if cl.router != nil {
 		_ = cl.router.Close()
 	}
@@ -358,19 +321,36 @@ func (cl *Cluster) LoadByStore() map[string]float64 {
 	return out
 }
 
-// AwaitConverged blocks until every container has an owner (and the
-// router's table reflects it) or the timeout elapses.
+// AwaitConverged blocks until every container is claimed and served (and
+// the router's table reflects it) or the timeout elapses. A store bumps the
+// placement epoch once a started container serves; that wakes the wait.
 func (cl *Cluster) AwaitConverged(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.After(timeout)
 	for {
+		ch, err := segstore.WatchPlacementEpoch(cl.Meta)
+		if err != nil {
+			return err
+		}
 		claims, err := segstore.ClaimedContainers(cl.Meta)
-		if err == nil && len(claims) == cl.total {
+		if err != nil {
+			return err
+		}
+		served := 0
+		cl.mu.Lock()
+		for id, owner := range claims {
+			if st, ok := cl.storesByID[owner]; ok && slices.Contains(st.HostedContainers(), id) {
+				served++
+			}
+		}
+		cl.mu.Unlock()
+		if served == cl.total {
 			return cl.router.Refresh()
 		}
-		if !time.Now().Before(deadline) {
-			return fmt.Errorf("hosting: %d/%d containers owned after %v", len(claims), cl.total, timeout)
+		select {
+		case <-ch:
+		case <-deadline:
+			return fmt.Errorf("hosting: %d/%d containers served after %v", served, cl.total, timeout)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

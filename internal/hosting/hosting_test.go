@@ -120,11 +120,11 @@ func TestStoreCrashContainerReassignment(t *testing.T) {
 	}
 	// Store 0 crashes; its ephemeral claim disappears.
 	cl.stores[0].Crash()
-	if _, err := segstore.ContainerOwner(cl.Meta, 0); err == nil {
+	if claims, _ := segstore.ClaimedContainers(cl.Meta); claims[0] == "segmentstore-0" {
 		t.Fatal("claim survived the crash")
 	}
-	// Store 1 takes the container over; recovery replays the WAL.
-	if _, err := cl.stores[1].StartContainer(0); err != nil {
+	// The assigner gives the container to store 1; recovery replays the WAL.
+	if err := cl.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
 	c := containerFor(t, cl, seg)
@@ -136,9 +136,8 @@ func TestStoreCrashContainerReassignment(t *testing.T) {
 	if err != nil || !bytes.Equal(res.Data, want.Bytes()) {
 		t.Fatalf("recovered read mismatch (%d bytes, %v)", len(res.Data), err)
 	}
-	owner, err := segstore.ContainerOwner(cl.Meta, 0)
-	if err != nil || owner != "segmentstore-1" {
-		t.Fatalf("owner = %q, %v", owner, err)
+	if claims, err := segstore.ClaimedContainers(cl.Meta); err != nil || claims[0] != "segmentstore-1" {
+		t.Fatalf("claims = %v, %v; want container 0 on segmentstore-1", claims, err)
 	}
 }
 

@@ -10,7 +10,6 @@ package keyspace
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 )
 
 // Range is a half-open interval [Low, High) of the routing-key space [0,1).
@@ -130,7 +129,3 @@ func Partition(rs []Range) error {
 	}
 	return nil
 }
-
-// AlmostEqual compares floats with a tolerance suitable for key-space
-// boundary arithmetic.
-func AlmostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-12 }

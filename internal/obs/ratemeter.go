@@ -34,13 +34,6 @@ func NewRateMeter(slots int, interval time.Duration) *RateMeter {
 	}
 }
 
-// SetClock overrides the time source (used by tests).
-func (m *RateMeter) SetClock(now func() time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.now = now
-}
-
 // Record adds events and bytes at the current time.
 func (m *RateMeter) Record(events, bytes int64) {
 	m.mu.Lock()

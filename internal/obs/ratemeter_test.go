@@ -49,3 +49,10 @@ func TestRateMeterSlidesWindow(t *testing.T) {
 		t.Fatalf("stale slot not evicted: %v e/s", ev)
 	}
 }
+
+// SetClock overrides the time source (used by tests).
+func (m *RateMeter) SetClock(now func() time.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.now = now
+}

@@ -23,7 +23,7 @@ import (
 // The router's contract, checked once per Store transport. Two stores share
 // one coordination store, bookie ensemble and LTS; container 0 starts on
 // store a and the cases move it (or orphan it) by hand, so every placement
-// change is a deliberate step of the test, not a rebalancer's.
+// change is a deliberate step of the test, not an assigner's.
 
 const containers = 2
 
@@ -49,7 +49,7 @@ var transports = map[string]func(t *testing.T, fx *fixture) func(placement.Endpo
 			}
 			t.Cleanup(func() { _ = srv.Close() })
 			// The host registration carries the address the router dials.
-			if _, err := segstore.StartOwnershipManager(st, segstore.OwnershipConfig{AdvertiseAddr: srv.Addr()}); err != nil {
+			if _, err := segstore.StartOwnershipManager(st, srv.Addr()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -20,16 +20,16 @@ type Local struct {
 
 var _ Store = Local{}
 
-// AppendAsync enqueues synchronously, preserving the caller's FIFO order
+// AppendAfter enqueues synchronously, preserving the caller's FIFO order
 // into the container's applier, which delivers cb — no goroutine or channel
 // per append.
-func (l Local) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+func (l Local) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
 	c, err := l.St.Container(name)
 	if err != nil {
 		cb(segstore.AppendResult{Offset: -1, Err: err})
 		return
 	}
-	c.AppendAsyncFunc(name, data, writerID, eventNum, eventCount, cb)
+	c.AppendAfterFunc(name, data, writerID, prev, eventNum, eventCount, cb)
 }
 
 func (l Local) AppendConditional(name string, data []byte, expectedOffset int64) (int64, error) {

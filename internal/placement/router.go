@@ -45,10 +45,11 @@ var (
 // Store is one segment store's endpoint. Every method is a single attempt:
 // the Router decides whether and where to try again.
 type Store interface {
-	// AppendAsync enqueues an append; cb fires exactly once. cb may run on
-	// the calling goroutine when the append cannot start (hosting.Conn's
-	// links and the wire server's reply queue both tolerate that).
-	AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
+	// AppendAfter enqueues an append (prev as in segstore.Operation.Prev);
+	// cb fires exactly once. cb may run on the calling goroutine when the
+	// append cannot start (hosting.Conn's links and the wire server's reply
+	// queue both tolerate that).
+	AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
 	AppendConditional(name string, data []byte, expectedOffset int64) (int64, error)
 	ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)
 	GetInfo(name string) (segment.Info, error)
@@ -136,7 +137,7 @@ type Config struct {
 	Dial func(Endpoint) (Store, error)
 	// Window bounds how long a synchronous operation keeps retrying (15s
 	// when zero). A failover leaves a container unowned for up to a lease
-	// TTL plus a rebalance tick; the window rides that out.
+	// TTL; the window rides that out.
 	Window time.Duration
 }
 
@@ -341,19 +342,24 @@ func (r *Router) doErr(name string, idempotent bool, op func(Store) error) (ambi
 
 var bg = context.Background()
 
-// AppendAsync routes an append with one table load and no retry: replay is
+// AppendAfter routes an append with one table load and no retry: replay is
 // the event writer's job, because only it can resend batches verbatim for
 // server-side dedup (§3.2). An unowned container fails the append with
 // client.ErrWrongHost; the writer's recovery handshake (WriterState) goes
 // through do and refreshes placement.
-func (r *Router) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+func (r *Router) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
 	st, err := r.table.Load().route(name)
 	if err != nil {
 		// Off the caller's goroutine: callers may hold the lock cb takes.
 		go cb(segstore.AppendResult{Offset: -1, Err: err})
 		return
 	}
-	st.AppendAsync(name, data, writerID, eventNum, eventCount, cb)
+	st.AppendAfter(name, data, writerID, prev, eventNum, eventCount, cb)
+}
+
+// AppendAsync is AppendAfter without the predecessor check.
+func (r *Router) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+	r.AppendAfter(name, data, writerID, 0, eventNum, eventCount, cb)
 }
 
 // AppendConditional is guarded by its expected offset: a retry that raced an
@@ -480,7 +486,7 @@ func (r *Router) MergeSegment(target, source string) (int64, error) {
 	if len(data) > 0 {
 		off, _, err = do(r, bg, target, true, func(st Store) (int64, error) {
 			done := make(chan segstore.AppendResult, 1)
-			st.AppendAsync(target, data, "txn-merge#"+source, 1, 1, func(res segstore.AppendResult) { done <- res })
+			st.AppendAfter(target, data, "txn-merge#"+source, 0, 1, 1, func(res segstore.AppendResult) { done <- res })
 			res := <-done
 			return res.Offset, res.Err
 		})

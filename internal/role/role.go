@@ -2,10 +2,10 @@
 // a controller and segment stores over a ZooKeeper-like coordination store,
 // with bookies for the WAL):
 //
-//   - StartCoord: the coordination store, the WAL bookie ensemble and the
-//     controller, which reaches the store processes through the placement
-//     router over the wire.
-//   - StartStore: one segment store that claims containers through the
+//   - StartCoord: the coordination store, the container assigner, the WAL
+//     bookie ensemble and the controller, which reaches the store processes
+//     through the placement router over the wire.
+//   - StartStore: one segment store that follows the assignment through the
 //     remote coordination store and journals to the coord's bookies.
 //   - Serve: the all-planes server in front of an in-process cluster.
 //
@@ -39,15 +39,16 @@ type CoordConfig struct {
 
 // Coord is a running coord role.
 type Coord struct {
-	meta  *cluster.Store
-	plane *placement.Router
-	ctrl  *controller.Controller
-	srv   *wire.Server
+	meta     *cluster.Store
+	assigner *segstore.Assigner
+	plane    *placement.Router
+	ctrl     *controller.Controller
+	srv      *wire.Server
 }
 
 // StartCoord publishes the cluster topology — the container count, the
-// bookie ids and a replication config clamped to the ensemble — and serves
-// the coordination store, the bookies and the controller on one listener.
+// bookie ids and a replication config clamped to the ensemble — starts the
+// assigner and serves the coordination store, bookies and controller.
 func StartCoord(cfg CoordConfig) (*Coord, error) {
 	meta := cluster.NewStore()
 	total := cfg.Stores * cfg.Containers
@@ -71,15 +72,20 @@ func StartCoord(cfg CoordConfig) (*Coord, error) {
 		return nil, fmt.Errorf("publishing topology: %w", err)
 	}
 
+	assigner, err := segstore.StartAssigner(meta, total)
+	if err != nil {
+		return nil, fmt.Errorf("starting assigner: %w", err)
+	}
 	source := placement.CoordSource{Coord: meta, Total: total}
 	plane, err := placement.New(placement.Config{
 		Source: source,
 		Dial:   wire.StoreDialer(wire.ClientConfig{}),
 	})
 	if err != nil {
+		assigner.Close()
 		return nil, fmt.Errorf("starting router: %w", err)
 	}
-	c := &Coord{meta: meta, plane: plane}
+	c := &Coord{meta: meta, assigner: assigner, plane: plane}
 	if c.ctrl, err = controller.New(controller.Config{Data: plane, Cluster: meta}); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("starting controller: %w", err)
@@ -102,7 +108,7 @@ func StartCoord(cfg CoordConfig) (*Coord, error) {
 // Addr is the bound listen address.
 func (c *Coord) Addr() string { return c.srv.Addr() }
 
-// Close stops the listener, the controller's policy loops and the router.
+// Close stops the listener, the policy loops, the router and the assigner.
 func (c *Coord) Close() {
 	if c.srv != nil {
 		_ = c.srv.Close()
@@ -111,18 +117,18 @@ func (c *Coord) Close() {
 		c.ctrl.Close()
 	}
 	_ = c.plane.Close()
+	c.assigner.Close()
 }
 
 // StoreConfig configures the store role; each field is one pravega-server
 // flag.
 type StoreConfig struct {
-	ID                string        // -store-id
-	Listen            string        // -listen
-	Advertise         string        // -advertise; empty = the bound listen address
-	CoordAddr         string        // -coord-addr
-	LTSDir            string        // -lts-dir, shared by every store
-	LeaseTTL          time.Duration // -lease-ttl
-	RebalanceInterval time.Duration // -rebalance-interval
+	ID        string        // -store-id
+	Listen    string        // -listen
+	Advertise string        // -advertise; empty = the bound listen address
+	CoordAddr string        // -coord-addr
+	LTSDir    string        // -lts-dir, shared by every store
+	LeaseTTL  time.Duration // -lease-ttl
 }
 
 // Store is a running store role.
@@ -190,14 +196,9 @@ func (s *Store) start(cfg StoreConfig) error {
 	if s.advertise == "" {
 		s.advertise = s.srv.Addr()
 	}
-	mgr, err := segstore.StartOwnershipManager(s.st, segstore.OwnershipConfig{
-		RebalanceInterval: cfg.RebalanceInterval,
-		AdvertiseAddr:     s.advertise,
-	})
-	if err != nil {
+	if _, err := segstore.StartOwnershipManager(s.st, s.advertise); err != nil {
 		return fmt.Errorf("registering store: %w", err)
 	}
-	mgr.Run()
 	return nil
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,12 +40,11 @@ func startCoord(t *testing.T, stores, containers, bookies int) *Coord {
 func startStore(t *testing.T, coord *Coord, ltsDir, id string, leaseTTL time.Duration) *Store {
 	t.Helper()
 	s, err := StartStore(StoreConfig{
-		ID:                id,
-		Listen:            "127.0.0.1:0",
-		CoordAddr:         coord.Addr(),
-		LTSDir:            ltsDir,
-		LeaseTTL:          leaseTTL,
-		RebalanceInterval: 20 * time.Millisecond,
+		ID:        id,
+		Listen:    "127.0.0.1:0",
+		CoordAddr: coord.Addr(),
+		LTSDir:    ltsDir,
+		LeaseTTL:  leaseTTL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +147,10 @@ func TestCommitAfterScaleAcrossStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	ownerOf := func(seg string) string {
-		owner, err := segstore.ContainerOwner(coord.meta, keyspace.HashToContainer(segment.RoutingName(seg), total))
-		if err != nil {
-			t.Fatalf("owner of %s: %v", seg, err)
+		claims, err := segstore.ClaimedContainers(coord.meta)
+		owner, ok := claims[keyspace.HashToContainer(segment.RoutingName(seg), total)]
+		if err != nil || !ok {
+			t.Fatalf("owner of %s: claims %v, %v", seg, claims, err)
 		}
 		return owner
 	}
@@ -249,10 +252,11 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 	// Kill the owner (server gone, session gone — a process death as seen
 	// from the rest of the cluster). The reader now goes idle.
 	cid := keyspace.HashToContainer(segment.RoutingName(name), total)
-	owner, err := segstore.ContainerOwner(coord.meta, cid)
+	claims, err := segstore.ClaimedContainers(coord.meta)
 	if err != nil {
 		t.Fatal(err)
 	}
+	owner := claims[cid]
 	stores[owner].Crash()
 	survivor := "store-0"
 	if owner == survivor {
@@ -396,5 +400,104 @@ func TestStoreDoneOnLeaseLoss(t *testing.T) {
 	// The crash runs after the counter moves, so this cannot race it.
 	if got := leaseExpiries.Value() - base; got != 1 {
 		t.Fatalf("lease expiries rose by %d, want 1", got)
+	}
+}
+
+// coordRequests is a TCP proxy in front of the coord that counts the
+// request frames a store sends it, by type.
+type coordRequests struct {
+	mu    sync.Mutex
+	n     map[wire.MessageType]int
+	conns []net.Conn
+}
+
+func countCoordRequests(t *testing.T, coordAddr string) (string, *coordRequests) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := &coordRequests{n: make(map[wire.MessageType]int)}
+	t.Cleanup(func() {
+		_ = ln.Close()
+		cr.mu.Lock()
+		defer cr.mu.Unlock()
+		for _, c := range cr.conns {
+			_ = c.Close()
+		}
+	})
+	go func() {
+		for {
+			cc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			sc, err := net.Dial("tcp", coordAddr)
+			if err != nil {
+				_ = cc.Close()
+				continue
+			}
+			cr.mu.Lock()
+			cr.conns = append(cr.conns, cc, sc)
+			cr.mu.Unlock()
+			go func() { _, _ = io.Copy(cc, sc) }()
+			go func() {
+				for {
+					frame, err := wire.ReadRawFrame(cc)
+					if err != nil {
+						_ = sc.Close()
+						return
+					}
+					cr.mu.Lock()
+					cr.n[wire.RawFrameType(frame)]++
+					cr.mu.Unlock()
+					if _, err := sc.Write(frame); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), cr
+}
+
+func (cr *coordRequests) snapshot() (int, map[wire.MessageType]int) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	total, byType := 0, make(map[wire.MessageType]int, len(cr.n))
+	for typ, n := range cr.n {
+		total += n
+		byType[typ] = n
+	}
+	return total, byType
+}
+
+// TestIdleStoreSendsNoCoordPolls: a store serving its containers with no
+// traffic talks to the coord only to renew its lease (every TTL/3) and to
+// re-arm its one assignment watch — no polling.
+func TestIdleStoreSendsNoCoordPolls(t *testing.T) {
+	const ttl = 3 * time.Second
+	coord := startCoord(t, 1, 4, 3)
+	proxy, counter := countCoordRequests(t, coord.Addr())
+	s, err := StartStore(StoreConfig{
+		ID:        "store-0",
+		Listen:    "127.0.0.1:0",
+		CoordAddr: proxy,
+		LTSDir:    t.TempDir(),
+		LeaseTTL:  ttl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	awaitClusterClaims(t, coord.meta, 4, 10*time.Second)
+	time.Sleep(200 * time.Millisecond) // the watch re-arms after the starts
+
+	before, _ := counter.snapshot()
+	time.Sleep(3 * time.Second)
+	after, byType := counter.snapshot()
+	t.Logf("idle store: %d coord requests in 3s", after-before)
+	if n := after - before; n > 5 {
+		t.Fatalf("idle store sent %d coord requests in 3s at a %v lease, want <= 5 (totals by type since start: %v)", n, ttl, byType)
 	}
 }

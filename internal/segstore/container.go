@@ -28,6 +28,9 @@ var (
 	ErrReadTimeout       = errors.New("segstore: tail read timed out")
 	ErrNoReadSource      = errors.New("segstore: no source for read")
 	ErrSegmentNotSealed  = errors.New("segstore: segment is not sealed")
+	// ErrOutOfOrder rejects, unapplied, an append whose predecessor from the
+	// same writer has not been sequenced on the segment (Operation.Prev).
+	ErrOutOfOrder = errors.New("segstore: append's predecessor not applied")
 )
 
 // flushItem is applied-but-not-yet-tiered append data awaiting the storage
@@ -114,8 +117,10 @@ type Container struct {
 	// Frame completion: WAL callbacks enqueue acknowledged frames here and
 	// kick the single applier goroutine, which reorders by frame sequence
 	// and applies in order. framesSubmitted is written only by the frame
-	// builder; the applier reads it to know when a shutdown drain is done.
+	// builder; the applier reads it to know when a shutdown drain is done,
+	// which is only once built is closed, when the builder has returned.
 	framesSubmitted atomic.Int64
+	built           chan struct{}
 	applyMu         sync.Mutex
 	applyQ          []*frameResult
 	applyKick       chan struct{}
@@ -125,6 +130,11 @@ type Container struct {
 	// reflected in the snapshot; frames above it may not be.
 	lastApplied    wal.Address
 	hasLastApplied bool
+	// metaChanges counts the changes a checkpoint captures (guarded by
+	// c.mu): applied frames other than checkpoints, and storage-writer
+	// commits — so tiering after a checkpoint earns the one more that WAL
+	// truncation waits for.
+	metaChanges uint64
 
 	// Adaptive batching statistics (EWMA).
 	statMu        sync.Mutex
@@ -181,6 +191,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		opQueue:       make(chan *pendingOp, opQueueLen),
 		stop:          make(chan struct{}),
 		applyKick:     make(chan struct{}, 1),
+		built:         make(chan struct{}),
 		flushKick:     make(chan struct{}, 1),
 		recentLatency: 2 * time.Millisecond,
 	}
@@ -259,6 +270,9 @@ func (c *Container) recover() error {
 				lastCP = i
 			}
 		}
+	}
+	if len(entries) > 0 {
+		c.metaChanges = 1 // the next live checkpoint restores the truncation watermark
 	}
 	if lastCP >= 0 {
 		for _, op := range decoded[lastCP] {

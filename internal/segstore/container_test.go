@@ -131,6 +131,81 @@ func TestContainerWriterDedup(t *testing.T) {
 	}
 }
 
+// TestContainerAppendChecksPredecessor: an append naming a predecessor the
+// writer has not sequenced on the segment fails unapplied, so a batch that
+// overtook a lost one cannot move the writer's attribute past it.
+func TestContainerAppendChecksPredecessor(t *testing.T) {
+	env := newTestEnv(t)
+	c := newTestContainer(t, env, 0)
+	const seg = "s/t/9.#epoch.0"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	appendAfter := func(prev, eventNum int64) (int64, error) {
+		res := make(chan AppendResult, 1)
+		c.AppendAfterFunc(seg, []byte("abcd"), "w", prev, eventNum, 1, func(r AppendResult) { res <- r })
+		r := <-res
+		return r.Offset, r.Err
+	}
+	// The second batch (event 9, after 5) arrives before the first.
+	if _, err := appendAfter(5, 9); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("append overtaking its predecessor: %v, want ErrOutOfOrder", err)
+	}
+	if last, _ := c.WriterState(seg, "w"); last != -1 {
+		t.Fatalf("WriterState after rejection = %d, want -1", last)
+	}
+	if off, err := appendAfter(-1, 5); err != nil || off != 0 {
+		t.Fatalf("first batch: offset %d, %v", off, err)
+	}
+	if off, err := appendAfter(5, 9); err != nil || off != 4 {
+		t.Fatalf("second batch replayed in order: offset %d, %v", off, err)
+	}
+	// A replay of an applied batch is still a duplicate, whatever its prev.
+	if off, err := appendAfter(-1, 5); err != nil || off != -1 {
+		t.Fatalf("replay of the first batch: offset %d, %v; want -1, nil", off, err)
+	}
+	// Prev 0 skips the check.
+	if _, err := c.Append(seg, []byte("abcd"), "w", 20, 1); err != nil {
+		t.Fatalf("unchecked append: %v", err)
+	}
+	if info, _ := c.GetInfo(seg); info.Length != 12 {
+		t.Fatalf("length %d, want 12", info.Length)
+	}
+}
+
+// TestCloseAnswersEveryQueuedAppend: appends enqueued right before Close
+// all hear back. The applier used to return as soon as the stop closed,
+// while the frame builder could still be submitting the frame those appends
+// were admitted to — and no one applied that frame or answered its callers.
+func TestCloseAnswersEveryQueuedAppend(t *testing.T) {
+	env := newTestEnv(t)
+	const seg = "s/t/10.#epoch.0"
+	for i := 0; i < 50; i++ {
+		c := newTestContainer(t, env, i)
+		if err := c.CreateSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+		// A long adaptive delay holds the builder on its open frame, so the
+		// stop finds it between admitting the appends and submitting them.
+		c.statMu.Lock()
+		c.recentLatency = 10 * time.Millisecond
+		c.statMu.Unlock()
+		var results []<-chan AppendResult
+		for j := 0; j < 4; j++ {
+			results = append(results, appendAsync(c, seg, []byte("x"), "", 0))
+		}
+		time.Sleep(time.Millisecond)
+		_ = c.Close()
+		for j, ch := range results {
+			select {
+			case <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("container %d: append %d never answered after Close", i, j)
+			}
+		}
+	}
+}
+
 func TestContainerTailReadLongPoll(t *testing.T) {
 	env := newTestEnv(t)
 	c := newTestContainer(t, env, 0)

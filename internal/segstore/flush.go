@@ -275,6 +275,7 @@ func (c *Container) resolvePending(segName, chunkName string, length int64, keep
 			s.chunks[i].Pending = false
 			s.chunks[i].Length = length
 			s.storageLength += length
+			c.metaChanges++
 		} else {
 			s.chunks = append(s.chunks[:i], s.chunks[i+1:]...)
 		}
@@ -298,6 +299,7 @@ func (c *Container) commitChunkWrite(segName, chunkName string, n int64) {
 		}
 	}
 	s.storageLength += n
+	c.metaChanges++
 }
 
 // reconcileChunk queries the chunk's actual LTS length after a failed write
@@ -417,6 +419,7 @@ func (c *Container) reconcileSegmentStorage(segName string) {
 			c.mu.Lock()
 			if n := len(s.chunks); n > 0 && s.chunks[n-1].Name == lastName && s.chunks[n-1].Length == 0 {
 				s.chunks = s.chunks[:n-1]
+				c.metaChanges++
 			}
 			c.mu.Unlock()
 		case err != nil:
@@ -450,6 +453,7 @@ func (c *Container) reconcileSegmentStorage(segName string) {
 		c.mu.Lock()
 		s.chunks = append(s.chunks, chunkMeta{Name: name, StartOffset: watermark, Length: actual})
 		s.storageLength += actual
+		c.metaChanges++
 		c.mu.Unlock()
 		adopted += actual
 		if actual < c.cfg.ChunkSizeLimit {
@@ -540,17 +544,24 @@ func (c *Container) LastTruncateError() error {
 }
 
 // checkpointLoop periodically writes a metadata checkpoint operation into
-// the WAL so recovery replays a bounded tail (§4.4).
+// the WAL so recovery replays a bounded tail (§4.4). A tick with nothing
+// applied or tiered since the last checkpoint writes nothing.
 func (c *Container) checkpointLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.cfg.CheckpointInterval)
 	defer ticker.Stop()
+	var checkpointed uint64
 	for {
 		select {
 		case <-c.stop:
 			return
 		case <-ticker.C:
-			_ = c.Checkpoint()
+		}
+		c.mu.Lock()
+		changes := c.metaChanges
+		c.mu.Unlock()
+		if changes != checkpointed && c.Checkpoint() == nil {
+			checkpointed = changes
 		}
 	}
 }

@@ -382,3 +382,77 @@ func TestFlushAllRacesAppendsOverLargeBacklog(t *testing.T) {
 		t.Fatalf("LTS holds %d bytes in %d chunks, appended %d; contents differ or too few chunks", got.Len(), len(chunks), want.Len())
 	}
 }
+
+// tieredThenIdle builds a container with short checkpoint and flush
+// intervals, writes and tiers a backlog across several WAL ledgers, and
+// returns once the checkpoint loop has written the checkpoint that covers
+// the tiering, plus a few idle ticks.
+func tieredThenIdle(t *testing.T, id int) (*Container, time.Duration) {
+	t.Helper()
+	env := newTestEnv(t)
+	cfg := env.containerConfig(id)
+	cfg.WALRolloverBytes = 2048
+	cfg.CheckpointInterval = 30 * time.Millisecond
+	cfg.FlushInterval = 10 * time.Millisecond
+	c := newContainerWithConfig(t, cfg)
+	const seg = "s/idle/0.#epoch.0"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := c.Append(seg, bytes.Repeat([]byte("i"), 512), "w", int64(i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Tiering changed chunk metadata without a WAL frame: the loop owes
+	// one checkpoint for it.
+	base := c.Stats().CheckpointsTaken
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().CheckpointsTaken == base {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint after tiering")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(3 * cfg.CheckpointInterval)
+	return c, cfg.CheckpointInterval
+}
+
+func newContainerWithConfig(t *testing.T, cfg ContainerConfig) *Container {
+	t.Helper()
+	c, err := NewContainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
+// TestIdleContainerWritesNoCheckpoints: once its last change is
+// checkpointed, a container with nothing applied and nothing tiered writes
+// nothing to its WAL, however many checkpoint ticks pass.
+func TestIdleContainerWritesNoCheckpoints(t *testing.T) {
+	c, every := tieredThenIdle(t, 3)
+	before := c.Stats().FramesWritten
+	time.Sleep(5 * every)
+	if n := c.Stats().FramesWritten - before; n != 0 {
+		t.Fatalf("idle container wrote %d WAL frames over 5 checkpoint intervals, want 0", n)
+	}
+}
+
+// TestWALTruncatesAfterIdleCheckpoint: the one checkpoint the loop writes
+// after tiering is enough for the storage writer to release the tiered
+// ledgers, with no explicit Checkpoint call.
+func TestWALTruncatesAfterIdleCheckpoint(t *testing.T) {
+	c, _ := tieredThenIdle(t, 4)
+	deadline := time.Now().Add(10 * time.Second)
+	for c.log.RetainedLedgers() > 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("WAL retains %d ledgers after tiering and an idle checkpoint", c.log.RetainedLedgers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

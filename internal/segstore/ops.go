@@ -53,6 +53,13 @@ type Operation struct {
 	// synchronizer, §3.3). Not serialized: the condition is evaluated at
 	// sequencing time and the op is rejected before reaching the WAL.
 	CondOffset int64
+	// Prev, when nonzero, is the event number of the writer's previous
+	// append on the segment, -1 for none (as WriterState reports; event
+	// numbers start at 1). The append fails with ErrOutOfOrder unless that
+	// is the writer's last sequenced event number, so a batch that overtook
+	// a lost predecessor is not applied and both replay in order. Zero skips
+	// the check. Not serialized, like CondOffset.
+	Prev int64
 
 	// Truncate field.
 	TruncateAt int64

@@ -90,6 +90,14 @@ func (c *Container) enqueue(op Operation, cb func(AppendResult)) {
 	select {
 	case c.opQueue <- p:
 		mQueueDepth.Add(1)
+		// The stop may have closed after isDown and the frame builder drained
+		// the queue and returned before this send: fail what is left, or
+		// its callbacks never fire.
+		select {
+		case <-c.stop:
+			c.drainQueue()
+		default:
+		}
 	case <-c.stop:
 		p.complete(AppendResult{Err: ErrContainerDown})
 	}
@@ -120,7 +128,11 @@ func (c *Container) CreateSegment(name string) error {
 // writer retry).
 func (c *Container) Append(name string, data []byte, writerID string, eventNum int64, eventCount int32) (int64, error) {
 	c.throttle()
-	return c.submit(Operation{
+	return c.submit(appendOp(name, data, writerID, 0, eventNum, eventCount))
+}
+
+func appendOp(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32) Operation {
+	return Operation{
 		Type:       OpAppend,
 		Segment:    name,
 		Data:       data,
@@ -128,7 +140,8 @@ func (c *Container) Append(name string, data []byte, writerID string, eventNum i
 		EventNum:   eventNum,
 		EventCount: eventCount,
 		CondOffset: -1,
-	})
+		Prev:       prev,
+	}
 }
 
 // AppendResult is the outcome of an asynchronous append.
@@ -146,16 +159,14 @@ type AppendResult struct {
 // typically the in-order applier — and therefore must not block; a slow cb
 // stalls the whole container's completion path.
 func (c *Container) AppendAsyncFunc(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(AppendResult)) {
+	c.AppendAfterFunc(name, data, writerID, 0, eventNum, eventCount, cb)
+}
+
+// AppendAfterFunc is AppendAsyncFunc with the writer's previous event
+// number on the segment (Operation.Prev).
+func (c *Container) AppendAfterFunc(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(AppendResult)) {
 	c.throttle()
-	c.enqueue(Operation{
-		Type:       OpAppend,
-		Segment:    name,
-		Data:       data,
-		WriterID:   writerID,
-		EventNum:   eventNum,
-		EventCount: eventCount,
-		CondOffset: -1,
-	}, cb)
+	c.enqueue(appendOp(name, data, writerID, prev, eventNum, eventCount), cb)
 }
 
 // AppendConditional appends only if the segment's length equals
@@ -218,6 +229,7 @@ const maxFrameSize = 1 << 20
 // operations before closing the frame.
 func (c *Container) frameBuilderLoop() {
 	defer c.wg.Done()
+	defer close(c.built)
 	for {
 		var first *pendingOp
 		select {
@@ -375,6 +387,12 @@ func (c *Container) validateAndSequence(op *Operation) error {
 				}
 				return errDuplicatePending
 			}
+			if !known {
+				last = -1
+			}
+			if op.Prev != 0 && op.Prev != last {
+				return fmt.Errorf("%w: %s: writer %s at %d, append follows %d", ErrOutOfOrder, op.Segment, op.WriterID, last, op.Prev)
+			}
 			s.attrPending[op.WriterID] = op.EventNum
 		}
 		if op.CondOffset >= 0 && op.CondOffset != s.pendingLength {
@@ -505,7 +523,7 @@ func (c *Container) applierLoop() {
 	pending := make(map[int64]*frameResult)
 	var next int64
 	var batch []*frameResult
-	stopCh := c.stop
+	builtCh := c.built
 	stopping := false
 	for {
 		if stopping && next >= c.framesSubmitted.Load() {
@@ -513,12 +531,15 @@ func (c *Container) applierLoop() {
 		}
 		select {
 		case <-c.applyKick:
-		case <-stopCh:
-			// The frame builder has stopped (or is stopping); once it exits,
-			// framesSubmitted is frozen and the check above terminates the
-			// drain. Nil the channel so the select blocks on applyKick only.
+		case <-builtCh:
+			// The frame builder has returned, so framesSubmitted is frozen
+			// and the check above terminates the drain. (Waiting for the
+			// stop instead let the applier return while the builder was
+			// still submitting its last frame, whose callers then never
+			// heard back.) Nil the channel so the select blocks on applyKick
+			// only.
 			stopping = true
-			stopCh = nil
+			builtCh = nil
 			continue
 		}
 		c.applyMu.Lock()
@@ -659,6 +680,9 @@ applyLoop:
 	if !crashMid {
 		c.lastApplied = f.addr
 		c.hasLastApplied = true
+	}
+	if len(f.ops) > 1 || len(f.ops) == 1 && f.ops[0].Type != OpCheckpoint {
+		c.metaChanges++
 	}
 	c.mu.Unlock()
 

@@ -42,41 +42,22 @@ type Store struct {
 	containers map[int]*Container
 	closed     bool
 	done       chan struct{} // closed with closed
-	mgr        *OwnershipManager
+
+	// claimMu orders claim deletes before the session's end (released).
+	claimMu  sync.Mutex
+	released bool
 }
 
-func (st *Store) setManager(m *OwnershipManager) {
-	st.mu.Lock()
-	st.mgr = m
-	st.mu.Unlock()
-}
-
-// Closed reports whether the store has been closed or crashed.
-func (st *Store) Closed() bool { return st.isClosed() }
-
-func (st *Store) isClosed() bool {
+// Closed reports whether the store has been closed, drained or crashed.
+func (st *Store) Closed() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.closed
 }
 
-// Done returns a channel closed once the store is closed or crashed — by
-// its owner, or by the ownership manager when the lease lapsed.
+// Done is closed once the store is closed, drained or crashed (by the
+// ownership manager when the lease lapsed); the manager stops with it.
 func (st *Store) Done() <-chan struct{} { return st.done }
-
-// markClosedLocked flips the store to closed. Caller holds st.mu and has
-// checked that it was open.
-func (st *Store) markClosedLocked() {
-	st.closed = true
-	close(st.done)
-}
-
-func (st *Store) hosts(id int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, ok := st.containers[id]
-	return ok
-}
 
 const (
 	assignmentRoot = "/pravega/containers"
@@ -87,13 +68,20 @@ const (
 	placementEpochPath = "/pravega/placement/epoch"
 )
 
+// createRoots makes the placement nodes every store and the assigner use.
+func createRoots(cs cluster.Coord) error {
+	for _, p := range []string{hostsRoot, assignmentRoot, assignmentPath, placementEpochPath} {
+		if err := cs.CreateAll(p, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
+			return err
+		}
+	}
+	return nil
+}
+
 // BumpPlacementEpoch advances the cluster-wide placement epoch. Call after
 // any claim change (start, stop, crash, re-acquire).
 func BumpPlacementEpoch(cs cluster.Coord) {
-	if _, err := cs.Set(placementEpochPath, nil, -1); errors.Is(err, cluster.ErrNoNode) {
-		_ = cs.CreateAll(placementEpochPath, nil)
-		_, _ = cs.Set(placementEpochPath, nil, -1)
-	}
+	_, _ = cs.Set(placementEpochPath, nil, -1) // best effort: routers also refresh on a miss
 }
 
 // PlacementEpoch reads the current placement epoch (0 when unset).
@@ -107,18 +95,11 @@ func PlacementEpoch(cs cluster.Coord) int64 {
 
 // WatchPlacementEpoch arms a one-shot watch on the epoch node.
 func WatchPlacementEpoch(cs cluster.Coord) (<-chan cluster.Event, error) {
-	ch, err := cs.WatchData(placementEpochPath)
-	if errors.Is(err, cluster.ErrNoNode) {
-		if cerr := cs.CreateAll(placementEpochPath, nil); cerr != nil && !errors.Is(cerr, cluster.ErrNodeExists) {
-			return nil, cerr
-		}
-		return cs.WatchData(placementEpochPath)
-	}
-	return ch, err
+	return cs.WatchData(placementEpochPath)
 }
 
 // NewStore registers the store in the cluster. Containers are started with
-// StartContainer (the controller or an orchestration loop decides which).
+// StartContainer (the assigner decides which; tests start them by hand).
 func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.TotalContainers <= 0 {
 		return nil, errors.New("segstore: TotalContainers must be positive")
@@ -126,10 +107,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Cluster == nil {
 		return nil, errors.New("segstore: Cluster is required")
 	}
-	if err := cfg.Cluster.CreateAll(assignmentRoot, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
-		return nil, err
-	}
-	if err := cfg.Cluster.CreateAll(placementEpochPath, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
+	if err := createRoots(cfg.Cluster); err != nil {
 		return nil, err
 	}
 	sess, err := cfg.Cluster.OpenSession(cfg.LeaseTTL)
@@ -166,12 +144,18 @@ func (st *Store) StartContainer(id int) (*Container, error) {
 	ccfg.ID = id
 	c, err := NewContainer(ccfg)
 	if err != nil {
-		_ = st.cfg.Cluster.Delete(path, -1)
+		st.dropClaim(id)
 		return nil, err
 	}
 	st.mu.Lock()
+	if st.closed { // closed during recovery: the container must not outlive the store
+		st.mu.Unlock()
+		_ = c.Close()
+		return nil, fmt.Errorf("segstore: store %s closed while starting container %d: %w", st.cfg.ID, id, cluster.ErrSessionClosed)
+	}
 	st.containers[id] = c
 	st.mu.Unlock()
+	mOwnershipClaims.Inc()
 	BumpPlacementEpoch(st.cfg.Cluster)
 	return c, nil
 }
@@ -179,7 +163,7 @@ func (st *Store) StartContainer(id int) (*Container, error) {
 // StopContainer gracefully hands off one hosted container: in-flight
 // appends drain, unflushed data is forced to LTS, and only then is the
 // claim released — the next owner recovers an empty (or minimal) WAL
-// backlog. Used by the rebalancer when shedding load (§4.4).
+// backlog. Used when the assigner takes a container away (§4.4).
 func (st *Store) StopContainer(id int) error {
 	st.mu.Lock()
 	c, ok := st.containers[id]
@@ -190,19 +174,12 @@ func (st *Store) StopContainer(id int) error {
 	}
 	flushErr := c.FlushAll()
 	closeErr := c.Close()
-	_ = st.cfg.Cluster.Delete(fmt.Sprintf("%s/%d", assignmentRoot, id), -1)
-	BumpPlacementEpoch(st.cfg.Cluster)
+	st.dropClaim(id)
+	mOwnershipReleases.Inc()
 	if flushErr != nil {
 		return flushErr
 	}
 	return closeErr
-}
-
-// RenewLease extends the store's session lease. cluster.ErrSessionClosed
-// means the lease already expired: every claim this store held is gone and
-// its containers are zombies that must stop serving.
-func (st *Store) RenewLease() error {
-	return st.session.Renew()
 }
 
 // CrashContainer abruptly stops one hosted container (fault-injection
@@ -219,9 +196,19 @@ func (st *Store) CrashContainer(id int) error {
 		return fmt.Errorf("%w: container %d not hosted on %s", ErrWrongContainer, id, st.cfg.ID)
 	}
 	c.Crash()
-	_ = st.cfg.Cluster.Delete(fmt.Sprintf("%s/%d", assignmentRoot, id), -1)
-	BumpPlacementEpoch(st.cfg.Cluster)
+	st.dropClaim(id)
 	return nil
+}
+
+// dropClaim deletes the claim on container id while the session lasts
+// (after, the path may hold the next owner's) and bumps the placement epoch.
+func (st *Store) dropClaim(id int) {
+	st.claimMu.Lock()
+	if !st.released {
+		_ = st.cfg.Cluster.Delete(fmt.Sprintf("%s/%d", assignmentRoot, id), -1)
+	}
+	st.claimMu.Unlock()
+	BumpPlacementEpoch(st.cfg.Cluster)
 }
 
 // Container returns the hosted container for a segment name, or
@@ -255,15 +242,6 @@ func (st *Store) HostedContainers() []int {
 	return out
 }
 
-// ContainerOwner resolves which store currently claims a container.
-func ContainerOwner(cs cluster.Coord, id int) (string, error) {
-	data, _, err := cs.Get(fmt.Sprintf("%s/%d", assignmentRoot, id))
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
 // LoadReport aggregates per-segment load across hosted containers for the
 // controller's scaling feedback loop (§3.1).
 func (st *Store) LoadReport() []SegmentLoad {
@@ -280,22 +258,37 @@ func (st *Store) LoadReport() []SegmentLoad {
 	return out
 }
 
-// Close stops all hosted containers and releases the store's claims.
-func (st *Store) Close() error {
+// shut marks the store closed — StartContainer refuses, the ownership
+// manager stops — and returns its containers; false if already closed.
+func (st *Store) shut() ([]*Container, bool) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed {
-		st.mu.Unlock()
-		return nil
+		return nil, false
 	}
-	st.markClosedLocked()
-	mgr := st.mgr
+	st.closed = true
+	close(st.done)
 	cs := make([]*Container, 0, len(st.containers))
 	for _, c := range st.containers {
 		cs = append(cs, c)
 	}
-	st.mu.Unlock()
-	if mgr != nil {
-		mgr.Stop()
+	return cs, true
+}
+
+// release closes the session, dropping the host registration and claims.
+func (st *Store) release() {
+	st.claimMu.Lock()
+	st.released = true
+	st.claimMu.Unlock()
+	st.session.Close()
+	BumpPlacementEpoch(st.cfg.Cluster)
+}
+
+// Close stops all hosted containers and releases the store's claims.
+func (st *Store) Close() error {
+	cs, ok := st.shut()
+	if !ok {
+		return nil
 	}
 	var firstErr error
 	for _, c := range cs {
@@ -303,27 +296,19 @@ func (st *Store) Close() error {
 			firstErr = err
 		}
 	}
-	st.session.Close()
-	BumpPlacementEpoch(st.cfg.Cluster)
+	st.release()
 	return firstErr
 }
 
 // Drain gracefully hands off every hosted container and then closes the
-// store: the ownership manager stops (so it cannot re-claim), each container
-// is stopped via StopContainer — in-flight appends drain, unflushed data is
-// forced to LTS, and the claim is released — and finally the session closes.
-// Survivors take over via handoff instead of waiting out the lease TTL, and
-// no lease expiry is recorded. This is the store role's SIGTERM path.
+// store: each container is stopped via StopContainer — in-flight appends
+// drain, unflushed data is forced to LTS, and the claim is released — and
+// finally the session closes. Survivors take over via handoff instead of
+// waiting out the lease TTL, and no lease expiry is recorded. This is the
+// store role's SIGTERM path.
 func (st *Store) Drain() error {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
+	if _, ok := st.shut(); !ok {
 		return nil
-	}
-	mgr := st.mgr
-	st.mu.Unlock()
-	if mgr != nil {
-		mgr.Stop()
 	}
 	var firstErr error
 	for _, id := range st.HostedContainers() {
@@ -331,9 +316,7 @@ func (st *Store) Drain() error {
 			firstErr = err
 		}
 	}
-	if err := st.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	st.release()
 	return firstErr
 }
 
@@ -341,24 +324,12 @@ func (st *Store) Drain() error {
 // flushing; ephemeral claims disappear as the session closes, letting
 // another store take over (§4.4).
 func (st *Store) Crash() {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
+	cs, ok := st.shut()
+	if !ok {
 		return
-	}
-	st.markClosedLocked()
-	mgr := st.mgr
-	cs := make([]*Container, 0, len(st.containers))
-	for _, c := range st.containers {
-		cs = append(cs, c)
-	}
-	st.mu.Unlock()
-	if mgr != nil {
-		mgr.Stop()
 	}
 	for _, c := range cs {
 		c.Crash()
 	}
-	st.session.Close()
-	BumpPlacementEpoch(st.cfg.Cluster)
+	st.release()
 }

@@ -176,10 +176,3 @@ func (d *Disk) flushLoop() {
 		d.dirtyMu.Unlock()
 	}
 }
-
-// DirtyBytes returns the current amount of un-flushed page-cache data.
-func (d *Disk) DirtyBytes() int64 {
-	d.dirtyMu.Lock()
-	defer d.dirtyMu.Unlock()
-	return d.dirtySum
-}

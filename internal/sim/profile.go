@@ -60,15 +60,3 @@ func AWSProfile(scale float64) Profile {
 func (p Profile) ScaleBytes(paperBytesPerSec float64) float64 {
 	return paperBytesPerSec / p.Scale
 }
-
-// ScaleEvents converts a paper-scale event rate (events/s) to the profile's
-// scaled rate.
-func (p Profile) ScaleEvents(paperEventsPerSec float64) float64 {
-	return paperEventsPerSec / p.Scale
-}
-
-// UnscaleBytes converts a measured scaled byte rate back to paper scale for
-// reporting.
-func (p Profile) UnscaleBytes(measuredBytesPerSec float64) float64 {
-	return measuredBytesPerSec * p.Scale
-}

@@ -289,3 +289,36 @@ func TestAWSProfileScaling(t *testing.T) {
 		t.Fatal("ScaleEvents wrong")
 	}
 }
+
+// ScaleEvents converts a paper-scale event rate (events/s) to the profile's
+// scaled rate.
+func (p Profile) ScaleEvents(paperEventsPerSec float64) float64 {
+	return paperEventsPerSec / p.Scale
+}
+
+// UnscaleBytes converts a measured scaled byte rate back to paper scale for
+// reporting.
+func (p Profile) UnscaleBytes(measuredBytesPerSec float64) float64 {
+	return measuredBytesPerSec * p.Scale
+}
+
+// DirtyBytes returns the current amount of un-flushed page-cache data.
+func (d *Disk) DirtyBytes() int64 {
+	d.dirtyMu.Lock()
+	defer d.dirtyMu.Unlock()
+	return d.dirtySum
+}
+
+// SetRate changes the bandwidth. Safe to call concurrently with Take.
+func (tb *TokenBucket) SetRate(bytesPerSec float64) {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	tb.bytesPerSec = bytesPerSec
+}
+
+// Rate returns the configured bandwidth in bytes per second.
+func (tb *TokenBucket) Rate() float64 {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	return tb.bytesPerSec
+}

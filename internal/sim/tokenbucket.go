@@ -41,20 +41,6 @@ func NewTokenBucket(bytesPerSec float64, burst time.Duration) *TokenBucket {
 	}
 }
 
-// SetRate changes the bandwidth. Safe to call concurrently with Take.
-func (tb *TokenBucket) SetRate(bytesPerSec float64) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.bytesPerSec = bytesPerSec
-}
-
-// Rate returns the configured bandwidth in bytes per second.
-func (tb *TokenBucket) Rate() float64 {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.bytesPerSec
-}
-
 // Take blocks until n bytes worth of capacity has been consumed. It returns
 // the time the caller had to wait.
 func (tb *TokenBucket) Take(n int) time.Duration {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/client"
@@ -170,13 +169,12 @@ func (c *Client) Close() error {
 // on the live connection) and, through call, the carrier of the control and
 // coordination planes.
 type storeConn struct {
-	c       *Client
-	addr    string
-	mu      sync.Mutex
-	conn    *Conn        // nil while disconnected
-	redial  bool         // reconnect loop running
-	failing atomic.Int32 // unsent appends whose failure is not delivered yet
-	closed  bool
+	c      *Client
+	addr   string
+	mu     sync.Mutex
+	conn   *Conn // nil while disconnected
+	redial bool  // reconnect loop running
+	closed bool
 	// ready broadcasts state changes to acquire waiters: it is an open
 	// channel while disconnected (replaced on every fault) and closed the
 	// moment the connection is live again or the storeConn closes, so
@@ -192,7 +190,7 @@ func newStoreConn(c *Client, conn *Conn, addr string) *storeConn {
 	sc := &storeConn{c: c, conn: conn, addr: addr, ready: make(chan struct{})}
 	if conn == nil {
 		sc.redial = true
-		go sc.reconnectLoop(nil)
+		go sc.reconnectLoop()
 		return sc
 	}
 	mcConnections.Add(1)
@@ -259,13 +257,13 @@ func (sc *storeConn) fault(conn *Conn) {
 	mcConnections.Add(-1)
 	_ = conn.Close()
 	if start {
-		go sc.reconnectLoop(conn)
+		go sc.reconnectLoop()
 	}
 }
 
 // reconnectLoop redials with capped exponential backoff until it succeeds
-// or the client closes. lost is the connection it replaces (nil at birth).
-func (sc *storeConn) reconnectLoop(lost *Conn) {
+// or the client closes.
+func (sc *storeConn) reconnectLoop() {
 	backoff := sc.c.firstBackoff
 	for {
 		sc.mu.Lock()
@@ -277,14 +275,6 @@ func (sc *storeConn) reconnectLoop(lost *Conn) {
 		sc.mu.Unlock()
 		conn, err := sc.c.dialServer(sc.addr)
 		if err == nil {
-			if lost != nil {
-				// Publish the new connection only after every failure of the
-				// old one was delivered. A pipelined writer not yet told that
-				// batch N died could otherwise get batch N+1 applied over the
-				// new one, and the server's (writer, eventNum) dedup would
-				// discard N's replay: an acknowledged event lost.
-				<-lost.drained
-			}
 			sc.mu.Lock()
 			sc.redial = false
 			if sc.closed {
@@ -401,19 +391,19 @@ func (sc *storeConn) call(t MessageType, body any) (Reply, error) {
 
 // --- placement.Store ---
 
-// AppendAsync pipelines an append on the connection. It fails fast on a
+// AppendAfter pipelines an append on the connection. It fails fast on a
 // lost connection — no internal retry — because replaying is the event
 // writer's job: it must resend the original batches verbatim for
 // server-side dedup to recognize them (§3.2).
-func (sc *storeConn) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+func (sc *storeConn) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
 	conn := sc.current()
-	if conn == nil || sc.failing.Load() > 0 {
+	if conn == nil {
 		sc.failAppend(cb, fmt.Errorf("wire: %s: %w", sc.addr, client.ErrDisconnected))
 		return
 	}
 	req := AppendReq{
 		Segment: name, Data: data, WriterID: writerID,
-		EventNum: eventNum, EventCount: eventCount, CondOffset: -1,
+		EventNum: eventNum, EventCount: eventCount, CondOffset: -1, Prev: prev,
 	}
 	start := time.Now()
 	mcInflightAppends.Add(1)
@@ -434,15 +424,11 @@ func (sc *storeConn) AppendAsync(name string, data []byte, writerID string, even
 }
 
 // failAppend delivers an append that could not be sent, on a goroutine:
-// callers may invoke AppendAsync holding the lock their callback takes.
-// Until it has run, later appends fail too — like reconnectLoop's drain
-// barrier, so batch N+1 is never applied before the writer knows N is lost.
+// callers may invoke AppendAfter holding the lock their callback takes.
+// Later appends may be sent before it runs: the container's predecessor
+// check (segstore.Operation.Prev) keeps them from overtaking this one.
 func (sc *storeConn) failAppend(cb func(segstore.AppendResult), err error) {
-	sc.failing.Add(1)
-	go func() {
-		cb(segstore.AppendResult{Offset: -1, Err: err})
-		sc.failing.Add(-1)
-	}()
+	go cb(segstore.AppendResult{Offset: -1, Err: err})
 }
 
 func (sc *storeConn) AppendConditional(name string, data []byte, expectedOffset int64) (int64, error) {

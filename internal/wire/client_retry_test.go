@@ -208,7 +208,7 @@ func (c *scriptedConn) Read([]byte) (int, error) { return 0, <-c.readErr }
 // when a request loses its connection twice over: the read loop dies while
 // the request is still inside its write, failAll fails the registered
 // request through the callback, and then the write fails too. Returning the
-// write error on top of that made storeConn.AppendAsync fail the same batch
+// write error on top of that made storeConn.AppendAfter fail the same batch
 // a second time — the event writer parked it twice and the second
 // WriteFuture.complete closed a closed channel.
 func TestSendFailureReportedOnce(t *testing.T) {
@@ -221,7 +221,6 @@ func TestSendFailureReportedOnce(t *testing.T) {
 		conn:    nc,
 		wr:      bufio.NewWriter(nc),
 		pending: make(map[uint64]*pendingReply),
-		drained: make(chan struct{}),
 	}
 	go c.readLoop()
 
@@ -234,9 +233,11 @@ func TestSendFailureReportedOnce(t *testing.T) {
 			reported.Add(1)
 		}
 	}()
-	<-nc.inWrite                    // registered, and blocked flushing the frame
-	nc.readErr <- io.EOF            // the read loop dies first ...
-	<-c.drained                     // ... and failAll has failed the request
+	<-nc.inWrite               // registered, and blocked flushing the frame
+	nc.readErr <- io.EOF       // the read loop dies first ...
+	for reported.Load() == 0 { // ... and failAll has failed the request
+		time.Sleep(time.Millisecond)
+	}
 	nc.writeErr <- io.ErrClosedPipe // only now does the write fail
 	<-sent
 	if n := reported.Load(); n != 1 {

@@ -113,6 +113,7 @@ func (r AppendReq) marshalBinary(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, r.EventNum)
 	dst = binary.AppendVarint(dst, int64(r.EventCount))
 	dst = binary.AppendVarint(dst, r.CondOffset)
+	dst = binary.AppendVarint(dst, r.Prev)
 	return appendUvarintBytes(dst, r.Data)
 }
 
@@ -123,6 +124,7 @@ func (r *AppendReq) unmarshalBinary(src []byte) error {
 	r.EventNum = f.varint()
 	r.EventCount = int32(f.varint())
 	r.CondOffset = f.varint()
+	r.Prev = f.varint()
 	r.Data = f.copied()
 	return f.done("append")
 }

@@ -59,6 +59,7 @@ const (
 	codeLedgerClosed
 	codeNotEnoughBookies
 	codeBookieDown
+	codeOutOfOrder
 )
 
 // codeSentinels maps codes to the sentinel errors they name, in both
@@ -106,6 +107,7 @@ var codeSentinels = []struct {
 	{codeLedgerClosed, bookkeeper.ErrLedgerClosed},
 	{codeNotEnoughBookies, bookkeeper.ErrNotEnough},
 	{codeBookieDown, bookkeeper.ErrBookieDown},
+	{codeOutOfOrder, segstore.ErrOutOfOrder},
 }
 
 // ErrCode returns the wire code for an error's sentinel, or codeNone when

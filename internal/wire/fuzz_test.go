@@ -17,7 +17,7 @@ func FuzzAppendReqCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg string, data []byte, wid string, num int64, count int32, cond int64) {
 		req := AppendReq{
 			Segment: seg, Data: data, WriterID: wid,
-			EventNum: num, EventCount: count, CondOffset: cond,
+			EventNum: num, EventCount: count, CondOffset: cond, Prev: num - int64(count),
 		}
 		body := req.marshalBinary(nil)
 		var got AppendReq
@@ -26,7 +26,7 @@ func FuzzAppendReqCodec(f *testing.F) {
 		}
 		if got.Segment != req.Segment || !bytes.Equal(got.Data, req.Data) ||
 			got.WriterID != req.WriterID || got.EventNum != req.EventNum ||
-			got.EventCount != req.EventCount || got.CondOffset != req.CondOffset {
+			got.EventCount != req.EventCount || got.CondOffset != req.CondOffset || got.Prev != req.Prev {
 			t.Fatalf("round trip: %+v != %+v", got, req)
 		}
 		for i := 0; i < len(body); i++ {

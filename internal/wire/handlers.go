@@ -318,7 +318,7 @@ var handlers = [msgEnd]handler{
 	})},
 }
 
-// startAppend enqueues an append: AppendAsync enqueues synchronously, which
+// startAppend enqueues an append: AppendAfter enqueues synchronously, which
 // makes the connection's frame order the segment's append order (§3.2).
 func startAppend(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
 	var req AppendReq
@@ -334,7 +334,7 @@ func startAppend(c *srvConn, id uint64, body []byte) (func(context.Context) Repl
 			return offset(data.AppendConditional(cond.Segment, cond.Data, cond.CondOffset))
 		}, nil
 	}
-	data.AppendAsync(req.Segment, req.Data, req.WriterID, req.EventNum, req.EventCount,
+	data.AppendAfter(req.Segment, req.Data, req.WriterID, req.Prev, req.EventNum, req.EventCount,
 		func(r segstore.AppendResult) { c.rw.send(id, offset(r.Offset, r.Err)) })
 	return nil, nil
 }

@@ -36,9 +36,9 @@ var (
 // serves the whole cluster's placement.Router, which resolves the owning
 // store — and rides out a failover — on the server side.
 type DataBackend interface {
-	// AppendAsync must enqueue synchronously: the serve loop's call order is
+	// AppendAfter must enqueue synchronously: the serve loop's call order is
 	// the connection's FIFO append order.
-	AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
+	AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
 	AppendConditional(name string, data []byte, expectedOffset int64) (int64, error)
 	ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)
 	GetInfo(name string) (segment.Info, error)

@@ -181,6 +181,7 @@ type AppendReq struct {
 	EventNum   int64
 	EventCount int32
 	CondOffset int64 // -1 = unconditional
+	Prev       int64 // segstore.Operation.Prev
 }
 
 // ReadReq is a segment read.
@@ -343,7 +344,6 @@ type Conn struct {
 	pending map[uint64]*pendingReply
 	readErr error
 	closed  bool
-	drained chan struct{} // closed once every request pending at the connection's death was failed
 }
 
 // Dial connects to a server node.
@@ -356,7 +356,6 @@ func Dial(addr string) (*Conn, error) {
 		conn:    nc,
 		wr:      bufio.NewWriter(nc),
 		pending: make(map[uint64]*pendingReply),
-		drained: make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
@@ -398,7 +397,6 @@ func (c *Conn) failAll(err error) {
 	c.pendMu.Lock()
 	// Requests stop registering once readErr or closed is set, so the first
 	// call takes every pending request there will ever be.
-	first := c.readErr == nil
 	c.readErr = err
 	pend := make([]*pendingReply, 0, len(c.pending))
 	for id, p := range c.pending {
@@ -407,14 +405,11 @@ func (c *Conn) failAll(err error) {
 	}
 	c.pendMu.Unlock()
 	if len(pend) == 0 {
-		if first {
-			close(c.drained)
-		}
 		return
 	}
 	// Deliver outside pendMu (callback completions may issue new calls,
 	// which take pendMu) AND off the caller's goroutine: failAll runs on
-	// whichever goroutine observed the failure, which may be an AppendAsync
+	// whichever goroutine observed the failure, which may be an AppendAfter
 	// caller already holding the very lock a drained callback takes — e.g.
 	// the event writer faulting a connection from sendBatch under its
 	// segment lock, where synchronous delivery self-deadlocks. One
@@ -423,9 +418,6 @@ func (c *Conn) failAll(err error) {
 	go func() {
 		for _, p := range pend {
 			p.deliver(Reply{Err: err.Error(), Code: codeDisconnected})
-		}
-		if first {
-			close(c.drained)
 		}
 	}()
 }

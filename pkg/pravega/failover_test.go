@@ -25,10 +25,7 @@ func newFailoverSystem(t *testing.T) *System {
 		Cluster: hosting.ClusterConfig{
 			Stores:             3,
 			ContainersPerStore: 2,
-			Ownership: hosting.OwnershipConfig{
-				LeaseTTL:          500 * time.Millisecond,
-				RebalanceInterval: 20 * time.Millisecond,
-			},
+			LeaseTTL:           500 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -217,8 +214,8 @@ func TestWriterReaderSurviveStoreFailover(t *testing.T) {
 }
 
 // TestWriterReaderSurviveRebalance grows the cluster mid-traffic: the
-// rebalancer drains and hands containers to the new store under load, and
-// nothing is lost or duplicated.
+// assigner moves containers to the new store under load (each old owner
+// drains and flushes first), and nothing is lost or duplicated.
 func TestWriterReaderSurviveRebalance(t *testing.T) {
 	sys := newFailoverSystem(t)
 	runFailoverWorkload(t, sys, "rebalance", func() {

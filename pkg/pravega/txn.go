@@ -149,7 +149,7 @@ func (t *Txn) WriteEvent(routingKey string, event []byte) *WriteFuture {
 	t.futures = append(t.futures, f)
 	// Issued under t.mu so appends to one shadow segment are submitted in
 	// WriteEvent order; the transport preserves per-segment FIFO from there.
-	t.w.conn.AppendAsync(shadow, appendEventFrame(nil, event), t.writerID, t.seq, 1,
+	t.w.conn.AppendAfter(shadow, appendEventFrame(nil, event), t.writerID, 0, t.seq, 1,
 		func(r segstore.AppendResult) { f.complete(convertErr(r.Err)) })
 	t.mu.Unlock()
 	return f

@@ -300,6 +300,7 @@ type segmentWriter struct {
 	redirect   []pendingEvent // failed in-flight events awaiting re-route
 	retry      []batchRec     // batches lost to a disconnect, awaiting replay
 	recovering bool           // a recover() goroutine is active
+	last       int64          // last event number sent (-1: none), the next batch's prev
 	flushCond  *sync.Cond
 }
 
@@ -313,7 +314,7 @@ type batchRec []pendingEvent
 func (b batchRec) lastNum() int64 { return b[len(b)-1].seq }
 
 func newSegmentWriter(w *EventWriter, seg controller.SegmentWithRange) *segmentWriter {
-	sw := &segmentWriter{w: w, seg: seg}
+	sw := &segmentWriter{w: w, seg: seg, last: -1}
 	sw.flushCond = sync.NewCond(&sw.mu)
 	return sw
 }
@@ -357,25 +358,29 @@ func (sw *segmentWriter) trySendLocked() {
 	sw.batch = nil
 	sw.batchSize = 0
 	sw.inflight++
-	sw.sendBatch(events)
+	sw.sendBatch(events, sw.last)
 }
 
 // transientAppendErr reports append/handshake failures the writer resolves
 // by parking the batch and replaying through the WriterState handshake:
 // connection loss, or a container failover/rebalance in progress (routed to
 // the wrong host, container shut down mid-append, zombie WAL fenced by the
-// new owner). Replay is safe for all of them because the server-side
-// (writer, eventNum) dedup discards anything that was in fact applied.
+// new owner), or a batch that overtook such a one (out of order). Replay is
+// safe for all of them because the server-side (writer, eventNum) dedup
+// discards anything that was in fact applied.
 func transientAppendErr(err error) bool {
 	return errors.Is(err, client.ErrDisconnected) ||
+		errors.Is(err, segstore.ErrOutOfOrder) ||
 		errors.Is(err, client.ErrWrongHost) ||
 		errors.Is(err, segstore.ErrWrongContainer) ||
 		errors.Is(err, segstore.ErrContainerDown) ||
 		errors.Is(err, wal.ErrFenced)
 }
 
-// sendBatch serializes and ships one batch (caller holds sw.mu).
-func (sw *segmentWriter) sendBatch(events []pendingEvent) {
+// sendBatch serializes and ships one batch that follows event number prev
+// on the segment (caller holds sw.mu). The container applies it only after
+// prev, so a batch never overtakes a predecessor that failed on the way.
+func (sw *segmentWriter) sendBatch(events []pendingEvent, prev int64) {
 	size := 0
 	for _, pe := range events {
 		size += eventFrameSize(pe.data)
@@ -385,8 +390,9 @@ func (sw *segmentWriter) sendBatch(events []pendingEvent) {
 		buf = appendEventFrame(buf, pe.data)
 	}
 	lastNum := events[len(events)-1].seq
+	sw.last = lastNum
 	start := time.Now()
-	sw.w.conn.AppendAsync(sw.seg.ID.QualifiedName(), buf, sw.w.cfg.ID, lastNum, int32(len(events)), func(r segstore.AppendResult) {
+	sw.w.conn.AppendAfter(sw.seg.ID.QualifiedName(), buf, sw.w.cfg.ID, prev, lastNum, int32(len(events)), func(r segstore.AppendResult) {
 		mClientRTTUs.RecordSince(start)
 		sw.onBatchResult(events, r)
 	})
@@ -487,8 +493,10 @@ func (sw *segmentWriter) onBatchResult(events []pendingEvent, r segstore.AppendR
 // replays the parked batches. It runs with sw.recovering set (blocking new
 // sends) and no batch in flight. The server's writer attribute tells which
 // parked batches were applied before the connection died: those are acked
-// locally; the rest are resent verbatim, oldest first, and server-side
-// deduplication discards any the ack merely got lost for (§3.2).
+// locally; the rest are resent verbatim, oldest first, each following the
+// attribute or the batch replayed before it, and server-side deduplication
+// discards any the ack merely got lost for (§3.2). The attribute is exact:
+// the predecessor check keeps it from passing a batch that was not applied.
 func (sw *segmentWriter) recover() {
 	w := sw.w
 	name := sw.seg.ID.QualifiedName()
@@ -531,6 +539,7 @@ func (sw *segmentWriter) recover() {
 	// Completion callbacks can arrive out of order across a disconnect;
 	// replay must be oldest-first.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].lastNum() < recs[j].lastNum() })
+	prev := attr
 	for _, rec := range recs {
 		if rec.lastNum() <= attr {
 			// Applied before the connection died — only the ack was lost.
@@ -541,11 +550,15 @@ func (sw *segmentWriter) recover() {
 		}
 		sw.mu.Lock()
 		sw.inflight++
-		sw.sendBatch(rec)
+		sw.sendBatch(rec, prev)
 		sw.mu.Unlock()
+		prev = rec.lastNum()
 	}
 
 	sw.mu.Lock()
+	// A batch that failed for good after its successors were sent is not
+	// applied; later sends follow what is.
+	sw.last = prev
 	sw.recovering = false
 	// A replayed batch may have failed again (or the segment sealed)
 	// while we were resending; route to the right follow-up.

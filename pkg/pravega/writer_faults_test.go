@@ -40,8 +40,8 @@ func newAckFaultTransport(base client.DataTransport, seed int64) *ackFaultTransp
 	}
 }
 
-func (ft *ackFaultTransport) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
-	ft.DataTransport.AppendAsync(name, data, writerID, eventNum, eventCount, func(r segstore.AppendResult) {
+func (ft *ackFaultTransport) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+	ft.DataTransport.AppendAfter(name, data, writerID, prev, eventNum, eventCount, func(r segstore.AppendResult) {
 		ft.mu.Lock()
 		ch, ok := ft.workers[name]
 		if !ok {
@@ -173,5 +173,91 @@ func TestWriterExactlyOnceUnderAckFaults(t *testing.T) {
 			}
 			t.Logf("seed %d: %d acks dropped, %d events exactly-once", seed, ft.dropped.Load(), total)
 		})
+	}
+}
+
+// overtakeTransport fails a writer's first append with client.ErrWrongHost
+// without sending it — the router found no owner mid-failover — but only
+// after its second append, sent while the first was in flight, has reached
+// the store and completed.
+type overtakeTransport struct {
+	client.DataTransport
+	mu    sync.Mutex
+	calls int
+	first func(segstore.AppendResult)
+}
+
+func (ot *overtakeTransport) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+	ot.mu.Lock()
+	ot.calls++
+	if ot.calls == 1 {
+		ot.first = cb
+		ot.mu.Unlock()
+		return
+	}
+	first := ot.first
+	ot.first = nil
+	ot.mu.Unlock()
+	ot.DataTransport.AppendAfter(name, data, writerID, prev, eventNum, eventCount, func(r segstore.AppendResult) {
+		cb(r)
+		if first != nil {
+			go first(segstore.AppendResult{Offset: -1, Err: fmt.Errorf("no owner: %w", client.ErrWrongHost)})
+		}
+	})
+}
+
+// TestWriterBatchCannotOvertakeLostPredecessor: two pipelined batches of
+// one segment straddle a placement change; the first never starts, the
+// second reaches the store. Both events are acked, so both must be read
+// back, in order. Without the container's predecessor check the second is
+// applied, and the writer's recovery takes the attribute it set as proof
+// that the first was applied too: the first event is acked and lost.
+func TestWriterBatchCannotOvertakeLostPredecessor(t *testing.T) {
+	sys := newTestSystem(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sys.Streams().CreateScope(ctx, "overtake"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Streams().Create(ctx, StreamConfig{Scope: "overtake", Name: "s", InitialSegments: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := sys.NewWriter(WriterConfig{Scope: "overtake", Stream: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ot := &overtakeTransport{DataTransport: w.conn}
+	w.conn = ot
+	f1 := w.WriteEvent("k", []byte("e1"))
+	f2 := w.WriteEvent("k", []byte("e2"))
+	for i, f := range []*WriteFuture{f1, f2} {
+		if err := f.Wait(ctx); err != nil {
+			t.Fatalf("event %d not acked: %v", i+1, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ot.calls < 2 {
+		t.Fatalf("%d appends sent; the two batches were not pipelined", ot.calls)
+	}
+
+	rg, err := sys.NewReaderGroup("rg-overtake", "overtake", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rg.NewReader("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, want := range []string{"e1", "e2"} {
+		ev, err := r.ReadNextEvent(2 * time.Second)
+		if err != nil {
+			t.Fatalf("reading %s: %v", want, err)
+		}
+		if string(ev.Data) != want {
+			t.Fatalf("read %q, want %q (an acked event was lost or reordered)", ev.Data, want)
+		}
 	}
 }
