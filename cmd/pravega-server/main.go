@@ -30,16 +30,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/role"
-	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
 func main() {
@@ -66,46 +67,38 @@ func main() {
 
 	switch *which {
 	case "all":
-		cfg := pravega.SystemConfig{
-			Cluster:        hosting.ClusterConfig{Stores: *stores, ContainersPerStore: *containers, Bookies: *bookies},
-			PolicyInterval: policy,
-			MetricsAddr:    *metrics,
-		}
+		ccfg := hosting.ClusterConfig{Stores: *stores, ContainersPerStore: *containers, Bookies: *bookies}
 		if *ltsDir != "" {
 			fsStore, err := lts.NewFS(*ltsDir)
 			if err != nil {
 				log.Fatalf("pravega-server: opening LTS directory: %v", err)
 			}
-			cfg.Cluster.LTS = fsStore
+			ccfg.LTS = fsStore
 		}
-		sys, err := pravega.NewInProcess(cfg)
-		if err != nil {
-			log.Fatalf("pravega-server: starting system: %v", err)
-		}
-		defer sys.Close()
-		cl := sys.Cluster()
-		srv, err := role.Serve(cl, sys.Controller(), *listen)
+		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			log.Fatalf("pravega-server: listening: %v", err)
 		}
-		defer srv.Close()
-		fmt.Printf("pravega-server: serving on %s (%d stores × %d containers, %d bookies)\n",
-			srv.Addr(), *stores, *containers, *bookies)
-		if addr := sys.MetricsAddr(); addr != "" {
-			fmt.Printf("pravega-server: metrics on http://%s/metrics\n", addr)
+		a, err := role.StartAll(ln, ccfg, controller.Config{}, policy)
+		if err != nil {
+			log.Fatalf("pravega-server: starting system: %v", err)
 		}
+		defer a.Close()
+		fmt.Printf("pravega-server: serving on %s (%d stores × %d containers, %d bookies)\n",
+			a.Srv.Addr(), *stores, *containers, *bookies)
+		defer serveMetrics(*metrics)()
 		awaitSignal(nil)
 		fmt.Printf("pravega-server: draining (up to %v; signal again to exit immediately)\n", *drainTO)
 		// Stop accepting wire traffic, then flush every open WAL segment and
 		// let the tiering engine finish moving flushed data to LTS.
-		if err := srv.Close(); err != nil {
+		if err := a.Srv.Close(); err != nil {
 			log.Printf("pravega-server: closing listener: %v", err)
 		}
 		drain(*drainTO, "pravega-server: drained, shutting down", func() error {
-			if err := cl.FlushAll(); err != nil {
+			if err := a.Cluster.FlushAll(); err != nil {
 				return err
 			}
-			return cl.WaitForTiering(*drainTO)
+			return a.Cluster.WaitForTiering(*drainTO)
 		})
 	case "coord":
 		c, err := role.StartCoord(role.CoordConfig{

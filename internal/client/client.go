@@ -1,14 +1,11 @@
-// Package client defines the transport boundary between the pkg/pravega
-// client stack (event writers, readers, reader groups, state synchronizer,
-// KV tables) and the server side of the system. The data side has one
-// implementation, placement.Router, over two per-store transports: direct
-// calls in process (behind hosting.Conn's links, used by tests and
-// benchmarks) and the wire protocol behind pravega.Connect, which speaks the
-// binary segment-store protocol over TCP (§2.2, §3.2 of the paper). The
-// control side is the controller itself or the wire client. The client
-// stack depends only on these interfaces, so every higher-level guarantee —
-// exactly-once appends, reader-group coordination, scaling — holds
-// identically over both transports.
+// Package client defines the data-transport boundary between the
+// pkg/pravega client stack (event writers, readers, reader groups, state
+// synchronizer, KV tables) and the segment stores. Its one implementation
+// is the wire client (internal/wire), whose placement.Router routes each
+// segment to its store over one pipelined connection per store — TCP for
+// pravega.Connect, in-memory links for pravega.NewInProcess (§2.2, §3.2 of
+// the paper). Tests wrap it to inject faults and count calls; the control
+// plane needs no such seam and is the wire client itself.
 package client
 
 import (
@@ -16,8 +13,6 @@ import (
 	"errors"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -40,9 +35,9 @@ var ErrWrongHost = errors.New("client: wrong host for container")
 
 // DataTransport is the client's path to segment stores: appends, reads and
 // segment metadata. Implementations route each segment to its owning
-// container (in process or over one pooled connection per store) and
-// preserve FIFO order for appends issued from one goroutine to one
-// segment — the property per-key event ordering rests on (§3.2).
+// container over one pooled connection per store and preserve FIFO order
+// for appends issued from one goroutine to one segment — the property
+// per-key event ordering rests on (§3.2).
 type DataTransport interface {
 	// AppendAfter enqueues an append and returns immediately; cb fires
 	// exactly once when the append is durable or has failed. Callbacks for
@@ -75,38 +70,4 @@ type DataTransport interface {
 	// operation; after a scale moved the target elsewhere the transport
 	// copies and deletes instead (readers still see all bytes or none).
 	MergeSegment(target, source string) (int64, error)
-	// Close releases the transport's resources. In-flight operations fail
-	// with ErrDisconnected.
-	Close() error
 }
-
-// ControlTransport is the client's path to the controller: stream lifecycle
-// and the epoch-graph queries writers and readers traverse across scaling
-// events (§3.1). The method set mirrors controller.Controller, which is the
-// in-process implementation.
-type ControlTransport interface {
-	CreateScope(scope string) error
-	CreateStream(cfg controller.StreamConfig) error
-	GetActiveSegments(scope, stream string) ([]controller.SegmentWithRange, error)
-	GetSuccessors(scope, stream string, segNumber int64) ([]controller.SuccessorRecord, error)
-	GetHeadSegments(scope, stream string) ([]controller.HeadSegment, error)
-	Scale(scope, stream string, seal []int64, newRanges []keyspace.Range) error
-	SealStream(scope, stream string) error
-	TruncateStream(scope, stream string, cut controller.StreamCut) error
-	DeleteStream(scope, stream string) error
-	StreamConfigOf(scope, stream string) (controller.StreamConfig, error)
-	UpdateStreamPolicies(scope, stream string, scaling *controller.ScalingPolicy, retention *controller.RetentionPolicy) error
-	IsStreamSealed(scope, stream string) (bool, error)
-	SegmentCount(scope, stream string) (int, error)
-	// Transactions (§3.2): BeginTxn opens a transaction with one shadow
-	// segment per active parent segment; CommitTxn atomically merges every
-	// shadow into its parent; AbortTxn deletes the shadows. A lease ≤ 0
-	// selects the controller's default.
-	BeginTxn(scope, stream string, lease time.Duration) (controller.TxnInfo, error)
-	CommitTxn(scope, stream, txnID string) error
-	AbortTxn(scope, stream, txnID string) error
-	TxnStatus(scope, stream, txnID string) (controller.TxnState, error)
-}
-
-// The in-process controller satisfies ControlTransport directly.
-var _ ControlTransport = (*controller.Controller)(nil)

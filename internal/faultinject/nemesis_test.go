@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/segment"
@@ -22,8 +24,7 @@ import (
 // connected through the proxy — so every client byte crosses the fault
 // pipeline.
 type nemesisRig struct {
-	backing *pravega.System
-	srv     *wire.Server
+	backing *role.All
 	proxy   *NemesisProxy
 	sys     *pravega.System
 }
@@ -38,18 +39,16 @@ func newNemesisRig(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientConfig) 
 // ownership timings).
 func newNemesisRigCluster(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientConfig, clcfg hosting.ClusterConfig) *nemesisRig {
 	t.Helper()
-	backing, err := pravega.NewInProcess(pravega.SystemConfig{Cluster: clcfg})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("NewInProcess: %v", err)
+		t.Fatal(err)
 	}
-	srv, err := role.Serve(backing.Cluster(), backing.Controller(), "127.0.0.1:0")
+	backing, err := role.StartAll(ln, clcfg, controller.Config{}, 0)
 	if err != nil {
-		backing.Close()
-		t.Fatalf("role.Serve: %v", err)
+		t.Fatalf("role.StartAll: %v", err)
 	}
-	proxy, err := NewNemesisProxy("127.0.0.1:0", srv.Addr(), ncfg)
+	proxy, err := NewNemesisProxy("127.0.0.1:0", backing.Srv.Addr(), ncfg)
 	if err != nil {
-		_ = srv.Close()
 		backing.Close()
 		t.Fatalf("NewNemesisProxy: %v", err)
 	}
@@ -64,17 +63,15 @@ func newNemesisRigCluster(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientC
 		}
 		if time.Now().After(deadline) {
 			_ = proxy.Close()
-			_ = srv.Close()
 			backing.Close()
 			t.Fatalf("Connect through nemesis: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	rig := &nemesisRig{backing: backing, srv: srv, proxy: proxy, sys: sys}
+	rig := &nemesisRig{backing: backing, proxy: proxy, sys: sys}
 	t.Cleanup(func() {
 		rig.sys.Close()
 		_ = rig.proxy.Close()
-		_ = rig.srv.Close()
 		rig.backing.Close()
 	})
 	return rig
@@ -312,7 +309,7 @@ func TestMergeAppliedAckLost(t *testing.T) {
 	if _, err := wc.AppendConditional(shadow, []byte("abcde"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.backing.Cluster().Router().SealSegment(shadow); err != nil {
+	if _, err := rig.backing.Cluster.Router().SealSegment(shadow); err != nil {
 		t.Fatalf("seal shadow: %v", err)
 	}
 
@@ -353,7 +350,7 @@ func TestLongPollReapedOnConnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cont *segstore.Container
-	for _, st := range rig.backing.Cluster().Stores() {
+	for _, st := range rig.backing.Cluster.Stores() {
 		if c, err := st.Container(name); err == nil {
 			cont = c
 		}

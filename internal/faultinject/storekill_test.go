@@ -37,7 +37,7 @@ func TestNemesisStoreKillFailover(t *testing.T) {
 		SplitProb:   0.10,
 		LatencyBase: 100 * time.Microsecond,
 	}, pravega.ClientConfig{SyncRetryWindow: 30 * time.Second}, storeKillClusterConfig())
-	killer := NewStoreKiller(rig.backing.Cluster(), 21)
+	killer := NewStoreKiller(rig.backing.Cluster, 21)
 
 	const scope, keys, perKey = "storekill", 4, 30
 	mustStream(t, rig.sys, scope, "s", 2)

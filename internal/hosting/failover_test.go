@@ -54,11 +54,11 @@ func seedSegments(t *testing.T, cl *Cluster, events int) map[string][]byte {
 	return oracle
 }
 
-// verifyOracle reads every segment back through the retrying client conn and
+// verifyOracle reads every segment back through the retrying router and
 // compares against the acked bytes.
 func verifyOracle(t *testing.T, cl *Cluster, oracle map[string][]byte) {
 	t.Helper()
-	conn := cl.NewClientConn(nil)
+	conn := cl.Router()
 	for seg, want := range oracle {
 		var got []byte
 		for len(got) < len(want) {
@@ -126,7 +126,7 @@ func TestStoreCrashFailover(t *testing.T) {
 	// Every byte acked before the crash must be readable from the new
 	// owners (fence-and-replay recovery), and appends must resume.
 	verifyOracle(t, cl, oracle)
-	conn := cl.NewClientConn(nil)
+	conn := cl.Router()
 	for seg, want := range oracle {
 		post := []byte("post-failover;")
 		if _, err := conn.AppendConditional(seg, post, int64(len(want))); err != nil {

@@ -3,9 +3,11 @@
 // containers distributed across them, and a long-term storage backend — and
 // injects faults into it (store crashes and wedges). Routing is not its job:
 // Router() is a placement.Router over the cluster's claim set with direct
-// calls as the per-store transport, the same router cmd/pravega-server and
-// internal/wire run over TCP. hosting is the harness used by tests,
-// examples, the benchmark figures and the single-process server role.
+// calls as the per-store transport, the same router internal/wire runs over
+// its connections. Clients never call it directly: internal/role's StartAll
+// serves a cluster over the wire protocol, on an in-memory listener behind
+// pravega.NewInProcess (tests, examples, the benchmark figures) and on TCP
+// for pravega-server -role all.
 //
 // Container placement is dynamic (§2.2, §4.4): an assigner publishes the
 // container → store assignment and each store claims what it is given with
@@ -188,8 +190,8 @@ func (cl *Cluster) dialStore(ep placement.Endpoint) (placement.Store, error) {
 }
 
 // Router is the cluster's data plane: it routes by the live claim set and
-// serves as the controller's DataPlane, the client connections' transport
-// and the single-process server's data backend.
+// serves as the controller's DataPlane and the all-planes server's data
+// backend.
 func (cl *Cluster) Router() *placement.Router { return cl.router }
 
 // addStoreLocked creates one store and its ownership manager and appends

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,10 +44,11 @@ var transports = map[string]func(t *testing.T, fx *fixture) func(placement.Endpo
 	},
 	"wire": func(t *testing.T, fx *fixture) func(placement.Endpoint) (placement.Store, error) {
 		for _, st := range fx.stores {
-			srv, err := wire.NewServer(wire.ServerConfig{Data: placement.Local{St: st}, Load: st.LoadReport}, "127.0.0.1:0")
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
+			srv := wire.NewServer(wire.ServerConfig{Data: placement.Local{St: st}, Load: st.LoadReport}, ln)
 			t.Cleanup(func() { _ = srv.Close() })
 			// The host registration carries the address the router dials.
 			if _, err := segstore.StartOwnershipManager(st, srv.Addr()); err != nil {

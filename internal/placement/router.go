@@ -47,8 +47,7 @@ var (
 type Store interface {
 	// AppendAfter enqueues an append (prev as in segstore.Operation.Prev);
 	// cb fires exactly once. cb may run on the calling goroutine when the
-	// append cannot start (hosting.Conn's links and the wire server's reply
-	// queue both tolerate that).
+	// append cannot start (the wire server's reply queue tolerates that).
 	AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
 	AppendConditional(name string, data []byte, expectedOffset int64) (int64, error)
 	ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)

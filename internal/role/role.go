@@ -7,7 +7,9 @@
 //     through the placement router over the wire.
 //   - StartStore: one segment store that follows the assignment through the
 //     remote coordination store and journals to the coord's bookies.
-//   - Serve: the all-planes server in front of an in-process cluster.
+//   - StartAll: an in-process cluster and its controller behind one
+//     all-planes server (Serve). cmd/pravega-server -role all runs it on
+//     TCP, pravega.NewInProcess on an internal/sim listener.
 //
 // cmd/pravega-server parses its flags into these configs, and the
 // multi-process tests start the same roles inside one test process.
@@ -15,6 +17,7 @@ package role
 
 import (
 	"fmt"
+	"net"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
@@ -93,15 +96,17 @@ func StartCoord(cfg CoordConfig) (*Coord, error) {
 	if cfg.PolicyInterval > 0 {
 		c.ctrl.StartPolicyLoops(cfg.PolicyInterval)
 	}
-	if c.srv, err = wire.NewServer(wire.ServerConfig{
+	ln, err := net.Listen("tcp", cfg.Listen)
+	if err != nil {
+		c.Close()
+		return nil, fmt.Errorf("listening: %w", err)
+	}
+	c.srv = wire.NewServer(wire.ServerConfig{
 		Ctrl:      c.ctrl,
 		Coord:     meta,
 		Bookies:   bkNodes,
 		Placement: source,
-	}, cfg.Listen); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("listening: %w", err)
-	}
+	}, ln)
 	return c, nil
 }
 
@@ -186,12 +191,14 @@ func (s *Store) start(cfg StoreConfig) error {
 	}); err != nil {
 		return fmt.Errorf("starting store: %w", err)
 	}
-	if s.srv, err = wire.NewServer(wire.ServerConfig{
-		Data: placement.Local{St: s.st},
-		Load: s.st.LoadReport,
-	}, cfg.Listen); err != nil {
+	ln, err := net.Listen("tcp", cfg.Listen)
+	if err != nil {
 		return fmt.Errorf("listening: %w", err)
 	}
+	s.srv = wire.NewServer(wire.ServerConfig{
+		Data: placement.Local{St: s.st},
+		Load: s.st.LoadReport,
+	}, ln)
 	s.advertise = cfg.Advertise
 	if s.advertise == "" {
 		s.advertise = s.srv.Addr()
@@ -240,15 +247,52 @@ func (s *Store) Close() {
 	s.rs.Close()
 }
 
+// All is a running all-planes role.
+type All struct {
+	Cluster *hosting.Cluster
+	Ctrl    *controller.Controller
+	Srv     *wire.Server
+}
+
+// StartAll starts an in-process cluster and its controller (ctrl.Data and
+// ctrl.Cluster are filled in; policy > 0 starts its policy loops at that
+// period) and serves them on ln, which it owns from here on.
+func StartAll(ln net.Listener, ccfg hosting.ClusterConfig, ctrl controller.Config, policy time.Duration) (*All, error) {
+	cl, err := hosting.NewCluster(ccfg)
+	if err != nil {
+		_ = ln.Close()
+		return nil, err
+	}
+	ctrl.Data, ctrl.Cluster = cl.Router(), cl.Meta
+	a := &All{Cluster: cl}
+	if a.Ctrl, err = controller.New(ctrl); err != nil {
+		_ = ln.Close()
+		cl.Close()
+		return nil, err
+	}
+	if policy > 0 {
+		a.Ctrl.StartPolicyLoops(policy)
+	}
+	a.Srv = Serve(cl, a.Ctrl, ln)
+	return a, nil
+}
+
+// Close stops the server, the controller and the cluster, in that order.
+func (a *All) Close() {
+	_ = a.Srv.Close()
+	a.Ctrl.Close()
+	a.Cluster.Close()
+}
+
 // Serve fronts an in-process cluster and its controller with one wire
-// server exposing every plane: data through the cluster's placement
+// server on ln exposing every plane: data through the cluster's placement
 // router, control, coordination and placement snapshots.
-func Serve(cl *hosting.Cluster, ctrl *controller.Controller, listen string) (*wire.Server, error) {
+func Serve(cl *hosting.Cluster, ctrl *controller.Controller, ln net.Listener) *wire.Server {
 	return wire.NewServer(wire.ServerConfig{
 		Data:      cl.Router(),
 		Ctrl:      ctrl,
 		Coord:     cl.Meta,
 		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
 		Load:      cl.Router().LoadReports,
-	}, listen)
+	}, ln)
 }

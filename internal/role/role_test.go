@@ -78,24 +78,31 @@ func dialClient(t *testing.T, addr string) *wire.Client {
 	return c
 }
 
-// awaitClusterClaims waits until every container is claimed by a live host.
+// awaitClusterClaims waits until every container is claimed by a live host
+// and every live host holds its share: a store that joined after another
+// claimed everything is otherwise still waiting for the assigner to move
+// containers to it, and a request that meets one mid-move fails.
 func awaitClusterClaims(t *testing.T, meta cluster.Coord, total int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		ids, _, err := segstore.LiveHosts(meta)
 		claims, cerr := segstore.ClaimedContainers(meta)
-		if err == nil && cerr == nil && len(claims) == total {
-			live := make(map[string]bool, len(ids))
+		if err == nil && cerr == nil && len(claims) == total && len(ids) > 0 {
+			held := make(map[string]int, len(ids))
 			for _, h := range ids {
-				live[h] = true
+				held[h] = 0
 			}
 			ok := true
 			for _, owner := range claims {
-				if !live[owner] {
+				if _, live := held[owner]; !live {
 					ok = false
 					break
 				}
+				held[owner]++
+			}
+			for _, n := range held {
+				ok = ok && n >= total/len(ids)
 			}
 			if ok {
 				return

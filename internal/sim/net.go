@@ -21,7 +21,6 @@ type Link struct {
 	cfg LinkConfig
 
 	mu         sync.Mutex
-	cond       *sync.Cond
 	queue      []linkMsg
 	lastDepart time.Time
 	closed     bool
@@ -34,11 +33,7 @@ type linkMsg struct {
 }
 
 // NewLink creates a shaped one-way path.
-func NewLink(cfg LinkConfig) *Link {
-	l := &Link{cfg: cfg}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
+func NewLink(cfg LinkConfig) *Link { return &Link{cfg: cfg} }
 
 // Send schedules fn to run after the modelled network delay for a message
 // of the given size. Messages sent on the same link are delivered in order.
@@ -63,7 +58,6 @@ func (l *Link) Send(size int, fn func()) {
 		l.running = true
 		go l.deliverLoop()
 	}
-	l.cond.Signal()
 	l.mu.Unlock()
 }
 
@@ -96,7 +90,6 @@ func (l *Link) deliverLoop() {
 func (l *Link) Close() {
 	l.mu.Lock()
 	l.closed = true
-	l.cond.Broadcast()
 	l.mu.Unlock()
 }
 

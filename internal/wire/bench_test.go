@@ -12,7 +12,7 @@ func newBenchServer(b *testing.B) *Conn {
 	b.Helper()
 	cl, ctrl := newBackend(b, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 1, Bookies: 3})
 	srv := newClusterServer(b, cl, ctrl)
-	conn, err := Dial(srv.Addr())
+	conn, err := Dial(DialTCP, srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}

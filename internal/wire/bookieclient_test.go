@@ -92,11 +92,7 @@ func bookieHost(t *testing.T) (map[string]*bookkeeper.Bookie, *bookkeeper.Client
 		t.Cleanup(b.Close)
 		bookies[id], served[id] = b, b
 	}
-	srv, err := NewServer(ServerConfig{Coord: cluster.NewStore(), Bookies: served}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
+	srv := serveConfig(t, ServerConfig{Coord: cluster.NewStore(), Bookies: served})
 	addr, rc := countRequests(t, srv.Addr())
 	rs, err := DialCoord(addr, ClientConfig{})
 	if err != nil {

@@ -49,8 +49,8 @@ const (
 // nextBackoff is the backoff step after d.
 func nextBackoff(d time.Duration) time.Duration { return min(2*d, maxBackoff) }
 
-// Client is the remote transport: it implements both client.DataTransport
-// and client.ControlTransport over the wire protocol. The data plane is a
+// Client is the client side of the wire protocol: client.DataTransport and
+// the controller's client-facing methods. The data plane is a
 // placement.Router whose placement comes from the server's cluster-info
 // message and whose per-store transport is one pipelined connection per
 // store, so appends to different stores never queue behind each other; the
@@ -64,29 +64,21 @@ type Client struct {
 	cfg  ClientConfig
 	ctrl *storeConn
 
-	// dial overrides the transport dialer (fault-injection tests count and
-	// script dials through it); nil means Dial.
-	dial func(addr string) (*Conn, error)
+	// dial opens every connection: TCP in a deployment, a sim.Listener's
+	// Dial in process, a scripted dialer in tests.
+	dial Dialer
 	// firstBackoff is the reconnect loop's first backoff step (tests that
 	// must tell a wake from a polling wait stretch it).
 	firstBackoff time.Duration
 }
 
-// newClient is a client of addr whose config has its defaults.
-func newClient(addr string, cfg ClientConfig) *Client {
+// newClient is a client of addr, dialing through dial, whose config has
+// its defaults.
+func newClient(addr string, cfg ClientConfig, dial Dialer) *Client {
 	if cfg.SyncRetryWindow <= 0 {
 		cfg.SyncRetryWindow = 15 * time.Second
 	}
-	return &Client{addr: addr, cfg: cfg, firstBackoff: minBackoff}
-}
-
-// dialServer opens one connection to the given address through the
-// configured dialer.
-func (c *Client) dialServer(addr string) (*Conn, error) {
-	if c.dial != nil {
-		return c.dial(addr)
-	}
-	return Dial(addr)
+	return &Client{addr: addr, cfg: cfg, dial: dial, firstBackoff: minBackoff}
 }
 
 // dialStore opens the router's per-store transport: one pipelined
@@ -96,23 +88,26 @@ func (c *Client) dialStore(ep placement.Endpoint) (placement.Store, error) {
 	if ep.Addr == "" {
 		return nil, fmt.Errorf("wire: store %s advertised no address", ep.ID)
 	}
-	conn, _ := c.dialServer(ep.Addr)
+	conn, _ := Dial(c.dial, ep.Addr)
 	return newStoreConn(c, conn, ep.Addr), nil
 }
 
-var (
-	_ client.DataTransport    = (*Client)(nil)
-	_ client.ControlTransport = (*Client)(nil)
-)
+var _ client.DataTransport = (*Client)(nil)
 
-// NewClient dials addr, discovers the cluster layout, and opens one
-// connection per segment store.
+// NewClient is NewClientOver(DialTCP, addr, cfg): a client of a deployed
+// server.
 func NewClient(addr string, cfg ClientConfig) (*Client, error) {
-	ctrlConn, err := Dial(addr)
+	return NewClientOver(DialTCP, addr, cfg)
+}
+
+// NewClientOver dials addr through dial, discovers the cluster layout, and
+// opens one connection per segment store the same way.
+func NewClientOver(dial Dialer, addr string, cfg ClientConfig) (*Client, error) {
+	c := newClient(addr, cfg, dial)
+	ctrlConn, err := Dial(c.dial, addr)
 	if err != nil {
 		return nil, err
 	}
-	c := newClient(addr, cfg)
 	c.ctrl = newStoreConn(c, ctrlConn, addr)
 	c.Router, err = placement.New(placement.Config{Source: infoSource{c}, Dial: c.dialStore, Window: c.cfg.SyncRetryWindow})
 	if err != nil {
@@ -127,7 +122,7 @@ func NewClient(addr string, cfg ClientConfig) (*Client, error) {
 // The coord process pairs it with placement.CoordSource on its own
 // coordination store to reach whichever store process owns a container.
 func StoreDialer(cfg ClientConfig) func(placement.Endpoint) (placement.Store, error) {
-	return newClient("", cfg).dialStore
+	return newClient("", cfg, DialTCP).dialStore
 }
 
 // infoSource is an external client's placement source: the server's own
@@ -273,7 +268,7 @@ func (sc *storeConn) reconnectLoop() {
 			return
 		}
 		sc.mu.Unlock()
-		conn, err := sc.c.dialServer(sc.addr)
+		conn, err := Dial(sc.c.dial, sc.addr)
 		if err == nil {
 			sc.mu.Lock()
 			sc.redial = false
@@ -512,7 +507,7 @@ func (sc *storeConn) LoadReport() ([]segstore.SegmentLoad, error) {
 	return decode[[]segstore.SegmentLoad](rep, err, "load report")
 }
 
-// --- client.ControlTransport ---
+// --- control plane ---
 
 func (c *Client) CreateScope(scope string) error {
 	_, err := c.ctrl.call(MsgCreateScope, StreamReq{Scope: scope})

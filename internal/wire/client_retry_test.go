@@ -23,14 +23,13 @@ import (
 // the gate, so the wake latency is measured from a known instant.
 func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 	srv, _ := newServer(t)
-	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second})
-	c.firstBackoff = time.Second // poll-based waiting would sleep this long
 	gate := make(chan struct{})
-	c.dial = func(addr string) (*Conn, error) {
+	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second}, func(addr string) (net.Conn, error) {
 		<-gate
-		return Dial(addr)
-	}
-	conn, err := Dial(srv.Addr())
+		return DialTCP(addr)
+	})
+	c.firstBackoff = time.Second // poll-based waiting would sleep this long
+	conn, err := Dial(DialTCP, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +75,8 @@ func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 // reconnected one dead again (a 30 s livelock the nemesis soak hit).
 func TestAttemptReplacesIdleDeadConn(t *testing.T) {
 	srv, _ := newServer(t)
-	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 5 * time.Second})
-	conn, err := Dial(srv.Addr())
+	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 5 * time.Second}, DialTCP)
+	conn, err := Dial(DialTCP, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +95,12 @@ func TestAttemptReplacesIdleDeadConn(t *testing.T) {
 // of leaving them to run out their deadline.
 func TestAcquireObservesClose(t *testing.T) {
 	srv, _ := newServer(t)
-	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second})
 	gate := make(chan struct{}) // never opened: reconnect loop stays blocked
-	c.dial = func(addr string) (*Conn, error) {
+	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second}, func(string) (net.Conn, error) {
 		<-gate
 		return nil, errors.New("gated")
-	}
-	conn, err := Dial(srv.Addr())
+	})
+	conn, err := Dial(DialTCP, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestFailAllDeliversOffCallerGoroutine(t *testing.T) {
 		}
 		_, _ = io.Copy(io.Discard, conn)
 	}()
-	conn, err := Dial(ln.Addr().String())
+	conn, err := Dial(DialTCP, ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +215,7 @@ func TestSendFailureReportedOnce(t *testing.T) {
 		writeErr: make(chan error),
 		readErr:  make(chan error),
 	}
-	c := &Conn{
-		conn:    nc,
-		wr:      bufio.NewWriter(nc),
-		pending: make(map[uint64]*pendingReply),
-	}
-	go c.readLoop()
+	c, _ := Dial(func(string) (net.Conn, error) { return nc, nil }, "")
 
 	var reported atomic.Int32
 	sent := make(chan struct{})
@@ -365,11 +358,11 @@ func silentStore(t *testing.T) (*storeConn, <-chan struct{}) {
 		}
 	}()
 	addr := ln.Addr().String()
-	conn, err := Dial(addr)
+	conn, err := Dial(DialTCP, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newStoreConn(newClient(addr, ClientConfig{SyncRetryWindow: time.Second}), conn, addr), received
+	return newStoreConn(newClient(addr, ClientConfig{SyncRetryWindow: time.Second}, DialTCP), conn, addr), received
 }
 
 // TestCancelledReadReturnsWithoutServer pins that a read whose context is

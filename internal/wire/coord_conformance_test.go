@@ -26,11 +26,7 @@ func (rs *RemoteStore) DropConn() {
 // newRemoteCoord serves a fresh store over TCP and dials it.
 func newRemoteCoord(t *testing.T) *RemoteStore {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Coord: cluster.NewStore()}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
+	srv := serveConfig(t, ServerConfig{Coord: cluster.NewStore()})
 	rs, err := DialCoord(srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)

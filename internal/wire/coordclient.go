@@ -35,8 +35,8 @@ var _ cluster.Coord = (*RemoteStore)(nil)
 
 // DialCoord connects to the coordination process at addr.
 func DialCoord(addr string, cfg ClientConfig) (*RemoteStore, error) {
-	c := newClient(addr, cfg)
-	conn, err := c.dialServer(addr)
+	c := newClient(addr, cfg, DialTCP)
+	conn, err := Dial(c.dial, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ func TestHandlerTableComplete(t *testing.T) {
 		if ok {
 			t.Fatalf("plane %d still served after its backend was dropped", p)
 		}
-		conn, err := Dial(srv.Addr())
+		conn, err := Dial(DialTCP, srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestHandlerTableComplete(t *testing.T) {
 		_ = conn.Close()
 	}
 
-	conn, err := Dial(serveConfig(t, full).Addr())
+	conn, err := Dial(DialTCP, serveConfig(t, full).Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

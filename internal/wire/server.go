@@ -74,9 +74,9 @@ type ServerConfig struct {
 }
 
 // Server exposes a Pravega node — any subset of data, control, coordination
-// and WAL planes — over TCP. It is decoupled from the public client
-// package: pravega.Connect dials it through the same wire protocol any
-// external client would use.
+// and WAL planes — over the wire protocol. It is decoupled from the public
+// client package: pravega.Connect and pravega.NewInProcess reach it through
+// the same wire protocol any external client would use.
 type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
@@ -87,16 +87,13 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer starts listening on addr, serving the planes cfg selects.
-func NewServer(cfg ServerConfig, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
+// NewServer serves the planes cfg selects on ln, which it owns from here
+// on: a TCP listener in a deployment, a sim.Listener in process.
+func NewServer(cfg ServerConfig, ln net.Listener) *Server {
 	s := &Server{cfg: cfg, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the bound address.

@@ -1,9 +1,10 @@
-// Package wire implements the TCP protocol between Pravega clients and
-// server nodes: length-prefixed, request-id-correlated messages. Requests
-// pipeline on one connection and responses may return out of order, exactly
-// like Pravega's wire protocol; the segment append path preserves
-// per-connection FIFO submission order, which the event writer's ordering
-// guarantee builds on (§3.2).
+// Package wire implements the protocol between Pravega clients and server
+// nodes, over TCP or over internal/sim's in-memory connections:
+// length-prefixed, request-id-correlated messages. Requests pipeline on one
+// connection and responses may return out of order, exactly like Pravega's
+// wire protocol; the segment append path preserves per-connection FIFO
+// submission order, which the event writer's ordering guarantee builds on
+// (§3.2).
 //
 // There is one protocol. Every reply is the binary Reply envelope
 // (MsgReplyBin); a structured result rides in its Data. A body with a
@@ -18,10 +19,10 @@
 // table (handlers.go): the plane it needs, where it runs, a typed function.
 // The server's read loop knows nothing else about any message.
 //
-// The in-process deployments used by tests and benchmarks bypass this
-// layer; cmd/pravega-server and cmd/pravega-cli exercise it end to end.
-// Routing (which store serves a segment, what to do when it moved) is
-// internal/placement's; storeConn here is its per-store wire transport.
+// Every client speaks it, the in-process pravega.System included; only the
+// transport under it differs. Routing (which store serves a segment, what
+// to do when it moved) is internal/placement's; storeConn here is its
+// per-store wire transport.
 package wire
 
 import (
@@ -346,9 +347,16 @@ type Conn struct {
 	closed  bool
 }
 
-// Dial connects to a server node.
-func Dial(addr string) (*Conn, error) {
-	nc, err := net.Dial("tcp", addr)
+// Dialer opens one raw connection to a server address.
+type Dialer func(addr string) (net.Conn, error)
+
+// DialTCP is the deployed Dialer.
+func DialTCP(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+
+// Dial opens a connection to a server node through dial and runs the
+// client side of the protocol on it: every client connection starts here.
+func Dial(dial Dialer, addr string) (*Conn, error) {
+	nc, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}

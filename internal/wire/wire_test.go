@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -42,10 +43,11 @@ func clusterPlanes(cl *hosting.Cluster, ctrl *controller.Controller) ServerConfi
 
 func serveConfig(tb testing.TB, cfg ServerConfig) *Server {
 	tb.Helper()
-	srv, err := NewServer(cfg, "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
+	srv := NewServer(cfg, ln)
 	tb.Cleanup(func() { _ = srv.Close() })
 	return srv
 }
@@ -59,7 +61,7 @@ func newServer(t *testing.T) (*Server, *Conn) {
 	t.Helper()
 	cl, ctrl := newBackend(t, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
 	srv := newClusterServer(t, cl, ctrl)
-	conn, err := Dial(srv.Addr())
+	conn, err := Dial(DialTCP, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

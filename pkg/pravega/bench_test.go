@@ -7,47 +7,24 @@ import (
 	"github.com/pravega-go/pravega/internal/hosting"
 )
 
-// benchSystem builds a 1-store/1-container deployment, either used directly
-// (in-process transport) or fronted by a loopback wire server and reached
-// through pravega.Connect. The pair makes the transports directly
-// comparable: same data path behind the boundary, only the client transport
-// differs.
-func benchSystem(b *testing.B, tcp bool) *System {
+// benchSystem builds a 1-store/1-container in-process deployment.
+func benchSystem(b *testing.B) *System {
 	b.Helper()
-	backing, err := NewInProcess(SystemConfig{
+	sys, err := NewInProcess(SystemConfig{
 		Cluster: hosting.ClusterConfig{Stores: 1, ContainersPerStore: 1},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !tcp {
-		b.Cleanup(backing.Close)
-		return backing
-	}
-	srv, err := serveBacking(backing, "127.0.0.1:0")
-	if err != nil {
-		backing.Close()
-		b.Fatal(err)
-	}
-	sys, err := Connect(srv.Addr(), ClientConfig{})
-	if err != nil {
-		_ = srv.Close()
-		backing.Close()
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		_ = sys.remote.Close()
-		_ = srv.Close()
-		backing.Close()
-	})
+	b.Cleanup(sys.Close)
 	return sys
 }
 
-// benchWriter measures pipelined 100 B event writes through the public API,
-// acknowledging in windows of 256 so the writer's batching and the
+// BenchmarkWriter measures pipelined 100 B event writes through the public
+// API, acknowledging in windows of 256 so the writer's batching and the
 // transport's pipelining both engage.
-func benchWriter(b *testing.B, tcp bool) {
-	sys := benchSystem(b, tcp)
+func BenchmarkWriter(b *testing.B) {
+	sys := benchSystem(b)
 	if err := sys.Streams().CreateScope(context.Background(), "bench"); err != nil {
 		b.Fatal(err)
 	}
@@ -85,6 +62,3 @@ func benchWriter(b *testing.B, tcp bool) {
 		b.Fatal(err)
 	}
 }
-
-func BenchmarkWriterInProcess(b *testing.B) { benchWriter(b, false) }
-func BenchmarkWriterLoopback(b *testing.B)  { benchWriter(b, true) }

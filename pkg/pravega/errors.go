@@ -47,7 +47,7 @@ var (
 	// ErrTxnClosed is returned by WriteEvent on a transaction whose Commit
 	// or Abort was already invoked locally.
 	ErrTxnClosed = errors.New("pravega: transaction closed")
-	// ErrDisconnected is returned by a remote System (Connect) when an
+	// ErrDisconnected is returned by a System when an
 	// operation could not complete because the connection to the server was
 	// lost and not re-established within the retry window. Writers recover
 	// from it transparently (their futures only fail after the window

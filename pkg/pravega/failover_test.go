@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,12 +15,10 @@ import (
 
 // newFailoverSystem is newTestSystem with failover-friendly ownership
 // timings: a short lease TTL so wedged stores are fenced quickly, and a
-// three-store cluster so a crash leaves survivors to re-acquire. Like the
-// rest of the suite it runs in process by default and over a loopback wire
-// server with PRAVEGA_TEST_TRANSPORT=tcp.
+// three-store cluster so a crash leaves survivors to re-acquire.
 func newFailoverSystem(t *testing.T) *System {
 	t.Helper()
-	backing, err := NewInProcess(SystemConfig{
+	sys, err := NewInProcess(SystemConfig{
 		Cluster: hosting.ClusterConfig{
 			Stores:             3,
 			ContainersPerStore: 2,
@@ -31,28 +28,7 @@ func newFailoverSystem(t *testing.T) *System {
 	if err != nil {
 		t.Fatalf("NewInProcess: %v", err)
 	}
-	if os.Getenv("PRAVEGA_TEST_TRANSPORT") != "tcp" {
-		t.Cleanup(backing.Close)
-		return backing
-	}
-	srv, err := serveBacking(backing, "127.0.0.1:0")
-	if err != nil {
-		backing.Close()
-		t.Fatalf("role.Serve: %v", err)
-	}
-	sys, err := Connect(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second})
-	if err != nil {
-		_ = srv.Close()
-		backing.Close()
-		t.Fatalf("Connect: %v", err)
-	}
-	sys.cluster = backing.Cluster()
-	sys.ctrl = backing.Controller()
-	t.Cleanup(func() {
-		_ = sys.remote.Close()
-		_ = srv.Close()
-		backing.Close()
-	})
+	t.Cleanup(sys.Close)
 	return sys
 }
 
@@ -198,17 +174,15 @@ func runFailoverWorkload(t *testing.T, sys *System, scope string, disrupt func()
 
 // TestWriterReaderSurviveStoreFailover crashes one of three stores while a
 // writer/reader pair is in flight: survivors fence and re-acquire its
-// containers and the exactly-once oracle stays green. With
-// PRAVEGA_TEST_TRANSPORT=tcp the same scenario additionally exercises the
-// wire client's wrong-host retry and placement refresh.
+// containers and the exactly-once oracle stays green.
 func TestWriterReaderSurviveStoreFailover(t *testing.T) {
 	sys := newFailoverSystem(t)
 	runFailoverWorkload(t, sys, "failover", func() {
-		if err := sys.cluster.CrashStore(0); err != nil {
+		if err := sys.Cluster().CrashStore(0); err != nil {
 			t.Fatalf("CrashStore: %v", err)
 		}
 	})
-	if err := sys.cluster.AwaitConverged(10 * time.Second); err != nil {
+	if err := sys.Cluster().AwaitConverged(10 * time.Second); err != nil {
 		t.Fatalf("placement never reconverged: %v", err)
 	}
 }
@@ -219,7 +193,7 @@ func TestWriterReaderSurviveStoreFailover(t *testing.T) {
 func TestWriterReaderSurviveRebalance(t *testing.T) {
 	sys := newFailoverSystem(t)
 	runFailoverWorkload(t, sys, "rebalance", func() {
-		if _, err := sys.cluster.AddStore(); err != nil {
+		if _, err := sys.Cluster().AddStore(); err != nil {
 			t.Fatalf("AddStore: %v", err)
 		}
 	})

@@ -34,13 +34,13 @@ type TableOp = kvtable.TxnOp
 // NewKeyValueTable opens (creating if needed) the named table in a scope.
 func (s *System) NewKeyValueTable(scope, name string) (*KeyValueTable, error) {
 	seg := fmt.Sprintf("%s/_kvtable-%s/0.#epoch.0", scope, name)
-	conn := s.newData()
+	conn := s.data
 	if err := conn.CreateSegment(seg); err != nil && !isExists(err) {
 		return nil, err
 	}
 	backing := &segmentBacking{conn: conn, segment: seg}
 	// The instance id only needs to differ between concurrently open
-	// handles; the connection pointer value's low bits suffice.
+	// handles in this process.
 	return &KeyValueTable{table: kvtable.New(backing, instanceID())}, nil
 }
 

@@ -32,6 +32,8 @@ import (
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/role"
+	"github.com/pravega-go/pravega/internal/sim"
 	"github.com/pravega-go/pravega/internal/wire"
 )
 
@@ -109,45 +111,41 @@ type SystemConfig struct {
 	MetricsAddr string
 }
 
-// System is a handle on a Pravega deployment: either a full in-process
-// deployment (NewInProcess) or a remote one reached over the wire protocol
-// (Connect). Every client-facing method goes through the transport
-// interfaces of internal/client, so writers, readers, reader groups and KV
-// tables behave identically over both.
+// System is a handle on a Pravega deployment, reached over the wire
+// protocol: a full in-process deployment behind an in-memory listener
+// (NewInProcess), or a remote one over TCP (Connect). Both open the same
+// wire client, so writers, readers, reader groups and KV tables take one
+// code path.
 type System struct {
-	cluster *hosting.Cluster        // nil for Connect systems
-	ctrl    *controller.Controller  // nil for Connect systems
-	control client.ControlTransport // control-plane transport
-	newData func() client.DataTransport
-	remote  *wire.Client // set by Connect; closed with the System
-	obsSrv  *obs.Server
+	all    role.All     // zero for Connect systems
+	client *wire.Client // control and data plane
+	// data is client as every component's data transport; tests wrap it.
+	data   client.DataTransport
+	obsSrv *obs.Server
 
 	// ctx ends when the System closes: readers' fetchers derive from it.
 	ctx    context.Context
 	cancel context.CancelFunc
 }
 
-// NewInProcess starts a full in-process deployment.
+// NewInProcess starts a full in-process deployment and connects to it over
+// in-memory connections shaped by Cluster.Profile's client link.
 func NewInProcess(cfg SystemConfig) (*System, error) {
-	cl, err := hosting.NewCluster(cfg.Cluster)
+	var link sim.LinkConfig
+	if cfg.Cluster.Profile != nil {
+		link = cfg.Cluster.Profile.ClientLink
+	}
+	ln := sim.Listen(link)
+	all, err := role.StartAll(ln, cfg.Cluster, controller.Config{ScaleCooldown: cfg.ScaleCooldown}, cfg.PolicyInterval)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := controller.New(controller.Config{
-		Data:          cl.Router(),
-		Cluster:       cl.Meta,
-		ScaleCooldown: cfg.ScaleCooldown,
-	})
+	s, err := connect(ln.Dial, ln.Addr().String(), wire.ClientConfig{})
 	if err != nil {
-		cl.Close()
+		all.Close()
 		return nil, err
 	}
-	if cfg.PolicyInterval > 0 {
-		ctrl.StartPolicyLoops(cfg.PolicyInterval)
-	}
-	s := &System{cluster: cl, ctrl: ctrl, control: ctrl}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.newData = func() client.DataTransport { return cl.NewClientConn(cfg.Cluster.Profile) }
+	s.all = *all
 	if cfg.MetricsAddr != "" {
 		srv, err := obs.Serve(cfg.MetricsAddr, obs.Default())
 		if err != nil {
@@ -176,41 +174,29 @@ type ClientConfig struct {
 // reader groups, state-synchronized KV tables — with the same semantics as
 // an in-process deployment; Cluster and Controller return nil for it.
 func Connect(addr string, cfg ClientConfig) (*System, error) {
-	wc, err := wire.NewClient(addr, wire.ClientConfig{SyncRetryWindow: cfg.SyncRetryWindow})
+	return connect(wire.DialTCP, addr, wire.ClientConfig{SyncRetryWindow: cfg.SyncRetryWindow})
+}
+
+func connect(dial wire.Dialer, addr string, cfg wire.ClientConfig) (*System, error) {
+	wc, err := wire.NewClientOver(dial, addr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{control: wc, remote: wc}
+	s := &System{client: wc, data: wc}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	// All client components share the pooled wire client; their individual
-	// Close calls must not tear it down.
-	s.newData = func() client.DataTransport { return noCloseData{wc} }
 	return s, nil
 }
 
-// noCloseData shares one data transport among many components, absorbing
-// their Close calls (the System owns the underlying client).
-type noCloseData struct {
-	client.DataTransport
-}
-
-func (noCloseData) Close() error { return nil }
-
-// Close shuts the deployment (or remote connection) down and stops the
-// fetchers of every reader still open.
+// Close drops the client, then shuts down the in-process deployment behind
+// it, and stops the fetchers of every reader still open.
 func (s *System) Close() {
 	s.cancel()
 	if s.obsSrv != nil {
 		_ = s.obsSrv.Close()
 	}
-	if s.ctrl != nil {
-		s.ctrl.Close()
-	}
-	if s.cluster != nil {
-		s.cluster.Close()
-	}
-	if s.remote != nil {
-		_ = s.remote.Close()
+	_ = s.client.Close()
+	if s.all.Srv != nil {
+		s.all.Close()
 	}
 }
 
@@ -226,11 +212,11 @@ func (s *System) MetricsAddr() string {
 // Cluster exposes the underlying deployment (advanced use: failure
 // injection in tests, metrics in the benchmark harness). It is nil for a
 // System opened with Connect.
-func (s *System) Cluster() *hosting.Cluster { return s.cluster }
+func (s *System) Cluster() *hosting.Cluster { return s.all.Cluster }
 
 // Controller exposes the control plane (advanced use). It is nil for a
 // System opened with Connect.
-func (s *System) Controller() *controller.Controller { return s.ctrl }
+func (s *System) Controller() *controller.Controller { return s.all.Ctrl }
 
 func toInternalScaling(p ScalingPolicy) controller.ScalingPolicy {
 	return controller.ScalingPolicy{

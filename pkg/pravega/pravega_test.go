@@ -3,60 +3,27 @@ package pravega
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/hosting"
-	"github.com/pravega-go/pravega/internal/role"
-	"github.com/pravega-go/pravega/internal/wire"
+	"github.com/pravega-go/pravega/internal/obs"
 )
 
-// newTestSystem returns a System for the API test suite. By default it is an
-// in-process deployment; with PRAVEGA_TEST_TRANSPORT=tcp the same suite runs
-// against a loopback wire server through pravega.Connect, so every test
-// exercises the remote transport end to end.
+// newTestSystem returns an in-process System for the API test suite: every
+// call crosses the wire protocol over in-memory connections.
 func newTestSystem(t *testing.T) *System {
 	t.Helper()
-	backing, err := NewInProcess(SystemConfig{
+	sys, err := NewInProcess(SystemConfig{
 		Cluster: hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2},
 	})
 	if err != nil {
 		t.Fatalf("NewInProcess: %v", err)
 	}
-	if os.Getenv("PRAVEGA_TEST_TRANSPORT") != "tcp" {
-		t.Cleanup(backing.Close)
-		return backing
-	}
-	srv, err := serveBacking(backing, "127.0.0.1:0")
-	if err != nil {
-		backing.Close()
-		t.Fatalf("role.Serve: %v", err)
-	}
-	sys, err := Connect(srv.Addr(), ClientConfig{})
-	if err != nil {
-		_ = srv.Close()
-		backing.Close()
-		t.Fatalf("Connect: %v", err)
-	}
-	// Tests that reach below the public API (fault injection, tiering
-	// waits) still see the backing deployment.
-	sys.cluster = backing.Cluster()
-	sys.ctrl = backing.Controller()
-	t.Cleanup(func() {
-		_ = sys.remote.Close() // drop client connections first
-		_ = srv.Close()        // then the server
-		backing.Close()        // then the deployment behind it
-	})
+	t.Cleanup(sys.Close)
 	return sys
-}
-
-// serveBacking fronts an in-process system with the all-planes wire server
-// cmd/pravega-server's -role all runs.
-func serveBacking(backing *System, addr string) (*wire.Server, error) {
-	return role.Serve(backing.Cluster(), backing.Controller(), addr)
 }
 
 func mustCreate(t *testing.T, sys *System, scope, stream string, segments int) {
@@ -66,6 +33,27 @@ func mustCreate(t *testing.T, sys *System, scope, stream string, segments int) {
 	}
 	if err := sys.Streams().Create(context.Background(), StreamConfig{Scope: scope, Name: stream, InitialSegments: segments}); err != nil {
 		t.Fatalf("CreateStream: %v", err)
+	}
+}
+
+// TestInProcessWriteCrossesTheWire pins that an in-process System has no
+// shortcut past the wire protocol: one acknowledged event raises the
+// process-wide count of requests wire servers received.
+func TestInProcessWriteCrossesTheWire(t *testing.T) {
+	sys := newTestSystem(t)
+	mustCreate(t, sys, "wire", "s", 1)
+	w, err := sys.NewWriter(WriterConfig{Scope: "wire", Stream: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	requests := obs.Default().Counter("pravega_wire_requests_total", "")
+	before := requests.Value()
+	if err := w.WriteEvent("k", []byte("v")).Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if after := requests.Value(); after <= before {
+		t.Fatalf("pravega_wire_requests_total stayed at %d across an acknowledged write", after)
 	}
 }
 

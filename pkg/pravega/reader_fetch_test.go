@@ -43,14 +43,11 @@ func newWatchedReads(conn client.DataTransport, idle ...string) *watchedReads {
 // included, goes through a watchedReads.
 func watchedGroup(t *testing.T, sys *System, name, scope, stream string, idle ...string) (*ReaderGroup, *watchedReads) {
 	t.Helper()
-	orig := sys.newData
-	var w *watchedReads
-	sys.newData = func() client.DataTransport {
-		w = newWatchedReads(orig(), idle...)
-		return w
-	}
+	orig := sys.data
+	w := newWatchedReads(orig, idle...)
+	sys.data = w
 	rg, err := sys.NewReaderGroup(name, scope, stream)
-	sys.newData = orig
+	sys.data = orig
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +87,7 @@ func (w *watchedReads) snapshot() (map[string]int, int) {
 // that lands on it.
 func segmentsByKey(t *testing.T, sys *System, scope, stream string) map[string]string {
 	t.Helper()
-	segs, err := sys.control.GetActiveSegments(scope, stream)
+	segs, err := sys.client.GetActiveSegments(scope, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +328,7 @@ func TestReaderResumesAtTruncatedHead(t *testing.T) {
 	}
 	write("after")
 
-	segs, err := sys.control.GetActiveSegments("trunc", "s")
+	segs, err := sys.client.GetActiveSegments("trunc", "s")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func (s *System) NewReaderGroup(name, scope string, streams ...string) (*ReaderG
 		name:    name,
 		scope:   scope,
 		streams: streams,
-		conn:    s.newData(),
+		conn:    s.data,
 		state:   newRGState(),
 	}
 	// The group's coordination state lives in a dedicated segment.
@@ -103,7 +103,7 @@ func (s *System) NewReaderGroup(name, scope string, streams ...string) (*ReaderG
 	// ignores segments it already knows).
 	var segs []rgSegment
 	for _, stream := range streams {
-		heads, err := s.control.GetHeadSegments(scope, stream)
+		heads, err := s.client.GetHeadSegments(scope, stream)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func (rg *ReaderGroup) UnreadSegments() int {
 // completeSegment posts a completion with the segment's successors fetched
 // from the controller (§3.3's reader-controller interaction).
 func (rg *ReaderGroup) completeSegment(rec rgSegment) error {
-	succs, err := rg.sys.control.GetSuccessors(rg.scope, rec.Stream, rec.Number)
+	succs, err := rg.sys.client.GetSuccessors(rg.scope, rec.Stream, rec.Number)
 	if err != nil {
 		return err
 	}

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/wire"
 )
 
@@ -18,22 +21,19 @@ import (
 // batches after reconnecting and the server-side writer-attribute dedup
 // drops anything that already landed before the crash.
 func TestWriterSurvivesServerRestart(t *testing.T) {
-	backing, err := NewInProcess(SystemConfig{
-		Cluster: hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2},
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing, err := role.StartAll(ln, hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2}, controller.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer backing.Close()
-	srv, err := serveBacking(backing, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
+	addr := backing.Srv.Addr()
 
 	sys, err := Connect(addr, ClientConfig{})
 	if err != nil {
-		_ = srv.Close()
 		t.Fatal(err)
 	}
 	defer sys.Close()
@@ -52,15 +52,16 @@ func TestWriterSurvivesServerRestart(t *testing.T) {
 		case n / 3:
 			// Kill the server mid-stream: in-flight appends fail, the
 			// writer parks their batches for replay.
-			_ = srv.Close()
+			_ = backing.Srv.Close()
 		case n/3 + 30:
 			// Restart on the same address over the same deployment — the
 			// containers keep their writer attributes, so replayed batches
 			// that already landed are deduplicated.
-			srv2, err = serveBacking(backing, addr)
+			ln, err := net.Listen("tcp", addr)
 			if err != nil {
 				t.Fatalf("restarting server: %v", err)
 			}
+			srv2 = role.Serve(backing.Cluster, backing.Ctrl, ln)
 			defer srv2.Close()
 		}
 		futures = append(futures, w.WriteEvent(fmt.Sprintf("key-%d", i%7), []byte(fmt.Sprintf("event-%05d", i))))

@@ -63,13 +63,13 @@ func runCtxVal[T any](ctx context.Context, f func() (T, error)) (T, error) {
 
 // CreateScope registers a stream namespace.
 func (m *StreamManager) CreateScope(ctx context.Context, scope string) error {
-	return runCtx(ctx, func() error { return convertErr(m.sys.control.CreateScope(scope)) })
+	return runCtx(ctx, func() error { return convertErr(m.sys.client.CreateScope(scope)) })
 }
 
 // Create creates a stream.
 func (m *StreamManager) Create(ctx context.Context, cfg StreamConfig) error {
 	return runCtx(ctx, func() error {
-		return convertErr(m.sys.control.CreateStream(controller.StreamConfig{
+		return convertErr(m.sys.client.CreateStream(controller.StreamConfig{
 			Scope:           cfg.Scope,
 			Name:            cfg.Name,
 			InitialSegments: cfg.InitialSegments,
@@ -87,25 +87,25 @@ func (m *StreamManager) Create(ctx context.Context, cfg StreamConfig) error {
 // tail-drain — in-flight appends resolve before the seal lands) and no
 // further appends are accepted anywhere on the stream.
 func (m *StreamManager) Seal(ctx context.Context, scope, stream string) error {
-	return runCtx(ctx, func() error { return convertErr(m.sys.control.SealStream(scope, stream)) })
+	return runCtx(ctx, func() error { return convertErr(m.sys.client.SealStream(scope, stream)) })
 }
 
 // Delete removes a sealed stream and all its segments.
 func (m *StreamManager) Delete(ctx context.Context, scope, stream string) error {
-	return runCtx(ctx, func() error { return convertErr(m.sys.control.DeleteStream(scope, stream)) })
+	return runCtx(ctx, func() error { return convertErr(m.sys.client.DeleteStream(scope, stream)) })
 }
 
 // Scale manually splits one active segment into factor successors
 // (auto-scaling does this from load; the manual form serves admin tooling).
 func (m *StreamManager) Scale(ctx context.Context, scope, stream string, segmentNumber int64, factor int) error {
 	return runCtx(ctx, func() error {
-		segs, err := m.sys.control.GetActiveSegments(scope, stream)
+		segs, err := m.sys.client.GetActiveSegments(scope, stream)
 		if err != nil {
 			return convertErr(err)
 		}
 		for _, sr := range segs {
 			if sr.ID.Number == segmentNumber {
-				return convertErr(m.sys.control.Scale(scope, stream, []int64{segmentNumber}, sr.KeyRange.Split(factor)))
+				return convertErr(m.sys.client.Scale(scope, stream, []int64{segmentNumber}, sr.KeyRange.Split(factor)))
 			}
 		}
 		return fmt.Errorf("pravega: segment %d is not active in %s/%s", segmentNumber, scope, stream)
@@ -116,21 +116,19 @@ func (m *StreamManager) Scale(ctx context.Context, scope, stream string, segment
 // current tail as a stream cut and truncates there.
 func (m *StreamManager) Truncate(ctx context.Context, scope, stream string) error {
 	return runCtx(ctx, func() error {
-		segs, err := m.sys.control.GetActiveSegments(scope, stream)
+		segs, err := m.sys.client.GetActiveSegments(scope, stream)
 		if err != nil {
 			return convertErr(err)
 		}
-		d := m.sys.newData()
-		defer d.Close()
 		cut := make(controller.StreamCut, len(segs))
 		for _, sr := range segs {
-			info, err := d.GetInfo(sr.ID.QualifiedName())
+			info, err := m.sys.data.GetInfo(sr.ID.QualifiedName())
 			if err != nil {
 				return convertErr(err)
 			}
 			cut[sr.ID.Number] = info.Length
 		}
-		return convertErr(m.sys.control.TruncateStream(scope, stream, cut))
+		return convertErr(m.sys.client.TruncateStream(scope, stream, cut))
 	})
 }
 
@@ -151,14 +149,14 @@ func (m *StreamManager) UpdatePolicies(ctx context.Context, scope, stream string
 				LimitDuration: retention.LimitDuration,
 			}
 		}
-		return convertErr(m.sys.control.UpdateStreamPolicies(scope, stream, sp, rp))
+		return convertErr(m.sys.client.UpdateStreamPolicies(scope, stream, sp, rp))
 	})
 }
 
 // SegmentCount reports the stream's current parallelism.
 func (m *StreamManager) SegmentCount(ctx context.Context, scope, stream string) (int, error) {
 	return runCtxVal(ctx, func() (int, error) {
-		n, err := m.sys.control.SegmentCount(scope, stream)
+		n, err := m.sys.client.SegmentCount(scope, stream)
 		return n, convertErr(err)
 	})
 }

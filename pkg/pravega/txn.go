@@ -58,18 +58,19 @@ func (s *System) NewTransactionalWriter(cfg TxnWriterConfig) (*TransactionalEven
 		cfg.ID = randomID("txn-writer-")
 	}
 	// Surface unknown-stream errors at construction, like NewWriter.
-	if _, err := s.control.GetActiveSegments(cfg.Scope, cfg.Stream); err != nil {
+	if _, err := s.client.GetActiveSegments(cfg.Scope, cfg.Stream); err != nil {
 		return nil, convertErr(err)
 	}
-	return &TransactionalEventWriter{cfg: cfg, sys: s, conn: s.newData()}, nil
+	return &TransactionalEventWriter{cfg: cfg, sys: s, conn: s.data}, nil
 }
 
 // ID returns the writer id used for deduplication.
 func (w *TransactionalEventWriter) ID() string { return w.cfg.ID }
 
-// Close releases the writer's transport. Transactions begun by it remain
-// open on the controller until committed, aborted, or lease-expired.
-func (w *TransactionalEventWriter) Close() error { return w.conn.Close() }
+// Close holds nothing to release: the writer shares its System's client.
+// Transactions begun by it remain open on the controller until committed,
+// aborted, or lease-expired.
+func (w *TransactionalEventWriter) Close() error { return nil }
 
 // BeginTxn opens a transaction on the stream. The returned Txn owns one
 // shadow segment per active parent segment; its WriteEvent routes by key
@@ -84,7 +85,7 @@ func (w *TransactionalEventWriter) BeginTxn(ctx context.Context) (*Txn, error) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		info, err := w.sys.control.BeginTxn(w.cfg.Scope, w.cfg.Stream, w.cfg.Lease)
+		info, err := w.sys.client.BeginTxn(w.cfg.Scope, w.cfg.Stream, w.cfg.Lease)
 		done <- res{info, convertErr(err)}
 	}()
 	select {
@@ -183,7 +184,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return err
 	}
 	return runCtx(ctx, func() error {
-		return convertErr(t.w.sys.control.CommitTxn(t.w.cfg.Scope, t.w.cfg.Stream, t.id))
+		return convertErr(t.w.sys.client.CommitTxn(t.w.cfg.Scope, t.w.cfg.Stream, t.id))
 	})
 }
 
@@ -194,7 +195,7 @@ func (t *Txn) Abort(ctx context.Context) error {
 	t.closed = true
 	t.mu.Unlock()
 	return runCtx(ctx, func() error {
-		return convertErr(t.w.sys.control.AbortTxn(t.w.cfg.Scope, t.w.cfg.Stream, t.id))
+		return convertErr(t.w.sys.client.AbortTxn(t.w.cfg.Scope, t.w.cfg.Stream, t.id))
 	})
 }
 
@@ -209,7 +210,7 @@ func (t *Txn) Status(ctx context.Context) (TxnStatus, error) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		state, err := t.w.sys.control.TxnStatus(t.w.cfg.Scope, t.w.cfg.Stream, t.id)
+		state, err := t.w.sys.client.TxnStatus(t.w.cfg.Scope, t.w.cfg.Stream, t.id)
 		done <- res{state, convertErr(err)}
 	}()
 	select {

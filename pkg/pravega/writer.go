@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/client"
@@ -115,21 +114,20 @@ type EventWriter struct {
 	writers map[int64]*segmentWriter
 	stale   int // registered writers whose segment left the active route
 	closed  bool
-
-	eventSeq atomic.Int64
+	seq     int64 // the last event number given out
 }
 
 // NewWriter creates an event writer for a stream.
 func (s *System) NewWriter(cfg WriterConfig) (*EventWriter, error) {
 	cfg.defaults()
-	segs, err := s.control.GetActiveSegments(cfg.Scope, cfg.Stream)
+	segs, err := s.client.GetActiveSegments(cfg.Scope, cfg.Stream)
 	if err != nil {
 		return nil, convertErr(err)
 	}
 	w := &EventWriter{
 		cfg:     cfg,
 		sys:     s,
-		conn:    s.newData(),
+		conn:    s.data,
 		route:   routeTable{segments: segs},
 		writers: make(map[int64]*segmentWriter),
 	}
@@ -149,7 +147,6 @@ func (w *EventWriter) WriteEvent(routingKey string, event []byte) *WriteFuture {
 		hash:   keyspace.HashKey(routingKey),
 		data:   event,
 		future: f,
-		seq:    w.eventSeq.Add(1),
 	}
 	w.mu.Lock()
 	if w.closed {
@@ -163,9 +160,16 @@ func (w *EventWriter) WriteEvent(routingKey string, event []byte) *WriteFuture {
 	return f
 }
 
-// enqueueLocked routes one pending event to its segment writer. Caller
-// holds w.mu.
+// enqueueLocked numbers one pending event and routes it to its segment
+// writer. Caller holds w.mu. Numbering here, on every (re-)enqueue, keeps
+// numbers rising along each segment's sends: the server acks an append
+// numbered at or below the writer's attribute as a duplicate (§3.2), and a
+// merge re-routes events from two predecessors into one successor in
+// whichever order their seals resolve. A re-routed event was never
+// applied (a sealed segment rejects at validation), so a new number is safe.
 func (w *EventWriter) enqueueLocked(pe pendingEvent) {
+	w.seq++
+	pe.seq = w.seq
 	seg, err := w.route.segmentFor(pe.hash)
 	if err != nil {
 		pe.future.complete(err)
@@ -591,7 +595,7 @@ func (sw *segmentWriter) resolveSeal() {
 	// sealed segment that never gains successors means the whole stream was
 	// sealed: pending events can never be appended.
 	for {
-		succs, err := w.sys.control.GetSuccessors(w.cfg.Scope, w.cfg.Stream, sw.seg.ID.Number)
+		succs, err := w.sys.client.GetSuccessors(w.cfg.Scope, w.cfg.Stream, sw.seg.ID.Number)
 		if err != nil {
 			sw.failPending(convertErr(err))
 			return
@@ -599,7 +603,7 @@ func (sw *segmentWriter) resolveSeal() {
 		if len(succs) > 0 {
 			break
 		}
-		sealed, err := w.sys.control.IsStreamSealed(w.cfg.Scope, w.cfg.Stream)
+		sealed, err := w.sys.client.IsStreamSealed(w.cfg.Scope, w.cfg.Stream)
 		if err != nil {
 			sw.failPending(convertErr(err))
 			return
@@ -610,7 +614,7 @@ func (sw *segmentWriter) resolveSeal() {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	segs, err := w.sys.control.GetActiveSegments(w.cfg.Scope, w.cfg.Stream)
+	segs, err := w.sys.client.GetActiveSegments(w.cfg.Scope, w.cfg.Stream)
 	if err != nil {
 		sw.failPending(convertErr(err))
 		return

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/client"
+	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
 
@@ -87,8 +88,6 @@ func (ft *ackFaultTransport) stop() {
 // writer through its disconnect recovery (WriterState handshake + verbatim
 // batch replay), and the server-side dedup must absorb the replays. The
 // read-back asserts no loss, no duplicates, and contiguous per-key order.
-// With PRAVEGA_TEST_TRANSPORT=tcp the same test runs over the wire
-// transport, so both DataTransport implementations are covered.
 func TestWriterExactlyOnceUnderAckFaults(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
@@ -259,5 +258,119 @@ func TestWriterBatchCannotOvertakeLostPredecessor(t *testing.T) {
 		if string(ev.Data) != want {
 			t.Fatalf("read %q, want %q (an acked event was lost or reordered)", ev.Data, want)
 		}
+	}
+}
+
+// heldAcks holds the append results of one segment until release.
+type heldAcks struct {
+	client.DataTransport
+	seg string
+
+	mu       sync.Mutex
+	held     []func()
+	released bool
+}
+
+func (h *heldAcks) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+	if name != h.seg {
+		h.DataTransport.AppendAfter(name, data, writerID, prev, eventNum, eventCount, cb)
+		return
+	}
+	h.DataTransport.AppendAfter(name, data, writerID, prev, eventNum, eventCount, func(r segstore.AppendResult) {
+		h.mu.Lock()
+		if !h.released {
+			h.held = append(h.held, func() { cb(r) })
+			h.mu.Unlock()
+			return
+		}
+		h.mu.Unlock()
+		cb(r)
+	})
+}
+
+func (h *heldAcks) release() {
+	h.mu.Lock()
+	h.released = true
+	held := h.held
+	h.held = nil
+	h.mu.Unlock()
+	for _, deliver := range held {
+		deliver()
+	}
+}
+
+// TestMergeReroutesOlderEventAfterNewer: after a scale-down merge, one
+// predecessor's seal resolves late, so its re-routed event reaches the
+// successor after the other predecessor's younger events were applied
+// there. The event must be applied, not acked as a duplicate of the
+// writer's higher attribute on the successor.
+func TestMergeReroutesOlderEventAfterNewer(t *testing.T) {
+	sys := newTestSystem(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	mustCreate(t, sys, "reroute", "s", 2)
+	segs, err := sys.Controller().GetActiveSegments("reroute", "s")
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	keyIn := func(r keyspace.Range) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("key-%d", i); r.Contains(keyspace.HashKey(k)) {
+				return k
+			}
+		}
+	}
+	late, early := keyIn(segs[0].KeyRange), keyIn(segs[1].KeyRange)
+	w, err := sys.NewWriter(WriterConfig{Scope: "reroute", Stream: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &heldAcks{DataTransport: w.conn, seg: segs[0].ID.QualifiedName()}
+	w.conn = gate
+	merged, err := keyspace.Merge(segs[0].KeyRange, segs[1].KeyRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Controller().Scale("reroute", "s", []int64{segs[0].ID.Number, segs[1].ID.Number}, []keyspace.Range{merged}); err != nil {
+		t.Fatal(err)
+	}
+
+	lateF := w.WriteEvent(late, []byte("late"))
+	var earlyF []*WriteFuture
+	for i := 0; i < 5; i++ {
+		earlyF = append(earlyF, w.WriteEvent(early, []byte(fmt.Sprintf("early-%d", i))))
+	}
+	for _, f := range earlyF {
+		if err := f.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate.release()
+	if err := lateF.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rg, err := sys.NewReaderGroup("rg-reroute", "reroute", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rg.NewReader("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	seen := map[string]bool{}
+	for len(seen) < 6 {
+		ev, err := r.ReadNextEvent(2 * time.Second)
+		if err != nil {
+			t.Fatalf("after %d of 6 events (%v): %v", len(seen), seen, err)
+		}
+		seen[string(ev.Data)] = true
+	}
+	if !seen["late"] {
+		t.Fatalf("the acked event re-routed last was lost: read %v", seen)
 	}
 }
