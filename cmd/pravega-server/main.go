@@ -1,9 +1,10 @@
 // Command pravega-server runs a Pravega node, serving the wire protocol on
-// a TCP port. Three roles compose a deployment, each built by
-// internal/role:
+// TCP. Two roles compose a deployment, each built by internal/role, and a
+// third runs both in one process:
 //
-//   - all (default): the classic single-process node — controller, segment
-//     stores, bookie ensemble and long-term storage behind one listener.
+//   - all (default): a coord on -listen plus -stores stores in this
+//     process, each store on a port of its own on the same host; clients
+//     bootstrap from -listen and reach the stores directly.
 //   - coord: the coordination process — the cluster's coordination store
 //     (sessions, ephemerals, watches served over the wire), the WAL bookie
 //     ensemble, and the controller, which reaches segment stores remotely.
@@ -36,11 +37,10 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/role"
+	"github.com/pravega-go/pravega/internal/wire"
 )
 
 func main() {
@@ -50,11 +50,11 @@ func main() {
 		advertise  = flag.String("advertise", "", "address other processes dial this one on (default: the bound listen address)")
 		storeID    = flag.String("store-id", "", "store role: unique segment store id (required)")
 		coordAddr  = flag.String("coord-addr", "", "store role: address of the coord process (required)")
-		stores     = flag.Int("stores", 3, "segment store instances (all: in-process count; coord: expected store processes, sizes the container key space)")
+		stores     = flag.Int("stores", 3, "segment stores (all: started in this process; coord: expected store processes, sizes the container key space)")
 		containers = flag.Int("containers", 4, "segment containers per store")
 		bookies    = flag.Int("bookies", 3, "bookie instances")
 		ltsDir     = flag.String("lts-dir", "", "directory for long-term storage (empty = in-memory; store role: required, shared across stores)")
-		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "store role: container claim lease TTL")
+		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "store/all: container claim lease TTL")
 		policyMS   = flag.Int("policy-interval-ms", 2000, "auto-scaling/retention evaluation period (all/coord)")
 		metrics    = flag.String("metrics", "", "address for the observability HTTP endpoint (/metrics, /debug/vars, /debug/pprof/, /debug/traces); empty = disabled")
 		traceEvery = flag.Int("trace-sample", 0, "sample one append span per N appends into /debug/traces (0 = off)")
@@ -67,42 +67,28 @@ func main() {
 
 	switch *which {
 	case "all":
-		ccfg := hosting.ClusterConfig{Stores: *stores, ContainersPerStore: *containers, Bookies: *bookies}
+		cfg := role.ClusterConfig{
+			Coord: role.CoordConfig{Stores: *stores, Containers: *containers, Bookies: *bookies, PolicyInterval: policy},
+			Store: role.StoreConfig{LeaseTTL: *leaseTTL},
+		}
 		if *ltsDir != "" {
-			fsStore, err := lts.NewFS(*ltsDir)
-			if err != nil {
-				log.Fatalf("pravega-server: opening LTS directory: %v", err)
-			}
-			ccfg.LTS = fsStore
+			cfg.Store.LTS = openLTS(*ltsDir)
 		}
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			log.Fatalf("pravega-server: listening: %v", err)
-		}
-		a, err := role.StartAll(ln, ccfg, controller.Config{}, policy)
+		cl, err := role.StartCluster(role.TCPNet(*listen), cfg)
 		if err != nil {
 			log.Fatalf("pravega-server: starting system: %v", err)
 		}
-		defer a.Close()
+		defer cl.Close()
 		fmt.Printf("pravega-server: serving on %s (%d stores × %d containers, %d bookies)\n",
-			a.Srv.Addr(), *stores, *containers, *bookies)
+			cl.Addr(), *stores, *containers, *bookies)
 		defer serveMetrics(*metrics)()
+		// No drain: the coordination store and the bookies live in this
+		// process's memory, so nothing a flush to LTS saves outlives it.
 		awaitSignal(nil)
-		fmt.Printf("pravega-server: draining (up to %v; signal again to exit immediately)\n", *drainTO)
-		// Stop accepting wire traffic, then flush every open WAL segment and
-		// let the tiering engine finish moving flushed data to LTS.
-		if err := a.Srv.Close(); err != nil {
-			log.Printf("pravega-server: closing listener: %v", err)
-		}
-		drain(*drainTO, "pravega-server: drained, shutting down", func() error {
-			if err := a.Cluster.FlushAll(); err != nil {
-				return err
-			}
-			return a.Cluster.WaitForTiering(*drainTO)
-		})
+		fmt.Println("pravega-server: shutting down")
 	case "coord":
-		c, err := role.StartCoord(role.CoordConfig{
-			Listen: *listen, Stores: *stores, Containers: *containers, Bookies: *bookies, PolicyInterval: policy,
+		c, err := role.StartCoord(listenTCP(*listen), wire.DialTCP, role.CoordConfig{
+			Stores: *stores, Containers: *containers, Bookies: *bookies, PolicyInterval: policy,
 		})
 		if err != nil {
 			log.Fatalf("pravega-server: %v", err)
@@ -122,9 +108,9 @@ func main() {
 		case *ltsDir == "":
 			log.Fatal("pravega-server: -role store requires -lts-dir (shared across stores for failover)")
 		}
-		s, err := role.StartStore(role.StoreConfig{
-			ID: *storeID, Listen: *listen, Advertise: *advertise, CoordAddr: *coordAddr,
-			LTSDir: *ltsDir, LeaseTTL: *leaseTTL,
+		s, err := role.StartStore(listenTCP(*listen), wire.DialTCP, role.StoreConfig{
+			ID: *storeID, Advertise: *advertise, CoordAddr: *coordAddr,
+			LTS: openLTS(*ltsDir), LeaseTTL: *leaseTTL,
 		})
 		if err != nil {
 			log.Fatalf("pravega-server: %v", err)
@@ -140,6 +126,24 @@ func main() {
 	default:
 		log.Fatalf("pravega-server: unknown -role %q (want all, coord or store)", *which)
 	}
+}
+
+// listenTCP opens the role's listener or exits.
+func listenTCP(addr string) net.Listener {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("pravega-server: listening: %v", err)
+	}
+	return ln
+}
+
+// openLTS opens the shared LTS directory or exits.
+func openLTS(dir string) lts.ChunkStorage {
+	fsStore, err := lts.NewFS(dir)
+	if err != nil {
+		log.Fatalf("pravega-server: opening LTS directory: %v", err)
+	}
+	return fsStore
 }
 
 // serveMetrics starts the observability endpoint unless addr is empty.

@@ -17,21 +17,34 @@ import (
 	"github.com/pravega-go/pravega/internal/segstore"
 )
 
+// ErrRetryable marks a failure the event writer resolves by parking the
+// batch and replaying it through the WriterState handshake (§3.2): the
+// connection was lost, the container moved or stopped mid-append, or the
+// batch overtook one that failed. The wire client marks every such error it
+// makes or decodes, so the writer asks one question of an append's error.
+var ErrRetryable = errors.New("client: retryable")
+
 // ErrDisconnected reports that the transport lost its connection to the
 // server. In-flight operations fail with it (wrapped with the underlying
 // cause); the wire transport reconnects with capped exponential backoff in
 // the background, so retrying the operation is safe once the writer has
 // re-established its position via WriterState (§3.2 reconnection
-// handshake).
-var ErrDisconnected = errors.New("client: disconnected")
+// handshake). It is retryable.
+var ErrDisconnected error = retryable("client: disconnected")
 
 // ErrWrongHost reports that the store an operation was routed to does not
 // currently own the target container — it moved (failover, rebalance) or is
 // momentarily unowned mid-handoff. Unlike ErrDisconnected this says nothing
 // about connection health: the fix is to refresh placement and re-route,
 // not to reconnect. The operation never started, so retrying any operation
-// on it is safe.
-var ErrWrongHost = errors.New("client: wrong host for container")
+// on it is safe; it is retryable.
+var ErrWrongHost error = retryable("client: wrong host for container")
+
+// retryable is a sentinel whose chain holds ErrRetryable.
+type retryable string
+
+func (e retryable) Error() string { return string(e) }
+func (retryable) Unwrap() error   { return ErrRetryable }
 
 // DataTransport is the client's path to segment stores: appends, reads and
 // segment metadata. Implementations route each segment to its owning

@@ -445,8 +445,8 @@ func TestFenceFaultDuringRecovery(t *testing.T) {
 
 // TestFlushErrorSurfaced: while LTS is persistently down, FlushAll and
 // LastFlushError must surface the underlying cause instead of failing
-// silently (hosting.WaitForTiering's share of this is checked in hosting's
-// TestLTSOutageThrottlesAndRecovers).
+// silently (role.Cluster.WaitForTiering's share of this is checked in
+// role's TestLTSOutageThrottlesAndRecovers).
 func TestFlushErrorSurfaced(t *testing.T) {
 	h := NewHarness(t, HarnessConfig{Seed: 19, Segments: 1})
 	defer h.Close()

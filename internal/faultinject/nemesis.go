@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/wire"
@@ -84,7 +85,8 @@ type NemesisProxy struct {
 	// "operation applied, ack lost" schedule.
 	dropReply wire.MessageType
 
-	injected int64
+	injected  int64
+	forwarded atomic.Int64 // frame bytes read for forwarding, both directions
 }
 
 // NewNemesisProxy listens on addr (e.g. "127.0.0.1:0") and forwards every
@@ -102,6 +104,10 @@ func NewNemesisProxy(addr, target string, cfg NemesisConfig) (*NemesisProxy, err
 
 // Addr returns the proxy's listen address (dial this instead of the server).
 func (p *NemesisProxy) Addr() string { return p.ln.Addr().String() }
+
+// Forwarded reports how many frame bytes the proxy has read for forwarding
+// so far, in both directions.
+func (p *NemesisProxy) Forwarded() int64 { return p.forwarded.Load() }
 
 // Injected reports how many faults the proxy has injected so far.
 func (p *NemesisProxy) Injected() int64 {
@@ -281,6 +287,7 @@ func (pp *proxyPair) pump(src, dst net.Conn, rng *rand.Rand, c2s bool) {
 		if err != nil {
 			return
 		}
+		pp.p.forwarded.Add(int64(len(frame)))
 
 		if c2s {
 			pp.armDropReply(frame)

@@ -7,11 +7,10 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
@@ -19,60 +18,140 @@ import (
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
-// nemesisRig is one proxied deployment: an in-process cluster fronted by a
-// wire server, the nemesis proxy in front of that, and a pravega System
-// connected through the proxy — so every client byte crosses the fault
-// pipeline.
+// nemesisRig is one proxied deployment: an in-process cluster whose coord
+// and stores each sit behind a nemesis proxy, and a pravega System connected
+// through them — so every client byte crosses the fault pipeline.
 type nemesisRig struct {
-	backing *role.All
-	proxy   *NemesisProxy
+	cluster *role.Cluster
+	proxy   *proxyNet
 	sys     *pravega.System
+}
+
+// proxyNet is a role.Net on loopback TCP with a NemesisProxy in front of
+// every role. Each role advertises its proxy, so every client byte — and
+// every call the coord makes to a store — crosses the fault pipeline; the
+// stores reach the coord directly, so their leases and WAL writes do not.
+// Each fault control acts on every proxy.
+type proxyNet struct {
+	cfg NemesisConfig
+
+	mu      sync.Mutex
+	proxies map[string]*NemesisProxy // by role name: "coord" or a store id
+}
+
+func (n *proxyNet) net() role.Net {
+	return role.Net{Dial: wire.DialTCP, Listen: func(name string) (net.Listener, string, error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, "", err
+		}
+		p, err := NewNemesisProxy("127.0.0.1:0", ln.Addr().String(), n.cfg)
+		if err != nil {
+			_ = ln.Close()
+			return nil, "", err
+		}
+		n.mu.Lock()
+		n.proxies[name] = p
+		n.mu.Unlock()
+		return ln, p.Addr(), nil
+	}}
+}
+
+// proxy returns the proxy in front of the named role.
+func (n *proxyNet) proxy(name string) *NemesisProxy {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.proxies[name]
+}
+
+func (n *proxyNet) all() []*NemesisProxy {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	ps := make([]*NemesisProxy, 0, len(n.proxies))
+	for _, p := range n.proxies {
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+func (n *proxyNet) KillAll() {
+	for _, p := range n.all() {
+		p.KillAll()
+	}
+}
+
+func (n *proxyNet) Partition(d time.Duration) {
+	for _, p := range n.all() {
+		p.Partition(d)
+	}
+}
+
+// Partitioned reports whether any proxy's partition is still in force.
+func (n *proxyNet) Partitioned() bool {
+	for _, p := range n.all() {
+		if p.Partitioned() {
+			return true
+		}
+	}
+	return false
+}
+
+func (n *proxyNet) DropReplyOnce(t wire.MessageType) {
+	for _, p := range n.all() {
+		p.DropReplyOnce(t)
+	}
+}
+
+func (n *proxyNet) Injected() (sum int64) {
+	for _, p := range n.all() {
+		sum += p.Injected()
+	}
+	return sum
+}
+
+func (n *proxyNet) Close() {
+	for _, p := range n.all() {
+		_ = p.Close()
+	}
 }
 
 func newNemesisRig(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientConfig) *nemesisRig {
 	t.Helper()
-	return newNemesisRigCluster(t, ncfg, ccfg, hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2})
+	return newNemesisRigCluster(t, ncfg, ccfg, role.ClusterConfig{Coord: role.CoordConfig{Stores: 2, Containers: 2}})
 }
 
 // newNemesisRigCluster is newNemesisRig with the backing cluster's shape
 // under the caller's control (store-kill runs want more stores and fast
 // ownership timings).
-func newNemesisRigCluster(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientConfig, clcfg hosting.ClusterConfig) *nemesisRig {
+func newNemesisRigCluster(t *testing.T, ncfg NemesisConfig, ccfg pravega.ClientConfig, clcfg role.ClusterConfig) *nemesisRig {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	proxies := &proxyNet{cfg: ncfg, proxies: make(map[string]*NemesisProxy)}
+	cl, err := role.StartCluster(proxies.net(), clcfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	backing, err := role.StartAll(ln, clcfg, controller.Config{}, 0)
-	if err != nil {
-		t.Fatalf("role.StartAll: %v", err)
-	}
-	proxy, err := NewNemesisProxy("127.0.0.1:0", backing.Srv.Addr(), ncfg)
-	if err != nil {
-		backing.Close()
-		t.Fatalf("NewNemesisProxy: %v", err)
+		proxies.Close()
+		t.Fatalf("role.StartCluster: %v", err)
 	}
 	// The initial dials cross the fault pipeline too (a black-holed or
 	// killed connection fails the whole Connect), so Connect retries.
 	var sys *pravega.System
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		sys, err = pravega.Connect(proxy.Addr(), ccfg)
+		sys, err = pravega.Connect(cl.Addr(), ccfg)
 		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			_ = proxy.Close()
-			backing.Close()
+			proxies.Close()
+			cl.Close()
 			t.Fatalf("Connect through nemesis: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	rig := &nemesisRig{backing: backing, proxy: proxy, sys: sys}
+	rig := &nemesisRig{cluster: cl, proxy: proxies, sys: sys}
 	t.Cleanup(func() {
 		rig.sys.Close()
-		_ = rig.proxy.Close()
-		rig.backing.Close()
+		rig.proxy.Close()
+		rig.cluster.Close()
 	})
 	return rig
 }
@@ -162,7 +241,7 @@ func writeReadRoundTrip(t *testing.T, sys *pravega.System, scope string, keys, p
 	}
 }
 
-func assertInjected(t *testing.T, p *NemesisProxy) {
+func assertInjected(t *testing.T, p interface{ Injected() int64 }) {
 	t.Helper()
 	if n := p.Injected(); n == 0 {
 		t.Fatal("nemesis injected no faults; the rule under test never fired")
@@ -173,6 +252,16 @@ func TestNemesisSplitFrames(t *testing.T) {
 	rig := newNemesisRig(t, NemesisConfig{Seed: 11, SplitProb: 0.6}, pravega.ClientConfig{})
 	writeReadRoundTrip(t, rig.sys, "split", 4, 40)
 	assertInjected(t, rig.proxy)
+	// Stores advertise their proxies, so the client's appends and reads
+	// reach the stores through them: the store proxies carried at least the
+	// payload, once each way.
+	var storeBytes int64
+	for _, st := range rig.cluster.Stores() {
+		storeBytes += rig.proxy.proxy(st.ID()).Forwarded()
+	}
+	if payload := int64(4 * 40 * len("k0:0000")); storeBytes < 2*payload {
+		t.Fatalf("store proxies forwarded %d bytes, under the %d bytes of payload written and read", storeBytes, 2*payload)
+	}
 }
 
 func TestNemesisCoalesceFrames(t *testing.T) {
@@ -289,7 +378,7 @@ func TestNemesisPartition(t *testing.T) {
 // commit that happened.
 func TestMergeAppliedAckLost(t *testing.T) {
 	rig := newNemesisRig(t, NemesisConfig{Seed: 18}, pravega.ClientConfig{})
-	wc, err := wire.NewClient(rig.proxy.Addr(), wire.ClientConfig{})
+	wc, err := wire.NewClient(rig.cluster.Addr(), wire.ClientConfig{})
 	if err != nil {
 		t.Fatalf("wire.NewClient: %v", err)
 	}
@@ -309,7 +398,7 @@ func TestMergeAppliedAckLost(t *testing.T) {
 	if _, err := wc.AppendConditional(shadow, []byte("abcde"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.backing.Cluster.Router().SealSegment(shadow); err != nil {
+	if _, err := wc.SealSegment(shadow); err != nil {
 		t.Fatalf("seal shadow: %v", err)
 	}
 
@@ -340,7 +429,7 @@ func TestMergeAppliedAckLost(t *testing.T) {
 // end is what ends a wait whose client is gone.
 func TestLongPollReapedOnConnDrop(t *testing.T) {
 	rig := newNemesisRig(t, NemesisConfig{Seed: 19}, pravega.ClientConfig{})
-	wc, err := wire.NewClient(rig.proxy.Addr(), wire.ClientConfig{SyncRetryWindow: time.Second})
+	wc, err := wire.NewClient(rig.cluster.Addr(), wire.ClientConfig{SyncRetryWindow: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +439,7 @@ func TestLongPollReapedOnConnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cont *segstore.Container
-	for _, st := range rig.backing.Cluster.Stores() {
+	for _, st := range rig.cluster.Stores() {
 		if c, err := st.Container(name); err == nil {
 			cont = c
 		}

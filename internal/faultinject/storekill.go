@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/role"
 )
 
 // StoreKiller is the nemesis's store-level fault arm: where NemesisProxy
@@ -16,7 +16,7 @@ import (
 // and growing the cluster back with a replacement store so the assigner's
 // graceful handoff path is exercised in the same run.
 type StoreKiller struct {
-	cl  *hosting.Cluster
+	cl  *role.Cluster
 	rng *rand.Rand
 
 	mu    sync.Mutex
@@ -25,7 +25,7 @@ type StoreKiller struct {
 }
 
 // NewStoreKiller builds a killer whose victim choices derive from seed.
-func NewStoreKiller(cl *hosting.Cluster, seed int64) *StoreKiller {
+func NewStoreKiller(cl *role.Cluster, seed int64) *StoreKiller {
 	return &StoreKiller{cl: cl, rng: rand.New(rand.NewSource(seed*31337 + 7))}
 }
 

@@ -9,19 +9,19 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/segstore"
+	"github.com/pravega-go/pravega/internal/sim"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
 // storeKillClusterConfig is the backing deployment for store-kill runs:
 // three stores so every crash leaves survivors, and fast ownership timings
 // so failover resolves within the workload's patience.
-func storeKillClusterConfig() hosting.ClusterConfig {
-	return hosting.ClusterConfig{
-		Stores:             3,
-		ContainersPerStore: 2,
-		LeaseTTL:           500 * time.Millisecond,
+func storeKillClusterConfig() role.ClusterConfig {
+	return role.ClusterConfig{
+		Coord: role.CoordConfig{Stores: 3, Containers: 2},
+		Store: role.StoreConfig{LeaseTTL: 500 * time.Millisecond},
 	}
 }
 
@@ -37,7 +37,7 @@ func TestNemesisStoreKillFailover(t *testing.T) {
 		SplitProb:   0.10,
 		LatencyBase: 100 * time.Microsecond,
 	}, pravega.ClientConfig{SyncRetryWindow: 30 * time.Second}, storeKillClusterConfig())
-	killer := NewStoreKiller(rig.backing.Cluster, 21)
+	killer := NewStoreKiller(rig.cluster, 21)
 
 	const scope, keys, perKey = "storekill", 4, 30
 	mustStream(t, rig.sys, scope, "s", 2)
@@ -139,10 +139,9 @@ func TestNemesisStoreKillFailover(t *testing.T) {
 // live store left it refuses to kill, so the nemesis can never take the
 // whole cluster down.
 func TestStoreKillerLeavesLastStore(t *testing.T) {
-	cl, err := hosting.NewCluster(hosting.ClusterConfig{
-		Stores:             2,
-		ContainersPerStore: 1,
-		LeaseTTL:           time.Second,
+	cl, err := role.StartCluster(role.SimNet(sim.NewNet(), sim.LinkConfig{}), role.ClusterConfig{
+		Coord: role.CoordConfig{Stores: 2, Containers: 1},
+		Store: role.StoreConfig{LeaseTTL: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +155,7 @@ func TestStoreKillerLeavesLastStore(t *testing.T) {
 	if err := cl.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatalf("survivor never re-acquired: %v", err)
 	}
-	if claims, err := segstore.ClaimedContainers(cl.Meta); err != nil || len(claims) != cl.TotalContainers() {
+	if claims, err := segstore.ClaimedContainers(cl.Meta()); err != nil || len(claims) != cl.TotalContainers() {
 		t.Fatalf("containers unowned after failover: claims %v, %v", claims, err)
 	}
 	killed, err = killer.KillOne()

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/blockcache"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/omb"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
@@ -35,33 +35,30 @@ func Ablations(o Options) (*Figure, error) {
 
 	type variant struct {
 		name string
-		tune func(*hosting.ClusterConfig, *pravega.WriterConfig)
+		tune func(*role.ClusterConfig, *pravega.WriterConfig)
 	}
 	variants := []variant{
-		{"baseline", func(*hosting.ClusterConfig, *pravega.WriterConfig) {}},
-		{"no adaptive frame delay", func(cc *hosting.ClusterConfig, _ *pravega.WriterConfig) {
-			cc.Container.MaxFrameDelay = time.Nanosecond // effectively zero
+		{"baseline", func(*role.ClusterConfig, *pravega.WriterConfig) {}},
+		{"no adaptive frame delay", func(cc *role.ClusterConfig, _ *pravega.WriterConfig) {
+			cc.Store.Container.MaxFrameDelay = time.Nanosecond // effectively zero
 		}},
-		{"no client pipelining", func(_ *hosting.ClusterConfig, wc *pravega.WriterConfig) {
+		{"no client pipelining", func(_ *role.ClusterConfig, wc *pravega.WriterConfig) {
 			wc.MaxInFlight = 1
 		}},
-		{"unbounded tiering backlog", func(cc *hosting.ClusterConfig, _ *pravega.WriterConfig) {
-			cc.Container.MaxUnflushedBytes = 1 << 40
+		{"unbounded tiering backlog", func(cc *role.ClusterConfig, _ *pravega.WriterConfig) {
+			cc.Store.Container.MaxUnflushedBytes = 1 << 40
 		}},
 	}
 	for _, v := range variants {
 		for _, rate := range rates {
 			prof := o.profile()
-			ccfg := hosting.ClusterConfig{
-				Stores:             3,
-				ContainersPerStore: 4,
-				Bookies:            3,
-				Profile:            prof,
-				DiscardData:        true,
-				Container: segstore.ContainerConfig{
+			ccfg := role.ClusterConfig{
+				Coord: role.CoordConfig{Stores: 3, Containers: 4, Bookies: 3, DiscardData: true},
+				Store: role.StoreConfig{Container: segstore.ContainerConfig{
 					Cache:             blockcache.Config{MaxBuffers: 8},
 					MaxUnflushedBytes: 16 << 20,
-				},
+				}},
+				Profile: prof,
 			}
 			wcfg := pravega.WriterConfig{}
 			v.tune(&ccfg, &wcfg)

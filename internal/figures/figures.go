@@ -15,9 +15,9 @@ import (
 	"github.com/pravega-go/pravega/internal/baselines/kafka"
 	"github.com/pravega-go/pravega/internal/baselines/pulsar"
 	"github.com/pravega-go/pravega/internal/blockcache"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/omb"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/sim"
 	"github.com/pravega-go/pravega/pkg/pravega"
@@ -129,26 +129,22 @@ type pravegaVariant struct {
 // stores + 3 bookies, replication 3/3/2) on the scaled profile.
 func newPravega(o *Options, v pravegaVariant) (*omb.PravegaSystem, error) {
 	prof := o.profile()
-	ccfg := hosting.ClusterConfig{
-		Stores:             3,
-		ContainersPerStore: 4,
-		Bookies:            3,
-		Profile:            prof,
-		NoSyncJournal:      v.noFlush,
-		DiscardData:        true,
-		Container: segstore.ContainerConfig{
+	ccfg := role.ClusterConfig{
+		Coord: role.CoordConfig{Stores: 3, Containers: 4, Bookies: 3, NoSyncJournal: v.noFlush, DiscardData: true},
+		Store: role.StoreConfig{Container: segstore.ContainerConfig{
 			Cache:             blockcache.Config{MaxBuffers: 8}, // 16 MiB/container
 			MaxUnflushedBytes: 16 << 20,
 			FlushSizeBytes:    1 << 20,
 			FlushInterval:     100 * time.Millisecond,
-		},
+		}},
+		Profile: prof,
 	}
 	if v.noOpLTS {
-		ccfg.LTS = lts.NewNoOp()
+		ccfg.Store.LTS = lts.NewNoOp()
 	}
 	if v.seqRead {
-		ccfg.Container.MaxReadFanout = 1
-		ccfg.Container.ReadAheadDepth = -1
+		ccfg.Store.Container.MaxReadFanout = 1
+		ccfg.Store.Container.ReadAheadDepth = -1
 	}
 	sys, err := pravega.NewInProcess(pravega.SystemConfig{Cluster: ccfg})
 	if err != nil {
@@ -207,8 +203,6 @@ type pulsarVariant struct {
 
 func newPulsar(o *Options, v pulsarVariant) (*omb.PulsarSystem, error) {
 	prof := o.profile()
-	rep := pulsar.ClusterConfig{}.Replication
-	_ = rep
 	ccfg := pulsar.ClusterConfig{
 		Brokers: 3,
 		Profile: prof,

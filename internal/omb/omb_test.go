@@ -7,14 +7,14 @@ import (
 
 	"github.com/pravega-go/pravega/internal/baselines/kafka"
 	"github.com/pravega-go/pravega/internal/baselines/pulsar"
-	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
 func newPravegaSystem(t *testing.T) *PravegaSystem {
 	t.Helper()
 	sys, err := pravega.NewInProcess(pravega.SystemConfig{
-		Cluster: hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2},
+		Cluster: role.ClusterConfig{Coord: role.CoordConfig{Stores: 1, Containers: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ var transports = map[string]func(t *testing.T, fx *fixture) func(placement.Endpo
 				t.Fatal(err)
 			}
 		}
-		return wire.StoreDialer(wire.ClientConfig{})
+		return wire.StoreDialer(wire.DialTCP, wire.ClientConfig{})
 	},
 }
 

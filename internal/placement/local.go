@@ -10,10 +10,9 @@ import (
 )
 
 // Local is the direct Store transport: calls on a segstore.Store in this
-// process. The in-process cluster routes to it, and a store-role process
-// serves it over the wire. A request for a container the store doesn't host
-// fails with segstore.ErrWrongContainer, which the router — and the wire
-// protocol's error code — treat as a wrong-host miss.
+// process. A store role serves it over the wire. A request for a container
+// the store doesn't host fails with segstore.ErrWrongContainer, which the
+// router — and the wire protocol's error code — treat as a wrong-host miss.
 type Local struct {
 	St *segstore.Store
 }

@@ -10,8 +10,8 @@
 // Source, where placement comes from: the claim set in the coordination
 // store (CoordSource) or a server's cluster-info message (internal/wire).
 //
-// The in-process cluster, the coord process's controller and external
-// clients all route through this type, so they share the retry window, the
+// The coord's controller and every client route through this type, so
+// they share the retry window, the
 // lost-ack rules for create/delete/merge, and the copy-and-delete merge
 // across containers.
 package placement
@@ -64,8 +64,7 @@ type Store interface {
 }
 
 // Endpoint identifies a store in a placement snapshot: ID is the claim
-// holder's name, Addr the address a dialing transport reaches it on (empty
-// for stores in this process).
+// holder's name, Addr the address a dialing transport reaches it on.
 type Endpoint struct{ ID, Addr string }
 
 // Snapshot is one view of placement. Containers absent from Owner are

@@ -1,18 +1,19 @@
-// Package role builds each pravega-server process role exactly once (§2.2:
-// a controller and segment stores over a ZooKeeper-like coordination store,
+// Package role builds each pravega-server role exactly once (§2.2: a
+// controller and segment stores over a ZooKeeper-like coordination store,
 // with bookies for the WAL):
 //
 //   - StartCoord: the coordination store, the container assigner, the WAL
-//     bookie ensemble and the controller, which reaches the store processes
-//     through the placement router over the wire.
+//     bookie ensemble and the controller, which reaches the stores through
+//     the placement router over the wire.
 //   - StartStore: one segment store that follows the assignment through the
 //     remote coordination store and journals to the coord's bookies.
-//   - StartAll: an in-process cluster and its controller behind one
-//     all-planes server (Serve). cmd/pravega-server -role all runs it on
-//     TCP, pravega.NewInProcess on an internal/sim listener.
 //
-// cmd/pravega-server parses its flags into these configs, and the
-// multi-process tests start the same roles inside one test process.
+// Both take the listener they serve on and the dialer they reach the other
+// role with, so one constructor serves every deployment: TCP for the
+// pravega-server processes, an in-memory internal/sim address space in
+// process. A Cluster is one coord and N stores in one process; it backs
+// pravega.NewInProcess, pravega-server -role all, the figures and the
+// fault-injection rigs.
 package role
 
 import (
@@ -23,26 +24,38 @@ import (
 	"github.com/pravega-go/pravega/internal/bookkeeper"
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segstore"
+	"github.com/pravega-go/pravega/internal/sim"
 	"github.com/pravega-go/pravega/internal/wire"
 )
 
-// CoordConfig configures the coord role; each field is one pravega-server
-// flag.
+// CoordConfig configures the coord role. The first four fields are
+// pravega-server flags; the rest are set in process.
 type CoordConfig struct {
-	Listen         string        // -listen
-	Stores         int           // -stores: expected store processes
+	Stores         int           // -stores: expected stores
 	Containers     int           // -containers: per store
 	Bookies        int           // -bookies
 	PolicyInterval time.Duration // -policy-interval-ms; 0 = no policy loops
+	// ScaleCooldown is the controller's per-stream hysteresis between
+	// scale events.
+	ScaleCooldown time.Duration
+	// Journal, when set, gives each bookie a modelled drive of its own to
+	// journal to; nil journals to memory.
+	Journal *sim.DiskConfig
+	// NoSyncJournal disables journal fsyncs ("Pravega no flush", §5.2).
+	NoSyncJournal bool
+	// DiscardData keeps only entry sizes in the bookies (benchmark memory
+	// bound).
+	DiscardData bool
 }
 
 // Coord is a running coord role.
 type Coord struct {
 	meta     *cluster.Store
+	bookies  []*bookkeeper.Bookie
+	disks    []*sim.Disk
 	assigner *segstore.Assigner
 	plane    *placement.Router
 	ctrl     *controller.Controller
@@ -51,69 +64,99 @@ type Coord struct {
 
 // StartCoord publishes the cluster topology — the container count, the
 // bookie ids and a replication config clamped to the ensemble — starts the
-// assigner and serves the coordination store, bookies and controller.
-func StartCoord(cfg CoordConfig) (*Coord, error) {
-	meta := cluster.NewStore()
-	total := cfg.Stores * cfg.Containers
+// assigner and serves the coordination store, bookies and controller on
+// ln, which it owns from here on. The controller reaches the stores through
+// dial.
+func StartCoord(ln net.Listener, dial wire.Dialer, cfg CoordConfig) (*Coord, error) {
+	c, err := startCoord(ln, dial, cfg)
+	if err == nil {
+		err = c.startAssigner(cfg.Stores * cfg.Containers)
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
 
+// startCoord is StartCoord without the assigner: a Cluster starts it once
+// its first stores are registered, so each container is placed once
+// instead of handed on as the stores join. On error, the returned Coord
+// holds what was started, for Close.
+func startCoord(ln net.Listener, dial wire.Dialer, cfg CoordConfig) (*Coord, error) {
+	c := &Coord{meta: cluster.NewStore()}
+	total := cfg.Stores * cfg.Containers
 	bkNodes := make(map[string]bookkeeper.Node, cfg.Bookies)
 	bookieIDs := make([]string, 0, cfg.Bookies)
 	for i := 0; i < cfg.Bookies; i++ {
-		id := fmt.Sprintf("bookie-%d", i)
-		bkNodes[id] = bookkeeper.NewBookie(bookkeeper.BookieConfig{ID: id})
-		bookieIDs = append(bookieIDs, id)
+		bcfg := bookkeeper.BookieConfig{
+			ID:          fmt.Sprintf("bookie-%d", i),
+			NoSync:      cfg.NoSyncJournal,
+			DiscardData: cfg.DiscardData,
+		}
+		if cfg.Journal != nil {
+			d := sim.NewDisk(*cfg.Journal)
+			c.disks = append(c.disks, d)
+			bcfg.Journal = d.OpenFile("journal")
+		}
+		b := bookkeeper.NewBookie(bcfg)
+		c.bookies = append(c.bookies, b)
+		bkNodes[bcfg.ID] = b
+		bookieIDs = append(bookieIDs, bcfg.ID)
 	}
 	repl := bookkeeper.DefaultReplication()
 	if cfg.Bookies < repl.Ensemble {
 		repl = bookkeeper.ReplicationConfig{Ensemble: cfg.Bookies, WriteQuorum: cfg.Bookies, AckQuorum: (cfg.Bookies + 1) / 2}
 	}
-	if err := wire.PublishClusterTopology(meta, wire.ClusterTopology{
+	fail := func(what string, err error) (*Coord, error) {
+		_ = ln.Close()
+		return c, fmt.Errorf("%s: %w", what, err)
+	}
+	if err := wire.PublishClusterTopology(c.meta, wire.ClusterTopology{
 		TotalContainers: total,
 		Bookies:         bookieIDs,
 		Replication:     repl,
 	}); err != nil {
-		return nil, fmt.Errorf("publishing topology: %w", err)
+		return fail("publishing topology", err)
 	}
-
-	assigner, err := segstore.StartAssigner(meta, total)
-	if err != nil {
-		return nil, fmt.Errorf("starting assigner: %w", err)
+	if err := segstore.CreatePlacementRoots(c.meta); err != nil {
+		return fail("creating placement roots", err)
 	}
-	source := placement.CoordSource{Coord: meta, Total: total}
-	plane, err := placement.New(placement.Config{
+	source := placement.CoordSource{Coord: c.meta, Total: total}
+	var err error
+	if c.plane, err = placement.New(placement.Config{
 		Source: source,
-		Dial:   wire.StoreDialer(wire.ClientConfig{}),
-	})
-	if err != nil {
-		assigner.Close()
-		return nil, fmt.Errorf("starting router: %w", err)
+		Dial:   wire.StoreDialer(dial, wire.ClientConfig{}),
+	}); err != nil {
+		return fail("starting router", err)
 	}
-	c := &Coord{meta: meta, assigner: assigner, plane: plane}
-	if c.ctrl, err = controller.New(controller.Config{Data: plane, Cluster: meta}); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("starting controller: %w", err)
+	if c.ctrl, err = controller.New(controller.Config{Data: c.plane, Cluster: c.meta, ScaleCooldown: cfg.ScaleCooldown}); err != nil {
+		return fail("starting controller", err)
 	}
 	if cfg.PolicyInterval > 0 {
 		c.ctrl.StartPolicyLoops(cfg.PolicyInterval)
 	}
-	ln, err := net.Listen("tcp", cfg.Listen)
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("listening: %w", err)
-	}
 	c.srv = wire.NewServer(wire.ServerConfig{
 		Ctrl:      c.ctrl,
-		Coord:     meta,
+		Coord:     c.meta,
 		Bookies:   bkNodes,
 		Placement: source,
 	}, ln)
 	return c, nil
 }
 
+func (c *Coord) startAssigner(total int) (err error) {
+	if c.assigner, err = segstore.StartAssigner(c.meta, total); err != nil {
+		return fmt.Errorf("starting assigner: %w", err)
+	}
+	return nil
+}
+
 // Addr is the bound listen address.
 func (c *Coord) Addr() string { return c.srv.Addr() }
 
-// Close stops the listener, the policy loops, the router and the assigner.
+// Close stops the listener, the policy loops, the router, the assigner and
+// the bookies. It is safe on a partly started Coord.
 func (c *Coord) Close() {
 	if c.srv != nil {
 		_ = c.srv.Close()
@@ -121,19 +164,31 @@ func (c *Coord) Close() {
 	if c.ctrl != nil {
 		c.ctrl.Close()
 	}
-	_ = c.plane.Close()
-	c.assigner.Close()
+	if c.plane != nil {
+		_ = c.plane.Close()
+	}
+	if c.assigner != nil {
+		c.assigner.Close()
+	}
+	for _, b := range c.bookies {
+		b.Close()
+	}
+	for _, d := range c.disks {
+		d.Close()
+	}
 }
 
-// StoreConfig configures the store role; each field is one pravega-server
-// flag.
+// StoreConfig configures the store role. The first five fields are
+// pravega-server flags.
 type StoreConfig struct {
-	ID        string        // -store-id
-	Listen    string        // -listen
-	Advertise string        // -advertise; empty = the bound listen address
-	CoordAddr string        // -coord-addr
-	LTSDir    string        // -lts-dir, shared by every store
-	LeaseTTL  time.Duration // -lease-ttl
+	ID        string           // -store-id
+	Advertise string           // -advertise; empty = the bound listen address
+	CoordAddr string           // -coord-addr
+	LTS       lts.ChunkStorage // -lts-dir as lts.FS: shared by every store, so any store serves any container's tiered data
+	LeaseTTL  time.Duration    // -lease-ttl
+	// Container tunes the store's containers; BK, Meta, LTS and
+	// Replication are filled in.
+	Container segstore.ContainerConfig
 }
 
 // Store is a running store role.
@@ -141,27 +196,31 @@ type Store struct {
 	advertise string
 	rs        *wire.RemoteStore
 	st        *segstore.Store
+	mgr       *segstore.OwnershipManager
 	srv       *wire.Server
 }
 
-// StartStore dials the coord (retrying for 30 s, so a store may boot before
-// its coord), reads the topology it published, and serves one segment
-// store whose WAL journals to the coord's bookies. The ownership manager
-// starts last, once the listener it advertises is up.
-func StartStore(cfg StoreConfig) (*Store, error) {
-	rs, err := wire.DialCoordRetry(cfg.CoordAddr, wire.ClientConfig{}, 30*time.Second)
+// StartStore dials the coord through dial (retrying for 30 s, so a store
+// may boot before its coord), reads the topology it published, and serves
+// one segment store on ln, which it owns from here on; the store's WAL
+// journals to the coord's bookies. The ownership manager starts last, once
+// the listener it advertises is up.
+func StartStore(ln net.Listener, dial wire.Dialer, cfg StoreConfig) (*Store, error) {
+	rs, err := wire.DialCoordOver(dial, cfg.CoordAddr, wire.ClientConfig{}, 30*time.Second)
 	if err != nil {
+		_ = ln.Close()
 		return nil, fmt.Errorf("dialing coord: %w", err)
 	}
 	s := &Store{rs: rs}
-	if err := s.start(cfg); err != nil {
+	if err := s.start(ln, cfg); err != nil {
+		_ = ln.Close() // again, harmlessly, if the server holds it
 		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Store) start(cfg StoreConfig) error {
+func (s *Store) start(ln net.Listener, cfg StoreConfig) error {
 	topo, err := wire.FetchClusterTopology(s.rs, 10*time.Second)
 	if err != nil {
 		return fmt.Errorf("fetching topology: %w", err)
@@ -173,27 +232,16 @@ func (s *Store) start(cfg StoreConfig) error {
 	for _, id := range topo.Bookies {
 		bk.RegisterBookie(wire.NewRemoteBookie(id, s.rs))
 	}
-	fsStore, err := lts.NewFS(cfg.LTSDir)
-	if err != nil {
-		return fmt.Errorf("opening LTS directory: %w", err)
-	}
+	ccfg := cfg.Container
+	ccfg.BK, ccfg.Meta, ccfg.Replication, ccfg.LTS = bk, s.rs, topo.Replication, cfg.LTS
 	if s.st, err = segstore.NewStore(segstore.StoreConfig{
 		ID:              cfg.ID,
 		TotalContainers: topo.TotalContainers,
-		Container: segstore.ContainerConfig{
-			BK:          bk,
-			Meta:        s.rs,
-			Replication: topo.Replication,
-			LTS:         fsStore,
-		},
-		Cluster:  s.rs,
-		LeaseTTL: cfg.LeaseTTL,
+		Container:       ccfg,
+		Cluster:         s.rs,
+		LeaseTTL:        cfg.LeaseTTL,
 	}); err != nil {
 		return fmt.Errorf("starting store: %w", err)
-	}
-	ln, err := net.Listen("tcp", cfg.Listen)
-	if err != nil {
-		return fmt.Errorf("listening: %w", err)
 	}
 	s.srv = wire.NewServer(wire.ServerConfig{
 		Data: placement.Local{St: s.st},
@@ -203,7 +251,7 @@ func (s *Store) start(cfg StoreConfig) error {
 	if s.advertise == "" {
 		s.advertise = s.srv.Addr()
 	}
-	if _, err := segstore.StartOwnershipManager(s.st, s.advertise); err != nil {
+	if s.mgr, err = segstore.StartOwnershipManager(s.st, s.advertise); err != nil {
 		return fmt.Errorf("registering store: %w", err)
 	}
 	return nil
@@ -245,54 +293,4 @@ func (s *Store) Close() {
 		_ = s.st.Close()
 	}
 	s.rs.Close()
-}
-
-// All is a running all-planes role.
-type All struct {
-	Cluster *hosting.Cluster
-	Ctrl    *controller.Controller
-	Srv     *wire.Server
-}
-
-// StartAll starts an in-process cluster and its controller (ctrl.Data and
-// ctrl.Cluster are filled in; policy > 0 starts its policy loops at that
-// period) and serves them on ln, which it owns from here on.
-func StartAll(ln net.Listener, ccfg hosting.ClusterConfig, ctrl controller.Config, policy time.Duration) (*All, error) {
-	cl, err := hosting.NewCluster(ccfg)
-	if err != nil {
-		_ = ln.Close()
-		return nil, err
-	}
-	ctrl.Data, ctrl.Cluster = cl.Router(), cl.Meta
-	a := &All{Cluster: cl}
-	if a.Ctrl, err = controller.New(ctrl); err != nil {
-		_ = ln.Close()
-		cl.Close()
-		return nil, err
-	}
-	if policy > 0 {
-		a.Ctrl.StartPolicyLoops(policy)
-	}
-	a.Srv = Serve(cl, a.Ctrl, ln)
-	return a, nil
-}
-
-// Close stops the server, the controller and the cluster, in that order.
-func (a *All) Close() {
-	_ = a.Srv.Close()
-	a.Ctrl.Close()
-	a.Cluster.Close()
-}
-
-// Serve fronts an in-process cluster and its controller with one wire
-// server on ln exposing every plane: data through the cluster's placement
-// router, control, coordination and placement snapshots.
-func Serve(cl *hosting.Cluster, ctrl *controller.Controller, ln net.Listener) *wire.Server {
-	return wire.NewServer(wire.ServerConfig{
-		Data:      cl.Router(),
-		Ctrl:      ctrl,
-		Coord:     cl.Meta,
-		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
-		Load:      cl.Router().LoadReports,
-	}, ln)
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
+	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
@@ -25,10 +26,30 @@ import (
 // (with SIGKILL) lives in internal/faultinject's prockill suite; these pin
 // the behaviors that suite builds on.
 
-// startCoord starts a coord role for stores × containers containers.
-func startCoord(t *testing.T, stores, containers, bookies int) *Coord {
+// listenTCP opens a loopback listener on a free port.
+func listenTCP(t *testing.T) net.Listener {
 	t.Helper()
-	c, err := StartCoord(CoordConfig{Listen: "127.0.0.1:0", Stores: stores, Containers: containers, Bookies: bookies})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// openFS opens an lts.FS over the shared directory, as -lts-dir does.
+func openFS(t *testing.T, dir string) lts.ChunkStorage {
+	t.Helper()
+	fs, err := lts.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// tcpCoord starts a coord role for stores × containers containers.
+func tcpCoord(t *testing.T, stores, containers, bookies int) *Coord {
+	t.Helper()
+	c, err := StartCoord(listenTCP(t), wire.DialTCP, CoordConfig{Stores: stores, Containers: containers, Bookies: bookies})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +57,13 @@ func startCoord(t *testing.T, stores, containers, bookies int) *Coord {
 	return c
 }
 
-// startStore starts a store role against coord.
-func startStore(t *testing.T, coord *Coord, ltsDir, id string, leaseTTL time.Duration) *Store {
+// tcpStore starts a store role against coord.
+func tcpStore(t *testing.T, coord *Coord, ltsDir, id string, leaseTTL time.Duration) *Store {
 	t.Helper()
-	s, err := StartStore(StoreConfig{
+	s, err := StartStore(listenTCP(t), wire.DialTCP, StoreConfig{
 		ID:        id,
-		Listen:    "127.0.0.1:0",
 		CoordAddr: coord.Addr(),
-		LTSDir:    ltsDir,
+		LTS:       openFS(t, ltsDir),
 		LeaseTTL:  leaseTTL,
 	})
 	if err != nil {
@@ -58,11 +78,11 @@ func startStore(t *testing.T, coord *Coord, ltsDir, id string, leaseTTL time.Dur
 func startCluster(t *testing.T, leaseTTL time.Duration) (*Coord, map[string]*Store, int) {
 	t.Helper()
 	const total = 4
-	coord := startCoord(t, 2, 2, 3)
+	coord := tcpCoord(t, 2, 2, 3)
 	ltsDir := t.TempDir()
 	stores := make(map[string]*Store, 2)
 	for _, id := range []string{"store-0", "store-1"} {
-		stores[id] = startStore(t, coord, ltsDir, id, leaseTTL)
+		stores[id] = tcpStore(t, coord, ltsDir, id, leaseTTL)
 	}
 	awaitClusterClaims(t, coord.meta, total, 10*time.Second)
 	return coord, stores, total
@@ -381,8 +401,8 @@ func TestGracefulStoreShutdownReleasesClaims(t *testing.T) {
 // expiry.
 func TestStoreDoneOnLeaseLoss(t *testing.T) {
 	const ttl = 500 * time.Millisecond
-	coord := startCoord(t, 1, 2, 3)
-	s := startStore(t, coord, t.TempDir(), "store-0", ttl)
+	coord := tcpCoord(t, 1, 2, 3)
+	s := tcpStore(t, coord, t.TempDir(), "store-0", ttl)
 	awaitClusterClaims(t, coord.meta, 2, 10*time.Second)
 
 	// Expiring a session is closing it server-side: every ephemeral it owns
@@ -484,13 +504,12 @@ func (cr *coordRequests) snapshot() (int, map[wire.MessageType]int) {
 // re-arm its one assignment watch — no polling.
 func TestIdleStoreSendsNoCoordPolls(t *testing.T) {
 	const ttl = 3 * time.Second
-	coord := startCoord(t, 1, 4, 3)
+	coord := tcpCoord(t, 1, 4, 3)
 	proxy, counter := countCoordRequests(t, coord.Addr())
-	s, err := StartStore(StoreConfig{
+	s, err := StartStore(listenTCP(t), wire.DialTCP, StoreConfig{
 		ID:        "store-0",
-		Listen:    "127.0.0.1:0",
 		CoordAddr: proxy,
-		LTSDir:    t.TempDir(),
+		LTS:       openFS(t, t.TempDir()),
 		LeaseTTL:  ttl,
 	})
 	if err != nil {

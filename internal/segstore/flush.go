@@ -528,7 +528,7 @@ func (c *Container) maybeTruncateWAL() {
 
 // LastFlushError returns the most recent tiering error (nil after a clean
 // round). While LTS is persistently down this is how FlushAll and
-// hosting.WaitForTiering surface the cause instead of spinning silently.
+// role.Cluster.WaitForTiering surface the cause instead of spinning silently.
 func (c *Container) LastFlushError() error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()

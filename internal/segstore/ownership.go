@@ -112,7 +112,7 @@ type Assigner struct {
 }
 
 func newAssigner(cs cluster.Coord, total int) (*Assigner, error) {
-	if err := createRoots(cs); err != nil {
+	if err := CreatePlacementRoots(cs); err != nil {
 		return nil, err
 	}
 	return &Assigner{cs: cs, total: total, stop: make(chan struct{}), done: make(chan struct{}),
@@ -237,8 +237,7 @@ type OwnershipManager struct {
 }
 
 // StartOwnershipManager registers the store as a live host advertising the
-// address clients dial it on (empty in-process) and starts following the
-// assignment.
+// address clients dial it on and starts following the assignment.
 func StartOwnershipManager(st *Store, advertise string) (*OwnershipManager, error) {
 	if err := st.session.CreateEphemeral(hostsRoot+"/"+st.cfg.ID, []byte(advertise)); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
 		return nil, err

@@ -20,8 +20,8 @@ type StoreConfig struct {
 	TotalContainers int
 	// Container is the template for hosted containers (ID overridden).
 	Container ContainerConfig
-	// Cluster is the coordination store for container assignment — the local
-	// store in-process, or a wire.RemoteStore in a store-role process.
+	// Cluster is the coordination store for container assignment: a
+	// wire.RemoteStore in a store role, the local store in unit tests.
 	Cluster cluster.Coord
 	// LeaseTTL bounds how stale this store's container claims can be: the
 	// store's cluster session expires unless renewed within this window
@@ -68,8 +68,9 @@ const (
 	placementEpochPath = "/pravega/placement/epoch"
 )
 
-// createRoots makes the placement nodes every store and the assigner use.
-func createRoots(cs cluster.Coord) error {
+// CreatePlacementRoots makes the placement nodes every store, the assigner
+// and a placement.CoordSource use; it is idempotent.
+func CreatePlacementRoots(cs cluster.Coord) error {
 	for _, p := range []string{hostsRoot, assignmentRoot, assignmentPath, placementEpochPath} {
 		if err := cs.CreateAll(p, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
 			return err
@@ -107,7 +108,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Cluster == nil {
 		return nil, errors.New("segstore: Cluster is required")
 	}
-	if err := createRoots(cfg.Cluster); err != nil {
+	if err := CreatePlacementRoots(cfg.Cluster); err != nil {
 		return nil, err
 	}
 	sess, err := cfg.Cluster.OpenSession(cfg.LeaseTTL)

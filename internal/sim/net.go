@@ -16,7 +16,7 @@ type LinkConfig struct {
 // Link models a one-way FIFO network path: each message is delivered after
 // propagation delay plus serialization behind all previously sent messages.
 // Delivery order is preserved. Deliver callbacks run on a single goroutine
-// per link.
+// per link, which waits out each delay with preciseSleep.
 type Link struct {
 	cfg LinkConfig
 
@@ -80,7 +80,7 @@ func (l *Link) deliverLoop() {
 		l.mu.Unlock()
 
 		if wait := time.Until(msg.deliverAt); wait > 0 {
-			time.Sleep(wait)
+			preciseSleep(wait)
 		}
 		msg.fn()
 	}

@@ -9,11 +9,21 @@ import (
 	"time"
 )
 
-// pipePair dials ln and accepts the peer end.
+// pipePair dials a fresh listener over a link shaped by cfg and accepts
+// the peer end.
 func pipePair(t *testing.T, cfg LinkConfig) (client, server net.Conn) {
 	t.Helper()
-	ln := Listen(cfg)
+	n := NewNet()
+	ln := n.Listen()
 	t.Cleanup(func() { _ = ln.Close() })
+	client, server = dialAccept(t, n.Dialer(cfg), ln)
+	t.Cleanup(func() { _ = client.Close(); _ = server.Close() })
+	return client, server
+}
+
+// dialAccept dials ln's address and returns both ends.
+func dialAccept(t *testing.T, dial func(string) (net.Conn, error), ln *Listener) (client, server net.Conn) {
+	t.Helper()
 	accepted := make(chan net.Conn, 1)
 	go func() {
 		c, err := ln.Accept()
@@ -22,13 +32,11 @@ func pipePair(t *testing.T, cfg LinkConfig) (client, server net.Conn) {
 		}
 		accepted <- c
 	}()
-	client, err := ln.Dial("")
+	client, err := dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	server = <-accepted
-	t.Cleanup(func() { _ = client.Close(); _ = server.Close() })
-	return client, server
+	return client, <-accepted
 }
 
 func TestPipeFIFOAcrossSmallWrites(t *testing.T) {
@@ -121,10 +129,39 @@ func TestPipeWriteAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestNetListenersHaveTheirOwnAddresses: two listeners in one Net get
+// distinct addresses, and a dial reaches the listener it names.
+func TestNetListenersHaveTheirOwnAddresses(t *testing.T) {
+	n := NewNet()
+	a, b := n.Listen(), n.Listen()
+	defer a.Close()
+	defer b.Close()
+	if a.Addr().String() == b.Addr().String() {
+		t.Fatalf("two listeners share the address %s", a.Addr())
+	}
+	dial := n.Dialer(LinkConfig{})
+	for _, ln := range []*Listener{b, a} {
+		client, server := dialAccept(t, dial, ln)
+		if _, err := client.Write([]byte(ln.Addr().String())); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(ln.Addr().String()))
+		if _, err := io.ReadFull(server, got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != ln.Addr().String() || server.LocalAddr().String() != ln.Addr().String() {
+			t.Fatalf("dial to %s was accepted by %s", got, server.LocalAddr())
+		}
+		_ = client.Close()
+		_ = server.Close()
+	}
+}
+
 func TestPipeDialAfterListenerCloseFails(t *testing.T) {
-	ln := Listen(LinkConfig{})
+	n := NewNet()
+	ln := n.Listen()
 	_ = ln.Close()
-	if _, err := ln.Dial(""); !errors.Is(err, net.ErrClosed) {
+	if _, err := n.Dialer(LinkConfig{})(ln.Addr().String()); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("Dial after Close: %v, want net.ErrClosed", err)
 	}
 	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {

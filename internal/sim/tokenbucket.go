@@ -3,7 +3,10 @@
 // page-cache write paths, a network link model with RTT and bandwidth
 // shaping, and an object-store model with per-stream and aggregate
 // throughput caps (EFS/S3-like). See DESIGN.md §2 for the substitution
-// rationale.
+// rationale. Net is an in-memory address space for the wire protocol: every
+// listener has an address of its own, and each dialer shapes its
+// connections with a link model, so an in-process cluster runs the
+// process topology with modelled network paths.
 //
 // All models are expressed in real time: a simulated device makes the caller
 // wait as long as the modelled hardware would (divided by a configurable

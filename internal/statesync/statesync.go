@@ -15,8 +15,8 @@ import (
 	"time"
 )
 
-// Backing is the segment surface the synchronizer needs. The hosting layer
-// adapts a segment-store connection to it.
+// Backing is the segment surface the synchronizer needs: the client's data
+// transport.
 type Backing interface {
 	// AppendConditional appends data iff the segment length equals
 	// expectedOffset, returning ErrConflict (possibly wrapped) otherwise.

@@ -1,29 +1,25 @@
-package wire
+package wire_test
 
 import (
 	"encoding/json"
 	"testing"
 
 	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
+	. "github.com/pravega-go/pravega/internal/wire"
 )
 
-func newBenchServer(b *testing.B) *Conn {
+// newBenchConns starts a one-store cluster holding stream "b/st" and opens
+// a raw connection to its coord and one to its store.
+func newBenchConns(b *testing.B) (conn, data *Conn) {
 	b.Helper()
-	cl, ctrl := newBackend(b, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 1, Bookies: 3})
-	srv := newClusterServer(b, cl, ctrl)
-	conn, err := Dial(DialTCP, srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = conn.Close() })
+	_, conn, data = newConns(b, 1)
 	if _, err := conn.Call(MsgCreateScope, StreamReq{Scope: "b"}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := conn.Call(MsgCreateStream, StreamReq{Scope: "b", Stream: "st", Segments: 1}); err != nil {
 		b.Fatal(err)
 	}
-	return conn
+	return conn, data
 }
 
 func benchSegment(b *testing.B, conn *Conn) string {
@@ -39,20 +35,20 @@ func benchSegment(b *testing.B, conn *Conn) string {
 	return segs[0].ID.QualifiedName()
 }
 
-// BenchmarkWireAppend measures the full client→TCP→server→container append
+// BenchmarkWireAppend measures the full client→TCP→store→container append
 // round trip with 100 B events, pipelined in a bounded window. allocs/op
-// spans both ends of the connection (in-process server), so it captures the
+// spans both ends of the connection (in-process store), so it captures the
 // encode, frame, decode and reply costs of the append wire path.
 func BenchmarkWireAppend(b *testing.B) {
-	conn := newBenchServer(b)
+	conn, data := newBenchConns(b)
 	seg := benchSegment(b, conn)
-	data := make([]byte, 100)
+	payload := make([]byte, 100)
 	const window = 128
 	pending := make([]<-chan Reply, 0, window)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch, err := conn.CallAsync(MsgAppend, AppendReq{Segment: seg, Data: data, CondOffset: -1})
+		ch, err := data.CallAsync(MsgAppend, AppendReq{Segment: seg, Data: payload, CondOffset: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +83,7 @@ func BenchmarkWireAppendCodec(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeFrame(&sink, MsgAppend, 42, req); err != nil {
+		if err := WriteFrame(&sink, MsgAppend, 42, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,8 +64,8 @@ type Client struct {
 	cfg  ClientConfig
 	ctrl *storeConn
 
-	// dial opens every connection: TCP in a deployment, a sim.Listener's
-	// Dial in process, a scripted dialer in tests.
+	// dial opens every connection: TCP in a deployment, a sim.Net's
+	// Dialer in process, a scripted dialer in tests.
 	dial Dialer
 	// firstBackoff is the reconnect loop's first backoff step (tests that
 	// must tell a wake from a polling wait stretch it).
@@ -118,11 +118,11 @@ func NewClientOver(dial Dialer, addr string, cfg ClientConfig) (*Client, error) 
 }
 
 // StoreDialer is the wire protocol's per-store transport as a router's Dial
-// function: each endpoint gets one pipelined, self-reconnecting connection.
-// The coord process pairs it with placement.CoordSource on its own
-// coordination store to reach whichever store process owns a container.
-func StoreDialer(cfg ClientConfig) func(placement.Endpoint) (placement.Store, error) {
-	return newClient("", cfg, DialTCP).dialStore
+// function: each endpoint gets one pipelined, self-reconnecting connection
+// opened through dial. The coord pairs it with placement.CoordSource on its
+// own coordination store to reach whichever store owns a container.
+func StoreDialer(dial Dialer, cfg ClientConfig) func(placement.Endpoint) (placement.Store, error) {
+	return newClient("", cfg, dial).dialStore
 }
 
 // infoSource is an external client's placement source: the server's own
@@ -132,16 +132,7 @@ type infoSource struct{ c *Client }
 
 func (s infoSource) Snapshot() (placement.Snapshot, error) {
 	rep, err := s.c.ctrl.call(MsgClusterInfo, struct{}{})
-	snap, err := decode[placement.Snapshot](rep, err, "cluster info")
-	// The single-process server's stores advertise no address: they sit
-	// behind the address this client dialed.
-	for id, ep := range snap.Owner {
-		if ep.Addr == "" {
-			ep.Addr = s.c.addr
-			snap.Owner[id] = ep
-		}
-	}
-	return snap, err
+	return decode[placement.Snapshot](rep, err, "cluster info")
 }
 
 // WaitEpoch long-polls the server's placement epoch. A server that serves

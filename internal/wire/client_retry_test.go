@@ -12,9 +12,21 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/cluster"
+	"github.com/pravega-go/pravega/internal/placement"
+	"github.com/pravega-go/pravega/internal/segstore"
 )
+
+// newServer serves the coordination and cluster-info planes on loopback: a
+// server the storeConn tests can dial and call.
+func newServer(t *testing.T) *Server {
+	t.Helper()
+	meta := cluster.NewStore()
+	if err := segstore.CreatePlacementRoots(meta); err != nil {
+		t.Fatal(err)
+	}
+	return serveConfig(t, ServerConfig{Coord: meta, Placement: placement.CoordSource{Coord: meta, Total: 1}})
+}
 
 // TestAcquireWakesPromptlyOnReconnect pins the broadcast semantics of
 // storeConn.acquire: a waiter parked on a disconnected storeConn must wake
@@ -22,7 +34,7 @@ import (
 // interval. The dial hook blocks the reconnect loop until the test opens
 // the gate, so the wake latency is measured from a known instant.
 func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
-	srv, _ := newServer(t)
+	srv := newServer(t)
 	gate := make(chan struct{})
 	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second}, func(addr string) (net.Conn, error) {
 		<-gate
@@ -74,7 +86,7 @@ func TestAcquireWakesPromptlyOnReconnect(t *testing.T) {
 // connection, and the router's retry — one backoff later — would find the
 // reconnected one dead again (a 30 s livelock the nemesis soak hit).
 func TestAttemptReplacesIdleDeadConn(t *testing.T) {
-	srv, _ := newServer(t)
+	srv := newServer(t)
 	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 5 * time.Second}, DialTCP)
 	conn, err := Dial(DialTCP, srv.Addr())
 	if err != nil {
@@ -94,7 +106,7 @@ func TestAttemptReplacesIdleDeadConn(t *testing.T) {
 // TestAcquireObservesClose pins that close() wakes parked waiters instead
 // of leaving them to run out their deadline.
 func TestAcquireObservesClose(t *testing.T) {
-	srv, _ := newServer(t)
+	srv := newServer(t)
 	gate := make(chan struct{}) // never opened: reconnect loop stays blocked
 	c := newClient(srv.Addr(), ClientConfig{SyncRetryWindow: 30 * time.Second}, func(string) (net.Conn, error) {
 		<-gate
@@ -236,62 +248,6 @@ func TestSendFailureReportedOnce(t *testing.T) {
 	if n := reported.Load(); n != 1 {
 		t.Fatalf("one failed append reported %d times, want 1", n)
 	}
-}
-
-// TestDuplicateLongPollCancelsAllOnDrop pins that two long-poll reads
-// carrying the SAME request id (duplicate frame delivery — a fault the
-// nemesis proxy injects) are BOTH cancelled when the connection drops: the
-// connection's context ends every request on it, whatever its id, so no
-// tail waiter stays blocked for its full wait after the client is gone.
-func TestDuplicateLongPollCancelsAllOnDrop(t *testing.T) {
-	cl, ctrl := newBackend(t, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
-	srv := newClusterServer(t, cl, ctrl)
-	if err := ctrl.CreateScope("dup"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.CreateStream(controller.StreamConfig{Scope: "dup", Name: "s", InitialSegments: 1}); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := ctrl.GetActiveSegments("dup", "s")
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("active segments: %v", err)
-	}
-	seg := segs[0].ID.QualifiedName()
-	cont, err := cl.Stores()[0].Container(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := ReadReq{Segment: seg, Offset: 0, MaxBytes: 1024, WaitMS: 20_000}
-	body := req.marshalBinary(nil)
-	frame := make([]byte, headerSize, headerSize+len(body))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
-	frame[4] = byte(MsgRead)
-	binary.BigEndian.PutUint64(frame[5:13], 42) // same id on both frames
-	frame = append(frame, body...)
-	if _, err := raw.Write(append(append([]byte(nil), frame...), frame...)); err != nil {
-		t.Fatal(err)
-	}
-
-	waitFor := func(want int, what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for cont.TailWaiters(seg) != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d tail waiters, want %d", what, cont.TailWaiters(seg), want)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	waitFor(2, "after duplicate long-polls")
-	_ = raw.Close()
-	// Both server-side reads must be cancelled and their tail waiters
-	// deregistered well before the 20s wait expires.
-	waitFor(0, "after connection drop")
 }
 
 // TestLongPollGaugeCountsOnlyWaitingReads parks reads on a server that never

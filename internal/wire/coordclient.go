@@ -33,26 +33,27 @@ type RemoteStore struct {
 
 var _ cluster.Coord = (*RemoteStore)(nil)
 
-// DialCoord connects to the coordination process at addr.
+// DialCoord connects to the coordination process at addr over TCP, trying
+// once.
 func DialCoord(addr string, cfg ClientConfig) (*RemoteStore, error) {
-	c := newClient(addr, cfg, DialTCP)
-	conn, err := Dial(c.dial, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &RemoteStore{sc: newStoreConn(c, conn, addr)}, nil
+	return DialCoordOver(DialTCP, addr, cfg, 0)
 }
 
-// DialCoordRetry keeps dialing until the coord process answers or the
-// timeout lapses — a store process racing the coord process at boot retries
-// instead of dying.
+// DialCoordRetry is DialCoordOver on TCP.
 func DialCoordRetry(addr string, cfg ClientConfig, timeout time.Duration) (*RemoteStore, error) {
+	return DialCoordOver(DialTCP, addr, cfg, timeout)
+}
+
+// DialCoordOver keeps dialing addr through dial until the coord answers or
+// the timeout lapses — a store racing its coord at boot retries instead of
+// dying.
+func DialCoordOver(dial Dialer, addr string, cfg ClientConfig, timeout time.Duration) (*RemoteStore, error) {
 	deadline := time.Now().Add(timeout)
 	backoff := minBackoff
 	for {
-		rs, err := DialCoord(addr, cfg)
+		conn, err := Dial(dial, addr)
 		if err == nil {
-			return rs, nil
+			return &RemoteStore{sc: newStoreConn(newClient(addr, cfg, dial), conn, addr)}, nil
 		}
 		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("wire: coord %s unreachable for %v: %w", addr, timeout, err)

@@ -129,20 +129,29 @@ func ErrCode(err error) int {
 type wireError struct {
 	sentinel error
 	msg      string
+	retry    bool // the container stopped mid-append or the append overtook a failed one
 }
 
 func (e *wireError) Error() string { return e.msg }
-func (e *wireError) Unwrap() error { return e.sentinel }
+
+func (e *wireError) Unwrap() []error {
+	if e.retry {
+		return []error{e.sentinel, client.ErrRetryable}
+	}
+	return []error{e.sentinel}
+}
 
 // ReplyError reconstructs the error a reply describes: the message is the
-// server's, and when the code names a sentinel, the chain includes it.
+// server's, and when the code names a sentinel, the chain includes it —
+// with client.ErrRetryable beside it when the writer replays on it.
 func ReplyError(rep Reply) error {
 	if rep.Err == "" {
 		return nil
 	}
 	for _, cs := range codeSentinels {
 		if cs.code == rep.Code {
-			return &wireError{sentinel: cs.err, msg: rep.Err}
+			retry := cs.code == codeContainerDown || cs.code == codeOutOfOrder
+			return &wireError{sentinel: cs.err, msg: rep.Err, retry: retry}
 		}
 	}
 	return fmt.Errorf("wire: %s", rep.Err)

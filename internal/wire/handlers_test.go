@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
@@ -9,20 +9,22 @@ import (
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
 	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/keyspace"
-	"github.com/pravega-go/pravega/internal/segment"
+	"github.com/pravega-go/pravega/internal/placement"
+	. "github.com/pravega-go/pravega/internal/wire"
 )
 
 // notRequests are the type numbers below msgEnd that must have no row: the
 // three retired slots and the reply envelope.
 var notRequests = map[MessageType]bool{13: true, 16: true, MsgReplyBin: true, 25: true}
 
-// allPlanes builds a config with every plane present, on a one-store
-// cluster that already holds stream "fz/st".
+// allPlanes builds a config with every plane present — no role serves
+// them all — from the pieces of a one-store cluster that already holds
+// stream "fz/st".
 func allPlanes(tb testing.TB) (cfg ServerConfig, seg string) {
 	tb.Helper()
-	cl, ctrl := newBackend(tb, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
+	cl := newCluster(tb, 1, 2)
+	ctrl := cl.Controller()
 	if err := ctrl.CreateScope("fz"); err != nil {
 		tb.Fatal(err)
 	}
@@ -35,16 +37,16 @@ func allPlanes(tb testing.TB) (cfg ServerConfig, seg string) {
 	}
 	bk := bookkeeper.NewBookie(bookkeeper.BookieConfig{ID: "bookie-0"})
 	tb.Cleanup(bk.Close)
-	cfg = clusterPlanes(cl, ctrl)
-	cfg.Bookies = map[string]bookkeeper.Node{"bookie-0": bk}
-	return cfg, segs[0].ID.QualifiedName()
+	st := cl.Stores()[0]
+	return ServerConfig{
+		Data:      placement.Local{St: st},
+		Ctrl:      ctrl,
+		Coord:     cl.Meta(),
+		Bookies:   map[string]bookkeeper.Node{"bookie-0": bk},
+		Placement: placement.CoordSource{Coord: cl.Meta(), Total: cl.TotalContainers()},
+		Load:      st.LoadReport,
+	}, segs[0].ID.QualifiedName()
 }
-
-// rawBody is a pre-encoded request body: it lets a test put arbitrary bytes
-// behind any message type.
-type rawBody []byte
-
-func (b rawBody) marshalBinary(dst []byte) []byte { return append(dst, b...) }
 
 // callWithin is Conn.Call with a deadline, so a request the server fails to
 // answer fails the test instead of hanging it.
@@ -69,26 +71,26 @@ func callWithin(t *testing.T, conn *Conn, typ MessageType, body any) Reply {
 // absent, and an unknown type costs an error reply, not the connection.
 func TestHandlerTableComplete(t *testing.T) {
 	for typ := MessageType(0); typ < 255; typ++ {
-		want := typ >= 1 && typ < msgEnd && !notRequests[typ]
-		if got := handlerFor(typ) != nil; got != want {
+		want := typ >= 1 && typ < MsgEnd && !notRequests[typ]
+		if _, got := HandlerPlane(typ); got != want {
 			t.Errorf("type %d: has a row = %v, want %v", typ, got, want)
 		}
 	}
 
 	full, seg := allPlanes(t)
-	absent := map[plane]func(*ServerConfig){
-		planeData:    func(c *ServerConfig) { c.Data = nil },
-		planeCtrl:    func(c *ServerConfig) { c.Ctrl = nil },
-		planeCoord:   func(c *ServerConfig) { c.Coord = nil },
-		planeBookies: func(c *ServerConfig) { c.Bookies = nil },
-		planeInfo:    func(c *ServerConfig) { c.Placement = nil },
-		planeLoad:    func(c *ServerConfig) { c.Load = nil },
+	absent := map[Plane]func(*ServerConfig){
+		PlaneData:    func(c *ServerConfig) { c.Data = nil },
+		PlaneCtrl:    func(c *ServerConfig) { c.Ctrl = nil },
+		PlaneCoord:   func(c *ServerConfig) { c.Coord = nil },
+		PlaneBookies: func(c *ServerConfig) { c.Bookies = nil },
+		PlaneInfo:    func(c *ServerConfig) { c.Placement = nil },
+		PlaneLoad:    func(c *ServerConfig) { c.Load = nil },
 	}
 	for p, drop := range absent {
 		cfg := full
 		drop(&cfg)
-		srv := serveConfig(t, cfg)
-		name, ok := srv.served(p)
+		srv := ServeConfig(t, cfg)
+		name, ok := srv.Served(p)
 		if ok {
 			t.Fatalf("plane %d still served after its backend was dropped", p)
 		}
@@ -96,37 +98,37 @@ func TestHandlerTableComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for typ := MessageType(1); typ < msgEnd; typ++ {
-			h := handlerFor(typ)
-			if h == nil {
+		for typ := MessageType(1); typ < MsgEnd; typ++ {
+			hp, ok := HandlerPlane(typ)
+			if !ok {
 				continue
 			}
 			// A body no decoder accepts: a served row gets as far as
 			// rejecting it, and no handler runs.
-			rep := callWithin(t, conn, typ, rawBody{0xFF})
+			rep := callWithin(t, conn, typ, RawBody{0xFF})
 			if rep.Err == "" {
 				t.Errorf("without %s: type %d accepted a malformed body", name, typ)
 			}
 			notServed := strings.Contains(rep.Err, name+" plane not served")
-			if notServed != (h.plane == p) {
-				t.Errorf("without %s: type %d (plane %d) answered %q", name, typ, h.plane, rep.Err)
+			if notServed != (hp == p) {
+				t.Errorf("without %s: type %d (plane %d) answered %q", name, typ, hp, rep.Err)
 			}
 		}
 		_ = conn.Close()
 	}
 
-	conn, err := Dial(DialTCP, serveConfig(t, full).Addr())
+	conn, err := Dial(DialTCP, ServeConfig(t, full).Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, typ := range []MessageType{13, 16, MsgReplyBin, 25, msgEnd, 200} {
+	for _, typ := range []MessageType{13, 16, MsgReplyBin, 25, MsgEnd, 200} {
 		if rep := callWithin(t, conn, typ, struct{}{}); !strings.Contains(rep.Err, "unknown request type") {
 			t.Errorf("type %d answered %+v, want an unknown-type error", typ, rep)
 		}
 	}
 	rep := callWithin(t, conn, MsgGetInfo, SegmentReq{Segment: seg})
-	if _, err := decode[segment.Info](rep, ReplyError(rep), "segment info"); err != nil {
+	if _, err := DecodeInfo(rep, ReplyError(rep)); err != nil {
 		t.Fatalf("connection unusable after unknown types: %v", err)
 	}
 }
@@ -194,26 +196,31 @@ func validRequests(seg string) map[MessageType]any {
 // closes. Either way the server must not panic.
 func FuzzServerDispatch(f *testing.F) {
 	cfg, seg := allPlanes(f)
-	srv := serveConfig(f, cfg)
+	srv := ServeConfig(f, cfg)
 	seeds := validRequests(seg)
-	for typ := MessageType(1); typ < msgEnd; typ++ {
-		if handlerFor(typ) == nil {
+	for typ := MessageType(1); typ < MsgEnd; typ++ {
+		if _, ok := HandlerPlane(typ); !ok {
 			continue
 		}
 		body, ok := seeds[typ]
 		if !ok {
 			f.Fatalf("request type %d has a row but no seed in validRequests", typ)
 		}
-		enc, err := encodeBody(nil, body)
+		enc, err := EncodeBody(nil, body)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(uint8(typ), enc)
 	}
 	f.Add(uint8(0), []byte{})
-	f.Add(uint8(MsgReplyBin), Reply{Offset: 1}.marshalBinary(nil))
+	for typ, body := range map[MessageType]any{MsgReplyBin: Reply{Offset: 1}, MsgGetInfo: AppendReq{Segment: seg}} {
+		enc, err := EncodeBody(nil, body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(typ), enc)
+	}
 	f.Add(uint8(MsgAppend), []byte(`{"segment":"json where a layout belongs"}`))
-	f.Add(uint8(MsgGetInfo), AppendReq{Segment: seg}.marshalBinary(nil))
 	f.Add(uint8(25), []byte(`{"reqId":1}`)) // the retired MsgCancelRead
 
 	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
@@ -224,10 +231,10 @@ func FuzzServerDispatch(f *testing.F) {
 		defer nc.Close()
 		_ = nc.SetDeadline(time.Now().Add(20 * time.Second))
 		var out bytes.Buffer
-		if err := writeFrame(&out, MessageType(typ), 1, rawBody(body)); err != nil {
+		if err := WriteFrame(&out, MessageType(typ), 1, RawBody(body)); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(&out, MsgGetInfo, 2, SegmentReq{Segment: seg}); err != nil {
+		if err := WriteFrame(&out, MsgGetInfo, 2, SegmentReq{Segment: seg}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := nc.Write(out.Bytes()); err != nil {
@@ -239,12 +246,12 @@ func FuzzServerDispatch(f *testing.F) {
 			if _, info := replies[2]; info && (polls || len(replies) == 2) {
 				break
 			}
-			rt, id, raw, err := readMessage(nc)
+			rt, id, raw, err := ReadMessage(nc)
 			if err != nil {
 				t.Fatalf("after %d replies: %v", len(replies), err)
 			}
-			var rep Reply
-			if err := rep.unmarshalBinary(raw); rt != MsgReplyBin || err != nil {
+			rep, err := UnmarshalReply(raw)
+			if rt != MsgReplyBin || err != nil {
 				t.Fatalf("reply to %d: type %d, %v", id, rt, err)
 			}
 			if _, dup := replies[id]; dup || id < 1 || id > 2 {
@@ -255,7 +262,7 @@ func FuzzServerDispatch(f *testing.F) {
 		// The segment may be gone by now (the fuzzer is free to delete it);
 		// an answer that claims success must carry its record.
 		if info := replies[2]; info.Err == "" {
-			if _, err := decode[segment.Info](info, nil, "segment info"); err != nil {
+			if _, err := DecodeInfo(info, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -263,9 +270,7 @@ func FuzzServerDispatch(f *testing.F) {
 		// ended, so an empty list means no long poll outlived this one.
 		_ = nc.Close()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			srv.mu.Lock()
-			open := len(srv.conns)
-			srv.mu.Unlock()
+			open := srv.OpenConns()
 			if open == 0 {
 				break
 			}
@@ -281,8 +286,7 @@ func FuzzServerDispatch(f *testing.F) {
 func longPolls(typ MessageType, body []byte) bool {
 	switch typ {
 	case MsgRead:
-		var req ReadReq
-		return req.unmarshalBinary(body) == nil && req.WaitMS > 0
+		return ReadWaits(body)
 	case MsgCoordWatchData, MsgCoordWatchChildren, MsgWatchEpoch:
 		return true
 	}

@@ -31,10 +31,8 @@ var (
 		"Payload bytes returned to read requests")
 )
 
-// DataBackend is the segment data plane a server exposes. A store-role
-// process serves its one store (placement.Local); the single-process server
-// serves the whole cluster's placement.Router, which resolves the owning
-// store — and rides out a failover — on the server side.
+// DataBackend is the segment data plane a server exposes: a store role
+// serves its one store (placement.Local).
 type DataBackend interface {
 	// AppendAfter must enqueue synchronously: the serve loop's call order is
 	// the connection's FIFO append order.
@@ -50,10 +48,9 @@ type DataBackend interface {
 	MergeSegment(target, source string) (int64, error)
 }
 
-// ServerConfig selects which planes a server process exposes. Every backend
-// is optional: a coord-role process sets Coord, Bookies and Ctrl; a
-// store-role process sets Data and Load; the classic single-process server
-// sets everything. Requests for an absent plane get an error reply.
+// ServerConfig selects which planes a server exposes. Every backend is
+// optional: a coord role sets Ctrl, Coord, Bookies and Placement; a store
+// role sets Data and Load. Requests for an absent plane get an error reply.
 type ServerConfig struct {
 	// Data serves segment operations (append/read/seal/...).
 	Data DataBackend

@@ -1,6 +1,7 @@
-package wire
+package wire_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,68 +10,61 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/placement"
+	"github.com/pravega-go/pravega/internal/role"
+	. "github.com/pravega-go/pravega/internal/wire"
 )
 
-// newBackend builds the cluster and controller a wire server fronts.
-func newBackend(tb testing.TB, cfg hosting.ClusterConfig) (*hosting.Cluster, *controller.Controller) {
+// newCluster starts a coord and its stores on loopback TCP.
+func newCluster(tb testing.TB, stores, containers int) *role.Cluster {
 	tb.Helper()
-	cl, err := hosting.NewCluster(cfg)
+	cl, err := role.StartCluster(role.TCPNet("127.0.0.1:0"), role.ClusterConfig{
+		Coord: role.CoordConfig{Stores: stores, Containers: containers},
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(cl.Close)
-	ctrl, err := controller.New(controller.Config{Data: cl.Router(), Cluster: cl.Meta})
+	return cl
+}
+
+// dial opens a raw connection for the test's lifetime.
+func dial(tb testing.TB, addr string) *Conn {
+	tb.Helper()
+	conn, err := Dial(DialTCP, addr)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(ctrl.Close)
-	return cl, ctrl
+	tb.Cleanup(func() { _ = conn.Close() })
+	return conn
 }
 
-// clusterPlanes is the config cmd/pravega-server's -role all serves: every
-// plane of the cluster but the bookies.
-func clusterPlanes(cl *hosting.Cluster, ctrl *controller.Controller) ServerConfig {
-	return ServerConfig{
-		Data:      cl.Router(),
-		Ctrl:      ctrl,
-		Coord:     cl.Meta,
-		Placement: placement.CoordSource{Coord: cl.Meta, Total: cl.TotalContainers()},
-		Load:      cl.Router().LoadReports,
-	}
-}
-
-func serveConfig(tb testing.TB, cfg ServerConfig) *Server {
+// storeAddr finds the address of container 0's store as a client finds
+// it: in the coord's placement snapshot.
+func storeAddr(tb testing.TB, ctrl *Conn) string {
 	tb.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	rep, err := ctrl.Call(MsgClusterInfo, struct{}{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := NewServer(cfg, ln)
-	tb.Cleanup(func() { _ = srv.Close() })
-	return srv
-}
-
-func newClusterServer(tb testing.TB, cl *hosting.Cluster, ctrl *controller.Controller) *Server {
-	tb.Helper()
-	return serveConfig(tb, clusterPlanes(cl, ctrl))
-}
-
-func newServer(t *testing.T) (*Server, *Conn) {
-	t.Helper()
-	cl, ctrl := newBackend(t, hosting.ClusterConfig{Stores: 1, ContainersPerStore: 2, Bookies: 3})
-	srv := newClusterServer(t, cl, ctrl)
-	conn, err := Dial(DialTCP, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	var snap placement.Snapshot
+	if err := json.Unmarshal(rep.Data, &snap); err != nil || snap.Owner[0].Addr == "" {
+		tb.Fatalf("cluster info: %+v, %v", snap, err)
 	}
-	t.Cleanup(func() { _ = conn.Close() })
-	return srv, conn
+	return snap.Owner[0].Addr
+}
+
+// newConns starts a one-store cluster and opens a raw connection to its
+// coord (control) and one to its store (data).
+func newConns(tb testing.TB, containers int) (cl *role.Cluster, ctrl, data *Conn) {
+	tb.Helper()
+	cl = newCluster(tb, 1, containers)
+	ctrl = dial(tb, cl.Addr())
+	return cl, ctrl, dial(tb, storeAddr(tb, ctrl))
 }
 
 func TestWireStreamLifecycleAndIO(t *testing.T) {
-	_, conn := newServer(t)
+	_, conn, data := newConns(t, 2)
 
 	if _, err := conn.Call(MsgCreateScope, StreamReq{Scope: "s"}); err != nil {
 		t.Fatalf("create scope: %v", err)
@@ -97,7 +91,7 @@ func TestWireStreamLifecycleAndIO(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	frame = append(frame, hdr[:]...)
 	frame = append(frame, payload...)
-	ar, err := conn.Call(MsgAppend, AppendReq{
+	ar, err := data.Call(MsgAppend, AppendReq{
 		Segment: seg, Data: frame, WriterID: "w", EventNum: 1, EventCount: 1, CondOffset: -1,
 	})
 	if err != nil {
@@ -107,7 +101,7 @@ func TestWireStreamLifecycleAndIO(t *testing.T) {
 		t.Fatalf("append offset %d, want 0", ar.Offset)
 	}
 
-	rr, err := conn.Call(MsgRead, ReadReq{Segment: seg, Offset: 0, MaxBytes: 1024, WaitMS: 1000})
+	rr, err := data.Call(MsgRead, ReadReq{Segment: seg, Offset: 0, MaxBytes: 1024, WaitMS: 1000})
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -116,7 +110,7 @@ func TestWireStreamLifecycleAndIO(t *testing.T) {
 	}
 
 	// Writer state handshake (§3.2).
-	ws, err := conn.Call(MsgWriterState, SegmentReq{Segment: seg, WriterID: "w"})
+	ws, err := data.Call(MsgWriterState, SegmentReq{Segment: seg, WriterID: "w"})
 	if err != nil || ws.Offset != 1 {
 		t.Fatalf("writer state = %v,%v; want 1", ws.Offset, err)
 	}
@@ -137,7 +131,7 @@ func TestWireStreamLifecycleAndIO(t *testing.T) {
 }
 
 func TestWirePipelinedAppends(t *testing.T) {
-	_, conn := newServer(t)
+	_, conn, data := newConns(t, 2)
 	if _, err := conn.Call(MsgCreateScope, StreamReq{Scope: "p"}); err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +153,9 @@ func TestWirePipelinedAppends(t *testing.T) {
 	const n = 50
 	chans := make([]<-chan Reply, n)
 	for i := 0; i < n; i++ {
-		data := []byte(fmt.Sprintf("%04d", i))
-		ch, err := conn.CallAsync(MsgAppend, AppendReq{
-			Segment: seg, Data: data, WriterID: "pw", EventNum: int64(i + 1), EventCount: 1, CondOffset: -1,
+		payload := []byte(fmt.Sprintf("%04d", i))
+		ch, err := data.CallAsync(MsgAppend, AppendReq{
+			Segment: seg, Data: payload, WriterID: "pw", EventNum: int64(i + 1), EventCount: 1, CondOffset: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -184,11 +178,67 @@ func TestWirePipelinedAppends(t *testing.T) {
 }
 
 func TestWireErrorPropagation(t *testing.T) {
-	_, conn := newServer(t)
-	if _, err := conn.Call(MsgRead, ReadReq{Segment: "no/such/0.#epoch.0", Offset: 0, MaxBytes: 10}); err == nil {
+	_, conn, data := newConns(t, 2)
+	if _, err := data.Call(MsgRead, ReadReq{Segment: "no/such/0.#epoch.0", Offset: 0, MaxBytes: 10}); err == nil {
 		t.Fatal("expected error reading missing segment")
 	}
 	if _, err := conn.Call(MsgSegmentCount, StreamReq{Scope: "x", Stream: "y"}); err == nil {
 		t.Fatal("expected error for missing stream")
 	}
+}
+
+// TestDuplicateLongPollCancelsAllOnDrop pins that two long-poll reads
+// carrying the SAME request id (duplicate frame delivery — a fault the
+// nemesis proxy injects) are BOTH cancelled when the connection drops: the
+// connection's context ends every request on it, whatever its id, so no
+// tail waiter stays blocked for its full wait after the client is gone.
+func TestDuplicateLongPollCancelsAllOnDrop(t *testing.T) {
+	cl := newCluster(t, 1, 2)
+	ctrl := cl.Controller()
+	if err := ctrl.CreateScope("dup"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.CreateStream(controller.StreamConfig{Scope: "dup", Name: "s", InitialSegments: 1}); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ctrl.GetActiveSegments("dup", "s")
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("active segments: %v", err)
+	}
+	seg := segs[0].ID.QualifiedName()
+	cont, err := cl.Stores()[0].Container(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := net.Dial("tcp", storeAddr(t, dial(t, cl.Addr())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames bytes.Buffer
+	req := ReadReq{Segment: seg, Offset: 0, MaxBytes: 1024, WaitMS: 20_000}
+	for range 2 { // same id on both frames
+		if err := WriteFrame(&frames, MsgRead, 42, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := raw.Write(frames.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	waitFor := func(want int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for cont.TailWaiters(seg) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d tail waiters, want %d", what, cont.TailWaiters(seg), want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitFor(2, "after duplicate long-polls")
+	_ = raw.Close()
+	// Both server-side reads must be cancelled and their tail waiters
+	// deregistered well before the 20s wait expires.
+	waitFor(0, "after connection drop")
 }

@@ -4,14 +4,14 @@ import (
 	"context"
 	"testing"
 
-	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/role"
 )
 
 // benchSystem builds a 1-store/1-container in-process deployment.
 func benchSystem(b *testing.B) *System {
 	b.Helper()
 	sys, err := NewInProcess(SystemConfig{
-		Cluster: hosting.ClusterConfig{Stores: 1, ContainersPerStore: 1},
+		Cluster: role.ClusterConfig{Coord: role.CoordConfig{Stores: 1, Containers: 1}},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/role"
 )
 
 // newFailoverSystem is newTestSystem with failover-friendly ownership
@@ -19,10 +19,9 @@ import (
 func newFailoverSystem(t *testing.T) *System {
 	t.Helper()
 	sys, err := NewInProcess(SystemConfig{
-		Cluster: hosting.ClusterConfig{
-			Stores:             3,
-			ContainersPerStore: 2,
-			LeaseTTL:           500 * time.Millisecond,
+		Cluster: role.ClusterConfig{
+			Coord: role.CoordConfig{Stores: 3, Containers: 2},
+			Store: role.StoreConfig{LeaseTTL: 500 * time.Millisecond},
 		},
 	})
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
@@ -25,7 +25,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	obs.AppendTraces().SetSampleEvery(8)
 	defer obs.AppendTraces().SetSampleEvery(0)
 	sys, err := pravega.NewInProcess(pravega.SystemConfig{
-		Cluster:     hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2},
+		Cluster:     role.ClusterConfig{Coord: role.CoordConfig{Stores: 2, Containers: 2}},
 		MetricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {

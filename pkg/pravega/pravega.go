@@ -30,7 +30,6 @@ import (
 
 	"github.com/pravega-go/pravega/internal/client"
 	"github.com/pravega-go/pravega/internal/controller"
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/internal/sim"
@@ -94,10 +93,11 @@ type StreamConfig struct {
 
 // SystemConfig parameterizes an in-process deployment.
 type SystemConfig struct {
-	// Cluster sizes the data plane (defaults: 3 stores × 4 containers,
-	// 3 bookies, replication 3/3/2 — the paper's Table 1 layout).
-	// Cluster.Profile also shapes the client's links.
-	Cluster hosting.ClusterConfig
+	// Cluster is the coord and its stores (defaults: 3 stores × 4
+	// containers, 3 bookies, replication 3/3/2 — the paper's Table 1
+	// layout). Cluster.Profile also shapes the links: the client's and the
+	// roles'. The two fields below set the coord's controller.
+	Cluster role.ClusterConfig
 	// PolicyInterval starts the controller's auto-scaling and retention
 	// loops at this period (zero = loops disabled).
 	PolicyInterval time.Duration
@@ -112,13 +112,13 @@ type SystemConfig struct {
 }
 
 // System is a handle on a Pravega deployment, reached over the wire
-// protocol: a full in-process deployment behind an in-memory listener
+// protocol: a coord and its stores in this process on in-memory listeners
 // (NewInProcess), or a remote one over TCP (Connect). Both open the same
 // wire client, so writers, readers, reader groups and KV tables take one
 // code path.
 type System struct {
-	all    role.All     // zero for Connect systems
-	client *wire.Client // control and data plane
+	cluster *role.Cluster // nil for Connect systems
+	client  *wire.Client  // control and data plane
 	// data is client as every component's data transport; tests wrap it.
 	data   client.DataTransport
 	obsSrv *obs.Server
@@ -128,24 +128,28 @@ type System struct {
 	cancel context.CancelFunc
 }
 
-// NewInProcess starts a full in-process deployment and connects to it over
-// in-memory connections shaped by Cluster.Profile's client link.
+// NewInProcess starts a coord and its stores in this process, each on its
+// own in-memory listener, and connects to them as Connect does: the client
+// bootstraps from the coord and sends data straight to the stores. Client
+// connections are shaped by Cluster.Profile's client link, the roles'
+// connections to each other by its replica link.
 func NewInProcess(cfg SystemConfig) (*System, error) {
-	var link sim.LinkConfig
-	if cfg.Cluster.Profile != nil {
-		link = cfg.Cluster.Profile.ClientLink
+	var clientLink, replicaLink sim.LinkConfig
+	if p := cfg.Cluster.Profile; p != nil {
+		clientLink, replicaLink = p.ClientLink, p.ReplicaLink
 	}
-	ln := sim.Listen(link)
-	all, err := role.StartAll(ln, cfg.Cluster, controller.Config{ScaleCooldown: cfg.ScaleCooldown}, cfg.PolicyInterval)
+	cfg.Cluster.Coord.PolicyInterval, cfg.Cluster.Coord.ScaleCooldown = cfg.PolicyInterval, cfg.ScaleCooldown
+	nw := sim.NewNet()
+	cl, err := role.StartCluster(role.SimNet(nw, replicaLink), cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	s, err := connect(ln.Dial, ln.Addr().String(), wire.ClientConfig{})
+	s, err := connect(nw.Dialer(clientLink), cl.Addr(), wire.ClientConfig{})
 	if err != nil {
-		all.Close()
+		cl.Close()
 		return nil, err
 	}
-	s.all = *all
+	s.cluster = cl
 	if cfg.MetricsAddr != "" {
 		srv, err := obs.Serve(cfg.MetricsAddr, obs.Default())
 		if err != nil {
@@ -195,8 +199,8 @@ func (s *System) Close() {
 		_ = s.obsSrv.Close()
 	}
 	_ = s.client.Close()
-	if s.all.Srv != nil {
-		s.all.Close()
+	if s.cluster != nil {
+		s.cluster.Close()
 	}
 }
 
@@ -212,11 +216,16 @@ func (s *System) MetricsAddr() string {
 // Cluster exposes the underlying deployment (advanced use: failure
 // injection in tests, metrics in the benchmark harness). It is nil for a
 // System opened with Connect.
-func (s *System) Cluster() *hosting.Cluster { return s.all.Cluster }
+func (s *System) Cluster() *role.Cluster { return s.cluster }
 
 // Controller exposes the control plane (advanced use). It is nil for a
 // System opened with Connect.
-func (s *System) Controller() *controller.Controller { return s.all.Ctrl }
+func (s *System) Controller() *controller.Controller {
+	if s.cluster == nil {
+		return nil
+	}
+	return s.cluster.Controller()
+}
 
 func toInternalScaling(p ScalingPolicy) controller.ScalingPolicy {
 	return controller.ScalingPolicy{

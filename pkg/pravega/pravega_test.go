@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/role"
 )
 
 // newTestSystem returns an in-process System for the API test suite: every
@@ -17,7 +17,7 @@ import (
 func newTestSystem(t *testing.T) *System {
 	t.Helper()
 	sys, err := NewInProcess(SystemConfig{
-		Cluster: hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2},
+		Cluster: role.ClusterConfig{Coord: role.CoordConfig{Stores: 2, Containers: 2}},
 	})
 	if err != nil {
 		t.Fatalf("NewInProcess: %v", err)
@@ -330,7 +330,7 @@ func TestWriterDedupOnRetry(t *testing.T) {
 
 func TestAutoScalingSplitsHotStream(t *testing.T) {
 	sys, err := NewInProcess(SystemConfig{
-		Cluster:        hosting.ClusterConfig{Stores: 2, ContainersPerStore: 2},
+		Cluster:        role.ClusterConfig{Coord: role.CoordConfig{Stores: 2, Containers: 2}},
 		PolicyInterval: 100 * time.Millisecond,
 		ScaleCooldown:  200 * time.Millisecond,
 	})

@@ -14,7 +14,6 @@ import (
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/segstore"
-	"github.com/pravega-go/pravega/internal/wal"
 )
 
 // WriterConfig parameterizes an EventWriter.
@@ -372,14 +371,7 @@ func (sw *segmentWriter) trySendLocked() {
 // new owner), or a batch that overtook such a one (out of order). Replay is
 // safe for all of them because the server-side (writer, eventNum) dedup
 // discards anything that was in fact applied.
-func transientAppendErr(err error) bool {
-	return errors.Is(err, client.ErrDisconnected) ||
-		errors.Is(err, segstore.ErrOutOfOrder) ||
-		errors.Is(err, client.ErrWrongHost) ||
-		errors.Is(err, segstore.ErrWrongContainer) ||
-		errors.Is(err, segstore.ErrContainerDown) ||
-		errors.Is(err, wal.ErrFenced)
-}
+func transientAppendErr(err error) bool { return errors.Is(err, client.ErrRetryable) }
 
 // sendBatch serializes and ships one batch that follows event number prev
 // on the segment (caller holds sw.mu). The container applies it only after

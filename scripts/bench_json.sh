@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_failover.json}"
 iters="${BENCH_ITERS:-5x}"
 
-raw="$(go test ./internal/hosting -run 'xxx' -bench 'BenchmarkFailover' \
+raw="$(go test ./internal/role -run 'xxx' -bench 'BenchmarkFailover' \
   -benchtime "$iters" -timeout 20m)"
 echo "$raw"
 

@@ -11,9 +11,6 @@ allowlist=(
   "reader.go:.*segstore.ErrSegmentTruncated"   # retention jump, handled internally
   "readergroup.go:.*segstore.ErrSegmentExists" # idempotent create-or-join
   "writer.go:.*segstore.ErrSegmentSealed"      # scale re-route, handled internally
-  "writer.go:.*segstore.ErrWrongContainer"     # failover park-and-replay, handled internally
-  "writer.go:.*segstore.ErrContainerDown"      # failover park-and-replay, handled internally
-  "writer.go:.*wal.ErrFenced"                  # zombie fenced by new owner, handled internally
 )
 
 fail=0

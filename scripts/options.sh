@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 dirs=(internal/blockcache internal/bookkeeper internal/controller
-  internal/hosting internal/placement internal/readahead internal/segstore
+  internal/placement internal/readahead internal/role internal/segstore
   internal/wal internal/wire pkg/pravega)
 
 for d in "${dirs[@]}"; do
