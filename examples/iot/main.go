@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
@@ -23,8 +24,10 @@ const (
 
 func main() {
 	sys, err := pravega.NewInProcess(pravega.SystemConfig{
-		PolicyInterval: 250 * time.Millisecond,
-		ScaleCooldown:  500 * time.Millisecond,
+		Cluster: role.ClusterConfig{Coord: role.CoordConfig{
+			PolicyInterval: 250 * time.Millisecond,
+			ScaleCooldown:  500 * time.Millisecond,
+		}},
 	})
 	if err != nil {
 		log.Fatal(err)

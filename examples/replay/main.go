@@ -11,12 +11,13 @@ import (
 	"log"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/role"
 	"github.com/pravega-go/pravega/pkg/pravega"
 )
 
 func main() {
 	sys, err := pravega.NewInProcess(pravega.SystemConfig{
-		PolicyInterval: 300 * time.Millisecond,
+		Cluster: role.ClusterConfig{Coord: role.CoordConfig{PolicyInterval: 300 * time.Millisecond}},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -48,7 +48,7 @@ var transports = map[string]func(t *testing.T, fx *fixture) func(placement.Endpo
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := wire.NewServer(wire.ServerConfig{Data: placement.Local{St: st}, Load: st.LoadReport}, ln)
+			srv := wire.NewServer(wire.ServerConfig{Data: placement.Local{St: st}}, ln)
 			t.Cleanup(func() { _ = srv.Close() })
 			// The host registration carries the address the router dials.
 			if _, err := segstore.StartOwnershipManager(st, srv.Addr()); err != nil {

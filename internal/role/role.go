@@ -243,10 +243,7 @@ func (s *Store) start(ln net.Listener, cfg StoreConfig) error {
 	}); err != nil {
 		return fmt.Errorf("starting store: %w", err)
 	}
-	s.srv = wire.NewServer(wire.ServerConfig{
-		Data: placement.Local{St: s.st},
-		Load: s.st.LoadReport,
-	}, ln)
+	s.srv = wire.NewServer(wire.ServerConfig{Data: placement.Local{St: s.st}}, ln)
 	s.advertise = cfg.Advertise
 	if s.advertise == "" {
 		s.advertise = s.srv.Addr()

@@ -248,7 +248,8 @@ func (c *Container) newSegState(name string) *segState {
 }
 
 // recover rebuilds in-memory state from the WAL (§4.4): restore the last
-// checkpoint, then re-apply every subsequent operation.
+// checkpoint, then replay the retained log through applyOpLocked, the
+// transition the live applier runs.
 func (c *Container) recover() error {
 	entries, err := c.log.ReadAll()
 	if err != nil {
@@ -291,20 +292,26 @@ func (c *Container) recover() error {
 	// checkpoint: a checkpoint snapshots applied state, but append data that
 	// was applied yet not tiered at snapshot time lives only in entries at
 	// or before the checkpoint frame (the WAL retains them for exactly this
-	// reason, §4.3). applyRecovered trims each append against the restored
+	// reason, §4.3). applyOpLocked trims each append against the restored
 	// storage watermark, so tiered prefixes are skipped and un-tiered tails
 	// are re-queued for flushing.
-	for i := 0; i < len(entries); i++ {
+	var queued, released int64
+	c.mu.Lock()
+	for i := range decoded {
 		for j := range decoded[i] {
-			c.applyRecovered(&decoded[i][j], entries[i].Addr)
+			r, _ := c.applyOpLocked(&decoded[i][j], entries[i].Addr, nil)
+			queued += r.queued
+			released += r.released
 		}
 	}
 	// Align pending lengths with recovered durable lengths.
-	c.mu.Lock()
 	for _, s := range c.segments {
 		s.pendingLength = s.length
 	}
 	c.mu.Unlock()
+	if c.settleBacklog(queued, released) {
+		c.kickFlush()
+	}
 	c.reconcileStorage()
 	return nil
 }
@@ -335,83 +342,78 @@ func (c *Container) restoreCheckpoint(data []byte) error {
 	return nil
 }
 
-// applyRecovered re-applies one replayed operation. Append data already in
-// LTS (per the recovered storageLength) is not re-cached or re-flushed.
-func (c *Container) applyRecovered(op *Operation, addr wal.Address) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// applied is what one operation's state transition did beyond segment
+// state: the op's result offset (an append's or merge's start, a seal's final
+// length), the bytes it queued for tiering, and the un-tiered bytes it
+// released with a removed segment.
+type applied struct{ offset, queued, released int64 }
+
+// applyOpLocked is the container's one state transition (§4.2.1): the live
+// applier runs it on each operation of a durable frame and recovery on each
+// operation of the retained WAL, so recovery is replay. Callers settle the
+// throttle backlog and the flush kick once for many operations. hooks is nil
+// in replay: a crash hook that persists across restarts must not fire while
+// recovering. torn reports a MidMerge crash request: the target is extended
+// and the source still present. Checkpoints are frame bookkeeping and apply
+// nothing here. Caller holds c.mu.
+func (c *Container) applyOpLocked(op *Operation, addr wal.Address, hooks *Hooks) (r applied, torn bool) {
+	s := c.segments[op.Segment]
 	switch op.Type {
 	case OpCreate:
-		if _, ok := c.segments[op.Segment]; !ok {
+		if s == nil {
 			c.segments[op.Segment] = c.newSegState(op.Segment)
 		}
-	case OpAppend:
-		s, ok := c.segments[op.Segment]
-		if !ok {
-			return
+	case OpAppend, OpMergeSegment:
+		if s != nil {
+			r.offset = op.Offset
+			r.queued = c.applyAppendLocked(s, op, addr)
 		}
-		end := op.Offset + int64(len(op.Data))
-		if end <= s.storageLength {
-			// Every byte is already tiered: only the writer-dedup
-			// attribute still matters.
-			c.applyWriterAttrLocked(s, op)
-			return
+		if op.Type == OpAppend {
+			break
 		}
-		if op.Offset < s.storageLength {
-			// Prefix already tiered — replay only the un-tiered tail.
-			cut := s.storageLength - op.Offset
-			op.Data = op.Data[cut:]
-			op.Offset = s.storageLength
+		// Commit-by-merge (§3.2): the source's bytes become contiguous
+		// target bytes and the source vanishes, under one c.mu hold —
+		// readers and later frames observe either both effects or neither.
+		if hooks != nil && hooks.MidMerge != nil && hooks.MidMerge(op.Segment, op.Source) {
+			return r, true
 		}
-		c.applyAppendLocked(s, op, addr)
-		c.flushMu.Lock()
-		c.unflushedBytes += int64(len(op.Data))
-		c.flushMu.Unlock()
-		mUnflushedBytes.Add(int64(len(op.Data)))
-		c.kickFlush()
+		if src := c.segments[op.Source]; src != nil {
+			r.released = c.removeSegmentLocked(op.Source, src)
+		}
 	case OpSeal:
-		if s, ok := c.segments[op.Segment]; ok {
-			s.sealed = true
+		if s != nil {
+			s.sealed, s.pendingSeal = true, false
+			r.offset = s.length
+			wakeTailReaders(s)
 		}
 	case OpTruncate:
-		if s, ok := c.segments[op.Segment]; ok {
+		if s != nil {
 			c.applyTruncateLocked(s, op.TruncateAt)
 		}
 	case OpDelete:
-		if s, ok := c.segments[op.Segment]; ok {
-			n := c.removeSegmentLocked(op.Segment, s)
-			c.releaseUnflushedLocked(n)
+		if s != nil {
+			r.released = c.removeSegmentLocked(op.Segment, s)
 		}
-	case OpMergeSegment:
-		// One WAL entry carries the whole transition: drop the source (it
-		// may have been rebuilt by replaying its own create/appends earlier
-		// in the log), then re-apply its bytes to the target, trimmed
-		// against the tiered prefix exactly like an append.
-		if src, ok := c.segments[op.Source]; ok {
-			n := c.removeSegmentLocked(op.Source, src)
-			c.releaseUnflushedLocked(n)
-		}
-		s, ok := c.segments[op.Segment]
-		if !ok || len(op.Data) == 0 {
-			return
-		}
-		if end := op.Offset + int64(len(op.Data)); end <= s.storageLength {
-			return
-		}
-		if op.Offset < s.storageLength {
-			cut := s.storageLength - op.Offset
-			op.Data = op.Data[cut:]
-			op.Offset = s.storageLength
-		}
-		c.applyAppendLocked(s, op, addr)
-		c.flushMu.Lock()
-		c.unflushedBytes += int64(len(op.Data))
-		c.flushMu.Unlock()
-		mUnflushedBytes.Add(int64(len(op.Data)))
-		c.kickFlush()
-	case OpCheckpoint:
-		// Handled during checkpoint location.
 	}
+	return r, false
+}
+
+// settleBacklog adds queued bytes to the un-tiered backlog the throttle
+// weighs and takes released ones off it, waking throttled writers. It
+// reports whether a queue left the backlog at FlushSizeBytes or more.
+func (c *Container) settleBacklog(queued, released int64) (full bool) {
+	if queued == 0 && released == 0 {
+		return false
+	}
+	c.flushMu.Lock()
+	c.unflushedBytes += queued - released
+	full = queued > 0 && c.unflushedBytes >= c.cfg.FlushSizeBytes
+	c.flushMu.Unlock()
+	mUnflushedBytes.Add(queued - released)
+	if released > 0 {
+		c.flushCond.Broadcast()
+	}
+	return full
 }
 
 // removeSegmentLocked deletes a segment's in-memory state: tail waiters are
@@ -420,10 +422,7 @@ func (c *Container) applyRecovered(op *Operation, addr wal.Address) {
 // the segment's un-tiered byte count so the caller can release its share of
 // the throttle budget. Caller holds c.mu.
 func (c *Container) removeSegmentLocked(name string, s *segState) int64 {
-	for _, w := range s.waiters {
-		close(w)
-	}
-	s.waiters = nil
+	wakeTailReaders(s)
 	var unflushed int64
 	for _, it := range s.unflushed {
 		unflushed += int64(len(it.data))
@@ -446,45 +445,36 @@ func (c *Container) removeSegmentLocked(name string, s *segState) int64 {
 	return unflushed
 }
 
-// releaseUnflushedLocked returns n un-tiered bytes to the throttle budget.
-// Caller holds c.mu (flushMu is ordered after it).
-func (c *Container) releaseUnflushedLocked(n int64) {
-	if n <= 0 {
-		return
+// applyAppendLocked applies an append's or a merge's bytes: it records the
+// writer's attribute (§3.2), installs the bytes above the segment's tiered
+// prefix into the read index, cache and flush queue, wakes tail readers, and
+// returns how many it queued for tiering. Live nothing is cut, since every
+// op is sequenced at or after pendingLength; in replay a tiered prefix is
+// skipped, and an op tiered in full updates only the attribute.
+func (c *Container) applyAppendLocked(s *segState, op *Operation, addr wal.Address) (queued int64) {
+	if op.WriterID != "" {
+		if cur, ok := s.attributes[op.WriterID]; !ok || op.EventNum > cur {
+			s.attributes[op.WriterID] = op.EventNum
+		}
 	}
-	c.flushMu.Lock()
-	c.unflushedBytes -= n
-	c.flushMu.Unlock()
-	mUnflushedBytes.Add(-n)
-	c.flushCond.Broadcast()
-}
-
-// applyWriterAttrLocked records the writer's last event number (§3.2).
-func (c *Container) applyWriterAttrLocked(s *segState, op *Operation) {
-	if op.WriterID == "" {
-		return
+	if len(op.Data) == 0 || op.Offset+int64(len(op.Data)) <= s.storageLength {
+		return 0
 	}
-	if cur, ok := s.attributes[op.WriterID]; !ok || op.EventNum > cur {
-		s.attributes[op.WriterID] = op.EventNum
+	if cut := s.storageLength - op.Offset; cut > 0 {
+		op.Data, op.Offset = op.Data[cut:], s.storageLength
 	}
-}
-
-// applyAppendLocked installs acked append data into the read index, cache,
-// attributes and flush queue, then wakes tail readers. The caller owns the
-// unflushedBytes backlog accounting and the flush kick: the applier batches
-// both per frame instead of per operation.
-func (c *Container) applyAppendLocked(s *segState, op *Operation, addr wal.Address) {
-	dataLen := int64(len(op.Data))
+	queued = int64(len(op.Data))
 	c.cacheAppendLocked(s, op.Offset, op.Data)
-	if end := op.Offset + dataLen; end > s.length {
-		s.length = end
-	}
-	c.applyWriterAttrLocked(s, op)
-	s.meter.Record(int64(op.EventCount), dataLen)
-
-	// Queue for tiering.
+	s.length = max(s.length, op.Offset+queued)
+	s.meter.Record(int64(op.EventCount), queued)
 	s.unflushed = append(s.unflushed, flushItem{addr: addr, offset: op.Offset, data: op.Data})
+	wakeTailReaders(s)
+	return queued
+}
 
+// wakeTailReaders releases the segment's tail-read long-polls. Caller holds
+// c.mu.
+func wakeTailReaders(s *segState) {
 	for _, w := range s.waiters {
 		close(w)
 	}

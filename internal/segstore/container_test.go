@@ -419,6 +419,32 @@ func TestContainerDeleteSegment(t *testing.T) {
 	}
 }
 
+// TestAppendBehindPendingDeleteLeavesNoBacklog: an append sequenced while a
+// delete of its segment is in flight finds the segment gone when it is
+// applied. It queues nothing for tiering, so it must add nothing to the
+// backlog the throttle weighs, or that budget leaks for good.
+func TestAppendBehindPendingDeleteLeavesNoBacklog(t *testing.T) {
+	env := newTestEnv(t)
+	c := newTestContainer(t, env, 0)
+	const seg = "s/t/9.#epoch.0"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	del := make(chan AppendResult, 1)
+	c.enqueue(Operation{Type: OpDelete, Segment: seg}, func(r AppendResult) { del <- r })
+	app := appendAsync(c, seg, []byte("behind the delete"), "w", 0)
+	if r := <-del; r.Err != nil {
+		t.Fatalf("delete: %v", r.Err)
+	}
+	<-app
+	if err := c.FlushAll(); err != nil {
+		t.Fatalf("FlushAll: %v", err)
+	}
+	if n := c.Stats().UnflushedBytes; n != 0 {
+		t.Fatalf("un-tiered backlog %d bytes with no segment left", n)
+	}
+}
+
 func TestContainerConcurrentAppenders(t *testing.T) {
 	env := newTestEnv(t)
 	c := newTestContainer(t, env, 0)

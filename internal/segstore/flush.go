@@ -357,13 +357,7 @@ func (c *Container) retireCovered(segName string) {
 		c.evictStalled = false
 	}
 	c.mu.Unlock()
-	if freed > 0 {
-		c.flushMu.Lock()
-		c.unflushedBytes -= freed
-		c.flushMu.Unlock()
-		mUnflushedBytes.Add(-freed)
-	}
-	c.flushCond.Broadcast()
+	c.settleBacklog(0, freed)
 }
 
 // reconcileStorage runs once during recovery, after replay: it aligns chunk

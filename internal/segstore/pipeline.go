@@ -569,24 +569,14 @@ func (c *Container) applyFrame(f *frameResult) {
 	if f.err != nil {
 		// WAL failure is fatal for the container (§4.4).
 		c.failAll(fmt.Errorf("segstore: WAL append failed: %w", f.err))
-		for _, p := range f.done {
-			p.complete(AppendResult{Err: f.err})
-		}
-		for _, p := range f.dups {
-			p.complete(AppendResult{Err: f.err})
-		}
+		failFrameOps(f, f.err)
 		return
 	}
 	if c.crashed.Load() {
 		// Crashed mid-drain: the frame is durable in the WAL but must not
 		// be applied — recovery will replay it. Callers get an ambiguous
 		// failure, exactly as if the process had died before acking.
-		for _, p := range f.done {
-			p.complete(AppendResult{Err: ErrContainerDown})
-		}
-		for _, p := range f.dups {
-			p.complete(AppendResult{Err: ErrContainerDown})
-		}
+		failFrameOps(f, ErrContainerDown)
 		return
 	}
 	if h := c.cfg.Hooks; h != nil && h.BeforeApply != nil && h.BeforeApply(f.seq) {
@@ -606,68 +596,11 @@ func (c *Container) applyFrame(f *frameResult) {
 			}
 		}
 	}
-	var appendBytes, deletedUnflushed int64
-	crashMid := false
+	var queued, released int64
+	torn := false
 	c.mu.Lock()
-applyLoop:
 	for i, op := range f.ops {
-		p := f.done[i]
-		s := c.segments[op.Segment]
-		switch op.Type {
-		case OpCreate:
-			if s == nil {
-				c.segments[op.Segment] = c.newSegState(op.Segment)
-			}
-		case OpAppend:
-			appendBytes += int64(len(op.Data))
-			if s != nil {
-				c.applyAppendLocked(s, op, f.addr)
-				p.result.Offset = op.Offset
-			}
-		case OpSeal:
-			if s != nil {
-				s.sealed = true
-				s.pendingSeal = false
-				p.result.Offset = s.length
-				for _, w := range s.waiters {
-					close(w)
-				}
-				s.waiters = nil
-			}
-		case OpTruncate:
-			if s != nil {
-				c.applyTruncateLocked(s, op.TruncateAt)
-			}
-		case OpDelete:
-			if s != nil {
-				// The segment's un-tiered backlog disappears with it;
-				// release its share of the throttle budget.
-				deletedUnflushed += c.removeSegmentLocked(op.Segment, s)
-			}
-		case OpMergeSegment:
-			// Commit-by-merge (§3.2): the source's bytes become contiguous
-			// target bytes and the source vanishes, all under this one c.mu
-			// hold — readers and later frames observe either both effects or
-			// neither.
-			appendBytes += int64(len(op.Data))
-			if s != nil {
-				if len(op.Data) > 0 {
-					c.applyAppendLocked(s, op, f.addr)
-				}
-				p.result.Offset = op.Offset
-			}
-			if h := c.cfg.Hooks; h != nil && h.MidMerge != nil && h.MidMerge(op.Segment, op.Source) {
-				// Torn point: target extended, source still present. The
-				// crash itself is deferred past the unlock (markDown takes
-				// c.mu); remaining frame ops are not applied — recovery
-				// replays the durable frame in full.
-				crashMid = true
-				break applyLoop
-			}
-			if src, ok := c.segments[op.Source]; ok {
-				deletedUnflushed += c.removeSegmentLocked(op.Source, src)
-			}
-		case OpCheckpoint:
+		if op.Type == OpCheckpoint {
 			c.flushMu.Lock()
 			c.lastCheckpoint = f.addr
 			c.hasCheckpoint = true
@@ -675,9 +608,21 @@ applyLoop:
 			c.cpCoverOK = op.cpCoverOK
 			c.flushMu.Unlock()
 			c.checkpointsTaken.Add(1)
+			continue
+		}
+		var r applied
+		r, torn = c.applyOpLocked(op, f.addr, c.cfg.Hooks)
+		f.done[i].result.Offset = r.offset
+		queued += r.queued
+		released += r.released
+		if torn {
+			// The MidMerge crash is deferred past the unlock (markDown
+			// takes c.mu); remaining frame ops are not applied — recovery
+			// replays the durable frame in full.
+			break
 		}
 	}
-	if !crashMid {
+	if !torn {
 		c.lastApplied = f.addr
 		c.hasLastApplied = true
 	}
@@ -686,7 +631,7 @@ applyLoop:
 	}
 	c.mu.Unlock()
 
-	if crashMid {
+	if torn {
 		c.requestCrash()
 		failFrameOps(f, ErrContainerDown)
 		return
@@ -711,29 +656,17 @@ applyLoop:
 			p.span.MarkApplied()
 		}
 	}
-	if appendBytes > 0 {
-		c.bytesWritten.Add(appendBytes)
-		mAppendBytes.Add(appendBytes)
-		mUnflushedBytes.Add(appendBytes)
-		c.flushMu.Lock()
-		c.unflushedBytes += appendBytes
-		// A kicked round flushes only segments whose backlog has reached
-		// FlushSizeBytes, and no segment's can have while the container's is
-		// below it; small backlogs (a sealed segment's remainder too) go with
-		// the tick. Below the threshold a kick would only put a second thread
-		// on the container lock beside the acknowledgements of every frame.
-		kick := c.unflushedBytes >= c.cfg.FlushSizeBytes
-		c.flushMu.Unlock()
-		if kick {
-			c.kickFlush()
-		}
+	if queued > 0 {
+		c.bytesWritten.Add(queued)
+		mAppendBytes.Add(queued)
 	}
-	if deletedUnflushed > 0 {
-		c.flushMu.Lock()
-		c.unflushedBytes -= deletedUnflushed
-		c.flushMu.Unlock()
-		mUnflushedBytes.Add(-deletedUnflushed)
-		c.flushCond.Broadcast()
+	// A kicked round flushes only segments whose backlog has reached
+	// FlushSizeBytes, and no segment's can have while the container's is
+	// below it; small backlogs (a sealed segment's remainder too) go with
+	// the tick. Below the threshold a kick would only put a second thread on
+	// the container lock beside the acknowledgements of every frame.
+	if c.settleBacklog(queued, released) {
+		c.kickFlush()
 	}
 	for _, p := range f.done {
 		p.complete(p.result)

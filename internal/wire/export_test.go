@@ -40,7 +40,6 @@ const (
 	PlaneCoord   = planeCoord
 	PlaneBookies = planeBookies
 	PlaneInfo    = planeInfo
-	PlaneLoad    = planeLoad
 )
 
 var (

@@ -23,7 +23,6 @@ const (
 	planeCoord
 	planeBookies
 	planeInfo
-	planeLoad
 )
 
 // served names plane p and reports whether this node's config carries it.
@@ -37,10 +36,8 @@ func (s *Server) served(p plane) (string, bool) {
 		return "coord", s.cfg.Coord != nil
 	case planeBookies:
 		return "bookie", s.cfg.Bookies != nil
-	case planeInfo:
+	default: // planeInfo
 		return "cluster info", s.cfg.Placement != nil
-	default: // planeLoad
-		return "load", s.cfg.Load != nil
 	}
 }
 
@@ -143,9 +140,9 @@ var handlers = [msgEnd]handler{
 	MsgMergeSegments: {planeData, on(func(s *Server, r *MergeReq) Reply {
 		return offset(s.cfg.Data.MergeSegment(r.Target, r.Source))
 	})},
-	MsgLoadReport: {planeLoad, on(func(s *Server, _ *struct{}) Reply {
-		loads := s.cfg.Load()
-		return record(loads, len(loads), nil)
+	MsgLoadReport: {planeData, on(func(s *Server, _ *struct{}) Reply {
+		loads, err := s.cfg.Data.LoadReport()
+		return record(loads, len(loads), err)
 	})},
 
 	// Placement, answered from the server's own placement.Source.

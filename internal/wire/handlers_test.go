@@ -44,7 +44,6 @@ func allPlanes(tb testing.TB) (cfg ServerConfig, seg string) {
 		Coord:     cl.Meta(),
 		Bookies:   map[string]bookkeeper.Node{"bookie-0": bk},
 		Placement: placement.CoordSource{Coord: cl.Meta(), Total: cl.TotalContainers()},
-		Load:      st.LoadReport,
 	}, segs[0].ID.QualifiedName()
 }
 
@@ -84,7 +83,6 @@ func TestHandlerTableComplete(t *testing.T) {
 		PlaneCoord:   func(c *ServerConfig) { c.Coord = nil },
 		PlaneBookies: func(c *ServerConfig) { c.Bookies = nil },
 		PlaneInfo:    func(c *ServerConfig) { c.Placement = nil },
-		PlaneLoad:    func(c *ServerConfig) { c.Load = nil },
 	}
 	for p, drop := range absent {
 		cfg := full

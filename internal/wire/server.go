@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/placement"
-	"github.com/pravega-go/pravega/internal/segment"
-	"github.com/pravega-go/pravega/internal/segstore"
 )
 
 // Process-wide series for the wire protocol server.
@@ -31,29 +28,15 @@ var (
 		"Payload bytes returned to read requests")
 )
 
-// DataBackend is the segment data plane a server exposes: a store role
-// serves its one store (placement.Local).
-type DataBackend interface {
-	// AppendAfter must enqueue synchronously: the serve loop's call order is
-	// the connection's FIFO append order.
-	AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
-	AppendConditional(name string, data []byte, expectedOffset int64) (int64, error)
-	ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error)
-	GetInfo(name string) (segment.Info, error)
-	WriterState(name, writerID string) (int64, error)
-	CreateSegment(name string) error
-	SealSegment(name string) (int64, error)
-	TruncateSegment(name string, offset int64) error
-	DeleteSegment(name string) error
-	MergeSegment(target, source string) (int64, error)
-}
-
 // ServerConfig selects which planes a server exposes. Every backend is
 // optional: a coord role sets Ctrl, Coord, Bookies and Placement; a store
-// role sets Data and Load. Requests for an absent plane get an error reply.
+// role sets Data. Requests for an absent plane get an error reply.
 type ServerConfig struct {
-	// Data serves segment operations (append/read/seal/...).
-	Data DataBackend
+	// Data serves segment operations (append/read/seal/...) and MsgLoadReport
+	// (per-segment rates): a store role serves its one store
+	// (placement.Local). AppendAfter must enqueue synchronously: the serve
+	// loop's call order is the connection's FIFO append order.
+	Data placement.Store
 	// Ctrl serves the stream control plane.
 	Ctrl *controller.Controller
 	// Coord serves the coordination store remotely (MsgCoord*). It must be
@@ -66,8 +49,6 @@ type ServerConfig struct {
 	// Placement answers MsgClusterInfo with its snapshot and MsgWatchEpoch
 	// with its epoch watch, so clients route as the server does.
 	Placement placement.Source
-	// Load answers MsgLoadReport (per-segment rates of this node's store).
-	Load func() []segstore.SegmentLoad
 }
 
 // Server exposes a Pravega node — any subset of data, control, coordination

@@ -96,13 +96,12 @@ type SystemConfig struct {
 	// Cluster is the coord and its stores (defaults: 3 stores × 4
 	// containers, 3 bookies, replication 3/3/2 — the paper's Table 1
 	// layout). Cluster.Profile also shapes the links: the client's and the
-	// roles'. The two fields below set the coord's controller.
+	// roles'. Cluster.Coord sets the coord's controller: for example,
+	// Cluster.Coord.PolicyInterval starts its auto-scaling, retention and
+	// transaction-lease loops at that period (zero = loops disabled), and
+	// Cluster.Coord.ScaleCooldown is the per-stream hysteresis between
+	// scaling events.
 	Cluster role.ClusterConfig
-	// PolicyInterval starts the controller's auto-scaling and retention
-	// loops at this period (zero = loops disabled).
-	PolicyInterval time.Duration
-	// ScaleCooldown is the per-stream hysteresis between scaling events.
-	ScaleCooldown time.Duration
 	// MetricsAddr starts the observability HTTP endpoint on this address
 	// (Prometheus text on /metrics, expvar on /debug/vars, pprof under
 	// /debug/pprof/, sampled append spans on /debug/traces). Empty
@@ -138,7 +137,6 @@ func NewInProcess(cfg SystemConfig) (*System, error) {
 	if p := cfg.Cluster.Profile; p != nil {
 		clientLink, replicaLink = p.ClientLink, p.ReplicaLink
 	}
-	cfg.Cluster.Coord.PolicyInterval, cfg.Cluster.Coord.ScaleCooldown = cfg.PolicyInterval, cfg.ScaleCooldown
 	nw := sim.NewNet()
 	cl, err := role.StartCluster(role.SimNet(nw, replicaLink), cfg.Cluster)
 	if err != nil {

@@ -328,11 +328,53 @@ func TestWriterDedupOnRetry(t *testing.T) {
 	}
 }
 
+// TestClusterCoordPolicyIntervalStartsPolicyLoops: a policy interval set on
+// the coord's own config reaches the controller, whose reaper then aborts a
+// transaction whose lease lapsed.
+func TestClusterCoordPolicyIntervalStartsPolicyLoops(t *testing.T) {
+	sys, err := NewInProcess(SystemConfig{
+		Cluster: role.ClusterConfig{Coord: role.CoordConfig{Stores: 2, Containers: 2, PolicyInterval: 20 * time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	mustCreate(t, sys, "txns", "policy", 1)
+	tw, err := sys.NewTransactionalWriter(TxnWriterConfig{
+		Scope: "txns", Stream: "policy", Lease: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tw.Close()
+	ctx := context.Background()
+	txn, err := tw.BeginTxn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err := txn.Status(ctx)
+		if err != nil {
+			t.Fatalf("Status: %v", err)
+		}
+		if st == TxnAborted {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("txn still %v 5 s after its 50 ms lease: no policy pass ran", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestAutoScalingSplitsHotStream(t *testing.T) {
 	sys, err := NewInProcess(SystemConfig{
-		Cluster:        role.ClusterConfig{Coord: role.CoordConfig{Stores: 2, Containers: 2}},
-		PolicyInterval: 100 * time.Millisecond,
-		ScaleCooldown:  200 * time.Millisecond,
+		Cluster: role.ClusterConfig{Coord: role.CoordConfig{
+			Stores: 2, Containers: 2,
+			PolicyInterval: 100 * time.Millisecond,
+			ScaleCooldown:  200 * time.Millisecond,
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

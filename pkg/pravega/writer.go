@@ -396,55 +396,23 @@ func (sw *segmentWriter) sendBatch(events []pendingEvent, prev int64) {
 
 // onBatchResult handles one batch acknowledgement.
 func (sw *segmentWriter) onBatchResult(events []pendingEvent, r segstore.AppendResult) {
-	switch {
-	case r.Err == nil:
+	sealed := errors.Is(r.Err, segstore.ErrSegmentSealed)
+	retry := !sealed && transientAppendErr(r.Err)
+	if !sealed && !retry {
+		err := convertErr(r.Err)
 		for _, pe := range events {
-			pe.future.complete(nil)
+			pe.future.complete(err)
 		}
-		sw.mu.Lock()
-		sw.inflight--
-		sw.trySendLocked()
-		// Acks resolve out of order: this success may be the last in-flight
-		// ack AFTER an earlier batch already parked itself for replay.
-		// Recovery only ever starts at inflight==0, so the last ack — no
-		// matter its own outcome — must hand off to it, or the parked
-		// batches (and their futures) hang forever.
-		startRecover := sw.inflight == 0 && !sw.recovering && len(sw.retry) > 0
-		if startRecover {
-			sw.recovering = true
-		}
-		// A sealed rejection completes at validation time and can overtake
-		// an earlier batch's success ack (which waits for the WAL write).
-		// If this success is the last in-flight ack of a sealed segment,
-		// seal resolution falls to us. Recovery takes precedence: recover()
-		// re-checks sealed once the parked batches are resolved.
-		resolved := !startRecover && sw.sealed && sw.inflight == 0 && !sw.recovering
-		sw.flushCond.Broadcast()
-		sw.mu.Unlock()
-		if startRecover {
-			go sw.recover()
-		} else if resolved {
-			sw.resolveSeal()
-		}
-	case errors.Is(r.Err, segstore.ErrSegmentSealed):
-		sw.mu.Lock()
+	}
+	sw.mu.Lock()
+	sw.inflight--
+	switch {
+	case sealed:
 		sw.sealed = true
 		sw.redirect = append(sw.redirect, events...)
-		sw.inflight--
-		startRecover := sw.inflight == 0 && !sw.recovering && len(sw.retry) > 0
-		if startRecover {
-			sw.recovering = true
-		}
-		resolved := !startRecover && sw.inflight == 0 && !sw.recovering
-		sw.mu.Unlock()
-		if startRecover {
-			go sw.recover()
-		} else if resolved {
-			sw.resolveSeal()
-		}
-	case transientAppendErr(r.Err):
-		// The transport lost its connection, or the container moved under a
-		// failover/rebalance (wrong host, container down, fenced zombie
+	case retry:
+		// The transport lost its connection, or the container moved under
+		// a failover/rebalance (wrong host, container down, fenced zombie
 		// WAL), with this batch in flight: the server may or may not have
 		// applied it. Park the batch for replay; once every in-flight batch
 		// has resolved, recover() re-establishes the writer's position via
@@ -452,37 +420,36 @@ func (sw *segmentWriter) onBatchResult(events []pendingEvent, r segstore.AppendR
 		// server-side (writer, eventNum) dedup makes the replay exactly-once
 		// whichever way the ambiguity resolved (§3.2 reconnection
 		// handshake).
-		sw.mu.Lock()
 		sw.retry = append(sw.retry, events)
-		sw.inflight--
-		start := sw.inflight == 0 && !sw.recovering
-		if start {
-			sw.recovering = true
-		}
-		sw.mu.Unlock()
-		if start {
-			go sw.recover()
-		}
-	default:
-		err := convertErr(r.Err)
-		for _, pe := range events {
-			pe.future.complete(err)
-		}
-		sw.mu.Lock()
-		sw.inflight--
-		startRecover := sw.inflight == 0 && !sw.recovering && len(sw.retry) > 0
-		if startRecover {
-			sw.recovering = true
-		}
-		resolved := !startRecover && sw.sealed && sw.inflight == 0 && !sw.recovering
-		sw.flushCond.Broadcast()
-		sw.mu.Unlock()
-		if startRecover {
-			go sw.recover()
-		} else if resolved {
-			sw.resolveSeal()
-		}
 	}
+	next := sw.settleLocked()
+	sw.mu.Unlock()
+	next()
+}
+
+// settleLocked runs after a batch resolves, whatever its outcome, and after
+// a recovery pass: it ships the open batch if a slot is free, wakes Flush,
+// and returns the follow-up to run after unlocking. Acks resolve
+// out of order, and recovery and seal resolution start only at inflight==0,
+// so the last in-flight ack hands off to them whatever its own outcome, or
+// parked batches (and their futures) hang. Recovery goes first: recover()
+// re-checks sealed once the parked batches are resolved. A sealed rejection
+// completes at validation time and can overtake an earlier batch's success
+// ack (which waits for the WAL write), so seal resolution can fall to that
+// success. Caller holds sw.mu.
+func (sw *segmentWriter) settleLocked() func() {
+	sw.trySendLocked()
+	sw.flushCond.Broadcast()
+	switch {
+	case sw.inflight > 0 || sw.recovering:
+		return func() {}
+	case len(sw.retry) > 0:
+		sw.recovering = true
+		return func() { go sw.recover() }
+	case sw.sealed:
+		return sw.resolveSeal
+	}
+	return func() {}
 }
 
 // recover re-establishes the writer's position after a disconnect and
@@ -514,7 +481,7 @@ func (sw *segmentWriter) recover() {
 			recs := sw.retry
 			sw.retry = nil
 			sw.recovering = false
-			sw.flushCond.Broadcast()
+			next := sw.settleLocked()
 			sw.mu.Unlock()
 			cerr := convertErr(err)
 			for _, rec := range recs {
@@ -522,6 +489,7 @@ func (sw *segmentWriter) recover() {
 					pe.future.complete(cerr)
 				}
 			}
+			next()
 			return
 		}
 		// Still disconnected; the transport is reconnecting with backoff.
@@ -558,20 +526,9 @@ func (sw *segmentWriter) recover() {
 	sw.recovering = false
 	// A replayed batch may have failed again (or the segment sealed)
 	// while we were resending; route to the right follow-up.
-	again := len(sw.retry) > 0 && sw.inflight == 0
-	sealResolve := !again && sw.sealed && sw.inflight == 0
-	if again {
-		sw.recovering = true
-	} else if !sealResolve {
-		sw.trySendLocked()
-	}
-	sw.flushCond.Broadcast()
+	next := sw.settleLocked()
 	sw.mu.Unlock()
-	if again {
-		go sw.recover()
-	} else if sealResolve {
-		sw.resolveSeal()
-	}
+	next()
 }
 
 // resolveSeal runs once all in-flight batches of a sealed segment have

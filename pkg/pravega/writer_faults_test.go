@@ -374,3 +374,48 @@ func TestMergeReroutesOlderEventAfterNewer(t *testing.T) {
 		t.Fatalf("the acked event re-routed last was lost: read %v", seen)
 	}
 }
+
+// failFirstBatch holds the first append's callback until fail is called,
+// which delivers it a non-retryable error; later appends pass through.
+type failFirstBatch struct {
+	client.DataTransport
+	calls atomic.Int32
+	held  chan func(segstore.AppendResult)
+}
+
+func (ff *failFirstBatch) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
+	if ff.calls.Add(1) == 1 {
+		ff.held <- cb
+		return
+	}
+	ff.DataTransport.AppendAfter(name, data, writerID, prev, eventNum, eventCount, cb)
+}
+
+// TestWriterShipsOpenBatchAfterPermanentFailure: with every in-flight slot
+// taken by a batch that then fails for good, the event queued behind it
+// ships when the failure frees the slot, not at the next WriteEvent, ack
+// or Flush.
+func TestWriterShipsOpenBatchAfterPermanentFailure(t *testing.T) {
+	sys := newTestSystem(t)
+	mustCreate(t, sys, "permfail", "s", 1)
+	w, err := sys.NewWriter(WriterConfig{Scope: "permfail", Stream: "s", MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ff := &failFirstBatch{DataTransport: w.conn, held: make(chan func(segstore.AppendResult), 1)}
+	w.conn = ff
+
+	f1 := w.WriteEvent("k", []byte("e1"))
+	f2 := w.WriteEvent("k", []byte("e2")) // waits in the open batch: the one slot is taken
+	(<-ff.held)(segstore.AppendResult{Err: errors.New("permanent failure")})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := f1.Wait(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("failed batch's future: %v, want its permanent error", err)
+	}
+	if err := f2.Wait(ctx); err != nil {
+		t.Fatalf("queued event: %v, want it appended once the failure freed its slot", err)
+	}
+}
