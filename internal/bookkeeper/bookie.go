@@ -47,9 +47,11 @@ var _ Node = (*Bookie)(nil)
 // and the ledger sends each entry to the Host once, naming every bookie of
 // the write set behind it, instead of once per bookie.
 type Host interface {
-	// AddEntries is AddEntry on each named bookie: cb runs once per name,
-	// in order, with that bookie's outcome.
-	AddEntries(bookies []string, ledgerID, entryID int64, data []byte, cb func(error))
+	// AddEntries is AddEntry on each named bookie of the entry that is the
+	// concatenation of parts: cb runs once per name, in order, with that
+	// bookie's outcome. The parts are immutable; the Host sends them as
+	// they are, without joining them.
+	AddEntries(bookies []string, ledgerID, entryID int64, parts [][]byte, cb func(error))
 }
 
 // Hosted is a Node whose transport is a Host shared with other bookies.
@@ -148,8 +150,8 @@ func (b *Bookie) IsDown() bool {
 // durable (or immediately on rejection). Entry ids within a ledger must be
 // written by a single writer (BookKeeper's contract); re-adding an existing
 // id is idempotent. The bookie takes ownership of data: the caller must not
-// mutate it afterwards (the ledger layer hands every replica the same
-// immutable copy, made once at the append boundary).
+// mutate it afterwards (the ledger layer hands every local replica the same
+// immutable copy).
 func (b *Bookie) AddEntry(ledgerID, entryID int64, data []byte, cb func(error)) {
 	b.mu.Lock()
 	if b.down {

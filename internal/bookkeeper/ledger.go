@@ -1,6 +1,7 @@
 package bookkeeper
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -228,12 +229,19 @@ func (h *LedgerHandle) LastAddConfirmed() int64 {
 	return h.lac
 }
 
-// AppendAsync writes data as the next entry, invoking cb(entryID, err) when
-// ackQuorum bookies confirm. Calls are pipelined: many appends may be in
-// flight; acknowledgements complete in order per bookie. The ledger takes
-// ownership of data (it is referenced by in-flight replica sends and by the
-// bookies' stores): callers that reuse buffers must copy before calling.
+// AppendAsync is AppendPartsAsync with one part: the ledger takes
+// ownership of data, and every replica gets it as it is.
 func (h *LedgerHandle) AppendAsync(data []byte, cb func(int64, error)) {
+	h.AppendPartsAsync([][]byte{data}, cb)
+}
+
+// AppendPartsAsync writes the concatenation of parts as the next entry,
+// invoking cb(entryID, err) when ackQuorum bookies confirm. Calls are
+// pipelined; acknowledgements complete in order per bookie. A ledger entry
+// is parts: a Host sends them as they are, and the local bookies, which
+// keep what they are given, share one joined copy. The ledger takes
+// ownership of the parts: the caller must not mutate them afterwards.
+func (h *LedgerHandle) AppendPartsAsync(parts [][]byte, cb func(int64, error)) {
 	h.mu.Lock()
 	if h.closed || h.err != nil {
 		err := h.err
@@ -291,7 +299,14 @@ func (h *LedgerHandle) AppendAsync(data []byte, cb func(int64, error)) {
 		link *sim.Link
 	}
 	var groups []group
-	size := len(data)
+	var flat []byte // the entry, joined once for the local bookies
+	if len(parts) == 1 {
+		flat = parts[0]
+	}
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	for _, id := range targets {
 		b, link, err := h.client.bookie(id)
 		if err != nil {
@@ -300,7 +315,10 @@ func (h *LedgerHandle) AppendAsync(data []byte, cb func(int64, error)) {
 		}
 		hb, ok := b.(Hosted)
 		if !ok {
-			link.Send(size, func() { b.AddEntry(h.md.ID, entryID, data, settle) })
+			if flat == nil {
+				flat = bytes.Join(parts, nil)
+			}
+			link.Send(size, func() { b.AddEntry(h.md.ID, entryID, flat, settle) })
 			continue
 		}
 		i := 0
@@ -313,7 +331,7 @@ func (h *LedgerHandle) AppendAsync(data []byte, cb func(int64, error)) {
 		groups[i].ids = append(groups[i].ids, id)
 	}
 	for _, g := range groups {
-		g.link.Send(size, func() { g.host.AddEntries(g.ids, h.md.ID, entryID, data, settle) })
+		g.link.Send(size, func() { g.host.AddEntries(g.ids, h.md.ID, entryID, parts, settle) })
 	}
 }
 

@@ -57,6 +57,11 @@ type DataTransport interface {
 	// appends to the same segment fire in submission order. cb runs on a
 	// transport-internal goroutine and must not block. prev is the writer's
 	// previous event number on the segment (segstore.Operation.Prev).
+	// AppendAfter does not keep data after it returns: the bytes are on
+	// their way (written to the connection) or the append has failed, so
+	// the caller may reuse the buffer at once. (A Router over
+	// placement.Local stores, which hand data to the container by
+	// reference, does keep it; the client runs over the wire.)
 	AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult))
 	// AppendConditional appends only if the segment length equals
 	// expectedOffset (the state synchronizer's optimistic-concurrency

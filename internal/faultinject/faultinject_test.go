@@ -179,6 +179,51 @@ func TestPartialWriteReconciled(t *testing.T) {
 	}
 }
 
+// TestPartialWriteSpanningParts: the storage writer hands LTS its queued
+// appends as parts, and a write that dies mid-object persists exactly the
+// prefix of their concatenation it reached, here one that ends inside the
+// second of three appends. The flusher adopts it and the retry writes the
+// rest after it.
+func TestPartialWriteSpanningParts(t *testing.T) {
+	mem := lts.NewMemory()
+	flts := NewFaultyLTS(mem)
+	_, c := newQuietRig(t, flts, nil, 0)
+
+	const seg = "scope/s/parts"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	var all []byte
+	for i := 0; i < 3; i++ {
+		payload := bytes.Repeat([]byte{byte('a' + i)}, 300)
+		mustAppend(t, c, seg, payload, "w", int64(i+1))
+		all = append(all, payload...)
+	}
+
+	const prefix = 450 // 300 bytes of the first append, 150 of the second
+	flts.AddRule(LTSRule{Op: LTSWrite, Nth: 1, Count: 1, PartialBytes: prefix})
+	if err := c.FlushAll(); err == nil {
+		t.Fatal("flush with injected partial write unexpectedly succeeded")
+	}
+	d := c.DebugState()[seg]
+	if len(d.Chunks) != 1 || d.Chunks[0].Length != prefix {
+		t.Fatalf("partial write not reconciled: chunks %+v", d.Chunks)
+	}
+	got := make([]byte, 2*prefix)
+	n, err := mem.Read(d.Chunks[0].Name, 0, got)
+	if err != nil || !bytes.Equal(got[:n], all[:prefix]) {
+		t.Fatalf("chunk holds %q (%v), want the %d-byte prefix of the appends", got[:n], err, prefix)
+	}
+
+	if err := c.FlushAll(); err != nil {
+		t.Fatalf("retry flush: %v", err)
+	}
+	assertLayout(t, c, mem, seg, int64(len(all)))
+	if got := readBack(t, c, seg, 0, int64(len(all))); !bytes.Equal(got, all) {
+		t.Fatal("read-back differs after a partial write across parts")
+	}
+}
+
 // TestOrphanChunkAdoption: crash after the LTS chunk object is created but
 // before any metadata references it. Recovery must adopt the orphan under
 // its deterministic name instead of colliding with ErrChunkExists forever.

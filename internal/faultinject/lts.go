@@ -169,25 +169,22 @@ func (f *FaultyLTS) Create(name string) error {
 }
 
 // Write implements lts.ChunkStorage. A triggered failure rule with
-// PartialBytes > 0 persists that prefix before returning the error,
-// emulating a write that died mid-object.
-func (f *FaultyLTS) Write(name string, offset int64, data []byte) error {
+// PartialBytes > 0 persists that prefix of the parts' concatenation before
+// returning the error, emulating a write that died mid-object.
+func (f *FaultyLTS) Write(name string, offset int64, data ...[]byte) error {
 	if r := f.match(LTSWrite, name); r != nil {
 		sleep(r.Delay)
 		if !r.latencyOnly() {
 			mLTSFaults.Inc()
 			if n := r.PartialBytes; n > 0 {
-				if n > len(data) {
-					n = len(data)
-				}
 				// Best-effort: if even the partial write fails the chunk
 				// simply did not grow, which is also a valid crash outcome.
-				_ = f.inner.Write(name, offset, data[:n])
+				_ = f.inner.Write(name, offset, lts.PartsRange(data, 0, int64(n))...)
 			}
 			return r.err()
 		}
 	}
-	return f.inner.Write(name, offset, data)
+	return f.inner.Write(name, offset, data...)
 }
 
 // Read implements lts.ChunkStorage.

@@ -43,8 +43,9 @@ func (f *FS) Create(name string) error {
 	return fh.Close()
 }
 
-// Write implements ChunkStorage.
-func (f *FS) Write(name string, offset int64, data []byte) error {
+// Write implements ChunkStorage: it writes the parts in order, then syncs
+// once.
+func (f *FS) Write(name string, offset int64, data ...[]byte) error {
 	fh, err := os.OpenFile(f.path(name), os.O_WRONLY, 0o644)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -60,8 +61,12 @@ func (f *FS) Write(name string, offset int64, data []byte) error {
 	if st.Size() != offset {
 		return fmt.Errorf("%w: offset %d, length %d", ErrInvalidOffset, offset, st.Size())
 	}
-	if _, err := fh.WriteAt(data, offset); err != nil {
-		return err
+	at := offset
+	for _, p := range data {
+		if _, err := fh.WriteAt(p, at); err != nil {
+			return err
+		}
+		at += int64(len(p))
 	}
 	if err := fh.Sync(); err != nil {
 		return err
@@ -69,7 +74,7 @@ func (f *FS) Write(name string, offset int64, data []byte) error {
 	// Drop-behind: a chunk is write-once cold data and the tail is served
 	// from the store's own block cache, so a page-cache copy has no reader.
 	// Only clean pages can be dropped, hence after Sync; best-effort.
-	dropBehind(fh, offset, int64(len(data)))
+	dropBehind(fh, offset, at-offset)
 	return nil
 }
 

@@ -6,8 +6,8 @@
 //   - FS: real files under a directory (NFS-style deployments).
 //   - Sim: performance-modelled EFS/S3-like store with per-stream and
 //     aggregate throughput caps; optionally discards payloads.
-//   - NoOp: accepts writes, stores nothing — the paper's test feature used
-//     in Fig. 7 ("NoOp LTS").
+//   - NoOp: a Memory that accepts writes and stores nothing but chunk
+//     lengths — the paper's test feature used in Fig. 7 ("NoOp LTS").
 //
 // Chunk *metadata* is not stored here: the storage writer keeps it in a
 // Pravega key-value table with conditional updates (§4.3).
@@ -36,8 +36,11 @@ var (
 type ChunkStorage interface {
 	// Create makes an empty chunk.
 	Create(name string) error
-	// Write appends data at offset, which must equal the current length.
-	Write(name string, offset int64, data []byte) error
+	// Write appends the concatenation of data, in order, at offset, which
+	// must equal the current length. The parts are the caller's (a storage
+	// writer hands over its queued appends as they are): an implementation
+	// does not keep them after it returns.
+	Write(name string, offset int64, data ...[]byte) error
 	// Read fills buf from offset. Returns the bytes read.
 	Read(name string, offset int64, buf []byte) (int, error)
 	// Length returns the chunk's current size.
@@ -48,16 +51,41 @@ type ChunkStorage interface {
 	Exists(name string) (bool, error)
 }
 
+// PartsRange returns the slices of parts that hold bytes [from, from+n) of
+// their concatenation, the first and the last cut to fit.
+func PartsRange(parts [][]byte, from, n int64) (out [][]byte) {
+	for _, p := range parts {
+		if k := int64(len(p)); from >= k {
+			from -= k
+		} else if n > 0 {
+			p = p[from:min(k, from+n)]
+			out, from, n = append(out, p), 0, n-int64(len(p))
+		}
+	}
+	return out
+}
+
 // Memory is a map-backed ChunkStorage for tests and examples.
 type Memory struct {
-	mu     sync.RWMutex
-	chunks map[string][]byte
+	mu      sync.RWMutex
+	chunks  map[string]*memChunk
+	discard bool // NoOp: keep lengths only
+}
+
+type memChunk struct {
+	data []byte // nil when discarding
+	n    int64
 }
 
 var _ ChunkStorage = (*Memory)(nil)
 
 // NewMemory returns an empty in-memory store.
-func NewMemory() *Memory { return &Memory{chunks: make(map[string][]byte)} }
+func NewMemory() *Memory { return &Memory{chunks: make(map[string]*memChunk)} }
+
+// NewNoOp returns a store that discards all data, tracking only chunk
+// lengths, and reads zeros of the right length. It reproduces the paper's
+// "NoOp LTS" test feature (§5.4): metadata flows, data does not.
+func NewNoOp() *Memory { return &Memory{chunks: make(map[string]*memChunk), discard: true} }
 
 // Create implements ChunkStorage.
 func (m *Memory) Create(name string) error {
@@ -66,22 +94,27 @@ func (m *Memory) Create(name string) error {
 	if _, ok := m.chunks[name]; ok {
 		return fmt.Errorf("%w: %s", ErrChunkExists, name)
 	}
-	m.chunks[name] = nil
+	m.chunks[name] = &memChunk{}
 	return nil
 }
 
 // Write implements ChunkStorage.
-func (m *Memory) Write(name string, offset int64, data []byte) error {
+func (m *Memory) Write(name string, offset int64, data ...[]byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.chunks[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoChunk, name)
 	}
-	if offset != int64(len(c)) {
-		return fmt.Errorf("%w: offset %d, length %d", ErrInvalidOffset, offset, len(c))
+	if offset != c.n {
+		return fmt.Errorf("%w: offset %d, length %d", ErrInvalidOffset, offset, c.n)
 	}
-	m.chunks[name] = append(c, data...)
+	for _, p := range data {
+		if !m.discard {
+			c.data = append(c.data, p...)
+		}
+		c.n += int64(len(p))
+	}
 	return nil
 }
 
@@ -93,11 +126,16 @@ func (m *Memory) Read(name string, offset int64, buf []byte) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoChunk, name)
 	}
-	if offset < 0 || offset > int64(len(c)) {
-		return 0, fmt.Errorf("%w: offset %d, length %d", ErrOutOfRange, offset, len(c))
+	if offset < 0 || offset > c.n {
+		return 0, fmt.Errorf("%w: offset %d, length %d", ErrOutOfRange, offset, c.n)
 	}
-	n := copy(buf, c[offset:])
-	return n, nil
+	k := min(int64(len(buf)), c.n-offset)
+	if m.discard {
+		clear(buf[:k])
+	} else {
+		copy(buf, c.data[offset:offset+k])
+	}
+	return int(k), nil
 }
 
 // Length implements ChunkStorage.
@@ -108,7 +146,7 @@ func (m *Memory) Length(name string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoChunk, name)
 	}
-	return int64(len(c)), nil
+	return c.n, nil
 }
 
 // Delete implements ChunkStorage.
@@ -135,94 +173,4 @@ func (m *Memory) ChunkCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.chunks)
-}
-
-// NoOp discards all data, tracking only chunk lengths. It reproduces the
-// paper's "NoOp LTS" test feature (§5.4): metadata flows, data does not.
-type NoOp struct {
-	mu      sync.Mutex
-	lengths map[string]int64
-}
-
-var _ ChunkStorage = (*NoOp)(nil)
-
-// NewNoOp returns a NoOp store.
-func NewNoOp() *NoOp { return &NoOp{lengths: make(map[string]int64)} }
-
-// Create implements ChunkStorage.
-func (n *NoOp) Create(name string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.lengths[name]; ok {
-		return fmt.Errorf("%w: %s", ErrChunkExists, name)
-	}
-	n.lengths[name] = 0
-	return nil
-}
-
-// Write implements ChunkStorage.
-func (n *NoOp) Write(name string, offset int64, data []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	l, ok := n.lengths[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoChunk, name)
-	}
-	if offset != l {
-		return fmt.Errorf("%w: offset %d, length %d", ErrInvalidOffset, offset, l)
-	}
-	n.lengths[name] = l + int64(len(data))
-	return nil
-}
-
-// Read implements ChunkStorage; it returns zero bytes of the right length.
-func (n *NoOp) Read(name string, offset int64, buf []byte) (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	l, ok := n.lengths[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoChunk, name)
-	}
-	if offset < 0 || offset > l {
-		return 0, fmt.Errorf("%w: offset %d, length %d", ErrOutOfRange, offset, l)
-	}
-	avail := l - offset
-	cnt := int64(len(buf))
-	if cnt > avail {
-		cnt = avail
-	}
-	for i := int64(0); i < cnt; i++ {
-		buf[i] = 0
-	}
-	return int(cnt), nil
-}
-
-// Length implements ChunkStorage.
-func (n *NoOp) Length(name string) (int64, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	l, ok := n.lengths[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoChunk, name)
-	}
-	return l, nil
-}
-
-// Delete implements ChunkStorage.
-func (n *NoOp) Delete(name string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.lengths[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoChunk, name)
-	}
-	delete(n.lengths, name)
-	return nil
-}
-
-// Exists implements ChunkStorage.
-func (n *NoOp) Exists(name string) (bool, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.lengths[name]
-	return ok, nil
 }

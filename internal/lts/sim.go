@@ -62,16 +62,20 @@ func (s *Sim) Create(name string) error {
 }
 
 // Write implements ChunkStorage.
-func (s *Sim) Write(name string, offset int64, data []byte) error {
+func (s *Sim) Write(name string, offset int64, data ...[]byte) error {
 	if err := s.check(); err != nil {
 		return err
 	}
-	s.perf.Transfer(name, len(data))
-	if err := s.inner.Write(name, offset, data); err != nil {
+	var n int64
+	for _, p := range data {
+		n += int64(len(p))
+	}
+	s.perf.Transfer(name, int(n))
+	if err := s.inner.Write(name, offset, data...); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.writeBytes += int64(len(data))
+	s.writeBytes += n
 	s.mu.Unlock()
 	return nil
 }

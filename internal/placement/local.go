@@ -21,7 +21,8 @@ var _ Store = Local{}
 
 // AppendAfter enqueues synchronously, preserving the caller's FIFO order
 // into the container's applier, which delivers cb — no goroutine or channel
-// per append.
+// per append. The container keeps data by reference (its WAL frame and
+// tiering queue): the wire server hands it a message body of its own.
 func (l Local) AppendAfter(name string, data []byte, writerID string, prev, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
 	c, err := l.St.Container(name)
 	if err != nil {

@@ -63,7 +63,11 @@ type segState struct {
 	// pendingMerge marks a sealed segment with a merge-segment operation in
 	// flight: a second merge of the same source is rejected at validation.
 	pendingMerge bool
-	meter        *obs.RateMeter
+	// pendingDelete marks a segment with a delete in flight: an operation
+	// sequenced after it would find the segment gone when applied, so
+	// validation rejects it as not found.
+	pendingDelete bool
+	meter         *obs.RateMeter
 }
 
 // chunkMeta locates one LTS chunk of a segment (§4.3). The list is ordered
@@ -255,13 +259,13 @@ func (c *Container) recover() error {
 	if err != nil {
 		return err
 	}
-	// Locate the last checkpoint. Frames are decoded in alias mode: the
-	// operations' data fields point into the freshly read WAL entries, so
-	// replay installs them without a per-operation copy.
+	// Locate the last checkpoint. The operations' data fields point into
+	// the freshly read WAL entries, so replay installs them without a
+	// per-operation copy.
 	lastCP := -1
 	var decoded [][]Operation
 	for i, e := range entries {
-		ops, err := appendFrameOps(nil, e.Data, true)
+		ops, err := appendFrameOps(nil, e.Data)
 		if err != nil {
 			return fmt.Errorf("frame at %v: %w", e.Addr, err)
 		}

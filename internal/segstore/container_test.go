@@ -445,6 +445,45 @@ func TestAppendBehindPendingDeleteLeavesNoBacklog(t *testing.T) {
 	}
 }
 
+// TestOpsBehindPendingDeleteAreNotFound: a delete in flight takes its
+// segment away from every operation sequenced after it. An append, a seal,
+// a truncate and a merge into or out of the segment fail unapplied with
+// ErrSegmentNotFound, instead of being acknowledged and then finding no
+// segment to apply to.
+func TestOpsBehindPendingDeleteAreNotFound(t *testing.T) {
+	env := newTestEnv(t)
+	c := newTestContainer(t, env, 0)
+	const seg, other = "s/t/9.#epoch.0", "s/t/10.#epoch.0"
+	for _, name := range []string{seg, other} {
+		if err := c.CreateSegment(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := make(chan AppendResult, 1)
+	c.enqueue(Operation{Type: OpDelete, Segment: seg}, func(r AppendResult) { del <- r })
+	behind := map[string]Operation{
+		"append":     appendOp(seg, []byte("behind the delete"), "w", 0, 1, 1),
+		"seal":       {Type: OpSeal, Segment: seg},
+		"truncate":   {Type: OpTruncate, Segment: seg},
+		"merge into": {Type: OpMergeSegment, Segment: seg, Source: other, CondOffset: -1},
+		"merge from": {Type: OpMergeSegment, Segment: other, Source: seg, CondOffset: -1},
+	}
+	results := make(map[string]chan AppendResult)
+	for name, op := range behind {
+		ch := make(chan AppendResult, 1)
+		results[name] = ch
+		c.enqueue(op, func(r AppendResult) { ch <- r })
+	}
+	if r := <-del; r.Err != nil {
+		t.Fatalf("delete: %v", r.Err)
+	}
+	for name, ch := range results {
+		if r := <-ch; !errors.Is(r.Err, ErrSegmentNotFound) {
+			t.Errorf("%s behind a pending delete: %+v, want ErrSegmentNotFound", name, r)
+		}
+	}
+}
+
 func TestContainerConcurrentAppenders(t *testing.T) {
 	env := newTestEnv(t)
 	c := newTestContainer(t, env, 0)

@@ -36,20 +36,21 @@ func (c *Container) storageWriterLoop() {
 }
 
 // flushWork is one segment's un-tiered queue as collectFlushWork found it:
-// contiguous items, size bytes in all.
+// size contiguous bytes from offset on, in the queued slices.
 type flushWork struct {
 	segment string
+	offset  int64
 	size    int64
-	items   []flushItem
+	parts   [][]byte
 }
 
 // collectFlushWork gathers per-segment contiguous unflushed data. With
 // all=true everything pending is taken (age-based tick, forced flush);
 // otherwise only segments whose backlog reached the aggregation threshold.
-// Only the queue's slice headers are taken under c.mu: flushSegment copies
-// the bytes into one buffer after unlocking, so a large backlog does not
-// hold up appends, applies and tail reads. Queued bytes are immutable once
-// applied; retireCovered only re-slices the queue.
+// Only the queue's slice headers are taken under c.mu, and flushSegment
+// hands those slices to LTS as they are, so a large backlog neither holds
+// up appends, applies and tail reads nor is copied. Queued bytes are
+// immutable once applied; retireCovered only re-slices the queue.
 func (c *Container) collectFlushWork(all bool) []flushWork {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -58,14 +59,15 @@ func (c *Container) collectFlushWork(all bool) []flushWork {
 		if len(s.unflushed) == 0 {
 			continue
 		}
-		var total int64
-		for _, it := range s.unflushed {
-			total += int64(len(it.data))
+		w := flushWork{segment: name, offset: s.unflushed[0].offset, parts: make([][]byte, len(s.unflushed))}
+		for i, it := range s.unflushed {
+			w.parts[i] = it.data
+			w.size += int64(len(it.data))
 		}
-		if !all && total < c.cfg.FlushSizeBytes && !s.sealed {
+		if !all && w.size < c.cfg.FlushSizeBytes && !s.sealed {
 			continue
 		}
-		work = append(work, flushWork{segment: name, size: total, items: append([]flushItem(nil), s.unflushed...)})
+		work = append(work, w)
 	}
 	return work
 }
@@ -105,10 +107,6 @@ func (c *Container) flushOnce(all bool) {
 // re-write (or double-count in storageLength) bytes that already landed.
 func (c *Container) flushSegment(w flushWork) error {
 	start := time.Now()
-	data, off := make([]byte, 0, w.size), w.items[0].offset
-	for _, it := range w.items {
-		data = append(data, it.data...)
-	}
 
 	// The storage watermark may already cover a prefix of this batch:
 	// recovery reconciliation or a partially failed earlier round can
@@ -124,30 +122,27 @@ func (c *Container) flushSegment(w flushWork) error {
 	if !ok {
 		return nil // segment deleted; its backlog went with it
 	}
-	if watermark > off {
-		skip := watermark - off
-		if skip > int64(len(data)) {
-			skip = int64(len(data))
-		}
+	// written counts the batch's bytes that are in LTS, from w.offset on.
+	var written int64
+	if watermark > w.offset {
+		written = min(watermark-w.offset, w.size)
 		c.retireCovered(w.segment)
-		data = data[skip:]
-		off += skip
-		if len(data) == 0 {
+		if written == w.size {
 			return nil
 		}
 	}
-	if watermark < off {
+	if watermark < w.offset {
 		// The un-tiered queue always starts at the watermark; a gap means
 		// metadata corruption — refuse to flush over it.
-		return fmt.Errorf("segstore: flush gap in %s: storageLength %d, batch start %d", w.segment, watermark, off)
+		return fmt.Errorf("segstore: flush gap in %s: storageLength %d, batch start %d", w.segment, watermark, w.offset)
 	}
 
-	written := 0
-	for written < len(data) {
+	flushed := w.size - written
+	for written < w.size {
 		if c.crashed.Load() {
 			return ErrContainerDown
 		}
-		name, chunkOff, space, adopted, err := c.activeChunk(w.segment, off+int64(written))
+		name, chunkOff, space, adopted, err := c.activeChunk(w.segment, w.offset+written)
 		if err != nil {
 			if errors.Is(err, ErrSegmentNotFound) {
 				return nil
@@ -157,31 +152,25 @@ func (c *Container) flushSegment(w flushWork) error {
 		if adopted > 0 {
 			// activeChunk found those bytes already in LTS (orphan chunk
 			// from a crashed flush) and committed them; just retire.
-			rem := int64(len(data) - written)
-			if adopted > rem {
-				adopted = rem
-			}
+			adopted = min(adopted, w.size-written)
 			c.retireCovered(w.segment)
-			written += int(adopted)
+			written += adopted
 			mFlushReconciledBytes.Add(adopted)
 			continue
 		}
-		n := len(data) - written
-		if int64(n) > space {
-			n = int(space)
-		}
-		if err := c.cfg.LTS.Write(name, chunkOff, data[written:written+n]); err != nil {
+		n := min(w.size-written, space)
+		if err := c.cfg.LTS.Write(name, chunkOff, lts.PartsRange(w.parts, written, n)...); err != nil {
 			// The write may have landed a prefix before failing. Adopt
 			// whatever actually reached the chunk so the retry neither
 			// re-writes those bytes nor double-counts storageLength.
-			if rec := c.reconcileChunk(w.segment, name, chunkOff, int64(n)); rec > 0 {
+			if rec := c.reconcileChunk(w.segment, name, chunkOff, n); rec > 0 {
 				c.retireCovered(w.segment)
 				mFlushReconciledBytes.Add(rec)
 			}
 			return fmt.Errorf("segstore: LTS write %s@%d: %w", name, chunkOff, err)
 		}
-		c.commitChunkWrite(w.segment, name, int64(n))
-		if h := c.cfg.Hooks; h != nil && h.BeforeFlushRetire != nil && h.BeforeFlushRetire(w.segment, name, int64(n)) {
+		c.commitChunkWrite(w.segment, name, n)
+		if h := c.cfg.Hooks; h != nil && h.BeforeFlushRetire != nil && h.BeforeFlushRetire(w.segment, name, n) {
 			c.requestCrash()
 			return ErrContainerDown
 		}
@@ -189,7 +178,7 @@ func (c *Container) flushSegment(w flushWork) error {
 		written += n
 	}
 	mLTSFlushes.Inc()
-	mLTSFlushBytes.Add(int64(len(data)))
+	mLTSFlushBytes.Add(flushed)
 	mLTSFlushUs.RecordSince(start)
 	return nil
 }

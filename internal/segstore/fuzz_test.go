@@ -54,7 +54,9 @@ func FuzzUnmarshalFrame(f *testing.F) {
 }
 
 // FuzzUnmarshalOperation feeds arbitrary bytes to the single-operation
-// decoder, in both copying and aliasing modes.
+// decoder. An operation it accepts decodes alike when the previous
+// operation's strings are offered for reuse, and re-encodes to bytes that
+// decode to it again.
 func FuzzUnmarshalOperation(f *testing.F) {
 	op := Operation{Type: OpAppend, Segment: "scope/stream/7.#epoch.0",
 		Offset: 42, Data: []byte("payload"), WriterID: "writer-1", EventNum: 3, EventCount: 1}
@@ -70,32 +72,23 @@ func FuzzUnmarshalOperation(f *testing.F) {
 		if len(rest) > len(data) {
 			t.Fatalf("remainder grew: %d > %d", len(rest), len(data))
 		}
-		// Aliasing mode must decode identically (it only changes buffer
-		// ownership, not the wire format).
+		same := func(what string, a, b Operation) {
+			if a.Type != b.Type || a.Segment != b.Segment ||
+				a.WriterID != b.WriterID || a.Offset != b.Offset ||
+				!bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Checkpoint, b.Checkpoint) {
+				t.Fatalf("%s: %+v != %+v", what, a, b)
+			}
+		}
 		prev := Operation{Segment: got.Segment, WriterID: got.WriterID}
-		aliased, _, err := unmarshalOperation(data, true, &prev)
+		reused, _, err := unmarshalOperation(data, &prev)
 		if err != nil {
-			t.Fatalf("alias decode failed where copy decode succeeded: %v", err)
+			t.Fatalf("decode with a previous op failed where one without succeeded: %v", err)
 		}
-		if aliased.Type != got.Type || aliased.Segment != got.Segment ||
-			aliased.WriterID != got.WriterID || aliased.Offset != got.Offset ||
-			!bytes.Equal(aliased.Data, got.Data) || !bytes.Equal(aliased.Checkpoint, got.Checkpoint) {
-			t.Fatalf("alias decode mismatch: %+v != %+v", aliased, got)
+		same("decode with a previous op", reused, got)
+		again, _, err := UnmarshalOperation(got.Marshal(nil))
+		if err != nil {
+			t.Fatalf("re-decode of re-encoded op failed: %v", err)
 		}
-		// The copying decoder must own its memory: mutating the input after
-		// decode must not change the operation.
-		if len(data) > 0 {
-			mutated := append([]byte(nil), data...)
-			got2, _, err := UnmarshalOperation(mutated)
-			if err != nil {
-				t.Fatalf("decode of identical copy failed: %v", err)
-			}
-			for i := range mutated {
-				mutated[i] ^= 0xFF
-			}
-			if !bytes.Equal(got2.Data, got.Data) || !bytes.Equal(got2.Checkpoint, got.Checkpoint) {
-				t.Fatal("decoded operation aliases its input in copy mode")
-			}
-		}
+		same("round trip", again, got)
 	})
 }

@@ -9,10 +9,12 @@
 package segstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"github.com/pravega-go/pravega/internal/fields"
 	"github.com/pravega-go/pravega/internal/wal"
 )
 
@@ -81,188 +83,138 @@ type Operation struct {
 
 const maxSegmentNameLen = 1024
 
-// appendUvarintBytes appends a length-prefixed byte string.
-func appendUvarintBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func consumeUvarintBytes(src []byte) ([]byte, []byte, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 || n > uint64(len(src)-sz) {
-		return nil, nil, errors.New("segstore: truncated field")
+// payload is the operation's trailing byte string that a frame carries by
+// reference: an append's or a merge's data.
+func (op *Operation) payload() []byte {
+	if op.Type == OpAppend || op.Type == OpMergeSegment {
+		return op.Data
 	}
-	return src[sz : sz+int(n)], src[sz+int(n):], nil
+	return nil
 }
 
-// Marshal serializes the operation into dst.
-func (op *Operation) Marshal(dst []byte) []byte {
+// marshalHead serializes the operation into dst but for the bytes of its
+// payload, whose length it does encode.
+func (op *Operation) marshalHead(dst []byte) []byte {
 	dst = append(dst, byte(op.Type))
-	dst = appendUvarintBytes(dst, []byte(op.Segment))
+	dst = fields.AppendBytes(dst, []byte(op.Segment))
 	switch op.Type {
 	case OpAppend:
 		dst = binary.AppendVarint(dst, op.Offset)
-		dst = appendUvarintBytes(dst, []byte(op.WriterID))
+		dst = fields.AppendBytes(dst, []byte(op.WriterID))
 		dst = binary.AppendVarint(dst, op.EventNum)
 		dst = binary.AppendVarint(dst, int64(op.EventCount))
-		dst = appendUvarintBytes(dst, op.Data)
+		dst = binary.AppendUvarint(dst, uint64(len(op.Data)))
 	case OpTruncate:
 		dst = binary.AppendVarint(dst, op.TruncateAt)
 	case OpCheckpoint:
-		dst = appendUvarintBytes(dst, op.Checkpoint)
+		dst = fields.AppendBytes(dst, op.Checkpoint)
 	case OpMergeSegment:
 		dst = binary.AppendVarint(dst, op.Offset)
-		dst = appendUvarintBytes(dst, []byte(op.Source))
-		dst = appendUvarintBytes(dst, op.Data)
+		dst = fields.AppendBytes(dst, []byte(op.Source))
+		dst = binary.AppendUvarint(dst, uint64(len(op.Data)))
 	case OpCreate, OpSeal, OpDelete:
 		// Name only.
 	}
 	return dst
 }
 
-// unmarshalOperation decodes one operation. With alias=true the decoded
-// Data/Checkpoint fields alias src — valid only while src is immutable and
-// outlives the operation, as during recovery replay where src is a freshly
-// read WAL entry. prev, when non-nil, is the previously decoded operation
-// of the same frame: its Segment/WriterID strings are reused when the bytes
-// match, which collapses the per-op string allocations of a frame that
-// multiplexes few segments and writers (the common case).
-func unmarshalOperation(src []byte, alias bool, prev *Operation) (Operation, []byte, error) {
-	if len(src) < 1 {
-		return Operation{}, nil, errors.New("segstore: empty operation")
+// unmarshalOperation decodes one operation. The decoded Data/Checkpoint
+// fields alias src, which must stay immutable while the operation lives: a
+// WAL entry read for replay is. prev, when non-nil, is the previously
+// decoded operation of the same frame: its Segment/WriterID strings are
+// reused when the bytes match, which collapses the per-op string
+// allocations of a frame that multiplexes few segments and writers (the
+// common case).
+func unmarshalOperation(src []byte, prev *Operation) (Operation, []byte, error) {
+	if prev == nil {
+		prev = &Operation{}
 	}
-	op := Operation{Type: OpType(src[0]), CondOffset: -1}
-	src = src[1:]
-	nameB, src, err := consumeUvarintBytes(src)
-	if err != nil {
-		return Operation{}, nil, err
-	}
-	if len(nameB) > maxSegmentNameLen {
-		return Operation{}, nil, fmt.Errorf("segstore: segment name too long (%d)", len(nameB))
-	}
-	// string(b) == s compares without allocating.
-	if prev != nil && string(nameB) == prev.Segment {
-		op.Segment = prev.Segment
-	} else {
-		op.Segment = string(nameB)
-	}
+	f := fields.Reader{Src: src}
+	op := Operation{Type: OpType(f.Byte()), CondOffset: -1}
+	op.Segment = reuse(f.Bytes(), prev.Segment)
 	switch op.Type {
 	case OpAppend:
-		var sz int
-		op.Offset, sz = binary.Varint(src)
-		if sz <= 0 {
-			return Operation{}, nil, errors.New("segstore: bad offset")
-		}
-		src = src[sz:]
-		wid, rest, err := consumeUvarintBytes(src)
-		if err != nil {
-			return Operation{}, nil, err
-		}
-		if prev != nil && string(wid) == prev.WriterID {
-			op.WriterID = prev.WriterID
-		} else {
-			op.WriterID = string(wid)
-		}
-		src = rest
-		op.EventNum, sz = binary.Varint(src)
-		if sz <= 0 {
-			return Operation{}, nil, errors.New("segstore: bad event num")
-		}
-		src = src[sz:]
-		cnt, sz2 := binary.Varint(src)
-		if sz2 <= 0 {
-			return Operation{}, nil, errors.New("segstore: bad event count")
-		}
-		op.EventCount = int32(cnt)
-		src = src[sz2:]
-		data, rest2, err := consumeUvarintBytes(src)
-		if err != nil {
-			return Operation{}, nil, err
-		}
-		if alias {
-			op.Data = data
-		} else {
-			op.Data = append([]byte(nil), data...)
-		}
-		src = rest2
+		op.Offset = f.Varint()
+		op.WriterID = reuse(f.Bytes(), prev.WriterID)
+		op.EventNum = f.Varint()
+		op.EventCount = int32(f.Varint())
+		op.Data = f.Bytes()
 	case OpTruncate:
-		var sz int
-		op.TruncateAt, sz = binary.Varint(src)
-		if sz <= 0 {
-			return Operation{}, nil, errors.New("segstore: bad truncate offset")
-		}
-		src = src[sz:]
+		op.TruncateAt = f.Varint()
 	case OpCheckpoint:
-		cp, rest, err := consumeUvarintBytes(src)
-		if err != nil {
-			return Operation{}, nil, err
-		}
-		if alias {
-			op.Checkpoint = cp
-		} else {
-			op.Checkpoint = append([]byte(nil), cp...)
-		}
-		src = rest
+		op.Checkpoint = f.Bytes()
 	case OpMergeSegment:
-		var sz int
-		op.Offset, sz = binary.Varint(src)
-		if sz <= 0 {
-			return Operation{}, nil, errors.New("segstore: bad merge offset")
-		}
-		src = src[sz:]
-		srcName, rest, err := consumeUvarintBytes(src)
-		if err != nil {
-			return Operation{}, nil, err
-		}
-		if len(srcName) > maxSegmentNameLen {
-			return Operation{}, nil, fmt.Errorf("segstore: merge source name too long (%d)", len(srcName))
-		}
-		op.Source = string(srcName)
-		src = rest
-		data, rest2, err := consumeUvarintBytes(src)
-		if err != nil {
-			return Operation{}, nil, err
-		}
-		if alias {
-			op.Data = data
-		} else {
-			op.Data = append([]byte(nil), data...)
-		}
-		src = rest2
+		op.Offset = f.Varint()
+		op.Source = f.Str()
+		op.Data = f.Bytes()
 	case OpCreate, OpSeal, OpDelete:
 		// Name only.
 	default:
-		return Operation{}, nil, fmt.Errorf("segstore: unknown op type %d", op.Type)
+		if f.Err == nil {
+			return Operation{}, nil, fmt.Errorf("segstore: unknown op type %d", op.Type)
+		}
 	}
-	return op, src, nil
+	if f.Err != nil {
+		return Operation{}, nil, fmt.Errorf("segstore: operation: %w", f.Err)
+	}
+	if len(op.Segment) > maxSegmentNameLen || len(op.Source) > maxSegmentNameLen {
+		return Operation{}, nil, fmt.Errorf("segstore: segment name too long (%d, %d)", len(op.Segment), len(op.Source))
+	}
+	return op, f.Src, nil
 }
 
-// MarshalFrame packs operations into one data frame, in one allocation.
-func MarshalFrame(ops []*Operation) []byte {
-	var size int
-	for _, op := range ops {
-		size += 64 + len(op.Data) + len(op.Segment) + len(op.Checkpoint) + len(op.Source)
+// reuse is b as a string: s itself when they match (string(b) == s compares
+// without allocating).
+func reuse(b []byte, s string) string {
+	if string(b) == s {
+		return s
 	}
-	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(ops)))
-	for _, op := range ops {
-		buf = op.Marshal(buf)
-	}
-	return buf
+	return string(b)
 }
 
-// UnmarshalFrame decodes a data frame back into operations. The operations
-// own their data (copied out of the frame).
+// MarshalFrame packs operations into one data frame, in one buffer: the
+// frame marshalFrame's parts join into.
+func MarshalFrame(ops []*Operation) []byte { return bytes.Join(marshalFrame(ops), nil) }
+
+// marshalFrame encodes operations as one data frame made of parts: the
+// operations' headers between their payloads, which are the operations'
+// own slices. The WAL writes the parts as one entry
+// (wal.Log.AppendPartsAsync), so a payload is never copied into a frame.
+// A header part stays valid if hdr grows into a new array: the old one
+// keeps its bytes.
+func marshalFrame(ops []*Operation) [][]byte {
+	size := binary.MaxVarintLen64
+	for _, op := range ops {
+		size += 64 + len(op.Segment) + len(op.WriterID) + len(op.Checkpoint) + len(op.Source)
+	}
+	hdr := binary.AppendUvarint(make([]byte, 0, size), uint64(len(ops)))
+	parts := make([][]byte, 0, 2*len(ops)+1)
+	from := 0
+	for _, op := range ops {
+		hdr = op.marshalHead(hdr)
+		if p := op.payload(); len(p) > 0 {
+			parts = append(parts, hdr[from:len(hdr):len(hdr)], p)
+			from = len(hdr)
+		}
+	}
+	if from < len(hdr) {
+		parts = append(parts, hdr[from:])
+	}
+	return parts
+}
+
+// UnmarshalFrame decodes a data frame back into operations, whose data
+// aliases the frame.
 func UnmarshalFrame(data []byte) ([]Operation, error) {
-	return appendFrameOps(nil, data, false)
+	return appendFrameOps(nil, data)
 }
 
 // appendFrameOps decodes a frame's operations into dst, reusing its backing
-// array; recovery replay passes a recycled scratch slice. With alias=true
-// the decoded Data/Checkpoint fields alias the frame buffer (see
+// array; the decoded Data/Checkpoint fields alias the frame buffer (see
 // unmarshalOperation). The declared operation count is validated against
 // the frame length before any allocation, so a corrupt header cannot force
 // an oversized slice.
-func appendFrameOps(dst []Operation, data []byte, alias bool) ([]Operation, error) {
+func appendFrameOps(dst []Operation, data []byte) ([]Operation, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, errors.New("segstore: bad frame header")
@@ -277,7 +229,7 @@ func appendFrameOps(dst []Operation, data []byte, alias bool) ([]Operation, erro
 	}
 	var prev *Operation
 	for i := uint64(0); i < n; i++ {
-		op, rest, err := unmarshalOperation(data, alias, prev)
+		op, rest, err := unmarshalOperation(data, prev)
 		if err != nil {
 			return nil, fmt.Errorf("segstore: frame op %d: %w", i, err)
 		}

@@ -8,9 +8,14 @@ import (
 )
 
 // UnmarshalOperation decodes one operation, returning the remainder. The
-// returned operation owns its data (copied out of src).
+// returned operation's data aliases src.
 func UnmarshalOperation(src []byte) (Operation, []byte, error) {
-	return unmarshalOperation(src, false, nil)
+	return unmarshalOperation(src, nil)
+}
+
+// Marshal serializes the operation into dst, its payload in place.
+func (op *Operation) Marshal(dst []byte) []byte {
+	return append(op.marshalHead(dst), op.payload()...)
 }
 
 func TestOperationRoundTrip(t *testing.T) {

@@ -357,6 +357,9 @@ func (c *Container) validateAndSequence(op *Operation) error {
 		return c.downErr
 	}
 	s, exists := c.segments[op.Segment]
+	if exists && s.pendingDelete && op.Type != OpCreate {
+		exists = false
+	}
 	switch op.Type {
 	case OpCreate:
 		if exists {
@@ -419,6 +422,7 @@ func (c *Container) validateAndSequence(op *Operation) error {
 		if !exists {
 			return fmt.Errorf("%w: %s", ErrSegmentNotFound, op.Segment)
 		}
+		s.pendingDelete = true
 		return nil
 	case OpMergeSegment:
 		if !exists {
@@ -431,7 +435,7 @@ func (c *Container) validateAndSequence(op *Operation) error {
 			return fmt.Errorf("segstore: cannot merge %s into itself", op.Segment)
 		}
 		src, ok := c.segments[op.Source]
-		if !ok {
+		if !ok || src.pendingDelete {
 			return fmt.Errorf("%w: %s", ErrSegmentNotFound, op.Source)
 		}
 		if !src.sealed {
@@ -462,19 +466,19 @@ var errDuplicateAppend = fmt.Errorf("segstore: duplicate append")
 // reaches the current frame.
 var errDuplicatePending = fmt.Errorf("segstore: duplicate append (pending)")
 
-// submitFrame writes one data frame to the WAL, which takes ownership of
-// the marshalled frame. Only the frame builder calls this, so the sequence
-// counter needs no lock; the applier reads it atomically to know when it
-// has drained everything.
+// submitFrame writes one data frame to the WAL as parts: the ops' headers
+// and, by reference, their payloads (marshalFrame). Only the frame builder
+// calls this, so the sequence counter needs no lock; the applier reads it
+// atomically to know when it has drained everything.
 func (c *Container) submitFrame(fr *frameResult) {
 	fr.seq = c.framesSubmitted.Load()
 	c.framesSubmitted.Store(fr.seq + 1)
 
 	mFrameOps.Record(int64(len(fr.ops)))
 	mFrameBytes.Record(int64(fr.bytes))
-	data := MarshalFrame(fr.ops)
+	parts := marshalFrame(fr.ops)
 	fr.start = time.Now()
-	c.log.AppendAsync(data, func(addr wal.Address, err error) {
+	c.log.AppendPartsAsync(parts, func(addr wal.Address, err error) {
 		c.updateBatchStats(time.Since(fr.start), fr.bytes)
 		if fr.sampled {
 			for _, p := range fr.done {

@@ -15,7 +15,8 @@ import (
 // ReadResult is the outcome of one segment read.
 type ReadResult struct {
 	// Data holds the bytes read (possibly fewer than requested). It may
-	// alias a shared readahead buffer and must not be modified.
+	// alias a shared readahead buffer or an append's payload in the
+	// un-tiered queue, and must not be modified.
 	Data []byte
 	// Offset echoes the read's start offset.
 	Offset int64
@@ -204,15 +205,15 @@ func (c *Container) readAvailable(s *segState, offset int64, maxBytes int) (res 
 		return res, true, err
 	}
 	// Not cached, not in LTS: the bytes are in the un-tiered queue (the
-	// cache was full on apply), which is sorted by offset.
+	// cache was full on apply), which is sorted by offset. Queued bytes are
+	// immutable, so the read shares them.
 	q := s.unflushed
 	i := sort.Search(len(q), func(i int) bool { return q[i].offset+int64(len(q[i].data)) > offset })
 	if i < len(q) && q[i].offset <= offset {
 		from := offset - q[i].offset
 		to := min(from+int64(maxBytes), int64(len(q[i].data)))
-		out := append([]byte(nil), q[i].data[from:to]...)
 		c.mu.Unlock()
-		return ReadResult{Data: out, Offset: offset}, true, nil
+		return ReadResult{Data: q[i].data[from:to], Offset: offset}, true, nil
 	}
 	name := s.name
 	c.mu.Unlock()

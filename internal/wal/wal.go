@@ -199,12 +199,20 @@ func (l *Log) Epoch() int64 {
 }
 
 // AppendAsync durably appends data, invoking cb with the entry's address
-// once replicated to the ack quorum. Appends are pipelined; callbacks may
-// fire out of submission order, but addresses respect submission order.
-//
-// The log takes ownership of data: it goes to the ledger as it is, shared
-// by every replica, so the caller must not touch it afterwards.
+// once replicated to the ack quorum. It is AppendPartsAsync with one part.
 func (l *Log) AppendAsync(data []byte, cb func(Address, error)) {
+	l.AppendPartsAsync([][]byte{data}, cb)
+}
+
+// AppendPartsAsync durably appends the concatenation of parts as one entry,
+// invoking cb with its address once replicated to the ack quorum. Appends
+// are pipelined; callbacks may fire out of submission order, but addresses
+// respect submission order.
+//
+// The log takes ownership of the parts: they go to the ledger as they are
+// (bookkeeper.LedgerHandle.AppendPartsAsync), so the caller must not touch
+// them afterwards.
+func (l *Log) AppendPartsAsync(parts [][]byte, cb func(Address, error)) {
 	l.mu.Lock()
 	if l.closed || l.fenced {
 		err := ErrClosed
@@ -224,13 +232,15 @@ func (l *Log) AppendAsync(data []byte, cb func(Address, error)) {
 	}
 	h := l.current
 	seq := int64(len(l.md.Ledgers) - 1)
-	l.written += int64(len(data))
+	for _, p := range parts {
+		l.written += int64(len(p))
+	}
 	l.inflight.Add(1)
 	l.mu.Unlock()
 
 	mAppends.Inc()
 	start := time.Now()
-	h.AppendAsync(data, func(entry int64, err error) {
+	h.AppendPartsAsync(parts, func(entry int64, err error) {
 		defer l.inflight.Done()
 		mAppendUs.RecordSince(start)
 		if err != nil {

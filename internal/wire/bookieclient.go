@@ -53,13 +53,15 @@ func bookieDown(err error) error {
 // AddEntry pipelines a journal write; cb runs when the coord process has
 // made it durable (group commit included). It is AddEntries naming one.
 func (b *RemoteBookie) AddEntry(ledgerID, entryID int64, data []byte, cb func(error)) {
-	b.rs.AddEntries([]string{b.id}, ledgerID, entryID, data, cb)
+	b.rs.AddEntries([]string{b.id}, ledgerID, entryID, [][]byte{data}, cb)
 }
 
 // AddEntries sends one MsgBookieAdd naming bookies the coord process hosts
-// and hands cb each one's outcome, in order, from the one reply. A lost
-// transport fails them all alike, with bookkeeper.ErrBookieDown.
-func (rs *RemoteStore) AddEntries(bookies []string, ledgerID, entryID int64, data []byte, cb func(error)) {
+// and hands cb each one's outcome, in order, from the one reply. The entry
+// is the concatenation of parts, which the message carries straight from
+// the caller's slices. A lost transport fails them all alike, with
+// bookkeeper.ErrBookieDown.
+func (rs *RemoteStore) AddEntries(bookies []string, ledgerID, entryID int64, parts [][]byte, cb func(error)) {
 	failAll := func(err error) {
 		for range bookies {
 			cb(err)
@@ -70,7 +72,7 @@ func (rs *RemoteStore) AddEntries(bookies []string, ledgerID, entryID int64, dat
 		go failAll(fmt.Errorf("wire: bookies %v disconnected: %w", bookies, bookkeeper.ErrBookieDown))
 		return
 	}
-	req := BookieReq{Bookies: bookies, Ledger: ledgerID, Entry: entryID, Data: data}
+	req := BookieReq{Bookies: bookies, Ledger: ledgerID, Entry: entryID, parts: parts}
 	err := conn.CallAsyncFunc(MsgBookieAdd, &req, func(rep Reply) {
 		err := ReplyError(rep)
 		if placement.IsDisconnect(err) {

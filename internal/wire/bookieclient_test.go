@@ -52,9 +52,8 @@ func countRequests(t *testing.T, addr string) (string, *requestCounter) {
 			rc.mu.Unlock()
 			go func() { _, _ = io.Copy(cc, sc) }()
 			go func() {
-				var scratch []byte
 				for {
-					typ, id, body, err := readMessageInto(cc, &scratch)
+					typ, id, body, err := readMessage(cc)
 					if err != nil {
 						_ = sc.Close()
 						return
@@ -181,7 +180,7 @@ func TestBookieAddOutcomesPerBookie(t *testing.T) {
 	outcomes := func(names ...string) []error {
 		t.Helper()
 		ch := make(chan error, len(names))
-		rs.AddEntries(names, ledger, 0, []byte("x"), func(err error) { ch <- err })
+		rs.AddEntries(names, ledger, 0, [][]byte{[]byte("x")}, func(err error) { ch <- err })
 		out := make([]error, len(names))
 		for i := range out {
 			select {

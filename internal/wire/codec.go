@@ -3,10 +3,11 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
+
+	"github.com/pravega-go/pravega/internal/fields"
 )
 
 // One rule for bodies. A body with a hand-written layout encodes itself
@@ -15,21 +16,29 @@ import (
 // that know, and they choose by the body's type — never by message type, and
 // alike for T and *T.
 
-type binaryMarshaler interface{ marshalBinary(dst []byte) []byte }
+// binaryMarshaler is a hand-written layout. marshalBinary appends the body
+// to dst, except the bytes of a trailing payload: it appends those, by
+// reference, to payload, and writeFrame sends them from the caller's own
+// slices after the rest.
+type binaryMarshaler interface {
+	marshalBinary(dst []byte, payload [][]byte) ([]byte, [][]byte)
+}
 
 type binaryUnmarshaler interface{ unmarshalBinary(src []byte) error }
 
-// encodeBody appends body's encoding to dst.
-func encodeBody(dst []byte, body any) ([]byte, error) {
+// encodeBody appends body's encoding to dst, but for a hand-written
+// layout's payload, which it appends to payload (see binaryMarshaler).
+func encodeBody(dst []byte, payload [][]byte, body any) ([]byte, [][]byte, error) {
 	if b, ok := body.(binaryMarshaler); ok {
-		return b.marshalBinary(dst), nil
+		dst, payload = b.marshalBinary(dst, payload)
+		return dst, payload, nil
 	}
 	data, err := json.Marshal(body)
-	return append(dst, data...), err
+	return append(dst, data...), payload, err
 }
 
-// decodeBody decodes src into the body v points to. src may be a
-// connection's read scratch: decoders copy out whatever they keep.
+// decodeBody decodes src into the body v points to. src is the message's
+// own buffer: a decoded payload aliases it.
 func decodeBody(src []byte, v any) error {
 	if b, ok := v.(binaryUnmarshaler); ok {
 		return b.unmarshalBinary(src)
@@ -37,137 +46,83 @@ func decodeBody(src []byte, v any) error {
 	return json.Unmarshal(src, v)
 }
 
-var errTruncatedBody = errors.New("wire: truncated body")
-
-func appendUvarintBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// fieldReader walks a hand-written layout field by field. The first
-// malformed field sticks — it empties src, so every later read fails the
-// same way and returns a zero value — which lets a decoder be a straight
-// list of fields closed by one done check.
-type fieldReader struct {
-	src []byte
-	err error
-}
-
-func (r *fieldReader) fail() { r.src, r.err = nil, errTruncatedBody }
-
-// bytes reads a uvarint-length-prefixed field; the result aliases src.
-func (r *fieldReader) bytes() []byte {
-	n, sz := binary.Uvarint(r.src)
-	if sz <= 0 || n > uint64(len(r.src)-sz) {
-		r.fail()
-		return nil
+// appendPayload encodes a trailing payload made of parts: its length into
+// dst, its bytes by reference into payload.
+func appendPayload(dst []byte, payload [][]byte, parts ...[]byte) ([]byte, [][]byte) {
+	n := 0
+	for _, p := range parts {
+		if len(p) > 0 {
+			n += len(p)
+			payload = append(payload, p)
+		}
 	}
-	b := r.src[sz : sz+int(n)]
-	r.src = r.src[sz+int(n):]
-	return b
+	return binary.AppendUvarint(dst, uint64(n)), payload
 }
 
-// copied is bytes copied out of src (nil when empty): payloads outlive the
-// connection's read scratch — in the container's cache and tiering queue,
-// the bookie's journal, the hands of a reply's caller.
-func (r *fieldReader) copied() []byte {
-	if b := r.bytes(); len(b) > 0 {
-		return append([]byte(nil), b...)
-	}
-	return nil
-}
-
-func (r *fieldReader) str() string { return string(r.bytes()) }
-
-func (r *fieldReader) varint() int64 {
-	v, sz := binary.Varint(r.src)
-	if sz <= 0 {
-		r.fail()
-		return 0
-	}
-	r.src = r.src[sz:]
-	return v
-}
-
-func (r *fieldReader) bool() bool {
-	if len(r.src) == 0 {
-		r.fail()
-		return false
-	}
-	b := r.src[0] == 1
-	r.src = r.src[1:]
-	return b
-}
-
-// done reports the first malformed field, or bytes left after the last one.
-func (r *fieldReader) done(what string) error {
-	if r.err == nil && len(r.src) != 0 {
-		return fmt.Errorf("wire: %d trailing %s bytes", len(r.src), what)
-	}
-	return r.err
-}
-
-func (r AppendReq) marshalBinary(dst []byte) []byte {
-	dst = appendUvarintBytes(dst, []byte(r.Segment))
-	dst = appendUvarintBytes(dst, []byte(r.WriterID))
+func (r AppendReq) marshalBinary(dst []byte, payload [][]byte) ([]byte, [][]byte) {
+	dst = fields.AppendBytes(dst, []byte(r.Segment))
+	dst = fields.AppendBytes(dst, []byte(r.WriterID))
 	dst = binary.AppendVarint(dst, r.EventNum)
 	dst = binary.AppendVarint(dst, int64(r.EventCount))
 	dst = binary.AppendVarint(dst, r.CondOffset)
 	dst = binary.AppendVarint(dst, r.Prev)
-	return appendUvarintBytes(dst, r.Data)
+	return appendPayload(dst, payload, r.Data)
 }
 
 func (r *AppendReq) unmarshalBinary(src []byte) error {
-	f := fieldReader{src: src}
-	r.Segment = f.str()
-	r.WriterID = f.str()
-	r.EventNum = f.varint()
-	r.EventCount = int32(f.varint())
-	r.CondOffset = f.varint()
-	r.Prev = f.varint()
-	r.Data = f.copied()
-	return f.done("append")
+	f := fields.Reader{Src: src}
+	r.Segment = f.Str()
+	r.WriterID = f.Str()
+	r.EventNum = f.Varint()
+	r.EventCount = int32(f.Varint())
+	r.CondOffset = f.Varint()
+	r.Prev = f.Varint()
+	r.Data = f.Bytes()
+	return f.Done("wire: append")
 }
 
-func (r ReadReq) marshalBinary(dst []byte) []byte {
-	dst = appendUvarintBytes(dst, []byte(r.Segment))
+func (r ReadReq) marshalBinary(dst []byte, payload [][]byte) ([]byte, [][]byte) {
+	dst = fields.AppendBytes(dst, []byte(r.Segment))
 	dst = binary.AppendVarint(dst, r.Offset)
 	dst = binary.AppendVarint(dst, int64(r.MaxBytes))
-	return binary.AppendVarint(dst, r.WaitMS)
+	return binary.AppendVarint(dst, r.WaitMS), payload
 }
 
 func (r *ReadReq) unmarshalBinary(src []byte) error {
-	f := fieldReader{src: src}
-	r.Segment = f.str()
-	r.Offset = f.varint()
-	r.MaxBytes = int(f.varint())
-	r.WaitMS = f.varint()
-	return f.done("read")
+	f := fields.Reader{Src: src}
+	r.Segment = f.Str()
+	r.Offset = f.Varint()
+	r.MaxBytes = int(f.Varint())
+	r.WaitMS = f.Varint()
+	return f.Done("wire: read")
 }
 
-func (r BookieReq) marshalBinary(dst []byte) []byte {
+func (r BookieReq) marshalBinary(dst []byte, payload [][]byte) ([]byte, [][]byte) {
 	dst = binary.AppendVarint(dst, int64(len(r.Bookies)))
 	for _, b := range r.Bookies {
-		dst = appendUvarintBytes(dst, []byte(b))
+		dst = fields.AppendBytes(dst, []byte(b))
 	}
 	dst = binary.AppendVarint(dst, r.Ledger)
 	dst = binary.AppendVarint(dst, r.Entry)
-	return appendUvarintBytes(dst, r.Data)
+	if r.parts != nil {
+		return appendPayload(dst, payload, r.parts...)
+	}
+	return appendPayload(dst, payload, r.Data)
 }
 
 func (r *BookieReq) unmarshalBinary(src []byte) error {
-	f := fieldReader{src: src}
-	n := f.varint()
+	f := fields.Reader{Src: src}
+	n := f.Varint()
 	if n < 1 {
-		f.fail() // every bookie request names at least one
+		f.Fail() // every bookie request names at least one
 	}
-	for ; n > 0 && f.err == nil; n-- {
-		r.Bookies = append(r.Bookies, f.str())
+	for ; n > 0 && f.Err == nil; n-- {
+		r.Bookies = append(r.Bookies, f.Str())
 	}
-	r.Ledger = f.varint()
-	r.Entry = f.varint()
-	r.Data = f.copied()
-	return f.done("bookie")
+	r.Ledger = f.Varint()
+	r.Entry = f.Varint()
+	r.Data = f.Bytes()
+	return f.Done("wire: bookie")
 }
 
 // bookieOutcomes is a MsgBookieAdd reply's Data: one error per bookie the
@@ -175,25 +130,25 @@ func (r *BookieReq) unmarshalBinary(src []byte) error {
 // Reply's Err and Code, so errors.Is still finds its sentinel.
 type bookieOutcomes []error
 
-func (o bookieOutcomes) marshalBinary(dst []byte) []byte {
+func (o bookieOutcomes) marshalBinary(dst []byte, payload [][]byte) ([]byte, [][]byte) {
 	dst = binary.AppendVarint(dst, int64(len(o)))
 	for _, err := range o {
 		rep := errReply(err, Reply{})
-		dst = binary.AppendVarint(appendUvarintBytes(dst, []byte(rep.Err)), int64(rep.Code))
+		dst = binary.AppendVarint(fields.AppendBytes(dst, []byte(rep.Err)), int64(rep.Code))
 	}
-	return dst
+	return dst, payload
 }
 
 func (o *bookieOutcomes) unmarshalBinary(src []byte) error {
-	f := fieldReader{src: src}
-	for n := f.varint(); n > 0 && f.err == nil; n-- {
-		*o = append(*o, ReplyError(Reply{Err: f.str(), Code: int(f.varint())}))
+	f := fields.Reader{Src: src}
+	for n := f.Varint(); n > 0 && f.Err == nil; n-- {
+		*o = append(*o, ReplyError(Reply{Err: f.Str(), Code: int(f.Varint())}))
 	}
-	return f.done("bookie outcomes")
+	return f.Done("wire: bookie outcomes")
 }
 
-func (r Reply) marshalBinary(dst []byte) []byte {
-	dst = appendUvarintBytes(dst, []byte(r.Err))
+func (r Reply) marshalBinary(dst []byte, payload [][]byte) ([]byte, [][]byte) {
+	dst = fields.AppendBytes(dst, []byte(r.Err))
 	dst = binary.AppendVarint(dst, int64(r.Code))
 	dst = binary.AppendVarint(dst, r.Offset)
 	var eos byte
@@ -202,45 +157,59 @@ func (r Reply) marshalBinary(dst []byte) []byte {
 	}
 	dst = append(dst, eos)
 	dst = binary.AppendVarint(dst, int64(r.Count))
-	return appendUvarintBytes(dst, r.Data)
+	return appendPayload(dst, payload, r.Data)
 }
 
 func (r *Reply) unmarshalBinary(src []byte) error {
-	f := fieldReader{src: src}
-	r.Err = f.str()
-	r.Code = int(f.varint())
-	r.Offset = f.varint()
-	r.EOS = f.bool()
-	r.Count = int(f.varint())
-	r.Data = f.copied()
-	return f.done("reply")
+	f := fields.Reader{Src: src}
+	r.Err = f.Str()
+	r.Code = int(f.Varint())
+	r.Offset = f.Varint()
+	r.EOS = f.Byte() == 1
+	r.Count = int(f.Varint())
+	r.Data = f.Bytes()
+	return f.Done("wire: reply")
 }
 
-// encPool recycles message encode buffers: a buffer holds one framed
-// message (header + body) only until it reaches the connection's
-// bufio.Writer, so the pool keeps the steady-state encode path
-// allocation-free.
-var encPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
+// encBuf is one message's encoding on its way to a connection: the frame
+// header and body in buf, the body's payload by reference in payload.
+type encBuf struct {
+	buf     []byte
+	payload [][]byte
+}
+
+// encPool recycles encode buffers: one holds a framed message only until it
+// reaches the connection's bufio.Writer, so the pool keeps the steady-state
+// encode path allocation-free.
+var encPool = sync.Pool{New: func() any { return &encBuf{buf: make([]byte, 0, 512)} }}
 
 // writeFrame encodes one message — a request, or the reply envelope — behind
-// its frame header and writes it.
+// its frame header and writes it: the head from the encode buffer, then a
+// payload straight from the caller's slices, which it does not keep.
 func writeFrame(w io.Writer, t MessageType, reqID uint64, body any) error {
-	bp := encPool.Get().(*[]byte)
+	e := encPool.Get().(*encBuf)
 	var hdr [headerSize]byte
-	buf, err := encodeBody(append((*bp)[:0], hdr[:]...), body)
-	if n := len(buf) - headerSize; err == nil && n > maxBody {
+	buf, payload, err := encodeBody(append(e.buf[:0], hdr[:]...), e.payload[:0], body)
+	n := len(buf) - headerSize
+	for _, p := range payload {
+		n += len(p)
+	}
+	if err == nil && n > maxBody {
 		err = fmt.Errorf("wire: body too large (%d bytes)", n)
 	}
 	if err == nil {
-		binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-headerSize))
+		binary.BigEndian.PutUint32(buf[0:4], uint32(n))
 		buf[4] = byte(t)
 		binary.BigEndian.PutUint64(buf[5:13], reqID)
 		_, err = w.Write(buf)
+		for _, p := range payload {
+			if err == nil {
+				_, err = w.Write(p)
+			}
+		}
 	}
-	*bp = buf
-	encPool.Put(bp)
+	clear(payload) // the pool must not pin a caller's bytes
+	e.buf, e.payload = buf, payload[:0]
+	encPool.Put(e)
 	return err
 }

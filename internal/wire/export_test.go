@@ -23,7 +23,9 @@ func serveConfig(tb testing.TB, cfg ServerConfig) *Server {
 // behind any message type.
 type rawBody []byte
 
-func (b rawBody) marshalBinary(dst []byte) []byte { return append(dst, b...) }
+func (b rawBody) marshalBinary(dst []byte, payload [][]byte) ([]byte, [][]byte) {
+	return append(dst, b...), payload
+}
 
 // The rest is what the external tests (package wire_test, which start
 // clusters from internal/role) reach of the package's internals.
@@ -44,10 +46,19 @@ const (
 
 var (
 	ServeConfig = serveConfig
-	EncodeBody  = encodeBody
 	WriteFrame  = writeFrame
 	ReadMessage = readMessage
 )
+
+// EncodeBody is a body's whole encoding, its payload copied in after the
+// rest.
+func EncodeBody(dst []byte, body any) ([]byte, error) {
+	dst, payload, err := encodeBody(dst, nil, body)
+	for _, p := range payload {
+		dst = append(dst, p...)
+	}
+	return dst, err
+}
 
 // HandlerPlane reports whether typ has a row in the handler table, and the
 // row's plane.

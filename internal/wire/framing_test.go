@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 
@@ -14,10 +13,10 @@ import (
 	"github.com/pravega-go/pravega/internal/segment"
 )
 
-// readMessage reads one framed message into a fresh buffer.
-func readMessage(r io.Reader) (MessageType, uint64, []byte, error) {
-	var scratch []byte
-	return readMessageInto(r, &scratch)
+// marshalFlat is b's whole encoding, its payload copied in after the rest.
+func marshalFlat(b binaryMarshaler) []byte {
+	buf, _ := EncodeBody(nil, b)
+	return buf
 }
 
 func TestMessageFramingRoundTrip(t *testing.T) {
@@ -169,7 +168,7 @@ func TestBinReplyRoundTrip(t *testing.T) {
 
 func TestBinaryDecodersRejectTruncated(t *testing.T) {
 	req := AppendReq{Segment: "seg", Data: []byte("0123456789"), CondOffset: -1}
-	full := req.marshalBinary(nil)
+	full := marshalFlat(req)
 	for i := 0; i < len(full); i++ {
 		if err := new(AppendReq).unmarshalBinary(full[:i]); err == nil {
 			t.Fatalf("truncated append body (%d/%d bytes) accepted", i, len(full))
@@ -180,14 +179,14 @@ func TestBinaryDecodersRejectTruncated(t *testing.T) {
 		t.Fatal("append body with trailing bytes accepted")
 	}
 	rd := ReadReq{Segment: "seg", Offset: 5, MaxBytes: 10, WaitMS: 1}
-	rbody := rd.marshalBinary(nil)
+	rbody := marshalFlat(rd)
 	for i := 0; i < len(rbody); i++ {
 		if err := new(ReadReq).unmarshalBinary(rbody[:i]); err == nil {
 			t.Fatalf("truncated read body (%d/%d bytes) accepted", i, len(rbody))
 		}
 	}
 	bk := BookieReq{Bookies: []string{"b0", "b1", "b2"}, Ledger: 1, Entry: 2, Data: []byte("x")}
-	bbody := bk.marshalBinary(nil)
+	bbody := marshalFlat(bk)
 	for i := 0; i < len(bbody); i++ {
 		if err := new(BookieReq).unmarshalBinary(bbody[:i]); err == nil {
 			t.Fatalf("truncated bookie body (%d/%d bytes) accepted", i, len(bbody))
@@ -197,7 +196,7 @@ func TestBinaryDecodersRejectTruncated(t *testing.T) {
 		t.Fatal("bookie body with trailing bytes accepted")
 	}
 	outs := bookieOutcomes{nil, bookkeeper.ErrFenced, errors.New("disk")}
-	obody := outs.marshalBinary(nil)
+	obody := marshalFlat(outs)
 	for i := 0; i < len(obody); i++ {
 		if err := new(bookieOutcomes).unmarshalBinary(obody[:i]); err == nil {
 			t.Fatalf("truncated bookie outcomes (%d/%d bytes) accepted", i, len(obody))

@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzAppendReqCodec round-trips arbitrary append requests through the
-// binary codec and feeds every truncation of the encoding back to the
-// decoder, which must reject it without panicking.
+// path a connection runs — writeFrame, then readMessage and the decoder —
+// and feeds every truncation of the body back to the decoder, which must
+// reject it without panicking.
 func FuzzAppendReqCodec(f *testing.F) {
 	f.Add("a/b/0.#epoch.0", []byte("payload"), "w-1", int64(9), int32(2), int64(-1))
 	f.Add("", []byte{}, "", int64(0), int32(0), int64(0))
@@ -19,7 +20,14 @@ func FuzzAppendReqCodec(f *testing.F) {
 			Segment: seg, Data: data, WriterID: wid,
 			EventNum: num, EventCount: count, CondOffset: cond, Prev: num - int64(count),
 		}
-		body := req.marshalBinary(nil)
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, MsgAppend, 42, &req); err != nil {
+			t.Skip() // oversized payload; writer rejects by design
+		}
+		typ, id, body, err := readMessage(&buf)
+		if err != nil || typ != MsgAppend || id != 42 {
+			t.Fatalf("reading own frame: type=%d id=%d %v", typ, id, err)
+		}
 		var got AppendReq
 		if err := got.unmarshalBinary(body); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
@@ -44,7 +52,7 @@ func FuzzReadReqCodec(f *testing.F) {
 	f.Add("", int64(0), int32(0), int32(0))
 	f.Fuzz(func(t *testing.T, seg string, off int64, maxBytes, waitMS int32) {
 		req := ReadReq{Segment: seg, Offset: off, MaxBytes: int(maxBytes), WaitMS: int64(waitMS)}
-		body := req.marshalBinary(nil)
+		body := marshalFlat(req)
 		var got ReadReq
 		if err := got.unmarshalBinary(body); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
@@ -99,7 +107,8 @@ func FuzzReplyCodec(f *testing.F) {
 }
 
 // FuzzReadMessage throws arbitrary byte streams at the frame reader: it must
-// either produce a frame or an error, never panic or over-read.
+// either produce a frame or an error, never panic or over-read, and a frame
+// it reads is written back by writeFrame as the very bytes it consumed.
 func FuzzReadMessage(f *testing.F) {
 	var seed bytes.Buffer
 	_ = writeFrame(&seed, MsgAppend, 42, AppendReq{Segment: "s", Data: []byte("d"), CondOffset: -1})
@@ -109,8 +118,17 @@ func FuzzReadMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		r := bytes.NewReader(stream)
 		for {
-			if _, _, _, err := readMessage(r); err != nil {
+			at := len(stream) - r.Len()
+			typ, id, body, err := readMessage(r)
+			if err != nil {
 				return
+			}
+			var again bytes.Buffer
+			if err := writeFrame(&again, typ, id, rawBody(body)); err != nil {
+				t.Fatalf("re-writing a frame read: %v", err)
+			}
+			if consumed := stream[at : len(stream)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+				t.Fatalf("frame re-written as %x, read from %x", again.Bytes(), consumed)
 			}
 		}
 	})

@@ -42,10 +42,9 @@ func (s *Server) served(p plane) (string, bool) {
 }
 
 // startFunc is a row's entry point, called on the read loop. It decodes
-// body — which aliases the loop's scratch, so it is decoded here, before any
-// goroutine starts, and never retained — and returns the call that computes
-// the reply, which the loop runs on a goroutine of its own: replies may
-// overtake, and a call that blocks (a tail read, a watch) waits until its
+// body — the message's own buffer, which a decoded payload aliases and
+// carries on — and returns the call that computes the reply, which the
+// loop runs on a goroutine of its own: replies may overtake, and a call that blocks (a tail read, a watch) waits until its
 // connection ends at the latest. An inline start answers through c itself
 // and returns nil: it only enqueues, so the loop's call order is the
 // connection's FIFO order into the container's applier (appends) and the
@@ -81,7 +80,7 @@ func record(v any, count int, err error) Reply {
 	if err != nil {
 		return errReply(err, Reply{})
 	}
-	data, err := encodeBody(nil, v)
+	data, _, err := encodeBody(nil, nil, v) // a record has no payload
 	return errReply(err, Reply{Data: data, Count: count})
 }
 
@@ -337,9 +336,9 @@ func startAppend(c *srvConn, id uint64, body []byte) (func(context.Context) Repl
 }
 
 // startBookieAdd enqueues a journal add on every bookie the request names,
-// the WAL hot path. They share the one decoded payload (a bookie never
-// mutates an entry), and the request gets one reply, with each bookie's
-// outcome, once the last of them has one.
+// the WAL hot path. They share the one decoded payload, which aliases the
+// request's body (a bookie never mutates an entry), and the request gets
+// one reply, with each bookie's outcome, once the last of them has one.
 func startBookieAdd(c *srvConn, id uint64, body []byte) (func(context.Context) Reply, error) {
 	var req BookieReq
 	if err := req.unmarshalBinary(body); err != nil {

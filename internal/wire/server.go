@@ -228,9 +228,8 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	rd := bufio.NewReader(conn)
-	var scratch []byte
 	for {
-		t, id, body, err := readMessageInto(rd, &scratch)
+		t, id, body, err := readMessage(rd)
 		if err != nil {
 			return
 		}
@@ -242,7 +241,6 @@ func (s *Server) serve(conn net.Conn) {
 		} else if name, ok := s.served(h.plane); !ok {
 			err = fmt.Errorf("wire: %s plane not served on this node", name)
 		} else {
-			// body aliases scratch: start decodes it before the next read.
 			call, err = h.start(c, id, body)
 		}
 		switch {

@@ -12,8 +12,10 @@
 // read and WAL hot path, in the uvarint scheme of the segment store's WAL
 // frames) encodes itself; any other body is a control-plane record owned by
 // another package and travels as its encoding/json bytes. codec.go holds
-// that rule and nothing else knows it. Encode buffers and read scratch are
-// pooled.
+// that rule and nothing else knows it. Encode buffers are pooled; every
+// message is read into a buffer of its own, which a decoded payload
+// aliases, so a payload crosses a process with no copy in user space but
+// the socket's (see writeFrame and readMessage).
 //
 // A new request is one MessageType constant and one row of the handler
 // table (handlers.go): the plane it needs, where it runs, a typed function.
@@ -114,38 +116,23 @@ const headerSize = 4 + 1 + 8
 // maxBody bounds one message (events are ≤ 8 MiB in this build).
 const maxBody = 32 << 20
 
-// readMessageInto reads one framed message into *scratch (grown as
-// needed). The returned body aliases the scratch buffer and is valid only
-// until the next call: the connection read loops decode (or copy) before
-// reading again, so one buffer serves the connection's lifetime.
-func readMessageInto(r io.Reader, scratch *[]byte) (MessageType, uint64, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readMessage reads one framed message. The body is a buffer of its own,
+// which the caller owns: decoded payloads alias it, and travel on by
+// reference — into a container's cache and tiering queue, a bookie's
+// journal, a reply's caller.
+func readMessage(r io.Reader) (MessageType, uint64, []byte, error) {
+	frame, err := ReadRawFrame(r)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n > maxBody {
-		return 0, 0, nil, fmt.Errorf("wire: oversized body (%d bytes)", n)
-	}
-	t := MessageType(hdr[4])
-	id := binary.BigEndian.Uint64(hdr[5:13])
-	if uint32(cap(*scratch)) < n {
-		*scratch = make([]byte, n)
-	}
-	body := (*scratch)[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	return t, id, body, nil
+	return RawFrameType(frame), RawFrameReqID(frame), frame[headerSize:], nil
 }
 
 // Raw-frame helpers: they move whole framed messages (header + body)
 // without decoding the body. Network fault-injection proxies
 // (internal/faultinject's NemesisProxy) use them to forward, duplicate,
-// split, or truncate traffic at frame granularity.
-
-// RawFrameHeaderSize is the fixed header length of every framed message.
-const RawFrameHeaderSize = headerSize
+// split, or truncate traffic at frame granularity; readMessage reads
+// through them.
 
 // ReadRawFrame reads one complete framed message from r and returns it
 // (header included) as a fresh byte slice.
@@ -288,6 +275,11 @@ type BookieReq struct {
 	Ledger  int64
 	Entry   int64
 	Data    []byte
+	// parts, when set, is an add's entry in the pieces the ledger hands
+	// over (a WAL frame: op headers between payloads), sent in place of
+	// Data. The wire carries their concatenation, which the receiver
+	// decodes into Data.
+	parts [][]byte
 }
 
 // EpochReq is the placement-epoch watch, answered by the server's
@@ -310,30 +302,6 @@ type Reply struct {
 	Count  int
 }
 
-// pendingReply is one outstanding request's completion route: a one-slot
-// channel (synchronous calls) or a callback (pipelined appends). The
-// descriptor is pooled; after delivery it must not be retained.
-type pendingReply struct {
-	ch chan Reply  // nil when cb is set
-	cb func(Reply) // nil when ch is set
-}
-
-var pendingReplyPool = sync.Pool{New: func() any { return new(pendingReply) }}
-
-// deliver routes the reply and recycles the descriptor. Callbacks run on
-// the connection's read goroutine (or the failing caller) and must not
-// block: a slow callback stalls every later reply on the connection.
-func (p *pendingReply) deliver(rep Reply) {
-	ch, cb := p.ch, p.cb
-	*p = pendingReply{}
-	pendingReplyPool.Put(p)
-	if cb != nil {
-		cb(rep)
-	} else {
-		ch <- rep
-	}
-}
-
 // Conn is a pipelined client connection.
 type Conn struct {
 	mu     sync.Mutex
@@ -341,8 +309,12 @@ type Conn struct {
 	wr     *bufio.Writer
 	conn   net.Conn
 
+	// pending routes each outstanding request's reply: to a channel
+	// (synchronous calls) or a callback (pipelined appends). Callbacks run
+	// on the connection's read goroutine (or failAll's) and must not block:
+	// a slow callback stalls every later reply on the connection.
 	pendMu  sync.Mutex
-	pending map[uint64]*pendingReply
+	pending map[uint64]func(Reply)
 	readErr error
 	closed  bool
 }
@@ -363,7 +335,7 @@ func Dial(dial Dialer, addr string) (*Conn, error) {
 	c := &Conn{
 		conn:    nc,
 		wr:      bufio.NewWriter(nc),
-		pending: make(map[uint64]*pendingReply),
+		pending: make(map[uint64]func(Reply)),
 	}
 	go c.readLoop()
 	return c, nil
@@ -371,9 +343,8 @@ func Dial(dial Dialer, addr string) (*Conn, error) {
 
 func (c *Conn) readLoop() {
 	rd := bufio.NewReader(c.conn)
-	var scratch []byte
 	for {
-		t, id, body, err := readMessageInto(rd, &scratch)
+		t, id, body, err := readMessage(rd)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -389,11 +360,11 @@ func (c *Conn) readLoop() {
 			return
 		}
 		c.pendMu.Lock()
-		p := c.pending[id]
+		deliver := c.pending[id]
 		delete(c.pending, id)
 		c.pendMu.Unlock()
-		if p != nil {
-			p.deliver(rep)
+		if deliver != nil {
+			deliver(rep)
 		}
 	}
 }
@@ -406,9 +377,9 @@ func (c *Conn) failAll(err error) {
 	// Requests stop registering once readErr or closed is set, so the first
 	// call takes every pending request there will ever be.
 	c.readErr = err
-	pend := make([]*pendingReply, 0, len(c.pending))
-	for id, p := range c.pending {
-		pend = append(pend, p)
+	pend := make([]func(Reply), 0, len(c.pending))
+	for id, deliver := range c.pending {
+		pend = append(pend, deliver)
 		delete(c.pending, id)
 	}
 	c.pendMu.Unlock()
@@ -424,8 +395,8 @@ func (c *Conn) failAll(err error) {
 	// goroutine drains the whole batch so the failures stay ordered with
 	// respect to each other.
 	go func() {
-		for _, p := range pend {
-			p.deliver(Reply{Err: err.Error(), Code: codeDisconnected})
+		for _, deliver := range pend {
+			deliver(Reply{Err: err.Error(), Code: codeDisconnected})
 		}
 	}()
 }
@@ -462,10 +433,8 @@ func (c *Conn) Call(t MessageType, body any) (Reply, error) {
 // which buffers it, so a caller may stop listening. Requests issued from
 // one goroutine are written in order.
 func (c *Conn) CallAsync(t MessageType, body any) (<-chan Reply, error) {
-	p := pendingReplyPool.Get().(*pendingReply)
 	ch := make(chan Reply, 1)
-	p.ch = ch
-	if err := c.send(t, body, p); err != nil {
+	if err := c.send(t, body, func(rep Reply) { ch <- rep }); err != nil {
 		return nil, err
 	}
 	return ch, nil
@@ -476,32 +445,28 @@ func (c *Conn) CallAsync(t MessageType, body any) (<-chan Reply, error) {
 // for appends to one segment is submission order) or from failAll on
 // connection loss. cb must not block.
 func (c *Conn) CallAsyncFunc(t MessageType, body any, cb func(Reply)) error {
-	p := pendingReplyPool.Get().(*pendingReply)
-	p.cb = cb
-	return c.send(t, body, p)
+	return c.send(t, body, cb)
 }
 
-func (c *Conn) send(t MessageType, body any, p *pendingReply) error {
+func (c *Conn) send(t MessageType, body any, deliver func(Reply)) error {
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
 	// The liveness check and the pending registration share one pendMu
 	// critical section: if the read loop fails between them it cannot miss
 	// this entry (failAll either already reported the error here, or will
-	// drain the registered descriptor).
+	// drain the registration).
 	c.pendMu.Lock()
 	if c.readErr != nil || c.closed {
 		err := c.readErr
 		c.pendMu.Unlock()
 		c.mu.Unlock()
-		*p = pendingReply{}
-		pendingReplyPool.Put(p)
 		if err == nil {
 			err = net.ErrClosed
 		}
 		return err
 	}
-	c.pending[id] = p
+	c.pending[id] = deliver
 	c.pendMu.Unlock()
 	err := writeFrame(c.wr, t, id, body)
 	if err == nil {
@@ -510,17 +475,15 @@ func (c *Conn) send(t MessageType, body any, p *pendingReply) error {
 	c.mu.Unlock()
 	if err != nil {
 		c.pendMu.Lock()
-		reg := c.pending[id]
+		_, reg := c.pending[id]
 		delete(c.pending, id)
 		c.pendMu.Unlock()
-		if reg == nil {
-			// The read loop died first: failAll took the descriptor and
+		if !reg {
+			// The read loop died first: failAll took the registration and
 			// reports the disconnection through it. Returning the write
 			// error as well would complete the request twice.
 			return nil
 		}
-		*reg = pendingReply{}
-		pendingReplyPool.Put(reg)
 		return err
 	}
 	return nil

@@ -304,7 +304,10 @@ type segmentWriter struct {
 	retry      []batchRec     // batches lost to a disconnect, awaiting replay
 	recovering bool           // a recover() goroutine is active
 	last       int64          // last event number sent (-1: none), the next batch's prev
-	flushCond  *sync.Cond
+	// buf is the encode buffer every batch reuses: AppendAfter does not
+	// keep a batch's bytes once it returns (client.DataTransport).
+	buf       []byte
+	flushCond *sync.Cond
 }
 
 // batchRec is one sent batch retained for replay across a transport
@@ -376,15 +379,14 @@ func transientAppendErr(err error) bool { return errors.Is(err, client.ErrRetrya
 // sendBatch serializes and ships one batch that follows event number prev
 // on the segment (caller holds sw.mu). The container applies it only after
 // prev, so a batch never overtakes a predecessor that failed on the way.
+// The batch is encoded into sw.buf, the one copy of its events the writer
+// makes; a replay encodes it again from events.
 func (sw *segmentWriter) sendBatch(events []pendingEvent, prev int64) {
-	size := 0
-	for _, pe := range events {
-		size += eventFrameSize(pe.data)
-	}
-	buf := make([]byte, 0, size)
+	buf := sw.buf[:0]
 	for _, pe := range events {
 		buf = appendEventFrame(buf, pe.data)
 	}
+	sw.buf = buf
 	lastNum := events[len(events)-1].seq
 	sw.last = lastNum
 	start := time.Now()
