@@ -298,20 +298,14 @@ func TestCheckpointDoesNotDropUntieredTail(t *testing.T) {
 	h.drain()
 }
 
-// TestAdoptionAfterWALTruncation: recovery adoption must retire queued
-// bytes by offset, not by adopted count. The scenario: a checkpoint whose
-// snapshot predates a flush, the flush tiers those bytes and truncates
-// their WAL ledgers, then a later acked append and a crash. Replay restores
-// the stale checkpoint watermark and re-queues only the later append (the
-// tiered entries are gone from the WAL); adoption heals the watermark from
-// the chunks. A count-based retire here ate the head of the still-unflushed
-// append — acked data loss.
-func TestAdoptionAfterWALTruncation(t *testing.T) {
-	mem := lts.NewMemory()
-	// A ledger per frame: truncation is fine-grained.
-	rig, c := newQuietRig(t, mem, nil, 64)
-
-	const seg = "scope/s/trunc"
+// tierBehindCheckpoint leaves seg with a checkpoint that trails LTS and a
+// WAL that no longer holds the bytes in between: it appends [0,1000) and
+// tiers it, appends [1000,1500), checkpoints twice (both snapshots predate
+// the next flush), tiers [1000,1500) — which releases its WAL ledger — and
+// appends the acked tail [1500,1900) without tiering it. It returns all
+// 1900 bytes.
+func tierBehindCheckpoint(t *testing.T, c *segstore.Container, seg string) []byte {
+	t.Helper()
 	if err := c.CreateSegment(seg); err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -350,6 +344,21 @@ func TestAdoptionAfterWALTruncation(t *testing.T) {
 		t.Fatalf("WAL truncation did not release b's ledger: truncated before %d, b at %d", tb, bSeq)
 	}
 	mustAppend(t, c, seg, tail, "w", 3)
+	return payload
+}
+
+// TestAdoptionAfterWALTruncation: recovery adoption must retire queued
+// bytes by offset, not by adopted count. After tierBehindCheckpoint and a
+// crash, replay restores the stale checkpoint watermark and re-queues only
+// the tail (b's entries are gone from the WAL); adoption heals the watermark
+// from the chunks. A count-based retire here ate the head of the
+// still-unflushed tail — acked data loss.
+func TestAdoptionAfterWALTruncation(t *testing.T) {
+	mem := lts.NewMemory()
+	// A ledger per frame: truncation is fine-grained.
+	rig, c := newQuietRig(t, mem, nil, 64)
+	const seg = "scope/s/trunc"
+	payload := tierBehindCheckpoint(t, c, seg)
 
 	if err := rig.crash(); err != nil {
 		t.Fatalf("crash: %v", err)
@@ -364,7 +373,7 @@ func TestAdoptionAfterWALTruncation(t *testing.T) {
 	if err := CheckContainer(c2, mem); err != nil {
 		t.Fatalf("invariants after recovery: %v", err)
 	}
-	d = c2.DebugState()[seg]
+	d := c2.DebugState()[seg]
 	if !d.HasUnflushed || d.UnflushedStart != 1500 {
 		t.Fatalf("acked tail lost by adoption retire: hasUnflushed=%v start=%d, want queue at 1500",
 			d.HasUnflushed, d.UnflushedStart)
@@ -375,6 +384,44 @@ func TestAdoptionAfterWALTruncation(t *testing.T) {
 	assertLayout(t, c2, mem, seg, int64(len(payload)))
 	if got := readBack(t, c2, seg, 0, int64(len(payload))); !bytes.Equal(got, payload) {
 		t.Fatal("read-back differs after recovery")
+	}
+}
+
+// TestRecoveryAdoptsOnlyOnceLTSAnswers: the same schedule, with LTS failing
+// the first length probe of recovery. Only LTS knows that [1000,1500) is
+// tiered (the checkpoint predates it, the WAL released it), so a container
+// that started anyway could neither read those acked bytes nor tier the
+// tail after them. Recovery must fail instead, and the next attempt, with
+// LTS answering, must serve and tier everything.
+func TestRecoveryAdoptsOnlyOnceLTSAnswers(t *testing.T) {
+	mem := lts.NewMemory()
+	flts := NewFaultyLTS(mem)
+	rig, c := newQuietRig(t, flts, nil, 64)
+	const seg = "scope/s/trunc"
+	payload := tierBehindCheckpoint(t, c, seg)
+
+	flts.AddRule(LTSRule{Op: LTSLength, Nth: 1, Count: 1})
+	if err := rig.crash(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	if err := rig.restart(); !errors.Is(err, lts.ErrUnavailable) {
+		t.Fatalf("restart with LTS failing its length probe = %v, want it to fail with the LTS error", err)
+	}
+	if err := rig.restart(); err != nil {
+		t.Fatalf("restart once LTS answers: %v", err)
+	}
+	c2, err := rig.st.ContainerByID(0)
+	if err != nil {
+		t.Fatalf("container after restart: %v", err)
+	}
+	if got := readBack(t, c2, seg, 0, int64(len(payload))); !bytes.Equal(got, payload) {
+		t.Fatal("read-back differs after recovery")
+	}
+	if err := c2.FlushAll(); err != nil {
+		t.Fatalf("flush after recovery: %v", err)
+	}
+	if err := CheckContainer(c2, mem); err != nil {
+		t.Fatalf("invariants after recovery: %v", err)
 	}
 }
 

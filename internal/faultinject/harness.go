@@ -25,8 +25,8 @@ type HarnessConfig struct {
 	// CrashEvery arms a scripted crash roughly every N operations
 	// (0 disables crashes).
 	CrashEvery int
-	// LTSFaultEvery arms an LTS write/create fault roughly every N
-	// operations (0 disables).
+	// LTSFaultEvery arms an LTS write, create or length fault roughly every
+	// N operations (0 disables).
 	LTSFaultEvery int
 	// BookieFaultEvery arms a bookie add fault (failed or dropped ack, one
 	// bookie at a time — within quorum tolerance) roughly every N
@@ -198,6 +198,15 @@ func (h *Harness) mustRetry(what string, op func() error) {
 func (h *Harness) recoverAndVerify(reason string) {
 	h.Crashes++
 	_ = h.crash()
+	h.recoverContainer(reason)
+	h.verify(reason)
+}
+
+// recoverContainer restarts the crashed container. Recovery itself can be
+// starved by injected faults — bookie read/fence faults, or LTS length
+// faults that keep it from learning what is tiered; clear them and retry, as
+// a real operator would wait out the outage.
+func (h *Harness) recoverContainer(reason string) {
 	for attempt := 0; ; attempt++ {
 		err := h.restart()
 		if err == nil {
@@ -206,16 +215,12 @@ func (h *Harness) recoverAndVerify(reason string) {
 		if attempt >= 10 {
 			h.t.Fatalf("faultinject: restart after %q: %v", reason, err)
 		}
-		// Recovery itself can be starved by injected bookie read/fence
-		// faults; clear them and retry — a real operator would wait out
-		// the outage the same way.
 		for _, fb := range h.bookies {
 			fb.Reset()
 		}
 		h.flts.Reset()
 	}
 	h.Recovered++
-	h.verify(reason)
 }
 
 // verify asserts the container state matches the oracle. A background
@@ -234,10 +239,7 @@ func (h *Harness) verify(reason string) {
 		}
 		h.Crashes++
 		_ = h.crash()
-		if rerr := h.restart(); rerr != nil {
-			h.t.Fatalf("faultinject: verify restart: %v", rerr)
-		}
-		h.Recovered++
+		h.recoverContainer(fmt.Sprintf("verify after %q: %v", reason, err))
 	}
 }
 
@@ -368,7 +370,7 @@ func (h *Harness) maybeArmFaults() {
 			Nth:   1 + h.rng.Intn(4),
 			Count: 1 + h.rng.Intn(2),
 		}
-		switch h.rng.Intn(4) {
+		switch h.rng.Intn(5) {
 		case 0:
 			r.Op = LTSCreate
 		case 1:
@@ -376,6 +378,10 @@ func (h *Harness) maybeArmFaults() {
 			r.PartialBytes = 1 + h.rng.Intn(512)
 		case 2:
 			r.Err = lts.ErrInvalidOffset
+		case 3:
+			// A length probe fails: adoption after a failed write or
+			// create, or in recovery, which then cannot start.
+			r.Op = LTSLength
 		}
 		h.flts.AddRule(r)
 	}

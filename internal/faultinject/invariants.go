@@ -31,8 +31,7 @@ const maxCacheEntryBytes = 256 << 10
 //
 // The check runs under Container.Quiesce, so it observes the metadata, the
 // un-tiered queue and the WAL watermark as one consistent cut between
-// tiering rounds. A Pending chunk entry (aborted round) is tolerated only
-// in last position with zero committed coverage.
+// tiering rounds.
 func CheckContainer(c *segstore.Container, store lts.ChunkStorage) error {
 	var err error
 	c.Quiesce(func() { err = checkQuiesced(c, store) })
@@ -43,13 +42,7 @@ func checkQuiesced(c *segstore.Container, store lts.ChunkStorage) error {
 	truncatedBefore := c.WALTruncatedBefore()
 	for name, d := range c.DebugState() {
 		var covered int64
-		for i, ch := range d.Chunks {
-			if ch.Pending {
-				if i != len(d.Chunks)-1 || ch.Length != 0 {
-					return fmt.Errorf("faultinject: %s: pending chunk %s not a zero-length tail entry", name, ch.Name)
-				}
-				continue
-			}
+		for _, ch := range d.Chunks {
 			if ch.StartOffset != covered {
 				return fmt.Errorf("faultinject: %s: chunk %s starts at %d, want %d (overlap or gap)",
 					name, ch.Name, ch.StartOffset, covered)

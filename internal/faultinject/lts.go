@@ -31,7 +31,6 @@ const (
 	LTSRead   LTSOp = "read"
 	LTSLength LTSOp = "length"
 	LTSDelete LTSOp = "delete"
-	LTSExists LTSOp = "exists"
 )
 
 // LTSRule describes one injected fault. A rule matches calls of the given
@@ -44,7 +43,7 @@ const (
 //   - Err, if the rule is a failure rule, is returned (defaults to
 //     lts.ErrUnavailable). For writes, PartialBytes of the payload are
 //     persisted to the inner store before failing — the partial-write-
-//     then-error case the storage writer must reconcile.
+//     then-error case the storage writer must adopt.
 //   - A rule with no Err, no PartialBytes and a Delay is latency-only: the
 //     call proceeds normally after the sleep.
 type LTSRule struct {
@@ -221,18 +220,6 @@ func (f *FaultyLTS) Delete(name string) error {
 		}
 	}
 	return f.inner.Delete(name)
-}
-
-// Exists implements lts.ChunkStorage.
-func (f *FaultyLTS) Exists(name string) (bool, error) {
-	if r := f.match(LTSExists, name); r != nil {
-		sleep(r.Delay)
-		if !r.latencyOnly() {
-			mLTSFaults.Inc()
-			return false, r.err()
-		}
-	}
-	return f.inner.Exists(name)
 }
 
 func sleep(d time.Duration) {

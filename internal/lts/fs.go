@@ -127,15 +127,3 @@ func (f *FS) Delete(name string) error {
 	}
 	return nil
 }
-
-// Exists implements ChunkStorage.
-func (f *FS) Exists(name string) (bool, error) {
-	_, err := os.Stat(f.path(name))
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	return false, err
-}

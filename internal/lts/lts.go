@@ -9,8 +9,11 @@
 //   - NoOp: a Memory that accepts writes and stores nothing but chunk
 //     lengths — the paper's test feature used in Fig. 7 ("NoOp LTS").
 //
-// Chunk *metadata* is not stored here: the storage writer keeps it in a
-// Pravega key-value table with conditional updates (§4.3).
+// Chunk *metadata* is not stored here: the storage writer keeps it in the
+// container's segment state, which its WAL checkpoints make durable (§4.3).
+// A chunk's name is its segment and start offset, so recovery learns what
+// reached LTS after the last checkpoint by asking Length of the names that
+// would come next.
 package lts
 
 import (
@@ -47,8 +50,6 @@ type ChunkStorage interface {
 	Length(name string) (int64, error)
 	// Delete removes the chunk.
 	Delete(name string) error
-	// Exists reports whether the chunk is present.
-	Exists(name string) (bool, error)
 }
 
 // PartsRange returns the slices of parts that hold bytes [from, from+n) of
@@ -158,14 +159,6 @@ func (m *Memory) Delete(name string) error {
 	}
 	delete(m.chunks, name)
 	return nil
-}
-
-// Exists implements ChunkStorage.
-func (m *Memory) Exists(name string) (bool, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.chunks[name]
-	return ok, nil
 }
 
 // ChunkCount reports the number of stored chunks (test helper).

@@ -112,11 +112,3 @@ func (s *Sim) Delete(name string) error {
 	s.perf.ReleaseStream(name)
 	return s.inner.Delete(name)
 }
-
-// Exists implements ChunkStorage.
-func (s *Sim) Exists(name string) (bool, error) {
-	if err := s.check(); err != nil {
-		return false, err
-	}
-	return s.inner.Exists(name)
-}

@@ -170,16 +170,17 @@ func TestWedgedStoreZombieFenced(t *testing.T) {
 		want.Write(data)
 	}
 
-	// The lease expires (nothing renews it) and the survivor takes over.
-	survivorID := cl.Stores()[1].ID()
+	// The lease expires (nothing renews it) and the survivor takes over. Its
+	// claim comes before its recovery, and recovery is what fences the WAL,
+	// so wait for the survivor to host the container, not just to claim it.
+	survivor := cl.Stores()[1]
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		claims, err := segstore.ClaimedContainers(cl.Meta())
-		if err == nil && claims[cid] == survivorID {
+		if _, err := survivor.ContainerByID(cid); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("container %d never moved to the survivor (claims %v, err=%v)", cid, claims, err)
+			t.Fatalf("container %d never started on the survivor", cid)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

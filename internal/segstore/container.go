@@ -71,14 +71,12 @@ type segState struct {
 }
 
 // chunkMeta locates one LTS chunk of a segment (§4.3). The list is ordered
-// and the chunks are non-overlapping and contiguous. Pending marks a
-// provisional entry whose LTS object has not been confirmed yet; pending
-// entries are never checkpointed and never served to readers.
+// and the chunks are non-overlapping and contiguous; an entry is recorded
+// only once its LTS object exists.
 type chunkMeta struct {
 	Name        string `json:"name"`
 	StartOffset int64  `json:"startOffset"`
 	Length      int64  `json:"length"`
-	Pending     bool   `json:"-"`
 }
 
 // checkpointState is the serialized container metadata snapshot (§4.4).
@@ -309,14 +307,23 @@ func (c *Container) recover() error {
 		}
 	}
 	// Align pending lengths with recovered durable lengths.
-	for _, s := range c.segments {
+	names := make([]string, 0, len(c.segments))
+	for name, s := range c.segments {
 		s.pendingLength = s.length
+		names = append(names, name)
 	}
 	c.mu.Unlock()
 	if c.settleBacklog(queued, released) {
 		c.kickFlush()
 	}
-	c.reconcileStorage()
+	// The checkpoint can trail LTS: chunk writes and chunks made after it
+	// are known only to LTS. Reads and WAL truncation need the true
+	// watermark, so a container that cannot ask LTS does not start.
+	for _, name := range names {
+		if err := c.adoptTiered(name); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

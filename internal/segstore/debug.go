@@ -10,7 +10,6 @@ type ChunkInfo struct {
 	Name        string
 	StartOffset int64
 	Length      int64
-	Pending     bool
 }
 
 // SegmentDebug is a consistent snapshot of one segment's internal state,
@@ -65,7 +64,6 @@ func (c *Container) DebugState() map[string]SegmentDebug {
 				Name:        ch.Name,
 				StartOffset: ch.StartOffset,
 				Length:      ch.Length,
-				Pending:     ch.Pending,
 			})
 		}
 		for w, n := range s.attributes {
@@ -110,7 +108,7 @@ func (c *Container) TailWaiters(name string) int {
 }
 
 // Quiesce runs fn with the tiering engine paused between rounds: no flush,
-// reconciliation or WAL truncation executes while fn does. The invariant
+// adoption or WAL truncation executes while fn does. The invariant
 // checker uses it to observe chunk metadata, the un-tiered queue and the
 // WAL watermark as one consistent cut. fn must not block on tiering
 // progress (FlushAll would deadlock).

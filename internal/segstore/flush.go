@@ -105,69 +105,54 @@ func (c *Container) flushOnce(all bool) {
 // un-tiered queue incrementally — as soon as each chunk write is recorded by
 // commitChunkWrite — so a mid-batch LTS error never causes the retry to
 // re-write (or double-count in storageLength) bytes that already landed.
+// Each step resumes at the storage watermark, which adoptTiered may have
+// moved past what this round wrote.
 func (c *Container) flushSegment(w flushWork) error {
 	start := time.Now()
-
-	// The storage watermark may already cover a prefix of this batch:
-	// recovery reconciliation or a partially failed earlier round can
-	// advance storageLength between collection and flush. Never re-write
-	// tiered bytes — drop the covered prefix from the queue instead.
-	c.mu.Lock()
-	s, ok := c.segments[w.segment]
-	var watermark int64
-	if ok {
-		watermark = s.storageLength
-	}
-	c.mu.Unlock()
-	if !ok {
-		return nil // segment deleted; its backlog went with it
-	}
-	// written counts the batch's bytes that are in LTS, from w.offset on.
-	var written int64
-	if watermark > w.offset {
-		written = min(watermark-w.offset, w.size)
-		c.retireCovered(w.segment)
-		if written == w.size {
-			return nil
-		}
-	}
-	if watermark < w.offset {
-		// The un-tiered queue always starts at the watermark; a gap means
-		// metadata corruption — refuse to flush over it.
-		return fmt.Errorf("segstore: flush gap in %s: storageLength %d, batch start %d", w.segment, watermark, w.offset)
-	}
-
-	flushed := w.size - written
-	for written < w.size {
+	var flushed int64
+	for {
 		if c.crashed.Load() {
 			return ErrContainerDown
 		}
-		name, chunkOff, space, adopted, err := c.activeChunk(w.segment, w.offset+written)
-		if err != nil {
-			if errors.Is(err, ErrSegmentNotFound) {
-				return nil
-			}
-			return err
+		c.mu.Lock()
+		s, ok := c.segments[w.segment]
+		var watermark int64
+		if ok {
+			watermark = s.storageLength
 		}
-		if adopted > 0 {
-			// activeChunk found those bytes already in LTS (orphan chunk
-			// from a crashed flush) and committed them; just retire.
-			adopted = min(adopted, w.size-written)
-			c.retireCovered(w.segment)
-			written += adopted
-			mFlushReconciledBytes.Add(adopted)
+		c.mu.Unlock()
+		if !ok {
+			return nil // segment deleted; its backlog went with it
+		}
+		if watermark < w.offset {
+			// The un-tiered queue always starts at the watermark; a gap means
+			// metadata corruption — refuse to flush over it.
+			return fmt.Errorf("segstore: flush gap in %s: storageLength %d, batch start %d", w.segment, watermark, w.offset)
+		}
+		written := watermark - w.offset // batch bytes already in LTS
+		if written >= w.size {
+			break
+		}
+		name, chunkOff, space, err := c.activeChunk(w.segment)
+		switch {
+		case errors.Is(err, ErrSegmentNotFound):
+			return nil
+		case errors.Is(err, lts.ErrChunkExists):
+			// A crashed instance created (and maybe filled) the chunk:
+			// adopt what it holds and resume after it.
+			if err := c.adoptTiered(w.segment); err != nil {
+				return err
+			}
 			continue
+		case err != nil:
+			return err
 		}
 		n := min(w.size-written, space)
 		if err := c.cfg.LTS.Write(name, chunkOff, lts.PartsRange(w.parts, written, n)...); err != nil {
-			// The write may have landed a prefix before failing. Adopt
-			// whatever actually reached the chunk so the retry neither
-			// re-writes those bytes nor double-counts storageLength.
-			if rec := c.reconcileChunk(w.segment, name, chunkOff, n); rec > 0 {
-				c.retireCovered(w.segment)
-				mFlushReconciledBytes.Add(rec)
-			}
-			return fmt.Errorf("segstore: LTS write %s@%d: %w", name, chunkOff, err)
+			// The write may have landed a prefix before failing. Adopt it so
+			// the retry neither re-writes those bytes nor double-counts them.
+			err = fmt.Errorf("segstore: LTS write %s@%d: %w", name, chunkOff, err)
+			return errors.Join(err, c.adoptTiered(w.segment))
 		}
 		c.commitChunkWrite(w.segment, name, n)
 		if h := c.cfg.Hooks; h != nil && h.BeforeFlushRetire != nil && h.BeforeFlushRetire(w.segment, name, n) {
@@ -175,7 +160,7 @@ func (c *Container) flushSegment(w flushWork) error {
 			return ErrContainerDown
 		}
 		c.retireCovered(w.segment)
-		written += n
+		flushed += n
 	}
 	mLTSFlushes.Inc()
 	mLTSFlushBytes.Add(flushed)
@@ -183,93 +168,56 @@ func (c *Container) flushSegment(w flushWork) error {
 	return nil
 }
 
-// activeChunk returns the chunk to write at the given segment offset,
-// creating a new one when the last chunk is full (or none exists). It
-// returns the chunk name, the in-chunk write offset and remaining capacity.
-//
-// New chunks go through a provisional Pending metadata entry: the entry is
-// appended under c.mu, the LTS create happens outside the lock, and the
-// entry is then resolved — by name, re-checked under c.mu — rather than
-// assumed to still be last. Pending entries are never checkpointed.
-//
-// Chunk names are deterministic (<segment>/chunk-<startOffset>) and chunk
-// content is a pure function of segment bytes, so a create that collides
-// with an orphan chunk left by a crashed instance is safe to adopt: its
-// bytes are exactly the segment bytes at that offset. The adopted length is
-// committed to metadata here and returned so the caller retires it.
-func (c *Container) activeChunk(segName string, segOffset int64) (string, int64, int64, int64, error) {
+// chunkName is the deterministic LTS name of the segment's chunk starting
+// at offset. Chunk content is a pure function of segment bytes, so whatever
+// LTS holds under that name is exactly the segment from offset on.
+func chunkName(segName string, offset int64) string {
+	return fmt.Sprintf("%s/chunk-%d", segName, offset)
+}
+
+// activeChunk returns the chunk to write at the segment's storage
+// watermark, with the in-chunk write offset and remaining capacity. When
+// the last chunk is full (or none exists) it creates the next one in LTS
+// first and records it after; flushRunMu keeps any other round from
+// touching the segment's chunks in between. A create that finds the name
+// taken returns lts.ErrChunkExists for the caller to adopt.
+func (c *Container) activeChunk(segName string) (string, int64, int64, error) {
 	c.mu.Lock()
 	s, ok := c.segments[segName]
 	if !ok {
 		c.mu.Unlock()
-		return "", 0, 0, 0, fmt.Errorf("%w: %s", ErrSegmentNotFound, segName)
+		return "", 0, 0, fmt.Errorf("%w: %s", ErrSegmentNotFound, segName)
 	}
-	if n := len(s.chunks); n > 0 {
-		last := &s.chunks[n-1]
-		if last.Pending {
-			// Leftover provisional entry from an aborted round (crash
-			// between append and resolve). flushRunMu means no one is
-			// mid-create now; drop it and start over.
-			s.chunks = s.chunks[:n-1]
-		} else if last.Length < c.cfg.ChunkSizeLimit && last.StartOffset+last.Length == segOffset {
-			name, off, space := last.Name, last.Length, c.cfg.ChunkSizeLimit-last.Length
-			c.mu.Unlock()
-			return name, off, space, 0, nil
-		}
+	if n := len(s.chunks); n > 0 && s.chunks[n-1].Length < c.cfg.ChunkSizeLimit {
+		last := s.chunks[n-1]
+		c.mu.Unlock()
+		return last.Name, last.Length, c.cfg.ChunkSizeLimit - last.Length, nil
 	}
-	chunkName := fmt.Sprintf("%s/chunk-%d", segName, segOffset)
-	s.chunks = append(s.chunks, chunkMeta{Name: chunkName, StartOffset: segOffset, Pending: true})
+	at := s.storageLength
 	c.mu.Unlock()
 
-	cerr := c.cfg.LTS.Create(chunkName)
-	switch {
-	case cerr == nil:
-		if h := c.cfg.Hooks; h != nil && h.AfterChunkCreate != nil && h.AfterChunkCreate(segName, chunkName) {
-			c.requestCrash()
-			return "", 0, 0, 0, ErrContainerDown
-		}
-		c.resolvePending(segName, chunkName, 0, true)
-		return chunkName, 0, c.cfg.ChunkSizeLimit, 0, nil
-	case errors.Is(cerr, lts.ErrChunkExists):
-		actual, lerr := c.cfg.LTS.Length(chunkName)
-		if lerr != nil {
-			c.resolvePending(segName, chunkName, 0, false)
-			return "", 0, 0, 0, fmt.Errorf("segstore: probing existing chunk %s: %w", chunkName, lerr)
-		}
-		c.resolvePending(segName, chunkName, actual, true)
-		return chunkName, actual, c.cfg.ChunkSizeLimit - actual, actual, nil
-	default:
-		c.resolvePending(segName, chunkName, 0, false)
-		return "", 0, 0, 0, fmt.Errorf("segstore: creating chunk %s: %w", chunkName, cerr)
+	name := chunkName(segName, at)
+	if err := c.cfg.LTS.Create(name); err != nil {
+		return "", 0, 0, fmt.Errorf("segstore: creating chunk %s: %w", name, err)
 	}
-}
-
-// resolvePending finalizes a provisional chunk entry under c.mu: on keep it
-// clears the Pending flag and commits length adopted bytes; otherwise it
-// removes the entry. The entry is located by name — never by position — so
-// the resolution is correct no matter what else ran while the lock was
-// dropped for the LTS call.
-func (c *Container) resolvePending(segName, chunkName string, length int64, keep bool) {
+	if h := c.cfg.Hooks; h != nil && h.AfterChunkCreate != nil && h.AfterChunkCreate(segName, name) {
+		c.requestCrash()
+		return "", 0, 0, ErrContainerDown
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.segments[segName]
-	if !ok {
-		return
+	live := c.segments[segName] == s
+	if live {
+		s.chunks = append(s.chunks, chunkMeta{Name: name, StartOffset: at})
+		c.metaChanges++
 	}
-	for i := range s.chunks {
-		if s.chunks[i].Name != chunkName || !s.chunks[i].Pending {
-			continue
-		}
-		if keep {
-			s.chunks[i].Pending = false
-			s.chunks[i].Length = length
-			s.storageLength += length
-			c.metaChanges++
-		} else {
-			s.chunks = append(s.chunks[:i], s.chunks[i+1:]...)
-		}
-		return
+	c.mu.Unlock()
+	if !live {
+		// Deleted (or deleted and re-created) while the create ran: the
+		// delete never saw this chunk, so it is ours to remove.
+		_ = c.cfg.LTS.Delete(name)
+		return "", 0, 0, fmt.Errorf("%w: %s", ErrSegmentNotFound, segName)
 	}
+	return name, 0, c.cfg.ChunkSizeLimit, nil
 }
 
 // commitChunkWrite records n bytes as durable in the named chunk and
@@ -291,23 +239,74 @@ func (c *Container) commitChunkWrite(segName, chunkName string, n int64) {
 	c.metaChanges++
 }
 
-// reconcileChunk queries the chunk's actual LTS length after a failed write
-// and commits any bytes that landed beyond what metadata records (a partial
-// write that errored after persisting a prefix). Returns the adopted byte
-// count; 0 when the probe fails or nothing extra landed.
-func (c *Container) reconcileChunk(segName, chunkName string, recorded, attempted int64) int64 {
-	actual, err := c.cfg.LTS.Length(chunkName)
-	if err != nil || actual <= recorded {
-		return 0
+// adoptTiered is how the container learns what LTS holds of a segment
+// beyond its chunk metadata: bytes a write landed before it failed, and
+// chunks a crashed instance created or filled after its last checkpoint. It
+// commits the growth of the last chunk, then, while the last chunk is full
+// (or there is none), probes the next deterministic chunk name and records
+// what it finds; ErrNoChunk ends the probe. Adoption never moves the storage
+// watermark past the segment's length: a chunk that would is not this
+// segment's bytes, and is an error. Covered queue bytes are retired by
+// offset, since the queue may lack bytes whose WAL entries were truncated
+// after they were tiered.
+//
+// Recovery runs it for every segment and fails if LTS does not answer; the
+// storage writer runs it after a failed write and after a create that finds
+// its chunk already there.
+func (c *Container) adoptTiered(segName string) error {
+	var adopted int64
+	defer func() {
+		if adopted > 0 {
+			c.retireCovered(segName)
+			mFlushReconciledBytes.Add(adopted)
+		}
+	}()
+	for {
+		c.mu.Lock()
+		s, ok := c.segments[segName]
+		if !ok {
+			c.mu.Unlock()
+			return nil
+		}
+		n := len(s.chunks)
+		full := n == 0 || s.chunks[n-1].Length >= c.cfg.ChunkSizeLimit
+		at, room := s.storageLength, s.length-s.storageLength
+		name, recorded := chunkName(segName, at), int64(0)
+		if !full {
+			name, recorded = s.chunks[n-1].Name, s.chunks[n-1].Length
+		}
+		c.mu.Unlock()
+
+		length, err := c.cfg.LTS.Length(name)
+		if errors.Is(err, lts.ErrNoChunk) && full {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("segstore: probing chunk %s: %w", name, err)
+		}
+		grown := length - recorded
+		if grown > room {
+			return fmt.Errorf("segstore: chunk %s holds %d bytes, %d past %s's length", name, length, grown-room, segName)
+		}
+		if grown <= 0 && !full {
+			return nil // the last chunk holds what its entry records
+		}
+		c.mu.Lock()
+		live := c.segments[segName] == s // not deleted during the probe
+		if live {
+			if full {
+				s.chunks = append(s.chunks, chunkMeta{Name: name, StartOffset: at})
+			}
+			s.chunks[len(s.chunks)-1].Length += grown
+			s.storageLength += grown
+			c.metaChanges++
+			adopted += grown
+		}
+		c.mu.Unlock()
+		if !live {
+			return nil
+		}
 	}
-	delta := actual - recorded
-	if delta > attempted {
-		// Never adopt more than this write attempted: anything beyond it
-		// is not ours to account for.
-		delta = attempted
-	}
-	c.commitChunkWrite(segName, chunkName, delta)
-	return delta
 }
 
 // retireCovered drops every queued byte the storage watermark now covers —
@@ -347,112 +346,6 @@ func (c *Container) retireCovered(segName string) {
 	}
 	c.mu.Unlock()
 	c.settleBacklog(0, freed)
-}
-
-// reconcileStorage runs once during recovery, after replay: it aligns chunk
-// metadata with what actually reached LTS before the crash. Two kinds of
-// drift are possible — the last recorded chunk may hold more bytes than the
-// checkpoint knew about (commitChunkWrite lost to the crash), and whole
-// successor chunks may exist that no surviving metadata mentions (created
-// and written, then crashed before any checkpoint). Both are adopted:
-// chunk names are deterministic in the start offset and chunk content is a
-// pure function of segment bytes, so anything found under the expected name
-// is exactly the tiered prefix. Reconciliation is best-effort: if LTS is
-// unreachable the flush-time reconciliation net (activeChunk adoption,
-// reconcileChunk) heals the same drift later.
-func (c *Container) reconcileStorage() {
-	c.mu.Lock()
-	names := make([]string, 0, len(c.segments))
-	for name := range c.segments {
-		names = append(names, name)
-	}
-	c.mu.Unlock()
-	for _, name := range names {
-		c.reconcileSegmentStorage(name)
-	}
-}
-
-func (c *Container) reconcileSegmentStorage(segName string) {
-	c.mu.Lock()
-	s, ok := c.segments[segName]
-	if !ok {
-		c.mu.Unlock()
-		return
-	}
-	var (
-		lastName string
-		lastLen  int64
-		haveLast = len(s.chunks) > 0
-	)
-	if haveLast {
-		lastName = s.chunks[len(s.chunks)-1].Name
-		lastLen = s.chunks[len(s.chunks)-1].Length
-	}
-	c.mu.Unlock()
-
-	var adopted int64
-
-	// Step 1: the last recorded chunk may have grown past its recorded
-	// length (write landed, commit lost to the crash).
-	if haveLast {
-		actual, err := c.cfg.LTS.Length(lastName)
-		switch {
-		case errors.Is(err, lts.ErrNoChunk) && lastLen == 0:
-			// Provisional entry whose create never reached LTS: drop it.
-			c.mu.Lock()
-			if n := len(s.chunks); n > 0 && s.chunks[n-1].Name == lastName && s.chunks[n-1].Length == 0 {
-				s.chunks = s.chunks[:n-1]
-				c.metaChanges++
-			}
-			c.mu.Unlock()
-		case err != nil:
-			return // LTS unreachable: leave it to the flush-time net
-		case actual > lastLen:
-			delta := actual - lastLen
-			c.commitChunkWrite(segName, lastName, delta)
-			adopted += delta
-		}
-	}
-
-	// Step 2: probe for orphan successor chunks at the deterministic next
-	// name while each previous chunk is full.
-	for {
-		c.mu.Lock()
-		full := len(s.chunks) == 0 || s.chunks[len(s.chunks)-1].Length >= c.cfg.ChunkSizeLimit
-		watermark := s.storageLength
-		c.mu.Unlock()
-		if !full {
-			break
-		}
-		name := fmt.Sprintf("%s/chunk-%d", segName, watermark)
-		exists, err := c.cfg.LTS.Exists(name)
-		if err != nil || !exists {
-			break
-		}
-		actual, err := c.cfg.LTS.Length(name)
-		if err != nil {
-			break
-		}
-		c.mu.Lock()
-		s.chunks = append(s.chunks, chunkMeta{Name: name, StartOffset: watermark, Length: actual})
-		s.storageLength += actual
-		c.metaChanges++
-		c.mu.Unlock()
-		adopted += actual
-		if actual < c.cfg.ChunkSizeLimit {
-			break
-		}
-	}
-
-	// Step 3: replay re-queued everything above the checkpoint watermark for
-	// re-flushing; drop whatever of it adoption just proved is tiered. Note
-	// the queue may hold less than `adopted` bytes below the new watermark:
-	// entries tiered before the crash can already be truncated from the WAL,
-	// so retirement goes by offset, never by the adopted count.
-	if adopted > 0 {
-		c.retireCovered(segName)
-		mFlushReconciledBytes.Add(adopted)
-	}
 }
 
 // maybeTruncateWAL releases WAL ledgers no longer needed for recovery: all
@@ -551,8 +444,7 @@ func (c *Container) checkpointLoop() {
 
 // validateChunks enforces the chunk-layout invariant of §4.3: chunks are
 // contiguous from offset 0, non-overlapping, and cover exactly the tiered
-// prefix (Σ length == storageLength). Pending entries must be filtered out
-// by the caller first.
+// prefix (Σ length == storageLength).
 func validateChunks(seg string, chunks []chunkMeta, storageLength int64) error {
 	var off int64
 	for _, ch := range chunks {
@@ -573,9 +465,8 @@ func validateChunks(seg string, chunks []chunkMeta, storageLength int64) error {
 }
 
 // Checkpoint snapshots container metadata into the WAL and returns once the
-// snapshot is durable. Provisional (pending) chunk entries are excluded; the
-// chunk-layout invariant is validated before anything is written, so a
-// corrupt layout can never become durable.
+// snapshot is durable. The chunk-layout invariant is validated before
+// anything is written, so a corrupt layout can never become durable.
 func (c *Container) Checkpoint() error {
 	if h := c.cfg.Hooks; h != nil && h.BeforeCheckpoint != nil && h.BeforeCheckpoint() {
 		c.requestCrash()
@@ -584,13 +475,8 @@ func (c *Container) Checkpoint() error {
 	c.mu.Lock()
 	cp := checkpointState{Segments: make(map[string]checkpointSegment, len(c.segments))}
 	for name, s := range c.segments {
-		chunks := make([]chunkMeta, 0, len(s.chunks))
-		for _, ch := range s.chunks {
-			if ch.Pending {
-				continue
-			}
-			chunks = append(chunks, ch)
-		}
+		chunks := make([]chunkMeta, len(s.chunks))
+		copy(chunks, s.chunks)
 		if err := validateChunks(name, chunks, s.storageLength); err != nil {
 			c.mu.Unlock()
 			return err

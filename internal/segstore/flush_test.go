@@ -456,3 +456,78 @@ func TestWALTruncatesAfterIdleCheckpoint(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// createHook runs after on each successful chunk create.
+type createHook struct {
+	lts.ChunkStorage
+	after func(name string)
+}
+
+func (h *createHook) Create(name string) error {
+	err := h.ChunkStorage.Create(name)
+	if err == nil {
+		h.after(name)
+	}
+	return err
+}
+
+// TestChunkCreatedForDeletedSegmentIsRemoved: the storage writer records a
+// chunk only once its create returns, so a segment deleted while the create
+// runs never lists the chunk and its delete cannot remove it; the writer
+// does.
+func TestChunkCreatedForDeletedSegmentIsRemoved(t *testing.T) {
+	env := newTestEnv(t)
+	cfg := env.containerConfig(0)
+	const seg = "s/t/0"
+	deleted := make(chan *Container, 1)
+	cfg.LTS = &createHook{ChunkStorage: env.lts, after: func(string) {
+		if err := (<-deleted).DeleteSegment(seg); err != nil {
+			t.Errorf("delete during chunk create: %v", err)
+		}
+	}}
+	c := newContainerWithConfig(t, cfg)
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(seg, []byte("doomed"), "w", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	deleted <- c
+	if err := c.FlushAll(); err != nil {
+		t.Fatalf("flush of a segment deleted mid-create: %v", err)
+	}
+	if n := env.lts.ChunkCount(); n != 0 {
+		t.Fatalf("%d chunks left in LTS for a deleted segment", n)
+	}
+}
+
+// TestRecoveryRefusesChunkPastSegmentLength: adoption trusts a chunk under
+// the next deterministic name only up to the segment's length; a chunk
+// holding more is not the segment's bytes, and recovery fails rather than
+// serve it.
+func TestRecoveryRefusesChunkPastSegmentLength(t *testing.T) {
+	env := newTestEnv(t)
+	cfg := env.containerConfig(0)
+	c, err := NewContainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seg = "s/t/0"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(seg, make([]byte, 100), "w", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash()
+	if err := env.lts.Create(seg + "/chunk-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.lts.Write(seg+"/chunk-0", 0, make([]byte, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if c2, err := NewContainer(cfg); err == nil {
+		_ = c2.Close()
+		t.Fatal("recovery adopted a chunk longer than its segment")
+	}
+}

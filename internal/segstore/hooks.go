@@ -19,9 +19,9 @@ type Hooks struct {
 	BeforeApply func(frameSeq int64) bool
 
 	// AfterChunkCreate fires after a new LTS chunk object is created,
-	// before any data is written to it and before the provisional metadata
-	// entry is durable. A crash here leaves an orphan chunk in LTS that a
-	// recovered flush must adopt instead of colliding with.
+	// before the container records it and before any data is written to
+	// it. A crash here leaves an orphan chunk in LTS that recovery must
+	// adopt instead of colliding with.
 	AfterChunkCreate func(segment, chunk string) bool
 
 	// BeforeFlushRetire fires after a chunk write has been recorded in

@@ -232,17 +232,14 @@ type chunkRead struct {
 	n        int64
 }
 
-// planChunkReads maps [offset, end) onto the covering chunks. Pending
-// (unconfirmed) chunks are never served; the plan is truncated at the first
-// coverage gap so the result is always a contiguous prefix.
+// planChunkReads maps [offset, end) onto the covering chunks. The plan is
+// truncated at the first coverage gap so the result is always a contiguous
+// prefix.
 func planChunkReads(chunks []chunkMeta, offset, end int64) []chunkRead {
 	var plan []chunkRead
 	next := offset
 	for i := range chunks {
 		ch := &chunks[i]
-		if ch.Pending {
-			break
-		}
 		lo, hi := offset, end
 		if ch.StartOffset > lo {
 			lo = ch.StartOffset
