@@ -170,7 +170,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Profile != nil {
 		linkCfg = cfg.Profile.ReplicaLink
 	}
-	bk, err := bookkeeper.NewClient(bookkeeper.ClientConfig{Meta: meta, Link: linkCfg})
+	bk, err := bookkeeper.NewClient(bookkeeper.ClientConfig{Meta: meta})
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		b := bookkeeper.NewBookie(bcfg)
 		cl.bookies = append(cl.bookies, b)
-		bk.RegisterBookie(b)
+		bk.RegisterBookie(&linkedBookie{Bookie: b, link: sim.NewLink(linkCfg)})
 
 		br := &broker{id: i, cl: cl}
 		perSec := float64(time.Second) / float64(cfg.EntryOverhead)
@@ -192,6 +192,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.brokers = append(cl.brokers, br)
 	}
 	return cl, nil
+}
+
+// linkedBookie is a bookie behind the broker-to-bookie network: entry adds
+// cross the modelled link, in order, before the bookie takes them.
+type linkedBookie struct {
+	*bookkeeper.Bookie
+	link *sim.Link
+}
+
+func (b *linkedBookie) AddEntry(ledgerID, entryID int64, data []byte, cb func(error)) {
+	b.link.Send(len(data), func() { b.Bookie.AddEntry(ledgerID, entryID, data, cb) })
 }
 
 // Close stops the baseline.

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"github.com/pravega-go/pravega/internal/cluster"
-	"github.com/pravega-go/pravega/internal/sim"
 )
 
 // ReplicationConfig mirrors the paper's Table 1: ensemble=3, writeQuorum=3,
@@ -62,9 +61,7 @@ type LedgerMetadata struct {
 type Client struct {
 	mu      sync.Mutex
 	bookies map[string]Node
-	links   map[string]*sim.Link // request path to each bookie
 	meta    cluster.Coord
-	linkCfg sim.LinkConfig
 }
 
 // ledgersRoot is the path prefix for ledger metadata nodes.
@@ -74,8 +71,6 @@ const ledgersRoot = "/bookkeeper/ledgers"
 type ClientConfig struct {
 	// Meta is the coordination store holding ledger metadata.
 	Meta cluster.Coord
-	// Link shapes the client->bookie network path (zero = instantaneous).
-	Link sim.LinkConfig
 }
 
 // NewClient builds a client. Bookies are registered with RegisterBookie.
@@ -88,38 +83,26 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	return &Client{
 		bookies: make(map[string]Node),
-		links:   make(map[string]*sim.Link),
 		meta:    cfg.Meta,
-		linkCfg: cfg.Link,
 	}, nil
 }
 
 // RegisterBookie makes a bookie available for new ensembles. Registering a
 // node with an existing id replaces it (fault wrappers swap themselves in).
-// Bookies behind one Host share one link, so entries cross it in order.
 func (c *Client) RegisterBookie(b Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bookies[b.ID()] = b
-	c.links[b.ID()] = sim.NewLink(c.linkCfg)
-	if hb, ok := b.(Hosted); ok {
-		for id, o := range c.bookies {
-			if ob, ok := o.(Hosted); ok && id != b.ID() && ob.Host() == hb.Host() {
-				c.links[b.ID()] = c.links[id]
-				break
-			}
-		}
-	}
 }
 
-func (c *Client) bookie(id string) (Node, *sim.Link, error) {
+func (c *Client) bookie(id string) (Node, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b, ok := c.bookies[id]
 	if !ok {
-		return nil, nil, fmt.Errorf("bookkeeper: unknown bookie %q", id)
+		return nil, fmt.Errorf("bookkeeper: unknown bookie %q", id)
 	}
-	return b, c.links[id], nil
+	return b, nil
 }
 
 func (c *Client) metaPath(id int64) string { return fmt.Sprintf("%s/L%016d", ledgersRoot, id) }
@@ -237,7 +220,9 @@ func (h *LedgerHandle) AppendAsync(data []byte, cb func(int64, error)) {
 
 // AppendPartsAsync writes the concatenation of parts as the next entry,
 // invoking cb(entryID, err) when ackQuorum bookies confirm. Calls are
-// pipelined; acknowledgements complete in order per bookie. A ledger entry
+// pipelined; acknowledgements complete in order per bookie. Each bookie, or
+// each Host, gets the entry from this call directly, so cb may run before
+// it returns (a bookie that is down fails the add at once). A ledger entry
 // is parts: a Host sends them as they are, and the local bookies, which
 // keep what they are given, share one joined copy. The ledger takes
 // ownership of the parts: the caller must not mutate them afterwards.
@@ -296,19 +281,14 @@ func (h *LedgerHandle) AppendPartsAsync(parts [][]byte, cb func(int64, error)) {
 	type group struct {
 		host Host
 		ids  []string
-		link *sim.Link
 	}
 	var groups []group
 	var flat []byte // the entry, joined once for the local bookies
 	if len(parts) == 1 {
 		flat = parts[0]
 	}
-	size := 0
-	for _, p := range parts {
-		size += len(p)
-	}
 	for _, id := range targets {
-		b, link, err := h.client.bookie(id)
+		b, err := h.client.bookie(id)
 		if err != nil {
 			settle(err)
 			continue
@@ -318,7 +298,7 @@ func (h *LedgerHandle) AppendPartsAsync(parts [][]byte, cb func(int64, error)) {
 			if flat == nil {
 				flat = bytes.Join(parts, nil)
 			}
-			link.Send(size, func() { b.AddEntry(h.md.ID, entryID, flat, settle) })
+			b.AddEntry(h.md.ID, entryID, flat, settle)
 			continue
 		}
 		i := 0
@@ -326,12 +306,12 @@ func (h *LedgerHandle) AppendPartsAsync(parts [][]byte, cb func(int64, error)) {
 			i++
 		}
 		if i == len(groups) {
-			groups = append(groups, group{host: hb.Host(), link: link})
+			groups = append(groups, group{host: hb.Host()})
 		}
 		groups[i].ids = append(groups[i].ids, id)
 	}
 	for _, g := range groups {
-		g.link.Send(size, func() { g.host.AddEntries(g.ids, h.md.ID, entryID, parts, settle) })
+		g.host.AddEntries(g.ids, h.md.ID, entryID, parts, settle)
 	}
 }
 
@@ -382,7 +362,7 @@ func (c *Client) ReadEntry(md LedgerMetadata, entryID int64) ([]byte, error) {
 	var lastErr error = ErrNoEntry
 	for i := 0; i < rep.WriteQuorum; i++ {
 		id := md.Ensemble[(int(entryID)+i)%len(md.Ensemble)]
-		b, _, err := c.bookie(id)
+		b, err := c.bookie(id)
 		if err != nil {
 			lastErr = err
 			continue
@@ -415,7 +395,7 @@ func (c *Client) OpenLedgerRecovery(id int64) (LedgerMetadata, error) {
 	last := int64(-1)
 	reachable := 0
 	for _, bid := range md.Ensemble {
-		b, _, err := c.bookie(bid)
+		b, err := c.bookie(bid)
 		if err != nil {
 			continue
 		}
@@ -460,7 +440,7 @@ func (c *Client) DeleteLedger(id int64) error {
 		return err
 	}
 	for _, bid := range md.Ensemble {
-		if b, _, err := c.bookie(bid); err == nil {
+		if b, err := c.bookie(bid); err == nil {
 			_ = b.DeleteLedger(id) // a down bookie holds no obligation
 		}
 	}

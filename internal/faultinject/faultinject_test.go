@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/pravega-go/pravega/internal/lts"
+	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
 
@@ -273,6 +274,70 @@ func TestOrphanChunkAdoption(t *testing.T) {
 	assertLayout(t, c2, mem, seg, int64(len(payload)))
 	if got := readBack(t, c2, seg, 0, int64(len(payload))); !bytes.Equal(got, payload) {
 		t.Fatal("read-back differs after orphan-chunk adoption")
+	}
+}
+
+// TestRecreatedSegmentIgnoresDeletedChunks: a segment deleted while LTS
+// fails its chunk deletes leaves its chunk behind, and a segment re-created
+// under the same name must not adopt it. Chunk names carry the segment's
+// incarnation (the WAL address of its create), so the new segment's writer
+// creates a chunk of its own, and every byte LTS holds for it is its own.
+// Under names without the incarnation the writer found chunk-0, adopted the
+// old 500 bytes and wrote the new ones after them, which the block cache hid
+// until eviction.
+func TestRecreatedSegmentIgnoresDeletedChunks(t *testing.T) {
+	mem := lts.NewMemory()
+	flts := NewFaultyLTS(mem)
+	_, c := newQuietRig(t, flts, nil, 0)
+	failures := obs.Default().Counter("pravega_lts_chunk_delete_failures_total", "")
+	before := failures.Value()
+
+	const seg = "scope/s/recreated"
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	mustAppend(t, c, seg, bytes.Repeat([]byte("o"), 500), "w", 1)
+	if err := c.FlushAll(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	flts.AddRule(LTSRule{Op: LTSDelete, Count: -1})
+	injected := flts.Injected()
+	if err := c.DeleteSegment(seg); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	// Chunks are deleted asynchronously: wait for the failed attempt.
+	for deadline := time.Now().Add(5 * time.Second); flts.Injected() == injected; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the deleted segment's chunk delete never ran")
+		}
+	}
+	if mem.ChunkCount() != 1 {
+		t.Fatalf("%d chunks in LTS, want the deleted segment's one left behind", mem.ChunkCount())
+	}
+
+	if err := c.CreateSegment(seg); err != nil {
+		t.Fatalf("re-create: %v", err)
+	}
+	want := bytes.Repeat([]byte("n"), 800)
+	mustAppend(t, c, seg, want, "w", 1)
+	if err := c.FlushAll(); err != nil {
+		t.Fatalf("flush after re-create: %v", err)
+	}
+	d := c.DebugState()[seg]
+	var got []byte
+	for _, ch := range d.Chunks {
+		buf := make([]byte, ch.Length)
+		if _, err := mem.Read(ch.Name, 0, buf); err != nil {
+			t.Fatalf("read chunk %s: %v", ch.Name, err)
+		}
+		got = append(got, buf...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("LTS holds %d bytes for the re-created segment, %d of them not %q; want %d",
+			len(got), len(got)-bytes.Count(got, []byte("n")), "n", len(want))
+	}
+	if n := failures.Value() - before; n < 1 {
+		t.Fatalf("pravega_lts_chunk_delete_failures_total rose by %d, want the failed delete counted", n)
 	}
 }
 

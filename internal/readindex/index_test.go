@@ -3,147 +3,12 @@ package readindex
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/pravega-go/pravega/internal/blockcache"
 )
-
-func TestAVLInsertLookup(t *testing.T) {
-	var tr tree
-	for i := 0; i < 1000; i++ {
-		tr.put(int64(i*7%1000), &item{Entry: Entry{Offset: int64(i * 7 % 1000)}})
-	}
-	if tr.size != 1000 {
-		t.Fatalf("size %d", tr.size)
-	}
-	if !tr.validate() {
-		t.Fatal("AVL invariant broken after inserts")
-	}
-	for i := 0; i < 1000; i++ {
-		if e := tr.get(int64(i)); e == nil || e.Offset != int64(i) {
-			t.Fatalf("get(%d) = %v", i, e)
-		}
-	}
-	if tr.get(5000) != nil {
-		t.Fatal("get of missing key")
-	}
-}
-
-func TestAVLDelete(t *testing.T) {
-	var tr tree
-	for i := 0; i < 500; i++ {
-		tr.put(int64(i), &item{Entry: Entry{Offset: int64(i)}})
-	}
-	for i := 0; i < 500; i += 2 {
-		if !tr.delete(int64(i)) {
-			t.Fatalf("delete(%d) failed", i)
-		}
-	}
-	if tr.delete(0) {
-		t.Fatal("double delete succeeded")
-	}
-	if tr.size != 250 {
-		t.Fatalf("size %d after deletes", tr.size)
-	}
-	if !tr.validate() {
-		t.Fatal("AVL invariant broken after deletes")
-	}
-	for i := 0; i < 500; i++ {
-		got := tr.get(int64(i))
-		if (i%2 == 0) != (got == nil) {
-			t.Fatalf("get(%d) = %v", i, got)
-		}
-	}
-}
-
-func TestAVLFloorCeiling(t *testing.T) {
-	var tr tree
-	for _, k := range []int64{10, 20, 30, 40} {
-		tr.put(k, &item{Entry: Entry{Offset: k}})
-	}
-	cases := []struct {
-		q           int64
-		floor, ceil int64 // -1 = nil
-	}{
-		{5, -1, 10}, {10, 10, 10}, {15, 10, 20}, {40, 40, 40}, {45, 40, -1},
-	}
-	for _, tc := range cases {
-		f := tr.floor(tc.q)
-		if (f == nil) != (tc.floor == -1) || (f != nil && f.Offset != tc.floor) {
-			t.Fatalf("floor(%d) = %v, want %d", tc.q, f, tc.floor)
-		}
-		cl := tr.ceiling(tc.q)
-		if (cl == nil) != (tc.ceil == -1) || (cl != nil && cl.Offset != tc.ceil) {
-			t.Fatalf("ceiling(%d) = %v, want %d", tc.q, cl, tc.ceil)
-		}
-	}
-	if tr.min().Offset != 10 || tr.max().Offset != 40 {
-		t.Fatal("min/max wrong")
-	}
-}
-
-func TestAVLAscendRange(t *testing.T) {
-	var tr tree
-	for i := int64(0); i < 20; i++ {
-		tr.put(i*10, &item{Entry: Entry{Offset: i * 10}})
-	}
-	var got []int64
-	tr.ascend(35, 95, func(e *item) bool {
-		got = append(got, e.Offset)
-		return true
-	})
-	want := []int64{40, 50, 60, 70, 80, 90}
-	if len(got) != len(want) {
-		t.Fatalf("ascend = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ascend = %v, want %v", got, want)
-		}
-	}
-	// Early stop.
-	count := 0
-	tr.ascend(0, 200, func(*item) bool { count++; return count < 3 })
-	if count != 3 {
-		t.Fatalf("early stop visited %d", count)
-	}
-}
-
-// TestAVLRandomOpsProperty: the tree stays balanced and ordered under any
-// mix of inserts and deletes.
-func TestAVLRandomOpsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var tr tree
-		model := map[int64]bool{}
-		for op := 0; op < 300; op++ {
-			k := int64(rng.Intn(100))
-			if rng.Intn(2) == 0 {
-				tr.put(k, &item{Entry: Entry{Offset: k}})
-				model[k] = true
-			} else {
-				deleted := tr.delete(k)
-				if deleted != model[k] {
-					return false
-				}
-				delete(model, k)
-			}
-			if !tr.validate() || tr.size != len(model) {
-				return false
-			}
-		}
-		for k := range model {
-			if tr.get(k) == nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestIndexFindAndExtend(t *testing.T) {
 	x := New()
@@ -164,9 +29,6 @@ func TestIndexFindAndExtend(t *testing.T) {
 	if err != nil || e.Offset != 100 || e.Length != 75 || e.CacheAddr != 3 {
 		t.Fatalf("after ExtendTail: %+v, %v", e, err)
 	}
-	if x.Length() != 175 {
-		t.Fatalf("Length = %d", x.Length())
-	}
 	tail, ok := x.TailEntry()
 	if !ok || tail.Offset != 100 {
 		t.Fatalf("TailEntry = %+v, %v", tail, ok)
@@ -184,11 +46,11 @@ func TestIndexTruncate(t *testing.T) {
 	if len(freed) != 3 {
 		t.Fatalf("freed %d entries, want 3: %v", len(freed), freed)
 	}
-	if x.Truncation() != 35 {
-		t.Fatalf("Truncation = %d", x.Truncation())
+	if _, err := x.Find(20); !errors.Is(err, ErrGap) {
+		t.Fatalf("Find in a truncated entry: %v", err)
 	}
-	if _, err := x.Find(20); err == nil {
-		t.Fatal("Find below truncation must fail")
+	if e, err := x.Find(31); err != nil || e.Offset != 30 {
+		t.Fatalf("Find(31) = %+v, %v", e, err)
 	}
 	if err := x.Validate(); err != nil {
 		t.Fatal(err)
@@ -265,8 +127,8 @@ func TestIndexSplitInsertsOfOversizedOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := x.Entries()
-	if len(entries) != 4 || x.Length() != length || x.CachedBytes() != length {
-		t.Fatalf("%d entries, Length %d, CachedBytes %d, want 4 entries of %d bytes", len(entries), x.Length(), x.CachedBytes(), length)
+	if len(entries) != 4 || entries[3].End() != length || x.CachedBytes() != length {
+		t.Fatalf("%d entries ending at %d, CachedBytes %d, want 4 entries of %d bytes", len(entries), entries[len(entries)-1].End(), x.CachedBytes(), length)
 	}
 	for i, e := range entries {
 		if e.Length > bound || (i > 0 && e.Offset != entries[i-1].End()) {
@@ -276,6 +138,156 @@ func TestIndexSplitInsertsOfOversizedOp(t *testing.T) {
 	for off := int64(0); off < length; off += 31 {
 		if e, err := x.Find(off); err != nil || off < e.Offset || off >= e.End() {
 			t.Fatalf("Find(%d) = %+v, %v", off, e, err)
+		}
+	}
+}
+
+// TestIndexMatchesModel runs random tail adds, tail extensions, adds at
+// arbitrary offsets (replacing an entry at the same offset included), Find,
+// TruncateBefore and EvictStalest against a map of entries and a list of
+// cached offsets in use order, checking every result and Validate after
+// each step. Entries start on a grid of slot bytes and stay within their
+// slot, so no two overlap wherever they are added.
+func TestIndexMatchesModel(t *testing.T) {
+	const slot, slots = 100, 40
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := New()
+		model := map[int64]Entry{}
+		var use []int64 // cached offsets, least recently used first
+		var removals int64
+		var nextAddr blockcache.Address
+		touch := func(off int64) {
+			use = slices.DeleteFunc(use, func(o int64) bool { return o == off })
+			if e, ok := model[off]; ok && e.Where == InCache {
+				use = append(use, off)
+			}
+		}
+		remove := func(off int64) {
+			if model[off].Where == InCache {
+				removals++
+			}
+			delete(model, off)
+			touch(off)
+		}
+		sorted := func() []Entry {
+			out := make([]Entry, 0, len(model))
+			for _, e := range model {
+				out = append(out, e)
+			}
+			slices.SortFunc(out, func(a, b Entry) int { return int(a.Offset - b.Offset) })
+			return out
+		}
+		add := func(off int64) {
+			nextAddr++
+			e := Entry{Offset: off, Length: int64(1 + rng.Intn(slot)), Where: InCache, CacheAddr: nextAddr}
+			if rng.Intn(5) == 0 {
+				e.Where, e.CacheAddr = InLTS, 0
+			}
+			x.Add(e)
+			if _, ok := model[off]; ok {
+				remove(off)
+			}
+			model[off] = e
+			touch(off)
+		}
+		for step := 0; step < 400; step++ {
+			all := sorted()
+			var tail *Entry
+			if len(all) > 0 {
+				tail = &all[len(all)-1]
+			}
+			switch op := rng.Intn(6); op {
+			case 0: // add at the tail
+				off := int64(0)
+				if tail != nil {
+					off = tail.Offset + slot
+				}
+				add(off)
+			case 1: // extend the tail within its slot
+				n := int64(1 + rng.Intn(slot))
+				if tail != nil {
+					n = min(n, slot-tail.Length)
+				}
+				if n == 0 {
+					break
+				}
+				nextAddr++
+				want := tail != nil && tail.Where == InCache
+				if got := x.ExtendTail(n, nextAddr); got != want {
+					t.Fatalf("seed %d step %d: ExtendTail of tail %v = %v", seed, step, tail, got)
+				}
+				if want {
+					tail.Length += n
+					tail.CacheAddr = nextAddr
+					model[tail.Offset] = *tail
+				}
+			case 2: // add anywhere, replacing what is there
+				add(int64(rng.Intn(slots)) * slot)
+			case 3: // find
+				off := rng.Int63n(slots * slot)
+				e, err := x.Find(off)
+				var want *Entry
+				for i := range all {
+					if all[i].Offset <= off && off < all[i].End() {
+						want = &all[i]
+					}
+				}
+				if want == nil {
+					if !errors.Is(err, ErrGap) {
+						t.Fatalf("seed %d step %d: Find(%d) = %+v, %v; want ErrGap", seed, step, off, e, err)
+					}
+					break
+				}
+				if err != nil || e != *want {
+					t.Fatalf("seed %d step %d: Find(%d) = %+v, %v; want %+v", seed, step, off, e, err, *want)
+				}
+				touch(want.Offset)
+			case 4: // truncate
+				off := rng.Int63n(slots * slot)
+				var want []blockcache.Address
+				for _, e := range all {
+					if e.End() <= off {
+						if e.Where == InCache {
+							want = append(want, e.CacheAddr)
+						}
+						remove(e.Offset)
+					}
+				}
+				if got := x.TruncateBefore(off); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: TruncateBefore(%d) freed %v, want %v", seed, step, off, got, want)
+				}
+			case 5: // evict
+				limit, wantBytes := rng.Int63n(slots*slot), int64(1+rng.Intn(3*slot))
+				var want []blockcache.Address
+				left := wantBytes
+				for _, off := range slices.Clone(use) {
+					if left <= 0 {
+						break
+					}
+					if e := model[off]; e.End() <= limit {
+						want = append(want, e.CacheAddr)
+						left -= e.Length
+						remove(off)
+					}
+				}
+				if got := x.EvictStalest(limit, wantBytes); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: EvictStalest(%d, %d) freed %v, want %v", seed, step, limit, wantBytes, got, want)
+				}
+			}
+			if err := x.Validate(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			var cached int64
+			for _, e := range model {
+				if e.Where == InCache {
+					cached += e.Length
+				}
+			}
+			if got := x.Entries(); !slices.Equal(got, sorted()) || x.CachedBytes() != cached || x.Removals() != removals {
+				t.Fatalf("seed %d step %d: index holds %v (%d cached bytes, %d removals), model %v (%d, %d)",
+					seed, step, got, x.CachedBytes(), x.Removals(), sorted(), cached, removals)
+			}
 		}
 	}
 }
@@ -296,7 +308,7 @@ func TestIndexContiguousAppendProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := New()
-		var length int64
+		var length, truncated int64 // truncated: offsets below it are gone
 		for op := 0; op < 100; op++ {
 			n := int64(1 + rng.Intn(50))
 			if tail, ok := x.TailEntry(); ok && rng.Intn(2) == 0 {
@@ -309,20 +321,22 @@ func TestIndexContiguousAppendProperty(t *testing.T) {
 			}
 			length += n
 			if rng.Intn(10) == 0 && length > 0 {
-				x.TruncateBefore(rng.Int63n(length))
+				at := rng.Int63n(length)
+				truncated = max(truncated, at)
+				x.TruncateBefore(at)
 			}
 			if rng.Intn(10) == 0 {
-				_, _ = x.Find(x.Truncation() + rng.Int63n(length-x.Truncation()))
+				_, _ = x.Find(truncated + rng.Int63n(length-truncated))
 			}
 			if x.Validate() != nil {
 				return false
 			}
 		}
-		if x.Length() != length {
+		if tail, ok := x.TailEntry(); !ok || tail.End() != length {
 			return false
 		}
 		// Every offset from truncation to length resolves or is truncated.
-		for off := x.Truncation(); off < length; off += 13 {
+		for off := truncated; off < length; off += 13 {
 			if e, err := x.Find(off); err != nil {
 				// Allowed only if the covering entry was fully below the
 				// truncation point (dropped) — but then off < truncation,

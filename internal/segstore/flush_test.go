@@ -520,10 +520,11 @@ func TestRecoveryRefusesChunkPastSegmentLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Crash()
-	if err := env.lts.Create(seg + "/chunk-0"); err != nil {
+	name := c.segments[seg].chunkName(0)
+	if err := env.lts.Create(name); err != nil {
 		t.Fatal(err)
 	}
-	if err := env.lts.Write(seg+"/chunk-0", 0, make([]byte, 200)); err != nil {
+	if err := env.lts.Write(name, 0, make([]byte, 200)); err != nil {
 		t.Fatal(err)
 	}
 	if c2, err := NewContainer(cfg); err == nil {

@@ -55,6 +55,8 @@ var (
 		"Latency of one segment batch flush to LTS, microseconds")
 	mFlushReconciledBytes = obs.Default().Counter("pravega_lts_reconciled_bytes_total",
 		"Bytes found already in LTS and adopted instead of re-written (partial writes, orphan chunks after a crash)")
+	mLTSChunkDeleteFailures = obs.Default().Counter("pravega_lts_chunk_delete_failures_total",
+		"Chunks of a deleted segment whose LTS delete failed; the chunk stays behind as an orphan")
 	mWALTruncateErrors = obs.Default().Counter("pravega_segstore_wal_truncate_errors_total",
 		"WAL truncation attempts that failed and will be retried")
 )

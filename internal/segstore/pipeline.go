@@ -1,10 +1,12 @@
 package segstore
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/lts"
 	"github.com/pravega-go/pravega/internal/obs"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/wal"
@@ -740,7 +742,9 @@ func (c *Container) deleteChunks(chunks []chunkMeta) {
 		if c.crashed.Load() {
 			return
 		}
-		_ = c.cfg.LTS.Delete(ch.Name)
+		if err := c.cfg.LTS.Delete(ch.Name); err != nil && !errors.Is(err, lts.ErrNoChunk) {
+			mLTSChunkDeleteFailures.Inc()
+		}
 	}
 }
 
